@@ -17,14 +17,17 @@ Entry points:
   behind ``repro worker --connect HOST:PORT``;
 * :class:`~repro.cluster.manager.ClusterManager` / :class:`ManagerThread`
   — the hub: registration, shard dispatch, relay, supervision;
-* :class:`ClusterClient` — the connection-pooled job-submission client.
+* :class:`ClusterClient` — the connection-pooled job-submission client,
+  which also remembers each job-spec part it has shipped
+  (:mod:`repro.cluster.spec`: plan and database travel once, by digest,
+  and stay resident on the workers).
 
 See the "Distributed evaluation" section of docs/architecture.md for the
 topology, the failure model, and why the termination argument survives
 the wire.
 """
 
-from .client import ClusterClient, ClusterError, NoWorkersError
+from .client import ClusterClient, ClusterError, NoWorkersError, SpecMissError
 from .evaluate import ClusterQueryResult, evaluate_cluster
 from .framing import PROTOCOL_VERSION, FrameError
 from .harness import ClusterHarness
@@ -41,6 +44,7 @@ __all__ = [
     "FrameError",
     "ManagerThread",
     "NoWorkersError",
+    "SpecMissError",
     "evaluate_cluster",
     "worker_main",
 ]

@@ -6,6 +6,13 @@ threads share one client: each submission checks a connection out, holds it
 for the round trip (JOB → RESULT), and returns it — the manager serializes
 evaluations anyway, so pool_size bounds connection churn, not parallelism.
 
+The client is also where a job's spec parts are remembered
+(:mod:`repro.cluster.spec`): the pickled bytes of each live graph and
+database, and which digests this manager has already been sent — so a
+repeat query submits two digests and an empty blob.  A manager that no
+longer holds a digest (restarted, evicted) answers ``spec_miss``; the
+client forgets it and :class:`SpecMissError` tells the caller to resend.
+
 Failures map onto the *same* typed vocabulary as the local runtimes
 (``runtime/supervision.py``): a worker that died mid-job raises
 :class:`WorkerCrashError`, a silent one :class:`WorkerStallError`, a
@@ -16,8 +23,6 @@ caller built for the pool runtime works against the cluster unchanged.
 from __future__ import annotations
 
 import socket
-import struct
-import json
 import threading
 from typing import Optional
 
@@ -27,9 +32,18 @@ from ..runtime.supervision import (
     WorkerCrashError,
     WorkerStallError,
 )
-from .framing import FrameError, FrameSocket, FrameType
+from .framing import FrameError, FrameSocket, FrameType, encode_job
+from .spec import (
+    EDB,
+    PLAN,
+    STORE_ENTRIES,
+    JobSpecMemo,
+    Part,
+    PartCache,
+    pack_parts,
+)
 
-__all__ = ["ClusterClient", "ClusterError", "NoWorkersError"]
+__all__ = ["ClusterClient", "ClusterError", "NoWorkersError", "SpecMissError"]
 
 
 class ClusterError(RuntimeFailure):
@@ -42,6 +56,18 @@ class NoWorkersError(ClusterError):
     Retryable on purpose: a worker that crashed or flapped may re-register
     within a retry policy's backoff window.
     """
+
+
+class SpecMissError(ClusterError):
+    """The manager lacks spec parts the client believed it held.
+
+    Raised by :meth:`ClusterClient.submit` after the client has forgotten
+    the missing digests, so framing the same job again ships their bytes.
+    """
+
+    def __init__(self, missing: list[str]) -> None:
+        super().__init__(f"manager lacks job-spec parts {missing}")
+        self.missing = missing
 
 
 def _parse_address(address: str) -> tuple[str, int]:
@@ -58,6 +84,12 @@ class ClusterClient:
         self._idle: list[FrameSocket] = []
         self._lock = threading.Lock()
         self.closed = False
+        #: Pickled spec parts per live graph / database (shared by every
+        #: evaluation through this client).
+        self.specs = JobSpecMemo()
+        # Which digests the manager is believed to hold: no more than its
+        # store keeps, so a stale belief costs one ``spec_miss`` round trip.
+        self._manager_has = PartCache(STORE_ENTRIES, 0)
 
     # ------------------------------------------------------------------
     def _connect(self) -> FrameSocket:
@@ -99,45 +131,64 @@ class ClusterClient:
         fs.close()
 
     # ------------------------------------------------------------------
+    def frame_job(self, header: dict, parts: list[Part]) -> tuple[dict, bytes]:
+        """The ``(header, blob)`` to :meth:`submit` for a job made of ``parts``.
+
+        The header always names every part by digest; the blob carries the
+        bytes of only those this manager is not known to hold.
+        """
+        with self._lock:
+            ship = [p for p in parts if p.digest not in self._manager_has]
+        entries, blob = pack_parts(ship)
+        framed = dict(header, parts=entries)
+        for part in parts:
+            framed[part.kind] = part.digest
+        return framed, blob
+
     def submit(self, header: dict, blob: bytes, timeout: float) -> dict:
         """One evaluation round trip; returns the RESULT payload on success.
 
+        ``blob`` is exactly the bytes that ship after the JSON header.
         Raises the typed supervision error the RESULT describes, so the
         caller's retry policy treats remote failures exactly like local
         ones.
         """
         fs = self._acquire()
-        head = json.dumps(header, separators=(",", ":")).encode("utf-8")
         try:
-            fs.send_frame(
-                FrameType.JOB, struct.pack("!I", len(head)) + head + blob
-            )
-            while True:
-                try:
+            try:
+                fs.send_frame(FrameType.JOB, encode_job(header, blob))
+                frame = fs.recv_frame(timeout=timeout)
+                while frame.ftype != FrameType.RESULT:
                     frame = fs.recv_frame(timeout=timeout)
-                except socket.timeout:
-                    # Tell the manager to tear the job down, then surface
-                    # the same timeout the local supervisor would raise.
-                    try:
-                        fs.send_json(FrameType.ABORT, {})
-                    except Exception:
-                        pass
-                    fs.close()
-                    raise EvaluationTimeout(
-                        f"cluster evaluation did not complete within {timeout}s"
-                    )
-                except (FrameError, OSError) as exc:
-                    fs.close()
-                    raise ClusterError(
-                        f"lost the cluster manager mid-job: {exc}"
-                    )
-                if frame.ftype == FrameType.RESULT:
-                    break
+            except socket.timeout:
+                # Tell the manager to tear the job down, then surface
+                # the same timeout the local supervisor would raise.
+                try:
+                    fs.send_json(FrameType.ABORT, {})
+                except Exception:
+                    pass
+                raise EvaluationTimeout(
+                    f"cluster evaluation did not complete within {timeout}s"
+                )
+            except (FrameError, OSError) as exc:
+                raise ClusterError(f"lost the cluster manager mid-job: {exc}")
         except BaseException:
+            fs.close()  # mid-exchange: never back into the pool
             raise
-        else:
-            self._release(fs)
+        self._release(fs)
         result = frame.json()
+        digests = [header[kind] for kind in (PLAN, EDB) if header.get(kind)]
+        if result.get("kind") == "spec_miss":
+            missing = list(result.get("missing", digests))
+            with self._lock:
+                for digest in missing:
+                    self._manager_has.discard(digest)
+            raise SpecMissError(missing)
+        # Any other RESULT means the manager parsed the JOB frame, and it
+        # stores the parts a frame carries before doing anything else.
+        with self._lock:
+            for digest in digests:
+                self._manager_has.put(digest, True, 0)
         if result.get("ok"):
             return result
         self._raise_failure(result, timeout)

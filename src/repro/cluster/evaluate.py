@@ -8,18 +8,21 @@ shared :class:`~repro.cluster.client.ClusterClient`), or give it neither
 and it spins up a private localhost :class:`~repro.cluster.harness
 .ClusterHarness` for the duration of the call — the CI path.
 
-Per attempt, the client ships one pickled job spec (program + prebuilt
-rule/goal graph + database + options); every worker rebuilds the same
-engine and the same deterministic shard map from it.  Whole-query retry on
-worker loss re-dispatches over the workers still registered, so losing a
-worker degrades capacity, not correctness — monotone set semantics makes
-the re-execution reach the identical least fixpoint.
+A job is two content-addressed parts (:mod:`repro.cluster.spec`) — the
+*plan* (rules-only program + prebuilt rule/goal graph + options) and the
+*edb* (the database) — plus a small per-attempt header.  Each part is
+pickled once per live graph / database object and shipped once per
+manager and worker; a repeat query submits two digests and an empty blob,
+and the workers evaluate it over their resident copies (fresh per-query
+node state, resident inputs).  Whole-query retry on worker loss
+re-dispatches over the workers still registered, so losing a worker
+degrades capacity, not correctness — monotone set semantics makes the
+re-execution reach the identical least fixpoint.
 """
 
 from __future__ import annotations
 
-import copy
-import pickle
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -32,7 +35,7 @@ from ..network.nodes import DRIVER_ID
 from ..relational.database import Database
 from ..runtime.faults import FaultPlan
 from ..runtime.supervision import RetryPolicy, run_with_retry
-from .client import ClusterClient
+from .client import ClusterClient, SpecMissError
 from .framing import rows_from_wire
 
 __all__ = ["ClusterQueryResult", "evaluate_cluster"]
@@ -57,6 +60,9 @@ class ClusterQueryResult:
     driver_last_upto_ended: int
     shards: dict[int, dict] = field(default_factory=dict)  # per-shard counters
     transport: dict[str, dict] = field(default_factory=dict)  # per-worker wire
+    #: Spec bytes this query shipped client → manager, per part, summed over
+    #: attempts and resends (all zeros on a warm repeat).
+    spec: dict[str, int] = field(default_factory=dict)
     attempts: int = 1
     degraded: bool = False
     failure_log: list[str] = field(default_factory=list)
@@ -101,6 +107,16 @@ class ClusterQueryResult:
             for t in self.transport.values()
         )
 
+    @property
+    def spec_bytes_shipped(self) -> int:
+        """Job-spec bytes this query sent to the manager (0 when warm)."""
+        return self.spec.get("plan_bytes", 0) + self.spec.get("edb_bytes", 0)
+
+    @property
+    def held_end_requests(self) -> int:
+        """End requests the shard loops held for a non-idle receiver."""
+        return sum(s.get("held_end_requests", 0) for s in self.shards.values())
+
     def summary(self) -> str:
         """The compact report, matching ``QueryResult.summary``'s shape."""
         lines = [
@@ -126,6 +142,19 @@ class ClusterQueryResult:
                 f"heartbeat rtt: {min(rtts):.2f}..{max(rtts):.2f} ms "
                 f"across {len(rtts)} workers"
             )
+        hits = [s["spec"] for s in self.shards.values() if "spec" in s]
+        edb_hits = [h["edb_hit"] for h in hits if h["edb_hit"] is not None]
+        caches = [t["spec"] for t in self.transport.values() if "spec" in t]
+        lines.append(
+            f"spec: shipped {self.spec.get('plan_bytes', 0)} plan + "
+            f"{self.spec.get('edb_bytes', 0)} edb bytes "
+            f"({self.spec.get('resends', 0)} resends); worker cache hits: "
+            f"plan {sum(h['plan_hit'] for h in hits)}/{len(hits)}, "
+            f"edb {sum(edb_hits)}/{len(edb_hits)}; resident "
+            f"{sum(c['resident_entries'] for c in caches)} parts / "
+            f"{sum(c['resident_bytes'] for c in caches)} bytes; "
+            f"held end-requests: {self.held_end_requests}"
+        )
         if self.degraded or self.attempts > 1:
             note = f"supervision: {self.attempts} attempt(s)"
             if self.degraded:
@@ -262,17 +291,6 @@ def evaluate_cluster(
     for node_id in list(graph.goal_nodes) + list(graph.rule_nodes):
         labels[node_id] = graph.node_label(node_id)
 
-    # The job spec crosses the wire pickled.  SIP decisions are already
-    # baked into the graph's arcs, so workers never call its sip_factory
-    # — but the cost planner's factory is a closure that cannot pickle.
-    # Ship a shallow copy with a picklable placeholder instead (the
-    # session's cached graph must not be mutated), and without the plan
-    # report (client-side introspection only).
-    wire_graph = copy.copy(graph)
-    wire_graph.sip_factory = greedy_sip
-    if getattr(wire_graph, "plan_report", None) is not None:
-        wire_graph.plan_report = None
-
     if address is not None and listen is not None:
         raise ValueError(
             "address and listen are mutually exclusive: either dial an "
@@ -304,27 +322,44 @@ def evaluate_cluster(
             own_harness.start()
             client = own_harness.client()
 
+    # Everything that shapes the node network rides in the plan part; what
+    # varies per attempt (fault plan, deadlines, batch size) in the header.
+    options = {
+        "package_requests": package_requests,
+        "edb_shards": edb_shards,
+        "tuple_sets": tuple_sets,
+        "columnar": columnar,
+    }
+    shipped = {"plan_bytes": 0, "edb_bytes": 0, "resends": 0}
+
     def attempt(number: int) -> ClusterQueryResult:
+        # Memoised on the client against the live graph / database: only
+        # the first attempt over a given pair pickles anything.
+        parts = [client.specs.plan(program, graph, options, database is not None)]
+        if database is not None:
+            parts.append(client.specs.edb(database))
         armed = plan.for_attempt(number) if plan is not None else None
-        spec = {
-            "program": program,
-            "graph": wire_graph,
-            "database": database,
-            "batch_size": batch_size,
-            "package_requests": package_requests,
-            "edb_shards": edb_shards,
-            "tuple_sets": tuple_sets,
-            "columnar": columnar,
-            "fault_plan": armed,
-        }
         header = {
             "workers": workers,
             "timeout": timeout,
             "heartbeat_interval": heartbeat_interval,
+            "batch_size": batch_size,
         }
-        if armed is not None and armed.has_link_faults():
-            header["faults"] = armed.link_fields()
-        reply = client.submit(header, pickle.dumps(spec), timeout)
+        if armed is not None:
+            header["fault_plan"] = dataclasses.asdict(armed)
+        for resend in (False, True):
+            job_header, blob = client.frame_job(header, parts)
+            for kind, _, size in job_header["parts"]:
+                shipped[f"{kind}_bytes"] += size
+            try:
+                reply = client.submit(job_header, blob, timeout)
+                break
+            except SpecMissError:
+                # The manager restarted or evicted a part: submit has
+                # already forgotten it, so the next frame carries the bytes.
+                if resend:
+                    raise
+                shipped["resends"] += 1
         return _result_from_reply(reply, labels)
 
     def degraded_fallback() -> ClusterQueryResult:
@@ -362,6 +397,7 @@ def evaluate_cluster(
             own_harness.stop()
         if own_manager is not None:
             own_manager.stop()  # workers fall into their reconnect loop
+    result.spec = shipped
     result.attempts = attempts
     result.degraded = degraded
     result.failure_log = list(failure_log)

@@ -15,12 +15,14 @@ revision is detected on the *first* byte of the handshake and rejected with
 a typed error instead of a confusing parse failure mid-stream.
 
 Payloads are JSON (the container has no msgpack; JSON is the stdlib
-fallback the format was specified to allow) except for ``JOB`` frames,
-which append a pickled job spec (program + rule/goal graph + database)
-after a JSON header.  Pickle is acceptable there because workers only ever
-connect to a manager the operator started — the cluster protocol is a
-trusted-peer protocol, like the multiprocessing queues it replaces — and
-the hot path (BATCH frames) never touches pickle.
+fallback the format was specified to allow) except for ``JOB`` frames:
+their JSON header names the job's two spec parts by digest, and the
+pickled bytes of whichever parts the receiver lacks follow it (none at
+all on a warm repeat — see :mod:`repro.cluster.spec`).  Pickle is
+acceptable there because workers only ever connect to a manager the
+operator started — the cluster protocol is a trusted-peer protocol, like
+the multiprocessing queues it replaces — and the hot path (BATCH frames)
+never touches pickle.
 
 Datalog constants are almost always strings and ints, which JSON carries
 natively; any other (hashable) constant rides in a tagged
@@ -59,6 +61,8 @@ __all__ = [
     "FrameReader",
     "FrameSocket",
     "encode_frame",
+    "encode_job",
+    "decode_job",
     "encode_messages",
     "decode_messages",
     "rows_to_wire",
@@ -67,7 +71,7 @@ __all__ = [
 
 #: Bumped on any incompatible change to frames or payload schemas.  The
 #: handshake (HELLO/WELCOME) rejects mismatched peers with a REJECT frame.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Frame header: version byte, type byte, unsigned big-endian payload size.
 _HEADER = struct.Struct("!BBI")
@@ -100,6 +104,7 @@ class FrameType:
     RESULT = 14  # manager -> client: terminal job outcome
     STATS_REQ = 15  # client -> manager: cluster-wide transport counters
     STATS_REP = 16  # manager -> client: the counters
+    SPEC_MISS = 17  # worker -> manager: resend these spec parts (by digest)
 
 
 class FrameError(RuntimeError):
@@ -134,6 +139,19 @@ def encode_json_frame(ftype: int, obj: dict, version: int = PROTOCOL_VERSION) ->
     """A frame whose payload is a compact JSON object."""
     payload = json.dumps(obj, separators=(",", ":")).encode("utf-8")
     return encode_frame(ftype, payload, version)
+
+
+def encode_job(header: dict, blob: bytes = b"") -> bytes:
+    """A JOB payload: ``u32 header length + JSON header + spec-part bytes``."""
+    head = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    return struct.pack("!I", len(head)) + head + blob
+
+
+def decode_job(payload: bytes) -> tuple[dict, bytes]:
+    """Inverse of :func:`encode_job`: ``(header, spec-part bytes)``."""
+    (header_len,) = struct.unpack_from("!I", payload)
+    header = json.loads(payload[4 : 4 + header_len].decode("utf-8"))
+    return header, payload[4 + header_len :]
 
 
 class FrameReader:

@@ -8,13 +8,20 @@ pooled runtime (``runtime/pool_engine.py``), translated onto sockets:
   typed reason on a version mismatch).  A worker that reconnects under the
   same name keeps its identity and bumps a ``reconnects`` counter.
 
-* **Dispatch.**  A client submits a JOB (pickled program + prebuilt
-  rule/goal graph + database).  The manager assigns one shard per
-  registered worker and forwards the job blob verbatim with a per-worker
-  header naming its ``shard_id`` — every worker rebuilds the *same* engine
-  from the same blob and computes the same deterministic
-  ``assign_shards`` map, exactly as the pool's forked workers inherit one
-  engine, so the manager itself never needs to parse a Datalog program.
+* **Dispatch.**  A client submits a JOB naming its two spec parts — the
+  *plan* and the *edb* — by digest (:mod:`repro.cluster.spec`), carrying
+  the pickled bytes of only the parts this manager has not seen.  The
+  manager keeps a bounded blob store by digest and remembers which
+  digests each worker link has acknowledged; it assigns one shard per
+  registered worker and sends each a JOB header naming its ``shard_id``
+  plus only the parts *that worker* lacks.  A warm repeat therefore moves
+  a few hundred bytes per hop.  Misses heal in band: a digest the manager
+  lacks answers the client ``spec_miss`` (it resends), a digest a worker
+  lacks comes back as a SPEC_MISS frame (the manager resends from the
+  job's own blobs).  Every worker builds the *same* engine from the same
+  parts and computes the same deterministic ``assign_shards`` map, exactly
+  as the pool's forked workers inherit one engine, so the manager itself
+  never needs to parse a Datalog program — or unpickle anything.
 
 * **Relay.**  Cross-shard :class:`~repro.network.messages.MessageBatch`
   envelopes travel worker → manager → worker as BATCH frames.  Per-origin
@@ -38,8 +45,8 @@ pooled runtime (``runtime/pool_engine.py``), translated onto sockets:
 Jobs are serialized: one evaluation owns the whole worker set at a time
 (queued submissions wait on an asyncio lock).  That is the same policy as
 the pool runtime, which builds a fresh fork pool per query; lifting it —
-multiplexing jobs over one worker set — only needs per-job engine state
-worker-side and is noted in docs/architecture.md as future work.
+multiplexing jobs over one worker set — is noted in docs/architecture.md
+as future work.
 """
 
 from __future__ import annotations
@@ -47,12 +54,11 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
-import struct
 import threading
 import time
 from typing import Optional
 
-from ..runtime.faults import LinkFaultInjector
+from ..runtime.faults import FaultPlan, LinkFaultInjector
 from .client import ClusterError
 from .framing import (
     HEADER_SIZE,
@@ -61,11 +67,26 @@ from .framing import (
     Frame,
     FrameType,
     _HEADER,
+    decode_job,
     encode_frame,
+    encode_job,
     encode_json_frame,
+)
+from .spec import (
+    EDB,
+    PLAN,
+    STORE_ENTRIES,
+    Part,
+    PartCache,
+    pack_parts,
+    unpack_parts,
 )
 
 __all__ = ["ClusterManager", "ManagerThread"]
+
+#: Byte bound of the manager's blob store (its entry bound is shared with
+#: the clients: :data:`~repro.cluster.spec.STORE_ENTRIES`).
+_STORE_BYTES = 512 << 20
 
 #: How long the manager waits for per-shard STATS frames after a job
 #: concludes before answering the client with whatever it has.
@@ -112,6 +133,22 @@ class _WorkerLink:
         self.rtt_ms: Optional[float] = None
         self.pings = 0
         self._ping_sent_at: dict[int, float] = {}
+        # Spec parts this connection's worker acknowledged holding (its
+        # resident set as of its last STATS frame) and the cache counters.
+        # Both die with the link: a reconnected worker starts from nothing.
+        self.has: set[str] = set()
+        self.spec = {
+            "plan_hits": 0,
+            "plan_misses": 0,
+            "edb_hits": 0,
+            "edb_misses": 0,
+            "resends": 0,
+            "plan_bytes": 0,
+            "edb_bytes": 0,
+            "resident_entries": 0,
+            "resident_bytes": 0,
+            "held_end_requests": 0,
+        }
 
     async def send(self, data: bytes) -> None:
         async with self.write_lock:
@@ -128,16 +165,27 @@ class _WorkerLink:
             "reconnects": self.reconnects,
             "heartbeat_rtt_ms": self.rtt_ms,
             "pings": self.pings,
+            "spec": dict(self.spec),
         }
 
 
 class _Job:
     """One in-flight evaluation: shard → worker map plus supervision state."""
 
-    def __init__(self, job_id: int, client_writer, workers: list[_WorkerLink]) -> None:
+    def __init__(
+        self,
+        job_id: int,
+        client_writer,
+        workers: list[_WorkerLink],
+        parts: list[Part],
+    ) -> None:
         self.id = job_id
         self.client_writer = client_writer
         self.workers = workers  # index == shard id
+        # The job's own references to its blobs: a resend after a worker
+        # SPEC_MISS must not depend on what the store has since evicted.
+        self.parts = parts
+        self.worker_header: dict = {}
         self.n_shards = len(workers)
         self.future: asyncio.Future = asyncio.get_running_loop().create_future()
         self.last_beat = {shard: time.monotonic() for shard in range(self.n_shards)}
@@ -175,10 +223,13 @@ class ClusterManager:
         self._job_lock = asyncio.Lock()
         self._jobs: dict[int, _Job] = {}
         self._job_of_client: dict = {}
+        self._client_writers: set = set()
         self._server: Optional[asyncio.AbstractServer] = None
         self._ping_task: Optional[asyncio.Task] = None
         self.jobs_dispatched = 0
         self.jobs_failed = 0
+        self._store = PartCache(STORE_ENTRIES, _STORE_BYTES)
+        self.spec_misses = 0  # client submissions answered ``spec_miss``
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
@@ -195,9 +246,12 @@ class ClusterManager:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        for link in list(self.workers.values()):
+        # Close every peer, clients included: a handler parked on a read
+        # only returns once its connection reports EOF.
+        writers = [link.writer for link in self.workers.values()]
+        for writer in writers + list(self._client_writers):
             try:
-                link.writer.close()
+                writer.close()
             except Exception:
                 pass
 
@@ -214,6 +268,11 @@ class ClusterManager:
             "registered": len(self.workers),
             "jobs_dispatched": self.jobs_dispatched,
             "jobs_failed": self.jobs_failed,
+            "spec_store": {
+                "entries": len(self._store),
+                "bytes": self._store.bytes,
+                "client_misses": self.spec_misses,
+            },
         }
 
     # ------------------------------------------------------------------
@@ -339,9 +398,30 @@ class ClusterManager:
             stats = frame.json()
             job = self._jobs.get(stats.get("j"))
             if job is not None:
-                job.stats[stats.get("sh", 0)] = stats.get("c", {})
+                counters = stats.get("c", {})
+                resident = counters.pop("resident", None)
+                if resident is not None:
+                    link.has = set(resident["digests"])
+                    link.spec["resident_entries"] = len(link.has)
+                    link.spec["resident_bytes"] = resident["bytes"]
+                link.spec["held_end_requests"] += counters.get(
+                    "held_end_requests", 0
+                )
+                job.stats[stats.get("sh", 0)] = counters
                 if len(job.stats) >= job.n_shards:
                     job.stats_done.set()
+        elif ftype == FrameType.SPEC_MISS:
+            miss = frame.json()
+            job = self._jobs.get(miss.get("j"))
+            if job is not None:
+                # The link's acknowledged set was stale (a failed job never
+                # reported its evictions): resend from the job's own blobs.
+                missing = set(miss.get("missing", ()))
+                link.has -= missing
+                link.spec["resends"] += len(missing)
+                await self._send_job(
+                    job, link, [p for p in job.parts if p.digest in missing]
+                )
 
     async def _relay_batch(self, origin_link: _WorkerLink, frame: Frame) -> None:
         """Forward one cross-shard batch, applying any armed link faults."""
@@ -401,6 +481,7 @@ class ClusterManager:
         # torn down *now* — not when the manager's own deadline fires —
         # or a queued retry would wait out the job lock and time out too.
         job_task: Optional[asyncio.Task] = None
+        self._client_writers.add(writer)
         try:
             while True:
                 frame = await self._read_frame(reader)
@@ -429,22 +510,49 @@ class ClusterManager:
                 job.fail(_JobFailure("aborted", where="client disconnected"))
             elif job_task is not None and not job_task.done():
                 job_task.cancel()
+            self._client_writers.discard(writer)
             writer.close()
 
-    @staticmethod
-    def _split_job(payload: bytes) -> tuple[dict, bytes]:
-        """A JOB payload is ``u32 header length + JSON header + pickle blob``."""
-        (header_len,) = struct.unpack_from("!I", payload)
-        header = json.loads(payload[4 : 4 + header_len].decode("utf-8"))
-        return header, payload[4 + header_len :]
-
     async def _run_job(self, frame: Frame, client_writer) -> None:
-        header, blob = self._split_job(frame.payload)
+        header, blob = decode_job(frame.payload)
+        # Store what the frame carries, then resolve the job's digests to
+        # blobs *now*: the references ride with the job, so nothing a
+        # queued job needs can be evicted while it waits on the lock.
+        try:
+            for part in unpack_parts(header.get("parts", ()), blob):
+                self._store.put(part.digest, part, len(part.blob))
+            wanted = [header[PLAN]] + ([header[EDB]] if header.get(EDB) else [])
+        except (KeyError, ValueError) as exc:
+            await self._reply(
+                client_writer,
+                {"ok": False, "kind": "bad_spec", "where": f"malformed JOB: {exc}"},
+            )
+            return
+        parts = [self._store.get(digest) for digest in wanted]
+        missing = [d for d, part in zip(wanted, parts) if part is None]
+        if missing:
+            self.spec_misses += 1
+            await self._reply(
+                client_writer, {"ok": False, "kind": "spec_miss", "missing": missing}
+            )
+            return
         # One evaluation owns the worker set at a time; queued jobs wait here.
         async with self._job_lock:
-            await self._run_job_locked(header, blob, client_writer)
+            await self._run_job_locked(header, parts, client_writer)
 
-    async def _run_job_locked(self, header: dict, blob: bytes, client_writer) -> None:
+    async def _send_job(self, job: _Job, link: _WorkerLink, ship: list[Part]) -> None:
+        """One JOB frame to one worker: the job header + the parts in ``ship``."""
+        entries, blob = pack_parts(ship)
+        header = dict(
+            job.worker_header, sh=job.shard_of_worker[link.name], parts=entries
+        )
+        for part in ship:
+            link.spec[f"{part.kind}_bytes"] += len(part.blob)
+        await link.send(encode_frame(FrameType.JOB, encode_job(header, blob)))
+
+    async def _run_job_locked(
+        self, header: dict, parts: list[Part], client_writer
+    ) -> None:
         participants = [link for link in self.workers.values() if link.alive]
         desired = header.get("workers")
         if desired:
@@ -454,12 +562,12 @@ class ClusterManager:
                 client_writer, {"ok": False, "kind": "no_workers", "where": ""}
             )
             return
-        job = _Job(next(self._job_ids), client_writer, participants)
-        faults = header.get("faults")
-        if faults:
-            from ..runtime.faults import FaultPlan
-
-            job.injector = LinkFaultInjector(FaultPlan(**faults))
+        job = _Job(next(self._job_ids), client_writer, participants, parts)
+        fault_plan = header.get("fault_plan")
+        if fault_plan:
+            armed = FaultPlan(**fault_plan)
+            if armed.has_link_faults():
+                job.injector = LinkFaultInjector(armed)
         self._jobs[job.id] = job
         self._job_of_client[client_writer] = job
         self.jobs_dispatched += 1
@@ -469,20 +577,23 @@ class ClusterManager:
             self._watch_job(job, timeout + _DEADLINE_SLACK, heartbeat_interval)
         )
         try:
-            worker_header = {
+            job.worker_header = {
                 "j": job.id,
                 "n": job.n_shards,
                 "hb": heartbeat_interval,
+                "batch_size": header.get("batch_size", 64),
+                "fault_plan": fault_plan,
+                **{part.kind: part.digest for part in parts},
             }
-            for shard, link in enumerate(participants):
-                worker_header["sh"] = shard
-                head = json.dumps(worker_header, separators=(",", ":")).encode()
-                await link.send(
-                    encode_frame(
-                        FrameType.JOB,
-                        struct.pack("!I", len(head)) + head + blob,
-                    )
-                )
+            for link in participants:
+                ship = []
+                for part in parts:
+                    if part.digest in link.has:
+                        link.spec[f"{part.kind}_hits"] += 1
+                    else:
+                        link.spec[f"{part.kind}_misses"] += 1
+                        ship.append(part)
+                await self._send_job(job, link, ship)
             try:
                 done = await job.future
             except _JobFailure as failure:

@@ -1,0 +1,275 @@
+"""Content-addressed job specs: what a cluster job ships, and what it does not.
+
+A job is described by two independently digested *parts* plus a small
+per-attempt JSON header:
+
+``plan``
+    The rules-only program, the prebuilt rule/goal graph, and the
+    evaluation options that shape the node network.  Theorem 2.1 makes the
+    graph EDB-independent, so a plan changes only with the rules, the query
+    variant, or the SIP — never with a write.
+``edb``
+    The :class:`~repro.relational.database.Database`.  It changes only on a
+    write (``Database.version`` counts them).
+
+A part is its pickled bytes; its digest names it everywhere.  The client
+memoises each part's bytes against the *live* graph / database objects
+(:class:`JobSpecMemo`), the manager keeps a bounded store of blobs, and
+every worker keeps a bounded cache of *unpickled* parts
+(:class:`PartCache`) — so a repeat query moves two digests, not the
+database.  A receiver that lacks a digest says so (``spec_miss``) and is
+sent the bytes; nothing is ever served from a digest that was not
+verified against the bytes it names.
+
+Only inputs are resident.  Per-query node state (relations, streams,
+protocol counters) is rebuilt for every job, which is what keeps the
+logical tuple-row accounting identical to the in-process simulator's.
+"""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+import hashlib
+import pickle
+import threading
+import weakref
+from collections import OrderedDict
+from typing import NamedTuple, Optional
+
+from ..core.program import Program
+from ..core.rulegoal import RuleGoalGraph
+from ..core.sips import greedy_sip
+from ..relational.database import Database
+
+__all__ = [
+    "PLAN",
+    "EDB",
+    "STORE_ENTRIES",
+    "JobSpecMemo",
+    "Part",
+    "PartCache",
+    "digest_of",
+    "pack_parts",
+    "unpack_parts",
+]
+
+PLAN = "plan"
+EDB = "edb"
+
+#: How many blobs the manager's store keeps — and therefore how many
+#: digests a client bothers remembering it holds.  Sized above what the
+#: workers keep resident, so a worker miss is served from the store.
+STORE_ENTRIES = 64
+
+#: Client-side memo bound: pickled parts kept per live graph / database.
+_MEMO_ENTRIES = 16
+
+
+def digest_of(blob: bytes) -> str:
+    """The content address of a part's pickled bytes."""
+    return hashlib.blake2b(blob, digest_size=16).hexdigest()
+
+
+class Part(NamedTuple):
+    """One shippable half of a job spec."""
+
+    kind: str  # PLAN or EDB
+    digest: str
+    blob: bytes
+
+
+def pack_parts(parts: list[Part]) -> tuple[list, bytes]:
+    """``(header entries, concatenated bytes)`` for the parts that ship."""
+    return (
+        [[part.kind, part.digest, len(part.blob)] for part in parts],
+        b"".join(part.blob for part in parts),
+    )
+
+
+def unpack_parts(entries: list, blob: bytes) -> list[Part]:
+    """Inverse of :func:`pack_parts`; verifies every digest.
+
+    A part whose bytes do not hash to the digest it travels under is a
+    corrupted or mislabeled frame — refusing it here is what makes a
+    digest safe to use as the only name of a resident database.
+    """
+    parts: list[Part] = []
+    offset = 0
+    for kind, digest, size in entries:
+        piece = bytes(blob[offset : offset + size])
+        offset += size
+        if len(piece) != size or digest_of(piece) != digest:
+            raise ValueError(f"job-spec part {kind}:{digest} failed its digest check")
+        parts.append(Part(kind, digest, piece))
+    return parts
+
+
+class PartCache:
+    """A bounded LRU of digest → value, sized in entries and bytes.
+
+    The manager stores blobs here; workers store unpickled parts with the
+    blob length as the size proxy.  The most recent entry is always
+    admitted, so one part larger than ``max_bytes`` still works — it just
+    evicts everything else.
+    """
+
+    def __init__(self, max_entries: int, max_bytes: int) -> None:
+        self.max_entries = max(1, max_entries)
+        self.max_bytes = max_bytes
+        self._entries: "OrderedDict[str, tuple[object, int]]" = OrderedDict()
+        self.bytes = 0
+
+    def __contains__(self, digest: str) -> bool:
+        return digest in self._entries
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def digests(self) -> list[str]:
+        """Every held digest, least recently used first."""
+        return list(self._entries)
+
+    def get(self, digest: Optional[str]):
+        """The value for ``digest`` (marked most recently used), or None."""
+        entry = self._entries.get(digest)
+        if entry is None:
+            return None
+        self._entries.move_to_end(digest)
+        return entry[0]
+
+    def discard(self, digest: str) -> None:
+        """Forget ``digest`` if held."""
+        entry = self._entries.pop(digest, None)
+        if entry is not None:
+            self.bytes -= entry[1]
+
+    def put(self, digest: str, value, size: int) -> None:
+        """Admit ``value`` as most recently used, evicting down to the bounds."""
+        self.discard(digest)
+        self._entries[digest] = (value, size)
+        self.bytes += size
+        while len(self._entries) > 1 and (
+            len(self._entries) > self.max_entries or self.bytes > self.max_bytes
+        ):
+            _, (_, evicted_size) = self._entries.popitem(last=False)
+            self.bytes -= evicted_size
+
+
+class JobSpecMemo:
+    """Client-side: each part pickled once per live graph / database.
+
+    Entries are keyed by object identity and validated through weak
+    references, so a recycled ``id()`` can never resurrect a dead object's
+    bytes.  Graphs are immutable once built (the session treats cached
+    graphs that way); a database is re-pickled when its ``version`` —
+    bumped by every mutation — has moved.  Thread-safe: the service's
+    evaluation threads share one client.
+    """
+
+    def __init__(self) -> None:
+        self._plans: "OrderedDict[int, tuple]" = OrderedDict()
+        self._edbs: "OrderedDict[int, tuple]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def plan(
+        self,
+        program: Program,
+        graph: RuleGoalGraph,
+        options: dict,
+        with_database: bool,
+    ) -> Part:
+        """The plan part for ``graph`` evaluated under ``options``."""
+        fingerprint = (with_database, tuple(sorted(options.items())))
+        with self._lock:
+            entry = self._plans.get(id(graph))
+            if entry is not None:
+                graph_ref, program_ref, seen, part = entry
+                if (
+                    graph_ref() is graph
+                    and program_ref() is program
+                    and seen == fingerprint
+                ):
+                    self._plans.move_to_end(id(graph))
+                    return part
+            part = _pickle_plan(program, graph, options, with_database)
+            self._remember(
+                self._plans,
+                graph,
+                (weakref.ref(graph), weakref.ref(program), fingerprint, part),
+            )
+            return part
+
+    def edb(self, database: Database) -> Part:
+        """The edb part for ``database`` at its current version."""
+        with self._lock:
+            entry = self._edbs.get(id(database))
+            if entry is not None:
+                database_ref, version, part = entry
+                if database_ref() is database and version == database.version:
+                    self._edbs.move_to_end(id(database))
+                    return part
+            version = database.version
+            # The facts only: access counters and the version are this
+            # process's bookkeeping, and must not perturb the address.
+            facts_only = dataclasses.replace(
+                database, scans=0, indexed_lookups=0, rows_retrieved=0, version=0
+            )
+            blob = pickle.dumps(facts_only, protocol=pickle.HIGHEST_PROTOCOL)
+            part = Part(EDB, digest_of(blob), blob)
+            self._remember(
+                self._edbs, database, (weakref.ref(database), version, part)
+            )
+            return part
+
+    @staticmethod
+    def _remember(table: "OrderedDict[int, tuple]", owner, entry: tuple) -> None:
+        # Drop entries whose owner died first (entry[0] is its weakref): a
+        # caller that builds a fresh graph per call must not pin old bytes.
+        for key in [key for key, stale in table.items() if stale[0]() is None]:
+            del table[key]
+        table.pop(id(owner), None)
+        table[id(owner)] = entry
+        while len(table) > _MEMO_ENTRIES:
+            table.popitem(last=False)
+
+
+def _pickle_plan(
+    program: Program, graph: RuleGoalGraph, options: dict, with_database: bool
+) -> Part:
+    """Pickle the plan: program + wire graph + network-shaping options.
+
+    SIP decisions are already baked into the graph's arcs, so workers never
+    call its ``sip_factory`` — but the cost planner's factory is a closure
+    that cannot pickle.  Ship a shallow copy with a picklable placeholder
+    (the session's cached graph must not be mutated), and without the plan
+    report (client-side introspection only).
+
+    When a database accompanies the job the program travels rules-only: the
+    engine reads ``program.facts`` only to build a database it was not
+    given, and the same rows already ship — far more compactly — in the
+    edb part.
+    """
+    wire_graph = copy.copy(graph)
+    wire_graph.sip_factory = greedy_sip
+    if getattr(wire_graph, "plan_report", None) is not None:
+        wire_graph.plan_report = None
+    wire_program = program
+    if with_database:
+        wire_program = _rules_only(program)
+        # One object when the graph was built from this very program, so
+        # pickle's memo writes it once.
+        wire_graph.program = (
+            wire_program if graph.program is program else _rules_only(graph.program)
+        )
+    blob = pickle.dumps(
+        {"program": wire_program, "graph": wire_graph, **options},
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
+    return Part(PLAN, digest_of(blob), blob)
+
+
+def _rules_only(program: Program) -> Program:
+    return Program(
+        program.rules, (), edb_predicates=program.edb_predicates, validate=False
+    )

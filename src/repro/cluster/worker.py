@@ -2,14 +2,22 @@
 
 ``repro worker --connect HOST:PORT`` runs this loop: connect to the
 manager, register (HELLO/WELCOME handshake, protocol version checked),
-then serve jobs.  For each JOB frame the worker rebuilds the engine from
-the pickled program + prebuilt rule/goal graph + database — every worker
-deterministically computes the *same* node ids and the same
-``assign_shards`` map, so "which nodes are mine" needs no extra
-coordination, exactly as the pool runtime's forked workers all inherit
-one engine — and runs the same delivery loop as
-``runtime/pool_engine._shard_worker_loop`` with the queue fabric swapped
-for TCP frames:
+then serve jobs.  A JOB frame names the job's *plan* and *edb* parts by
+digest and carries the pickled bytes of only those the manager believes
+this worker lacks (:mod:`repro.cluster.spec`).  The worker keeps a bounded
+digest → *unpickled* part cache (:class:`ResidentSpecs`) for the life of
+the process, so a repeat query unpickles nothing and the resident
+``Database`` keeps its lazily built hash indexes — and the plan its
+``assign_shards`` map — across jobs; a digest the worker no longer holds
+is requested back with a SPEC_MISS frame, never guessed.  Only *inputs*
+are resident: every job builds a fresh engine (0.2 ms over a prebuilt
+graph), so per-query node state starts empty and the logical accounting
+matches the simulator exactly.  Every worker deterministically computes
+the *same* node ids and the same ``assign_shards`` map, so "which nodes
+are mine" needs no extra coordination, exactly as the pool runtime's
+forked workers all inherit one engine — and runs the delivery loop it
+shares with the pool (``runtime/shard_loop.py``, including the
+held-end-request rule) with the queue fabric swapped for TCP frames:
 
 * intra-shard messages ride a local deque (exact pending counts);
 * cross-shard messages buffer per destination and ship as BATCH frames
@@ -33,15 +41,14 @@ the re-registration.
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
 import queue as queue_module
 import socket
-import struct
 import threading
 import time
 import traceback
+from collections import deque
 from typing import Optional
 
 from ..network.engine import MessagePassingEngine, assign_shards
@@ -54,26 +61,29 @@ from ..network.messages import (
     logical_size,
 )
 from ..network.nodes import DRIVER_ID
-from ..runtime.faults import FaultPlan, wedge_forever
+from ..runtime.faults import FaultPlan
+from ..runtime.shard_loop import STOP as _STOP, node_labels, run_shard_loop
 from .framing import (
     FrameError,
     FrameSocket,
     FrameType,
     PROTOCOL_VERSION,
+    decode_job,
     decode_messages,
     encode_messages,
     rows_to_wire,
 )
+from .spec import EDB, PLAN, PartCache, unpack_parts
 
-__all__ = ["worker_main", "ClusterRouter"]
+__all__ = ["worker_main", "ClusterRouter", "ResidentSpecs"]
 
-#: Mirrors runtime/pool_engine: consecutive protocol-only deliveries after
-#: which the loop briefly polls for remote input instead of spinning.
-_PROTOCOL_SPIN_LIMIT = 64
-_PROTOCOL_SPIN_POLL = 0.001
-
-#: Inbox sentinel: the manager concluded the job, report stats and idle.
-_STOP = "__stop__"
+#: Bounds of a worker's resident spec parts.  Plans are small and vary per
+#: query variant; databases are large and change only on a write, after
+#: which the old version is garbage — a handful covers several sessions
+#: sharing one cluster.
+_RESIDENT_PLANS = 16
+_RESIDENT_EDBS = 4
+_RESIDENT_BYTES = 256 << 20  # per kind, by pickled size
 
 
 class _JobAborted(Exception):
@@ -111,8 +121,6 @@ class ClusterRouter:
         self.n_shards = n_shards
         self.batch_size = max(1, batch_size)
         self.tuple_sets = tuple_sets
-        from collections import deque
-
         self.local: deque[Message] = deque()
         self.local_pending: dict[int, int] = {}
         self.buffers: dict[int, list[Message]] = {
@@ -129,6 +137,7 @@ class ClusterRouter:
         self.delivered_physical = 0
         self.tuple_rows = 0
         self.protocol_messages = 0
+        self.held_end_requests = 0
         self.by_receiver: dict[int, int] = {}
 
     # ------------------------------------------------------------------
@@ -167,7 +176,9 @@ class ClusterRouter:
         for dest in self.buffers:
             self._flush_one(dest)
 
-    def ingest(self, origin: int, sent_total: int, messages: list[Message]) -> None:
+    def ingest(self, item: tuple[int, int, list[Message]]) -> None:
+        """Unpack one arrived BATCH: ``(origin, sender's total, messages)``."""
+        origin, sent_total, messages = item
         self.batches_in += 1
         self.known_sent[origin] = max(self.known_sent.get(origin, 0), sent_total)
         self.received_total[origin] = self.received_total.get(origin, 0) + sum(
@@ -199,6 +210,10 @@ class ClusterRouter:
             self.by_receiver.get(message.receiver, 0) + size
         )
 
+    def account_hold(self) -> None:
+        """Count one end request held for a non-idle receiver."""
+        self.held_end_requests += 1
+
     def counters(self) -> dict:
         return {
             "sent": {str(d): n for d, n in self.sent_total.items()},
@@ -209,68 +224,144 @@ class ClusterRouter:
             "delivered_physical": self.delivered_physical,
             "tuple_rows": self.tuple_rows,
             "protocol_messages": self.protocol_messages,
+            "held_end_requests": self.held_end_requests,
             "by_receiver": {str(k): v for k, v in self.by_receiver.items()},
+        }
+
+
+class _ResidentPlan:
+    """An unpickled plan part plus what derives from it alone."""
+
+    def __init__(self, spec: dict) -> None:
+        self.spec = spec
+        #: ``(n_shards, edb replicas)`` → the ``assign_shards`` placement.
+        self.shard_maps: dict[tuple[int, int], dict[int, int]] = {}
+
+
+class ResidentSpecs:
+    """A worker's digest → unpickled spec part caches, one per process.
+
+    They outlive connections: a worker that reconnects still holds its
+    parts, and simply reports them in its next STATS frame.  Jobs keep
+    their own references to the parts they run on, so an eviction never
+    pulls a database out from under a running query.
+    """
+
+    def __init__(self) -> None:
+        self.plans = PartCache(_RESIDENT_PLANS, _RESIDENT_BYTES)
+        self.edbs = PartCache(_RESIDENT_EDBS, _RESIDENT_BYTES)
+
+    def load(self, part) -> None:
+        """Unpickle one shipped part and keep it resident."""
+        value = pickle.loads(part.blob)
+        if part.kind == PLAN:
+            self.plans.put(part.digest, _ResidentPlan(value), len(part.blob))
+        else:
+            self.edbs.put(part.digest, value, len(part.blob))
+
+    def report(self) -> dict:
+        """What this worker holds now — the manager's acknowledged set."""
+        return {
+            "digests": self.plans.digests() + self.edbs.digests(),
+            "bytes": self.plans.bytes + self.edbs.bytes,
         }
 
 
 class _JobContext:
     """One job's moving parts, shared between reader and runner threads."""
 
-    def __init__(self, job_id: int, shard_id: int, n_shards: int, spec: dict, hb) -> None:
-        self.job_id = job_id
-        self.shard_id = shard_id
-        self.n_shards = n_shards
-        self.spec = spec
-        self.heartbeat_interval = hb
+    def __init__(self, head: dict, resident: ResidentSpecs) -> None:
+        self.job_id: int = head["j"]
+        self.shard_id: int = head["sh"]
+        self.n_shards: int = head["n"]
+        self.heartbeat_interval = head.get("hb")
+        self.batch_size: int = head.get("batch_size", 64)
+        fault_plan = head.get("fault_plan")
+        self.fault_plan = FaultPlan(**fault_plan) if fault_plan else None
+        self.plan_digest: str = head[PLAN]
+        self.edb_digest: Optional[str] = head.get(EDB)
+        # A hit means the part was resident before this job's frames
+        # arrived; a part the job had to be sent is a miss.  ``edb_hit`` is
+        # None for a job that has no edb part (facts ride in the program).
+        self.spec_report = {
+            "plan_hit": self.plan_digest in resident.plans,
+            "edb_hit": (
+                self.edb_digest in resident.edbs
+                if self.edb_digest is not None
+                else None
+            ),
+        }
+        self.plan: Optional[_ResidentPlan] = None
+        self.database = None
         self.inbox: queue_module.Queue = queue_module.Queue()
         self.abort = threading.Event()
+        self.runner: Optional[threading.Thread] = None
+
+    def resolve(self, resident: ResidentSpecs) -> list[str]:
+        """Bind the job to its resident parts; returns the digests missing."""
+        missing = []
+        self.plan = resident.plans.get(self.plan_digest)
+        if self.plan is None:
+            missing.append(self.plan_digest)
+        if self.edb_digest is not None:
+            self.database = resident.edbs.get(self.edb_digest)
+            if self.database is None:
+                missing.append(self.edb_digest)
+        return missing
 
 
-def _run_job(fs: FrameSocket, ctx: _JobContext) -> None:
+def _run_job(fs: FrameSocket, ctx: _JobContext, resident: ResidentSpecs) -> None:
     """Build this shard's engine and run the delivery loop (runner thread)."""
     try:
-        _job_loop(fs, ctx)
+        _job_loop(fs, ctx, resident)
     except _JobAborted:
         pass
     except FrameError:
         pass  # connection died mid-job; the main loop is already reconnecting
     except BaseException:
-        try:
-            fs.send_json(
-                FrameType.ERROR,
-                {
-                    "j": ctx.job_id,
-                    "where": f"shard {ctx.shard_id}",
-                    "traceback": traceback.format_exc(),
-                },
-            )
-        except Exception:
-            pass
+        _report_error(fs, ctx.job_id, ctx.shard_id)
 
 
-def _job_loop(fs: FrameSocket, ctx: _JobContext) -> None:
-    spec = ctx.spec
+def _report_error(fs: FrameSocket, job_id: int, shard_id: int) -> None:
+    """Ship the current exception to the manager as a structured ERROR."""
+    try:
+        fs.send_json(
+            FrameType.ERROR,
+            {
+                "j": job_id,
+                "where": f"shard {shard_id}",
+                "traceback": traceback.format_exc(),
+            },
+        )
+    except Exception:
+        pass
+
+
+def _job_loop(fs: FrameSocket, ctx: _JobContext, resident: ResidentSpecs) -> None:
+    spec = ctx.plan.spec
+    tuple_sets = spec.get("tuple_sets", True)
+    # Hash-partitioned EDB replicas default to one per shard, exactly as
+    # the pool runtime defaults ``edb_shards`` to its worker count.
+    replicas = spec.get("edb_shards") or ctx.n_shards
+    # Fresh per-query node state over resident inputs: the graph and the
+    # database (with whatever indexes earlier jobs built) are reused, the
+    # engine — relations, streams, protocol counters — never is.
     engine = MessagePassingEngine(
         spec["program"],
         validate_protocol=False,  # the oracle belongs to the simulator
         package_requests=spec.get("package_requests", False),
-        # Hash-partitioned EDB replicas default to one per shard, exactly
-        # as the pool runtime defaults ``edb_shards`` to its worker count.
-        edb_shards=spec.get("edb_shards") or ctx.n_shards,
-        tuple_sets=spec.get("tuple_sets", True),
+        edb_shards=replicas,
+        tuple_sets=tuple_sets,
         columnar=spec.get("columnar", True),
-        database=spec.get("database"),
+        database=ctx.database,
         graph=spec["graph"],
     )
-    shard_of = assign_shards(engine, ctx.n_shards)
+    shard_of = ctx.plan.shard_maps.get((ctx.n_shards, replicas))
+    if shard_of is None:
+        shard_of = assign_shards(engine, ctx.n_shards)
+        ctx.plan.shard_maps[(ctx.n_shards, replicas)] = shard_of
     router = ClusterRouter(
-        fs,
-        ctx.job_id,
-        ctx.shard_id,
-        shard_of,
-        ctx.n_shards,
-        spec.get("batch_size", 64),
-        spec.get("tuple_sets", True),
+        fs, ctx.job_id, ctx.shard_id, shard_of, ctx.n_shards, ctx.batch_size, tuple_sets
     )
     processes = engine.processes
     hosted = [
@@ -278,20 +369,9 @@ def _job_loop(fs: FrameSocket, ctx: _JobContext) -> None:
         for node_id, process in processes.items()
         if shard_of[node_id] == ctx.shard_id
     ]
-    fault_plan: Optional[FaultPlan] = spec.get("fault_plan")
     injector = (
-        fault_plan.injector(ctx.shard_id) if fault_plan is not None else None
+        ctx.fault_plan.injector(ctx.shard_id) if ctx.fault_plan is not None else None
     )
-    labels: dict[int, str] = {}
-    if injector is not None:
-        for node_id in processes:
-            if node_id == DRIVER_ID:
-                labels[node_id] = "driver"
-            else:
-                try:
-                    labels[node_id] = engine.graph.node_label(node_id)
-                except KeyError:  # EDB replicas live outside the graph
-                    labels[node_id] = f"edb-replica:{node_id}"
 
     if shard_of[DRIVER_ID] == ctx.shard_id:
         driver = engine.driver
@@ -319,10 +399,11 @@ def _job_loop(fs: FrameSocket, ctx: _JobContext) -> None:
     poll_interval = max(0.01, hb / 4.0) if hb else 0.05
     beat_every = min(0.05, hb / 2.0) if hb else None
     last_beat = 0.0
-    protocol_spin = 0
 
-    def beat() -> None:
+    def tick() -> None:
         nonlocal last_beat
+        if ctx.abort.is_set():
+            raise _JobAborted
         if beat_every is None:
             return
         now = time.monotonic()
@@ -332,117 +413,90 @@ def _job_loop(fs: FrameSocket, ctx: _JobContext) -> None:
                 FrameType.HEARTBEAT, {"j": ctx.job_id, "sh": ctx.shard_id}
             )
 
-    def drain_one(timeout: Optional[float] = None) -> bool:
-        """Ingest one inbox item; True when the loop should exit (STOP)."""
+    def take(timeout: Optional[float]):
         try:
-            item = (
-                ctx.inbox.get_nowait()
-                if timeout is None
-                else ctx.inbox.get(timeout=timeout)
-            )
+            if timeout is None:
+                return ctx.inbox.get_nowait()
+            return ctx.inbox.get(timeout=timeout)
         except queue_module.Empty:
-            return False
-        if item == _STOP:
-            raise StopIteration
-        origin, sent_total, messages = item
-        if injector is not None:
-            injector.delay()
-        router.ingest(origin, sent_total, messages)
-        return False
+            return None
 
-    try:
-        while True:
-            if ctx.abort.is_set():
-                raise _JobAborted
-            beat()
-            # 1) Drain the wire inbox without blocking.
-            while True:
-                try:
-                    item = ctx.inbox.get_nowait()
-                except queue_module.Empty:
-                    break
-                if item == _STOP:
-                    raise StopIteration
-                origin, sent_total, messages = item
-                if injector is not None:
-                    injector.delay()
-                router.ingest(origin, sent_total, messages)
-            # 2) Deliver one local message.
-            if router.local:
-                if protocol_spin >= _PROTOCOL_SPIN_LIMIT:
-                    protocol_spin = 0
-                    router.flush()
-                    drain_one(timeout=_PROTOCOL_SPIN_POLL)
-                message = router.local.popleft()
-                router.local_pending[message.receiver] -= 1
-                protocol_spin = (
-                    0
-                    if isinstance(message, COMPUTATION_TYPES)
-                    else protocol_spin + 1
-                )
-                if injector is not None:
-                    action = injector.on_delivery(labels.get(message.receiver))
-                    if action == "kill":  # pragma: no cover - worker dies
-                        os._exit(1)
-                    if action == "wedge":  # pragma: no cover - reaped later
-                        wedge_forever()
-                router.account_delivery(message)
-                process = processes[message.receiver]
-                process.handle(message, router)  # type: ignore[arg-type]
-                process.on_idle_check(router)  # type: ignore[arg-type]
-                continue
-            # 3) Idle: flush request packaging, idle-check every hosted
-            #    node, ship buffered batches, then block briefly for
-            #    remote input (bounded so heartbeats keep flowing).
-            for process in hosted:
-                if process._request_buffer:
-                    process.flush_requests(router)  # type: ignore[arg-type]
-            for process in hosted:
-                process.on_idle_check(router)  # type: ignore[arg-type]
-            router.flush()
-            if router.local:
-                continue
-            drain_one(timeout=poll_interval)
-    except StopIteration:
-        pass
+    run_shard_loop(
+        router,
+        processes,
+        hosted,
+        take,
+        tick,
+        poll_interval,
+        injector,
+        node_labels(engine) if injector is not None else None,
+    )
     # Job concluded: report this shard's counters (plus per-node tuple
-    # footprints, so the client can rebuild the node table remotely).
-    tuples_by_node = {
+    # footprints, so the client can rebuild the node table remotely), how
+    # the spec cache served the job, and what is resident now.
+    counters = router.counters()
+    counters["tuples_by_node"] = {
         str(node_id): process.tuples_stored
         for node_id, process in processes.items()
         if shard_of[node_id] == ctx.shard_id and getattr(process, "tuples_stored", 0)
     }
-    counters = router.counters()
-    counters["tuples_by_node"] = tuples_by_node
+    counters["spec"] = ctx.spec_report
+    counters["resident"] = resident.report()
     fs.send_json(
         FrameType.STATS, {"j": ctx.job_id, "sh": ctx.shard_id, "c": counters}
     )
 
 
 # ----------------------------------------------------------------------
-def _serve_connection(fs: FrameSocket, quiet: bool) -> None:
+def _on_job_frame(
+    fs: FrameSocket,
+    head: dict,
+    blob: bytes,
+    current: Optional[_JobContext],
+    resident: ResidentSpecs,
+) -> _JobContext:
+    """Absorb one JOB frame; start the job once all its parts are resident.
+
+    A first frame creates the job's context — and with it the inbox, so
+    BATCH frames from shards that started earlier are buffered, not
+    dropped, while this worker asks for a missing part.  The manager's
+    answer to SPEC_MISS is a second JOB frame for the same job carrying
+    the bytes.
+    """
+    if current is None or current.job_id != head["j"]:
+        current = _JobContext(head, resident)
+    for part in unpack_parts(head.get("parts", ()), blob):
+        resident.load(part)
+    missing = current.resolve(resident)
+    if missing:
+        fs.send_json(
+            FrameType.SPEC_MISS,
+            {"j": current.job_id, "sh": current.shard_id, "missing": missing},
+        )
+    elif current.runner is None:
+        current.runner = threading.Thread(
+            target=_run_job,
+            args=(fs, current, resident),
+            name=f"job-{current.job_id}-shard-{current.shard_id}",
+            daemon=True,
+        )
+        current.runner.start()
+    return current
+
+
+def _serve_connection(fs: FrameSocket, resident: ResidentSpecs) -> None:
     """Dispatch frames from the manager until the connection dies."""
     current: Optional[_JobContext] = None
-    runner: Optional[threading.Thread] = None
     try:
         while True:
             frame = fs.recv_frame()
             if frame.ftype == FrameType.JOB:
-                (header_len,) = struct.unpack_from("!I", frame.payload)
-                head = json.loads(
-                    frame.payload[4 : 4 + header_len].decode("utf-8")
-                )
-                spec = pickle.loads(frame.payload[4 + header_len :])
-                current = _JobContext(
-                    head["j"], head["sh"], head["n"], spec, head.get("hb")
-                )
-                runner = threading.Thread(
-                    target=_run_job,
-                    args=(fs, current),
-                    name=f"job-{head['j']}-shard-{head['sh']}",
-                    daemon=True,
-                )
-                runner.start()
+                head, blob = decode_job(frame.payload)
+                try:
+                    current = _on_job_frame(fs, head, blob, current, resident)
+                except Exception:
+                    # An unreadable spec part fails this job, not the worker.
+                    _report_error(fs, head["j"], head["sh"])
             elif frame.ftype == FrameType.BATCH:
                 body = frame.json()
                 if current is not None and body.get("j") == current.job_id:
@@ -456,14 +510,14 @@ def _serve_connection(fs: FrameSocket, quiet: bool) -> None:
             elif frame.ftype == FrameType.STOP:
                 if current is not None and frame.json().get("j") == current.job_id:
                     current.inbox.put(_STOP)
-                    if runner is not None:
-                        runner.join(timeout=10.0)
-                    current, runner = None, None
+                    if current.runner is not None:
+                        current.runner.join(timeout=10.0)
+                    current = None
             elif frame.ftype == FrameType.ABORT:
                 if current is not None and frame.json().get("j") == current.job_id:
                     current.abort.set()
                     current.inbox.put(_STOP)  # unblock a waiting get
-                    current, runner = None, None
+                    current = None
             elif frame.ftype == FrameType.PING:
                 fs.send_json(FrameType.PONG, frame.json())
     finally:
@@ -488,6 +542,7 @@ def worker_main(
     host, _, port_text = connect.rpartition(":")
     address = (host or "127.0.0.1", int(port_text))
     failures = 0
+    resident = ResidentSpecs()  # outlives reconnects
     while True:
         try:
             sock = socket.create_connection(address, timeout=10.0)
@@ -523,7 +578,7 @@ def worker_main(
                 )
             failures = 0
             fs.sock.settimeout(None)
-            _serve_connection(fs, quiet)
+            _serve_connection(fs, resident)
         except (FrameError, ConnectionError, OSError, socket.timeout):
             failures += 1
             if failures > reconnect_attempts:

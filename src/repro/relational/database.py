@@ -30,6 +30,10 @@ class Database:
     scans: int = 0
     indexed_lookups: int = 0
     rows_retrieved: int = 0
+    #: Mutation counter: bumped by every change to the stored facts, never
+    #: by reads.  Anything derived from the contents (the cluster runtime's
+    #: pickled edb part) is current exactly while this still reads the same.
+    version: int = field(default=0, compare=False)
 
     # ------------------------------------------------------------------
     # Construction
@@ -69,6 +73,7 @@ class Database:
     def add_relation(self, predicate: str, relation: Relation) -> None:
         """Install (or replace) a relation for ``predicate``."""
         self._relations[predicate] = relation
+        self.version += 1
 
     def add_facts(self, facts: Iterable[Atom]) -> None:
         """Incrementally add ground facts, extending relations in place.
@@ -106,6 +111,8 @@ class Database:
                 )
             else:
                 self._relations[predicate] = existing.extended(rows)
+        if grouped:
+            self.version += 1
 
     # ------------------------------------------------------------------
     # Access

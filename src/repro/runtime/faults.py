@@ -139,19 +139,6 @@ class FaultPlan:
             or self.partition_worker is not None
         )
 
-    def link_fields(self) -> dict:
-        """The transport-fault fields as a JSON-safe dict (for JOB headers)."""
-        return {
-            "drop_link": self.drop_link,
-            "drop_link_after": self.drop_link_after,
-            "delay_link": self.delay_link,
-            "delay_link_seconds": self.delay_link_seconds,
-            "duplicate_link": self.duplicate_link,
-            "duplicate_count": self.duplicate_count,
-            "partition_worker": self.partition_worker,
-            "partition_after": self.partition_after,
-        }
-
     def for_attempt(self, attempt: int) -> Optional["FaultPlan"]:
         """The plan as armed for one attempt (``None`` when inactive)."""
         if self.only_attempt is None or self.only_attempt == attempt:

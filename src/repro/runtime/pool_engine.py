@@ -67,7 +67,8 @@ from ..network.messages import (
 )
 from ..network.nodes import DRIVER_ID
 from ..relational.database import Database
-from .faults import FaultPlan, wedge_forever
+from .faults import FaultPlan
+from .shard_loop import STOP as _STOP, node_labels, run_shard_loop
 from .supervision import (
     RetryPolicy,
     Supervisor,
@@ -77,17 +78,9 @@ from .supervision import (
 
 __all__ = ["PoolQueryResult", "ShardRouter", "evaluate_pool"]
 
-#: Sentinel placed on every shard inbox to stop the worker loops.
-_STOP = "__stop__"
-
-#: Consecutive protocol-only deliveries after which a worker briefly polls
-#: its OS inbox instead of spinning: a leader whose members wait on remote
-#: (cross-shard) work re-probes on every negative wave, and without remote
-#: input those waves are pure local CPU burn.  The poll yields the core to
-#: the worker actually producing the awaited messages; liveness is
-#: unaffected because the poll times out and the spin resumes.
-_PROTOCOL_SPIN_LIMIT = 64
-_PROTOCOL_SPIN_POLL = 0.001  # seconds
+#: Per-shard slots of the shared ``loop_stats`` array (single writer: the
+#: shard's own worker; read by the parent after the run).
+_PROTOCOL_DELIVERIES, _HELD_END_REQUESTS, _LOOP_STATS = 0, 1, 2
 
 
 @dataclass
@@ -101,6 +94,10 @@ class PoolQueryResult:
     cross_batches: int  # queue puts used to carry them
     driver_last_seq_sent: int  # driver root-stream accounting (parity checks)
     driver_last_upto_ended: int
+    # Section 3.2 traffic delivered across all shards, and how many end
+    # requests the delivery loop held for a non-idle receiver instead.
+    protocol_messages: int = 0
+    held_end_requests: int = 0
     # Supervision accounting: how many executions it took, whether the
     # answer came from the in-process fallback, and what went wrong.
     attempts: int = 1
@@ -129,7 +126,9 @@ class ShardRouter:
     ``received`` the destination worker — so plain (aligned) increments need
     no locks; readers may observe a momentarily stale sum, which only ever
     *overstates* pending work and therefore only delays, never falsifies, a
-    termination conclusion.
+    termination conclusion.  ``loop_stats`` holds each shard's delivery-loop
+    statistics (protocol deliveries, held end requests), written only by
+    that shard and read by the parent after the run.
     """
 
     def __init__(
@@ -140,6 +139,7 @@ class ShardRouter:
         sent,
         received,
         batches,
+        loop_stats,
         n_shards: int,
         batch_size: int,
         tuple_sets: bool = True,
@@ -150,6 +150,7 @@ class ShardRouter:
         self.sent = sent
         self.received = received
         self.batches = batches
+        self.loop_stats = loop_stats
         self.n_shards = n_shards
         self.batch_size = max(1, batch_size)
         self.tuple_sets = tuple_sets
@@ -223,19 +224,21 @@ class ShardRouter:
             pending += self.sent[origin * n + column] - self.received[origin * n + column]
         return pending
 
+    # ------------------------------------------------------------------
+    def account_delivery(self, message: Message) -> None:
+        """Count one delivered message (protocol traffic only is kept)."""
+        if not isinstance(message, COMPUTATION_TYPES):
+            self.loop_stats[self.shard_id * _LOOP_STATS + _PROTOCOL_DELIVERIES] += 1
+
+    def account_hold(self) -> None:
+        """Count one end request held for a non-idle receiver."""
+        self.loop_stats[self.shard_id * _LOOP_STATS + _HELD_END_REQUESTS] += 1
+
 
 def _shard_worker(
-    shard_id: int,
     engine: MessagePassingEngine,
-    shard_of: dict[int, int],
-    inboxes: list,
-    sent,
-    received,
-    batches,
-    n_shards: int,
-    batch_size: int,
+    router: ShardRouter,
     result_queue,
-    tuple_sets: bool = True,
     heartbeats=None,
     poll_interval: float = 0.25,
     fault_plan: Optional[FaultPlan] = None,
@@ -250,25 +253,12 @@ def _shard_worker(
     """
     try:
         _shard_worker_loop(
-            shard_id,
-            engine,
-            shard_of,
-            inboxes,
-            sent,
-            received,
-            batches,
-            n_shards,
-            batch_size,
-            result_queue,
-            tuple_sets,
-            heartbeats,
-            poll_interval,
-            fault_plan,
+            engine, router, result_queue, heartbeats, poll_interval, fault_plan
         )
     except BaseException:  # pragma: no cover - exercised via chaos suite
         try:
             result_queue.put(
-                ("error", f"shard {shard_id}", traceback.format_exc())
+                ("error", f"shard {router.shard_id}", traceback.format_exc())
             )
             result_queue.close()
             result_queue.join_thread()  # flush the payload before dying
@@ -278,51 +268,23 @@ def _shard_worker(
 
 
 def _shard_worker_loop(
-    shard_id: int,
     engine: MessagePassingEngine,
-    shard_of: dict[int, int],
-    inboxes: list,
-    sent,
-    received,
-    batches,
-    n_shards: int,
-    batch_size: int,
+    router: ShardRouter,
     result_queue,
-    tuple_sets: bool,
     heartbeats,
     poll_interval: float,
     fault_plan: Optional[FaultPlan],
 ) -> None:
     """Run one shard's node processes until the stop sentinel arrives."""
-    router = ShardRouter(
-        shard_id,
-        shard_of,
-        inboxes,
-        sent,
-        received,
-        batches,
-        n_shards,
-        batch_size,
-        tuple_sets,
-    )
+    shard_id = router.shard_id
     processes = engine.processes
     hosted = [
         process
         for node_id, process in processes.items()
-        if shard_of[node_id] == shard_id
+        if router.shard_of[node_id] == shard_id
     ]
     injector = fault_plan.injector(shard_id) if fault_plan is not None else None
-    labels: dict[int, str] = {}
-    if injector is not None:
-        for node_id in processes:
-            if node_id == DRIVER_ID:
-                labels[node_id] = "driver"
-            else:
-                try:
-                    labels[node_id] = engine.graph.node_label(node_id)
-                except KeyError:  # EDB replicas live outside the graph
-                    labels[node_id] = f"edb-replica:{node_id}"
-    if shard_of[DRIVER_ID] == shard_id:
+    if router.shard_of[DRIVER_ID] == shard_id:
         driver = engine.driver
         root_stream = driver.feeders[engine.graph.root]
 
@@ -341,84 +303,28 @@ def _shard_worker_loop(
         # the same address space, so no state desyncs across the fork.
         driver.start(router)  # type: ignore[arg-type]
 
-    inbox = inboxes[shard_id]
-    protocol_spin = 0
-    while True:
-        # 0) Heartbeat: one bump per loop iteration.  Idle iterations bump
-        #    too (the blocking get below polls at ``poll_interval``), so a
-        #    healthy worker — busy or blocked on input — always beats; only
-        #    a worker wedged inside a handler goes silent.
+    inbox = router.inboxes[shard_id]
+
+    def take(timeout: Optional[float]):
+        try:
+            return inbox.get_nowait() if timeout is None else inbox.get(timeout=timeout)
+        except queue_module.Empty:
+            return None
+
+    def beat() -> None:
         if heartbeats is not None:
             heartbeats[shard_id] += 1
 
-        # 1) Drain the OS inbox without blocking, so arriving work is
-        #    interleaved with local delivery and pending counts stay fresh.
-        while True:
-            try:
-                item = inbox.get_nowait()
-            except queue_module.Empty:
-                break
-            if item == _STOP:
-                return
-            if injector is not None:
-                injector.delay()
-            router.ingest(item)
-
-        # 2) Deliver one local message.
-        if router.local:
-            if protocol_spin >= _PROTOCOL_SPIN_LIMIT:
-                protocol_spin = 0
-                router.flush()
-                try:
-                    item = inbox.get(timeout=_PROTOCOL_SPIN_POLL)
-                except queue_module.Empty:
-                    item = None
-                if item is not None:
-                    if item == _STOP:
-                        return
-                    if injector is not None:
-                        injector.delay()
-                    router.ingest(item)
-            message = router.local.popleft()
-            router.local_pending[message.receiver] -= 1
-            protocol_spin = (
-                0 if isinstance(message, COMPUTATION_TYPES) else protocol_spin + 1
-            )
-            if injector is not None:
-                action = injector.on_delivery(labels.get(message.receiver))
-                if action == "kill":  # pragma: no cover - the worker dies
-                    os._exit(1)
-                if action == "wedge":  # pragma: no cover - reaped by teardown
-                    wedge_forever()
-            process = processes[message.receiver]
-            process.handle(message, router)  # type: ignore[arg-type]
-            process.on_idle_check(router)  # type: ignore[arg-type]
-            continue
-
-        # 3) Idle: flush request packaging, give every hosted node an idle
-        #    check (in the simulator each delivery checks only its receiver,
-        #    and the receiver of this shard's *last* delivery may not be the
-        #    leader whose probe is now due), ship buffered batches, then
-        #    block for remote input.  The block is a bounded poll rather
-        #    than an indefinite get so the heartbeat above keeps beating
-        #    while the worker waits.
-        for process in hosted:
-            if process._request_buffer:
-                process.flush_requests(router)  # type: ignore[arg-type]
-        for process in hosted:
-            process.on_idle_check(router)  # type: ignore[arg-type]
-        router.flush()
-        if router.local:
-            continue
-        try:
-            item = inbox.get(timeout=poll_interval)
-        except queue_module.Empty:
-            continue
-        if item == _STOP:
-            return
-        if injector is not None:
-            injector.delay()
-        router.ingest(item)
+    run_shard_loop(
+        router,
+        processes,
+        hosted,
+        take,
+        beat,
+        poll_interval,
+        injector,
+        node_labels(engine) if injector is not None else None,
+    )
 
 
 def _pool_attempt(
@@ -462,6 +368,7 @@ def _pool_attempt(
     sent = RawArray("q", n_shards * n_shards)
     received = RawArray("q", n_shards * n_shards)
     batches = RawArray("q", n_shards * n_shards)
+    loop_stats = RawArray("q", n_shards * _LOOP_STATS)
     heartbeats = RawArray("q", n_shards)
     poll_interval = (
         max(0.01, heartbeat_interval / 4.0) if heartbeat_interval else 0.25
@@ -471,17 +378,20 @@ def _pool_attempt(
         context.Process(
             target=_shard_worker,
             args=(
-                shard_id,
                 engine,
-                shard_of,
-                inboxes,
-                sent,
-                received,
-                batches,
-                n_shards,
-                batch_size,
+                ShardRouter(
+                    shard_id,
+                    shard_of,
+                    inboxes,
+                    sent,
+                    received,
+                    batches,
+                    loop_stats,
+                    n_shards,
+                    batch_size,
+                    tuple_sets,
+                ),
                 result_queue,
-                tuple_sets,
                 heartbeats,
                 poll_interval,
                 fault_plan,
@@ -531,6 +441,8 @@ def _pool_attempt(
         cross_batches=total_batches,
         driver_last_seq_sent=driver_accounting[0],
         driver_last_upto_ended=driver_accounting[1],
+        protocol_messages=sum(loop_stats[_PROTOCOL_DELIVERIES::_LOOP_STATS]),
+        held_end_requests=sum(loop_stats[_HELD_END_REQUESTS::_LOOP_STATS]),
     )
 
 

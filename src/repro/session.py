@@ -224,7 +224,8 @@ class Session:
         :mod:`repro.cluster`).  The non-simulator runtimes reuse the
         session's cached graphs — a retry after a worker crash skips
         graph construction — and the shared database (copy-on-write
-        under fork; pickled into the job spec for the cluster).
+        under fork; shipped once per database version to the cluster's
+        workers, which keep it resident).
     workers:
         Pool/cluster runtimes: shard worker count (pool default: CPU
         count; cluster default: every registered worker).
@@ -649,8 +650,11 @@ class Session:
         """The manager's transport snapshot (cluster runtime; else ``None``).
 
         JSON-safe: per-worker wire counters (bytes, batches, reconnects,
-        heartbeat RTT) plus registration and job totals — the section the
-        service ``stats`` op surfaces under ``"cluster"``.
+        heartbeat RTT), each worker's ``spec`` block (plan/edb cache hits
+        and misses, resends, bytes shipped per part, resident entries and
+        bytes, held end requests), the manager's ``spec_store``, plus
+        registration and job totals — the section the service ``stats``
+        op surfaces under ``"cluster"``.
         """
         with self._cluster_lock:
             client = self._cluster_client

@@ -19,7 +19,6 @@ Destructive scenarios (a kill or drop leaves the harness degraded or
 reconnected) get their own harness; benign ones share a module-scoped one.
 """
 
-import signal
 import sys
 import time
 
@@ -46,24 +45,6 @@ def make_program():
 @pytest.fixture(scope="module")
 def expected():
     return naive.goal_answers(make_program())
-
-
-@pytest.fixture(autouse=True)
-def watchdog():
-    """Per-test SIGALRM timeout — a hung cluster must fail one test only."""
-    if not hasattr(signal, "SIGALRM"):
-        pytest.skip("platform lacks SIGALRM; watchdog unavailable")
-
-    def on_alarm(signum, frame):
-        raise TimeoutError("cluster test exceeded its per-test timeout")
-
-    previous = signal.signal(signal.SIGALRM, on_alarm)
-    signal.alarm(120)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="module")

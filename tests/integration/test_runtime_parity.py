@@ -15,7 +15,10 @@ dedup makes the set of tuple rows each stream carries a property of the
 least fixpoint, not of scheduling, so the cluster's ``logical_tuple_rows``
 must equal the simulator's TupleMessage + TupleSet row total exactly.
 (Protocol-wave and end-message counts legitimately vary with timing and
-are not compared.)
+are not compared.)  Every cluster cell runs twice over one live graph and
+database — cold, shipping both spec parts, then warm, shipping nothing and
+evaluating over the workers' resident copies — and both runs must agree
+with the simulator: resident inputs may never leak per-query state.
 
 Each test arms a ``SIGALRM`` watchdog: a hung distributed run must fail the
 test, not the whole suite (the process runtimes also carry their own
@@ -28,7 +31,11 @@ import sys
 import pytest
 
 from repro.baselines import naive
+from repro.core.planner import CostPlanner
+from repro.core.rulegoal import build_rule_goal_graph
+from repro.core.sips import greedy_sip
 from repro.network.engine import evaluate
+from repro.relational.database import Database
 from repro.runtime import evaluate_async, evaluate_multiprocessing, evaluate_pool
 from repro.workloads import (
     ancestor_program,
@@ -240,13 +247,38 @@ class TestRuntimeParity:
         )
         sim = evaluate(program, **knobs)
         assert sim.answers == oracles[name], f"{name}: simulator diverged"
-        run = evaluate_cluster(program, client=cluster, timeout=60, **knobs)
-        assert run.answers == oracles[name], f"{name}: cluster diverged"
         # The runtime-invariant accounting slice (see module docstring).
         sim_rows = (
             sim.stats.by_kind.get("TupleMessage", 0) + sim.stats.tuple_set_rows
         )
-        assert run.logical_tuple_rows == sim_rows, (
-            f"{name}: cluster logical tuple rows {run.logical_tuple_rows} "
-            f"!= simulator {sim_rows}"
+        # What a Session hands the runtime: one live graph + database, so
+        # the second run finds both spec parts resident on every worker.
+        database = Database.from_facts(program.facts)
+        sip_factory = (
+            CostPlanner.from_database(database).sip_factory()
+            if planner == "cost"
+            else greedy_sip
         )
+        graph = build_rule_goal_graph(program, sip_factory, coalesce=coalesce)
+        for temperature in ("cold", "warm"):
+            run = evaluate_cluster(
+                program,
+                client=cluster,
+                timeout=60,
+                graph=graph,
+                database=database,
+                **knobs,
+            )
+            assert run.answers == oracles[name], (
+                f"{name}: {temperature} cluster run diverged"
+            )
+            assert run.logical_tuple_rows == sim_rows, (
+                f"{name}: {temperature} cluster logical tuple rows "
+                f"{run.logical_tuple_rows} != simulator {sim_rows}"
+            )
+            if temperature == "warm":
+                # ("cold" may still find content-identical parts from an
+                # earlier cell: the digests address bytes, not objects.)
+                hits = [shard["spec"] for shard in run.shards.values()]
+                assert run.spec_bytes_shipped == 0
+                assert all(h["plan_hit"] and h["edb_hit"] for h in hits)

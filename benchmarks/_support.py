@@ -30,6 +30,7 @@ BENCH_PR7_JSON_PATH = os.path.join(REPO_ROOT, "BENCH_PR7.json")
 BENCH_PR8_JSON_PATH = os.path.join(REPO_ROOT, "BENCH_PR8.json")
 BENCH_PR9_JSON_PATH = os.path.join(REPO_ROOT, "BENCH_PR9.json")
 BENCH_PR10_JSON_PATH = os.path.join(REPO_ROOT, "BENCH_PR10.json")
+BENCH_PR13_JSON_PATH = os.path.join(REPO_ROOT, "BENCH_PR13.json")
 
 
 def emit_table(title: str, headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:

@@ -36,6 +36,7 @@ import base64
 import json
 import pickle
 import struct
+from collections import deque
 from typing import Iterable, Optional, Sequence
 
 from ..network.messages import (
@@ -199,7 +200,7 @@ class FrameSocket:
 
         self.sock = sock
         self._reader = FrameReader()
-        self._ready: list[Frame] = []
+        self._ready: deque[Frame] = deque()
         self._send_lock = threading.Lock()
         self.bytes_in = 0
         self.bytes_out = 0
@@ -218,7 +219,7 @@ class FrameSocket:
     def recv_frame(self, timeout: Optional[float] = None) -> Frame:
         """Next frame, blocking; raises :class:`FrameError` on EOF."""
         if self._ready:
-            return self._ready.pop(0)
+            return self._ready.popleft()
         self.sock.settimeout(timeout)
         while not self._ready:
             data = self.sock.recv(65536)
@@ -226,7 +227,7 @@ class FrameSocket:
                 raise FrameError("connection closed by peer")
             self.bytes_in += len(data)
             self._ready.extend(self._reader.feed(data))
-        return self._ready.pop(0)
+        return self._ready.popleft()
 
     def close(self) -> None:
         try:

@@ -213,7 +213,13 @@ class JobSpecMemo:
             # The facts only: access counters and the version are this
             # process's bookkeeping, and must not perturb the address.
             facts_only = dataclasses.replace(
-                database, scans=0, indexed_lookups=0, rows_retrieved=0, version=0
+                database,
+                scans=0,
+                indexed_lookups=0,
+                rows_retrieved=0,
+                version=0,
+                rows_added=0,
+                index_entries_added=0,
             )
             blob = pickle.dumps(facts_only, protocol=pickle.HIGHEST_PROTOCOL)
             part = Part(EDB, digest_of(blob), blob)

@@ -13,7 +13,7 @@ storage, join, and protocol statistics the benchmarks report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from ..cache import CacheStats
@@ -105,6 +105,11 @@ class QueryResult:
     # tuples_stored/join_lookups/envs_materialized stay cumulative — they
     # describe the retained network's footprint, not one wave's work.
     incremental: bool = False
+    # Delta waves only: the rows this wave added to ``answers`` (empty for
+    # a wave that derived nothing).  None for a cold fixpoint, where every
+    # answer is new.  A consumer holding the previous answer set extends it
+    # with these instead of re-reading ``answers``.
+    new_answers: Optional[frozenset] = None
     # PR 8 accounting: index probes vs. insertions (join_lookups used to
     # conflate them), per-kernel batch statistics, and — under the cost
     # planner — the per-rule plan choices with their §4.3 estimates.
@@ -310,6 +315,11 @@ class MessagePassingEngine:
         self._trivial_relay = trivial_relay
         self.scheduler = Scheduler(seed=seed, max_messages=max_messages, trace=trace)
         self.processes: dict[int, NodeProcess] = {}
+        #: EDB leaves (replicas included) by predicate: where a delta enters.
+        self._edb_leaves: dict[str, list[EdbLeafProcess]] = {}
+        #: The last result collected; a wave that derives nothing returns
+        #: it again with the wave counters zeroed.
+        self._result: Optional[QueryResult] = None
         self.driver: DriverProcess
         self.protocol_violations: list[str] = []
         self._validate_protocol = validate_protocol
@@ -470,6 +480,10 @@ class MessagePassingEngine:
 
         # --- register with the scheduler --------------------------------
         for process in self.processes.values():
+            if isinstance(process, EdbLeafProcess):
+                self._edb_leaves.setdefault(
+                    process.adorned.predicate, []
+                ).append(process)
             process.package_requests = self._package_requests
             process.record_provenance = self._provenance
             process.emit_tuple_sets = self._tuple_sets
@@ -529,7 +543,8 @@ class MessagePassingEngine:
         snapshot = self._db_snapshot()
         self.driver.start(self.scheduler)
         stats = self.scheduler.run()
-        return self._collect_result(stats, snapshot)
+        self._result = self._collect_result(stats, snapshot)
+        return self._result
 
     def run_delta(self, facts) -> QueryResult:
         """Semi-naive continuation: inject delta tuples, reconverge, re-collect.
@@ -549,23 +564,54 @@ class MessagePassingEngine:
         The returned result's message/db counters cover this wave only
         (``scheduler.stats`` is reset per wave, which also makes the
         ``max_messages`` budget per-wave); answers and storage counters
-        are cumulative across the materialization's lifetime.
+        are cumulative across the materialization's lifetime, and
+        ``new_answers`` holds exactly the rows this wave added.
+
+        A wave no EDB leaf accepted a row of — every delta row was
+        irrelevant to this network, a duplicate, or outside the bindings
+        its streams requested — sends no message, so nothing downstream
+        can have changed.  It returns at once, in time proportional to
+        the delta and the leaves of its predicates: the previous result
+        with ``incremental`` set, every per-wave counter zero, an empty
+        ``new_answers`` and the *same* ``answers`` object (after another
+        such wave, that very result again); the per-node walk that
+        rebuilds the storage counters is skipped because they cannot
+        have moved.
         """
         snapshot = self._db_snapshot()
-        self.scheduler.stats = SchedulerStats()
+        stats = self.scheduler.stats
+        if stats.physical_total:  # else the last wave left them at zero
+            stats = self.scheduler.stats = SchedulerStats()
         by_predicate: dict[str, list[tuple]] = {}
         for fact in facts:
             by_predicate.setdefault(fact.predicate, []).append(fact.ground_tuple())
-        if by_predicate:
-            for process in self.processes.values():
-                if not isinstance(process, EdbLeafProcess):
-                    continue
-                rows = by_predicate.get(process.adorned.predicate)
-                if rows:
-                    process.inject_delta(rows, self.scheduler)
-        stats = self.scheduler.run()
-        result = self._collect_result(stats, snapshot)
-        result.incremental = True
+        for predicate, rows in by_predicate.items():
+            for leaf in self._edb_leaves.get(predicate, ()):
+                leaf.inject_delta(rows, self.scheduler)
+        previous = self._result
+        if previous is not None and not self.scheduler.in_flight():
+            if previous.stats is stats:
+                return previous  # an empty wave after an empty wave
+            scans, lookups, retrieved = snapshot
+            result = replace(
+                previous,
+                stats=stats,
+                db_scans=self.database.scans - scans,
+                db_indexed_lookups=self.database.indexed_lookups - lookups,
+                db_rows_retrieved=self.database.rows_retrieved - retrieved,
+                incremental=True,
+                new_answers=frozenset(),
+            )
+        else:
+            self.driver.fresh = fresh = set()
+            try:
+                self.scheduler.run()
+            finally:
+                self.driver.fresh = None
+            result = self._collect_result(stats, snapshot)
+            result.incremental = True
+            result.new_answers = frozenset(fresh)
+        self._result = result
         return result
 
     def _db_snapshot(self) -> tuple[int, int, int]:

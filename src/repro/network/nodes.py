@@ -860,6 +860,8 @@ class EdbLeafProcess(NodeProcess):
         # nothing (no constants, no repeated variables, no "e" positions) —
         # stored rows can then be served as-is, whole batches at a time.
         self._no_filter = not self.constant_filter and not self.equal_groups
+        # Stored row -> the "d" binding a consumer would have requested it by.
+        self._d_binding = _tuple_getter(self.shape.d_positions)
         self._identity_projection = self.shape.non_e == tuple(range(len(atom.args)))
 
     # ------------------------------------------------------------------
@@ -931,7 +933,9 @@ class EdbLeafProcess(NodeProcess):
         database as usual.
         """
         self._relation_size = None  # the cached scan-vs-lookup pivot moved
-        matching = [row for row in rows if self._matches(row)]
+        matching = rows
+        if not self._no_filter:
+            matching = [row for row in rows if self._matches(row)]
         if not matching:
             return
         if not self.shape.d_positions:
@@ -939,19 +943,13 @@ class EdbLeafProcess(NodeProcess):
                 if stream.last_seq_received >= 0:
                     self._emit(stream, matching, network)
             return
+        binding_of = self._d_binding
         for stream in self.consumers.values():
             if not stream.requested:
                 continue
-            self._emit(
-                stream,
-                [
-                    row
-                    for row in matching
-                    if tuple(row[p] for p in self.shape.d_positions)
-                    in stream.requested
-                ],
-                network,
-            )
+            asked = [row for row in matching if binding_of(row) in stream.requested]
+            if asked:
+                self._emit(stream, asked, network)
 
     def _lookup_binding(self, binding: tuple) -> Iterable[tuple]:
         """Indexed retrieval for one "d" binding (empty on constant clash)."""
@@ -1767,6 +1765,9 @@ class DriverProcess(NodeProcess):
         self.root_id = root_id
         self.adornment = adornment
         self.answers: set[tuple] = set()
+        #: While a delta wave runs: the rows it has added to ``answers``
+        #: (the engine installs a set before the wave and takes it after).
+        self.fresh: Optional[set[tuple]] = None
         self.completed = False
         self.on_complete: Optional[Callable[[], None]] = None  # runtime hook
         self.on_answer: Optional[Callable[[tuple], None]] = None  # streaming hook
@@ -1786,17 +1787,21 @@ class DriverProcess(NodeProcess):
     def on_tuple(self, message: TupleMessage, network: "Scheduler") -> None:
         if message.row not in self.answers:
             self.answers.add(message.row)
+            if self.fresh is not None:
+                self.fresh.add(message.row)
             if self.on_answer is not None:
                 self.on_answer(message.row)
 
     def on_tuple_set(self, message: TupleSet, network: "Scheduler") -> None:
         """Collect a packaged answer set (streaming hook still fires per row)."""
-        if self.columnar and self.on_answer is None:
+        if self.columnar and self.on_answer is None and self.fresh is None:
             self.answers |= message.rows
             return
         for row in message.rows:
             if row not in self.answers:
                 self.answers.add(row)
+                if self.fresh is not None:
+                    self.fresh.add(row)
                 if self.on_answer is not None:
                     self.on_answer(row)
 

@@ -34,6 +34,12 @@ class Database:
     #: by reads.  Anything derived from the contents (the cluster runtime's
     #: pickled edb part) is current exactly while this still reads the same.
     version: int = field(default=0, compare=False)
+    #: Write-side work counters: rows that were genuinely new, and bucket
+    #: appends made to already-built indexes, summed over every
+    #: :meth:`add_facts`.  They count what a write touched, so a write's
+    #: cost can be checked to follow the delta and not the database.
+    rows_added: int = field(default=0, compare=False)
+    index_entries_added: int = field(default=0, compare=False)
 
     # ------------------------------------------------------------------
     # Construction
@@ -76,14 +82,20 @@ class Database:
         self.version += 1
 
     def add_facts(self, facts: Iterable[Atom]) -> None:
-        """Incrementally add ground facts, extending relations in place.
+        """Incrementally add ground facts, growing relations in place.
 
         Validation (arity consistency within the batch and against any
         existing relation) happens *before* any mutation, so a bad batch
-        leaves the database untouched.  Existing relations grow via
-        :meth:`Relation.extended`, which carries their memoized hash
-        indexes forward instead of rebuilding them — the cheap path a
-        long-lived session relies on.
+        leaves rows and indexes untouched.  Existing relations grow via
+        :meth:`Relation.extend`: the same :class:`Relation` object gains
+        the new rows and its memoized hash indexes gain the new entries,
+        so the cost is O(|batch|) whatever the database holds.  A
+        ``Relation`` obtained from this database before the call is
+        therefore a live view and shows the new rows afterwards.
+
+        Single-writer: callers serialize writes and keep readers out for
+        the duration (the session is single-threaded; the service holds
+        its write lock).  ``version`` moves only when a row was new.
         """
         grouped: dict[str, list[Row]] = {}
         arities: dict[str, int] = {}
@@ -103,15 +115,20 @@ class Database:
                     f"inconsistent arity for EDB predicate {predicate}: "
                     f"{existing.arity} vs {arity}"
                 )
+        rows_added = 0
         for predicate, rows in grouped.items():
             existing = self._relations.get(predicate)
             if existing is None:
-                self._relations[predicate] = Relation(
+                existing = self._relations[predicate] = Relation(
                     columns_for(arities[predicate]), rows
                 )
+                rows_added += len(existing)
             else:
-                self._relations[predicate] = existing.extended(rows)
-        if grouped:
+                added = existing.extend(rows)
+                rows_added += added
+                self.index_entries_added += added * len(existing.index_positions)
+        if rows_added:
+            self.rows_added += rows_added
             self.version += 1
 
     # ------------------------------------------------------------------
@@ -178,6 +195,8 @@ class Database:
         self.scans = 0
         self.indexed_lookups = 0
         self.rows_retrieved = 0
+        self.rows_added = 0
+        self.index_entries_added = 0
 
     def counters(self) -> tuple[int, int, int]:
         """A ``(scans, indexed_lookups, rows_retrieved)`` snapshot.

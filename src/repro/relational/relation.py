@@ -7,15 +7,20 @@ that relational substrate — a compact, set-based implementation with
 memoized hash indexes so that the semijoin-style restriction driven by class
 "d" arguments is cheap.
 
-Relations are *immutable by convention*: every operation returns a new
-:class:`Relation`.  (Mutable accumulation inside engine nodes uses plain
-``set`` objects and converts at the edges.)
+Algebra results are *value-semantic*: every operation returns a new
+:class:`Relation` over its own copy of the rows.  The one mutator is
+:meth:`Relation.extend`, the EDB's growth path: a relation held by a live
+:class:`~repro.relational.database.Database` is a *growing view* — its
+``rows`` set, its memoized indexes and the bucket lists ``lookup`` hands out
+all grow in place when facts are added, so a write costs O(|new rows|), not
+O(|relation|).  Callers that must keep a snapshot across a write copy what
+they read (the engine's leaves do: rows enter a message as a fresh set).
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
 __all__ = ["Relation", "Row"]
 
@@ -45,7 +50,9 @@ class Relation:
         for row in materialized:
             if len(row) != len(cols):
                 raise ValueError(f"row {row} does not match schema {cols}")
-        self._rows: frozenset[Row] = frozenset(materialized)
+        # A copy, not ``materialized`` itself: copying sizes the hash table
+        # for its contents, where row-by-row insertion leaves up to 2x slack.
+        self._rows: set[Row] = set(materialized)
         self._indexes: dict[tuple[int, ...], dict[Row, list[Row]]] = {}
 
     # ------------------------------------------------------------------
@@ -57,9 +64,14 @@ class Relation:
         return len(self.columns)
 
     @property
-    def rows(self) -> frozenset[Row]:
-        """The tuple set (frozen)."""
+    def rows(self) -> AbstractSet[Row]:
+        """The tuple set — read-only, and live: it grows with :meth:`extend`."""
         return self._rows
+
+    @property
+    def index_positions(self) -> tuple[tuple[int, ...], ...]:
+        """The column-position tuples a hash index has been built over."""
+        return tuple(self._indexes)
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -76,7 +88,7 @@ class Relation:
         return self.columns == other.columns and self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash((self.columns, self._rows))
+        return hash((self.columns, frozenset(self._rows)))
 
     def __repr__(self) -> str:
         preview = ", ".join(map(str, sorted(self._rows, key=repr)[:4]))
@@ -107,10 +119,11 @@ class Relation:
     def index(self, columns: Sequence[str]) -> Mapping[Row, list[Row]]:
         """A hash index: key tuple over ``columns`` -> rows having that key.
 
-        Indexes are built lazily and memoized; since relations are immutable
-        the cache never invalidates.  The paper's footnote on "packaged"
-        tuple requests observes an index over an EDB relation can be built in
-        one scan — this is that one scan.
+        Indexes are built lazily and memoized; the cache never invalidates
+        because :meth:`extend` grows every memoized index along with the
+        rows.  The paper's footnote on "packaged" tuple requests observes an
+        index over an EDB relation can be built in one scan — this is that
+        one scan.
         """
         pos = self.positions(columns)
         cached = self._indexes.get(pos)
@@ -133,39 +146,39 @@ class Relation:
         """Rows whose ``columns`` projection equals ``key`` (via the index)."""
         return self.index(columns).get(tuple(key), [])
 
-    def extended(self, rows: Iterable[Row]) -> "Relation":
-        """A new relation with extra rows, carrying memoized indexes forward.
+    def extend(self, rows: Iterable[Row]) -> int:
+        """Grow this relation in place; returns how many rows were new.
 
-        The incremental-growth path of a long-lived session: instead of
-        rebuilding every hash index from scratch (one full scan each), the
-        new relation copies each existing index shallowly and appends only
-        the genuinely new rows to the buckets they land in.  Cost is
-        O(|new rows| x |indexes|) plus one pointer-copy of each index dict,
-        not O(|relation|).  Returns ``self`` unchanged when every row is
-        already present.
+        The incremental-growth path of a long-lived session.  New rows are
+        added to the row set and appended to the bucket they land in of
+        every memoized index — O(|new rows| x |indexes|), independent of
+        the relation's size; nothing is copied.  Validation comes first: a
+        row of the wrong arity raises before anything is touched.
+
+        Single writer, no concurrent readers: the caller (the session's
+        ``add_facts``, under the service's write lock) guarantees nobody
+        is iterating ``rows`` or a bucket while this runs.  A bucket list
+        obtained from :meth:`lookup` earlier is the live bucket and sees
+        the appended rows.
         """
-        added = set(map(tuple, rows)) - self._rows
-        if not added:
-            return self
+        arity = len(self.columns)
+        present = self._rows
+        added = [
+            row for row in dict.fromkeys(map(tuple, rows)) if row not in present
+        ]
         for row in added:
-            if len(row) != len(self.columns):
+            if len(row) != arity:
                 raise ValueError(f"row {row} does not match schema {self.columns}")
-        extended = object.__new__(Relation)
-        extended.columns = self.columns
-        extended._rows = self._rows | added
-        indexes: dict[tuple[int, ...], dict[Row, list[Row]]] = {}
+        present.update(added)
         for pos, index in self._indexes.items():
-            grown = dict(index)  # shallow: buckets shared until touched
-            touched: set[Row] = set()
             for row in added:
                 key = tuple(row[i] for i in pos)
-                if key not in touched:
-                    grown[key] = list(grown.get(key, ()))
-                    touched.add(key)
-                grown[key].append(row)
-            indexes[pos] = grown
-        extended._indexes = indexes
-        return extended
+                bucket = index.get(key)
+                if bucket is None:
+                    index[key] = [row]
+                else:
+                    bucket.append(row)
+        return len(added)
 
     # ------------------------------------------------------------------
     # Core operations (select / project / rename / union / difference)

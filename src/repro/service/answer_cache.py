@@ -18,13 +18,22 @@ leans on:
   same version see the same EDB/IDB.
 
 Entries are therefore keyed by ``(graph_cache_key, db_version)``.  A
-write never touches the cache: it bumps the version, every existing
-entry's key stops matching, and the stale entries age out of the LRU
-(or are reclaimed eagerly via :meth:`AnswerCache.purge_below`, which is
-what :class:`~repro.service.shared_session.SharedSession` does after
-each commit).  There is no flush to race with in-flight evaluations —
-an evaluation that started before a write commits is stored under the
-version it actually read, where no post-write lookup will find it.
+write never edits an answer set in place: it bumps the version, every
+existing entry's key stops matching, and the stale entries age out of
+the LRU (or are reclaimed eagerly via :meth:`AnswerCache.purge_below`,
+which is what :class:`~repro.service.shared_session.SharedSession` does
+after each commit).  There is no flush to race with in-flight
+evaluations — an evaluation that started before a write commits is
+stored under the version it actually read, where no post-write lookup
+will find it.
+
+A writer that *knows* what a write did to an answer — the serving
+layer's warm networks report the rows each delta wave added — moves the
+entry forward instead of recomputing it: :meth:`AnswerCache.carry`
+re-keys an unchanged entry to the new version in O(1), renders and byte
+charge intact, and :meth:`AnswerCache.extend` builds the successor of a
+grown entry from the old one plus the new rows, sizing and rendering
+only those.
 
 The cache is bounded twice: by entry count (LRU) and by an approximate
 byte budget, since answer sets vary from empty to millions of rows.
@@ -36,9 +45,19 @@ import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Optional
+from typing import Callable, Hashable, Iterable, Optional
 
 __all__ = ["AnswerCacheStats", "CachedAnswer", "AnswerCache", "estimate_answer_bytes"]
+
+
+def _rows_bytes(rows: Iterable[tuple]) -> int:
+    """``sys.getsizeof`` summed over each row tuple and each of its values."""
+    total = 0
+    for row in rows:
+        total += sys.getsizeof(row)
+        for value in row:
+            total += sys.getsizeof(value)
+    return total
 
 
 def estimate_answer_bytes(answers: frozenset) -> int:
@@ -48,12 +67,7 @@ def estimate_answer_bytes(answers: frozenset) -> int:
     value.  Shared/interned values make this an overestimate, which is
     the safe direction for a budget.
     """
-    total = sys.getsizeof(answers)
-    for row in answers:
-        total += sys.getsizeof(row)
-        for value in row:
-            total += sys.getsizeof(value)
-    return total
+    return sys.getsizeof(answers) + _rows_bytes(answers)
 
 
 def _estimate_render_bytes(value) -> int:
@@ -65,33 +79,53 @@ def _estimate_render_bytes(value) -> int:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class CachedAnswer:
-    """One stored answer set plus the accounting needed to serve it."""
+    """One stored answer set plus the accounting needed to serve it.
+
+    ``answers`` never changes.  The owning cache advances ``version`` when
+    it carries the entry across a write that left the answers alone, and
+    keeps ``render_charges`` in step with ``renders``; everything else is
+    fixed at store time.
+    """
 
     answers: frozenset
-    version: int  # db_version the evaluation read
-    nbytes: int  # estimate_answer_bytes at store time
+    version: int  # db_version the answers are current for
+    nbytes: int  # estimate_answer_bytes of ``answers``
     elapsed: float  # wall seconds the original evaluation cost (saved per hit)
     #: Lazily attached derived forms of ``answers`` (e.g. the server's
     #: wire-encoded row list), computed by whoever serves the entry and
-    #: reused on later hits.  Purely derived data: the entry — and with
-    #: it this memo — dies with its version, so it can never go stale.
+    #: reused on later hits.  Purely derived data, so a carried entry
+    #: keeps them and an extended entry's are derived from them.
     #: Mutate only through :meth:`render` — direct check-then-set from
     #: concurrent server threads is the race this method exists to fix.
-    renders: dict = field(default_factory=dict, compare=False, repr=False)
+    renders: dict = field(default_factory=dict, repr=False)
+    #: Bytes charged to the owning cache per render kind.
+    render_charges: dict = field(default_factory=dict, repr=False)
+    #: ``kind -> (compute, merge)`` for renders that can follow an
+    #: extension (see :meth:`render`).
+    _merges: dict = field(default_factory=dict, repr=False)
     #: Serializes render computation/attachment per entry.
-    _render_lock: threading.Lock = field(
-        default_factory=threading.Lock, compare=False, repr=False
-    )
-    #: Set by the owning :class:`AnswerCache` at store time so attached
-    #: renders are charged against its byte budget; None for entries
-    #: that were never stored (oversized, cache disabled).
-    _charge: Optional[Callable[[int], None]] = field(
-        default=None, compare=False, repr=False
-    )
+    _render_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    #: The cache holding this entry, so attached renders are charged
+    #: against its byte budget; None for entries that were never stored
+    #: (oversized, cache disabled).
+    _owner: Optional["AnswerCache"] = field(default=None, repr=False)
+    #: The ``(key, version)`` this entry is resident under; None once
+    #: evicted, purged or replaced.  Owned by the cache, under its lock.
+    _slot: Optional[tuple] = field(default=None, repr=False)
 
-    def render(self, kind: Hashable, compute: Callable[[frozenset], object]):
+    @property
+    def render_nbytes(self) -> int:
+        """Bytes charged for every attached render."""
+        return sum(self.render_charges.values())
+
+    def render(
+        self,
+        kind: Hashable,
+        compute: Callable[[Iterable[tuple]], object],
+        merge: Optional[Callable[[object, object], object]] = None,
+    ):
         """``compute(answers)``, memoized race-free under ``kind``.
 
         Exactly one thread computes each kind; concurrent callers block
@@ -100,6 +134,12 @@ class CachedAnswer:
         estimated footprint is charged to the owning cache's byte budget
         (entries hold renders comparable in size to the answers
         themselves — uncounted, the cache could hold ~2x ``max_bytes``).
+
+        ``merge`` makes the render follow :meth:`AnswerCache.extend`: the
+        successor's render is ``merge(this render, compute(new rows))``,
+        which must equal ``compute`` of the whole grown answer set and
+        must not modify its arguments.  Without it the successor starts
+        with no render of this kind and computes one on first use.
         """
         value = self.renders.get(kind)
         if value is not None:
@@ -110,8 +150,12 @@ class CachedAnswer:
                 return value
             value = compute(self.answers)
             self.renders[kind] = value
-        if self._charge is not None:
-            self._charge(_estimate_render_bytes(value))
+            if merge is not None:
+                self._merges[kind] = (compute, merge)
+        if self._owner is not None:
+            self._owner._charge_render(
+                self, kind, _estimate_render_bytes(value), len(self.answers)
+            )
         return value
 
 
@@ -124,7 +168,12 @@ class AnswerCacheStats:
     their version unreachable (:meth:`AnswerCache.purge_below`).
     ``render_bytes`` is the portion of ``bytes`` held by renders
     attached to resident entries (wire encodings etc.); it is already
-    included in ``bytes``, not in addition to it.
+    included in ``bytes``, not in addition to it.  ``carried`` and
+    ``extended`` count entries moved to a new version without, and with,
+    new rows.  ``rows_sized`` counts answer rows whose footprint was
+    measured value by value and ``rows_rendered`` rows passed to a render
+    computation: a store or first render touches every row of the
+    answer, an extension only the new ones, a carry none.
     """
 
     hits: int
@@ -138,6 +187,10 @@ class AnswerCacheStats:
     capacity: int
     max_bytes: int
     seconds_saved: float
+    carried: int = 0
+    extended: int = 0
+    rows_sized: int = 0
+    rows_rendered: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -150,11 +203,15 @@ class AnswerCacheStats:
             "hits": self.hits,
             "misses": self.misses,
             "stores": self.stores,
+            "carried": self.carried,
+            "extended": self.extended,
             "evictions": self.evictions,
             "invalidations": self.invalidations,
             "entries": self.entries,
             "bytes": self.bytes,
             "render_bytes": self.render_bytes,
+            "rows_sized": self.rows_sized,
+            "rows_rendered": self.rows_rendered,
             "capacity": self.capacity,
             "max_bytes": self.max_bytes,
             "seconds_saved": round(self.seconds_saved, 6),
@@ -165,10 +222,10 @@ class AnswerCache:
     """A bounded LRU of completed answer sets keyed by (graph key, version).
 
     ``capacity`` bounds the entry count, ``max_bytes`` the summed
-    :func:`estimate_answer_bytes` of stored answer sets; exceeding
-    either evicts least-recently-used entries.  ``capacity=0`` disables
-    the cache (every lookup misses, nothing is stored) so the disabled
-    path exercises the same code.
+    :func:`estimate_answer_bytes` of stored answer sets plus their
+    renders; exceeding either evicts least-recently-used entries.
+    ``capacity=0`` disables the cache (every lookup misses, nothing is
+    stored) so the disabled path exercises the same code.
 
     Thread-safe: one internal lock covers every operation, matching the
     :class:`~repro.cache.GraphCache` discipline.  A single answer set
@@ -183,17 +240,22 @@ class AnswerCache:
             raise ValueError(f"answer cache byte budget must be >= 0, got {max_bytes}")
         self.capacity = capacity
         self.max_bytes = max_bytes
-        self._entries: "OrderedDict[Hashable, CachedAnswer]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, CachedAnswer]" = OrderedDict()
+        # Resident slots grouped by version, so reclaiming what a write
+        # made unreachable visits only that.
+        self._by_version: dict[int, set[tuple]] = {}
         self._lock = threading.Lock()
-        self._bytes = 0
-        # Render bytes per resident entry (charged lazily as transports
-        # attach wire encodings); folded into _bytes, split out in stats.
-        self._render_nbytes: dict[Hashable, int] = {}
+        self._bytes = 0  # answers + renders of every resident entry
+        self._render_bytes = 0  # the renders' share of _bytes
         self.hits = 0
         self.misses = 0
         self.stores = 0
+        self.carried = 0
+        self.extended = 0
         self.evictions = 0
         self.invalidations = 0
+        self.rows_sized = 0
+        self.rows_rendered = 0
         self.seconds_saved = 0.0
 
     # ------------------------------------------------------------------
@@ -219,33 +281,147 @@ class AnswerCache:
         if nbytes > self.max_bytes:
             return None  # one oversized set must not flush the whole cache
         entry = CachedAnswer(
-            answers=answers, version=version, nbytes=nbytes, elapsed=elapsed
-        )
-        full_key = (key, version)
-        object.__setattr__(
-            entry, "_charge", lambda n: self._charge_render(full_key, entry, n)
+            answers=answers, version=version, nbytes=nbytes, elapsed=elapsed, _owner=self
         )
         with self._lock:
-            previous = self._entries.pop(full_key, None)
-            if previous is not None:
-                self._bytes -= previous.nbytes + self._render_nbytes.pop(full_key, 0)
-            self._entries[full_key] = entry
-            self._bytes += nbytes
+            self._remove((key, version))
+            self._insert((key, version), entry)
             self.stores += 1
+            self.rows_sized += len(answers)
             self._evict_over_budget()
         return entry
 
-    def _charge_render(self, full_key: Hashable, entry: "CachedAnswer", n: int) -> None:
+    def carry(
+        self, key: Hashable, from_version: int, to_version: int
+    ) -> Optional[CachedAnswer]:
+        """Re-key an entry whose answers a write left unchanged, in O(1).
+
+        The very same entry — answer set, attached renders, byte charge —
+        becomes the entry for ``(key, to_version)`` and the most recently
+        used.  Returns it, or None when nothing is resident under
+        ``(key, from_version)`` (evicted meanwhile: the caller stores
+        afresh).  The caller vouches that the answers at the two versions
+        are equal.
+        """
+        with self._lock:
+            entry = self._remove((key, from_version))
+            if entry is None:
+                return None
+            self._remove((key, to_version))
+            entry.version = to_version
+            self._insert((key, to_version), entry)
+            self.carried += 1
+            return entry
+
+    def extend(
+        self,
+        key: Hashable,
+        from_version: int,
+        to_version: int,
+        new_rows: Iterable[tuple],
+    ) -> Optional[CachedAnswer]:
+        """Store ``(key, to_version)`` as the predecessor plus ``new_rows``.
+
+        The caller vouches that the answers at ``to_version`` are the
+        answers at ``from_version`` and ``new_rows``.  Only the new rows
+        are sized, and each render attached with a ``merge`` is brought
+        forward by rendering only them; what is copied — the answer set
+        and the rendered sequences — is copied by the container, not row
+        by row.  The predecessor leaves the cache.  Returns the new
+        entry, or None when there is no predecessor or the grown answer
+        no longer fits ``max_bytes``.
+        """
+        with self._lock:
+            old = self._entries.get((key, from_version))
+        if old is None:
+            return None
+        added = [row for row in new_rows if row not in old.answers]
+        if not added:
+            return self.carry(key, from_version, to_version)
+        answers = old.answers.union(added)
+        nbytes = (
+            old.nbytes
+            - sys.getsizeof(old.answers)
+            + sys.getsizeof(answers)
+            + _rows_bytes(added)
+        )
+        with old._render_lock:  # waits out a first render in progress
+            renders = dict(old.renders)
+            merges = dict(old._merges)
+        entry = CachedAnswer(
+            answers=answers,
+            version=to_version,
+            nbytes=nbytes,
+            elapsed=old.elapsed,
+            _merges=merges,
+            _owner=self,
+        )
+        for kind, (compute, merge) in merges.items():
+            part = compute(added)
+            value = merge(renders[kind], part)
+            entry.renders[kind] = value
+            charged = old.render_charges.get(kind)
+            if charged is None:  # attached a moment ago, charge still in flight
+                entry.render_charges[kind] = _estimate_render_bytes(value)
+            else:
+                entry.render_charges[kind] = (
+                    charged
+                    + _estimate_render_bytes(part)
+                    - sys.getsizeof(part)
+                    + sys.getsizeof(value)
+                    - sys.getsizeof(renders[kind])
+                )
+        with self._lock:
+            self._remove((key, from_version))
+            self._remove((key, to_version))
+            if nbytes + entry.render_nbytes > self.max_bytes:
+                return None
+            self._insert((key, to_version), entry)
+            self.extended += 1
+            self.rows_sized += len(added)
+            self.rows_rendered += len(added) * len(entry.renders)
+            self._evict_over_budget()
+        return entry
+
+    def _insert(self, slot: tuple, entry: CachedAnswer) -> None:
+        """Make ``entry`` resident under ``slot``, most recently used (lock held)."""
+        entry._slot = slot
+        self._entries[slot] = entry
+        self._by_version.setdefault(slot[1], set()).add(slot)
+        render_nbytes = entry.render_nbytes
+        self._bytes += entry.nbytes + render_nbytes
+        self._render_bytes += render_nbytes
+
+    def _remove(self, slot: tuple) -> Optional[CachedAnswer]:
+        """Drop whatever is resident under ``slot`` and its charges (lock held)."""
+        entry = self._entries.pop(slot, None)
+        if entry is None:
+            return None
+        entry._slot = None
+        slots = self._by_version[slot[1]]
+        slots.discard(slot)
+        if not slots:
+            del self._by_version[slot[1]]
+        render_nbytes = entry.render_nbytes
+        self._bytes -= entry.nbytes + render_nbytes
+        self._render_bytes -= render_nbytes
+        return entry
+
+    def _charge_render(
+        self, entry: CachedAnswer, kind: Hashable, nbytes: int, rows: int
+    ) -> None:
         """Count one attached render against the byte budget (entry callback).
 
         A render attached after its entry was evicted/purged charges
         nothing — the cache no longer holds it, only the caller does.
         """
         with self._lock:
-            if self._entries.get(full_key) is not entry:
+            self.rows_rendered += rows
+            if entry._slot is None:
                 return
-            self._render_nbytes[full_key] = self._render_nbytes.get(full_key, 0) + n
-            self._bytes += n
+            entry.render_charges[kind] = entry.render_charges.get(kind, 0) + nbytes
+            self._bytes += nbytes
+            self._render_bytes += nbytes
             self._evict_over_budget()
 
     def _evict_over_budget(self) -> None:
@@ -253,8 +429,7 @@ class AnswerCache:
         while self._entries and (
             len(self._entries) > self.capacity or self._bytes > self.max_bytes
         ):
-            evicted_key, evicted = self._entries.popitem(last=False)
-            self._bytes -= evicted.nbytes + self._render_nbytes.pop(evicted_key, 0)
+            self._remove(next(iter(self._entries)))
             self.evictions += 1
 
     def purge_below(self, version: int) -> int:
@@ -264,25 +439,31 @@ class AnswerCache:
         is strictly monotone, so after a commit to ``version`` every
         entry below it is unreachable garbage.  Called by the serving
         layer after each write; returns the number reclaimed (counted
-        as ``invalidations``).
+        as ``invalidations``).  Visits the resident versions and the
+        entries it reclaims, not every entry.
         """
         with self._lock:
-            stale = [fk for fk in self._entries if fk[1] < version]
-            for full_key in stale:
-                self._bytes -= (
-                    self._entries.pop(full_key).nbytes
-                    + self._render_nbytes.pop(full_key, 0)
-                )
-                self.invalidations += 1
+            stale = [
+                slot
+                for resident, slots in self._by_version.items()
+                if resident < version
+                for slot in slots
+            ]
+            for slot in stale:
+                self._remove(slot)
+            self.invalidations += len(stale)
             return len(stale)
 
     def clear(self) -> int:
         """Drop everything (counted as invalidations); returns the count."""
         with self._lock:
             dropped = len(self._entries)
+            for entry in self._entries.values():
+                entry._slot = None
             self._entries.clear()
-            self._render_nbytes.clear()
+            self._by_version.clear()
             self._bytes = 0
+            self._render_bytes = 0
             self.invalidations += dropped
             return dropped
 
@@ -311,8 +492,12 @@ class AnswerCache:
                 invalidations=self.invalidations,
                 entries=len(self._entries),
                 bytes=self._bytes,
-                render_bytes=sum(self._render_nbytes.values()),
+                render_bytes=self._render_bytes,
                 capacity=self.capacity,
                 max_bytes=self.max_bytes,
                 seconds_saved=self.seconds_saved,
+                carried=self.carried,
+                extended=self.extended,
+                rows_sized=self.rows_sized,
+                rows_rendered=self.rows_rendered,
             )

@@ -27,6 +27,7 @@ every workload in this repo uses.
 
 from __future__ import annotations
 
+import bisect
 import json
 from typing import Iterable, Optional
 
@@ -39,6 +40,7 @@ __all__ = [
     "decode_request",
     "error_payload",
     "rows_to_wire",
+    "merge_wire",
     "wire_to_rows",
 ]
 
@@ -145,6 +147,26 @@ def rows_to_wire(rows: Iterable[tuple]) -> list[list]:
     ]
     wire.sort(key=repr)
     return wire
+
+
+def merge_wire(wire: list[list], part: list[list]) -> list[list]:
+    """Two :func:`rows_to_wire` lists merged into a new one, same order.
+
+    ``merge_wire(rows_to_wire(a), rows_to_wire(b)) == rows_to_wire(a | b)``
+    for disjoint ``a`` and ``b``, at the cost of one ``repr`` per probed
+    row — O(|part| log |wire|) of them — plus slice copies, where
+    re-sorting would ``repr`` every row.  Neither argument is modified:
+    ``wire`` may be in the middle of being serialized by another thread.
+    """
+    merged: list[list] = []
+    start = 0
+    for row in part:
+        at = bisect.bisect_right(wire, repr(row), lo=start, key=repr)
+        merged += wire[start:at]
+        merged.append(row)
+        start = at
+    merged += wire[start:]
+    return merged
 
 
 def wire_to_rows(wire: Optional[Iterable[Iterable]]) -> set[tuple]:

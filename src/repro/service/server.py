@@ -53,6 +53,7 @@ from .protocol import (
     decode_request,
     encode,
     error_payload,
+    merge_wire,
     rows_to_wire,
 )
 from .shared_session import SharedSession
@@ -470,12 +471,15 @@ class QueryServer:
         responses from O(rows) encoding work into a dict lookup.
         :meth:`CachedAnswer.render` owns the check-compute-store cycle —
         it is race-free for any number of serving threads and charges
-        the rendered rows against the cache's byte budget.
+        the rendered rows against the cache's byte budget.  The render
+        outlives the version: an entry a write carried forward keeps
+        it, and one a write extended merges in the encoding of just the
+        new rows (:func:`merge_wire`).
         """
         entry = outcome.cache_entry
         if entry is None:
             return rows_to_wire(outcome.answers)
-        return entry.render("wire", rows_to_wire)
+        return entry.render("wire", rows_to_wire, merge_wire)
 
     def _failure(self, exc: Exception, rid) -> dict:
         if isinstance(exc, ServiceError):

@@ -147,9 +147,11 @@ class SharedSession:
     :class:`~repro.session.MaterializedQuery` instances keyed by the
     Theorem 2.1 graph-cache key.  Repeat queries refresh the retained
     network semi-naively instead of re-deriving the fixpoint, and each
-    committed ``add_facts`` delta-refreshes the warm entries and
-    re-stores their answer sets under the new ``db_version`` — hot keys
-    ride through writes without ever missing the answer cache.
+    committed ``add_facts`` delta-refreshes the warm entries and moves
+    their answer-cache entries to the new ``db_version`` — carried over
+    as they are when the write derived nothing for them, extended by the
+    new rows when it did — so hot keys ride through writes without ever
+    missing the answer cache, at a cost that follows the delta.
     """
 
     def __init__(
@@ -246,9 +248,21 @@ class SharedSession:
             "delta_refreshes_total",
             "semi-naive delta waves propagated through warm networks",
         )
+        self._noop_refreshes = m.counter(
+            "noop_refreshes_total",
+            "delta waves that reached none of a warm network's open streams",
+        )
         self._answer_refreshes = m.counter(
             "answer_cache_refreshes_total",
             "cached answer sets delta-refreshed to the new version on a write",
+        )
+        self._answers_carried = m.counter(
+            "answers_carried_total",
+            "unchanged cached answer sets re-keyed to the new version on a write",
+        )
+        self._answers_extended = m.counter(
+            "answers_extended_total",
+            "cached answer sets extended by a write's new rows",
         )
 
     # ------------------------------------------------------------------
@@ -421,11 +435,7 @@ class SharedSession:
                 self._mats.move_to_end(key)
         if mat is not None:
             try:
-                before = mat.refreshes
-                result = mat.refresh()
-                if mat.refreshes > before:
-                    self._delta_refreshes.inc(mat.refreshes - before)
-                return result, True
+                return self._refresh(mat), True
             except MaterializedQueryClosed:
                 with self._mats_lock:
                     if self._mats.get(key) is mat:
@@ -445,12 +455,21 @@ class SharedSession:
                     evicted.close()
         return mat.result, True
 
+    def _refresh(self, mat: MaterializedQuery):
+        """``mat.refresh()`` with the wave counters it moved accounted."""
+        waves, noops = mat.refreshes, mat.noop_refreshes
+        result = mat.refresh()
+        if mat.refreshes > waves:
+            self._delta_refreshes.inc(mat.refreshes - waves)
+            self._noop_refreshes.inc(mat.noop_refreshes - noops)
+        return result
+
     def _refresh_warm(self) -> None:
         """Delta-refresh every warm materialization after a commit.
 
         Runs under the read lock (writers excluded, concurrent queries
         fine) *before* stale answer-cache entries are purged: each
-        refreshed answer set is re-stored under the new ``db_version``,
+        network's cached answer set is moved to the new ``db_version``,
         so hot keys stay answerable without evaluation across writes —
         the cache is maintained, not invalidated.  Closed
         materializations (``add_rules`` changed the IDB) just fall out
@@ -465,23 +484,49 @@ class SharedSession:
             for key, mat in live:
                 try:
                     start = time.perf_counter()
-                    before = mat.refreshes
-                    result = mat.refresh()
+                    result = self._refresh(mat)
                     elapsed = time.perf_counter() - start
                 except MaterializedQueryClosed:
                     with self._mats_lock:
                         if self._mats.get(key) is mat:
                             self._mats.pop(key, None)
                     continue
-                if mat.refreshes > before:
-                    self._delta_refreshes.inc(mat.refreshes - before)
                 # mat.version lags the commit only if another write
                 # landed meanwhile — impossible under the read lock.
                 if self._answers is not None and mat.version == version:
-                    self._answers.put(
-                        key, version, frozenset(result.answers), elapsed
-                    )
-                    self._answer_refreshes.inc()
+                    self._advance_answer(key, mat, result, version, elapsed)
+
+    def _advance_answer(
+        self, key: tuple, mat: MaterializedQuery, result, version: int, elapsed: float
+    ) -> None:
+        """Bring ``key``'s cached answer set to ``version`` (read lock held).
+
+        ``result`` is the network's last wave, which took it from
+        ``mat.previous_version`` to ``version`` and added exactly
+        ``result.new_answers``.  Whatever correct evaluation stored the
+        entry under the earlier version, its answers plus those rows are
+        the answers now, so the entry is carried (no new rows: O(1)) or
+        extended (work proportional to the new rows) instead of being
+        rebuilt.  Only when no predecessor is resident — evicted, or the
+        network has run no wave yet — is the whole answer set stored.
+        """
+        cache = self._answers
+        if (key, version) in cache:
+            return  # a reader refreshed this network first and stored it
+        stored = None
+        new_rows = result.new_answers
+        if new_rows is not None and mat.previous_version != version:
+            if new_rows:
+                stored = cache.extend(key, mat.previous_version, version, new_rows)
+                if stored is not None:
+                    self._answers_extended.inc()
+            else:
+                stored = cache.carry(key, mat.previous_version, version)
+                if stored is not None:
+                    self._answers_carried.inc()
+        if stored is None:
+            cache.put(key, version, frozenset(result.answers), elapsed)
+        self._answer_refreshes.inc()
 
     def _drop_closed_materializations(self) -> None:
         """Forget pool entries ``add_rules`` invalidated (networks closed)."""
@@ -603,7 +648,10 @@ class SharedSession:
                     "pool_capacity": self._materialize_pool,
                     "materializations": self._materializations.value,
                     "delta_refreshes": self._delta_refreshes.value,
+                    "noop_refreshes": self._noop_refreshes.value,
                     "answer_refreshes": self._answer_refreshes.value,
+                    "answers_carried": self._answers_carried.value,
+                    "answers_extended": self._answers_extended.value,
                 }
                 if self._materialize
                 else {"enabled": False}

@@ -129,16 +129,24 @@ class MaterializedQuery:
         self._result = result
         #: db_version of the last converged fixpoint this holds.
         self.version = session.db_version
+        #: db_version the last wave started from: ``result.new_answers`` is
+        #: exactly what the answers gained between it and ``version``.
+        self.previous_version = self.version
         self._pending: list[Atom] = []
         self._pending_version = self.version
         self._lock = threading.RLock()
         self.refreshes = 0  # delta waves propagated
+        self.noop_refreshes = 0  # ... of which no EDB leaf accepted a row
         self.closed = False
 
     # ------------------------------------------------------------------
     @property
     def answers(self) -> set[tuple]:
-        """The answer set as of the last converged refresh (no implicit work)."""
+        """The answer set as of the last converged refresh (no implicit work).
+
+        A refresh that derives nothing keeps this very object; one that
+        derives something replaces it.
+        """
         return self._result.answers
 
     @property
@@ -166,7 +174,9 @@ class MaterializedQuery:
 
         Returns the (possibly unchanged) :class:`QueryResult`; answers
         after a refresh equal a from-scratch evaluation against the
-        current base.  Raises :class:`MaterializedQueryClosed` once the
+        current base, and ``result.new_answers`` are the rows the wave
+        added.  A wave that reaches none of this network's open streams
+        costs only the check that it does not.  Raises :class:`MaterializedQueryClosed` once the
         materialization has been invalidated.
         """
         with self._lock:
@@ -181,8 +191,11 @@ class MaterializedQuery:
             result.graph_cache_hit = True  # the whole network was reused
             result.cache_stats = self._session.cache_stats()
             self._result = result
+            self.previous_version = self.version
             self.version = self._pending_version
             self.refreshes += 1
+            if not result.total_messages:
+                self.noop_refreshes += 1
             return result
 
     def close(self) -> None:
@@ -302,9 +315,13 @@ class Session:
         self._rules = tuple(
             r for r in program.rules if r.head.predicate != GOAL_PREDICATE
         )
-        self._facts = tuple(program.facts)
+        # The EDB as a log of accepted facts (duplicates kept): appended to
+        # in place by every write, exposed as a tuple memoized per version.
+        self._facts: list[Atom] = list(program.facts)
+        self._facts_view: Optional[tuple[Atom, ...]] = tuple(self._facts)
+        self._idb_predicates = {r.head.predicate for r in self._rules}
         # Validate the base eagerly so later queries can skip re-validation.
-        Program(self._rules, self._facts)
+        Program(self._rules, self._facts_view)
         self.sip_factory = sip_factory
         self.coalesce = coalesce
         self.package_requests = package_requests
@@ -340,7 +357,6 @@ class Session:
         self._last_engine = None
         # The shared, index-preserving EDB (one build; grown incrementally).
         self._database = Database.from_facts(self._facts)
-        self._edb_predicates = {f.predicate for f in self._facts}
         # The graph cache and the IDB fingerprint that keys it.
         self._graph_cache = GraphCache(graph_cache_size)
         self._rules_fingerprint = rule_set_fingerprint(self._rules)
@@ -365,7 +381,7 @@ class Session:
         atoms = _parse_query_atoms(query)
         rules = list(self._rules)
         rules.append(query_to_rule(atoms))
-        return Program(rules, self._facts)
+        return Program(rules, self.facts)
 
     def prepare(
         self, query: Union[str, Atom, Sequence[Atom], PreparedQuery]
@@ -448,7 +464,7 @@ class Session:
         # desugared query rule is safe by construction, so skip the
         # per-query O(|EDB|) re-validation the naive path would pay.
         program = Program(
-            self._rules + (query_to_rule(atoms),), self._facts, validate=False
+            self._rules + (query_to_rule(atoms),), self.facts, validate=False
         )
         sip_factory = self.sip_factory
         plan_report = None
@@ -763,7 +779,9 @@ class Session:
         indexes grow incrementally; cached rule/goal graphs stay valid
         (Theorem 2.1: the graph never depends on the EDB).  Validation
         happens before any state changes, so a rejected batch leaves the
-        session exactly as it was.
+        session exactly as it was.  The cost follows the batch, not the
+        base: relations and their indexes grow in place and nothing sized
+        like the EDB is rebuilt.
         """
         if isinstance(facts, str):
             parsed = parse_program(facts, validate=False)
@@ -774,7 +792,7 @@ class Session:
             new_facts: tuple[Atom, ...] = tuple(parsed.facts)
         else:
             new_facts = tuple(facts)
-        idb = {r.head.predicate for r in self._rules}
+        idb = self._idb_predicates
         for fact in new_facts:
             if not fact.is_ground():
                 raise ProgramError(f"EDB fact {fact} is not ground")
@@ -788,9 +806,9 @@ class Session:
                 )
         # May raise on arity mismatch — internally atomic, nothing committed.
         self._database.add_facts(new_facts)
-        self._facts = self._facts + new_facts
-        self._edb_predicates |= {f.predicate for f in new_facts}
         if new_facts:
+            self._facts.extend(new_facts)
+            self._facts_view = None
             self._db_version += 1
             self._size_fingerprint = self._planner_fingerprint()
             for mat in list(self._materialized):
@@ -815,16 +833,16 @@ class Session:
             r for r in new_rules if r.head.predicate != GOAL_PREDICATE
         )
         candidate_rules = self._rules + new_rules
-        candidate_facts = self._facts + new_facts
         # Validate the combined program first for a clear error site.
-        Program(candidate_rules, candidate_facts)
+        Program(candidate_rules, self.facts + new_facts)
         if new_facts:
             # Atomic: raises on arity mismatch before touching anything.
             self._database.add_facts(new_facts)
-            self._edb_predicates |= {f.predicate for f in new_facts}
+            self._facts.extend(new_facts)
+            self._facts_view = None
         self._rules = candidate_rules
-        self._facts = candidate_facts
         if new_rules:
+            self._idb_predicates.update(r.head.predicate for r in new_rules)
             self._rules_fingerprint = rule_set_fingerprint(self._rules)
             self._graph_cache.clear()
         if new_rules or new_facts:
@@ -849,8 +867,10 @@ class Session:
 
     @property
     def facts(self) -> tuple[Atom, ...]:
-        """The extensional database."""
-        return self._facts
+        """The extensional database, as a tuple (rebuilt once per write)."""
+        if self._facts_view is None:
+            self._facts_view = tuple(self._facts)
+        return self._facts_view
 
     @property
     def database(self) -> Database:

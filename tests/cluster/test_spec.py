@@ -75,10 +75,18 @@ class TestJobSpecMemo:
         assert memo.edb(database) is first
         database.lookup("par", {0: 0})  # reads move counters, not the version
         assert memo.edb(database) is first
+        relation = database.relation("par")
         database.add_facts(parse_program("par(100, 101).").facts)
+        # Grown in place — the same objects — so only the version can tell.
+        assert database.relation("par") is relation
         second = memo.edb(database)
         assert second.digest != first.digest
-        assert (100, 101) in pickle.loads(second.blob).relation("par")
+        shipped = pickle.loads(second.blob)
+        assert (100, 101) in shipped.relation("par")
+        assert shipped.lookup("par", {0: 100}) == [(100, 101)]  # index came along
+        assert (shipped.rows_added, shipped.index_entries_added) == (0, 0)
+        database.add_facts(parse_program("par(100, 101).").facts)  # nothing new
+        assert memo.edb(database) is second
         # Same facts in another object, whatever its access history: same
         # bytes, same address.
         twin = Database.from_facts(program.facts)

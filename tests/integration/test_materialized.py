@@ -195,3 +195,73 @@ class TestIncrementalResultAccounting:
         assert not mat.result.incremental
         s.add_facts("par(cal, dee).")
         assert mat.refresh().incremental
+
+
+class TestNoopAndReportedWaves:
+    """A wave says what it added; one that reaches nothing costs nothing."""
+
+    def noop_batches(self):
+        # Irrelevant predicate, a subtree no stream asked about, a duplicate.
+        return ["other(1, 2).", "par(zed, yan).", "par(ann, bob)."]
+
+    def test_noop_wave_zero_counters_same_answers_object(self):
+        s = Session(BASE)
+        mat = s.materialize("anc(ann, Z)")
+        cold = mat.result
+        for batch in self.noop_batches():
+            answers = mat.answers
+            s.add_facts(batch)
+            result = mat.refresh()
+            assert result.answers is answers, batch
+            assert result.incremental and result.new_answers == frozenset()
+            assert (result.total_messages, result.physical_messages) == (0, 0)
+            assert (result.computation_messages, result.protocol_messages) == (0, 0)
+            assert result.stats.by_kind == {} and result.stats.tuple_set_rows == 0
+            assert (
+                result.db_scans, result.db_indexed_lookups, result.db_rows_retrieved
+            ) == (0, 0, 0)
+            # Storage counters describe the retained network: unchanged.
+            assert result.tuples_stored == cold.tuples_stored
+            assert result.tuples_by_node == cold.tuples_by_node
+            assert result.probe_lookups == cold.probe_lookups
+            assert result.protocol_violations == []
+            assert mat.version == s.db_version and not mat.stale
+        assert (mat.refreshes, mat.noop_refreshes) == (3, 3)
+        assert mat.answers == cold_answers(s, "anc(ann, Z)")
+
+    def test_noop_wave_skips_the_per_node_collection(self, monkeypatch):
+        s = Session(BASE)
+        mat = s.materialize("anc(ann, Z)")
+        monkeypatch.setattr(
+            mat._engine, "_collect_result", lambda *a: pytest.fail("collected")
+        )
+        s.add_facts("par(zed, yan).")
+        assert mat.refresh().total_messages == 0
+
+    def test_deriving_wave_reports_exactly_the_new_rows(self):
+        s = Session(BASE)
+        mat = s.materialize("anc(ann, Z)")
+        assert mat.result.new_answers is None  # cold: every answer is new
+        before = set(mat.answers)
+        s.add_facts("par(cal, dee). par(dee, eve). par(ann, bob).")
+        result = mat.refresh()
+        assert result.new_answers == {("dee",), ("eve",)}
+        assert result.answers == before | result.new_answers
+        assert result.total_messages > 0 and mat.noop_refreshes == 0
+        assert (mat.previous_version, mat.version) == (0, 1)
+
+    def test_row_by_row_kernels_report_new_rows_too(self):
+        s = Session(BASE, tuple_sets=False)
+        mat = s.materialize("anc(ann, Z)")
+        s.add_facts("par(cal, dee). par(dee, eve).")
+        assert mat.refresh().new_answers == {("dee",), ("eve",)}
+
+    def test_a_wave_after_a_noop_wave_still_derives(self):
+        s = Session(BASE)
+        mat = s.materialize("anc(ann, Z)")
+        s.add_facts("par(zed, yan).")
+        mat.refresh()
+        s.add_facts("par(cal, zed).")  # now the earlier fact matters
+        result = mat.refresh()
+        assert result.new_answers == {("zed",), ("yan",)}
+        assert mat.answers == cold_answers(s, "anc(ann, Z)")

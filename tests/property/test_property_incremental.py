@@ -10,13 +10,22 @@ already-converged nodes, which is exactly where a broken semi-naive
 re-injection would under-derive.  One deterministic case exercises the
 multiprocess runtimes' invalidate-and-recompute path (no warm network
 to keep; every post-write query re-derives and must still agree).
+
+The last property drives the serving layer's write path: random
+interleavings of writes (duplicate, empty and irrelevant batches
+included) and reads over several hot keys, where every served answer,
+every answer-cache entry a write carried or extended, and every wire
+render must equal a fresh evaluation of the facts so far.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import seminaive
+from repro.core.parser import parse_program
 from repro.service import SharedSession
+from repro.service.protocol import rows_to_wire
+from repro.service.server import QueryServer
 from repro.session import Session
 
 SHAPES = {
@@ -137,3 +146,77 @@ class TestMultiprocessInvalidateAndRecompute:
             )
             # The recomputed answers re-populate the cache at the new version.
             assert shared.query_detailed(query).answer_cached
+
+
+# ----------------------------------------------------------------------
+# The serving layer's write path: carried and extended answer-cache entries
+# ----------------------------------------------------------------------
+HOT_RULES = SHAPES["linear"][0] + "\nlabel(X, L) <- tag(X, L)."
+HOT_QUERIES = ("t(0, Z)", "t(1, Z)", "t(2, Z)", "t(X, 3)", "label(0, L)")
+
+#: A write: edges (duplicates of earlier ones included by the small domain),
+#: an empty batch, or facts no hot query can reach.
+write = st.one_of(
+    st.lists(edge, min_size=0, max_size=5).map(facts_text),
+    st.lists(st.integers(0, 3), min_size=1, max_size=2).map(
+        lambda xs: " ".join(f"unrelated({x})." for x in xs)
+    ),
+    st.tuples(st.integers(0, 2), st.sampled_from("ab")).map(
+        lambda t: f"tag({t[0]}, {t[1]})."
+    ),
+)
+step = st.one_of(
+    st.tuples(st.just("write"), write),
+    st.tuples(st.just("read"), st.sampled_from(HOT_QUERIES)),
+)
+
+
+def baseline_answers(committed_text, query):
+    program = parse_program(f"{HOT_RULES}\n{committed_text}\n?- {query}.")
+    return seminaive.evaluate(program).answers()
+
+
+class TestServedAnswersThroughCarryAndExtend:
+    @settings(**COMMON)
+    @given(initial=edges, steps=st.lists(step, min_size=4, max_size=14))
+    def test_every_served_answer_and_render_equals_a_fresh_evaluation(
+        self, initial, steps
+    ):
+        committed = facts_text(initial)
+        shared = SharedSession(HOT_RULES + "\n" + committed, materialize=True)
+        cache = shared.answer_cache
+        warm = {}  # query -> graph-cache key, once it has been read
+
+        def check_read(query):
+            outcome = shared.query_detailed(query)
+            expected = baseline_answers(committed, query)
+            assert set(outcome.answers) == expected, query
+            # What the server would put on the wire for this outcome.
+            assert QueryServer._wire_answers(outcome) == rows_to_wire(expected)
+            warm[query] = shared.session.cache_key_for(query)
+            return outcome
+
+        for kind, payload in steps:
+            if kind == "read":
+                check_read(payload)
+                continue
+            version = shared.db_version
+            shared.add_facts(payload)
+            committed += "\n" + payload
+            if shared.db_version == version:
+                continue  # the empty batch: nothing was committed
+            for query, key in warm.items():
+                entry = cache._entries.get((key, shared.db_version))
+                assert entry is not None, f"{query}: hot entry lost by the write"
+                expected = baseline_answers(committed, query)
+                assert entry.answers == expected, query
+                if "wire" in entry.renders:
+                    assert entry.renders["wire"] == rows_to_wire(expected), query
+            assert cache.nbytes == sum(
+                e.nbytes + e.render_nbytes for e in cache._entries.values()
+            )
+        for query in warm:
+            assert check_read(query).answer_cached
+        stats = shared.stats()["materialized"]
+        assert stats["answer_refreshes"] >= stats["answers_carried"] + stats["answers_extended"]
+        assert stats["noop_refreshes"] <= stats["delta_refreshes"]

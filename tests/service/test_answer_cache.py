@@ -329,3 +329,151 @@ class TestRenderMemo:
 
         entry = CachedAnswer(frozenset({(1,)}), 0, 64, 0.0)
         assert entry.render("wire", sorted) == [(1,)]
+
+
+def charged(cache):
+    """What ``_bytes`` must equal: every resident entry plus its renders."""
+    return sum(e.nbytes + e.render_nbytes for e in cache._entries.values())
+
+
+def wire(cache, key, version):
+    from repro.service.protocol import merge_wire, rows_to_wire
+
+    return cache.get(key, version).render("wire", rows_to_wire, merge_wire)
+
+
+class TestCarryAndExtend:
+    """Moving an entry across a write: same bytes, same renders, less work."""
+
+    def test_carry_rekeys_the_same_entry_with_render_and_charge(self):
+        cache = AnswerCache(8, 1 << 20)
+        entry = cache.put("k", 3, frozenset((i,) for i in range(50)), 0.5)
+        rendered = wire(cache, "k", 3)
+        before = cache.stats()
+        assert cache.carry("k", 3, 4) is entry
+        assert entry.version == 4 and ("k", 3) not in cache
+        assert cache.get("k", 4) is entry
+        assert entry.render("wire", lambda rows: pytest.fail("re-rendered")) is rendered
+        after = cache.stats()
+        assert (after.bytes, after.render_bytes) == (before.bytes, before.render_bytes)
+        assert (after.rows_sized, after.rows_rendered) == (50, 50)
+        assert (after.carried, after.stores) == (1, 1)
+        assert cache.nbytes == charged(cache)
+
+    def test_carry_of_an_evicted_entry_reports_nothing_to_carry(self):
+        cache = AnswerCache(1, 1 << 20)
+        cache.put("a", 0, frozenset({(1,)}), 0.0)
+        cache.put("b", 0, frozenset({(2,)}), 0.0)  # evicts "a"
+        assert cache.carry("a", 0, 1) is None
+        assert cache.carry("b", 0, 1) is not None
+        assert len(cache) == 1 and cache.nbytes == charged(cache)
+
+    def test_a_render_attached_after_the_carry_is_charged_to_the_new_slot(self):
+        cache = AnswerCache(8, 1 << 20)
+        entry = cache.put("k", 0, frozenset((i,) for i in range(20)), 0.0)
+        cache.carry("k", 0, 1)
+        entry.render("wire", sorted)  # a reader still holding the entry
+        assert cache.stats().render_bytes == entry.render_nbytes > 0
+        assert cache.nbytes == charged(cache)
+
+    def test_extend_equals_a_fresh_store_and_touches_only_new_rows(self):
+        from repro.service.protocol import rows_to_wire
+
+        old_rows = frozenset((i, f"v{i}") for i in range(0, 200, 2))
+        new_rows = [(i, f"v{i}") for i in (1, 77, 199, 500)]
+        cache = AnswerCache(8, 1 << 20)
+        cache.put("k", 0, old_rows, 0.25)
+        old_wire = wire(cache, "k", 0)
+        snapshot = list(old_wire)
+        entry = cache.extend("k", 0, 1, new_rows)
+        assert entry.answers == old_rows | set(new_rows)
+        assert entry.renders["wire"] == rows_to_wire(entry.answers)
+        assert old_wire == snapshot, "the predecessor's render was modified"
+        assert ("k", 0) not in cache and cache.get("k", 1) is entry
+        stats = cache.stats()
+        assert (stats.rows_sized, stats.rows_rendered) == (100 + 4, 100 + 4)
+        assert (stats.extended, stats.stores) == (1, 1)
+        assert entry.elapsed == 0.25
+        assert cache.nbytes == charged(cache)
+        # The incremental charges agree with measuring the result whole.
+        fresh = AnswerCache(8, 1 << 20)
+        fresh.put("k", 1, entry.answers, 0.0)
+        wire(fresh, "k", 1)
+        assert abs(cache.nbytes - fresh.nbytes) <= 0.02 * fresh.nbytes
+
+    def test_extend_with_nothing_new_is_a_carry(self):
+        cache = AnswerCache(8, 1 << 20)
+        entry = cache.put("k", 0, frozenset({(1,), (2,)}), 0.0)
+        assert cache.extend("k", 0, 1, [(1,)]) is entry
+        assert cache.stats().carried == 1 and cache.stats().extended == 0
+
+    def test_extend_without_a_predecessor_or_past_the_budget_stores_nothing(self):
+        rows = frozenset((i,) for i in range(100))
+        cache = AnswerCache(8, estimate_answer_bytes(rows) + 64)
+        assert cache.extend("k", 0, 1, [(1,)]) is None
+        cache.put("k", 0, rows, 0.0)
+        assert cache.extend("k", 0, 1, [(i,) for i in range(100, 200)]) is None
+        assert len(cache) == 0 and cache.nbytes == 0
+
+    def test_extend_can_evict_colder_entries_and_stays_balanced(self):
+        rows = frozenset((i,) for i in range(100))
+        cache = AnswerCache(8, int(estimate_answer_bytes(rows) * 2.5))
+        cache.put("cold", 0, rows, 0.0)
+        cache.put("hot", 0, rows, 0.0)
+        assert cache.extend("hot", 0, 1, [(i,) for i in range(100, 160)]) is not None
+        assert ("cold", 0) not in cache and cache.stats().evictions == 1
+        assert cache.nbytes == charged(cache) <= cache.max_bytes
+
+    def test_render_without_a_merge_is_dropped_by_extend_not_kept_stale(self):
+        cache = AnswerCache(8, 1 << 20)
+        cache.put("k", 0, frozenset({(1,), (2,)}), 0.0).render("count", len)
+        entry = cache.extend("k", 0, 1, [(3,)])
+        assert "count" not in entry.renders and entry.render_nbytes == 0
+        assert entry.render("count", len) == 3
+        assert cache.nbytes == charged(cache)
+
+    def test_purge_below_reclaims_only_what_was_not_moved_forward(self):
+        cache = AnswerCache(16, 1 << 20)
+        for key in "abcd":
+            cache.put(key, 0, frozenset({(key,)}), 0.0)
+            wire(cache, key, 0)
+        cache.carry("a", 0, 1)
+        cache.extend("b", 0, 1, [("b2",)])
+        assert cache.purge_below(1) == 2
+        assert sorted(k for k, _ in cache._entries) == ["a", "b"]
+        assert set(cache._by_version) == {1}
+        assert cache.purge_below(1) == 0
+        stats = cache.stats()
+        assert stats.invalidations == 2
+        assert stats.bytes == charged(cache)
+        assert stats.render_bytes == sum(
+            e.render_nbytes for e in cache._entries.values()
+        )
+
+    def test_accounting_survives_a_long_mixed_history(self):
+        import random
+
+        rng = random.Random(7)
+        cache = AnswerCache(6, 40_000)
+        version = 0
+        for step in range(400):
+            key = rng.choice("abcdefgh")
+            op = rng.random()
+            if op < 0.3:
+                cache.put(key, version, frozenset((rng.randrange(500),) for _ in range(30)), 0.0)
+            elif op < 0.5 and (key, version) in cache:
+                wire(cache, key, version)
+            elif op < 0.7:
+                cache.carry(key, version - 1, version)
+            elif op < 0.9:
+                cache.extend(key, version - 1, version, [(1000 + step,), (2000 + step,)])
+            else:
+                version += 1
+                if rng.random() < 0.5:
+                    cache.purge_below(version - 1)
+            assert cache.nbytes == charged(cache)
+            assert cache.stats().render_bytes == sum(
+                e.render_nbytes for e in cache._entries.values()
+            )
+            assert sum(map(len, cache._by_version.values())) == len(cache)
+            assert all(e._slot == slot for slot, e in cache._entries.items())

@@ -12,6 +12,8 @@ import threading
 
 import repro.session as session_module
 from repro.service import SharedSession
+from repro.service.protocol import rows_to_wire
+from repro.service.server import QueryServer
 from repro.session import Session
 
 BASE = """
@@ -176,3 +178,105 @@ class TestWarmPool:
         shared.query("anc(ann, Z)")
         shared.query("anc(ann, W)")  # same Theorem 2.1 key
         assert shared.stats()["materialized"]["materializations"] == 1
+
+
+class TestWritesMoveEntriesForward:
+    """A write carries unchanged hot entries and extends grown ones."""
+
+    def warm(self, *queries):
+        shared = SharedSession(BASE, materialize=True)
+        for query in queries:
+            QueryServer._wire_answers(shared.query_detailed(query))  # as a server would
+        return shared
+
+    def entry(self, shared, query):
+        key = shared.session.cache_key_for(query)
+        return shared.answer_cache._entries.get((key, shared.db_version))
+
+    def test_unreached_entry_is_carried_with_its_render(self):
+        shared = self.warm("anc(ann, Z)", "anc(X, bob)")
+        up = self.entry(shared, "anc(X, bob)")
+        rendered = up.renders["wire"]
+        shared.add_facts("par(dee, eve).")  # below bob: anc(X, bob) gains nothing
+        assert self.entry(shared, "anc(X, bob)") is up
+        assert up.renders["wire"] is rendered and up.version == shared.db_version
+        stats = shared.stats()["materialized"]
+        assert stats["delta_refreshes"] == 2
+        assert stats["noop_refreshes"] == 1
+        assert (stats["answers_carried"], stats["answers_extended"]) == (1, 1)
+        assert stats["answer_refreshes"] == 2
+
+    def test_reached_entry_is_extended_and_its_render_merged(self):
+        shared = self.warm("anc(ann, Z)")
+        before = self.entry(shared, "anc(ann, Z)")
+        sized = shared.answer_cache.stats().rows_sized
+        shared.add_facts("par(dee, eve). par(aaa, bbb).")
+        after = self.entry(shared, "anc(ann, Z)")
+        assert after is not before and before.answers < after.answers
+        assert after.renders["wire"] == rows_to_wire(after.answers)
+        assert after.renders["wire"] == [["bob"], ["cal"], ["dee"], ["eve"]]
+        assert shared.answer_cache.stats().rows_sized == sized + 1
+        outcome = shared.query_detailed("anc(ann, Z)")
+        assert outcome.answer_cached and outcome.cache_entry is after
+
+    def test_writes_nothing_reaches_are_all_carries(self):
+        shared = self.warm("anc(ann, Z)", "anc(bob, Z)", "anc(cal, Z)")
+        for batch in ("other(1).", "par(zed, yan).", "par(ann, bob)."):
+            shared.add_facts(batch)
+        stats = shared.stats()
+        assert stats["materialized"]["noop_refreshes"] == 9
+        assert stats["materialized"]["answers_carried"] == 9
+        assert stats["answer_cache"]["carried"] == 9
+        assert stats["answer_cache"]["invalidations"] == 0
+        for query in ("anc(ann, Z)", "anc(bob, Z)", "anc(cal, Z)"):
+            assert shared.query_detailed(query).answer_cached
+
+    def test_evicted_predecessor_falls_back_to_a_full_store(self):
+        shared = SharedSession(BASE, materialize=True, answer_cache_size=1)
+        shared.query("anc(ann, Z)")
+        shared.query("anc(bob, Z)")  # evicts ann's entry; both networks stay warm
+        shared.add_facts("par(dee, eve).")
+        # ann has no predecessor; storing it afresh evicts bob's.
+        stats = shared.stats()["materialized"]
+        assert stats["answer_refreshes"] == 2
+        assert stats["answers_carried"] + stats["answers_extended"] == 0
+        assert shared.query("anc(ann, Z)") == {("bob",), ("cal",), ("dee",), ("eve",)}
+
+    def test_counters_are_in_the_metrics_registry(self):
+        shared = self.warm("anc(ann, Z)", "anc(X, bob)")
+        shared.add_facts("par(dee, eve).")
+        counters = shared.metrics.snapshot()["counters"]
+        assert counters["noop_refreshes_total"] == 1
+        assert counters["answers_carried_total"] == 1
+        assert counters["answers_extended_total"] == 1
+
+    def test_concurrent_writers_and_readers_keep_entries_exact(self):
+        import sys
+
+        shared = self.warm("anc(ann, Z)", "anc(bob, Z)", "anc(X, dee)")
+        queries = ("anc(ann, Z)", "anc(bob, Z)", "anc(X, dee)")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def work(i):
+                if i < 3:
+                    for j in range(15):
+                        shared.add_facts(f"par(dee, w{i}_{j}). par(w{i}_{j}, v{i}_{j}).")
+                else:
+                    for j in range(40):
+                        outcome = shared.query_detailed(queries[j % 3])
+                        wire = QueryServer._wire_answers(outcome)
+                        assert wire == rows_to_wire(outcome.answers)
+            run_threads(6, work)
+        finally:
+            sys.setswitchinterval(interval)
+        cold = Session(BASE)
+        cold.add_facts(shared.session.facts[3:])
+        cache = shared.answer_cache
+        for query in queries:
+            outcome = shared.query_detailed(query)
+            assert outcome.answer_cached and outcome.answers == cold.query(query)
+            assert QueryServer._wire_answers(outcome) == rows_to_wire(outcome.answers)
+        assert cache.nbytes == sum(
+            e.nbytes + e.render_nbytes for e in cache._entries.values()
+        )

@@ -11,6 +11,7 @@ from repro.service.protocol import (
     decode_request,
     encode,
     error_payload,
+    merge_wire,
     rows_to_wire,
     wire_to_rows,
 )
@@ -100,3 +101,31 @@ class TestRows:
         assert wire_to_rows(None) == set()
         assert wire_to_rows([]) == set()
         assert rows_to_wire([]) == []
+
+    def test_merge_wire_equals_encoding_the_union(self):
+        import random
+
+        rng = random.Random(3)
+        values = [1, 2, 10, -1, 2.5, True, None, "a", "B", "10", "", "a b"]
+        for _ in range(200):
+            rows = {
+                tuple(rng.choice(values) for _ in range(rng.randint(0, 3)))
+                for _ in range(rng.randint(0, 40))
+            }
+            old = set(rng.sample(sorted(rows, key=repr), rng.randint(0, len(rows))))
+            wire, part = rows_to_wire(old), rows_to_wire(rows - old)
+            kept = list(wire), list(part)
+            merged = merge_wire(wire, part)
+            assert merged == rows_to_wire(rows)
+            assert (wire, part) == kept and merged is not wire
+
+    def test_merge_wire_keeps_rows_that_encode_alike(self):
+        class Odd:
+            def __str__(self):
+                return "odd"
+
+        # Distinct answer rows, one encoding: both stay, as in rows_to_wire.
+        assert merge_wire(rows_to_wire([("odd",)]), rows_to_wire([(Odd(),)])) == [
+            ["odd"],
+            ["odd"],
+        ]

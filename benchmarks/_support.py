@@ -20,14 +20,11 @@ from typing import Iterable, Sequence
 
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), "results.txt")
 #: Machine-readable bench records live at the *repo root* so the perf
-#: trajectory across PRs is one flat set of BENCH_*.json files (the PR 3
-#: records originally landed under benchmarks/ and were invisible there).
+#: trajectory across PRs is one flat set of BENCH_*.json files.
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH_JSON_PATH = os.path.join(REPO_ROOT, "BENCH_PR3.json")
 BENCH_PR5_JSON_PATH = os.path.join(REPO_ROOT, "BENCH_PR5.json")
 BENCH_PR6_JSON_PATH = os.path.join(REPO_ROOT, "BENCH_PR6.json")
 BENCH_PR7_JSON_PATH = os.path.join(REPO_ROOT, "BENCH_PR7.json")
-BENCH_PR8_JSON_PATH = os.path.join(REPO_ROOT, "BENCH_PR8.json")
 BENCH_PR9_JSON_PATH = os.path.join(REPO_ROOT, "BENCH_PR9.json")
 BENCH_PR10_JSON_PATH = os.path.join(REPO_ROOT, "BENCH_PR10.json")
 BENCH_PR13_JSON_PATH = os.path.join(REPO_ROOT, "BENCH_PR13.json")
@@ -59,7 +56,7 @@ def ratio(a: float, b: float) -> float:
     return a / b if b else float("inf")
 
 
-def emit_json(record: dict, path: str = BENCH_JSON_PATH) -> dict:
+def emit_json(record: dict, path: str = BENCH_PR5_JSON_PATH) -> dict:
     """Append one machine-readable benchmark record to a root BENCH file.
 
     Each record is a flat-ish dict — by convention ``bench`` (the emitting
@@ -67,8 +64,9 @@ def emit_json(record: dict, path: str = BENCH_JSON_PATH) -> dict:
     ``seconds`` (wall time), and the logical/physical message counts.  The
     file is a JSON array, rewritten on every append so it is always valid;
     CI uploads it as an artifact and the A/B assertions read wall times
-    from the same numbers the humans see.  ``path`` defaults to the PR 3
-    file; the service benchmark passes :data:`BENCH_PR5_JSON_PATH`.
+    from the same numbers the humans see.  ``path`` defaults to the
+    serving-layer file (:data:`BENCH_PR5_JSON_PATH`); the other benchmarks
+    pass their own.
     """
     records = []
     if os.path.exists(path):

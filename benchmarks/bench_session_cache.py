@@ -115,7 +115,7 @@ def test_claim_session_cache():
                 "bench": "session_cache",
                 "workload": f"ancestor-tree-depth-{DEPTH}",
                 "runtime": "simulator",
-                "knobs": {"mode": mode, "repeat": REPEAT, "tuple_sets": True},
+                "knobs": {"mode": mode, "repeat": REPEAT},
                 "seconds": round(avg, 6),
                 "logical_messages": cached.last_result.total_messages,
                 "answers": len(answers),

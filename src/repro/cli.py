@@ -77,8 +77,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             seed=args.seed,
             coalesce=args.coalesce,
             package_requests=args.package,
-            tuple_sets=not args.no_tuple_sets,
-            columnar=not args.no_columnar,
             planner=args.planner,
         )
         answers = result.answers
@@ -90,8 +88,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             sip_factory=_SIPS[args.sip],
             coalesce=args.coalesce,
             package_requests=args.package,
-            tuple_sets=not args.no_tuple_sets,
-            columnar=not args.no_columnar,
             planner=args.planner,
         )
         answers = result.answers
@@ -119,8 +115,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             batch_size=args.batch_size,
             coalesce=args.coalesce,
             package_requests=args.package,
-            tuple_sets=not args.no_tuple_sets,
-            columnar=not args.no_columnar,
             planner=args.planner,
             retry=_retry_policy(args),
             fallback=args.fallback,
@@ -137,8 +131,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             sip_factory=_SIPS[args.sip],
             coalesce=args.coalesce,
             package_requests=args.package,
-            tuple_sets=not args.no_tuple_sets,
-            columnar=not args.no_columnar,
             planner=args.planner,
             retry=_retry_policy(args),
             fallback=args.fallback,
@@ -155,8 +147,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             batch_size=args.batch_size,
             coalesce=args.coalesce,
             package_requests=args.package,
-            tuple_sets=not args.no_tuple_sets,
-            columnar=not args.no_columnar,
             planner=args.planner,
             retry=_retry_policy(args),
             fallback=args.fallback,
@@ -252,8 +242,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         trace=trace,
         coalesce=args.coalesce,
         package_requests=args.package,
-        tuple_sets=not args.no_tuple_sets,
-        columnar=not args.no_columnar,
         planner=args.planner,
     )
     result = engine.run()
@@ -283,8 +271,6 @@ def _cmd_bench_session(args: argparse.Namespace) -> int:
             sip_factory=_SIPS[args.sip],
             coalesce=args.coalesce,
             package_requests=args.package,
-            tuple_sets=not args.no_tuple_sets,
-            columnar=not args.no_columnar,
             planner=args.planner,
             graph_cache_size=cache_size,
         )
@@ -332,8 +318,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         sip_factory=_SIPS[args.sip],
         coalesce=args.coalesce,
         package_requests=args.package,
-        tuple_sets=not args.no_tuple_sets,
-        columnar=not args.no_columnar,
         planner=args.planner,
         graph_cache_size=args.cache_size,
         runtime=args.eval_runtime,
@@ -533,8 +517,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         sip_factory=_SIPS[args.sip],
         coalesce=args.coalesce,
         package_requests=args.package,
-        tuple_sets=not args.no_tuple_sets,
-        columnar=not args.no_columnar,
         planner="cost",
     )
     print(engine.plan_report.render())
@@ -582,18 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--package",
             action="store_true",
             help="batch related tuple requests (footnote-2 packaging)",
-        )
-        p.add_argument(
-            "--no-tuple-sets",
-            action="store_true",
-            help="disable packaged answer sets and bulk join kernels "
-            "(per-tuple A/B baseline)",
-        )
-        p.add_argument(
-            "--no-columnar",
-            action="store_true",
-            help="disable the columnar batch kernels (row-at-a-time joins "
-            "over the same set-at-a-time messages; the columnar A/B baseline)",
         )
         p.add_argument(
             "--planner",

@@ -237,8 +237,6 @@ def evaluate_cluster(
     coalesce: bool = False,
     package_requests: bool = False,
     edb_shards: Optional[int] = None,
-    tuple_sets: bool = True,
-    columnar: bool = True,
     planner: str = "static",
     retry: Union[RetryPolicy, int, None] = None,
     fallback: str = "none",
@@ -324,12 +322,7 @@ def evaluate_cluster(
 
     # Everything that shapes the node network rides in the plan part; what
     # varies per attempt (fault plan, deadlines, batch size) in the header.
-    options = {
-        "package_requests": package_requests,
-        "edb_shards": edb_shards,
-        "tuple_sets": tuple_sets,
-        "columnar": columnar,
-    }
+    options = {"package_requests": package_requests, "edb_shards": edb_shards}
     shipped = {"plan_bytes": 0, "edb_bytes": 0, "resends": 0}
 
     def attempt(number: int) -> ClusterQueryResult:
@@ -366,8 +359,6 @@ def evaluate_cluster(
         engine = MessagePassingEngine(
             program,
             package_requests=package_requests,
-            tuple_sets=tuple_sets,
-            columnar=columnar,
             database=database,
             graph=graph,
         )

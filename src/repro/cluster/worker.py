@@ -112,7 +112,6 @@ class ClusterRouter:
         shard_of: dict[int, int],
         n_shards: int,
         batch_size: int,
-        tuple_sets: bool = True,
     ) -> None:
         self.fs = fs
         self.job_id = job_id
@@ -120,7 +119,6 @@ class ClusterRouter:
         self.shard_of = shard_of
         self.n_shards = n_shards
         self.batch_size = max(1, batch_size)
-        self.tuple_sets = tuple_sets
         self.local: deque[Message] = deque()
         self.local_pending: dict[int, int] = {}
         self.buffers: dict[int, list[Message]] = {
@@ -184,7 +182,7 @@ class ClusterRouter:
         self.received_total[origin] = self.received_total.get(origin, 0) + sum(
             logical_size(m) for m in messages
         )
-        for message in coalesce_batch(messages, tuple_sets=self.tuple_sets):
+        for message in coalesce_batch(messages):
             self.local.append(message)
             self.local_pending[message.receiver] = (
                 self.local_pending.get(message.receiver, 0) + 1
@@ -339,7 +337,6 @@ def _report_error(fs: FrameSocket, job_id: int, shard_id: int) -> None:
 
 def _job_loop(fs: FrameSocket, ctx: _JobContext, resident: ResidentSpecs) -> None:
     spec = ctx.plan.spec
-    tuple_sets = spec.get("tuple_sets", True)
     # Hash-partitioned EDB replicas default to one per shard, exactly as
     # the pool runtime defaults ``edb_shards`` to its worker count.
     replicas = spec.get("edb_shards") or ctx.n_shards
@@ -351,8 +348,6 @@ def _job_loop(fs: FrameSocket, ctx: _JobContext, resident: ResidentSpecs) -> Non
         validate_protocol=False,  # the oracle belongs to the simulator
         package_requests=spec.get("package_requests", False),
         edb_shards=replicas,
-        tuple_sets=tuple_sets,
-        columnar=spec.get("columnar", True),
         database=ctx.database,
         graph=spec["graph"],
     )
@@ -361,7 +356,7 @@ def _job_loop(fs: FrameSocket, ctx: _JobContext, resident: ResidentSpecs) -> Non
         shard_of = assign_shards(engine, ctx.n_shards)
         ctx.plan.shard_maps[(ctx.n_shards, replicas)] = shard_of
     router = ClusterRouter(
-        fs, ctx.job_id, ctx.shard_id, shard_of, ctx.n_shards, ctx.batch_size, tuple_sets
+        fs, ctx.job_id, ctx.shard_id, shard_of, ctx.n_shards, ctx.batch_size
     )
     processes = engine.processes
     hosted = [

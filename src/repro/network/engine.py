@@ -248,12 +248,13 @@ class MessagePassingEngine:
         consumer keeps one fully-accounted stream per replica, so the
         end-message semantics is untouched; the pooled runtime places the
         replicas on distinct shards so semijoin fan-out parallelizes.
-    tuple_sets:
-        When true (default), producers ship bursts of fresh answer rows as
-        single :class:`~repro.network.messages.TupleSet` messages and rule
-        nodes join them with set-at-a-time bulk kernels; accounting stays in
-        logical tuples (a set weighs ``len(rows)``).  ``False`` restores the
-        per-tuple path (the ``--no-tuple-sets`` A/B escape hatch).
+
+    Producers ship each burst of more than one fresh answer row as a single
+    :class:`~repro.network.messages.TupleSet` (a lone row travels as a
+    :class:`~repro.network.messages.TupleMessage`) and every node joins
+    whole batches with the set-at-a-time kernels; accounting stays in
+    logical tuples (a set weighs ``len(rows)``).  ``provenance=True`` runs
+    the same kernels and only adds the first-derivation bookkeeping.
     """
 
     def __init__(
@@ -273,13 +274,9 @@ class MessagePassingEngine:
         trivial_relay: bool = True,
         graph: Optional[RuleGoalGraph] = None,
         edb_shards: int = 1,
-        tuple_sets: bool = True,
-        columnar: bool = True,
         planner: str = "static",
     ) -> None:
         self.program = program
-        # Any object with the Database access surface works (e.g. the
-        # SQLite backend); the program's inline facts are the default.
         self.database = database if database is not None else Database.from_facts(program.facts)
         if planner not in ("static", "cost"):
             raise ValueError(f"unknown planner {planner!r} (expected 'static' or 'cost')")
@@ -301,11 +298,6 @@ class MessagePassingEngine:
             program, sip_factory, query_goal=query_goal, coalesce=coalesce
         )
         self._package_requests = package_requests
-        self._tuple_sets = tuple_sets
-        # Columnar kernels ride on set-at-a-time batches and skip the
-        # provenance bookkeeping, so they are effective only when tuple
-        # sets are on and derivations are not being recorded.
-        self._columnar = columnar and tuple_sets and not provenance
         self._edb_shards = max(1, edb_shards)
         #: original EDB node id -> replica node ids (original first); empty
         #: unless ``edb_shards > 1``.
@@ -486,8 +478,6 @@ class MessagePassingEngine:
                 ).append(process)
             process.package_requests = self._package_requests
             process.record_provenance = self._provenance
-            process.emit_tuple_sets = self._tuple_sets
-            process.columnar = self._columnar
             self.scheduler.register(process)
 
     # ------------------------------------------------------------------
@@ -706,8 +696,6 @@ def evaluate(
     coalesce: bool = False,
     package_requests: bool = False,
     trivial_relay: bool = True,
-    tuple_sets: bool = True,
-    columnar: bool = True,
     planner: str = "static",
 ) -> QueryResult:
     """Evaluate a program's query with the message-passing framework.
@@ -717,10 +705,7 @@ def evaluate(
     in full.  ``coalesce=True`` merges goal nodes with identical binding
     patterns (the paper's single-processor variant, §2.2 + footnote 4).
     ``package_requests=True`` batches related tuple requests per producer
-    (the footnote-2 enhancement).  ``tuple_sets=False`` disables packaged
-    answers and the bulk join kernels (per-tuple A/B baseline).
-    ``columnar=False`` keeps set-at-a-time messages but joins them with the
-    PR 3 row kernels (the columnar A/B baseline).  ``planner="cost"``
+    (the footnote-2 enhancement).  ``planner="cost"``
     replaces ``sip_factory`` with the §4.3 cost model fed by observed EDB
     cardinalities (see :mod:`repro.core.planner`).
     """
@@ -734,8 +719,6 @@ def evaluate(
         coalesce=coalesce,
         package_requests=package_requests,
         trivial_relay=trivial_relay,
-        tuple_sets=tuple_sets,
-        columnar=columnar,
         planner=planner,
     )
     return engine.run()

@@ -37,7 +37,7 @@ per-request end semantics while letting one end message cover a batch
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .._numpy import np
@@ -55,7 +55,6 @@ __all__ = [
     "EndNegative",
     "EndConfirmed",
     "MessageBatch",
-    "coalesce_tuple_requests",
     "coalesce_batch",
     "logical_size",
     "COMPUTATION_TYPES",
@@ -161,7 +160,7 @@ def _as_column(values: tuple):
 class ColumnBatch:
     """A TupleSet batch in columnar form: per-column arrays plus hash indexes.
 
-    The row-oriented kernels of PR 3 touch every row with several python-level
+    A row-at-a-time join touches every row with several python-level
     operations (convert, key-project, probe).  This representation transposes
     the batch **once** — ``zip(*rows)`` runs at C speed — and then serves the
     kernels whole columns: gathers re-zip only the selected columns, join keys
@@ -324,7 +323,7 @@ class MessageBatch:
     fabric carries one ``MessageBatch`` per OS ``put`` so the pickle + queue
     cost amortizes over ``len(messages)`` tuples/requests instead of being
     paid per tuple.  The envelope is invisible to node logic: the receiving
-    worker unpacks it (see :func:`coalesce_tuple_requests`) and delivers the
+    worker unpacks it (see :func:`coalesce_batch`) and delivers the
     contained messages one at a time, in order, preserving per-channel FIFO.
     """
 
@@ -335,9 +334,7 @@ class MessageBatch:
         return len(self.messages)
 
 
-def coalesce_batch(
-    messages: Sequence[Message], tuple_sets: bool = True
-) -> list[Message]:
+def coalesce_batch(messages: Sequence[Message]) -> list[Message]:
     """Merge adjacent same-channel messages into their packaged forms.
 
     The batch unpack path of the pooled runtime, applied on ingest so the
@@ -350,9 +347,9 @@ def coalesce_batch(
       occurrence kept; serving a binding is idempotent so duplicates are
       dropped) under the *last* request's sequence number — the footnote-2
       package the producers already serve, possibly in one scan;
-    * when ``tuple_sets`` is true, a run of :class:`TupleMessage` /
-      :class:`TupleSet` messages on one channel becomes a single
-      :class:`TupleSet` with the union of their rows.
+    * a run of :class:`TupleMessage` / :class:`TupleSet` messages on one
+      channel becomes a single :class:`TupleSet` with the union of their
+      rows.
 
     Only adjacent runs are merged, so the relative order of every channel's
     messages is untouched: requests keep their sequence semantics (``seq``
@@ -390,7 +387,7 @@ def coalesce_batch(
             out.append(TupleSet(run[0].sender, run[0].receiver, rows))
         run.clear()
 
-    row_types = (TupleMessage, TupleSet) if tuple_sets else ()
+    row_types = (TupleMessage, TupleSet)
     for message in messages:
         if isinstance(message, TupleRequest):
             if run and not (isinstance(run[-1], TupleRequest) and same_channel(message)):
@@ -406,17 +403,6 @@ def coalesce_batch(
         out.append(message)
     flush_run()
     return out
-
-
-def coalesce_tuple_requests(messages: Sequence[Message]) -> list[Message]:
-    """Merge adjacent same-channel tuple requests into packaged requests.
-
-    The request-only subset of :func:`coalesce_batch` — rows are left
-    untouched.  Kept as the named entry point for the footnote-2 behavior
-    (and for the ``--no-tuple-sets`` escape hatch, where answers must stay
-    per-row even on the batched transport).
-    """
-    return coalesce_batch(messages, tuple_sets=False)
 
 
 def logical_size(message) -> int:

@@ -149,18 +149,9 @@ class NodeProcess:
         # sequence numbers and per-stream dedup stay per-replica and exact).
         self.replica_route: dict[int, tuple[int, ...]] = {}
         # Provenance: when on, processes record each tuple's first derivation
-        # so proof trees can be reassembled after the run.
+        # so proof trees can be reassembled after the run.  The kernels are
+        # the same either way; recording is one flag test per batch.
         self.record_provenance = False
-        # Set-at-a-time answers: when on, a burst of fresh rows for one
-        # consumer ships as a single TupleSet (footnote 2 generalized from
-        # requests to answers) instead of one TupleMessage per row.
-        self.emit_tuple_sets = False
-        # Columnar kernels (PR 8): batches are deduplicated with whole-set
-        # operations and joined via precompiled gather/key plans instead of
-        # per-row python loops.  The engine enables this only together with
-        # emit_tuple_sets and never alongside provenance (the row kernels
-        # are the provenance-recording path).
-        self.columnar = False
 
     # ------------------------------------------------------------------
     # Wiring (done by the engine before the run)
@@ -313,7 +304,7 @@ class NodeProcess:
     def send_tuple_requests_batch(
         self, producer_id: int, bindings: set, network: "Scheduler"
     ) -> None:
-        """Batch variant of :meth:`send_tuple_request` for columnar kernels.
+        """Batch variant of :meth:`send_tuple_request` for the stage kernels.
 
         Deduplicates the whole binding set against the feeder stream with one
         set difference; falls back to the per-binding path when the producer
@@ -370,35 +361,12 @@ class NodeProcess:
     ) -> None:
         """Send fresh rows to one consumer, packaged when it pays off.
 
-        Applies the per-stream duplicate filter first (also deduplicating
-        within the burst itself — projections can collide), then ships the
-        survivors as a single :class:`TupleSet` when set emission is on and
-        more than one row is fresh, else as plain tuple messages.  A single
-        fresh row always travels as a :class:`TupleMessage`: a one-row set
-        buys nothing and keeps the per-tuple path byte-identical.
-        """
-        fresh: list[tuple] = []
-        for row in rows:
-            if row in stream.sent_rows:
-                continue
-            stream.sent_rows.add(row)
-            fresh.append(row)
-        if not fresh:
-            return
-        if self.emit_tuple_sets and len(fresh) > 1:
-            network.send(TupleSet(self.node_id, stream.consumer_id, frozenset(fresh)))
-        else:
-            for row in fresh:
-                network.send(TupleMessage(self.node_id, stream.consumer_id, row))
-
-    def send_rows_batch(
-        self, stream: ConsumerStream, rows, network: "Scheduler"
-    ) -> None:
-        """Columnar variant of :meth:`send_rows`: whole-set duplicate filter.
-
-        ``rows`` should be a set/frozenset (converted otherwise); the
-        per-stream dedup is one set difference instead of a per-row loop.
-        Emission semantics are identical to :meth:`send_rows`.
+        Applies the per-stream duplicate filter first — one set difference,
+        which also deduplicates within the burst (projections can collide) —
+        then ships the survivors as a single :class:`TupleSet` when more
+        than one row is fresh.  A single fresh row travels as a
+        :class:`TupleMessage`: a one-row set buys nothing, and the per-tuple
+        message is §3.1's own vocabulary.
         """
         if not isinstance(rows, (set, frozenset)):
             rows = set(rows)
@@ -406,11 +374,54 @@ class NodeProcess:
         if not fresh:
             return
         stream.sent_rows |= fresh
-        if self.emit_tuple_sets and len(fresh) > 1:
-            network.send(TupleSet(self.node_id, stream.consumer_id, frozenset(fresh)))
+        self._ship(stream.consumer_id, fresh, network)
+
+    def _ship(self, consumer_id: int, fresh, network: "Scheduler") -> None:
+        """Emit already-deduplicated rows: one set, or one tuple message."""
+        if len(fresh) > 1:
+            network.send(TupleSet(self.node_id, consumer_id, frozenset(fresh)))
         else:
             for row in fresh:
-                network.send(TupleMessage(self.node_id, stream.consumer_id, row))
+                network.send(TupleMessage(self.node_id, consumer_id, row))
+
+    def _send_row(self, stream: ConsumerStream, row: tuple, network: "Scheduler") -> None:
+        """:meth:`send_rows` for one row (a delivered :class:`TupleMessage`)."""
+        if row in stream.sent_rows:
+            return
+        stream.sent_rows.add(row)
+        network.send(TupleMessage(self.node_id, stream.consumer_id, row))
+
+    def _fan_out(
+        self, fresh, buckets: Optional[dict], network: "Scheduler"
+    ) -> None:
+        """Send every consumer stream the fresh rows it asked for.
+
+        ``buckets`` groups ``fresh`` by "d" binding; ``None`` means the
+        producer has no "d" positions, so every row carries the nullary
+        binding.  Each stream's matching rows are collected by walking
+        whichever is smaller, the buckets or the stream's requests.
+        """
+        for stream in self.consumers.values():
+            if stream.wants_all:
+                self.send_rows(stream, fresh, network)
+                continue
+            requested = stream.requested
+            if buckets is None:
+                if () in requested:
+                    self.send_rows(stream, fresh, network)
+                continue
+            matching: list[tuple] = []
+            if len(buckets) <= len(requested):
+                for binding, rows in buckets.items():
+                    if binding in requested:
+                        matching.extend(rows)
+            else:
+                for binding in requested:
+                    rows = buckets.get(binding)
+                    if rows:
+                        matching.extend(rows)
+            if matching:
+                self.send_rows(stream, matching, network)
 
     # ------------------------------------------------------------------
     # End emission
@@ -459,12 +470,10 @@ class NodeProcess:
     def on_tuple_set(self, message: TupleSet, network: "Scheduler") -> None:
         """Consume a packaged set of answer rows from one producer.
 
-        Default: unpack into per-row :meth:`on_tuple` calls — semantically a
-        :class:`TupleSet` *is* ``len(rows)`` tuple messages delivered back to
-        back.  Nodes with a cheaper set-at-a-time path override this.
+        Semantically a :class:`TupleSet` *is* ``len(rows)`` tuple messages
+        delivered back to back; every consuming node joins it as one batch.
         """
-        for row in message.rows:
-            self.on_tuple(TupleMessage(message.sender, message.receiver, row), network)
+        raise NotImplementedError
 
     def on_end(self, message: EndMessage, network: "Scheduler") -> None:
         """Default: record the feeder's progress."""
@@ -492,7 +501,7 @@ def _tuple_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
 
 
 def _key_getter(positions: Sequence[int]) -> Callable[[tuple], object]:
-    """A compiled join-key extractor for the columnar kernels.
+    """A compiled join-key extractor for the stage kernels.
 
     Single-position keys are the *bare* value — no per-row 1-tuple
     allocation.  Key representation only needs to agree between the two
@@ -528,12 +537,24 @@ class _RowShape:
         self.d_positions = _d_positions(adorned)
         row_index = {pos: i for i, pos in enumerate(self.non_e)}
         self.d_in_row = tuple(row_index[p] for p in self.d_positions)
-        # Compiled form of binding_of for the columnar batch paths.
-        self.binding_get = _tuple_getter(self.d_in_row)
+        #: Project a row to the values at the "d" positions (compiled).
+        self.binding_of = _tuple_getter(self.d_in_row)
 
-    def binding_of(self, row: tuple) -> tuple:
-        """Project a row to the values at the "d" positions."""
-        return tuple(row[i] for i in self.d_in_row)
+    def buckets(self, rows: Iterable[tuple]) -> Optional[dict[tuple, list[tuple]]]:
+        """``rows`` grouped by "d" binding; ``None`` without "d" positions
+        (every row then shares the nullary binding — no bucketing pass)."""
+        if not self.d_in_row:
+            return None
+        binding_of = self.binding_of
+        buckets: dict[tuple, list[tuple]] = {}
+        for row in rows:
+            binding = binding_of(row)
+            bucket = buckets.get(binding)
+            if bucket is None:
+                buckets[binding] = [row]
+            else:
+                bucket.append(row)
+        return buckets
 
 
 class GoalNodeProcess(NodeProcess):
@@ -613,10 +634,7 @@ class GoalNodeProcess(NodeProcess):
                 self._send_row(stream, row, network)
 
     def on_tuple_set(self, message: TupleSet, network: "Scheduler") -> None:
-        """Set-at-a-time union: dedup the batch once, fan out filtered sets."""
-        if self.columnar:
-            self._on_tuple_set_c(message, network)
-            return
+        """Set-at-a-time union: one set difference, one bucketed fan-out."""
         if self.trivial_relay:
             if self.record_provenance:
                 for row in message.rows:
@@ -624,88 +642,22 @@ class GoalNodeProcess(NodeProcess):
             (stream,) = self.consumers.values()
             self.send_rows(stream, message.rows, network)
             return
-        fresh = [row for row in message.rows if row not in self.answers]
-        if not fresh:
-            return
-        self.answers.update(fresh)
-        self.tuples_stored += len(fresh)
-        bindings: list[tuple] = []
-        for row in fresh:
-            if self.record_provenance:
-                self.row_sources[row] = message.sender
-            binding = self.shape.binding_of(row)
-            bindings.append(binding)
-            self.answers_by_binding.setdefault(binding, []).append(row)
-        for stream in self.consumers.values():
-            if stream.wants_all:
-                self.send_rows(stream, fresh, network)
-            else:
-                self.send_rows(
-                    stream,
-                    [r for r, b in zip(fresh, bindings) if b in stream.requested],
-                    network,
-                )
-
-    def _on_tuple_set_c(self, message: TupleSet, network: "Scheduler") -> None:
-        """Columnar union: one set difference, one binding-bucketed fan-out."""
-        if self.trivial_relay:
-            (stream,) = self.consumers.values()
-            self.send_rows_batch(stream, message.rows, network)
-            return
         fresh = message.rows - self.answers
         if not fresh:
             return
         self.answers |= fresh
         self.tuples_stored += len(fresh)
+        if self.record_provenance:
+            self.row_sources.update(dict.fromkeys(fresh, message.sender))
+        buckets = self.shape.buckets(fresh)
         by_binding = self.answers_by_binding
-        if not self.shape.d_in_row:
-            # Every row shares the nullary binding: skip the bucketing pass.
-            stored = by_binding.get(())
-            if stored is None:
-                by_binding[()] = list(fresh)
-            else:
-                stored.extend(fresh)
-            for stream in self.consumers.values():
-                if stream.wants_all or () in stream.requested:
-                    self.send_rows_batch(stream, fresh, network)
-            return
-        binding_get = self.shape.binding_get
-        buckets: dict[tuple, list[tuple]] = {}
-        for row in fresh:
-            binding = binding_get(row)
+        for binding, rows in (buckets if buckets is not None else {(): fresh}).items():
             stored = by_binding.get(binding)
             if stored is None:
-                by_binding[binding] = [row]
+                by_binding[binding] = list(rows)
             else:
-                stored.append(row)
-            bucket = buckets.get(binding)
-            if bucket is None:
-                buckets[binding] = [row]
-            else:
-                bucket.append(row)
-        for stream in self.consumers.values():
-            if stream.wants_all:
-                self.send_rows_batch(stream, fresh, network)
-                continue
-            requested = stream.requested
-            matching: list[tuple] = []
-            if len(buckets) <= len(requested):
-                for binding, rows in buckets.items():
-                    if binding in requested:
-                        matching.extend(rows)
-            else:
-                for binding in requested:
-                    rows = buckets.get(binding)
-                    if rows:
-                        matching.extend(rows)
-            if matching:
-                self.send_rows_batch(stream, matching, network)
-
-    def _send_row(self, stream: ConsumerStream, row: tuple, network: "Scheduler") -> None:
-        if row in stream.sent_rows:
-            return
-        stream.sent_rows.add(row)
-        network.send(TupleMessage(self.node_id, stream.consumer_id, row))
+                stored.extend(rows)
+        self._fan_out(fresh, buckets, network)
 
 
 class CyclicNodeProcess(NodeProcess):
@@ -764,70 +716,12 @@ class CyclicNodeProcess(NodeProcess):
 
     def on_tuple_set(self, message: TupleSet, network: "Scheduler") -> None:
         """Relay a whole set: dedup once, then filter per consumer stream."""
-        if self.columnar:
-            self._on_tuple_set_c(message, network)
-            return
-        fresh = [row for row in message.rows if row not in self.rows]
-        if not fresh:
-            return
-        self.rows.update(fresh)
-        self.tuples_stored += len(fresh)
-        bindings = [self.shape.binding_of(row) for row in fresh]
-        for stream in self.consumers.values():
-            if stream.wants_all:
-                self.send_rows(stream, fresh, network)
-            else:
-                self.send_rows(
-                    stream,
-                    [r for r, b in zip(fresh, bindings) if b in stream.requested],
-                    network,
-                )
-
-    def _on_tuple_set_c(self, message: TupleSet, network: "Scheduler") -> None:
-        """Columnar relay: whole-set dedup, binding-bucketed stream filter."""
         fresh = message.rows - self.rows
         if not fresh:
             return
         self.rows |= fresh
         self.tuples_stored += len(fresh)
-        if not self.shape.d_in_row:
-            # Every row shares the nullary binding: skip the bucketing pass.
-            for stream in self.consumers.values():
-                if stream.wants_all or () in stream.requested:
-                    self.send_rows_batch(stream, fresh, network)
-            return
-        binding_get = self.shape.binding_get
-        buckets: dict[tuple, list[tuple]] = {}
-        for row in fresh:
-            binding = binding_get(row)
-            bucket = buckets.get(binding)
-            if bucket is None:
-                buckets[binding] = [row]
-            else:
-                bucket.append(row)
-        for stream in self.consumers.values():
-            if stream.wants_all:
-                self.send_rows_batch(stream, fresh, network)
-                continue
-            requested = stream.requested
-            matching: list[tuple] = []
-            if len(buckets) <= len(requested):
-                for binding, rows in buckets.items():
-                    if binding in requested:
-                        matching.extend(rows)
-            else:
-                for binding in requested:
-                    rows = buckets.get(binding)
-                    if rows:
-                        matching.extend(rows)
-            if matching:
-                self.send_rows_batch(stream, matching, network)
-
-    def _send_row(self, stream: ConsumerStream, row: tuple, network: "Scheduler") -> None:
-        if row in stream.sent_rows:
-            return
-        stream.sent_rows.add(row)
-        network.send(TupleMessage(self.node_id, stream.consumer_id, row))
+        self._fan_out(fresh, self.shape.buckets(fresh), network)
 
 
 class EdbLeafProcess(NodeProcess):
@@ -856,9 +750,9 @@ class EdbLeafProcess(NodeProcess):
                 groups.setdefault(term, []).append(i)
         self.equal_groups = [tuple(v) for v in groups.values() if len(v) > 1]
         self._relation_size: Optional[int] = None  # lazy; EDB is fixed per run
-        # Columnar serve plan: most leaves filter nothing and project
-        # nothing (no constants, no repeated variables, no "e" positions) —
-        # stored rows can then be served as-is, whole batches at a time.
+        # Serve plan: most leaves filter nothing and project nothing (no
+        # constants, no repeated variables, no "e" positions) — stored rows
+        # can then be served as-is, whole batches at a time.
         self._no_filter = not self.constant_filter and not self.equal_groups
         # Stored row -> the "d" binding a consumer would have requested it by.
         self._d_binding = _tuple_getter(self.shape.d_positions)
@@ -876,29 +770,14 @@ class EdbLeafProcess(NodeProcess):
         return True
 
     def _emit(self, stream: ConsumerStream, rows: Iterable[tuple], network: "Scheduler") -> None:
-        # One whole serve becomes one TupleSet (when >1 fresh row): the
-        # per-request repr-sort the per-tuple path used to pay is gone —
-        # answers are sets, and determinism lives at the result-collection
-        # boundary (the driver's answer set, the CLI's sorted print).
-        if self.columnar:
-            if not self._no_filter:
-                rows = [row for row in rows if self._matches(row)]
-            if self._identity_projection:
-                self.send_rows_batch(stream, rows, network)
-            else:
-                self.send_rows_batch(
-                    stream, ColumnBatch(rows).project(self.shape.non_e), network
-                )
-            return
-        self.send_rows(
-            stream,
-            (
-                tuple(full_row[i] for i in self.shape.non_e)
-                for full_row in rows
-                if self._matches(full_row)
-            ),
-            network,
-        )
+        # One whole serve becomes one TupleSet (when >1 fresh row): answers
+        # are sets, and determinism lives at the result-collection boundary
+        # (the driver's answer set, the CLI's sorted print).
+        if not self._no_filter:
+            rows = [row for row in rows if self._matches(row)]
+        if not self._identity_projection:
+            rows = ColumnBatch(rows).project(self.shape.non_e)
+        self.send_rows(stream, rows, network)
 
     # ------------------------------------------------------------------
     def on_relation_request(self, message: RelationRequest, network: "Scheduler") -> None:
@@ -1038,14 +917,10 @@ class _Stage:
         "row_key_positions",
         "env_index",
         "row_index",
-        "merge_plan",
         "d_var_sources",
-        "row_source",
-        # Columnar kernel plan (PR 8): compiled getters replacing the
-        # per-row interpretation of the plans above.
+        # Kernel plan: compiled getters and gathers, fixed per node.
         "row_perm",  # "id" | permutation tuple | None (general conversion)
         "row_checks",  # (position, constant) filters applied before row_perm
-        "row_key_get",
         "prev_key_get",
         "suffix_positions",  # row-env positions of the merge suffix
         "suffix_get",  # row_env -> the merge suffix (the new variables)
@@ -1057,7 +932,6 @@ class _Stage:
         self.rows: set[tuple] = set()
         self.env_index: dict[tuple, list[tuple]] = {}
         self.row_index: dict[tuple, list[tuple]] = {}
-        self.row_source: dict[tuple, tuple] = {}  # provenance: sub-env -> row
 
 
 class RuleNodeProcess(NodeProcess):
@@ -1108,10 +982,9 @@ class RuleNodeProcess(NodeProcess):
         self.envs_materialized = 0
         self._stage0_envs: set[tuple] = set()
         self._stage0_index: dict[tuple, list[tuple]] = {}
-        # Provenance: (stage, env) -> (previous-stage env, subgoal sub-env),
-        # and emitted head row -> the final env that produced it first.
-        self._env_parent: dict[tuple[int, tuple], tuple[tuple, tuple]] = {}
-        self._head_env: dict[tuple, Optional[tuple]] = {}
+        # Provenance: emitted head row -> the final environment that first
+        # produced it; derivation_children rebuilds the child rows from it.
+        self._head_env: dict[tuple, tuple] = {}
 
         # ---- precompute stage plans -------------------------------------
         head_bound = sorted(
@@ -1146,14 +1019,12 @@ class RuleNodeProcess(NodeProcess):
             stage.prev_key_positions = tuple(prev_pos[v] for v in shared)
             stage.row_key_positions = tuple(sub_pos[v] for v in shared)
             new_vars = tuple(v for v in stage.sub_vars if v not in prev_pos)
+            # The cumulative schema keeps earlier variables as an identity
+            # prefix, so a merge is prev_env plus a gathered suffix of the
+            # row-env's new variables.
             stage.env_vars = prev_vars + new_vars
-            # Merge plan: for each env var, where its value comes from.
-            plan: list[tuple[str, int]] = []
-            for v in prev_vars:
-                plan.append(("prev", prev_pos[v]))
-            for v in new_vars:
-                plan.append(("row", sub_pos[v]))
-            stage.merge_plan = tuple(plan)
+            stage.suffix_positions = tuple(sub_pos[v] for v in new_vars)
+            stage.suffix_get = _tuple_getter(stage.suffix_positions)
             # Tuple-request plan: the subgoal's "d" positions as (kind, payload).
             d_sources: list[tuple[str, object]] = []
             env_pos = {v: i for i, v in enumerate(prev_vars)}
@@ -1168,7 +1039,6 @@ class RuleNodeProcess(NodeProcess):
                         )
                     d_sources.append(("env", env_pos[term]))
             stage.d_var_sources = tuple(d_sources)
-            # ---- columnar kernel plan --------------------------------
             # Rows arriving for a subgoal whose non-"e" arguments are
             # variables that do not repeat convert to sub-environments by a
             # constant filter plus a pure permutation (usually the
@@ -1191,15 +1061,7 @@ class RuleNodeProcess(NodeProcess):
             else:
                 stage.row_checks = ()
                 stage.row_perm = None
-            stage.row_key_get = _key_getter(stage.row_key_positions)
             stage.prev_key_get = _key_getter(stage.prev_key_positions)
-            # The "prev" half of merge_plan is always the identity prefix
-            # (prev_vars enumerate in order), so a merge is prev_env plus a
-            # gathered suffix of the row-env's new variables.
-            stage.suffix_positions = tuple(
-                i for kind, i in stage.merge_plan if kind == "row"
-            )
-            stage.suffix_get = _tuple_getter(stage.suffix_positions)
             if all(kind == "env" for kind, _ in d_sources):
                 stage.d_env_positions = tuple(i for _, i in d_sources)
             else:
@@ -1220,8 +1082,8 @@ class RuleNodeProcess(NodeProcess):
             else:
                 out_plan.append(("env", final_pos[term]))
         self.head_out_plan = tuple(out_plan)
-        # Compiled head projection for the columnar emit kernel (only when
-        # every output position reads from the environment; constant head
+        # Compiled head projection for the emit kernel (only when every
+        # output position reads from the environment; constant head
         # arguments keep the interpreted plan).
         if all(kind == "env" for kind, _ in out_plan):
             self._head_positions: Optional[tuple[int, ...]] = tuple(
@@ -1311,62 +1173,18 @@ class RuleNodeProcess(NodeProcess):
         return self.probe_lookups
 
     def on_tuple(self, message: TupleMessage, network: "Scheduler") -> None:
-        kernel = self._tuples_into_stage_c if self.columnar else self._tuples_into_stage
         for stage_number in self.child_stage[message.sender]:
-            kernel(stage_number, (message.row,), network)
+            self._tuples_into_stage(stage_number, (message.row,), network)
 
     def on_tuple_set(self, message: TupleSet, network: "Scheduler") -> None:
         """Bulk stage kernel entry: join a whole set of child rows at once."""
-        kernel = self._tuples_into_stage_c if self.columnar else self._tuples_into_stage
         for stage_number in self.child_stage[message.sender]:
-            kernel(stage_number, message.rows, network)
+            self._tuples_into_stage(stage_number, message.rows, network)
 
     def _tuples_into_stage(
-        self, stage_number: int, rows: Iterable[tuple], network: "Scheduler"
-    ) -> None:
-        """Set-at-a-time semi-join: one index probe per distinct join key.
-
-        All fresh rows of the batch are converted, stored, and indexed first;
-        then the previous stage's environments are probed once per distinct
-        key (the per-tuple path probes once per row) and the merged
-        environments propagate through :meth:`_add_envs` as one batch.
-        """
-        stage = self.stages[stage_number - 1]
-        self.batch_rows_in += len(rows)  # type: ignore[arg-type]
-        by_key: dict[tuple, list[tuple]] = {}
-        for row in rows:
-            env = self._row_to_subenv(stage, row)
-            if env is None or env in stage.rows:
-                continue
-            stage.rows.add(env)
-            self.tuples_stored += 1
-            self.index_inserts += 1
-            if self.record_provenance:
-                stage.row_source.setdefault(env, row)
-            key = tuple(env[i] for i in stage.row_key_positions)
-            stage.row_index.setdefault(key, []).append(env)
-            by_key.setdefault(key, []).append(env)
-        if not by_key:
-            return
-        self.batch_distinct_keys += len(by_key)
-        merged: list[tuple[tuple, tuple[tuple, tuple]]] = []
-        for key, envs in by_key.items():
-            # Join the new tuples with the previous stage's environments.
-            if stage_number == 1:
-                prev_envs = self._stage0_envs_for_key(key, self.stages[0])
-            else:
-                prev_envs = self.stages[stage_number - 2].env_index.get(key, [])
-            self.probe_lookups += 1
-            for prev_env in list(prev_envs):
-                for env in envs:
-                    merged.append((self._merge(stage, prev_env, env), (prev_env, env)))
-        if merged:
-            self._add_envs(stage_number, merged, network)
-
-    def _tuples_into_stage_c(
         self, stage_number: int, rows, network: "Scheduler"
     ) -> None:
-        """Columnar stage kernel: whole-batch convert, dedup, index, probe.
+        """Stage kernel: whole-batch convert, dedup, index, probe.
 
         The batch is converted to sub-environments by a precompiled gather
         (:class:`~repro.network.messages.ColumnBatch` when a real permutation
@@ -1406,8 +1224,8 @@ class RuleNodeProcess(NodeProcess):
         stage.rows |= fresh
         self.tuples_stored += len(fresh)
         self.index_inserts += len(fresh)
-        # Columnar gathers for the whole fresh batch: join keys and merge
-        # suffixes come out of C-level column gathers, not per-row getters.
+        # Gathers for the whole fresh batch: join keys and merge suffixes
+        # come out of C-level column gathers, not per-row getters.
         fresh_list = list(fresh)
         cb = ColumnBatch(fresh_list)
         suffixes = cb.project(stage.suffix_positions)
@@ -1457,7 +1275,7 @@ class RuleNodeProcess(NodeProcess):
             self.batch_distinct_keys += distinct
             self.probe_lookups += distinct
         if merged:
-            self._add_envs_c(stage_number, merged, network)
+            self._add_envs(stage_number, merged, network)
 
     def _row_to_subenv(self, stage: _Stage, row: tuple) -> Optional[tuple]:
         """Convert a child's row into values over ``stage.sub_vars``."""
@@ -1484,110 +1302,34 @@ class RuleNodeProcess(NodeProcess):
         self.envs_materialized += 1
         if not self.stages:
             # Bodiless rule: the head itself is the (single) answer.
-            if self.columnar:
-                self._emit_heads_c((env,), network)
-            else:
-                self._emit_heads((env,), network)
+            self._emit_heads((env,), network)
             return
         first = self.stages[0]
-        if self.columnar:
-            key = first.prev_key_get(env)
-            self._stage0_index.setdefault(key, []).append(env)
-            self.index_inserts += 1
-            self._request_next(1, env, network)
-            self.probe_lookups += 1
-            suffix_get = first.suffix_get
-            merged_c = [
-                env + suffix_get(row_env)
-                for row_env in first.row_index.get(key, ())
-            ]
-            if merged_c:
-                self._add_envs_c(1, merged_c, network)
-            return
-        key = tuple(env[i] for i in first.prev_key_positions)
+        key = first.prev_key_get(env)
         self._stage0_index.setdefault(key, []).append(env)
         self.index_inserts += 1
         self._request_next(1, env, network)
         self.probe_lookups += 1
+        suffix_get = first.suffix_get
         merged = [
-            (self._merge(first, env, row_env), (env, row_env))
-            for row_env in list(first.row_index.get(key, []))
+            env + suffix_get(row_env) for row_env in first.row_index.get(key, ())
         ]
         if merged:
             self._add_envs(1, merged, network)
 
-    def _stage0_envs_for_key(self, key: tuple, stage: _Stage) -> list[tuple]:
-        return self._stage0_index.get(key, [])
-
     # ------------------------------------------------------------------
     # Env propagation
     # ------------------------------------------------------------------
-    def _merge(self, stage: _Stage, prev_env: tuple, row_env: tuple) -> tuple:
-        values = []
-        for kind, index in stage.merge_plan:
-            values.append(prev_env[index] if kind == "prev" else row_env[index])
-        return tuple(values)
-
     def _add_envs(
-        self,
-        stage_number: int,
-        merged: list[tuple[tuple, tuple[tuple, tuple]]],
-        network: "Scheduler",
-    ) -> None:
-        """Materialize a batch of (env, provenance-source) pairs at one stage.
-
-        Fresh environments of the batch are deduplicated, indexed, and issue
-        their tuple requests exactly as in the per-tuple path; the join
-        against the *next* stage's already-received tuples is then performed
-        once per distinct key for the whole batch, and the results recurse as
-        one batch again.
-        """
-        stage = self.stages[stage_number - 1]
-        fresh: list[tuple] = []
-        for env, source in merged:
-            if env in stage.envs:
-                continue
-            stage.envs.add(env)
-            self.envs_materialized += 1
-            if self.record_provenance and source is not None:
-                self._env_parent.setdefault((stage_number, env), source)
-            fresh.append(env)
-        if not fresh:
-            return
-        self.batch_rows_out += len(fresh)
-        if stage_number == len(self.stages):
-            self._emit_heads(fresh, network)
-            return
-        next_stage = self.stages[stage_number]
-        by_key: dict[tuple, list[tuple]] = {}
-        for env in fresh:
-            key = tuple(env[i] for i in next_stage.prev_key_positions)
-            stage.env_index.setdefault(key, []).append(env)
-            self.index_inserts += 1
-            by_key.setdefault(key, []).append(env)
-            self._request_next(stage_number + 1, env, network)
-        self.batch_distinct_keys += len(by_key)
-        next_merged: list[tuple[tuple, tuple[tuple, tuple]]] = []
-        for key, envs in by_key.items():
-            self.probe_lookups += 1
-            rows = next_stage.row_index.get(key, [])
-            for env in envs:
-                for row_env in list(rows):
-                    next_merged.append(
-                        (self._merge(next_stage, env, row_env), (env, row_env))
-                    )
-        if next_merged:
-            self._add_envs(stage_number + 1, next_merged, network)
-
-    def _add_envs_c(
         self, stage_number: int, merged: list[tuple], network: "Scheduler"
     ) -> None:
-        """Columnar env propagation: set-difference dedup, batched requests.
+        """Materialize a batch of environments at one stage.
 
-        The mirror of :meth:`_add_envs` over plain environment tuples (no
-        provenance sources — the engine never combines columnar kernels with
-        provenance recording).  Tuple-request bindings are gathered with the
-        stage's compiled plan and deduplicated batch-wide before emission.
+        Fresh environments are found with one set difference and indexed;
+        their tuple-request bindings are gathered with the stage's compiled
+        plan and deduplicated batch-wide before emission; the join against
+        the *next* stage's already-received tuples probes once per distinct
+        key, and the results recurse as one batch again.
         """
         stage = self.stages[stage_number - 1]
         batch = set(merged)
@@ -1598,7 +1340,7 @@ class RuleNodeProcess(NodeProcess):
         self.envs_materialized += len(fresh)
         self.batch_rows_out += len(fresh)
         if stage_number == len(self.stages):
-            self._emit_heads_c(fresh, network)
+            self._emit_heads(fresh, network)
             return
         next_stage = self.stages[stage_number]
         fresh_list = list(fresh)
@@ -1656,7 +1398,7 @@ class RuleNodeProcess(NodeProcess):
             self.batch_distinct_keys += distinct
             self.probe_lookups += distinct
         if next_merged:
-            self._add_envs_c(stage_number + 1, next_merged, network)
+            self._add_envs(stage_number + 1, next_merged, network)
 
     def _request_next(self, stage_number: int, env: tuple, network: "Scheduler") -> None:
         """Issue the tuple request env implies for the stage's subgoal."""
@@ -1670,41 +1412,20 @@ class RuleNodeProcess(NodeProcess):
         self.send_tuple_request(self.child_ids[stage.subgoal_index], binding, network)
 
     # ------------------------------------------------------------------
-    def _emit_heads(self, envs: Sequence[tuple], network: "Scheduler") -> None:
+    def _emit_heads(self, envs, network: "Scheduler") -> None:
         """Project final environments to head rows and send the fresh ones.
 
-        Duplicate deletion is at the node level (each consumer gets every
-        head row exactly once), so the whole batch ships as one
-        :class:`TupleSet` per consumer when set emission is on.
+        One column gather projects the batch and one set difference against
+        the node's sent rows deduplicates it, so every consumer gets each
+        head row exactly once — the whole batch as one :class:`TupleSet`.
+        With provenance on, the first environment behind each head row is
+        kept for :meth:`derivation_children`.
         """
-        fresh: list[tuple] = []
-        for env in envs:
-            row = tuple(
-                payload if kind == "const" else env[payload]  # type: ignore[index]
-                for kind, payload in self.head_out_plan
-            )
-            if row in self.sent_rows:
-                continue
-            self.sent_rows.add(row)
-            if self.record_provenance:
-                self._head_env.setdefault(row, env if self.stages else None)
-            fresh.append(row)
-        if not fresh:
-            return
-        if self.emit_tuple_sets and len(fresh) > 1:
-            rows = frozenset(fresh)
-            for stream in self.consumers.values():
-                network.send(TupleSet(self.node_id, stream.consumer_id, rows))
-        else:
-            for stream in self.consumers.values():
-                for row in fresh:
-                    network.send(TupleMessage(self.node_id, stream.consumer_id, row))
-
-    def _emit_heads_c(self, envs, network: "Scheduler") -> None:
-        """Columnar head emission: column-gather projection, whole-set dedup."""
         envs_list = envs if isinstance(envs, list) else list(envs)
+        if not envs_list:
+            return
         if self._head_positions is not None:
-            projected = set(ColumnBatch(envs_list).project(self._head_positions))
+            rows = ColumnBatch(envs_list).project(self._head_positions)
         elif any(kind == "env" for kind, _ in self.head_out_plan):
             # Constant head slots (a bound head argument substituted at graph
             # build): splice constant streams between the gathered columns —
@@ -1715,44 +1436,46 @@ class RuleNodeProcess(NodeProcess):
                 else map(operator.itemgetter(payload), envs_list)
                 for kind, payload in self.head_out_plan
             ]
-            projected = set(zip(*streams))
-        elif envs_list:
-            # Fully-constant (or empty) head: a single row.
-            projected = {tuple(payload for _, payload in self.head_out_plan)}
+            rows = list(zip(*streams))
         else:
-            projected = set()
-        fresh = projected - self.sent_rows
+            # Fully-constant head: a single row.
+            rows = [tuple(payload for _, payload in self.head_out_plan)]
+        if self.record_provenance:
+            head_env = self._head_env
+            for row, env in zip(rows, envs_list):
+                head_env.setdefault(row, env)
+        fresh = set(rows) - self.sent_rows
         if not fresh:
             return
         self.sent_rows |= fresh
-        if self.emit_tuple_sets and len(fresh) > 1:
-            rows = frozenset(fresh)
-            for stream in self.consumers.values():
-                network.send(TupleSet(self.node_id, stream.consumer_id, rows))
-        else:
-            for stream in self.consumers.values():
-                for row in fresh:
-                    network.send(TupleMessage(self.node_id, stream.consumer_id, row))
+        for stream in self.consumers.values():
+            self._ship(stream.consumer_id, fresh, network)
 
     def derivation_children(
         self, head_row: tuple
     ) -> Optional[list[tuple[int, tuple]]]:
         """Provenance: the child rows behind a head row, in body order.
 
+        Rebuilt from the recorded final environment alone.  The cumulative
+        schema keeps each stage's environment as an identity prefix of the
+        final one, and a child row is determined by its sub-environment
+        (constants and repeated variables were checked on the way in), so
+        every stage's child row is a projection of the final environment.
         Returns ``None`` when no derivation was recorded (provenance off or
         foreign row); an empty list for bodiless rules.
         """
-        if head_row not in self._head_env:
-            return None
-        env = self._head_env[head_row]
+        env = self._head_env.get(head_row)
         if env is None:
-            return []
+            return None
         out: list[tuple[int, tuple]] = []
-        for j in range(len(self.stages), 0, -1):
-            prev_env, sub_env = self._env_parent[(j, env)]
-            stage = self.stages[j - 1]
-            out.append((stage.subgoal_index, stage.row_source[sub_env]))
-            env = prev_env
+        for stage in self.stages:
+            position = {v: i for i, v in enumerate(stage.env_vars)}
+            atom = stage.adorned.atom
+            row = tuple(
+                term.value if isinstance(term, Constant) else env[position[term]]
+                for term in (atom.args[p] for p in stage.shape.non_e)
+            )
+            out.append((stage.subgoal_index, row))
         out.sort(key=lambda pair: pair[0])
         return out
 
@@ -1794,7 +1517,7 @@ class DriverProcess(NodeProcess):
 
     def on_tuple_set(self, message: TupleSet, network: "Scheduler") -> None:
         """Collect a packaged answer set (streaming hook still fires per row)."""
-        if self.columnar and self.on_answer is None and self.fresh is None:
+        if self.on_answer is None and self.fresh is None:
             self.answers |= message.rows
             return
         for row in message.rows:

@@ -79,8 +79,6 @@ async def run_async(
     timeout: float = 120.0,
     coalesce: bool = False,
     package_requests: bool = False,
-    tuple_sets: bool = True,
-    columnar: bool = True,
     planner: str = "static",
 ) -> AsyncQueryResult:
     """Evaluate the query with one concurrent task per graph node."""
@@ -91,8 +89,6 @@ async def run_async(
         validate_protocol=False,  # the oracle check needs the simulator
         coalesce=coalesce,
         package_requests=package_requests,
-        tuple_sets=tuple_sets,
-        columnar=columnar,
         planner=planner,
     )
     network = AsyncNetwork()
@@ -134,8 +130,6 @@ def evaluate_async(
     timeout: float = 120.0,
     coalesce: bool = False,
     package_requests: bool = False,
-    tuple_sets: bool = True,
-    columnar: bool = True,
     planner: str = "static",
 ) -> AsyncQueryResult:
     """Synchronous wrapper around :func:`run_async`."""
@@ -147,8 +141,6 @@ def evaluate_async(
             timeout,
             coalesce,
             package_requests,
-            tuple_sets,
-            columnar,
             planner,
         )
     )

@@ -169,8 +169,6 @@ def _mp_attempt(
     graph: RuleGoalGraph,
     timeout: float,
     package_requests: bool,
-    tuple_sets: bool,
-    columnar: bool,
     database: Optional[Database],
     heartbeat_interval: Optional[float],
     fault_plan: Optional[FaultPlan],
@@ -181,8 +179,6 @@ def _mp_attempt(
         program,
         validate_protocol=False,  # the oracle belongs to the simulator
         package_requests=package_requests,
-        tuple_sets=tuple_sets,
-        columnar=columnar,
         database=database,
         graph=graph,
     )
@@ -281,8 +277,6 @@ def evaluate_multiprocessing(
     timeout: float = 120.0,
     coalesce: bool = False,
     package_requests: bool = False,
-    tuple_sets: bool = True,
-    columnar: bool = True,
     planner: str = "static",
     retry: Union[RetryPolicy, int, None] = None,
     fallback: str = "none",
@@ -293,7 +287,7 @@ def evaluate_multiprocessing(
 ) -> MpQueryResult:
     """Evaluate the query with one supervised OS process per graph node.
 
-    ``TupleSet`` messages (when ``tuple_sets`` is on) pickle and ship over
+    ``TupleSet`` messages pickle and ship over
     the managed queues like any other message — one RPC then carries a
     whole answer set.
 
@@ -330,8 +324,6 @@ def evaluate_multiprocessing(
             graph,
             timeout,
             package_requests,
-            tuple_sets,
-            columnar,
             database,
             heartbeat_interval,
             plan.for_attempt(number) if plan is not None else None,
@@ -341,8 +333,6 @@ def evaluate_multiprocessing(
         engine = MessagePassingEngine(
             program,
             package_requests=package_requests,
-            tuple_sets=tuple_sets,
-            columnar=columnar,
             database=database,
             graph=graph,
         )

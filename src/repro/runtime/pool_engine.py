@@ -1,12 +1,12 @@
 """A pooled multiprocessing runtime: N shard workers over batched channels.
 
-Where :mod:`repro.runtime.multiprocessing_engine` demonstrates the paper's
-architecture literally — one OS process per rule/goal node, one managed queue
-per process, one synchronous RPC per message — this runtime is the scaling
-path: a fixed pool of worker processes (default ``os.cpu_count()``), each
-hosting a *shard* of node processes, exchanging :class:`MessageBatch`
-envelopes so the pickle + queue cost of IPC amortizes over whole bursts of
-tuples instead of being paid per tuple.
+The paper's claim that "shared memory is not required" made concrete on one
+host: a fixed pool of worker processes (default ``os.cpu_count()``), each
+hosting a *shard* of node processes with its own address space, exchanging
+:class:`MessageBatch` envelopes so the pickle + queue cost of IPC amortizes
+over whole bursts of tuples instead of being paid per tuple.  The node code
+is the simulator's, unchanged; :mod:`repro.cluster` runs the same shards on
+remote workers over TCP.
 
 Three ideas carry the design:
 
@@ -142,7 +142,6 @@ class ShardRouter:
         loop_stats,
         n_shards: int,
         batch_size: int,
-        tuple_sets: bool = True,
     ) -> None:
         self.shard_id = shard_id
         self.shard_of = shard_of
@@ -153,7 +152,6 @@ class ShardRouter:
         self.loop_stats = loop_stats
         self.n_shards = n_shards
         self.batch_size = max(1, batch_size)
-        self.tuple_sets = tuple_sets
         self.local: deque[Message] = deque()
         self.local_pending: dict[int, int] = {}
         self.buffers: dict[int, list[Message]] = {
@@ -196,8 +194,8 @@ class ShardRouter:
     def ingest(self, batch: MessageBatch) -> None:
         """Unpack an arrived batch onto the local deque (FIFO preserved).
 
-        Adjacent same-channel requests coalesce into packaged requests and —
-        when set emission is on — adjacent same-channel rows merge into
+        Adjacent same-channel requests coalesce into packaged requests and
+        adjacent same-channel rows into
         :class:`~repro.network.messages.TupleSet` messages, so a transported
         burst is *handled* set-at-a-time, not unpacked row by row.  The
         ``received`` counter mirrors the sender's logical accounting.
@@ -205,7 +203,7 @@ class ShardRouter:
         self.received[batch.origin * self.n_shards + self.shard_id] += logical_size(
             batch
         )
-        for message in coalesce_batch(batch.messages, tuple_sets=self.tuple_sets):
+        for message in coalesce_batch(batch.messages):
             self.local.append(message)
             self.local_pending[message.receiver] = (
                 self.local_pending.get(message.receiver, 0) + 1
@@ -335,8 +333,6 @@ def _pool_attempt(
     timeout: float,
     package_requests: bool,
     replicas: int,
-    tuple_sets: bool,
-    columnar: bool,
     database: Optional[Database],
     heartbeat_interval: Optional[float],
     fault_plan: Optional[FaultPlan],
@@ -351,8 +347,6 @@ def _pool_attempt(
         validate_protocol=False,  # the oracle belongs to the simulator
         package_requests=package_requests,
         edb_shards=replicas,
-        tuple_sets=tuple_sets,
-        columnar=columnar,
         database=database,
         graph=graph,
     )
@@ -389,7 +383,6 @@ def _pool_attempt(
                     loop_stats,
                     n_shards,
                     batch_size,
-                    tuple_sets,
                 ),
                 result_queue,
                 heartbeats,
@@ -456,8 +449,6 @@ def evaluate_pool(
     coalesce: bool = False,
     package_requests: bool = False,
     edb_shards: Optional[int] = None,
-    tuple_sets: bool = True,
-    columnar: bool = True,
     planner: str = "static",
     retry: Union[RetryPolicy, int, None] = None,
     fallback: str = "none",
@@ -470,10 +461,9 @@ def evaluate_pool(
 
     ``workers`` defaults to ``os.cpu_count()``; ``edb_shards`` (how many
     hash-partition replicas each "d"-bound EDB leaf gets) defaults to
-    ``workers``.  With ``tuple_sets`` on (default), producers emit packaged
-    answer sets, batches carry them natively, and ingest merges adjacent
-    rows, so cross-shard counters (``cross_messages``) are in logical
-    tuples.
+    ``workers``.  Producers emit packaged answer sets, batches carry them
+    natively, and ingest merges adjacent rows; cross-shard counters
+    (``cross_messages``) are in logical tuples.
 
     Fault tolerance: every attempt runs under a :class:`Supervisor` —
     a crashed worker raises :class:`~repro.runtime.supervision
@@ -527,8 +517,6 @@ def evaluate_pool(
             timeout,
             package_requests,
             replicas,
-            tuple_sets,
-            columnar,
             database,
             heartbeat_interval,
             plan.for_attempt(number) if plan is not None else None,
@@ -538,8 +526,6 @@ def evaluate_pool(
         engine = MessagePassingEngine(
             program,
             package_requests=package_requests,
-            tuple_sets=tuple_sets,
-            columnar=columnar,
             database=database,
             graph=graph,
         )

@@ -222,7 +222,7 @@ class Session:
         The knowledge base: Datalog source text or a parsed
         :class:`~repro.core.program.Program` (any ``goal`` rules are
         stripped — the session supplies queries itself).
-    sip_factory, coalesce, package_requests, tuple_sets, provenance:
+    sip_factory, coalesce, package_requests, planner, provenance:
         Evaluation options applied to every query (see
         :class:`~repro.network.engine.MessagePassingEngine`).
     graph_cache_size:
@@ -281,8 +281,6 @@ class Session:
         sip_factory: SipFactory = greedy_sip,
         coalesce: bool = False,
         package_requests: bool = False,
-        tuple_sets: bool = True,
-        columnar: bool = True,
         planner: str = "static",
         provenance: bool = False,
         graph_cache_size: int = 64,
@@ -325,8 +323,6 @@ class Session:
         self.sip_factory = sip_factory
         self.coalesce = coalesce
         self.package_requests = package_requests
-        self.tuple_sets = tuple_sets
-        self.columnar = columnar
         self.planner = planner
         self.provenance = provenance
         self.runtime = runtime
@@ -540,8 +536,6 @@ class Session:
             seed=seed,
             coalesce=self.coalesce,
             package_requests=self.package_requests,
-            tuple_sets=self.tuple_sets,
-            columnar=self.columnar,
             provenance=self.provenance,
             database=self._database,
             graph=graph,
@@ -572,8 +566,6 @@ class Session:
         common = dict(
             timeout=self.timeout,
             package_requests=self.package_requests,
-            tuple_sets=self.tuple_sets,
-            columnar=self.columnar,
             retry=retry,
             fallback=self.fallback,
             heartbeat_interval=self.heartbeat_interval,
@@ -741,8 +733,6 @@ class Session:
             seed=seed,
             coalesce=self.coalesce,
             package_requests=self.package_requests,
-            tuple_sets=self.tuple_sets,
-            columnar=self.columnar,
             provenance=self.provenance,
             database=self._database,
             graph=graph,

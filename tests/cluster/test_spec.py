@@ -26,7 +26,7 @@ from repro.workloads import ancestor_program, chain_edges
 
 from tests.helpers import with_tables
 
-OPTIONS = {"package_requests": False, "edb_shards": None, "tuple_sets": True, "columnar": True}
+OPTIONS = {"package_requests": False, "edb_shards": None}
 
 
 def make_program():
@@ -99,7 +99,7 @@ class TestJobSpecMemo:
         memo = JobSpecMemo()
         plan = memo.plan(program, graph, OPTIONS, True)
         assert memo.plan(program, graph, OPTIONS, True) is plan
-        other = memo.plan(program, graph, dict(OPTIONS, columnar=False), True)
+        other = memo.plan(program, graph, dict(OPTIONS, package_requests=True), True)
         assert other.digest != plan.digest
 
     def test_program_ships_rules_only_when_a_database_rides_along(self):

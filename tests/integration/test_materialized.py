@@ -250,11 +250,17 @@ class TestNoopAndReportedWaves:
         assert result.total_messages > 0 and mat.noop_refreshes == 0
         assert (mat.previous_version, mat.version) == (0, 1)
 
-    def test_row_by_row_kernels_report_new_rows_too(self):
-        s = Session(BASE, tuple_sets=False)
+    def test_single_row_waves_report_new_rows_too(self):
+        # One new answer per wave reaches the driver as a lone TupleMessage
+        # rather than a TupleSet: both arrivals must land in new_answers.
+        s = Session(BASE)
         mat = s.materialize("anc(ann, Z)")
-        s.add_facts("par(cal, dee). par(dee, eve).")
-        assert mat.refresh().new_answers == {("dee",), ("eve",)}
+        for parent, child in (("cal", "dee"), ("dee", "eve")):
+            s.add_facts(f"par({parent}, {child}).")
+            result = mat.refresh()
+            assert result.new_answers == {(child,)}
+            assert result.stats.by_kind.get("TupleSet", 0) == 0
+        assert mat.answers == cold_answers(s, "anc(ann, Z)")
 
     def test_a_wave_after_a_noop_wave_still_derives(self):
         s = Session(BASE)

@@ -6,12 +6,14 @@ leaders), and each component runs its own Fig-2 protocol instance.  These
 tests pin down that composition.
 """
 
+import sys
+
 import pytest
 
 from repro.baselines import naive, seminaive, topdown
 from repro.core.parser import parse_program
 from repro.network.engine import evaluate
-from repro.runtime import evaluate_async
+from repro.runtime import evaluate_async, evaluate_pool
 from repro.workloads import chain_edges, cycle_edges, facts_from_tables
 
 STACKED = """
@@ -76,6 +78,15 @@ class TestNestedComponents:
 
     def test_asyncio(self, name, program):
         assert evaluate_async(program).answers == naive.goal_answers(program)
+
+    @pytest.mark.skipif(
+        sys.platform not in ("linux", "darwin"), reason="fork start method required"
+    )
+    def test_pool(self, name, program):
+        # Two shards: stacked components land on different workers, so the
+        # end messages between them cross a process boundary.
+        result = evaluate_pool(program, workers=2, timeout=60)
+        assert result.answers == naive.goal_answers(program)
 
     def test_baselines_agree(self, name, program):
         expected = naive.goal_answers(program)

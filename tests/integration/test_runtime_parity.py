@@ -5,10 +5,10 @@ per-node, pooled shard workers with batched channels, and TCP cluster
 workers behind a manager) execute byte-for-byte the same node logic over
 different channel fabrics.  This matrix pins the only property that
 justifies having five of them: the fabric is invisible — for every
-workload shape in :mod:`repro.workloads.programs` and every combination of
-the coalesce / package-requests / tuple-sets knobs and the pool batch
-size, all runtimes must produce exactly the simulator's (= the naive
-oracle's) answer set.
+workload shape in :mod:`repro.workloads.programs`, every combination of
+the paper's coalesce / package-requests knobs and the planner, and both
+pool batch sizes, all runtimes must produce exactly the naive oracle's
+answer set.
 
 The cluster column additionally pins the *logical* accounting: per-stream
 dedup makes the set of tuple rows each stream carries a property of the
@@ -98,23 +98,30 @@ CASES = {
     ),
 }
 
-#: (coalesce, package_requests, tuple_sets, columnar, planner) combinations.
-#: Tuple sets and the columnar kernels are on by default, so the interesting
-#: extra rows are the per-tuple baseline, the row-kernel baseline, their
-#: interaction with request packaging, and the cost planner (which changes
+#: (coalesce, package_requests, planner) combinations: the paper's
+#: single-processor coalescing (footnote 4) and request packaging
+#: (footnote 2), alone and together, and the cost planner (which changes
 #: subgoal orders, i.e. the graph itself, and must still converge on the
 #: oracle's answers).
+#:
+#: The ids ending in ``no-tuple-sets`` / ``row-kernels`` name rows that
+#: once also switched off set emission or the set-at-a-time stage kernels.
+#: Both switches are gone — every run takes the one kernel path and the
+#: one send path — so those rows keep their ids and run only their
+#: remaining knobs: each repeats the row named without the suffix, except
+#: ``cost-planner+row-kernels``, which is the only cost-planner row with
+#: request packaging.
 KNOBS = [
-    pytest.param(False, False, True, True, "static", id="plain"),
-    pytest.param(False, False, False, True, "static", id="no-tuple-sets"),
-    pytest.param(False, False, True, False, "static", id="row-kernels"),
-    pytest.param(True, False, True, True, "static", id="coalesce"),
-    pytest.param(False, True, True, True, "static", id="package"),
-    pytest.param(False, True, False, True, "static", id="package+no-tuple-sets"),
-    pytest.param(False, True, True, False, "static", id="package+row-kernels"),
-    pytest.param(True, True, True, True, "static", id="coalesce+package"),
-    pytest.param(False, False, True, True, "cost", id="cost-planner"),
-    pytest.param(False, True, True, False, "cost", id="cost-planner+row-kernels"),
+    pytest.param(False, False, "static", id="plain"),
+    pytest.param(False, False, "static", id="no-tuple-sets"),
+    pytest.param(False, False, "static", id="row-kernels"),
+    pytest.param(True, False, "static", id="coalesce"),
+    pytest.param(False, True, "static", id="package"),
+    pytest.param(False, True, "static", id="package+no-tuple-sets"),
+    pytest.param(False, True, "static", id="package+row-kernels"),
+    pytest.param(True, True, "static", id="coalesce+package"),
+    pytest.param(False, False, "cost", id="cost-planner"),
+    pytest.param(False, True, "cost", id="cost-planner+row-kernels"),
 ]
 
 BATCH_SIZES = (1, 64)
@@ -167,54 +174,34 @@ def cluster():
         harness.stop()
 
 
-@pytest.mark.parametrize("coalesce,package,tuple_sets,columnar,planner", KNOBS)
+@pytest.mark.parametrize("coalesce,package,planner", KNOBS)
 @pytest.mark.parametrize("name", sorted(CASES))
 class TestRuntimeParity:
     def test_simulator_and_asyncio(
-        self, name, coalesce, package, tuple_sets, columnar, planner, oracles
+        self, name, coalesce, package, planner, oracles
     ):
         program = CASES[name]()
         expected = oracles[name]
-        sim = evaluate(
-            program,
-            coalesce=coalesce,
-            package_requests=package,
-            tuple_sets=tuple_sets,
-            columnar=columnar,
-            planner=planner,
-        )
+        knobs = dict(coalesce=coalesce, package_requests=package, planner=planner)
+        sim = evaluate(program, **knobs)
         assert sim.answers == expected, f"{name}: simulator diverged"
-        run = evaluate_async(
-            program,
-            coalesce=coalesce,
-            package_requests=package,
-            tuple_sets=tuple_sets,
-            columnar=columnar,
-            planner=planner,
-            timeout=60,
-        )
+        assert sim.completed and sim.protocol_violations == []
+        run = evaluate_async(program, timeout=60, **knobs)
         assert run.answers == expected, f"{name}: asyncio diverged"
 
-    def test_multiprocessing(
-        self, name, coalesce, package, tuple_sets, columnar, planner, oracles
-    ):
+    def test_multiprocessing(self, name, coalesce, package, planner, oracles):
         program = CASES[name]()
         run = evaluate_multiprocessing(
             program,
             coalesce=coalesce,
             package_requests=package,
-            tuple_sets=tuple_sets,
-            columnar=columnar,
             planner=planner,
             timeout=60,
         )
         assert run.answers == oracles[name], f"{name}: per-node mp diverged"
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    def test_pool(
-        self, name, coalesce, package, tuple_sets, columnar, planner,
-        batch_size, oracles,
-    ):
+    def test_pool(self, name, coalesce, package, planner, batch_size, oracles):
         program = CASES[name]()
         run = evaluate_pool(
             program,
@@ -222,8 +209,6 @@ class TestRuntimeParity:
             batch_size=batch_size,
             coalesce=coalesce,
             package_requests=package,
-            tuple_sets=tuple_sets,
-            columnar=columnar,
             planner=planner,
             timeout=60,
         )
@@ -231,20 +216,11 @@ class TestRuntimeParity:
             f"{name}: pool diverged (batch_size={batch_size})"
         )
 
-    def test_cluster(
-        self, name, coalesce, package, tuple_sets, columnar, planner,
-        oracles, cluster,
-    ):
+    def test_cluster(self, name, coalesce, package, planner, oracles, cluster):
         from repro.cluster import evaluate_cluster
 
         program = CASES[name]()
-        knobs = dict(
-            coalesce=coalesce,
-            package_requests=package,
-            tuple_sets=tuple_sets,
-            columnar=columnar,
-            planner=planner,
-        )
+        knobs = dict(coalesce=coalesce, package_requests=package, planner=planner)
         sim = evaluate(program, **knobs)
         assert sim.answers == oracles[name], f"{name}: simulator diverged"
         # The runtime-invariant accounting slice (see module docstring).

@@ -10,6 +10,7 @@ from repro.network.messages import (
     RelationRequest,
     TupleMessage,
     TupleRequest,
+    TupleSet,
 )
 from repro.network.nodes import CyclicNodeProcess, GoalNodeProcess
 from repro.network.scheduler import Scheduler
@@ -30,6 +31,8 @@ class Probe:
     def handle(self, message, network):
         if isinstance(message, TupleMessage):
             self.tuples.append(message.row)
+        elif isinstance(message, TupleSet):
+            self.tuples.extend(message.rows)
         elif isinstance(message, TupleRequest):
             self.requests.append(message.binding)
         elif isinstance(message, RelationRequest):

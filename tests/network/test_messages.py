@@ -16,7 +16,6 @@ from repro.network.messages import (
     TupleRequest,
     TupleSet,
     coalesce_batch,
-    coalesce_tuple_requests,
     logical_size,
 )
 
@@ -82,26 +81,28 @@ class TestMessageBatch:
 
 
 class TestCoalesceTupleRequests:
+    """The footnote-2 half of :func:`coalesce_batch`: request runs."""
+
     def test_adjacent_same_channel_requests_become_one_package(self):
         msgs = [
             TupleRequest(0, 1, ("a",), 1),
             TupleRequest(0, 1, ("b",), 2),
             TupleRequest(0, 1, ("c",), 3),
         ]
-        out = coalesce_tuple_requests(msgs)
+        out = coalesce_batch(msgs)
         assert out == [PackagedTupleRequest(0, 1, (("a",), ("b",), ("c",)), 3)]
 
     def test_package_seq_is_last_member_seq(self):
         # One end message covers the whole package (footnote 2), so the
         # package must carry the *last* member's sequence number.
-        out = coalesce_tuple_requests(
+        out = coalesce_batch(
             [TupleRequest(0, 1, ("a",), 5), TupleRequest(0, 1, ("b",), 9)]
         )
         assert out[0].seq == 9
 
     def test_singleton_run_stays_a_tuple_request(self):
         msgs = [TupleRequest(0, 1, ("a",), 1)]
-        assert coalesce_tuple_requests(msgs) == msgs
+        assert coalesce_batch(msgs) == msgs
 
     def test_channel_change_breaks_the_run(self):
         msgs = [
@@ -109,7 +110,7 @@ class TestCoalesceTupleRequests:
             TupleRequest(0, 2, ("b",), 1),
             TupleRequest(0, 1, ("c",), 2),
         ]
-        out = coalesce_tuple_requests(msgs)
+        out = coalesce_batch(msgs)
         # Different receivers — nothing merges, order untouched.
         assert out == msgs
 
@@ -121,7 +122,7 @@ class TestCoalesceTupleRequests:
             EndMessage(2, 1, 0),
             TupleRequest(0, 1, ("b",), 2),
         ]
-        out = coalesce_tuple_requests(msgs)
+        out = coalesce_batch(msgs)
         assert out == msgs
 
     def test_non_request_messages_pass_through_in_order(self):
@@ -131,13 +132,13 @@ class TestCoalesceTupleRequests:
             TupleRequest(0, 1, ("b",), 2),
             EndRequest(3, 1, 1),
         ]
-        out = coalesce_tuple_requests(msgs)
+        out = coalesce_batch(msgs)
         assert out[0] == msgs[0]
         assert out[1] == PackagedTupleRequest(0, 1, (("a",), ("b",)), 2)
         assert out[2] == msgs[3]
 
     def test_empty_input(self):
-        assert coalesce_tuple_requests([]) == []
+        assert coalesce_batch([]) == []
 
 
 class TestTupleSetShape:
@@ -232,18 +233,6 @@ class TestCoalesceBatch:
         ]
         out = coalesce_batch(msgs)
         assert out == [TupleSet(0, 1, frozenset({(7,), (8,)}))]
-
-    def test_tuple_sets_false_leaves_rows_alone(self):
-        # The request-only mode is exactly the footnote-2 coalescer.
-        msgs = [
-            TupleMessage(0, 1, (1,)),
-            TupleMessage(0, 1, (2,)),
-            TupleRequest(0, 2, ("a",), 1),
-            TupleRequest(0, 2, ("b",), 2),
-        ]
-        out = coalesce_batch(msgs, tuple_sets=False)
-        assert out[:2] == msgs[:2]
-        assert out[2] == PackagedTupleRequest(0, 2, (("a",), ("b",)), 2)
 
     def test_mixed_requests_then_rows_on_one_channel(self):
         # A channel switch from requests to rows is a run break even though

@@ -5,7 +5,12 @@ import pytest
 from repro.core.adornment import AdornedAtom
 from repro.core.atoms import atom
 from repro.core.terms import Variable
-from repro.network.messages import RelationRequest, TupleMessage, TupleRequest
+from repro.network.messages import (
+    RelationRequest,
+    TupleMessage,
+    TupleRequest,
+    TupleSet,
+)
 from repro.network.nodes import (
     ConsumerStream,
     EdbLeafProcess,
@@ -67,6 +72,8 @@ class Sink:
     def handle(self, message, network):
         if isinstance(message, TupleMessage):
             self.rows.append(message.row)
+        elif isinstance(message, TupleSet):
+            self.rows.extend(message.rows)
         else:
             self.ends.append(message)
 

@@ -1,5 +1,7 @@
 """Tests for answer provenance (proof trees)."""
 
+import re
+
 import pytest
 
 from repro.core.parser import parse_program
@@ -125,3 +127,129 @@ class TestSessionExplain:
         session = Session("p(X) <- e(X). e(1).", provenance=True)
         with pytest.raises(RuntimeError):
             session.explain((1,))
+
+
+# ----------------------------------------------------------------------
+# An independent derivation checker.  It shares no code with the kernels
+# (nor with the parser): it reads only the rendered proof tree, the rule
+# texts, and the EDB, all as strings.
+# ----------------------------------------------------------------------
+
+_ATOM = re.compile(r"(\w+)\(([^()]*)\)")
+
+
+def parse_atoms(text):
+    """Every ``pred(t1, ..., tn)`` in ``text`` as ``(pred, [t1, ..., tn])``."""
+    return [
+        (name, args.split(", ") if args else [])
+        for name, args in _ATOM.findall(text)
+    ]
+
+
+def is_variable(term):
+    return term[0].isupper() or term[0] == "_"
+
+
+def bind(pattern, value, theta):
+    """Extend ``theta`` so the pattern term reads ``value``; False if none."""
+    if value == "_":
+        return True  # an existential position of an instance: any value
+    if is_variable(pattern):
+        return theta.setdefault(pattern, value) == value
+    return pattern == value
+
+
+def fits(pattern, instance, theta):
+    (p_name, p_args), (i_name, i_args) = pattern, instance
+    return (
+        p_name == i_name
+        and len(p_args) == len(i_args)
+        and all(bind(p, i, theta) for p, i in zip(p_args, i_args))
+    )
+
+
+def is_instance(step, general):
+    """One substitution maps the ``general`` rule's atoms onto ``step``'s."""
+    theta = {}
+    return len(step) == len(general) and all(
+        fits(g, a, theta) for g, a in zip(general, step)
+    )
+
+
+def check_derivation(derivation, program):
+    """Soundness of one proof tree against the program's rules and EDB.
+
+    Every rule step must be an instance of a program rule, and one
+    substitution must map that rule's head onto the step's atom and its
+    body, in order, onto the children's atoms; every leaf must be a fact.
+    """
+    facts = [parse_atoms(str(f))[0] for f in program.facts]
+    rules = [parse_atoms(str(r)) for r in program.rules]
+
+    def visit(node):
+        (atom,) = parse_atoms(node.atom)
+        if node.kind == "fact":
+            assert any(fits(fact, atom, {}) for fact in facts), (
+                f"leaf {node.atom} is not an EDB fact"
+            )
+            return
+        assert node.kind == "rule", node.kind
+        step = parse_atoms(node.rule)  # head first, then the body in order
+        assert any(is_instance(step, general) for general in rules), (
+            f"{node.rule} is no instance of a program rule"
+        )
+        assert len(node.children) == len(step) - 1, node.render()
+        theta = {}
+        assert fits(step[0], atom, theta), node.render()
+        for subgoal, child in zip(step[1:], node.children):
+            (child_atom,) = parse_atoms(child.atom)
+            assert fits(subgoal, child_atom, theta), (
+                f"child {child.atom} does not fit {subgoal} under {theta}"
+            )
+            visit(child)
+
+    visit(derivation)
+
+
+def cyclic_tc():
+    """Non-linear transitive closure over a 5-cycle: proofs through cycles."""
+    return with_tables(
+        parse_program(
+            """
+            goal(Z) <- t(0, Z).
+            t(X, Y) <- e(X, Y).
+            t(X, Y) <- t(X, U), t(U, Y).
+            """
+        ),
+        {"e": cycle_edges(5)},
+    )
+
+
+class TestDerivationChecker:
+    @pytest.mark.parametrize(
+        "name,coalesce",
+        [("p1", False), ("cyclic-tc", False), ("p1", True)],
+        ids=["p1", "cyclic-tc", "coalesced-p1"],
+    )
+    def test_every_answer_has_a_sound_derivation(self, name, coalesce, p1_small):
+        program = p1_small if name == "p1" else cyclic_tc()
+        engine, result = run_with_provenance(program, coalesce=coalesce)
+        assert result.answers
+        for row in result.answers:
+            check_derivation(engine.explain(row), program)
+
+    def test_checker_rejects_forged_steps(self, p1_small):
+        engine, result = run_with_provenance(p1_small)
+        first, second = (engine.explain(row) for row in sorted(result.answers)[:2])
+        # goal(1) "proved" from p(a, 2): no one substitution gives both.
+        swapped = Derivation(
+            first.atom, "rule", rule=first.rule, children=second.children
+        )
+        # A leaf that is not in the EDB.
+        invented = Derivation(
+            "p(a, 9)", "rule", rule="p(a, Ans0) <- r(a, Ans0).",
+            children=(Derivation("r(a, 9)", "fact"),),
+        )
+        for forged in (swapped, invented):
+            with pytest.raises(AssertionError):
+                check_derivation(forged, p1_small)

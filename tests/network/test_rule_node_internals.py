@@ -6,7 +6,12 @@ from repro.core.adornment import AdornedAtom
 from repro.core.parser import parse_rule
 from repro.core.sips import greedy_sip, adorn_body
 from repro.core.terms import Variable
-from repro.network.messages import RelationRequest, TupleMessage, TupleRequest
+from repro.network.messages import (
+    RelationRequest,
+    TupleMessage,
+    TupleRequest,
+    TupleSet,
+)
 from repro.network.nodes import RuleNodeProcess
 from repro.network.scheduler import Scheduler
 
@@ -23,6 +28,8 @@ class Probe:
     def handle(self, message, network):
         if isinstance(message, TupleMessage):
             self.tuples.append(message.row)
+        elif isinstance(message, TupleSet):
+            self.tuples.extend(message.rows)
         elif isinstance(message, TupleRequest):
             self.requests.append(message.binding)
         else:

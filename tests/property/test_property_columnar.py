@@ -1,17 +1,19 @@
-"""Differential property test for the columnar kernels and cost planner.
+"""Differential property test for the stage kernels and cost planner.
 
-Random EDB graphs are evaluated under every (columnar, planner)
-combination and must agree exactly with the row-kernel static-order
-baseline — the kernels and the planner both claim to change *how* a
-fixpoint is computed, never *what* it is.  Covers linear, non-linear,
-and cyclic (same-generation) recursion shapes, plus delta refresh: a
-columnar materialized network absorbing random write batches must track
-a cold row-kernel session over the grown base at every round.
+Random EDB graphs are evaluated under both planners and must agree exactly
+with the semi-naive baseline (:mod:`repro.baselines.seminaive`), which
+shares no code with the message-passing kernels — the kernels and the
+planner both claim to change *how* a fixpoint is computed, never *what*
+it is.  Covers linear, non-linear, and cyclic (same-generation) recursion
+shapes, plus delta refresh: a materialized network absorbing random write
+batches must track the semi-naive fixpoint of the grown base at every
+round.
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import seminaive
 from repro.session import Session
 
 SHAPES = {
@@ -53,24 +55,21 @@ def source(shape, batch):
     return rules + "\n" + facts_text(batch)
 
 
+def baseline(session, query):
+    """The semi-naive answers to ``query`` over the session's base."""
+    return seminaive.evaluate(session.program_for(query)).answers()
+
+
 class TestColumnarPlannerDifferential:
     @settings(**COMMON)
     @given(shape=st.sampled_from(sorted(SHAPES)), initial=edges)
-    def test_kernel_and_planner_combos_agree_with_row_baseline(
-        self, shape, initial
-    ):
+    def test_kernel_and_planner_combos_agree_with_seminaive(self, shape, initial):
         _, query = SHAPES[shape]
-        baseline = Session(
-            source(shape, initial), columnar=False, planner="static"
-        ).query(query)
-        for columnar in (True, False):
-            for planner in ("static", "cost"):
-                session = Session(
-                    source(shape, initial), columnar=columnar, planner=planner
-                )
-                assert session.query(query) == baseline, (
-                    f"{shape}: columnar={columnar} planner={planner} diverged"
-                )
+        for planner in ("static", "cost"):
+            session = Session(source(shape, initial), planner=planner)
+            assert session.query(query) == baseline(session, query), (
+                f"{shape}: planner={planner} diverged"
+            )
 
     @settings(**COMMON)
     @given(
@@ -78,22 +77,17 @@ class TestColumnarPlannerDifferential:
         initial=edges,
         batches=st.lists(edges, min_size=1, max_size=3),
     )
-    def test_columnar_delta_refresh_tracks_row_cold_session(
-        self, shape, initial, batches
-    ):
-        rules, query = SHAPES[shape]
-        session = Session(source(shape, initial), columnar=True)
+    def test_columnar_delta_refresh_tracks_seminaive(self, shape, initial, batches):
+        _, query = SHAPES[shape]
+        session = Session(source(shape, initial))
         mat = session.materialize(query)
-        committed = list(initial)
+        committed = len(initial)
         for batch in batches:
             session.add_facts(facts_text(batch))
-            committed.extend(batch)
+            committed += len(batch)
             mat.refresh()
-            cold = Session(rules, columnar=False)
-            cold.add_facts(facts_text(committed))
-            assert mat.answers == cold.query(query), (
-                f"{shape}: columnar refresh diverged after "
-                f"{len(committed)} edges"
+            assert mat.answers == baseline(session, query), (
+                f"{shape}: delta refresh diverged after {committed} edges"
             )
 
     @settings(**COMMON)
@@ -102,12 +96,11 @@ class TestColumnarPlannerDifferential:
         """Growing the EDB past a size bucket re-plans without changing answers."""
         rules, query = SHAPES[shape]
         session = Session(source(shape, initial), planner="cost")
-        before = session.query(query)
-        cold = Session(source(shape, initial), columnar=False)
-        assert before == cold.query(query)
-        # Push e past the next order of magnitude with disconnected edges
-        # (node ids >= 100 never touch the 0-rooted query).
+        expected = baseline(session, query)
+        assert session.query(query) == expected
+        # Push e past the next order of magnitude with disconnected edges:
+        # node ids >= 100 never touch the 0-rooted query, so the answers
+        # must not move.
         filler = [(100 + i, 101 + i) for i in range(60)]
         session.add_facts(" ".join(f"e({a}, {b})." for a, b in filler))
-        cold.add_facts(" ".join(f"e({a}, {b})." for a, b in filler))
-        assert session.query(query) == cold.query(query)
+        assert session.query(query) == expected

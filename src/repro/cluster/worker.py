@@ -371,6 +371,9 @@ def _job_loop(fs: FrameSocket, ctx: _JobContext, resident: ResidentSpecs) -> Non
     if shard_of[DRIVER_ID] == ctx.shard_id:
         driver = engine.driver
         root_stream = driver.feeders[engine.graph.root]
+        # The hook reads the (in-place grown) answer set, not the driver:
+        # a closure over the driver would make the job's engine cyclic.
+        answers = driver.answers
 
         def on_complete() -> None:
             # Flush trailing cross-shard traffic first: conclusion-time
@@ -381,7 +384,7 @@ def _job_loop(fs: FrameSocket, ctx: _JobContext, resident: ResidentSpecs) -> Non
                 FrameType.DONE,
                 {
                     "j": ctx.job_id,
-                    "answers": rows_to_wire(driver.answers),
+                    "answers": rows_to_wire(answers),
                     "seq": root_stream.last_seq_sent,
                     "upto": root_stream.last_upto_ended,
                 },

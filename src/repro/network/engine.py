@@ -26,7 +26,7 @@ from ..core.rulegoal import (
 )
 from ..core.sips import all_free_sip, greedy_sip
 from ..relational.database import Database
-from .messages import COMPUTATION_TYPES, Message
+from .messages import Message
 from .nodes import (
     DRIVER_ID,
     CyclicNodeProcess,
@@ -255,6 +255,10 @@ class MessagePassingEngine:
     whole batches with the set-at-a-time kernels; accounting stays in
     logical tuples (a set weighs ``len(rows)``).  ``provenance=True`` runs
     the same kernels and only adds the first-derivation bookkeeping.
+
+    Nothing in the process network points back at a process or the
+    engine, so dropping the last reference to an engine frees the whole
+    network by reference counting, without a cyclic collection.
     """
 
     def __init__(
@@ -305,7 +309,12 @@ class MessagePassingEngine:
         self._provenance = provenance
         self._on_answer = on_answer
         self._trivial_relay = trivial_relay
-        self.scheduler = Scheduler(seed=seed, max_messages=max_messages, trace=trace)
+        self.scheduler = Scheduler(
+            seed=seed,
+            max_messages=max_messages,
+            trace=trace,
+            validate_protocol=validate_protocol,
+        )
         self.processes: dict[int, NodeProcess] = {}
         #: EDB leaves (replicas included) by predicate: where a delta enters.
         self._edb_leaves: dict[str, list[EdbLeafProcess]] = {}
@@ -313,8 +322,6 @@ class MessagePassingEngine:
         #: it again with the wave counters zeroed.
         self._result: Optional[QueryResult] = None
         self.driver: DriverProcess
-        self.protocol_violations: list[str] = []
-        self._validate_protocol = validate_protocol
         self._build_network()
 
     # ------------------------------------------------------------------
@@ -439,26 +446,15 @@ class MessagePassingEngine:
         # --- termination protocol per strong component -----------------
         for info in graph.strong_components():
             for member in sorted(info.members):
-                process = self.processes[member]
-                is_leader = member == info.leader
-
-                def make_conclude(node: NodeProcess, leader: bool) -> Callable:
-                    def conclude(network: Scheduler) -> None:
-                        if leader and self._validate_protocol:
-                            self._check_conclusion(node, network)
-                        node.on_component_conclude(network)
-
-                    return conclude
-
                 protocol = TerminationProtocol(
                     node_id=member,
-                    is_leader=is_leader,
+                    is_leader=member == info.leader,
                     bfst_parent=info.bfst_parent.get(member),
                     bfst_children=info.bfst_children.get(member, ()),
-                    empty_queues=process.empty_queues,
-                    on_conclude=make_conclude(process, is_leader),
                 )
-                process.attach_protocol(protocol, info.members, leader_id=info.leader)
+                self.processes[member].attach_protocol(
+                    protocol, info.members, leader_id=info.leader
+                )
 
         # --- trivial goal nodes (§3.1's storage exemption) ---------------
         if self._trivial_relay:
@@ -479,37 +475,6 @@ class MessagePassingEngine:
             process.package_requests = self._package_requests
             process.record_provenance = self._provenance
             self.scheduler.register(process)
-
-    # ------------------------------------------------------------------
-    def _check_conclusion(self, leader: NodeProcess, network: Scheduler) -> None:
-        """Theorem 3.1 oracle: at conclusion, the component must be quiescent.
-
-        Quiescent with respect to its *own* computation: no computation
-        message in flight between members (or from a member anywhere — its
-        answers must already be out), and every member's feeder streams
-        caught up.  A brand-new request from an external customer may be
-        legitimately queued at this instant (coalesced graphs); its sequence
-        number exceeds the ends being emitted, so it is not covered by them
-        and will be answered — and ended — later.
-        """
-        members = leader.sc_members
-        for member in members:
-            process = self.processes[member]
-            for stream in process.feeders.values():
-                if stream.is_feeder and not stream.caught_up:
-                    self.protocol_violations.append(
-                        f"member {member} concluded with feeder "
-                        f"{stream.producer_id} not caught up"
-                    )
-        for _, _, message in network._heap:  # oracle access, tests only
-            if not isinstance(message, COMPUTATION_TYPES):
-                continue
-            if message.sender in members and message.receiver in members:
-                self.protocol_violations.append(
-                    f"internal computation message in flight "
-                    f"{message.sender}->{message.receiver} at conclusion: "
-                    f"{message.kind()}"
-                )
 
     # ------------------------------------------------------------------
     def explain(self, row: tuple):
@@ -667,7 +632,7 @@ class MessagePassingEngine:
             envs_materialized=envs,
             protocol_rounds=rounds,
             protocol_conclusions=conclusions,
-            protocol_violations=list(self.protocol_violations),
+            protocol_violations=list(self.scheduler.protocol_violations),
             db_scans=self.database.scans - scans_before,
             db_indexed_lookups=self.database.indexed_lookups - lookups_before,
             db_rows_retrieved=self.database.rows_retrieved - rows_before,

@@ -228,16 +228,16 @@ class NodeProcess:
                 self.on_end(message, network)
         elif isinstance(message, EndRequest):
             assert self.protocol is not None, f"protocol message at non-SC node {self.node_id}"
-            self.protocol.handle_end_request(message, network)
+            self.protocol.handle_end_request(message, self, network)
         elif isinstance(message, EndNegative):
             assert self.protocol is not None
-            self.protocol.handle_end_negative(message, network)
+            self.protocol.handle_end_negative(message, self, network)
         elif isinstance(message, EndConfirmed):
             assert self.protocol is not None
-            self.protocol.handle_end_confirmed(message, network)
+            self.protocol.handle_end_confirmed(message, self, network)
         elif isinstance(message, ComponentDone):
             assert self.protocol is not None
-            self.protocol.handle_component_done(message, network)
+            self.protocol.handle_component_done(message, self, network)
         elif isinstance(message, EndNudge):
             # A member owes an end: make sure the leader probes again.
             assert self.protocol is not None and self.protocol.is_leader
@@ -254,7 +254,9 @@ class NodeProcess:
         if self.protocol is not None:
             if self.protocol.is_leader:
                 self.protocol.maybe_initiate(
-                    network, self._owes_external_end() or self.work_since_conclusion
+                    self,
+                    network,
+                    self._owes_external_end() or self.work_since_conclusion,
                 )
             elif self._owes_external_end() and not self.nudge_sent:
                 self.nudge_sent = True
@@ -674,6 +676,9 @@ class CyclicNodeProcess(NodeProcess):
         self.shape = _RowShape(adorned)
         self.ancestor_id = ancestor_id
         self.rows: set[tuple] = set()
+        #: ``rows`` grouped by "d" binding (kept only when there are "d"
+        #: positions; otherwise every row answers the nullary binding).
+        self.rows_by_binding: dict[tuple, list[tuple]] = {}
 
     def on_relation_request(self, message: RelationRequest, network: "Scheduler") -> None:
         stream = self.consumers[message.sender]
@@ -696,11 +701,11 @@ class CyclicNodeProcess(NodeProcess):
         """Replay matching rows and forward the binding to the ancestor."""
         if binding not in stream.requested:
             stream.requested.add(binding)
-            self.send_rows(
-                stream,
-                [row for row in self.rows if self.shape.binding_of(row) == binding],
-                network,
-            )
+            if self.shape.d_in_row:
+                rows = self.rows_by_binding.get(binding, ())
+            else:
+                rows = self.rows
+            self.send_rows(stream, rows, network)
         self.send_tuple_request(self.ancestor_id, binding, network)
 
     def on_tuple(self, message: TupleMessage, network: "Scheduler") -> None:
@@ -710,6 +715,8 @@ class CyclicNodeProcess(NodeProcess):
         self.rows.add(row)
         self.tuples_stored += 1
         binding = self.shape.binding_of(row)
+        if self.shape.d_in_row:
+            self.rows_by_binding.setdefault(binding, []).append(row)
         for stream in self.consumers.values():
             if stream.wants_all or binding in stream.requested:
                 self._send_row(stream, row, network)
@@ -721,7 +728,16 @@ class CyclicNodeProcess(NodeProcess):
             return
         self.rows |= fresh
         self.tuples_stored += len(fresh)
-        self._fan_out(fresh, self.shape.buckets(fresh), network)
+        buckets = self.shape.buckets(fresh)
+        if buckets is not None:
+            by_binding = self.rows_by_binding
+            for binding, rows in buckets.items():
+                stored = by_binding.get(binding)
+                if stored is None:
+                    by_binding[binding] = rows  # a fresh list; _fan_out only reads it
+                else:
+                    stored.extend(rows)
+        self._fan_out(fresh, buckets, network)
 
 
 class EdbLeafProcess(NodeProcess):

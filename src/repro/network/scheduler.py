@@ -12,9 +12,11 @@ properties matter:
   random per-message latencies (still respecting channel FIFO) to exercise
   the asynchrony the distributed termination protocol must survive.
 
-The scheduler also keeps the *global quiescence oracle* used by the tests to
-validate Theorem 3.1: it can see that no messages are in flight — something
-the distributed nodes themselves never can.
+The scheduler also keeps the *global quiescence oracle* used to validate
+Theorem 3.1: it can see that no messages are in flight — something the
+distributed nodes themselves never can.  With ``validate_protocol`` on, it
+checks every strong component's conclusion against that view and records
+what it finds in :attr:`Scheduler.protocol_violations`.
 """
 
 from __future__ import annotations
@@ -34,7 +36,11 @@ class MessageBudgetExceeded(RuntimeError):
 
 
 class Process(Protocol):
-    """What the scheduler requires of a node process."""
+    """What the scheduler requires of a node process.
+
+    The quiescence oracle (``validate_protocol=True``) also reads each
+    process's ``protocol``, ``sc_members`` and ``feeders``.
+    """
 
     node_id: int
 
@@ -104,6 +110,10 @@ class Scheduler:
         Delivery budget; :class:`MessageBudgetExceeded` beyond it.
     trace:
         Optional callback invoked with every delivered message.
+    validate_protocol:
+        Check each termination-protocol conclusion against the global view
+        (:meth:`_check_conclusion`); violations go to
+        :attr:`protocol_violations`.
     """
 
     def __init__(
@@ -112,6 +122,7 @@ class Scheduler:
         max_latency: int = 16,
         max_messages: int = 5_000_000,
         trace: Optional[Callable[[Message], None]] = None,
+        validate_protocol: bool = False,
     ) -> None:
         self._processes: dict[int, Process] = {}
         self._heap: list[tuple[int, int, Message]] = []
@@ -123,6 +134,9 @@ class Scheduler:
         self._max_latency = max(1, max_latency)
         self._max_messages = max_messages
         self._trace = trace
+        self._validate_protocol = validate_protocol
+        #: Theorem 3.1 violations the oracle saw (empty on a correct run).
+        self.protocol_violations: list[str] = []
         self.stats = SchedulerStats()
 
     # ------------------------------------------------------------------
@@ -179,21 +193,7 @@ class Scheduler:
     def run(self) -> SchedulerStats:
         """Deliver messages until the network drains; return the statistics."""
         while self._heap:
-            if self.stats.delivered_total >= self._max_messages:
-                raise MessageBudgetExceeded(
-                    f"exceeded {self._max_messages} delivered messages"
-                )
-            deliver_at, _, message = heapq.heappop(self._heap)
-            self._now = max(self._now, deliver_at)
-            self._pending_per_node[message.receiver] -= 1
-            self.stats.record(message)
-            if self._trace is not None:
-                self._trace(message)
-            receiver = self._processes[message.receiver]
-            receiver.handle(message, self)
-            # Post-delivery hook: Fig 2 attaches the protocol-start check to
-            # the moment a node finishes a unit of work.
-            receiver.on_idle_check(self)
+            self._deliver()
         return self.stats
 
     def step(self) -> Optional[Message]:
@@ -204,6 +204,10 @@ class Scheduler:
         """
         if not self._heap:
             return None
+        return self._deliver()
+
+    def _deliver(self) -> Message:
+        """Deliver the next message; the heap must not be empty."""
         if self.stats.delivered_total >= self._max_messages:
             raise MessageBudgetExceeded(
                 f"exceeded {self._max_messages} delivered messages"
@@ -215,6 +219,43 @@ class Scheduler:
         if self._trace is not None:
             self._trace(message)
         receiver = self._processes[message.receiver]
+        protocol = receiver.protocol if self._validate_protocol else None
+        conclusions = protocol.conclusions if protocol is not None else 0
         receiver.handle(message, self)
+        # Post-delivery hook: Fig 2 attaches the protocol-start check to
+        # the moment a node finishes a unit of work.
         receiver.on_idle_check(self)
+        if protocol is not None and protocol.conclusions != conclusions:
+            self._check_conclusion(receiver)
         return message
+
+    def _check_conclusion(self, leader: Process) -> None:
+        """Theorem 3.1 oracle: at conclusion, the component must be quiescent.
+
+        Quiescent with respect to its *own* computation: no computation
+        message in flight between members, and every member's feeder
+        streams caught up.  A brand-new request from an external customer
+        may be legitimately queued at this instant (coalesced graphs); its
+        sequence number exceeds the ends being emitted, so it is not
+        covered by them and will be answered — and ended — later.  Running
+        right after the concluding delivery sees the same state as running
+        inside it: what the conclusion sent since (ends to external
+        customers, ComponentDone) is not checked.
+        """
+        members = leader.sc_members
+        for member in members:
+            for stream in self._processes[member].feeders.values():
+                if stream.is_feeder and not stream.caught_up:
+                    self.protocol_violations.append(
+                        f"member {member} concluded with feeder "
+                        f"{stream.producer_id} not caught up"
+                    )
+        for _, _, message in self._heap:
+            if not isinstance(message, COMPUTATION_TYPES):
+                continue
+            if message.sender in members and message.receiver in members:
+                self.protocol_violations.append(
+                    f"internal computation message in flight "
+                    f"{message.sender}->{message.receiver} at conclusion: "
+                    f"{message.kind()}"
+                )

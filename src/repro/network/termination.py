@@ -56,19 +56,37 @@ failure is whole-query re-execution, sound because evaluation is monotone
 set-semantics Datalog: re-running (or re-delivering) can only re-derive
 tuples that every node deduplicates, so any completed retry computes the
 same least fixpoint the crashed attempt was converging to.
+
+The protocol object holds protocol state only: its handlers receive the
+owning node (a :class:`Member`) at call time, so no protocol → node
+reference closes a cycle and a finished network is freed by reference
+counting.  Checking a conclusion against global quiescence is the
+scheduler's job (:meth:`~repro.network.scheduler.Scheduler._check_conclusion`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional, Protocol
 
 from .messages import ComponentDone, EndConfirmed, EndNegative, EndRequest
 
 if TYPE_CHECKING:
     from .scheduler import Scheduler
 
-__all__ = ["TerminationProtocol"]
+__all__ = ["Member", "TerminationProtocol"]
+
+
+class Member(Protocol):
+    """What the protocol asks of the node it runs for."""
+
+    def empty_queues(self, network: "Scheduler") -> bool:
+        """Fig 2's ``empty-queues()``: inbox empty and all feeders ended."""
+        ...
+
+    def on_component_conclude(self, network: "Scheduler") -> None:
+        """The component concluded: "send an end message to its customer"."""
+        ...
 
 
 @dataclass
@@ -86,20 +104,12 @@ class TerminationProtocol:
         leader).
     bfst_children:
         The node's children in the spanning tree.
-    empty_queues:
-        Callback returning the owning node's ``empty_queues()`` — true when
-        its inbox is empty and all its *feeders* have reported end.
-    on_conclude:
-        Leader-only callback: fired when the protocol concludes, at which
-        point the leader "sends an end message to its customer".
     """
 
     node_id: int
     is_leader: bool
     bfst_parent: Optional[int]
     bfst_children: tuple[int, ...]
-    empty_queues: Callable[["Scheduler"], bool]
-    on_conclude: Callable[["Scheduler"], None]
 
     idleness: int = 0
     waiting_for: int = 0
@@ -122,7 +132,9 @@ class TerminationProtocol:
     # ------------------------------------------------------------------
     # Leader initiation
     # ------------------------------------------------------------------
-    def maybe_initiate(self, network: "Scheduler", has_pending_customer: bool) -> None:
+    def maybe_initiate(
+        self, node: Member, network: "Scheduler", has_pending_customer: bool
+    ) -> None:
         """Start a wave if leader, idle, no wave active, and ends are owed.
 
         Fig 2 attaches this to ``send-answer-tuple``; we invoke it after every
@@ -130,27 +142,29 @@ class TerminationProtocol:
         """
         if not self.is_leader or self.round_active or not has_pending_customer:
             return
-        if not self.empty_queues(network):
+        if not node.empty_queues(network):
             return
         self.idleness = 1
-        self._start_round(network)
+        self._start_round(node, network)
 
-    def _start_round(self, network: "Scheduler") -> None:
+    def _start_round(self, node: Member, network: "Scheduler") -> None:
         self.round_id += 1
         self.rounds_started += 1
         self.round_active = True
-        self._process_end_request(network)
+        self._process_end_request(node, network)
 
     # ------------------------------------------------------------------
     # Handlers
     # ------------------------------------------------------------------
-    def handle_end_request(self, message: EndRequest, network: "Scheduler") -> None:
+    def handle_end_request(
+        self, message: EndRequest, node: Member, network: "Scheduler"
+    ) -> None:
         """A wave reached this (non-leader) node from its BFST parent."""
         self.round_id = message.round_id
-        self._process_end_request(network)
+        self._process_end_request(node, network)
 
-    def _process_end_request(self, network: "Scheduler") -> None:
-        if self.empty_queues(network):
+    def _process_end_request(self, node: Member, network: "Scheduler") -> None:
+        if node.empty_queues(network):
             self.idleness += 1
         else:
             self.idleness = 0
@@ -160,31 +174,37 @@ class TerminationProtocol:
             for child in self.bfst_children:
                 network.send(EndRequest(self.node_id, child, self.round_id))
         else:
-            self._answer(network)
+            self._answer(node, network)
 
-    def handle_end_negative(self, message: EndNegative, network: "Scheduler") -> None:
+    def handle_end_negative(
+        self, message: EndNegative, node: Member, network: "Scheduler"
+    ) -> None:
         """A child's subtree was not uniformly idle this round."""
         assert message.round_id == self.round_id, "protocol waves must not overlap"
         self.waiting_for -= 1
         self.negatives_this_round += 1
         if self.waiting_for == 0:
-            self._answer(network)
+            self._answer(node, network)
 
-    def handle_end_confirmed(self, message: EndConfirmed, network: "Scheduler") -> None:
+    def handle_end_confirmed(
+        self, message: EndConfirmed, node: Member, network: "Scheduler"
+    ) -> None:
         """A child's subtree was idle for the whole inter-request period."""
         assert message.round_id == self.round_id, "protocol waves must not overlap"
         self.waiting_for -= 1
         if self.waiting_for == 0:
-            self._answer(network)
+            self._answer(node, network)
 
-    def handle_component_done(self, message: ComponentDone, network: "Scheduler") -> None:
+    def handle_component_done(
+        self, message: ComponentDone, node: Member, network: "Scheduler"
+    ) -> None:
         """The leader concluded: emit owed ends here and keep propagating."""
-        self.on_conclude(network)
+        node.on_component_conclude(network)
         for child in self.bfst_children:
             network.send(ComponentDone(self.node_id, child, message.round_id))
 
     # ------------------------------------------------------------------
-    def _answer(self, network: "Scheduler") -> None:
+    def _answer(self, node: Member, network: "Scheduler") -> None:
         """All children (if any) answered: respond upward or conclude."""
         confirmed = self.negatives_this_round == 0 and self.idleness > 1
         if not self.is_leader:
@@ -196,9 +216,9 @@ class TerminationProtocol:
             return
         # Leader: conclude, or start another wave.
         self.round_active = False
-        if confirmed and self.empty_queues(network):
+        if confirmed and node.empty_queues(network):
             self.conclusions += 1
-            self.on_conclude(network)
+            node.on_component_conclude(network)
             # Footnote 4: propagate the conclusion around the component so
             # members with their own customers can send their end messages.
             for child in self.bfst_children:
@@ -206,6 +226,6 @@ class TerminationProtocol:
             return
         # Fig 2, process-end-negative at the leader: re-initiate immediately
         # when still idle; otherwise wait for the next post-work idle check.
-        if self.empty_queues(network):
+        if node.empty_queues(network):
             self.idleness = 1
-            self._start_round(network)
+            self._start_round(node, network)

@@ -349,7 +349,11 @@ class Session:
         self.fallback = fallback
         self.heartbeat_interval = heartbeat_interval
         self.timeout = timeout
+        #: The last :meth:`query`'s full result (``None`` before the first).
         self.last_result: Optional[QueryResult] = None
+        #: That query's engine, kept for :meth:`explain` only when
+        #: ``provenance=True`` — the one case it can explain; any other
+        #: engine is freed as soon as its query returns.
         self._last_engine = None
         # The shared, index-preserving EDB (one build; grown incrementally).
         self._database = Database.from_facts(self._facts)
@@ -492,10 +496,14 @@ class Session:
         type there, carrying ``attempts`` / ``degraded`` / ``failure_log``
         supervision accounting instead of simulator statistics.  ``seed``
         randomizes delivery latencies in the simulator only.
+
+        The evaluated network is kept for :meth:`explain` only when the
+        session records provenance; otherwise it is freed before this
+        returns.
         """
         result, engine = self._run_query(query, seed)
         self.last_result = result
-        self._last_engine = engine
+        self._last_engine = engine if self.provenance else None
         return result.answers
 
     def run_query(
@@ -752,10 +760,22 @@ class Session:
         """Proof tree for an answer of the *last* query (needs provenance).
 
         Construct the session with ``provenance=True``; returns a
-        :class:`~repro.network.provenance.Derivation`.
+        :class:`~repro.network.provenance.Derivation`.  Raises
+        ``RuntimeError`` before the first :meth:`query`, and
+        :class:`~repro.network.provenance.ProvenanceError` when the last
+        query kept no network to explain (provenance off, or a
+        multiprocess runtime).
         """
-        if self._last_engine is None:
+        if self.last_result is None:
             raise RuntimeError("no query has been evaluated yet")
+        if self._last_engine is None:
+            from .network.provenance import ProvenanceError
+
+            raise ProvenanceError(
+                "construct the session with provenance=True to record derivations"
+                if self.runtime == "simulator"
+                else f"the {self.runtime!r} runtime keeps no network to explain"
+            )
         return self._last_engine.explain(row)
 
     # ------------------------------------------------------------------

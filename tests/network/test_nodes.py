@@ -11,14 +11,26 @@ from repro.network.messages import (
     TupleRequest,
     TupleSet,
 )
+from repro.network.engine import MessagePassingEngine
 from repro.network.nodes import (
     ConsumerStream,
+    CyclicNodeProcess,
     EdbLeafProcess,
     FeederStream,
     _RowShape,
 )
 from repro.network.scheduler import Scheduler
 from repro.relational.database import Database
+from repro.workloads import (
+    ancestor_program,
+    chain_edges,
+    cycle_edges,
+    facts_from_tables,
+    nonlinear_tc_program,
+    random_digraph_edges,
+)
+
+from tests.helpers import with_tables
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 
@@ -157,3 +169,62 @@ class TestEdbLeaf:
         scheduler.send(RelationRequest(99, 1, adorned.adornment))
         scheduler.run()
         assert sink.rows == [("a", 1)]
+
+
+def cyclic_nodes(engine):
+    return [
+        process
+        for process in engine.processes.values()
+        if isinstance(process, CyclicNodeProcess)
+    ]
+
+
+def assert_index_matches_rows(engine):
+    """Every cyclic node's by-binding index is its rows grouped by binding."""
+    nodes = cyclic_nodes(engine)
+    assert any(node.shape.d_in_row and node.rows for node in nodes)
+    for node in nodes:
+        if not node.shape.d_in_row:
+            assert node.rows_by_binding == {}
+            continue
+        grouped: dict = {}
+        for row in node.rows:
+            grouped.setdefault(node.shape.binding_of(row), set()).add(row)
+        assert {b: set(rows) for b, rows in node.rows_by_binding.items()} == grouped
+        indexed = sum(len(rows) for rows in node.rows_by_binding.values())
+        assert indexed == len(node.rows)  # no row indexed twice
+
+
+class TestCyclicRowIndex:
+    def test_linear_tc_over_a_cycle(self):
+        program = with_tables(ancestor_program(0), {"par": cycle_edges(9)})
+        engine = MessagePassingEngine(program)
+        assert engine.run().completed
+        assert_index_matches_rows(engine)
+
+    def test_linear_ancestor(self):
+        program = with_tables(ancestor_program(0), {"par": chain_edges(14)})
+        engine = MessagePassingEngine(program)
+        assert engine.run().completed
+        assert_index_matches_rows(engine)
+
+    def test_nonlinear_tc(self):
+        edges = random_digraph_edges(15, 40, seed=2)
+        program = with_tables(nonlinear_tc_program(edges[0][0]), {"e": edges})
+        engine = MessagePassingEngine(program, seed=3)
+        assert engine.run().completed
+        assert_index_matches_rows(engine)
+
+    def test_after_delta_waves(self):
+        edges = chain_edges(10)
+        program = with_tables(nonlinear_tc_program(0), {"e": edges[:5]})
+        engine = MessagePassingEngine(program)
+        engine.run()
+        for batch in (edges[5:8], edges[8:] + [(9, 2)]):
+            delta = facts_from_tables({"e": batch})
+            engine.database.add_facts(delta)
+            result = engine.run_delta(delta)
+            assert result.completed and result.new_answers
+            assert_index_matches_rows(engine)
+        full = with_tables(nonlinear_tc_program(0), {"e": edges + [(9, 2)]})
+        assert result.answers == MessagePassingEngine(full).run().answers

@@ -124,9 +124,21 @@ class TestSessionExplain:
         assert "par(bob, cal)" in derivation.facts()
 
     def test_explain_before_query_raises(self):
-        session = Session("p(X) <- e(X). e(1).", provenance=True)
-        with pytest.raises(RuntimeError):
+        for provenance in (True, False):
+            session = Session("p(X) <- e(X). e(1).", provenance=provenance)
+            with pytest.raises(RuntimeError, match="no query") as excinfo:
+                session.explain((1,))
+            assert not isinstance(excinfo.value, ProvenanceError)
+
+    def test_explain_without_provenance_raises_provenance_error(self):
+        # The session keeps no network when provenance is off, but the
+        # error still says why explain() cannot work, not "no query yet".
+        session = Session("p(X) <- e(X). e(1).")
+        assert session.query("p(X)") == {(1,)}
+        with pytest.raises(ProvenanceError, match="provenance=True"):
             session.explain((1,))
+        with pytest.raises(ProvenanceError):
+            session.explain((2,))
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ class StubNode:
     def empty_queues(self, network):
         return not self.busy and network.pending_for(self.node_id) == 0
 
-    def on_conclude(self, network):
+    def on_component_conclude(self, network):
         self.concluded += 1
 
     def handle(self, message, network):
@@ -39,26 +39,31 @@ class StubNode:
             self.work_seen += 1
             return
         if isinstance(message, EndRequest):
-            self.protocol.handle_end_request(message, network)
+            self.protocol.handle_end_request(message, self, network)
         elif isinstance(message, EndNegative):
-            self.protocol.handle_end_negative(message, network)
+            self.protocol.handle_end_negative(message, self, network)
         elif isinstance(message, EndConfirmed):
-            self.protocol.handle_end_confirmed(message, network)
+            self.protocol.handle_end_confirmed(message, self, network)
 
     def on_idle_check(self, network):
         # Mirror the engine: a leader only probes while it still owes an end
         # to its customer (here: until the first conclusion).
         if self.protocol.is_leader:
-            self.protocol.maybe_initiate(network, self.concluded == 0)
+            self.protocol.maybe_initiate(self, network, self.concluded == 0)
 
 
 def build_component(tree: dict[int, list[int]], leader: int = 0, seed=None):
-    """Wire a stub component with the given BFST children map."""
-    scheduler = Scheduler(seed=seed)
+    """Wire a stub component with the given BFST children map.
+
+    The scheduler's quiescence oracle is on: every conclusion is checked
+    against the messages in flight.
+    """
+    scheduler = Scheduler(seed=seed, validate_protocol=True)
     parents: dict[int, int] = {}
     for parent, kids in tree.items():
         for kid in kids:
             parents[kid] = parent
+    members = frozenset(tree)
     nodes = {}
     for node_id in tree:
         node = StubNode(node_id)
@@ -67,9 +72,9 @@ def build_component(tree: dict[int, list[int]], leader: int = 0, seed=None):
             is_leader=node_id == leader,
             bfst_parent=parents.get(node_id),
             bfst_children=tuple(tree.get(node_id, ())),
-            empty_queues=node.empty_queues,
-            on_conclude=node.on_conclude,
         )
+        node.sc_members = members
+        node.feeders = {}  # stubs have no cross-component producers
         nodes[node_id] = node
         scheduler.register(node)
     return scheduler, nodes
@@ -114,7 +119,7 @@ class TestQuiescentComponent:
 
     def test_no_initiation_without_pending_customer(self):
         scheduler, nodes = build_component(CHAIN)
-        nodes[0].protocol.maybe_initiate(scheduler, has_pending_customer=False)
+        nodes[0].protocol.maybe_initiate(nodes[0], scheduler, has_pending_customer=False)
         assert scheduler.in_flight() == 0
 
     def test_single_conclusion_then_silence(self):
@@ -122,7 +127,7 @@ class TestQuiescentComponent:
 
         def idle_check_done(network):
             if nodes[0].concluded == 0:
-                nodes[0].protocol.maybe_initiate(network, True)
+                nodes[0].protocol.maybe_initiate(nodes[0], network, True)
 
         nodes[0].on_idle_check = idle_check_done
         nodes[0].on_idle_check(scheduler)
@@ -175,7 +180,7 @@ class TestBusyNodes:
         def release_after_round(network):
             if nodes[0].protocol.rounds_started >= 1:
                 nodes[3].busy = False
-            nodes[0].protocol.maybe_initiate(network, nodes[0].concluded == 0)
+            nodes[0].protocol.maybe_initiate(nodes[0], network, nodes[0].concluded == 0)
 
         nodes[0].on_idle_check = release_after_round
         nodes[0].on_idle_check(scheduler)
@@ -199,10 +204,33 @@ class TestTheorem31Soundness:
                 not isinstance(m, TupleMessage) for _, _, m in network._heap
             )
 
-        nodes[0].protocol.on_conclude = check_conclude
+        nodes[0].on_component_conclude = check_conclude
         nodes[0].on_idle_check(scheduler)
         scheduler.run()
         assert nodes[0].concluded == 1
+        assert scheduler.protocol_violations == []
+
+    def test_oracle_catches_planted_early_conclusion(self):
+        # Plant work between two members just before the leader's
+        # concluding delivery: the conclusion is then premature, and the
+        # scheduler's oracle must say so.
+        scheduler, nodes = build_component(CHAIN)
+        nodes[0].on_idle_check(scheduler)
+        planted = False
+        while scheduler.in_flight():
+            _, _, upcoming = scheduler._heap[0]
+            if (
+                not planted
+                and isinstance(upcoming, EndConfirmed)
+                and upcoming.receiver == 0
+            ):
+                scheduler.send(TupleMessage(1, 2, ("late",)))
+                planted = True
+            scheduler.step()
+        assert planted and nodes[0].concluded == 1
+        assert scheduler.protocol_violations == [
+            "internal computation message in flight 1->2 at conclusion: TupleMessage"
+        ]
 
     def test_idleness_counter_semantics(self):
         scheduler, nodes = build_component(CHAIN)

@@ -19,6 +19,9 @@ class StubNode:
     def empty_queues(self, network):
         return self.pending_work == 0 and network.pending_for(self.node_id) == 0
 
+    def on_component_conclude(self, network):
+        self.concluded += 1
+
     def handle(self, message, network):
         if isinstance(message, TupleMessage):
             self.protocol.on_work()
@@ -26,18 +29,18 @@ class StubNode:
                 self.pending_work -= 1
             return
         if isinstance(message, EndRequest):
-            self.protocol.handle_end_request(message, network)
+            self.protocol.handle_end_request(message, self, network)
         else:
             from repro.network.messages import EndConfirmed, EndNegative
 
             if isinstance(message, EndNegative):
-                self.protocol.handle_end_negative(message, network)
+                self.protocol.handle_end_negative(message, self, network)
             elif isinstance(message, EndConfirmed):
-                self.protocol.handle_end_confirmed(message, network)
+                self.protocol.handle_end_confirmed(message, self, network)
 
     def on_idle_check(self, network):
         if self.protocol.is_leader:
-            self.protocol.maybe_initiate(network, self.concluded == 0)
+            self.protocol.maybe_initiate(self, network, self.concluded == 0)
 
 
 @st.composite
@@ -84,8 +87,6 @@ def build(tree, seed):
             is_leader=node_id == 0,
             bfst_parent=parents.get(node_id),
             bfst_children=tuple(tree[node_id]),
-            empty_queues=node.empty_queues,
-            on_conclude=lambda network, n=node: setattr(n, "concluded", n.concluded + 1),
         )
         nodes[node_id] = node
         scheduler.register(node)
@@ -156,7 +157,7 @@ class TestProtocolProperties:
                     f"node {n.node_id} confirmed with consumed-visible work"
                 )
 
-        leader.protocol.on_conclude = conclude
+        leader.on_component_conclude = conclude
         leader.on_idle_check(scheduler)
         pending = sorted(injections)
         step = 0

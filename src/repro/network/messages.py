@@ -116,7 +116,7 @@ class PackagedTupleRequest(Message):
 
 @dataclass(frozen=True, slots=True)
 class TupleMessage(Message):
-    """One derived tuple, as values over the producer goal's non-"e" positions."""
+    """One derived tuple, as the values at the producer goal's "d"/"f" positions."""
 
     row: tuple
 
@@ -128,7 +128,7 @@ class TupleSet(Message):
     Footnote 2 observes that messages gain "efficiency of volume" when
     related tuple requests travel as a package; this is the same idea on the
     answer stream.  ``rows`` holds several rows (each over the producer
-    goal's non-"e" positions) for the same (producer, consumer) channel.
+    goal's "d"/"f" positions) for the same (producer, consumer) channel.
     Semantically a :class:`TupleSet` is exactly ``len(rows)`` tuple messages
     delivered back to back: it carries no sequence number of its own, and
     per-channel FIFO still guarantees every row arrives before the
@@ -215,12 +215,18 @@ class ColumnBatch:
             self._lists[position] = cached
         return cached
 
+    def _is_identity(self, positions: Sequence[int]) -> bool:
+        """True when ``positions`` are every position of the rows, in order."""
+        width = len(self.rows[0])
+        return len(positions) == width and tuple(positions) == tuple(range(width))
+
     def keys(self, positions: Sequence[int]) -> Sequence:
         """The join key of every row: bare values for a single position,
         tuples otherwise (key arity, not representation, is what both sides
         of a columnar join agree on).  Gathers are one C-level pass — a
         cached column when the transpose already exists, ``map(itemgetter)``
         otherwise (building all columns to read one is the slow direction).
+        A multi-position key over the whole row is the row itself.
         """
         if not self.rows:
             return []
@@ -230,14 +236,22 @@ class ColumnBatch:
             return list(map(operator.itemgetter(positions[0]), self.rows))
         if not positions:  # every row keys to the nullary tuple
             return [()] * len(self.rows)
+        if self._is_identity(positions):
+            return self.rows
         return list(map(operator.itemgetter(*positions), self.rows))
 
     def project(self, positions: Sequence[int]) -> list[tuple]:
-        """Gather: the rows restricted to ``positions``, as tuples."""
+        """Gather: the rows restricted to ``positions``, as tuples.
+
+        A gather of every position in order copies nothing: it returns the
+        batch's own row list, which callers must not mutate.
+        """
         if not self.rows:
             return []
         if not positions:
             return [()] * len(self.rows)
+        if self._is_identity(positions):
+            return self.rows
         if len(positions) == 1:
             return list(zip(self.keys(positions)))  # re-box as 1-tuples
         return list(map(operator.itemgetter(*positions), self.rows))

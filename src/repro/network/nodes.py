@@ -28,7 +28,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
-from ..core.adornment import AdornedAtom, CONSTANT, DYNAMIC, EXISTENTIAL, FREE
+from ..core.adornment import AdornedAtom
 from ..core.rules import Rule
 from ..core.terms import Constant, Variable
 from ..relational.database import Database
@@ -487,13 +487,19 @@ class NodeProcess:
 # Shared helpers for adorned atoms
 # ----------------------------------------------------------------------
 
-def _tuple_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+def _tuple_getter(
+    positions: Sequence[int], width: Optional[int] = None
+) -> Callable[[tuple], tuple]:
     """A compiled projection: row -> tuple of the values at ``positions``.
 
     ``operator.itemgetter`` already returns a tuple for two or more
     positions; the 0/1-position cases are wrapped so the result is always a
     tuple (bindings and merge suffixes concatenate onto other tuples).
+    When ``positions`` are every position of a ``width``-wide row, in
+    order, the projection is the row itself and nothing is copied.
     """
+    if width is not None and tuple(positions) == tuple(range(width)):
+        return lambda row: row
     if not positions:
         return lambda row: ()
     if len(positions) == 1:
@@ -517,30 +523,24 @@ def _key_getter(positions: Sequence[int]) -> Callable[[tuple], object]:
     return operator.itemgetter(*positions)
 
 
-def _non_e_positions(adorned: AdornedAtom) -> tuple[int, ...]:
-    return tuple(i for i, c in enumerate(adorned.adornment) if c != EXISTENTIAL)
-
-
-def _d_positions(adorned: AdornedAtom) -> tuple[int, ...]:
-    return adorned.dynamic_positions
-
-
 class _RowShape:
     """Precomputed position bookkeeping for one adorned atom's tuple rows.
 
-    Rows on a stream carry values for the atom's non-"e" positions, in
-    position order; ``d_in_row`` locates the "d" positions inside such a row
-    so bindings can be projected without consulting the atom again.
+    Rows on a stream carry values for the atom's "d" and "f" positions
+    only, in position order: a "c" value is fixed when the graph is built
+    and an "e" value is never transmitted.  ``d_in_row`` locates the "d"
+    positions inside such a row so bindings can be projected without
+    consulting the atom again.
     """
 
     def __init__(self, adorned: AdornedAtom) -> None:
         self.adorned = adorned
-        self.non_e = _non_e_positions(adorned)
-        self.d_positions = _d_positions(adorned)
-        row_index = {pos: i for i, pos in enumerate(self.non_e)}
+        self.row_positions = adorned.output_positions
+        self.d_positions = adorned.dynamic_positions
+        row_index = {pos: i for i, pos in enumerate(self.row_positions)}
         self.d_in_row = tuple(row_index[p] for p in self.d_positions)
         #: Project a row to the values at the "d" positions (compiled).
-        self.binding_of = _tuple_getter(self.d_in_row)
+        self.binding_of = _tuple_getter(self.d_in_row, len(self.row_positions))
 
     def buckets(self, rows: Iterable[tuple]) -> Optional[dict[tuple, list[tuple]]]:
         """``rows`` grouped by "d" binding; ``None`` without "d" positions
@@ -772,7 +772,7 @@ class EdbLeafProcess(NodeProcess):
         self._no_filter = not self.constant_filter and not self.equal_groups
         # Stored row -> the "d" binding a consumer would have requested it by.
         self._d_binding = _tuple_getter(self.shape.d_positions)
-        self._identity_projection = self.shape.non_e == tuple(range(len(atom.args)))
+        self._identity_projection = self.shape.row_positions == tuple(range(len(atom.args)))
 
     # ------------------------------------------------------------------
     def _matches(self, row: tuple) -> bool:
@@ -792,7 +792,7 @@ class EdbLeafProcess(NodeProcess):
         if not self._no_filter:
             rows = [row for row in rows if self._matches(row)]
         if not self._identity_projection:
-            rows = ColumnBatch(rows).project(self.shape.non_e)
+            rows = ColumnBatch(rows).project(self.shape.row_positions)
         self.send_rows(stream, rows, network)
 
     # ------------------------------------------------------------------
@@ -847,12 +847,9 @@ class EdbLeafProcess(NodeProcess):
                 self._emit(stream, asked, network)
 
     def _lookup_binding(self, binding: tuple) -> Iterable[tuple]:
-        """Indexed retrieval for one "d" binding (empty on constant clash)."""
+        """Indexed retrieval for one "d" binding (plus the "c" constants)."""
         bound = dict(self.constant_filter)
-        for pos, value in zip(self.shape.d_positions, binding):
-            if pos in bound and bound[pos] != value:
-                return ()  # inconsistent with the constant at this position
-            bound[pos] = value
+        bound.update(zip(self.shape.d_positions, binding))
         return self.database.lookup(self.adorned.predicate, bound)
 
     def serve_binding(self, stream: ConsumerStream, binding: tuple, network: "Scheduler") -> None:
@@ -914,6 +911,8 @@ class _Stage:
     """One stage of a rule node's incremental multiway join pipeline.
 
     Stage ``j`` (1-based) corresponds to the ``j``-th subgoal in SIP order.
+    A received row's *sub-environment* holds the subgoal's distinct
+    variables in row order — the row itself unless a variable repeats.
     ``env_vars`` is the cumulative variable schema after joining this stage;
     ``envs`` the set of environments reached; indexes keyed by the values of
     the variables shared with the *next* stage's subgoal are kept on both
@@ -924,7 +923,7 @@ class _Stage:
         "subgoal_index",
         "adorned",
         "shape",
-        "sub_vars",
+        "row_vars",  # the variable at each row position (repeats kept)
         "env_vars",
         "envs",
         "rows",
@@ -933,14 +932,14 @@ class _Stage:
         "row_key_positions",
         "env_index",
         "row_index",
-        "d_var_sources",
         # Kernel plan: compiled getters and gathers, fixed per node.
-        "row_perm",  # "id" | permutation tuple | None (general conversion)
-        "row_checks",  # (position, constant) filters applied before row_perm
+        "row_perm",  # "id": the row is its sub-environment; None: repeats
+        "env_is_row",  # every environment reached here is its sub-environment
         "prev_key_get",
-        "suffix_positions",  # row-env positions of the merge suffix
-        "suffix_get",  # row_env -> the merge suffix (the new variables)
-        "d_env_positions",  # env positions of the tuple-request binding
+        "suffix_positions",  # sub-environment positions of the merge suffix
+        "suffix_get",  # sub-environment -> the merge suffix (the new variables)
+        "d_env_positions",  # previous-env positions of the tuple-request binding
+        "d_get",  # previous env -> the tuple-request binding
     )
 
     def __init__(self) -> None:
@@ -1003,16 +1002,17 @@ class RuleNodeProcess(NodeProcess):
         self._head_env: dict[tuple, tuple] = {}
 
         # ---- precompute stage plans -------------------------------------
-        head_bound = sorted(
-            {
+        # Stage-0 variables in head position order, like every row: a first
+        # subgoal that repeats the head's bound variables in the same order
+        # then has env_is_row.
+        self.stage0_vars: tuple[Variable, ...] = tuple(
+            dict.fromkeys(
                 t
                 for i in head.bound_positions
                 for t in [rule.head.args[i]]
                 if isinstance(t, Variable)
-            },
-            key=lambda v: v.name,
+            )
         )
-        self.stage0_vars: tuple[Variable, ...] = tuple(head_bound)
         self.stages: list[_Stage] = []
         prev_vars: tuple[Variable, ...] = self.stage0_vars
         for stage_number, subgoal_index in enumerate(self.sip_order, start=1):
@@ -1021,77 +1021,50 @@ class RuleNodeProcess(NodeProcess):
             stage.adorned = self.adorned_body[subgoal_index]
             stage.shape = _RowShape(stage.adorned)
             atom = stage.adorned.atom
-            # Distinct variables at non-"e" positions, in name order.
-            seen: dict[Variable, None] = {}
-            for pos in stage.shape.non_e:
-                term = atom.args[pos]
-                if isinstance(term, Variable):
-                    seen.setdefault(term, None)
-            stage.sub_vars = tuple(sorted(seen, key=lambda v: v.name))
-            shared = tuple(v for v in prev_vars if v in stage.sub_vars)
+            # Row positions are "d"/"f", so every term there is a variable
+            # (AdornedAtom holds constants at "c" positions only).
+            stage.row_vars = tuple(atom.args[p] for p in stage.shape.row_positions)
+            subenv_vars = tuple(dict.fromkeys(stage.row_vars))
+            stage.row_perm = "id" if len(subenv_vars) == len(stage.row_vars) else None
+            shared = tuple(v for v in prev_vars if v in subenv_vars)
             stage.shared_with_prev = shared
             prev_pos = {v: i for i, v in enumerate(prev_vars)}
-            sub_pos = {v: i for i, v in enumerate(stage.sub_vars)}
+            sub_pos = {v: i for i, v in enumerate(subenv_vars)}
             stage.prev_key_positions = tuple(prev_pos[v] for v in shared)
             stage.row_key_positions = tuple(sub_pos[v] for v in shared)
-            new_vars = tuple(v for v in stage.sub_vars if v not in prev_pos)
+            new_vars = tuple(v for v in subenv_vars if v not in prev_pos)
             # The cumulative schema keeps earlier variables as an identity
             # prefix, so a merge is prev_env plus a gathered suffix of the
-            # row-env's new variables.
+            # sub-environment's new variables.  When that schema *is* the
+            # sub-environment's, the join key is the whole previous
+            # environment and every merge rebuilds the sub-environment:
+            # the kernels keep the sub-environment itself.
             stage.env_vars = prev_vars + new_vars
+            stage.env_is_row = stage.env_vars == subenv_vars
             stage.suffix_positions = tuple(sub_pos[v] for v in new_vars)
-            stage.suffix_get = _tuple_getter(stage.suffix_positions)
-            # Tuple-request plan: the subgoal's "d" positions as (kind, payload).
-            d_sources: list[tuple[str, object]] = []
-            env_pos = {v: i for i, v in enumerate(prev_vars)}
-            for pos in stage.shape.d_positions:
-                term = atom.args[pos]
-                if isinstance(term, Constant):
-                    d_sources.append(("const", term.value))
-                else:
-                    if term not in env_pos:
-                        raise AssertionError(
-                            f"'d' variable {term} of {atom} not bound by stage {stage_number - 1}"
-                        )
-                    d_sources.append(("env", env_pos[term]))
-            stage.d_var_sources = tuple(d_sources)
-            # Rows arriving for a subgoal whose non-"e" arguments are
-            # variables that do not repeat convert to sub-environments by a
-            # constant filter plus a pure permutation (usually the
-            # identity); repeated variables fall back to the checked
-            # per-row conversion.
-            terms = [atom.args[p] for p in stage.shape.non_e]
-            var_terms = [t for t in terms if isinstance(t, Variable)]
-            if len(set(var_terms)) == len(var_terms):
-                stage.row_checks = tuple(
-                    (i, t.value)
-                    for i, t in enumerate(terms)
-                    if isinstance(t, Constant)
-                )
-                row_pos = {
-                    t: i for i, t in enumerate(terms) if isinstance(t, Variable)
-                }
-                perm = tuple(row_pos[v] for v in stage.sub_vars)
-                identity = not stage.row_checks and perm == tuple(range(len(perm)))
-                stage.row_perm = "id" if identity else perm
-            else:
-                stage.row_checks = ()
-                stage.row_perm = None
+            stage.suffix_get = _tuple_getter(stage.suffix_positions, len(subenv_vars))
             stage.prev_key_get = _key_getter(stage.prev_key_positions)
-            if all(kind == "env" for kind, _ in d_sources):
-                stage.d_env_positions = tuple(i for _, i in d_sources)
-            else:
-                stage.d_env_positions = None
+            for pos in stage.shape.d_positions:
+                if atom.args[pos] not in prev_pos:
+                    raise AssertionError(
+                        f"'d' variable {atom.args[pos]} of {atom} not bound "
+                        f"by stage {stage_number - 1}"
+                    )
+            stage.d_env_positions = tuple(
+                prev_pos[atom.args[pos]] for pos in stage.shape.d_positions
+            )
+            stage.d_get = _tuple_getter(stage.d_env_positions, len(prev_vars))
             self.stages.append(stage)
             prev_vars = stage.env_vars
             self.child_stage.setdefault(self.child_ids[subgoal_index], []).append(
                 stage_number
             )
 
-        # Head-output plan: value source per parent non-"e" position.
+        # Head-output plan: value source per parent row position (a head
+        # constant there comes from the rule, not from the environment).
         final_pos = {v: i for i, v in enumerate(prev_vars)}
         out_plan: list[tuple[str, object]] = []
-        for pos in self.parent_shape.non_e:
+        for pos in self.parent_shape.row_positions:
             term = rule.head.args[pos]
             if isinstance(term, Constant):
                 out_plan.append(("const", term.value))
@@ -1200,34 +1173,21 @@ class RuleNodeProcess(NodeProcess):
     def _tuples_into_stage(
         self, stage_number: int, rows, network: "Scheduler"
     ) -> None:
-        """Stage kernel: whole-batch convert, dedup, index, probe.
+        """Stage kernel: whole-batch dedup, index, probe.
 
-        The batch is converted to sub-environments by a precompiled gather
-        (:class:`~repro.network.messages.ColumnBatch` when a real permutation
-        is needed; zero-copy when the row layout already matches), fresh rows
-        are found with one set difference, the batch hash index is built once,
-        and the previous stage is probed once per distinct join key.  A merge
+        A row is its own sub-environment unless a variable repeats in it
+        (then the checked per-row conversion runs).  Fresh rows are found
+        with one set difference, the batch hash index is built once, and
+        the previous stage is probed once per distinct join key.  A merge
         is ``prev_env + suffix`` — the cumulative schema keeps earlier
-        variables as an identity prefix — with each suffix gathered once per
-        row-env instead of once per output pair.
+        variables as an identity prefix — with the suffixes gathered in one
+        column pass; at an ``env_is_row`` stage the merge is the
+        sub-environment itself and nothing is built.
         """
         stage = self.stages[stage_number - 1]
         self.batch_rows_in += len(rows)
         if stage.row_perm == "id":
             batch = rows if isinstance(rows, (set, frozenset)) else set(rows)
-        elif stage.row_perm is not None:
-            if stage.row_checks:
-                if len(stage.row_checks) == 1:
-                    ((pos, value),) = stage.row_checks
-                    rows = [row for row in rows if row[pos] == value]
-                else:
-                    checks = stage.row_checks
-                    rows = [
-                        row
-                        for row in rows
-                        if all(row[p] == v for p, v in checks)
-                    ]
-            batch = set(ColumnBatch(rows).project(stage.row_perm))
         else:
             batch = set()
             for row in rows:
@@ -1240,11 +1200,8 @@ class RuleNodeProcess(NodeProcess):
         stage.rows |= fresh
         self.tuples_stored += len(fresh)
         self.index_inserts += len(fresh)
-        # Gathers for the whole fresh batch: join keys and merge suffixes
-        # come out of C-level column gathers, not per-row getters.
         fresh_list = list(fresh)
         cb = ColumnBatch(fresh_list)
-        suffixes = cb.project(stage.suffix_positions)
         if stage_number == 1:
             prev_index = self._stage0_index
         else:
@@ -1264,9 +1221,10 @@ class RuleNodeProcess(NodeProcess):
             prev_envs = prev_index.get(())
             if not prev_envs:
                 return
-            if len(prev_envs) == 1 and prev_envs[0] == ():
-                merged = suffixes  # the identity prefix is empty
+            if stage.env_is_row:
+                merged = fresh_list  # the previous environment is ()
             else:
+                suffixes = cb.project(stage.suffix_positions)
                 merged = [
                     prev_env + suffix
                     for prev_env in prev_envs
@@ -1274,19 +1232,24 @@ class RuleNodeProcess(NodeProcess):
                 ]
         else:
             keys = cb.keys(stage.row_key_positions)
-            prev_get = prev_index.get
-            merged = []
-            append = merged.append
-            for env, key, suffix in zip(fresh_list, keys, suffixes):
+            for env, key in zip(fresh_list, keys):
                 bucket = row_index.get(key)
                 if bucket is None:
                     row_index[key] = [env]
                 else:
                     bucket.append(env)
-                prev_envs = prev_get(key)
-                if prev_envs:
-                    for prev_env in prev_envs:
-                        append(prev_env + suffix)
+            if stage.env_is_row:
+                # The key is the whole previous environment: a hit means
+                # exactly one partner, and the merge equals ``env``.
+                merged = [env for env, key in zip(fresh_list, keys) if key in prev_index]
+            else:
+                prev_get = prev_index.get
+                suffixes = cb.project(stage.suffix_positions)
+                merged = [
+                    prev_env + suffix
+                    for key, suffix in zip(keys, suffixes)
+                    for prev_env in prev_get(key, ())
+                ]
             distinct = len(set(keys))
             self.batch_distinct_keys += distinct
             self.probe_lookups += distinct
@@ -1294,19 +1257,13 @@ class RuleNodeProcess(NodeProcess):
             self._add_envs(stage_number, merged, network)
 
     def _row_to_subenv(self, stage: _Stage, row: tuple) -> Optional[tuple]:
-        """Convert a child's row into values over ``stage.sub_vars``."""
-        atom = stage.adorned.atom
+        """A row with a repeated variable -> its sub-environment, or None
+        when the repeated positions disagree."""
         values: dict[Variable, object] = {}
-        for pos, value in zip(stage.shape.non_e, row):
-            term = atom.args[pos]
-            if isinstance(term, Constant):
-                if term.value != value:
-                    return None
-            else:
-                if term in values and values[term] != value:
-                    return None
-                values[term] = value
-        return tuple(values[v] for v in stage.sub_vars)
+        for var, value in zip(stage.row_vars, row):
+            if values.setdefault(var, value) != value:
+                return None
+        return tuple(values.values())
 
     # ------------------------------------------------------------------
     # Stage-0 environments (head bindings)
@@ -1324,14 +1281,17 @@ class RuleNodeProcess(NodeProcess):
         key = first.prev_key_get(env)
         self._stage0_index.setdefault(key, []).append(env)
         self.index_inserts += 1
-        self._request_next(1, env, network)
+        if first.d_env_positions:
+            self.send_tuple_request(
+                self.child_ids[first.subgoal_index], first.d_get(env), network
+            )
         self.probe_lookups += 1
-        suffix_get = first.suffix_get
-        merged = [
-            env + suffix_get(row_env) for row_env in first.row_index.get(key, ())
-        ]
-        if merged:
-            self._add_envs(1, merged, network)
+        row_envs = first.row_index.get(key)
+        if row_envs:
+            if not first.env_is_row:
+                suffix_get = first.suffix_get
+                row_envs = [env + suffix_get(row_env) for row_env in row_envs]
+            self._add_envs(1, row_envs, network)
 
     # ------------------------------------------------------------------
     # Env propagation
@@ -1361,17 +1321,13 @@ class RuleNodeProcess(NodeProcess):
         next_stage = self.stages[stage_number]
         fresh_list = list(fresh)
         cb = ColumnBatch(fresh_list)
-        if next_stage.d_var_sources:
-            if next_stage.d_env_positions is not None:
-                child_id = self.child_ids[next_stage.subgoal_index]
-                self.send_tuple_requests_batch(
-                    child_id, set(cb.project(next_stage.d_env_positions)), network
-                )
-            else:
-                for env in fresh_list:
-                    self._request_next(stage_number + 1, env, network)
+        if next_stage.d_env_positions:
+            self.send_tuple_requests_batch(
+                self.child_ids[next_stage.subgoal_index],
+                set(cb.project(next_stage.d_env_positions)),
+                network,
+            )
         env_index = stage.env_index
-        suffix_get = next_stage.suffix_get
         row_index = next_stage.row_index
         self.index_inserts += len(fresh)
         next_merged: list[tuple] = []
@@ -1385,47 +1341,50 @@ class RuleNodeProcess(NodeProcess):
             self.probe_lookups += 1
             rows = row_index.get(())
             if rows:
-                suffixes = [suffix_get(row_env) for row_env in rows]
-                next_merged = [
-                    env + suffix for env in fresh_list for suffix in suffixes
-                ]
+                if next_stage.env_is_row:
+                    next_merged = rows  # the one fresh environment is ()
+                else:
+                    suffix_get = next_stage.suffix_get
+                    suffixes = [suffix_get(row_env) for row_env in rows]
+                    next_merged = [
+                        env + suffix for env in fresh_list for suffix in suffixes
+                    ]
         else:
             keys = cb.keys(next_stage.prev_key_positions)
-            row_get = row_index.get
-            # Suffixes gathered once per probed key, not once per output pair.
-            suffix_memo: dict = {}
-            append = next_merged.append
             for env, key in zip(fresh_list, keys):
                 bucket = env_index.get(key)
                 if bucket is None:
                     env_index[key] = [env]
                 else:
                     bucket.append(env)
-                rows = row_get(key)
-                if rows:
-                    suffixes = suffix_memo.get(key)
-                    if suffixes is None:
-                        suffix_memo[key] = suffixes = [
-                            suffix_get(row_env) for row_env in rows
-                        ]
-                    for suffix in suffixes:
-                        append(env + suffix)
+            row_get = row_index.get
+            if next_stage.env_is_row:
+                # The key is the whole environment: every sub-environment
+                # under it is already the merged environment.
+                for key in keys:
+                    rows = row_get(key)
+                    if rows:
+                        next_merged.extend(rows)
+            else:
+                # Suffixes gathered once per probed key, not once per output pair.
+                suffix_get = next_stage.suffix_get
+                suffix_memo: dict = {}
+                append = next_merged.append
+                for env, key in zip(fresh_list, keys):
+                    rows = row_get(key)
+                    if rows:
+                        suffixes = suffix_memo.get(key)
+                        if suffixes is None:
+                            suffix_memo[key] = suffixes = [
+                                suffix_get(row_env) for row_env in rows
+                            ]
+                        for suffix in suffixes:
+                            append(env + suffix)
             distinct = len(set(keys))
             self.batch_distinct_keys += distinct
             self.probe_lookups += distinct
         if next_merged:
             self._add_envs(stage_number + 1, next_merged, network)
-
-    def _request_next(self, stage_number: int, env: tuple, network: "Scheduler") -> None:
-        """Issue the tuple request env implies for the stage's subgoal."""
-        stage = self.stages[stage_number - 1]
-        if not stage.d_var_sources:
-            return  # the subgoal is served by its relation request alone
-        binding = tuple(
-            payload if kind == "const" else env[payload]  # type: ignore[index]
-            for kind, payload in stage.d_var_sources
-        )
-        self.send_tuple_request(self.child_ids[stage.subgoal_index], binding, network)
 
     # ------------------------------------------------------------------
     def _emit_heads(self, envs, network: "Scheduler") -> None:
@@ -1474,11 +1433,11 @@ class RuleNodeProcess(NodeProcess):
 
         Rebuilt from the recorded final environment alone.  The cumulative
         schema keeps each stage's environment as an identity prefix of the
-        final one, and a child row is determined by its sub-environment
-        (constants and repeated variables were checked on the way in), so
-        every stage's child row is a projection of the final environment.
-        Returns ``None`` when no derivation was recorded (provenance off or
-        foreign row); an empty list for bodiless rules.
+        final one, and a child row holds only variables (repeats were
+        checked on the way in), so every stage's child row is a projection
+        of the final environment.  Returns ``None`` when no derivation was
+        recorded (provenance off or foreign row); an empty list for
+        bodiless rules.
         """
         env = self._head_env.get(head_row)
         if env is None:
@@ -1486,11 +1445,7 @@ class RuleNodeProcess(NodeProcess):
         out: list[tuple[int, tuple]] = []
         for stage in self.stages:
             position = {v: i for i, v in enumerate(stage.env_vars)}
-            atom = stage.adorned.atom
-            row = tuple(
-                term.value if isinstance(term, Constant) else env[position[term]]
-                for term in (atom.args[p] for p in stage.shape.non_e)
-            )
+            row = tuple(env[position[var]] for var in stage.row_vars)
             out.append((stage.subgoal_index, row))
         out.sort(key=lambda pair: pair[0])
         return out

@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from ..core.adornment import AdornedAtom, EXISTENTIAL
-from ..core.terms import Constant
+from ..core.adornment import AdornedAtom, CONSTANT, EXISTENTIAL
 
 if TYPE_CHECKING:
     from .engine import MessagePassingEngine
@@ -78,16 +77,18 @@ class Derivation:
 
 
 def _display_atom(adorned: AdornedAtom, row: tuple) -> str:
-    """Render an atom instance from a non-"e"-positions row.
+    """Render an atom instance from a stream row ("d"/"f" values).
 
-    Existential positions (whose values were never transmitted) display as
-    ``_``.
+    Constant positions display the adorned atom's constant; existential
+    positions (whose values were never transmitted) display as ``_``.
     """
     values = iter(row)
     parts = []
     for letter, term in zip(adorned.adornment, adorned.atom.args):
         if letter == EXISTENTIAL:
             parts.append("_")
+        elif letter == CONSTANT:
+            parts.append(str(term))
         else:
             parts.append(str(next(values)))
     return f"{adorned.predicate}({', '.join(parts)})"

@@ -208,23 +208,25 @@ class TestHandshake:
             fs.close()
 
     def test_version_mismatch_is_rejected_with_reason(self, manager):
-        fs = dial(manager)
-        try:
-            payload = json.dumps({"role": "worker", "name": "w"}).encode()
-            fs.send_frame(
-                FrameType.HELLO, payload, version=PROTOCOL_VERSION + 1
-            )
-            reject = fs.recv_frame(timeout=10.0)
-            assert reject.ftype == FrameType.REJECT
-            reason = reject.json()["reason"]
-            assert "version mismatch" in reason
-            assert str(PROTOCOL_VERSION) in reason
-            assert str(PROTOCOL_VERSION + 1) in reason
-            # The manager hangs up after a REJECT: EOF, not a stall.
-            with pytest.raises(FrameError, match="closed by peer"):
-                fs.recv_frame(timeout=10.0)
-        finally:
-            fs.close()
+        # Newer and older peers alike.  An older worker matters most: its
+        # BATCH rows would still carry "c" columns, so it must be refused
+        # before it joins anything.
+        for peer_version in (PROTOCOL_VERSION + 1, PROTOCOL_VERSION - 1):
+            fs = dial(manager)
+            try:
+                payload = json.dumps({"role": "worker", "name": "w"}).encode()
+                fs.send_frame(FrameType.HELLO, payload, version=peer_version)
+                reject = fs.recv_frame(timeout=10.0)
+                assert reject.ftype == FrameType.REJECT
+                reason = reject.json()["reason"]
+                assert "version mismatch" in reason
+                assert str(PROTOCOL_VERSION) in reason
+                assert str(peer_version) in reason
+                # The manager hangs up after a REJECT: EOF, not a stall.
+                with pytest.raises(FrameError, match="closed by peer"):
+                    fs.recv_frame(timeout=10.0)
+            finally:
+                fs.close()
 
     def test_non_hello_first_frame_is_rejected(self, manager):
         fs = dial(manager)

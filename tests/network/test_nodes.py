@@ -4,8 +4,10 @@ import pytest
 
 from repro.core.adornment import AdornedAtom
 from repro.core.atoms import atom
+from repro.core.parser import parse_program
 from repro.core.terms import Variable
 from repro.network.messages import (
+    ColumnBatch,
     RelationRequest,
     TupleMessage,
     TupleRequest,
@@ -17,6 +19,8 @@ from repro.network.nodes import (
     CyclicNodeProcess,
     EdbLeafProcess,
     FeederStream,
+    GoalNodeProcess,
+    RuleNodeProcess,
     _RowShape,
 )
 from repro.network.scheduler import Scheduler
@@ -59,17 +63,19 @@ class TestStreams:
 
 class TestRowShape:
     def test_non_e_positions(self):
+        # Rows carry "d"/"f" values only: the "c" constant is fixed by the
+        # graph and the "e" value is never sent.
         a = AdornedAtom(atom("p", "k", X, Y, Z), ("c", "d", "e", "f"))
         shape = _RowShape(a)
-        assert shape.non_e == (0, 1, 3)
+        assert shape.row_positions == (1, 3)
         assert shape.d_positions == (1,)
-        # Row ("k", x, z): the d value sits at row index 1.
-        assert shape.binding_of(("k", 5, 9)) == (5,)
+        # Row (x, z): the d value sits at row index 0.
+        assert shape.binding_of((5, 9)) == (5,)
 
     def test_all_free(self):
         a = AdornedAtom(atom("p", X, Y), ("f", "f"))
         shape = _RowShape(a)
-        assert shape.non_e == (0, 1)
+        assert shape.row_positions == (0, 1)
         assert shape.binding_of((1, 2)) == ()
 
 
@@ -118,7 +124,8 @@ class TestEdbLeaf:
         leaf, sink, scheduler = leaf_fixture(adorned, [("a", 1), ("b", 2), ("a", 3)])
         scheduler.send(RelationRequest(99, 1, adorned.adornment))
         scheduler.run()
-        assert sorted(sink.rows) == [("a", 1), ("a", 3)]
+        # Selected on the constant, which then leaves the row.
+        assert sorted(sink.rows) == [(1,), (3,)]
 
     def test_tuple_request_semijoin(self):
         adorned = AdornedAtom(atom("e", X, Y), ("d", "f"))
@@ -168,7 +175,62 @@ class TestEdbLeaf:
         scheduler.register(sink)
         scheduler.send(RelationRequest(99, 1, adorned.adornment))
         scheduler.run()
-        assert sink.rows == [("a", 1)]
+        assert sink.rows == [(1,)]
+
+
+class TestKernelLayout:
+    """The row and environment layout is fixed when the graph is built:
+    rows carry "d"/"f" values only, and an environment whose layout equals
+    its row's is that row object, not a copy."""
+
+    def run_left_recursive_tc(self):
+        program = parse_program(
+            """
+            goal(Z) <- t(a, Z).
+            t(X, Y) <- e(X, Y).
+            t(X, Y) <- t(X, U), e(U, Y).
+            e(a, b).  e(b, c).  e(c, a).  e(c, d).
+            """
+        )
+        engine = MessagePassingEngine(program)
+        result = engine.run()
+        assert result.answers == {("a",), ("b",), ("c",), ("d",)}
+        return engine
+
+    def test_constants_compiled_out_and_envs_are_rows(self):
+        engine = self.run_left_recursive_tc()
+        rule_nodes = [
+            p for p in engine.processes.values() if isinstance(p, RuleNodeProcess)
+        ]
+        assert len(rule_nodes) == 3
+        for node in rule_nodes:
+            assert [stage.row_perm for stage in node.stages] == ["id"] * len(node.stages)
+            final = node.stages[-1]
+            assert final.envs
+            received = {row: row for row in final.rows}
+            assert all(received[env] is env for env in final.envs)
+
+        def width(adorned):
+            return sum(letter in "df" for letter in adorned.adornment)
+
+        for process in engine.processes.values():
+            if isinstance(process, GoalNodeProcess):
+                rows = process.answers
+            elif isinstance(process, CyclicNodeProcess):
+                rows = process.rows
+            elif isinstance(process, RuleNodeProcess):
+                for stage in process.stages:
+                    assert all(len(r) <= width(stage.adorned) for r in stage.rows)
+                continue
+            else:
+                continue
+            assert all(len(row) <= width(process.adorned) for row in rows)
+
+    def test_identity_gather_copies_nothing(self):
+        rows = [(1, "x"), (2, "y")]
+        batch = ColumnBatch(rows)
+        assert all(out is row for out, row in zip(batch.project(range(2)), rows))
+        assert batch.project((1, 0)) == [("x", 1), ("y", 2)]
 
 
 def cyclic_nodes(engine):

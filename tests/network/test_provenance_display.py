@@ -21,8 +21,9 @@ class TestDisplayAtom:
         assert _display_atom(adorned, ("a", 7)) == "p(a, _, 7)"
 
     def test_constant_positions(self):
+        # The row omits the constant column; the adorned atom supplies it.
         adorned = AdornedAtom(atom("p", "k", Y), ("c", "f"))
-        assert _display_atom(adorned, ("k", 9)) == "p(k, 9)"
+        assert _display_atom(adorned, (9,)) == "p(k, 9)"
 
     def test_zero_arity(self):
         adorned = AdornedAtom(atom("flag"), ())

@@ -94,9 +94,8 @@ class TestStagePlans:
         node, *_ = build_rule_node(
             "p(X, Z) <- a(X, Y), b(Y, Z).", ("d", "f")
         )
-        # b's first argument Y is class d, fed from the stage-1 env.
-        kinds = [k for k, _ in node.stages[1].d_var_sources]
-        assert kinds == ["env"]
+        # b's first argument Y is class d, fed from the stage-1 env (X, Y).
+        assert node.stages[1].d_env_positions == (1,)
 
     def test_constant_subgoal_position_excluded_from_requests(self):
         # A constant argument is class "c", not "d": it is filtered at the
@@ -106,8 +105,7 @@ class TestStagePlans:
         )
         b_stage = next(s for s in node.stages if s.subgoal_index == 1)
         assert b_stage.adorned.adornment[0] == "c"
-        assert all(kind == "env" for kind, _ in b_stage.d_var_sources)
-        assert len(b_stage.d_var_sources) == 1  # just Y
+        assert b_stage.d_env_positions == (1,)  # just Y, from env (X, Y)
 
 
 class TestPipelineFlow:

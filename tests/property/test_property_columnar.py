@@ -5,9 +5,12 @@ with the semi-naive baseline (:mod:`repro.baselines.seminaive`), which
 shares no code with the message-passing kernels — the kernels and the
 planner both claim to change *how* a fixpoint is computed, never *what*
 it is.  Covers linear, non-linear, and cyclic (same-generation) recursion
-shapes, plus delta refresh: a materialized network absorbing random write
+shapes; constants in rule bodies, in rule heads and at every query
+position, which never travel in rows; repeated variables in bodies and
+queries; plus delta refresh: a materialized network absorbing random write
 batches must track the semi-naive fixpoint of the grown base at every
-round.
+round.  One answer per case is also proved by the string-only derivation
+checker of ``tests/network/test_provenance.py``.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -15,6 +18,28 @@ from hypothesis import strategies as st
 
 from repro.baselines import seminaive
 from repro.session import Session
+
+from tests.network.test_provenance import check_derivation
+
+CONSTANTS = (
+    "p(X) <- e(0, X).\n"
+    "p(X) <- p(U), e(U, X).\n"
+    "m(X, Y) <- f(X, k, Y).\n"
+    "m(X, Y) <- m(X, U), f(U, k, Y).\n"
+    "h(X, 6) <- e(X, 6).\n"
+    "h(0, Y) <- m(3, Y).\n"
+    "h(X, Y) <- h(X, U), e(U, Y).\n"
+    "w(X, K, Y) <- f(X, K, Y).\n"
+    "w(X, K, Y) <- f(X, K, U), w(U, K, Y)."
+)
+
+REPEATS = (
+    "q(X) <- e(X, X).\n"
+    "q(X) <- e(X, Y), q(Y).\n"
+    "r(X, Y) <- e(X, Y).\n"
+    "r(X, Y) <- r(X, U), r(U, Y).\n"
+    "loop(X) <- r(X, X)."
+)
 
 SHAPES = {
     "linear": (
@@ -34,6 +59,17 @@ SHAPES = {
         "sg(X, Y) <- e(X, U), sg(U, V), e(Y, V).",
         "sg(0, Z)",
     ),
+    "body-const": (CONSTANTS, "p(Z)"),
+    "body-const-first": (CONSTANTS, "m(0, Z)"),
+    "body-const-last": (CONSTANTS, "m(Z, 0)"),
+    "head-const-first": (CONSTANTS, "h(0, Z)"),
+    "head-const-last": (CONSTANTS, "h(Z, 6)"),
+    "ternary-first": (CONSTANTS, "w(0, K, Z)"),
+    "ternary-middle": (CONSTANTS, "w(Z, k, W)"),
+    "ternary-last": (CONSTANTS, "w(Z, W, 0)"),
+    "repeated-body": (REPEATS, "q(Z)"),
+    "repeated-derived": (REPEATS, "loop(Z)"),
+    "repeated-query": (REPEATS, "r(Z, Z)"),
 }
 
 edge = st.tuples(st.integers(0, 6), st.integers(0, 6))
@@ -47,7 +83,11 @@ COMMON = dict(
 
 
 def facts_text(batch):
-    return " ".join(f"e({a}, {b})." for a, b in batch)
+    """``e(a, b)`` per edge, plus a ternary ``f`` whose middle constant
+    (``k`` or ``j`` by parity) gives body constants something to select."""
+    return " ".join(
+        f"e({a}, {b}). f({a}, {'kj'[(a + b) % 2]}, {b})." for a, b in batch
+    )
 
 
 def source(shape, batch):
@@ -70,6 +110,17 @@ class TestColumnarPlannerDifferential:
             assert session.query(query) == baseline(session, query), (
                 f"{shape}: planner={planner} diverged"
             )
+
+    @settings(**COMMON)
+    @given(shape=st.sampled_from(sorted(SHAPES)), initial=edges)
+    def test_one_answer_per_case_has_a_sound_derivation(self, shape, initial):
+        _, query = SHAPES[shape]
+        session = Session(source(shape, initial), provenance=True)
+        answers = session.query(query)
+        assert answers == baseline(session, query)
+        if answers:
+            derivation = session.explain(min(answers, key=repr))
+            check_derivation(derivation, session.program_for(query))
 
     @settings(**COMMON)
     @given(

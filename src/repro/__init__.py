@@ -23,7 +23,7 @@ Layers
 * :mod:`repro.relational` — relations, algebra, the EDB, Yannakakis joins;
 * :mod:`repro.network` — messages, node processes, scheduler, the Fig-2
   distributed termination protocol, and the evaluation engine;
-* :mod:`repro.runtime` — the asyncio concurrent runtime;
+* :mod:`repro.runtime` — the multiprocess runtimes (per-node, pooled);
 * :mod:`repro.baselines` — naive, semi-naive, brute-force, tabled top-down;
 * :mod:`repro.workloads` — the paper's example programs and EDB generators.
 """
@@ -49,7 +49,6 @@ from .core import (
 )
 from .cache import CacheStats, GraphCache
 from .network import MessagePassingEngine, QueryResult, evaluate
-from .runtime import evaluate_async
 from .session import Session
 
 __version__ = "1.0.0"
@@ -63,6 +62,6 @@ __all__ = [
     "greedy_sip", "left_to_right_sip", "all_free_sip",
     "build_rule_goal_graph", "has_monotone_flow", "rule_qual_tree", "qual_tree_sip",
     # engines
-    "evaluate", "evaluate_async", "MessagePassingEngine", "QueryResult",
+    "evaluate", "MessagePassingEngine", "QueryResult",
     "Session", "GraphCache", "CacheStats",
 ]

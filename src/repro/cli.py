@@ -80,17 +80,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             planner=args.planner,
         )
         answers = result.answers
-    elif args.runtime == "asyncio":
-        from .runtime import evaluate_async
-
-        result = evaluate_async(
-            program,
-            sip_factory=_SIPS[args.sip],
-            coalesce=args.coalesce,
-            package_requests=args.package,
-            planner=args.planner,
-        )
-        answers = result.answers
     elif args.runtime == "cluster":
         from .cluster import evaluate_cluster
 
@@ -579,10 +568,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--stats", action="store_true", help="print run statistics to stderr")
     run_p.add_argument(
         "--runtime",
-        choices=["simulator", "asyncio", "mp", "pool", "cluster"],
+        choices=["simulator", "mp", "pool", "cluster"],
         default="simulator",
-        help="execution substrate: deterministic simulator (default), asyncio "
-        "tasks, one OS process per node (mp), pooled shard workers with "
+        help="execution substrate: deterministic simulator (default), "
+        "one OS process per node (mp), pooled shard workers with "
         "batched channels (pool), or remote shard workers behind a TCP "
         "cluster manager (cluster)",
     )

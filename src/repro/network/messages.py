@@ -38,9 +38,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
-
-from .._numpy import np
+from typing import Iterable, Sequence
 
 __all__ = [
     "Message",
@@ -144,76 +142,28 @@ class TupleSet(Message):
         return len(self.rows)
 
 
-def _as_column(values: tuple):
-    """One column of a batch: a numpy array when it is lossless, else a tuple.
-
-    Only all-``int`` columns are promoted (``np.int64``) — any laxer rule is
-    lossy: ``asarray([1, "a"])`` stringifies the int, ``fromiter`` with an
-    int dtype silently truncates floats.  ``tolist()`` on an int64 array
-    round-trips exactly, so hashing/equality of gathered rows is unchanged.
-    """
-    if np is not None and values and all(type(v) is int for v in values):
-        return np.fromiter(values, dtype=np.int64, count=len(values))
-    return values
-
-
 class ColumnBatch:
-    """A TupleSet batch in columnar form: per-column arrays plus hash indexes.
+    """A batch of stage rows with the two gathers the join kernels need.
 
     A row-at-a-time join touches every row with several python-level
-    operations (convert, key-project, probe).  This representation transposes
-    the batch **once** — ``zip(*rows)`` runs at C speed — and then serves the
-    kernels whole columns: gathers re-zip only the selected columns, join keys
-    for a single shared variable are the bare column (no per-row 1-tuple
-    allocation), and the per-key hash index is built exactly once per batch.
-    Int columns are stored as numpy arrays when the ``fast`` extra is
-    installed (``arr.tolist()`` unboxes them back at C speed); every other
-    column stays a plain tuple with identical semantics — see
-    ``repro._numpy`` for the one import guard.
+    operations (convert, key-project, probe).  This wrapper serves the
+    kernels whole batches instead: join keys and merge suffixes are each
+    one C-level ``map(itemgetter)`` pass, join keys for a single shared
+    variable are the bare value (no per-row 1-tuple allocation), and a
+    gather of every position in order is the batch's own rows.
 
     Instances are node-local kernel state, not messages: the wire format
     stays :class:`TupleSet`, so transports, accounting, and the termination
     protocol are untouched.
     """
 
-    __slots__ = ("rows", "_columns", "_lists")
+    __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[tuple]) -> None:
         self.rows: list[tuple] = rows if isinstance(rows, list) else list(rows)
-        self._columns: Optional[tuple] = None
-        self._lists: Optional[list] = None  # per-position list cache
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    @property
-    def columns(self) -> tuple:
-        """The transposed batch (one C-level ``zip``, built lazily, once).
-
-        Columns stay plain tuples here: the kernels immediately re-zip them
-        into gathered rows, so eagerly boxing into arrays would cost more
-        than it saves.  :meth:`array` promotes a single column on demand for
-        the operations that do vectorize (``distinct_keys``).
-        """
-        if self._columns is None:
-            self._columns = tuple(zip(*self.rows)) if self.rows else ()
-        return self._columns
-
-    def column(self, position: int) -> Sequence:
-        """One column (a tuple; cheap positional access for the kernels)."""
-        return self.columns[position]
-
-    def array(self, position: int):
-        """One column promoted via ``_as_column`` (numpy int64 array when the
-        ``fast`` extra is installed and the column is all-int, else the plain
-        tuple).  Cached per position."""
-        if self._lists is None:
-            self._lists = [None] * len(self.columns)
-        cached = self._lists[position]
-        if cached is None:
-            cached = _as_column(list(self.columns[position]))
-            self._lists[position] = cached
-        return cached
 
     def _is_identity(self, positions: Sequence[int]) -> bool:
         """True when ``positions`` are every position of the rows, in order."""
@@ -223,16 +173,12 @@ class ColumnBatch:
     def keys(self, positions: Sequence[int]) -> Sequence:
         """The join key of every row: bare values for a single position,
         tuples otherwise (key arity, not representation, is what both sides
-        of a columnar join agree on).  Gathers are one C-level pass — a
-        cached column when the transpose already exists, ``map(itemgetter)``
-        otherwise (building all columns to read one is the slow direction).
-        A multi-position key over the whole row is the row itself.
+        of a columnar join agree on).  A multi-position key over the whole
+        row is the row itself.
         """
         if not self.rows:
             return []
         if len(positions) == 1:
-            if self._columns is not None:
-                return self._columns[positions[0]]
             return list(map(operator.itemgetter(positions[0]), self.rows))
         if not positions:  # every row keys to the nullary tuple
             return [()] * len(self.rows)
@@ -255,27 +201,6 @@ class ColumnBatch:
         if len(positions) == 1:
             return list(zip(self.keys(positions)))  # re-box as 1-tuples
         return list(map(operator.itemgetter(*positions), self.rows))
-
-    def group(self, positions: Sequence[int]) -> dict:
-        """The batch's hash index: join key -> list of full rows, built once."""
-        index: dict = {}
-        for key, row in zip(self.keys(positions), self.rows):
-            bucket = index.get(key)
-            if bucket is None:
-                index[key] = [row]
-            else:
-                bucket.append(row)
-        return index
-
-    def distinct_keys(self, positions: Sequence[int]) -> int:
-        """How many distinct join keys the batch carries (kernel statistic)."""
-        if not self.rows:
-            return 0
-        if len(positions) == 1:
-            col = self.array(positions[0])
-            if np is not None and isinstance(col, np.ndarray):
-                return int(np.unique(col).size)
-        return len(set(self.keys(positions)))
 
 
 @dataclass(frozen=True, slots=True)

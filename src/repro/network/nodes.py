@@ -220,10 +220,16 @@ class NodeProcess:
                 self.on_tuple_request(message, network)
             elif isinstance(message, PackagedTupleRequest):
                 self.on_packaged_request(message, network)
-            elif isinstance(message, TupleMessage):
-                self.on_tuple(message, network)
             elif isinstance(message, TupleSet):
                 self.on_tuple_set(message, network)
+            elif isinstance(message, TupleMessage):
+                # A lone row is a one-row set: every node has one row handler.
+                self.on_tuple_set(
+                    TupleSet(
+                        message.sender, message.receiver, frozenset((message.row,))
+                    ),
+                    network,
+                )
             else:
                 self.on_end(message, network)
         elif isinstance(message, EndRequest):
@@ -386,13 +392,6 @@ class NodeProcess:
             for row in fresh:
                 network.send(TupleMessage(self.node_id, consumer_id, row))
 
-    def _send_row(self, stream: ConsumerStream, row: tuple, network: "Scheduler") -> None:
-        """:meth:`send_rows` for one row (a delivered :class:`TupleMessage`)."""
-        if row in stream.sent_rows:
-            return
-        stream.sent_rows.add(row)
-        network.send(TupleMessage(self.node_id, stream.consumer_id, row))
-
     def _fan_out(
         self, fresh, buckets: Optional[dict], network: "Scheduler"
     ) -> None:
@@ -465,15 +464,12 @@ class NodeProcess:
         """Serve one "d" binding for a consumer stream (node-specific)."""
         raise NotImplementedError
 
-    def on_tuple(self, message: TupleMessage, network: "Scheduler") -> None:
-        """Consume one answer tuple from a producer (node-specific)."""
-        raise NotImplementedError
-
     def on_tuple_set(self, message: TupleSet, network: "Scheduler") -> None:
-        """Consume a packaged set of answer rows from one producer.
+        """Consume a set of answer rows from one producer.
 
         Semantically a :class:`TupleSet` *is* ``len(rows)`` tuple messages
         delivered back to back; every consuming node joins it as one batch.
+        A delivered :class:`TupleMessage` arrives here as a one-row set.
         """
         raise NotImplementedError
 
@@ -613,31 +609,15 @@ class GoalNodeProcess(NodeProcess):
                 self.send_tuple_request(child_id, binding, network)
 
     # -- consumer side ---------------------------------------------------
-    def on_tuple(self, message: TupleMessage, network: "Scheduler") -> None:
-        row = message.row
+    def on_tuple_set(self, message: TupleSet, network: "Scheduler") -> None:
+        """Set-at-a-time union: one set difference, one bucketed fan-out.
+
+        The set difference is the duplicate deletion that lets loops
+        terminate.
+        """
         if self.trivial_relay:
             # One producer, one consumer: the producer already deduplicated
             # and every row answers a binding this consumer asked for.
-            if self.record_provenance:
-                self.row_sources.setdefault(row, message.sender)
-            (stream,) = self.consumers.values()
-            self._send_row(stream, row, network)
-            return
-        if row in self.answers:
-            return  # duplicate deletion — this is what lets loops terminate
-        self.answers.add(row)
-        self.tuples_stored += 1
-        if self.record_provenance:
-            self.row_sources[row] = message.sender
-        binding = self.shape.binding_of(row)
-        self.answers_by_binding.setdefault(binding, []).append(row)
-        for stream in self.consumers.values():
-            if stream.wants_all or binding in stream.requested:
-                self._send_row(stream, row, network)
-
-    def on_tuple_set(self, message: TupleSet, network: "Scheduler") -> None:
-        """Set-at-a-time union: one set difference, one bucketed fan-out."""
-        if self.trivial_relay:
             if self.record_provenance:
                 for row in message.rows:
                     self.row_sources.setdefault(row, message.sender)
@@ -707,19 +687,6 @@ class CyclicNodeProcess(NodeProcess):
                 rows = self.rows
             self.send_rows(stream, rows, network)
         self.send_tuple_request(self.ancestor_id, binding, network)
-
-    def on_tuple(self, message: TupleMessage, network: "Scheduler") -> None:
-        row = message.row
-        if row in self.rows:
-            return
-        self.rows.add(row)
-        self.tuples_stored += 1
-        binding = self.shape.binding_of(row)
-        if self.shape.d_in_row:
-            self.rows_by_binding.setdefault(binding, []).append(row)
-        for stream in self.consumers.values():
-            if stream.wants_all or binding in stream.requested:
-                self._send_row(stream, row, network)
 
     def on_tuple_set(self, message: TupleSet, network: "Scheduler") -> None:
         """Relay a whole set: dedup once, then filter per consumer stream."""
@@ -902,9 +869,6 @@ class EdbLeafProcess(NodeProcess):
             d_get = operator.itemgetter(*d_pos)
             matching = [row for row in relation.rows if d_get(row) in wanted]
         self._emit(stream, matching, network)
-
-    def on_tuple(self, message: TupleMessage, network: "Scheduler") -> None:  # pragma: no cover
-        raise AssertionError("EDB leaves have no producers")
 
 
 class _Stage:
@@ -1161,17 +1125,13 @@ class RuleNodeProcess(NodeProcess):
         """Back-compat alias for :attr:`probe_lookups` (pre-PR-8 name)."""
         return self.probe_lookups
 
-    def on_tuple(self, message: TupleMessage, network: "Scheduler") -> None:
-        for stage_number in self.child_stage[message.sender]:
-            self._tuples_into_stage(stage_number, (message.row,), network)
-
     def on_tuple_set(self, message: TupleSet, network: "Scheduler") -> None:
         """Bulk stage kernel entry: join a whole set of child rows at once."""
         for stage_number in self.child_stage[message.sender]:
             self._tuples_into_stage(stage_number, message.rows, network)
 
     def _tuples_into_stage(
-        self, stage_number: int, rows, network: "Scheduler"
+        self, stage_number: int, rows: frozenset, network: "Scheduler"
     ) -> None:
         """Stage kernel: whole-batch dedup, index, probe.
 
@@ -1186,9 +1146,8 @@ class RuleNodeProcess(NodeProcess):
         """
         stage = self.stages[stage_number - 1]
         self.batch_rows_in += len(rows)
-        if stage.row_perm == "id":
-            batch = rows if isinstance(rows, (set, frozenset)) else set(rows)
-        else:
+        batch = rows
+        if stage.row_perm != "id":
             batch = set()
             for row in rows:
                 env = self._row_to_subenv(stage, row)
@@ -1477,14 +1436,6 @@ class DriverProcess(NodeProcess):
 
     def on_tuple_request(self, message: TupleRequest, network: "Scheduler") -> None:  # pragma: no cover
         raise AssertionError("the driver receives no requests")
-
-    def on_tuple(self, message: TupleMessage, network: "Scheduler") -> None:
-        if message.row not in self.answers:
-            self.answers.add(message.row)
-            if self.fresh is not None:
-                self.fresh.add(message.row)
-            if self.on_answer is not None:
-                self.on_answer(message.row)
 
     def on_tuple_set(self, message: TupleSet, network: "Scheduler") -> None:
         """Collect a packaged answer set (streaming hook still fires per row)."""

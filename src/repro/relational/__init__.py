@@ -10,13 +10,11 @@ from .algebra import (
 )
 from .database import Database, columns_for
 from .relation import Relation, Row
-from .sqlite_backend import SqliteDatabase
 
 __all__ = [
     "Relation",
     "Row",
     "Database",
-    "SqliteDatabase",
     "columns_for",
     "WorkMeter",
     "natural_join",

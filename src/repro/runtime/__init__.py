@@ -1,4 +1,4 @@
-"""Concurrent runtimes for the message network (asyncio, multiprocessing, pool).
+"""Concurrent runtimes for the message network (multiprocessing, pool).
 
 The multiprocess runtimes are *supervised*: see :mod:`repro.runtime
 .supervision` for crash/stall detection, deterministic retry, and graceful
@@ -6,7 +6,6 @@ degradation, and :mod:`repro.runtime.faults` for the deterministic fault
 injection the chaos suite drives them with.
 """
 
-from .asyncio_engine import AsyncNetwork, AsyncQueryResult, evaluate_async, run_async
 from .faults import (
     FaultInjectedError,
     FaultInjector,
@@ -30,7 +29,6 @@ from .supervision import (
 )
 
 __all__ = [
-    "AsyncNetwork", "AsyncQueryResult", "evaluate_async", "run_async",
     "MpNetwork", "MpQueryResult", "evaluate_multiprocessing",
     "PoolQueryResult", "ShardRouter", "evaluate_pool",
     "FaultPlan", "FaultInjector", "FaultInjectedError",

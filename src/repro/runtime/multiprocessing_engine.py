@@ -8,8 +8,8 @@ address space; the only interaction is message passing over OS pipes
 features, such as scheduling, message queueing, and multi-tasking" the
 paper appeals to.
 
-The node logic is byte-for-byte the same as in the deterministic simulator
-and the asyncio runtime.  Each worker process loops on its queue; the driver
+The node logic is byte-for-byte the same as in the deterministic simulator.
+Each worker process loops on its queue; the driver
 worker ships the final answer set back over a result pipe when the
 distributed termination machinery delivers its end message — the parent
 process has no other way to know the computation finished.

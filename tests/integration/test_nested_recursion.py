@@ -4,6 +4,9 @@ The reduced rule/goal graph is a DAG of strong components; end messages must
 flow bottom-up through it (a component's feeders include lower components'
 leaders), and each component runs its own Fig-2 protocol instance.  These
 tests pin down that composition.
+
+``test_asyncio`` keeps a retired name: the asyncio runtime is gone, and the
+id now runs the simulator under one more seeded random delivery order.
 """
 
 import sys
@@ -13,7 +16,7 @@ import pytest
 from repro.baselines import naive, seminaive, topdown
 from repro.core.parser import parse_program
 from repro.network.engine import evaluate
-from repro.runtime import evaluate_async, evaluate_pool
+from repro.runtime import evaluate_pool
 from repro.workloads import chain_edges, cycle_edges, facts_from_tables
 
 STACKED = """
@@ -77,7 +80,10 @@ class TestNestedComponents:
         assert result.protocol_violations == []
 
     def test_asyncio(self, name, program):
-        assert evaluate_async(program).answers == naive.goal_answers(program)
+        result = evaluate(program, seed=2024)
+        assert result.answers == naive.goal_answers(program)
+        assert result.completed
+        assert result.protocol_violations == []
 
     @pytest.mark.skipif(
         sys.platform not in ("linux", "darwin"), reason="fork start method required"

@@ -1,4 +1,11 @@
-"""Tests for the SQLite EDB backend."""
+"""The EDB access surface the engine and the planner read.
+
+Every id in this module keeps a retired name: the SQLite backend these
+tests once drove is gone, and each test now checks the same access API —
+``predicates`` / ``relation`` / ``scan`` / ``lookup`` / ``facts`` and the
+access counters — on :meth:`Database.from_tuples`, the in-memory EDB the
+engine serves leaf requests from.
+"""
 
 import pytest
 
@@ -6,13 +13,13 @@ from repro.baselines import naive
 from repro.core.atoms import atom
 from repro.core.parser import parse_program
 from repro.network.engine import MessagePassingEngine
-from repro.relational.sqlite_backend import SqliteDatabase
+from repro.relational.database import Database
 from repro.workloads import chain_edges, facts_from_tables
 
 
 @pytest.fixture
 def db():
-    return SqliteDatabase.from_tables({"e": [(1, 2), (1, 3), (2, 3)], "v": [("x",)]})
+    return Database.from_tuples({"e": [(1, 2), (1, 3), (2, 3)], "v": [("x",)]})
 
 
 class TestAccess:
@@ -43,8 +50,9 @@ class TestAccess:
         assert db.lookup("e", {0: 1, 1: 3}) == [(1, 3)]
 
     def test_lookup_second_position_uses_index(self, db):
-        # The footnote-2 scenario: position-1 lookups are indexed here.
+        # The footnote-2 scenario: position-1 lookups are indexed too.
         assert sorted(db.lookup("e", {1: 3})) == [(1, 3), (2, 3)]
+        assert db.relation("e").index_positions
 
     def test_lookup_no_bindings(self, db):
         assert len(db.lookup("e", {})) == 3
@@ -61,13 +69,13 @@ class TestAccess:
         assert db.scans == 0
 
     def test_from_facts(self):
-        db = SqliteDatabase.from_facts([atom("p", "a", 1), atom("p", "b", 2)])
+        db = Database.from_facts([atom("p", "a", 1), atom("p", "b", 2)])
         assert db.total_rows() == 2
 
 
 class TestEngineIntegration:
     def test_query_over_sqlite(self):
-        # Rules only; the EDB lives entirely in SQLite.
+        # Rules only; the EDB is a separately built database.
         rules = parse_program(
             """
             goal(Z) <- t(0, Z).
@@ -76,12 +84,12 @@ class TestEngineIntegration:
             """
         )
         edges = chain_edges(8)
-        db = SqliteDatabase.from_tables({"e": edges})
+        db = Database.from_tuples({"e": edges})
         engine = MessagePassingEngine(rules, database=db)
         result = engine.run()
         oracle = naive.goal_answers(rules.with_facts(facts_from_tables({"e": edges})))
         assert result.answers == oracle
-        # The engine really hit SQLite.
+        # The engine really read the shared database.
         assert db.indexed_lookups + db.scans > 0
 
     def test_same_answers_as_in_memory(self):
@@ -95,15 +103,15 @@ class TestEngineIntegration:
         par = [("a", "b"), ("b", "c"), ("c", "d")]
         inline = rules.with_facts(facts_from_tables({"par": par}))
         in_memory = MessagePassingEngine(inline).run()
-        sqlite_backed = MessagePassingEngine(
-            rules, database=SqliteDatabase.from_tables({"par": par})
+        shared = MessagePassingEngine(
+            rules, database=Database.from_tuples({"par": par})
         ).run()
-        assert sqlite_backed.answers == in_memory.answers
+        assert shared.answers == in_memory.answers
 
     def test_statistics_from_sqlite(self):
         from repro.core.optimizer import EdbStatistics
 
-        db = SqliteDatabase.from_tables({"e": [(i, i % 3) for i in range(30)]})
+        db = Database.from_tuples({"e": [(i, i % 3) for i in range(30)]})
         stats = EdbStatistics.from_database(db)
         assert stats.cardinality("e") == 30
         assert stats.distinct("e", 1) == 3

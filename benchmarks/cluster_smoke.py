@@ -16,24 +16,30 @@ The acceptance scenario for the multi-host shard runtime, end to end:
    assert the supervised whole-query retry masks the loss: same answers,
    zero caller-visible errors, a crash verdict in the failure log.
 
-Exits non-zero on any failed check.  Usage::
+Each phase prints one JSON record line.  Exits non-zero on any failed
+check.  Usage::
 
     PYTHONPATH=src python benchmarks/cluster_smoke.py
 """
 
 from __future__ import annotations
 
+import json
 import sys
 import threading
 import time
 
-from _support import BENCH_PR10_JSON_PATH, emit_json
 from repro.cluster import ClusterHarness, evaluate_cluster
 from repro.core.rulegoal import build_rule_goal_graph
 from repro.network.engine import evaluate
 from repro.relational.database import Database
 from repro.runtime.faults import FaultPlan
 from repro.workloads import facts_from_tables, left_recursive_tc_program
+
+
+def print_record(record: dict) -> None:
+    """Print one phase's machine-readable record as a JSON line."""
+    print(json.dumps(record, sort_keys=True))
 
 
 def tc_20k_workload():
@@ -96,7 +102,7 @@ def main() -> int:
             failures,
         )
         check(clean.workers == 2, "both workers served the job", failures)
-        emit_json(
+        print_record(
             {
                 "bench": "cluster_smoke",
                 "workload": f"tc-binary-{n_facts}",
@@ -107,7 +113,6 @@ def main() -> int:
                 "wire_bytes": clean.bytes_on_wire,
                 "answers": len(clean.answers),
             },
-            path=BENCH_PR10_JSON_PATH,
         )
 
         # -- Phase 2: the same query again — nothing to ship, all resident.
@@ -134,7 +139,7 @@ def main() -> int:
             "warm answers and logical tuple rows unchanged",
             failures,
         )
-        emit_json(
+        print_record(
             {
                 "bench": "cluster_smoke",
                 "workload": f"tc-binary-{n_facts}",
@@ -145,7 +150,6 @@ def main() -> int:
                 "spec_bytes_warm": warm.spec_bytes_shipped,
                 "logical_tuple_rows": warm.logical_tuple_rows,
             },
-            path=BENCH_PR10_JSON_PATH,
         )
 
         # -- Phase 3: SIGKILL one worker mid-query; retry must mask it.
@@ -190,7 +194,7 @@ def main() -> int:
             failures,
         )
         check(not survived.degraded, "no fallback needed", failures)
-        emit_json(
+        print_record(
             {
                 "bench": "cluster_smoke",
                 "workload": f"tc-binary-{n_facts}",
@@ -200,7 +204,6 @@ def main() -> int:
                 "attempts": survived.attempts,
                 "answers": len(survived.answers),
             },
-            path=BENCH_PR10_JSON_PATH,
         )
 
     if failures:

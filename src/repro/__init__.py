@@ -23,7 +23,7 @@ Layers
 * :mod:`repro.relational` — relations, algebra, the EDB, Yannakakis joins;
 * :mod:`repro.network` — messages, node processes, scheduler, the Fig-2
   distributed termination protocol, and the evaluation engine;
-* :mod:`repro.runtime` — the multiprocess runtimes (per-node, pooled);
+* :mod:`repro.runtime` — the supervised pooled shard runtime;
 * :mod:`repro.baselines` — naive, semi-naive, brute-force, tabled top-down;
 * :mod:`repro.workloads` — the paper's example programs and EDB generators.
 """

@@ -57,7 +57,7 @@ def _load_program(path: str, query: Optional[str], data: Optional[str] = None) -
 
 
 def _retry_policy(args: argparse.Namespace):
-    """The mp/pool retry schedule from the run flags (deterministic default)."""
+    """The pool/cluster retry schedule from the run flags (deterministic default)."""
     from .runtime import RetryPolicy
 
     return RetryPolicy(
@@ -112,20 +112,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             listen=args.cluster_listen,
         )
         answers = result.answers
-    elif args.runtime == "mp":
-        from .runtime import evaluate_multiprocessing
-
-        result = evaluate_multiprocessing(
-            program,
-            sip_factory=_SIPS[args.sip],
-            coalesce=args.coalesce,
-            package_requests=args.package,
-            planner=args.planner,
-            retry=_retry_policy(args),
-            fallback=args.fallback,
-            heartbeat_interval=args.heartbeat_interval,
-        )
-        answers = result.answers
     else:  # pool
         from .runtime import evaluate_pool
 
@@ -144,7 +130,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         answers = result.answers
     for row in sorted(answers, key=repr):
         print(", ".join(str(v) for v in row) if row else "true")
-    if args.runtime in ("mp", "pool", "cluster") and (
+    if args.runtime in ("pool", "cluster") and (
         result.attempts > 1 or result.degraded
     ):
         # Crash summary: printed even without --stats, because a recovered
@@ -176,12 +162,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
         elif args.runtime == "cluster":
             print(result.summary(), file=sys.stderr)
-        elif args.runtime == "mp":
-            print(f"processes: {result.processes}", file=sys.stderr)
-            print(
-                f"attempts: {result.attempts}; degraded: {result.degraded}",
-                file=sys.stderr,
-            )
     return 0
 
 
@@ -568,12 +548,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--stats", action="store_true", help="print run statistics to stderr")
     run_p.add_argument(
         "--runtime",
-        choices=["simulator", "mp", "pool", "cluster"],
+        choices=["simulator", "pool", "cluster"],
         default="simulator",
         help="execution substrate: deterministic simulator (default), "
-        "one OS process per node (mp), pooled shard workers with "
-        "batched channels (pool), or remote shard workers behind a TCP "
-        "cluster manager (cluster)",
+        "pooled shard workers with batched channels (pool), or remote "
+        "shard workers behind a TCP cluster manager (cluster)",
     )
     run_p.add_argument(
         "--workers",
@@ -608,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--retries",
         type=int,
         default=1,
-        help="mp/pool runtimes: total attempts on worker crash or timeout "
+        help="pool/cluster runtimes: total attempts on worker crash or timeout "
         "(whole-query re-execution; safe for monotone programs)",
     )
     run_p.add_argument(
@@ -616,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         metavar="SECONDS",
-        help="mp/pool runtimes: base delay before the second attempt "
+        help="pool/cluster runtimes: base delay before the second attempt "
         "(0 = retry immediately, the deterministic default)",
     )
     run_p.add_argument(
@@ -624,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1.0,
         metavar="FACTOR",
-        help="mp/pool runtimes: multiply the backoff by this per further "
+        help="pool/cluster runtimes: multiply the backoff by this per further "
         "attempt (2.0 = classic exponential backoff)",
     )
     run_p.add_argument(
@@ -632,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         metavar="SECONDS",
-        help="mp/pool runtimes: add up to this much uniform random delay to "
+        help="pool/cluster runtimes: add up to this much uniform random delay to "
         "each backoff (decorrelates retry stampedes; 0 keeps runs "
         "deterministic)",
     )
@@ -640,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fallback",
         choices=["none", "inprocess"],
         default="none",
-        help="mp/pool runtimes: after exhausting retries, answer from the "
+        help="pool/cluster runtimes: after exhausting retries, answer from the "
         "in-process scheduler instead of raising (result is flagged degraded)",
     )
     run_p.add_argument(
@@ -648,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="mp/pool runtimes: arm wedged-worker detection — a worker whose "
+        help="pool/cluster runtimes: arm wedged-worker detection — a worker whose "
         "heartbeat stalls for 2x this interval raises a typed error "
         "(crash detection is always on)",
     )
@@ -738,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--eval-runtime",
-        choices=["simulator", "pool", "mp", "cluster"],
+        choices=["simulator", "pool", "cluster"],
         default="simulator",
         help="substrate each evaluation dispatches to (see Session runtime=)",
     )

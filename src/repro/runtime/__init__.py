@@ -1,9 +1,10 @@
-"""Concurrent runtimes for the message network (multiprocessing, pool).
+"""The pooled shard runtime for the message network.
 
-The multiprocess runtimes are *supervised*: see :mod:`repro.runtime
-.supervision` for crash/stall detection, deterministic retry, and graceful
-degradation, and :mod:`repro.runtime.faults` for the deterministic fault
-injection the chaos suite drives them with.
+The pool (and the cluster, :mod:`repro.cluster`, which reuses its
+supervision) is *supervised*: see :mod:`repro.runtime.supervision` for
+crash/stall detection, deterministic retry, and graceful degradation, and
+:mod:`repro.runtime.faults` for the deterministic fault injection the
+chaos suite drives them with.
 """
 
 from .faults import (
@@ -12,11 +13,6 @@ from .faults import (
     FaultPlan,
     ServiceFaultInjector,
     ServiceFaultPlan,
-)
-from .multiprocessing_engine import (
-    MpNetwork,
-    MpQueryResult,
-    evaluate_multiprocessing,
 )
 from .pool_engine import PoolQueryResult, ShardRouter, evaluate_pool
 from .supervision import (
@@ -29,7 +25,6 @@ from .supervision import (
 )
 
 __all__ = [
-    "MpNetwork", "MpQueryResult", "evaluate_multiprocessing",
     "PoolQueryResult", "ShardRouter", "evaluate_pool",
     "FaultPlan", "FaultInjector", "FaultInjectedError",
     "ServiceFaultPlan", "ServiceFaultInjector",

@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the multiprocess runtimes.
+"""Deterministic fault injection for the pool and cluster runtimes.
 
 The chaos suite's contract with the runtimes: a :class:`FaultPlan` describes
 *one* misbehavior — kill a worker after its n-th delivery, wedge it in a
@@ -14,10 +14,10 @@ Plans are deterministic on purpose: "kill worker 0 after 3 deliveries" is
 reproducible, unlike probabilistic chaos, so a failing matrix entry is a
 debuggable bug report.
 
-Worker indices mean: the shard id in the pooled runtime, the spawn-order
-slot in the per-node runtime.  ``only_attempt`` restricts a plan to one
-attempt of a retried query (the recover-via-retry tests arm attempt 1 only);
-``None`` applies it to every attempt (the graceful-degradation tests).
+Worker indices are shard ids, in the pool and on the cluster's workers
+alike.  ``only_attempt`` restricts a plan to one attempt of a retried
+query (the recover-via-retry tests arm attempt 1 only); ``None`` applies
+it to every attempt (the graceful-degradation tests).
 
 Plans can also come from the environment (``REPRO_FAULTS`` as a JSON object
 of constructor fields), so the CLI and CI can inject faults without code:

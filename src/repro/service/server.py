@@ -21,9 +21,9 @@ graph cache — its work is not wasted for later identical queries).
 ``run_in_executor``, keeping the event loop free for protocol work.
 The SharedSession's ``runtime=`` option decides what each evaluation
 thread actually does: simulate in-process, or drive the supervised
-pool/mp runtimes from PRs 2–4 (in which case real parallelism comes
-from worker processes, and ``EvaluationTimeout``/retry/degradation
-surface through the same typed error path).
+pool/cluster runtimes (in which case real parallelism comes from worker
+processes, and ``EvaluationTimeout``/retry/degradation surface through
+the same typed error path).
 
 **Graceful drain.**  ``shutdown`` (the op, or :meth:`QueryServer.
 shutdown`) stops accepting connections, lets in-flight evaluations

@@ -41,7 +41,7 @@ profitable) to share across threads:
 Evaluation itself dispatches through :meth:`Session.run_query`, which
 never touches the session's ``last_result`` slots, so overlapping
 leaders cannot race; the session's ``runtime=`` option still selects
-the simulator or the supervised pool/mp substrates per evaluation.
+the simulator or the supervised pool/cluster substrates per evaluation.
 """
 
 from __future__ import annotations

@@ -231,10 +231,9 @@ class Session:
         its graph, the pre-cache behavior.
     runtime:
         Which substrate answers queries: ``"simulator"`` (default, the
-        in-process scheduler), ``"pool"`` (supervised shard workers),
-        ``"mp"`` (supervised one-process-per-node), or ``"cluster"``
-        (remote shard workers behind a TCP cluster manager; see
-        :mod:`repro.cluster`).  The non-simulator runtimes reuse the
+        in-process scheduler), ``"pool"`` (supervised shard workers), or
+        ``"cluster"`` (remote shard workers behind a TCP cluster
+        manager; see :mod:`repro.cluster`).  The non-simulator runtimes reuse the
         session's cached graphs — a retry after a worker crash skips
         graph construction — and the shared database (copy-on-write
         under fork; shipped once per database version to the cluster's
@@ -296,10 +295,10 @@ class Session:
         heartbeat_interval: Optional[float] = None,
         timeout: float = 120.0,
     ) -> None:
-        if runtime not in ("simulator", "pool", "mp", "cluster"):
+        if runtime not in ("simulator", "pool", "cluster"):
             raise ValueError(
                 f"unknown session runtime {runtime!r}; "
-                "use 'simulator', 'pool', 'mp', or 'cluster'"
+                "use 'simulator', 'pool', or 'cluster'"
             )
         if planner not in ("static", "cost"):
             raise ValueError(
@@ -554,13 +553,13 @@ class Session:
         return result, engine
 
     def _query_multiprocess(self, graph: RuleGoalGraph):
-        """Dispatch one query to a supervised multiprocess runtime.
+        """Dispatch one query to the supervised pool or cluster runtime.
 
         The session's cached graph is passed through, so retries after a
         worker crash skip graph construction entirely, and the shared
         database rides into the workers copy-on-write under fork.
         """
-        from .runtime import RetryPolicy, evaluate_multiprocessing, evaluate_pool
+        from .runtime import RetryPolicy, evaluate_pool
 
         if isinstance(self.retries, RetryPolicy):
             retry = self.retries
@@ -589,9 +588,7 @@ class Session:
                 client=self._ensure_cluster_client(),
                 **common,
             )
-        if self.runtime == "pool":
-            return evaluate_pool(graph.program, workers=self.workers, **common)
-        return evaluate_multiprocessing(graph.program, **common)
+        return evaluate_pool(graph.program, workers=self.workers, **common)
 
     # ------------------------------------------------------------------
     # Cluster runtime plumbing

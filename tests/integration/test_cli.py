@@ -171,6 +171,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", program_file, "--sip", "bogus"])
 
+    def test_run_rejects_retired_mp_runtime(self, program_file, capsys):
+        # The one-process-per-node runtime is gone, and no flag replaces it.
+        for argv in (
+            ["run", program_file, "--runtime", "mp"],
+            ["serve", program_file, "--eval-runtime", "mp"],
+        ):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            assert "invalid choice: 'mp'" in capsys.readouterr().err
+
 
 class TestServeParser:
     def test_serve_defaults(self, program_file):

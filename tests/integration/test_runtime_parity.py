@@ -1,14 +1,14 @@
 """Runtime parity: every runtime, every workload, every knob — same answers.
 
-The four runtimes (deterministic simulator, one-OS-process-per-node,
-pooled shard workers with batched channels, and TCP cluster workers behind
-a manager) execute byte-for-byte the same node logic over different channel
-fabrics.  This matrix pins the only property that justifies having four of
-them: the fabric is invisible — for every
-workload shape in :mod:`repro.workloads.programs`, every combination of
-the paper's coalesce / package-requests knobs and the planner, and both
-pool batch sizes, all runtimes must produce exactly the naive oracle's
-answer set.
+The three runtimes (deterministic simulator, pooled shard workers with
+batched channels, and TCP cluster workers behind a manager) execute
+byte-for-byte the same node logic over different channel fabrics.  This
+matrix pins the only property that justifies having three of them: the
+fabric is invisible — for every workload shape in
+:mod:`repro.workloads.programs`, every combination of the paper's
+coalesce / package-requests knobs, the planner and SIP on or off, and
+three pool placements, all runtimes must produce exactly the naive
+oracle's answer set.
 
 The cluster column additionally pins the *logical* accounting: per-stream
 dedup makes the set of tuple rows each stream carries a property of the
@@ -23,8 +23,11 @@ with the simulator: resident inputs may never leak per-query state.
 Ids that keep a retired name: ``test_simulator_and_asyncio`` once ran an
 asyncio column; its second run is now the simulator under seeded random
 delivery, another interleaving of the same network with the Theorem 3.1
-oracle still switched on.  The ``no-tuple-sets`` / ``row-kernels`` knob
-ids are described at :data:`KNOBS`.
+oracle still switched on.  ``test_multiprocessing`` once ran one OS
+process per node; it now runs the pool at its finest placement
+(``workers=8, batch_size=1``), a configuration no other column runs.  The
+``no-tuple-sets`` / ``row-kernels`` knob ids are described at
+:data:`KNOBS`.
 
 Each test arms a ``SIGALRM`` watchdog: a hung distributed run must fail the
 test, not the whole suite (the process runtimes also carry their own
@@ -39,10 +42,10 @@ import pytest
 from repro.baselines import naive
 from repro.core.planner import CostPlanner
 from repro.core.rulegoal import build_rule_goal_graph
-from repro.core.sips import greedy_sip
+from repro.core.sips import all_free_sip, greedy_sip
 from repro.network.engine import evaluate
 from repro.relational.database import Database
-from repro.runtime import evaluate_multiprocessing, evaluate_pool
+from repro.runtime import evaluate_pool
 from repro.workloads import (
     ancestor_program,
     bill_of_materials_program,
@@ -68,8 +71,8 @@ pytestmark = pytest.mark.skipif(
 )
 
 #: Every program factory in repro.workloads.programs, with data small enough
-#: that the slowest runtime (per-node mp: ~a dozen OS processes + a Manager
-#: broker per run) stays well under the watchdog.
+#: that the slowest column (the pool at eight workers, one message per
+#: batch) stays well under the watchdog.
 CASES = {
     "p1": lambda: with_tables(program_p1(), {
         "r": [("a", 1), (1, 2), (2, 3)],
@@ -104,32 +107,32 @@ CASES = {
     ),
 }
 
-#: (coalesce, package_requests, planner) combinations: the paper's
-#: single-processor coalescing (footnote 4) and request packaging
-#: (footnote 2), alone and together, and the cost planner (which changes
+#: (coalesce, package_requests, planner, sip_factory) combinations: the
+#: paper's single-processor coalescing (footnote 4) and request packaging
+#: (footnote 2), alone and together, the cost planner (which changes
 #: subgoal orders, i.e. the graph itself, and must still converge on the
-#: oracle's answers).
+#: oracle's answers), and sideways information passing off.
 #:
 #: The ids ending in ``no-tuple-sets`` / ``row-kernels`` name rows that
 #: once also switched off set emission or the set-at-a-time stage kernels.
 #: Both switches are gone — every run takes the one kernel path and the
-#: one send path — so those rows keep their ids with other configurations:
-#: ``no-tuple-sets`` and ``package+no-tuple-sets`` take the two
-#: combinations no other row covers (coalescing under the cost planner,
-#: without and with packaging), and ``cost-planner+row-kernels`` is the
-#: cost planner with packaging.  ``row-kernels`` and ``package+row-kernels``
-#: still repeat the row named without the suffix.
+#: one send path — so those rows keep their ids with configurations no
+#: other row covers: ``no-tuple-sets`` and ``package+no-tuple-sets`` are
+#: coalescing under the cost planner, without and with packaging;
+#: ``cost-planner+row-kernels`` is the cost planner with packaging; and
+#: ``row-kernels`` and ``package+row-kernels`` are ``all_free_sip`` (the
+#: paper's no-SIP baseline), without and with packaging.
 KNOBS = [
-    pytest.param(False, False, "static", id="plain"),
-    pytest.param(True, False, "cost", id="no-tuple-sets"),
-    pytest.param(False, False, "static", id="row-kernels"),
-    pytest.param(True, False, "static", id="coalesce"),
-    pytest.param(False, True, "static", id="package"),
-    pytest.param(True, True, "cost", id="package+no-tuple-sets"),
-    pytest.param(False, True, "static", id="package+row-kernels"),
-    pytest.param(True, True, "static", id="coalesce+package"),
-    pytest.param(False, False, "cost", id="cost-planner"),
-    pytest.param(False, True, "cost", id="cost-planner+row-kernels"),
+    pytest.param(False, False, "static", greedy_sip, id="plain"),
+    pytest.param(True, False, "cost", greedy_sip, id="no-tuple-sets"),
+    pytest.param(False, False, "static", all_free_sip, id="row-kernels"),
+    pytest.param(True, False, "static", greedy_sip, id="coalesce"),
+    pytest.param(False, True, "static", greedy_sip, id="package"),
+    pytest.param(True, True, "cost", greedy_sip, id="package+no-tuple-sets"),
+    pytest.param(False, True, "static", all_free_sip, id="package+row-kernels"),
+    pytest.param(True, True, "static", greedy_sip, id="coalesce+package"),
+    pytest.param(False, False, "cost", greedy_sip, id="cost-planner"),
+    pytest.param(False, True, "cost", greedy_sip, id="cost-planner+row-kernels"),
 ]
 
 BATCH_SIZES = (1, 64)
@@ -182,15 +185,20 @@ def cluster():
         harness.stop()
 
 
-@pytest.mark.parametrize("coalesce,package,planner", KNOBS)
+@pytest.mark.parametrize("coalesce,package,planner,sip", KNOBS)
 @pytest.mark.parametrize("name", sorted(CASES))
 class TestRuntimeParity:
     def test_simulator_and_asyncio(
-        self, name, coalesce, package, planner, oracles
+        self, name, coalesce, package, planner, sip, oracles
     ):
         program = CASES[name]()
         expected = oracles[name]
-        knobs = dict(coalesce=coalesce, package_requests=package, planner=planner)
+        knobs = dict(
+            sip_factory=sip,
+            coalesce=coalesce,
+            package_requests=package,
+            planner=planner,
+        )
         sim = evaluate(program, **knobs)
         assert sim.answers == expected, f"{name}: simulator diverged"
         assert sim.completed and sim.protocol_violations == []
@@ -198,22 +206,30 @@ class TestRuntimeParity:
         assert run.answers == expected, f"{name}: seeded delivery diverged"
         assert run.completed and run.protocol_violations == []
 
-    def test_multiprocessing(self, name, coalesce, package, planner, oracles):
+    def test_multiprocessing(self, name, coalesce, package, planner, sip, oracles):
         program = CASES[name]()
-        run = evaluate_multiprocessing(
+        run = evaluate_pool(
             program,
+            sip_factory=sip,
+            workers=8,
+            batch_size=1,
             coalesce=coalesce,
             package_requests=package,
             planner=planner,
             timeout=60,
         )
-        assert run.answers == oracles[name], f"{name}: per-node mp diverged"
+        assert run.answers == oracles[name], (
+            f"{name}: pool diverged (workers=8, batch_size=1)"
+        )
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    def test_pool(self, name, coalesce, package, planner, batch_size, oracles):
+    def test_pool(
+        self, name, coalesce, package, planner, sip, batch_size, oracles
+    ):
         program = CASES[name]()
         run = evaluate_pool(
             program,
+            sip_factory=sip,
             workers=2,
             batch_size=batch_size,
             coalesce=coalesce,
@@ -225,12 +241,14 @@ class TestRuntimeParity:
             f"{name}: pool diverged (batch_size={batch_size})"
         )
 
-    def test_cluster(self, name, coalesce, package, planner, oracles, cluster):
+    def test_cluster(
+        self, name, coalesce, package, planner, sip, oracles, cluster
+    ):
         from repro.cluster import evaluate_cluster
 
         program = CASES[name]()
         knobs = dict(coalesce=coalesce, package_requests=package, planner=planner)
-        sim = evaluate(program, **knobs)
+        sim = evaluate(program, sip_factory=sip, **knobs)
         assert sim.answers == oracles[name], f"{name}: simulator diverged"
         # The runtime-invariant accounting slice (see module docstring).
         sim_rows = (
@@ -242,7 +260,7 @@ class TestRuntimeParity:
         sip_factory = (
             CostPlanner.from_database(database).sip_factory()
             if planner == "cost"
-            else greedy_sip
+            else sip
         )
         graph = build_rule_goal_graph(program, sip_factory, coalesce=coalesce)
         for temperature in ("cold", "warm"):

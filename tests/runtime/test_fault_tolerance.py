@@ -1,4 +1,4 @@
-"""Chaos suite: the multiprocess runtimes under deterministic fault injection.
+"""Chaos suite: the pool runtime under deterministic fault injection.
 
 Every entry in the matrix — worker killed mid-query, worker wedged (alive
 but silent), node code raising, STOP sentinel dropped during teardown, a
@@ -13,6 +13,12 @@ slowed channel — must end one of exactly two ways:
   the full 120s default deadline.
 
 Either way teardown must leave no live child processes behind.
+
+The ``[mp]`` ids and ``TestSessionRuntimes::test_mp_session_matches_simulator``
+keep a retired name: the one-OS-process-per-node runtime they once drove
+is gone, and the ``mp`` column now runs the pool at ``workers=4,
+batch_size=1`` — a second placement beside the ``pool`` column's two
+workers and default batches.
 """
 
 import multiprocessing as mp
@@ -32,7 +38,6 @@ from repro.runtime import (
     ServiceFaultPlan,
     WorkerCrashError,
     WorkerStallError,
-    evaluate_multiprocessing,
     evaluate_pool,
 )
 from repro.runtime.supervision import Supervisor, run_with_retry
@@ -67,17 +72,15 @@ def expected():
     return answers
 
 
-#: Both process runtimes, normalized to runner(program, **fault_kwargs).
-#: Worker index 0 is always a worker that receives traffic: the pool puts
-#: the driver on shard 0, and the per-node runtime's slot 0 is the root
-#: goal node (first in graph insertion order), which gets the opening
-#: relation request.
+#: Two pool placements, normalized to runner(program, **fault_kwargs).
+#: Worker index 0 always receives traffic: the pool puts the driver on
+#: shard 0.
 RUNNERS = {
     "pool": lambda program, **kw: evaluate_pool(
         program, workers=2, timeout=kw.pop("timeout", 60), **kw
     ),
-    "mp": lambda program, **kw: evaluate_multiprocessing(
-        program, timeout=kw.pop("timeout", 60), **kw
+    "mp": lambda program, **kw: evaluate_pool(
+        program, workers=4, batch_size=1, timeout=kw.pop("timeout", 60), **kw
     ),
 }
 
@@ -103,7 +106,7 @@ def watchdog():
 
 
 def assert_no_stray_children(grace: float = 5.0) -> None:
-    """Teardown must reap every worker (and the mp runtime's manager)."""
+    """Teardown must reap every worker."""
     deadline = time.monotonic() + grace
     while time.monotonic() < deadline:
         children = mp.active_children()  # also joins finished processes
@@ -140,7 +143,7 @@ class TestCrashDetection:
         assert info.value.remote_traceback is not None
         assert "FaultInjectedError" in info.value.remote_traceback
         # The faulting node's label rides in the traceback; ``where`` names
-        # the failing worker (a shard in the pool, the node itself in mp).
+        # the failing worker (its shard).
         assert "t(" in info.value.remote_traceback
         assert info.value.where
         assert_no_stray_children()
@@ -216,8 +219,7 @@ class TestRecovery:
         assert result.attempts == 2
         assert result.failure_log[-1].startswith("degraded:")
         # The degraded result ran no worker processes at all.
-        spread = result.workers if runtime == "pool" else result.processes
-        assert spread == 0
+        assert result.workers == 0
         assert_no_stray_children()
 
     def test_exhausted_retries_reraise_with_failure_log(self, runtime):
@@ -299,12 +301,16 @@ class TestSessionRuntimes:
 
     def test_mp_session_matches_simulator(self):
         expected = Session(self.KB).query("anc(ann, Z)")
-        distributed = Session(self.KB, runtime="mp", retries=2, timeout=60)
+        distributed = Session(
+            self.KB, runtime="pool", workers=4, retries=2, timeout=60
+        )
         assert distributed.query("anc(ann, Z)") == expected
 
     def test_unknown_runtime_rejected(self):
         with pytest.raises(ValueError, match="unknown session runtime"):
             Session(self.KB, runtime="threads")
+        with pytest.raises(ValueError, match="unknown session runtime"):
+            Session(self.KB, runtime="mp")
 
 
 # ----------------------------------------------------------------------

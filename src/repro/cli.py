@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .core.parser import parse_atom, parse_program, query_to_rule
 from .core.program import Program
-from .core.rulegoal import build_rule_goal_graph
+from .core.rulegoal import build_rule_goal_graph, plan_graph
 from .core.rules import GOAL_PREDICATE
 from .core.sips import all_free_sip, greedy_sip, left_to_right_sip
 from .network.engine import MessagePassingEngine, evaluate
@@ -56,18 +56,6 @@ def _load_program(path: str, query: Optional[str], data: Optional[str] = None) -
     return program
 
 
-def _retry_policy(args: argparse.Namespace):
-    """The pool/cluster retry schedule from the run flags (deterministic default)."""
-    from .runtime import RetryPolicy
-
-    return RetryPolicy(
-        max_attempts=args.retries,
-        backoff=args.retry_backoff,
-        backoff_factor=args.retry_backoff_factor,
-        jitter=args.retry_jitter,
-    )
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     program = _load_program(args.file, args.query, args.data)
     if args.runtime == "simulator":
@@ -79,60 +67,42 @@ def _cmd_run(args: argparse.Namespace) -> int:
             package_requests=args.package,
             planner=args.planner,
         )
-        answers = result.answers
-    elif args.runtime == "cluster":
-        from .cluster import evaluate_cluster
+    else:
+        from .runtime import RetryPolicy
 
-        if args.cluster_connect and args.cluster_listen:
-            print(
-                "error: --cluster-connect and --cluster-listen are "
-                "mutually exclusive",
-                file=sys.stderr,
-            )
-            return 2
-        if args.cluster_listen:
-            print(
-                f"announcing cluster manager on {args.cluster_listen}; "
-                f"waiting for workers "
-                f"(repro worker --connect {args.cluster_listen})",
-                file=sys.stderr,
-            )
-        result = evaluate_cluster(
-            program,
+        options = dict(
             sip_factory=_SIPS[args.sip],
             workers=args.workers,
             batch_size=args.batch_size,
             coalesce=args.coalesce,
             package_requests=args.package,
             planner=args.planner,
-            retry=_retry_policy(args),
+            retry=RetryPolicy(
+                max_attempts=args.retries,
+                backoff=args.retry_backoff,
+                backoff_factor=args.retry_backoff_factor,
+                jitter=args.retry_jitter,
+            ),
             fallback=args.fallback,
             heartbeat_interval=args.heartbeat_interval,
-            address=args.cluster_connect,
-            listen=args.cluster_listen,
         )
-        answers = result.answers
-    else:  # pool
-        from .runtime import evaluate_pool
+        if args.runtime == "cluster":
+            from .cluster import evaluate_cluster as run
 
-        result = evaluate_pool(
-            program,
-            sip_factory=_SIPS[args.sip],
-            workers=args.workers,
-            batch_size=args.batch_size,
-            coalesce=args.coalesce,
-            package_requests=args.package,
-            planner=args.planner,
-            retry=_retry_policy(args),
-            fallback=args.fallback,
-            heartbeat_interval=args.heartbeat_interval,
-        )
-        answers = result.answers
-    for row in sorted(answers, key=repr):
+            options.update(address=args.cluster_connect, listen=args.cluster_listen)
+            if args.cluster_listen:
+                print(
+                    f"announcing cluster manager on {args.cluster_listen}; "
+                    f"waiting for workers "
+                    f"(repro worker --connect {args.cluster_listen})",
+                    file=sys.stderr,
+                )
+        else:
+            from .runtime import evaluate_pool as run
+        result = run(program, **options)
+    for row in sorted(result.answers, key=repr):
         print(", ".join(str(v) for v in row) if row else "true")
-    if args.runtime in ("pool", "cluster") and (
-        result.attempts > 1 or result.degraded
-    ):
+    if result.attempts > 1 or result.degraded:
         # Crash summary: printed even without --stats, because a recovered
         # or degraded answer is something the caller should know about.
         outcome = (
@@ -147,21 +117,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"--   {entry}", file=sys.stderr)
     if args.stats:
         print("--", file=sys.stderr)
-        if args.runtime == "simulator":
-            print(result.summary(), file=sys.stderr)
-        elif args.runtime == "pool":
-            print(
-                f"workers: {result.workers}; cross-shard messages: "
-                f"{result.cross_messages} in {result.cross_batches} batches "
-                f"({result.batching_factor:.1f} msgs/batch)",
-                file=sys.stderr,
-            )
-            print(
-                f"attempts: {result.attempts}; degraded: {result.degraded}",
-                file=sys.stderr,
-            )
-        elif args.runtime == "cluster":
-            print(result.summary(), file=sys.stderr)
+        print(result.summary(), file=sys.stderr)
     return 0
 
 
@@ -294,13 +250,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cluster_address=args.cluster_connect,
         cluster_listen=args.cluster_listen,
     )
-    if args.cluster_connect and args.cluster_listen:
-        print(
-            "error: --cluster-connect and --cluster-listen are mutually "
-            "exclusive",
-            file=sys.stderr,
-        )
-        return 2
     if args.replicas > 1:
         if args.cluster_listen:
             # Each replica is its own Session; N of them cannot all bind
@@ -481,18 +430,14 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     if not program.query_rules:
         print("no query: pass --query or include a '?-' clause", file=sys.stderr)
         return 2
-    engine = MessagePassingEngine(
-        program,
-        sip_factory=_SIPS[args.sip],
-        coalesce=args.coalesce,
-        package_requests=args.package,
-        planner="cost",
-    )
-    print(engine.plan_report.render())
+    graph = plan_graph(program, "cost", _SIPS[args.sip], coalesce=args.coalesce)
+    print(graph.plan_report.render())
     if args.run:
-        result = engine.run()
+        engine = MessagePassingEngine(
+            program, package_requests=args.package, graph=graph
+        )
         print()
-        print(result.summary())
+        print(engine.run().summary())
     return 0
 
 
@@ -568,14 +513,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="pool/cluster runtimes: messages per cross-shard batch before "
         "a forced flush",
     )
-    run_p.add_argument(
+    run_cluster = run_p.add_mutually_exclusive_group()
+    run_cluster.add_argument(
         "--cluster-connect",
         default=None,
         metavar="HOST:PORT",
         help="cluster runtime: address of a running cluster manager "
         "(default: start a private localhost harness for this query)",
     )
-    run_p.add_argument(
+    run_cluster.add_argument(
         "--cluster-listen",
         default=None,
         metavar="HOST:PORT",
@@ -727,7 +673,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="pool/cluster runtimes: shard workers per evaluation",
     )
-    serve_p.add_argument(
+    serve_cluster = serve_p.add_mutually_exclusive_group()
+    serve_cluster.add_argument(
         "--cluster-connect",
         default=None,
         metavar="HOST:PORT",
@@ -735,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
         "manager (default: the service starts a private localhost harness "
         "on the first query and keeps it warm)",
     )
-    serve_p.add_argument(
+    serve_cluster.add_argument(
         "--cluster-listen",
         default=None,
         metavar="HOST:PORT",

@@ -28,7 +28,7 @@ the wire.
 """
 
 from .client import ClusterClient, ClusterError, NoWorkersError, SpecMissError
-from .evaluate import ClusterQueryResult, evaluate_cluster
+from .evaluate import evaluate_cluster
 from .framing import PROTOCOL_VERSION, FrameError
 from .harness import ClusterHarness
 from .manager import ClusterManager, ManagerThread
@@ -40,7 +40,6 @@ __all__ = [
     "ClusterError",
     "ClusterHarness",
     "ClusterManager",
-    "ClusterQueryResult",
     "FrameError",
     "ManagerThread",
     "NoWorkersError",

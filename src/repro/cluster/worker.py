@@ -15,13 +15,12 @@ graph), so per-query node state starts empty and the logical accounting
 matches the simulator exactly.  Every worker deterministically computes
 the *same* node ids and the same ``assign_shards`` map, so "which nodes
 are mine" needs no extra coordination, exactly as the pool runtime's
-forked workers all inherit one engine — and runs the delivery loop it
-shares with the pool (``runtime/shard_loop.py``, including the
+forked workers all inherit one engine — and runs the router and delivery
+loop it shares with the pool (``runtime/shard_loop.py``, including the
 held-end-request rule) with the queue fabric swapped for TCP frames:
 
-* intra-shard messages ride a local deque (exact pending counts);
-* cross-shard messages buffer per destination and ship as BATCH frames
-  (the :class:`~repro.network.messages.MessageBatch` envelope, JSON-coded);
+* a flushed buffer ships as one BATCH frame (the
+  :class:`~repro.network.messages.MessageBatch` envelope, JSON-coded);
 * the pool's RawArray ``sent`` counters become a cumulative logical-sent
   total piggybacked on every BATCH frame, so the receiver's
   ``pending_for`` stays a conservative in-transit bound (see
@@ -48,21 +47,12 @@ import socket
 import threading
 import time
 import traceback
-from collections import deque
 from typing import Optional
 
 from ..network.engine import MessagePassingEngine, assign_shards
-from ..network.messages import (
-    COMPUTATION_TYPES,
-    Message,
-    TupleMessage,
-    TupleSet,
-    coalesce_batch,
-    logical_size,
-)
-from ..network.nodes import DRIVER_ID
+from ..network.messages import Message, MessageBatch
 from ..runtime.faults import FaultPlan
-from ..runtime.shard_loop import STOP as _STOP, node_labels, run_shard_loop
+from ..runtime.shard_loop import STOP as _STOP, Router, run_shard_loop
 from .framing import (
     FrameError,
     FrameSocket,
@@ -90,18 +80,16 @@ class _JobAborted(Exception):
     """Internal: the manager aborted this job (retry underway elsewhere)."""
 
 
-class ClusterRouter:
-    """The pool's :class:`ShardRouter` with TCP frames as the far fabric.
+class ClusterRouter(Router):
+    """The :class:`~repro.runtime.shard_loop.Router` over TCP frames.
 
-    Node logic needs only ``send`` and ``pending_for``.  Cross-shard sends
-    buffer per destination shard and flush as one BATCH frame carrying the
-    encoded member messages plus this link's cumulative logical-sent total
-    (``s``); the receiving router treats ``max`` of those totals minus its
-    own received total as in-transit work, so a queued batch holds
-    ``empty_queues()`` false across the wire exactly as the pool's shared
-    counters do across forks.  Per-link frame order is preserved end to
-    end, so the per-channel FIFO the seq/upto end accounting needs
-    survives the relay.
+    A flushed buffer ships as one BATCH frame carrying the encoded member
+    messages plus this link's cumulative logical-sent total (``s``); the
+    receiving router treats ``max`` of those totals minus its own received
+    total as in-transit work, so a queued batch holds ``empty_queues()``
+    false across the wire exactly as the pool's shared counters do across
+    forks.  Per-link frame order is preserved end to end, so the
+    per-channel FIFO the seq/upto end accounting needs survives the relay.
     """
 
     def __init__(
@@ -113,52 +101,12 @@ class ClusterRouter:
         n_shards: int,
         batch_size: int,
     ) -> None:
+        super().__init__(shard_id, shard_of, n_shards, batch_size)
         self.fs = fs
         self.job_id = job_id
-        self.shard_id = shard_id
-        self.shard_of = shard_of
-        self.n_shards = n_shards
-        self.batch_size = max(1, batch_size)
-        self.local: deque[Message] = deque()
-        self.local_pending: dict[int, int] = {}
-        self.buffers: dict[int, list[Message]] = {
-            dest: [] for dest in range(n_shards) if dest != shard_id
-        }
-        # Logical (per-tuple) accounting per link, as in the pool runtime.
-        self.sent_total: dict[int, int] = {d: 0 for d in self.buffers}
         self.known_sent: dict[int, int] = {}
-        self.received_total: dict[int, int] = {}
-        self.batches_out = 0
-        self.batches_in = 0
-        # Delivery statistics for the per-shard STATS report.
-        self.delivered_logical = 0
-        self.delivered_physical = 0
-        self.tuple_rows = 0
-        self.protocol_messages = 0
-        self.held_end_requests = 0
-        self.by_receiver: dict[int, int] = {}
 
-    # ------------------------------------------------------------------
-    def send(self, message: Message) -> None:
-        dest = self.shard_of[message.receiver]
-        if dest == self.shard_id:
-            self.local.append(message)
-            self.local_pending[message.receiver] = (
-                self.local_pending.get(message.receiver, 0) + 1
-            )
-            return
-        self.sent_total[dest] += logical_size(message)
-        buffer = self.buffers[dest]
-        buffer.append(message)
-        if len(buffer) >= self.batch_size:
-            self._flush_one(dest)
-
-    def _flush_one(self, dest: int) -> None:
-        buffer = self.buffers[dest]
-        if not buffer:
-            return
-        self.buffers[dest] = []
-        self.batches_out += 1
+    def _ship(self, dest: int, messages: list[Message]) -> None:
         self.fs.send_json(
             FrameType.BATCH,
             {
@@ -166,65 +114,23 @@ class ClusterRouter:
                 "o": self.shard_id,
                 "d": dest,
                 "s": self.sent_total[dest],
-                "m": encode_messages(buffer),
+                "m": encode_messages(messages),
             },
         )
 
-    def flush(self) -> None:
-        for dest in self.buffers:
-            self._flush_one(dest)
-
-    def ingest(self, item: tuple[int, int, list[Message]]) -> None:
-        """Unpack one arrived BATCH: ``(origin, sender's total, messages)``."""
-        origin, sent_total, messages = item
-        self.batches_in += 1
-        self.known_sent[origin] = max(self.known_sent.get(origin, 0), sent_total)
-        self.received_total[origin] = self.received_total.get(origin, 0) + sum(
-            logical_size(m) for m in messages
+    def ingest(self, item: tuple[MessageBatch, int]) -> None:
+        """Unpack one arrived BATCH: ``(batch, sender's cumulative total)``."""
+        batch, sent_total = item
+        self.known_sent[batch.origin] = max(
+            self.known_sent.get(batch.origin, 0), sent_total
         )
-        for message in coalesce_batch(messages):
-            self.local.append(message)
-            self.local_pending[message.receiver] = (
-                self.local_pending.get(message.receiver, 0) + 1
-            )
+        super().ingest(batch)
 
-    # ------------------------------------------------------------------
     def pending_for(self, node_id: int) -> int:
         pending = self.local_pending.get(node_id, 0)
         for origin, known in self.known_sent.items():
-            pending += max(0, known - self.received_total.get(origin, 0))
+            pending += max(0, known - self.received_total[origin])
         return pending
-
-    # ------------------------------------------------------------------
-    def account_delivery(self, message: Message) -> None:
-        size = logical_size(message)
-        self.delivered_logical += size
-        self.delivered_physical += 1
-        if isinstance(message, (TupleMessage, TupleSet)):
-            self.tuple_rows += size
-        if not isinstance(message, COMPUTATION_TYPES):
-            self.protocol_messages += size
-        self.by_receiver[message.receiver] = (
-            self.by_receiver.get(message.receiver, 0) + size
-        )
-
-    def account_hold(self) -> None:
-        """Count one end request held for a non-idle receiver."""
-        self.held_end_requests += 1
-
-    def counters(self) -> dict:
-        return {
-            "sent": {str(d): n for d, n in self.sent_total.items()},
-            "received": {str(o): n for o, n in self.received_total.items()},
-            "batches_out": self.batches_out,
-            "batches_in": self.batches_in,
-            "delivered_logical": self.delivered_logical,
-            "delivered_physical": self.delivered_physical,
-            "tuple_rows": self.tuple_rows,
-            "protocol_messages": self.protocol_messages,
-            "held_end_requests": self.held_end_requests,
-            "by_receiver": {str(k): v for k, v in self.by_receiver.items()},
-        }
 
 
 class _ResidentPlan:
@@ -358,40 +264,21 @@ def _job_loop(fs: FrameSocket, ctx: _JobContext, resident: ResidentSpecs) -> Non
     router = ClusterRouter(
         fs, ctx.job_id, ctx.shard_id, shard_of, ctx.n_shards, ctx.batch_size
     )
-    processes = engine.processes
-    hosted = [
-        process
-        for node_id, process in processes.items()
-        if shard_of[node_id] == ctx.shard_id
-    ]
-    injector = (
-        ctx.fault_plan.injector(ctx.shard_id) if ctx.fault_plan is not None else None
-    )
 
-    if shard_of[DRIVER_ID] == ctx.shard_id:
-        driver = engine.driver
-        root_stream = driver.feeders[engine.graph.root]
-        # The hook reads the (in-place grown) answer set, not the driver:
-        # a closure over the driver would make the job's engine cyclic.
-        answers = driver.answers
-
-        def on_complete() -> None:
-            # Flush trailing cross-shard traffic first: conclusion-time
-            # ends/component-dones must not sit in a buffer while the
-            # manager stops the job.
-            router.flush()
-            fs.send_json(
-                FrameType.DONE,
-                {
-                    "j": ctx.job_id,
-                    "answers": rows_to_wire(answers),
-                    "seq": root_stream.last_seq_sent,
-                    "upto": root_stream.last_upto_ended,
-                },
-            )
-
-        driver.on_complete = on_complete
-        driver.start(router)  # type: ignore[arg-type]
+    def on_done(answers, seq: int, upto: int) -> None:
+        # Flush trailing cross-shard traffic first: conclusion-time
+        # ends/component-dones must not sit in a buffer while the manager
+        # stops the job.
+        router.flush()
+        fs.send_json(
+            FrameType.DONE,
+            {
+                "j": ctx.job_id,
+                "answers": rows_to_wire(answers),
+                "seq": seq,
+                "upto": upto,
+            },
+        )
 
     hb = ctx.heartbeat_interval
     poll_interval = max(0.01, hb / 4.0) if hb else 0.05
@@ -419,23 +306,14 @@ def _job_loop(fs: FrameSocket, ctx: _JobContext, resident: ResidentSpecs) -> Non
         except queue_module.Empty:
             return None
 
-    run_shard_loop(
-        router,
-        processes,
-        hosted,
-        take,
-        tick,
-        poll_interval,
-        injector,
-        node_labels(engine) if injector is not None else None,
-    )
+    run_shard_loop(engine, router, take, tick, poll_interval, ctx.fault_plan, on_done)
     # Job concluded: report this shard's counters (plus per-node tuple
     # footprints, so the client can rebuild the node table remotely), how
     # the spec cache served the job, and what is resident now.
     counters = router.counters()
     counters["tuples_by_node"] = {
         str(node_id): process.tuples_stored
-        for node_id, process in processes.items()
+        for node_id, process in engine.processes.items()
         if shard_of[node_id] == ctx.shard_id and getattr(process, "tuples_stored", 0)
     }
     counters["spec"] = ctx.spec_report
@@ -500,9 +378,11 @@ def _serve_connection(fs: FrameSocket, resident: ResidentSpecs) -> None:
                 if current is not None and body.get("j") == current.job_id:
                     current.inbox.put(
                         (
-                            body.get("o", 0),
+                            MessageBatch(
+                                body.get("o", 0),
+                                tuple(decode_messages(body.get("m", []))),
+                            ),
                             body.get("s", 0),
-                            decode_messages(body.get("m", [])),
                         )
                     )
             elif frame.ftype == FrameType.STOP:

@@ -6,7 +6,7 @@ rule node evaluated its subgoals in the order the greedy structural SIP
 produced, regardless of how large the relations actually are.  This module
 closes the loop:
 
-* :meth:`CostPlanner.from_database` harvests observed per-predicate log10
+* :class:`CostPlanner`'s ``from_database`` harvests observed per-predicate log10
   cardinalities from the live :class:`~repro.relational.database.Database`
   and instantiates the :class:`~repro.core.costmodel.CostModel` with them
   (predicates the database does not hold — IDB predicates — keep the

@@ -48,6 +48,7 @@ __all__ = [
     "GraphSizeExceeded",
     "build_rule_goal_graph",
     "build_basic_rule_goal_graph",
+    "plan_graph",
     "rule_set_fingerprint",
     "query_variant_signature",
     "graph_cache_key",
@@ -607,6 +608,43 @@ def build_rule_goal_graph(
         # Push in reverse so the leftmost subgoal is expanded first (DFS).
         stack.extend(reversed(new_subgoals))
 
+    return graph
+
+
+def plan_graph(
+    program: Program,
+    planner: str = "static",
+    sip_factory: SipFactory = greedy_sip,
+    database=None,
+    query_goal: Optional[AdornedAtom] = None,
+    coalesce: bool = False,
+) -> RuleGoalGraph:
+    """The rule/goal graph a query runs on under ``planner``.
+
+    ``"static"`` builds it with ``sip_factory``.  ``"cost"`` ranks every
+    rule's subgoal orders with the §4.3 model seeded from ``database`` (a
+    :class:`~repro.relational.database.Database`; the program's inline
+    facts when None) and attaches the
+    :class:`~repro.core.planner.PlanReport` as ``graph.plan_report``.
+    Every runtime and ``repro explain`` plan through here, so the same
+    inputs give the same graph everywhere.
+    """
+    if planner not in ("static", "cost"):
+        raise ValueError(f"unknown planner {planner!r} (expected 'static' or 'cost')")
+    if planner == "static":
+        return build_rule_goal_graph(
+            program, sip_factory, query_goal=query_goal, coalesce=coalesce
+        )
+    from ..relational.database import Database
+    from .planner import CostPlanner
+
+    cost_planner = CostPlanner.from_database(
+        database if database is not None else Database.from_facts(program.facts)
+    )
+    graph = build_rule_goal_graph(
+        program, cost_planner.sip_factory(), query_goal=query_goal, coalesce=coalesce
+    )
+    graph.plan_report = cost_planner.report
     return graph
 
 

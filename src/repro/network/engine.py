@@ -19,11 +19,7 @@ from typing import Callable, Optional
 from ..cache import CacheStats
 from ..core.adornment import AdornedAtom
 from ..core.program import Program
-from ..core.rulegoal import (
-    RuleGoalGraph,
-    SipFactory,
-    build_rule_goal_graph,
-)
+from ..core.rulegoal import RuleGoalGraph, SipFactory, plan_graph
 from ..core.sips import all_free_sip, greedy_sip
 from ..relational.database import Database
 from .messages import Message
@@ -93,9 +89,8 @@ class QueryResult:
     # Session-cache accounting (filled by Session; defaults for direct use).
     graph_cache_hit: bool = False
     cache_stats: Optional[CacheStats] = None
-    # Supervision accounting (meaningful when a Session routes the query
-    # through a supervised multiprocess runtime; the in-process scheduler
-    # always answers in one non-degraded attempt).
+    # Supervision accounting, shared with the sharded runtimes' result:
+    # the in-process scheduler always answers in one non-degraded attempt.
     attempts: int = 1
     degraded: bool = False
     failure_log: list[str] = field(default_factory=list)
@@ -170,11 +165,6 @@ class QueryResult:
         if self.cache_stats is not None:
             hit = "hit" if self.graph_cache_hit else "miss"
             lines.append(f"graph cache: {hit} ({self.cache_stats})")
-        if self.degraded or self.attempts > 1:
-            note = f"supervision: {self.attempts} attempt(s)"
-            if self.degraded:
-                note += ", degraded to the in-process runtime"
-            lines.append(note)
         return "\n".join(lines)
 
     def node_table(self, top: int = 10) -> str:
@@ -239,8 +229,8 @@ class MessagePassingEngine:
         access counters; results always report per-query deltas.
     graph:
         A prebuilt rule/goal graph to reuse (e.g. from a session cache);
-        construction is skipped and ``sip_factory``/``coalesce`` are
-        ignored for graph-building purposes.  Treated as read-only.
+        construction is skipped and ``sip_factory``/``coalesce``/``planner``
+        are ignored for graph-building purposes.  Treated as read-only.
     edb_shards:
         When > 1, every EDB leaf with "d" positions is partitioned into that
         many replica processes, each serving the hash partition of the
@@ -282,25 +272,14 @@ class MessagePassingEngine:
     ) -> None:
         self.program = program
         self.database = database if database is not None else Database.from_facts(program.facts)
-        if planner not in ("static", "cost"):
-            raise ValueError(f"unknown planner {planner!r} (expected 'static' or 'cost')")
-        self._planner = planner
-        #: The cost planner's per-rule choices (None under the static
-        #: planner, or when a prebuilt graph skipped planning here; the
-        #: Session re-attaches the report cached with the graph).
-        self.plan_report = None
-        if graph is None and planner == "cost":
-            from ..core.planner import CostPlanner
-
-            cost_planner = CostPlanner.from_database(self.database)
-            sip_factory = cost_planner.sip_factory()
-            self.plan_report = cost_planner.report
-        # A prebuilt (possibly session-cached) graph skips reconstruction;
+        # A prebuilt (possibly session-cached) graph skips planning;
         # Theorem 2.1 makes the graph EDB-independent, so a cached one is
         # valid for any database over the same IDB and query variant.
-        self.graph = graph if graph is not None else build_rule_goal_graph(
-            program, sip_factory, query_goal=query_goal, coalesce=coalesce
-        )
+        if graph is None:
+            graph = plan_graph(
+                program, planner, sip_factory, self.database, query_goal, coalesce
+            )
+        self.graph = graph
         self._package_requests = package_requests
         self._edb_shards = max(1, edb_shards)
         #: original EDB node id -> replica node ids (original first); empty
@@ -643,11 +622,7 @@ class MessagePassingEngine:
             batch_rows_out=batch_out,
             batch_distinct_keys=batch_keys,
             batch_stats_by_node=batch_by_node,
-            plan=(
-                self.plan_report
-                if self.plan_report is not None
-                else getattr(self.graph, "plan_report", None)
-            ),
+            plan=getattr(self.graph, "plan_report", None),
         )
 
 

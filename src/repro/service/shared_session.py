@@ -354,11 +354,11 @@ class SharedSession:
                 cache_hit=bool(result.graph_cache_hit),
                 elapsed=elapsed,
                 materialized=materialized,
-                attempts=getattr(result, "attempts", 1),
-                degraded=bool(getattr(result, "degraded", False)),
-                failure_log=tuple(getattr(result, "failure_log", ()) or ()),
-                logical_messages=getattr(result, "total_messages", None),
-                physical_messages=getattr(result, "physical_messages", None),
+                attempts=result.attempts,
+                degraded=result.degraded,
+                failure_log=tuple(result.failure_log),
+                logical_messages=result.total_messages,
+                physical_messages=result.physical_messages,
                 db_version=version,
             )
             if self._answers is not None:

@@ -53,13 +53,13 @@ from .core.program import Program, ProgramError
 from .core.rulegoal import (
     RuleGoalGraph,
     SipFactory,
-    build_rule_goal_graph,
     graph_cache_key,
+    plan_graph,
     rule_set_fingerprint,
 )
 from .core.rules import GOAL_PREDICATE, Rule
 from .core.sips import greedy_sip
-from .network.engine import QueryResult, evaluate
+from .network.engine import MessagePassingEngine, QueryResult
 from .relational.database import Database
 
 __all__ = ["Session", "PreparedQuery", "MaterializedQuery", "MaterializedQueryClosed"]
@@ -304,6 +304,10 @@ class Session:
             raise ValueError(
                 f"unknown planner {planner!r} (expected 'static' or 'cost')"
             )
+        if fallback not in ("none", "inprocess"):
+            raise ValueError(
+                f"unknown fallback {fallback!r}; use 'none' or 'inprocess'"
+            )
         if isinstance(source, Program):
             program = source
         else:
@@ -334,19 +338,16 @@ class Session:
         self.cluster_address = cluster_address
         self.cluster_listen = cluster_listen
         # Cluster runtime: the client (and private harness or announced
-        # manager, when no address was given) are created lazily on the
-        # first query and kept warm across queries — connection reuse is
-        # the whole point of a session — until close() tears them down.
-        self._cluster_client = None
-        self._cluster_harness = None
-        self._cluster_manager = None
-        self._cluster_lock = threading.Lock()
-        self.retries = retries
-        self.backoff = backoff
-        self.backoff_factor = backoff_factor
-        self.jitter = jitter
-        self.fallback = fallback
-        self.heartbeat_interval = heartbeat_interval
+        # manager, when no address was given) open lazily on the first
+        # query and stay warm across queries — connection reuse is the
+        # whole point of a session — until close() releases them.
+        self._cluster = None
+        if runtime == "cluster":
+            from .cluster.evaluate import ClusterLink
+
+            self._cluster = ClusterLink(
+                cluster_address, cluster_listen, workers, timeout
+            )
         self.timeout = timeout
         #: The last :meth:`query`'s full result (``None`` before the first).
         self.last_result: Optional[QueryResult] = None
@@ -356,6 +357,30 @@ class Session:
         self._last_engine = None
         # The shared, index-preserving EDB (one build; grown incrementally).
         self._database = Database.from_facts(self._facts)
+        # The shard runtimes' options, built once; simulator sessions never
+        # import the process runtimes.
+        self._sharded_options: dict = {}
+        if runtime != "simulator":
+            from .runtime.supervision import RetryPolicy
+
+            self._sharded_options = dict(
+                workers=workers,
+                timeout=timeout,
+                package_requests=package_requests,
+                retry=(
+                    retries
+                    if isinstance(retries, RetryPolicy)
+                    else RetryPolicy(
+                        max_attempts=int(retries),
+                        backoff=backoff,
+                        backoff_factor=backoff_factor,
+                        jitter=jitter,
+                    )
+                ),
+                fallback=fallback,
+                heartbeat_interval=heartbeat_interval,
+                database=self._database,
+            )
         # The graph cache and the IDB fingerprint that keys it.
         self._graph_cache = GraphCache(graph_cache_size)
         self._rules_fingerprint = rule_set_fingerprint(self._rules)
@@ -465,19 +490,12 @@ class Session:
         program = Program(
             self._rules + (query_to_rule(atoms),), self.facts, validate=False
         )
-        sip_factory = self.sip_factory
-        plan_report = None
-        if self.planner == "cost":
-            from .core.planner import CostPlanner
-
-            cost_planner = CostPlanner.from_database(self._database)
-            sip_factory = cost_planner.sip_factory()
-            plan_report = cost_planner.report
-        graph = build_rule_goal_graph(program, sip_factory, coalesce=self.coalesce)
-        if plan_report is not None:
-            # Attached before caching; cached graphs are treated as
-            # immutable afterwards.  The engine surfaces it on QueryResult.
-            graph.plan_report = plan_report
+        # A cost plan's report rides on the graph, cached with it; cached
+        # graphs are treated as immutable afterwards.
+        graph = plan_graph(
+            program, self.planner, self.sip_factory, self._database,
+            coalesce=self.coalesce,
+        )
         self._graph_cache.put(key, graph)
         return graph, False
 
@@ -491,9 +509,10 @@ class Session:
         Variable order follows first occurrence in the query, exactly as the
         ``?-`` syntax.  The full :class:`QueryResult` (messages, protocol
         statistics, the graph, cache accounting) is kept in
-        :attr:`last_result`; multiprocess runtimes store their own result
-        type there, carrying ``attempts`` / ``degraded`` / ``failure_log``
-        supervision accounting instead of simulator statistics.  ``seed``
+        :attr:`last_result`; the pool and cluster runtimes store a
+        :class:`~repro.runtime.sharded.ShardedQueryResult` there, carrying
+        per-shard accounting and ``attempts`` / ``degraded`` /
+        ``failure_log`` instead of simulator statistics.  ``seed``
         randomizes delivery latencies in the simulator only.
 
         The evaluated network is kept for :meth:`explain` only when the
@@ -525,91 +544,45 @@ class Session:
 
     def _run_query(self, query, seed=None):
         """Shared evaluation path; returns ``(result, engine_or_None)``."""
-        from .network.engine import MessagePassingEngine
-
         prepared = self.prepare(query)
         graph, cache_hit = self._graph_for(
             prepared.atoms, self._current_key(prepared)
         )
-        if self.runtime != "simulator":
-            result = self._query_multiprocess(graph)
-            result.graph_cache_hit = cache_hit
-            result.cache_stats = self._graph_cache.stats()
-            # explain() needs the in-process engine; none exists here.
-            return result, None
-        engine = MessagePassingEngine(
-            graph.program,
-            sip_factory=self.sip_factory,
-            seed=seed,
-            coalesce=self.coalesce,
-            package_requests=self.package_requests,
-            provenance=self.provenance,
-            database=self._database,
-            graph=graph,
-        )
-        result = engine.run()
+        engine = None
+        if self.runtime == "pool":
+            from .runtime import evaluate_pool
+
+            # The cached graph makes a retry skip graph construction; the
+            # shared database rides into the workers copy-on-write.
+            result = evaluate_pool(graph.program, graph=graph, **self._sharded_options)
+        elif self.runtime == "cluster":
+            from .cluster import evaluate_cluster
+
+            result = evaluate_cluster(
+                graph.program,
+                graph=graph,
+                client=self._ensure_cluster_client(),
+                **self._sharded_options,
+            )
+        else:
+            engine = MessagePassingEngine(
+                graph.program,
+                sip_factory=self.sip_factory,
+                seed=seed,
+                coalesce=self.coalesce,
+                package_requests=self.package_requests,
+                provenance=self.provenance,
+                database=self._database,
+                graph=graph,
+            )
+            result = engine.run()
         result.graph_cache_hit = cache_hit
         result.cache_stats = self._graph_cache.stats()
         return result, engine
 
-    def _query_multiprocess(self, graph: RuleGoalGraph):
-        """Dispatch one query to the supervised pool or cluster runtime.
-
-        The session's cached graph is passed through, so retries after a
-        worker crash skip graph construction entirely, and the shared
-        database rides into the workers copy-on-write under fork.
-        """
-        from .runtime import RetryPolicy, evaluate_pool
-
-        if isinstance(self.retries, RetryPolicy):
-            retry = self.retries
-        else:
-            retry = RetryPolicy(
-                max_attempts=int(self.retries),
-                backoff=self.backoff,
-                backoff_factor=self.backoff_factor,
-                jitter=self.jitter,
-            )
-        common = dict(
-            timeout=self.timeout,
-            package_requests=self.package_requests,
-            retry=retry,
-            fallback=self.fallback,
-            heartbeat_interval=self.heartbeat_interval,
-            graph=graph,
-            database=self._database,
-        )
-        if self.runtime == "cluster":
-            from .cluster import evaluate_cluster
-
-            return evaluate_cluster(
-                graph.program,
-                workers=self.workers,
-                client=self._ensure_cluster_client(),
-                **common,
-            )
-        return evaluate_pool(graph.program, workers=self.workers, **common)
-
     # ------------------------------------------------------------------
     # Cluster runtime plumbing
     # ------------------------------------------------------------------
-    def _ensure_cluster_manager(self):
-        """Start (once) the announced manager for :attr:`cluster_listen`.
-
-        Does not wait for workers — :meth:`_ensure_cluster_client` does
-        that before the first dispatch.  Callers hold
-        :attr:`_cluster_lock` or tolerate the idempotent race.
-        """
-        with self._cluster_lock:
-            if self._cluster_manager is None:
-                from .cluster.manager import ManagerThread
-
-                host, _, port_text = self.cluster_listen.rpartition(":")
-                self._cluster_manager = ManagerThread(
-                    host or "127.0.0.1", int(port_text or 0)
-                ).start()
-            return self._cluster_manager
-
     @property
     def cluster_listen_address(self) -> str:
         """The announced manager's bound ``"host:port"``.
@@ -618,14 +591,15 @@ class Session:
         if the first query has not already.  Point remote workers here:
         ``repro worker --connect <this address>``.
         """
-        if self.cluster_listen is None:
+        if self._cluster is None or self.cluster_listen is None:
             raise RuntimeError(
-                "cluster_listen_address requires Session(cluster_listen=...)"
+                "cluster_listen_address requires "
+                "Session(runtime='cluster', cluster_listen=...)"
             )
-        return self._ensure_cluster_manager().address
+        return self._cluster.manager().address
 
     def _ensure_cluster_client(self):
-        """The session's shared cluster client, created on first use.
+        """The session's shared cluster client, opened on first use.
 
         With :attr:`cluster_address` set it connects there; with
         :attr:`cluster_listen` set it announces a manager there and
@@ -637,27 +611,7 @@ class Session:
         a worker crash reuses the registration state the manager
         already holds.
         """
-        if self.cluster_listen is not None:
-            # Started outside the client lock: wait_for_workers can block
-            # for the full timeout and must not hold up close().
-            manager = self._ensure_cluster_manager()
-            manager.wait_for_workers(self.workers or 1, timeout=self.timeout)
-        with self._cluster_lock:
-            if self._cluster_client is None:
-                from .cluster import ClusterClient, ClusterHarness
-
-                if self.cluster_address is not None:
-                    self._cluster_client = ClusterClient(self.cluster_address)
-                elif self._cluster_manager is not None:
-                    self._cluster_client = ClusterClient(
-                        self._cluster_manager.address
-                    )
-                else:
-                    self._cluster_harness = ClusterHarness(
-                        workers=self.workers or 2
-                    ).start()
-                    self._cluster_client = self._cluster_harness.client()
-            return self._cluster_client
+        return self._cluster.client()
 
     def cluster_stats(self) -> Optional[dict]:
         """The manager's transport snapshot (cluster runtime; else ``None``).
@@ -669,14 +623,7 @@ class Session:
         registration and job totals — the section the service ``stats``
         op surfaces under ``"cluster"``.
         """
-        with self._cluster_lock:
-            client = self._cluster_client
-        if client is None:
-            return None
-        try:
-            return client.stats()
-        except Exception as exc:  # manager down ≠ stats op failure
-            return {"error": f"{type(exc).__name__}: {exc}"}
+        return self._cluster.stats() if self._cluster is not None else None
 
     def close(self) -> None:
         """Release runtime resources (idempotent; simulator: no-op).
@@ -686,16 +633,8 @@ class Session:
         ``cluster_listen`` manager, stops it.  The session remains
         usable — the next query reconnects.
         """
-        with self._cluster_lock:
-            client, self._cluster_client = self._cluster_client, None
-            harness, self._cluster_harness = self._cluster_harness, None
-            manager, self._cluster_manager = self._cluster_manager, None
-        if client is not None and harness is None:
-            client.close()
-        if harness is not None:
-            harness.stop()  # also closes clients it handed out
-        if manager is not None:
-            manager.stop()  # announced manager; remote workers will retry
+        if self._cluster is not None:
+            self._cluster.close()
 
     def __enter__(self) -> "Session":
         return self
@@ -726,25 +665,8 @@ class Session:
                 f"this session uses {self.runtime!r} — multiprocess "
                 "runtimes invalidate and recompute instead"
             )
-        from .network.engine import MessagePassingEngine
-
         prepared = self.prepare(query)
-        graph, cache_hit = self._graph_for(
-            prepared.atoms, self._current_key(prepared)
-        )
-        engine = MessagePassingEngine(
-            graph.program,
-            sip_factory=self.sip_factory,
-            seed=seed,
-            coalesce=self.coalesce,
-            package_requests=self.package_requests,
-            provenance=self.provenance,
-            database=self._database,
-            graph=graph,
-        )
-        result = engine.run()
-        result.graph_cache_hit = cache_hit
-        result.cache_stats = self._graph_cache.stats()
+        result, engine = self._run_query(prepared, seed)
         mat = MaterializedQuery(self, prepared, engine, result)
         self._materialized.add(mat)
         return mat

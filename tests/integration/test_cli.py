@@ -182,6 +182,19 @@ class TestParser:
             assert info.value.code == 2
             assert "invalid choice: 'mp'" in capsys.readouterr().err
 
+    def test_cluster_connect_and_listen_are_exclusive(self, program_file, capsys):
+        # Dial a manager or announce one, never both: argparse refuses the
+        # pair on both subcommands before any cluster work starts.
+        both = ["--cluster-connect", "127.0.0.1:1", "--cluster-listen", "127.0.0.1:2"]
+        for argv in (
+            ["run", program_file, "--runtime", "cluster", *both],
+            ["serve", program_file, "--eval-runtime", "cluster", *both],
+        ):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            assert "not allowed with argument" in capsys.readouterr().err
+
 
 class TestServeParser:
     def test_serve_defaults(self, program_file):

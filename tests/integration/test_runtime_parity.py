@@ -10,10 +10,11 @@ coalesce / package-requests knobs, the planner and SIP on or off, and
 three pool placements, all runtimes must produce exactly the naive
 oracle's answer set.
 
-The cluster column additionally pins the *logical* accounting: per-stream
-dedup makes the set of tuple rows each stream carries a property of the
-least fixpoint, not of scheduling, so the cluster's ``logical_tuple_rows``
-must equal the simulator's TupleMessage + TupleSet row total exactly.
+The pool and cluster columns additionally pin the *logical* accounting:
+per-stream dedup makes the set of tuple rows each stream carries a
+property of the least fixpoint, not of scheduling, so a sharded run's
+``logical_tuple_rows`` must equal the simulator's TupleMessage + TupleSet
+row total exactly.
 (Protocol-wave and end-message counts legitimately vary with timing and
 are not compared.)  Every cluster cell runs twice over one live graph and
 database — cold, shipping both spec parts, then warm, shipping nothing and
@@ -40,8 +41,7 @@ import sys
 import pytest
 
 from repro.baselines import naive
-from repro.core.planner import CostPlanner
-from repro.core.rulegoal import build_rule_goal_graph
+from repro.core.rulegoal import plan_graph
 from repro.core.sips import all_free_sip, greedy_sip
 from repro.network.engine import evaluate
 from repro.relational.database import Database
@@ -160,6 +160,18 @@ def watchdog():
         signal.signal(signal.SIGALRM, previous)
 
 
+def simulator_rows(program, sip, coalesce, package, planner) -> int:
+    """The simulator's logical tuple rows under the same knobs."""
+    sim = evaluate(
+        program,
+        sip_factory=sip,
+        coalesce=coalesce,
+        package_requests=package,
+        planner=planner,
+    )
+    return sim.stats.by_kind.get("TupleMessage", 0) + sim.stats.tuple_set_rows
+
+
 @pytest.fixture(scope="module")
 def oracles():
     """The naive minimum-model answers, computed once per workload."""
@@ -221,6 +233,9 @@ class TestRuntimeParity:
         assert run.answers == oracles[name], (
             f"{name}: pool diverged (workers=8, batch_size=1)"
         )
+        assert run.logical_tuple_rows == simulator_rows(
+            program, sip, coalesce, package, planner
+        )
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     def test_pool(
@@ -240,6 +255,9 @@ class TestRuntimeParity:
         assert run.answers == oracles[name], (
             f"{name}: pool diverged (batch_size={batch_size})"
         )
+        assert run.logical_tuple_rows == simulator_rows(
+            program, sip, coalesce, package, planner
+        )
 
     def test_cluster(
         self, name, coalesce, package, planner, sip, oracles, cluster
@@ -257,12 +275,7 @@ class TestRuntimeParity:
         # What a Session hands the runtime: one live graph + database, so
         # the second run finds both spec parts resident on every worker.
         database = Database.from_facts(program.facts)
-        sip_factory = (
-            CostPlanner.from_database(database).sip_factory()
-            if planner == "cost"
-            else sip
-        )
-        graph = build_rule_goal_graph(program, sip_factory, coalesce=coalesce)
+        graph = plan_graph(program, planner, sip, database, coalesce=coalesce)
         for temperature in ("cold", "warm"):
             run = evaluate_cluster(
                 program,

@@ -77,13 +77,13 @@ class TestGraphCacheHits:
         import repro.session as session_module
 
         calls = []
-        original = session_module.build_rule_goal_graph
+        original = session_module.plan_graph
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(session_module, "build_rule_goal_graph", counting)
+        monkeypatch.setattr(session_module, "plan_graph", counting)
         session = Session(KB)
         for _ in range(5):
             assert session.query("anc(ann, Z)") == ANSWERS

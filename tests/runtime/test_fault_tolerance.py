@@ -312,6 +312,13 @@ class TestSessionRuntimes:
         with pytest.raises(ValueError, match="unknown session runtime"):
             Session(self.KB, runtime="mp")
 
+    @pytest.mark.parametrize("runtime", ["simulator", "pool", "cluster"])
+    def test_unknown_fallback_rejected_at_construction(self, runtime):
+        # Checked next to runtime and planner, not on the first query, and
+        # under every runtime, the simulator included.
+        with pytest.raises(ValueError, match="unknown fallback"):
+            Session(self.KB, runtime=runtime, fallback="bogus")
+
 
 # ----------------------------------------------------------------------
 # In-process units: payload validation, retry driver, plan parsing.

@@ -19,8 +19,8 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .core.parser import parse_atom, parse_program, query_to_rule
-from .core.program import Program
+from .core.parser import ParseError, parse_program, query_to_rule
+from .core.program import Program, ProgramError
 from .core.rulegoal import build_rule_goal_graph, plan_graph
 from .core.rules import GOAL_PREDICATE
 from .core.sips import all_free_sip, greedy_sip, left_to_right_sip
@@ -37,22 +37,31 @@ _SIPS = {
 
 
 def _load_program(path: str, query: Optional[str], data: Optional[str] = None) -> Program:
-    with open(path) as handle:
-        program = parse_program(handle.read())
-    if data is not None:
-        from .relational.csvio import facts_from_directory
+    """The program every subcommand runs: the file, ``--data`` and ``--query``.
 
-        extra = facts_from_directory(data)
-        program = Program(program.rules, tuple(program.facts) + tuple(extra))
-    if query is not None:
-        # A --query replaces any queries in the file.
-        from .core.parser import _Parser, _tokenize  # reuse the atom-list parser
+    A missing or unreadable input, or a parse/program error in the file
+    or the query, prints one ``error:`` line and exits 2.
+    """
+    try:
+        with open(path) as handle:
+            program = parse_program(handle.read())
+        if data is not None:
+            from .relational.csvio import facts_from_directory
 
-        rules = [r for r in program.rules if r.head.predicate != GOAL_PREDICATE]
-        parser = _Parser(_tokenize(query.rstrip(". ") + "."))
-        atoms = parser.atom_list()
-        rules.append(query_to_rule(atoms))
-        program = Program(rules, program.facts)
+            extra = facts_from_directory(data)
+            program = Program(program.rules, tuple(program.facts) + tuple(extra))
+        if query is not None:
+            # A --query replaces any queries in the file.
+            from .core.parser import _Parser, _tokenize  # reuse the atom-list parser
+
+            rules = [r for r in program.rules if r.head.predicate != GOAL_PREDICATE]
+            parser = _Parser(_tokenize(query.rstrip(". ") + "."))
+            atoms = parser.atom_list()
+            rules.append(query_to_rule(atoms))
+            program = Program(rules, program.facts)
+    except (OSError, ParseError, ProgramError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
     return program
 
 
@@ -227,16 +236,17 @@ def _cmd_bench_session(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """Run the concurrent query service over one knowledge-base file."""
+    """Run the concurrent query service over one knowledge-base file.
+
+    One server transport with one of two backends: a local
+    :class:`SharedSession`, or with ``--replicas N`` (N > 1) N replica
+    servers behind the failover front door.  Both share this start /
+    banner / serve path.
+    """
     import asyncio
 
-    from .service import (
-        DurableStore,
-        LogLockedError,
-        QueryServer,
-        ServerConfig,
-        SharedSession,
-    )
+    from .service import DurableStore, LogLockedError, QueryServer, ServerConfig
+    from .service.replication import ReplicaConfig, ReplicaSet, ReplicaSetConfig
 
     program = _load_program(args.file, None, args.data)
     session_options = dict(
@@ -250,31 +260,99 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cluster_address=args.cluster_connect,
         cluster_listen=args.cluster_listen,
     )
-    if args.replicas > 1:
-        if args.cluster_listen:
-            # Each replica is its own Session; N of them cannot all bind
-            # the one announce address.  Run an external manager instead.
-            print(
-                "error: --cluster-listen cannot be combined with --replicas; "
-                "run the manager in one process and point the replicas at it "
-                "with --cluster-connect",
-                file=sys.stderr,
-            )
-            return 2
-        return _serve_replicated(args, program, session_options)
-    store = None
-    if args.data_dir:
-        store = DurableStore(
-            args.data_dir,
-            fsync_interval=args.fsync_interval,
-            snapshot_every=args.snapshot_every,
+    replicated = args.replicas > 1
+    if replicated and args.cluster_listen:
+        # Each replica is its own Session; N of them cannot all bind
+        # the one announce address.  Run an external manager instead.
+        print(
+            "error: --cluster-listen cannot be combined with --replicas; "
+            "run the manager in one process and point the replicas at it "
+            "with --cluster-connect",
+            file=sys.stderr,
         )
-        # Fail a doubly-served --data-dir at boot, not at the first write.
-        try:
-            store.acquire_lock()
-        except LogLockedError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        return 2
+    store = None
+    try:
+        if replicated:
+            # The ReplicaSet takes the data dir's writer lock at
+            # construction, so a doubly-served --data-dir fails here.
+            server = ReplicaSet(
+                program,
+                data_dir=args.data_dir,  # None = ephemeral tempdir for this run
+                config=ReplicaSetConfig(
+                    replicas=args.replicas,
+                    host=args.host,
+                    port=args.port,
+                    read_timeout=args.deadline,
+                    drain_timeout=args.drain_timeout,
+                    warmup_queries=args.warmup_queries,
+                ),
+                replica_config=ReplicaConfig(
+                    max_concurrent=args.max_concurrent,
+                    max_queue=args.max_queue,
+                    default_deadline=args.deadline,
+                    answer_cache_size=args.answer_cache_size,
+                    materialize=args.materialize,
+                    materialize_pool=args.materialize_pool,
+                ),
+                fsync_interval=args.fsync_interval,
+                snapshot_every=args.snapshot_every,
+                session_options=session_options,
+            )
+        else:
+            if args.data_dir:
+                store = DurableStore(
+                    args.data_dir,
+                    fsync_interval=args.fsync_interval,
+                    snapshot_every=args.snapshot_every,
+                )
+                # Fail a doubly-served --data-dir at boot, not at the first write.
+                store.acquire_lock()
+            server = QueryServer(
+                _shared_session(args, program, session_options, store),
+                ServerConfig(
+                    host=args.host,
+                    port=args.port,
+                    max_concurrent=args.max_concurrent,
+                    max_queue=args.max_queue,
+                    default_deadline=args.deadline,
+                    drain_timeout=args.drain_timeout,
+                ),
+            )
+    except LogLockedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+    async def _main() -> None:
+        await server.start()
+        server.install_signal_handlers()
+        print(
+            f"serving {args.file} on {server.host}:{server.port} ("
+            + (f"replicas={args.replicas}, " if replicated else "")
+            + f"runtime={args.eval_runtime}, max_concurrent={args.max_concurrent}, "
+            f"max_queue={args.max_queue}"
+            + (", materialize=on" if args.materialize else "")
+            + ")",
+            flush=True,
+        )
+        await server.serve_forever()
+
+    try:
+        asyncio.run(_main())
+    except KeyboardInterrupt:  # pragma: no cover - signal-handler race
+        pass
+    finally:
+        if store is not None:
+            store.close()
+    print("drained and stopped", file=sys.stderr)
+    return 0
+
+
+def _shared_session(args: argparse.Namespace, program, session_options: dict, store):
+    """The local backend's session: restored from ``store`` when one is given."""
+    from .service import SharedSession
+
+    if store is not None:
         session, report = store.restore(program, **session_options)
         shared = SharedSession(
             session=session,
@@ -313,108 +391,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"start workers with: repro worker --connect {manager_address}",
             flush=True,
         )
-    server = QueryServer(
-        shared,
-        ServerConfig(
-            host=args.host,
-            port=args.port,
-            max_concurrent=args.max_concurrent,
-            max_queue=args.max_queue,
-            default_deadline=args.deadline,
-            drain_timeout=args.drain_timeout,
-        ),
-    )
-
-    async def _main() -> None:
-        await server.start()
-        server.install_signal_handlers()
-        print(
-            f"serving {args.file} on {server.host}:{server.port} "
-            f"(runtime={args.eval_runtime}, max_concurrent={args.max_concurrent}, "
-            f"max_queue={args.max_queue}"
-            + (", materialize=on" if args.materialize else "")
-            + ")",
-            flush=True,
-        )
-        await server.serve_forever()
-
-    try:
-        asyncio.run(_main())
-    except KeyboardInterrupt:  # pragma: no cover - signal-handler race
-        pass
-    finally:
-        if store is not None:
-            store.close()
-    print("drained and stopped", file=sys.stderr)
-    return 0
-
-
-def _serve_replicated(args: argparse.Namespace, program, session_options: dict) -> int:
-    """Run N replica servers behind the failover front door."""
-    import asyncio
-
-    from .service.persistence import LogLockedError
-    from .service.replication import ReplicaConfig, ReplicaSet, ReplicaSetConfig
-
-    try:
-        # The ReplicaSet takes the data dir's writer lock at construction,
-        # so a doubly-served --data-dir fails here, cleanly, not mid-boot.
-        replica_set = ReplicaSet(
-            program,
-            data_dir=args.data_dir,  # None = ephemeral tempdir for this run
-            config=ReplicaSetConfig(
-                replicas=args.replicas,
-                host=args.host,
-                port=args.port,
-                read_timeout=args.deadline,
-                drain_timeout=args.drain_timeout,
-                warmup_queries=args.warmup_queries,
-            ),
-            replica_config=ReplicaConfig(
-                max_concurrent=args.max_concurrent,
-                max_queue=args.max_queue,
-                default_deadline=args.deadline,
-                answer_cache_size=args.answer_cache_size,
-                materialize=args.materialize,
-                materialize_pool=args.materialize_pool,
-            ),
-            fsync_interval=args.fsync_interval,
-            snapshot_every=args.snapshot_every,
-            session_options=session_options,
-        )
-    except LogLockedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    async def _main() -> None:
-        import signal as signal_module
-
-        await replica_set.start()
-        loop = asyncio.get_running_loop()
-        for sig in (signal_module.SIGINT, signal_module.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, replica_set.request_shutdown)
-            except (NotImplementedError, RuntimeError, ValueError):
-                pass
-        print(
-            f"serving {args.file} on {replica_set.host}:{replica_set.port} "
-            f"(replicas={args.replicas}, runtime={args.eval_runtime}, "
-            f"max_concurrent={args.max_concurrent}, max_queue={args.max_queue}"
-            + (", materialize=on" if args.materialize else "")
-            + ")",
-            flush=True,
-        )
-        try:
-            await replica_set.serve_forever()
-        finally:
-            await replica_set.shutdown()
-
-    try:
-        asyncio.run(_main())
-    except KeyboardInterrupt:  # pragma: no cover - signal-handler race
-        pass
-    print("drained and stopped", file=sys.stderr)
-    return 0
+    return shared
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:

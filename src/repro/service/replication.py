@@ -60,9 +60,7 @@ import json
 import multiprocessing as mp
 import os
 import shutil
-import signal as signal_module
 import tempfile
-import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from multiprocessing.sharedctypes import RawArray
@@ -72,14 +70,8 @@ from ..core.program import ProgramError
 from ..runtime.faults import ServiceFaultInjector, ServiceFaultPlan, wedge_forever
 from .metrics import MetricsRegistry
 from .persistence import DurableStore
-from .protocol import (
-    MAX_REQUEST_BYTES,
-    ServiceError,
-    decode_request,
-    encode,
-    error_payload,
-)
-from .server import QueryServer, ServerConfig
+from .protocol import MAX_REQUEST_BYTES, encode, error_payload
+from .server import NDJSONServer, QueryServer, ServerConfig, ServerThread
 from .shared_session import SharedSession
 
 __all__ = [
@@ -356,7 +348,7 @@ _TRANSPORT_ERRORS = (
 )
 
 
-class ReplicaSet:
+class ReplicaSet(NDJSONServer):
     """N replica query servers behind one failover front door.
 
     The front door owns the durable log (single writer, locked at
@@ -365,10 +357,16 @@ class ReplicaSet:
     full :class:`SharedSession` stack restored read-only from the same
     log.  See the module docstring for the health/failover model.
 
-    Async lifecycle mirrors :class:`QueryServer`: ``await start()``,
-    ``await serve_forever()``, ``await shutdown()``; ``run()`` is the
-    blocking CLI entry and :class:`ReplicaSetThread` the test harness.
+    The transport — lifecycle, connection loop, drain within
+    ``drain_timeout``, signal handlers, ``run()`` — is the
+    :class:`~repro.service.server.NDJSONServer` that :class:`QueryServer`
+    also runs; this class adds routing, failover and write fan-out, its
+    ``stats``, and spawning/stopping the replicas.
+    :class:`ReplicaSetThread` is the test harness.
     """
+
+    requests_counter = ("front_requests_total", "requests at the front door")
+    draining_message = "replica set is draining"
 
     def __init__(
         self,
@@ -382,7 +380,10 @@ class ReplicaSet:
         snapshot_every: int = 1000,
         session_options: Optional[dict] = None,
     ) -> None:
-        self.config = config or ReplicaSetConfig()
+        super().__init__(
+            config or ReplicaSetConfig(),
+            metrics if metrics is not None else MetricsRegistry(),
+        )
         self.replica_config = replica_config or ReplicaConfig()
         if self.config.replicas < 1:
             raise ValueError(f"need at least one replica, got {self.config.replicas}")
@@ -419,9 +420,7 @@ class ReplicaSet:
         # (query and ask of the same text dedup — they prime the same
         # caches).  Values are ready-to-send ``warm`` request payloads.
         self._recent_reads: "OrderedDict[str, dict]" = OrderedDict()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         m = self.metrics
-        self._requests = m.counter("front_requests_total", "requests at the front door")
         self._failovers = m.counter(
             "failovers_total", "read attempts retried on a different replica"
         )
@@ -450,16 +449,8 @@ class ReplicaSet:
         self._degraded_errors = m.counter(
             "degraded_errors_total", "degraded reads with no cached answer"
         )
-        self.host: Optional[str] = None
-        self.port: Optional[int] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._stopped: Optional[asyncio.Event] = None
         self._write_lock: Optional[asyncio.Lock] = None
         self._health_task = None
-        self._shutdown_task = None
-        self._writers: set = set()
-        self._draining = False
-        self._shutdown_started = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -472,17 +463,9 @@ class ReplicaSet:
         none makes it within ``boot_timeout``.
         """
         self._write_lock = asyncio.Lock()
-        self._stopped = asyncio.Event()
         for rep in self._replicas:
             self._spawn(rep)
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.config.host,
-            self.config.port,
-            limit=self.config.max_request_bytes + 2,
-        )
-        sockname = self._server.sockets[0].getsockname()
-        self.host, self.port = sockname[0], sockname[1]
+        await super().start()
         self._health_task = asyncio.get_running_loop().create_task(self._health_loop())
         if wait_healthy:
             await self._wait_healthy()
@@ -500,20 +483,8 @@ class ReplicaSet:
                 f"no replica became healthy within {self.config.boot_timeout}s"
             )
 
-    async def serve_forever(self) -> None:
-        assert self._stopped is not None, "call start() first"
-        await self._stopped.wait()
-
-    async def shutdown(self) -> None:
-        """Stop the front door, the health loop, and every replica."""
-        if self._shutdown_started:
-            await self._stopped.wait()  # type: ignore[union-attr]
-            return
-        self._shutdown_started = True
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+    async def _stop_backend(self) -> None:
+        """Stop the health loop and every replica; release the log."""
         if self._health_task is not None:
             self._health_task.cancel()
         for rep in self._replicas:
@@ -535,44 +506,16 @@ class ReplicaSet:
             if proc.is_alive():  # pragma: no cover - terminate sufficed so far
                 proc.kill()
                 await loop.run_in_executor(None, proc.join, 5)
-        for writer in list(self._writers):
-            writer.close()
         self.store.close()
         if self._owns_data_dir:
             shutil.rmtree(self.data_dir, ignore_errors=True)
-        self._stopped.set()  # type: ignore[union-attr]
 
-    def request_shutdown(self) -> None:
-        """Sync + idempotent shutdown trigger (signal-handler friendly)."""
-        if self._shutdown_task is None and not self._shutdown_started:
-            self._shutdown_task = asyncio.get_running_loop().create_task(
-                self.shutdown()
-            )
-
-    def run(self) -> None:
-        """Blocking convenience: start, serve until shutdown or SIGINT/SIGTERM."""
-
-        async def _main() -> None:
-            await self.start()
-            loop = asyncio.get_running_loop()
-            for sig in (signal_module.SIGINT, signal_module.SIGTERM):
-                try:
-                    loop.add_signal_handler(sig, self.request_shutdown)
-                except (NotImplementedError, RuntimeError, ValueError):
-                    pass
-            try:
-                await self.serve_forever()
-            finally:
-                await self.shutdown()
-
-        try:
-            asyncio.run(_main())
-        except KeyboardInterrupt:  # pragma: no cover - no loop signal handlers
-            for rep in self._replicas:
-                proc = rep.process
-                if proc is not None and proc.is_alive():
-                    proc.kill()
-            self.store.close()
+    def _abort_backend(self) -> None:  # pragma: no cover - no loop signal handlers
+        for rep in self._replicas:
+            proc = rep.process
+            if proc is not None and proc.is_alive():
+                proc.kill()
+        self.store.close()
 
     # ------------------------------------------------------------------
     # Replica processes
@@ -833,72 +776,14 @@ class ReplicaSet:
             )
 
     # ------------------------------------------------------------------
-    # The front door protocol loop
+    # Dispatch: the shared prologue, then route reads and writes
     # ------------------------------------------------------------------
-    async def _send(self, writer: asyncio.StreamWriter, payload: dict) -> bool:
-        try:
-            writer.write(encode(payload))
-            await writer.drain()
-            return True
-        except (ConnectionError, RuntimeError):
-            return False
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._writers.add(writer)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    await self._send(
-                        writer,
-                        error_payload(
-                            "oversized",
-                            f"request line exceeds {self.config.max_request_bytes} bytes",
-                        ),
-                    )
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    request = decode_request(line, self.config.max_request_bytes)
-                except ServiceError as exc:
-                    rid = getattr(exc, "request_id", None)
-                    if not await self._send(writer, exc.payload(rid)):
-                        break
-                    if exc.error_type == "oversized":
-                        break
-                    continue
-                response, close = await self._dispatch(request)
-                if not await self._send(writer, response) or close:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
     async def _dispatch(self, request: dict) -> tuple[dict, bool]:
         op = request["op"]
         rid = request.get("id")
-        self._requests.inc()
-        if op == "ping":
-            return {"id": rid, "ok": True, "op": "ping"}, False
-        if op == "stats":
-            return {"id": rid, "ok": True, "op": "stats", "stats": self.stats()}, False
-        if op == "shutdown":
-            asyncio.get_running_loop().create_task(self.shutdown())
-            return {"id": rid, "ok": True, "op": "shutdown", "draining": True}, True
-        if self._draining:
-            return error_payload("shutting_down", "replica set is draining", rid), True
+        control = self._control(op, rid)
+        if control is not None:
+            return control
         if op in ("query", "ask", "warm"):
             text = request.get("query")
             if not isinstance(text, str) or not text.strip():
@@ -1133,75 +1018,25 @@ def _record_request(record: dict) -> dict:
 
 
 # ----------------------------------------------------------------------
-class ReplicaSetThread:
+class ReplicaSetThread(ServerThread):
     """A :class:`ReplicaSet` on a background thread (tests and benchmarks).
 
-    Mirrors :class:`~repro.service.server.ServerThread`: ``start()``
-    blocks until the front door is bound *and* every replica is
-    healthy, returning the port; ``stop()`` drains from any thread.
+    The :class:`~repro.service.server.ServerThread` harness with a
+    replica set behind it: ``start()`` blocks until the front door is
+    bound *and* every replica is healthy, returning the port; ``stop()``
+    drains from any thread.
 
         with ReplicaSetThread(PROGRAM, data_dir=d) as port:
             ServiceClient(port=port).query("anc(ann, Z)")
     """
 
+    _thread_name = "repro-replicaset"
+    _what = "replica set"
+    start_timeout = stop_timeout = 60.0
+
     def __init__(self, *args, **kwargs) -> None:
-        self._args = args
-        self._kwargs = kwargs
-        self.replica_set: Optional[ReplicaSet] = None
-        self.port: Optional[int] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._thread: Optional[threading.Thread] = None
+        self._harness(lambda: ReplicaSet(*args, **kwargs))
 
-    def start(self, timeout: float = 60.0) -> int:
-        self._thread = threading.Thread(
-            target=self._main, name="repro-replicaset", daemon=True
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout):
-            raise RuntimeError("replica set did not start in time")
-        if self._startup_error is not None:
-            raise RuntimeError("replica set failed to start") from self._startup_error
-        assert self.port is not None
-        return self.port
-
-    def _main(self) -> None:
-        try:
-            asyncio.run(self._amain())
-        except BaseException as exc:  # pragma: no cover - defensive
-            if not self._ready.is_set():
-                self._startup_error = exc
-                self._ready.set()
-
-    async def _amain(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        try:
-            self.replica_set = ReplicaSet(*self._args, **self._kwargs)
-            await self.replica_set.start()
-        except BaseException as exc:
-            self._startup_error = exc
-            self._ready.set()
-            return
-        self.port = self.replica_set.port
-        self._ready.set()
-        await self.replica_set.serve_forever()
-
-    def stop(self, timeout: float = 60.0) -> None:
-        loop, rset, thread = self._loop, self.replica_set, self._thread
-        if thread is None:
-            return
-        if loop is not None and rset is not None and thread.is_alive():
-            try:
-                loop.call_soon_threadsafe(rset.request_shutdown)
-            except RuntimeError:
-                pass
-        thread.join(timeout)
-        if thread.is_alive():
-            raise RuntimeError("replica set thread did not stop")
-
-    def __enter__(self) -> int:
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+    @property
+    def replica_set(self) -> Optional[ReplicaSet]:
+        return self.server  # type: ignore[return-value]

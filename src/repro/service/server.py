@@ -30,6 +30,14 @@ shutdown`) stops accepting connections, lets in-flight evaluations
 finish within ``drain_timeout``, then stops — no severed evaluations,
 no zombie executor threads.
 
+The transport itself — bind, the NDJSON connection loop, the
+ping/stats/shutdown prologue, the drain and the signal handlers — is
+:class:`NDJSONServer`, shared with the replicated front door
+(:class:`~repro.service.replication.ReplicaSet`); :class:`QueryServer`
+adds only how it answers the evaluated ops, its ``stats`` payload and
+how it releases its executor.  :class:`ServerThread` runs either on a
+background thread.
+
 Metrics flow into the same :class:`~repro.service.metrics
 .MetricsRegistry` the SharedSession reports into; the ``stats`` op
 snapshots everything.
@@ -74,59 +82,53 @@ class ServerConfig:
     drain_timeout: float = 10.0  # grace for in-flight work at shutdown
 
 
-class QueryServer:
-    """Serve one :class:`SharedSession` over TCP with admission control."""
+class NDJSONServer:
+    """The one NDJSON-over-TCP transport every server here speaks.
 
-    def __init__(
-        self,
-        shared: SharedSession,
-        config: Optional[ServerConfig] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        self.shared = shared
-        self.config = config or ServerConfig()
-        self.metrics = metrics if metrics is not None else shared.metrics
+    Owns the listening socket, the per-connection line loop and its
+    framing errors, the ops every server answers alike (``ping``,
+    ``stats``, ``shutdown`` and the ``shutting_down`` refusal while
+    draining), the drain-then-stop shutdown bounded by
+    ``config.drain_timeout``, the signal handlers and :meth:`run`.  A
+    backend subclass adds only what differs:
+
+    * ``_dispatch(request)`` — call :meth:`_control` first, then answer
+      the evaluated ops itself;
+    * ``stats()`` — the ``stats`` op payload;
+    * ``start`` (extend with ``super()``), ``_stop_backend`` (async,
+      after the drain) and ``_abort_backend`` (sync, when an interrupt
+      tore the loop down).
+
+    ``config`` needs ``host``, ``port``, ``max_request_bytes`` and
+    ``drain_timeout``.
+    """
+
+    #: (name, help) of the counter every received request bumps.
+    requests_counter = ("server_requests_total", "requests received")
+    draining_message = "server is draining"
+    _errors = None  # counter of error responses, where a backend keeps one
+
+    def __init__(self, config, metrics: MetricsRegistry) -> None:
+        self.config = config
+        self.metrics = metrics
         self.host: Optional[str] = None
         self.port: Optional[int] = None
         self._server: Optional[asyncio.AbstractServer] = None
-        self._slots: Optional[asyncio.Semaphore] = None
         self._stopped: Optional[asyncio.Event] = None
         self._drain_abort: Optional[asyncio.Event] = None
         self._shutdown_task: Optional[asyncio.Task] = None  # strong ref: no GC mid-drain
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.max_concurrent,
-            thread_name_prefix="repro-eval",
-        )
-        self._pending: set = set()  # in-flight evaluation futures
-        self._writers: set = set()  # open connection writers (for drain)
-        self._queue_depth = 0
+        self._pending: set = set()  # in-flight work futures the drain waits for
+        self._writers: set = set()  # open connection writers (closed after the drain)
         self._active_dispatches = 0  # requests between decode and response write
         self._draining = False
         self._shutdown_started = False
-        m = self.metrics
-        self._requests = m.counter("server_requests_total", "requests received")
-        self._rejections = m.counter(
-            "server_rejections_total", "typed overload rejections"
-        )
-        self._deadline_misses = m.counter(
-            "server_deadline_exceeded_total", "requests that outran their deadline"
-        )
-        self._errors = m.counter(
-            "server_errors_total", "requests answered with any error payload"
-        )
-        self._queue_wait = m.histogram(
-            "queue_wait_seconds", help="admission wait before an evaluation slot"
-        )
-        self._request_seconds = m.histogram(
-            "request_seconds", help="full request wall time, admission included"
-        )
+        self._requests = metrics.counter(*self.requests_counter)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
         """Bind and begin accepting; ``self.port`` carries the bound port."""
-        self._slots = asyncio.Semaphore(self.config.max_concurrent)
         self._stopped = asyncio.Event()
         self._drain_abort = asyncio.Event()
         self._server = await asyncio.start_server(
@@ -144,7 +146,7 @@ class QueryServer:
         await self._stopped.wait()
 
     async def shutdown(self, drain: bool = True) -> None:
-        """Stop accepting, drain in-flight evaluations, release the executor."""
+        """Stop accepting, drain in-flight requests, close, stop the backend."""
         if self._shutdown_started:
             await self._stopped.wait()  # type: ignore[union-attr]
             return
@@ -152,41 +154,47 @@ class QueryServer:
         self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-        orphans: set = set(self._pending)
         if drain:
-            # Wait in short slices so a second shutdown signal (the
-            # universal "stop NOW" convention) can abandon the drain.
-            # Draining means *responses delivered*, not just evaluations
-            # finished: a request's answer is written by its dispatch
-            # coroutine after the evaluation future completes, so wait
-            # for the active-dispatch count too — closing writers on
-            # future completion alone would sever the final responses.
-            loop = asyncio.get_running_loop()
-            deadline = loop.time() + self.config.drain_timeout
-            abort = self._drain_abort
-            while (orphans or self._active_dispatches) and (
-                abort is None or not abort.is_set()
-            ):
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                if orphans:
-                    _, orphans = await asyncio.wait(
-                        orphans, timeout=min(0.05, remaining)
-                    )
-                else:
-                    await asyncio.sleep(min(0.05, remaining))
+            await self._drain()
+        # Close the connections before wait_closed: since Python 3.12 it
+        # waits for every connection to close, so a client idling on an
+        # open connection would otherwise hold the stop forever.
         for writer in list(self._writers):
             writer.close()
-        # wait=True would block the loop if an orphan is still evaluating;
-        # with no orphans it returns immediately and every thread is joined.
-        self._executor.shutdown(wait=not orphans)
-        if self.shared.store is not None:
-            # Make any batched-but-unsynced log records durable before
-            # the process goes away.
-            self.shared.store.close()
+        if self._server is not None:
+            await self._server.wait_closed()
+        await self._stop_backend()
         self._stopped.set()  # type: ignore[union-attr]
+
+    async def _drain(self) -> None:
+        """Wait, within ``drain_timeout``, until in-flight responses are sent.
+
+        Draining means *responses delivered*, not just work finished: a
+        request's answer is written by its dispatch coroutine after its
+        work completes, so wait for the active-dispatch count too —
+        closing writers on work completion alone would sever the final
+        responses.  Waits in short slices so a second shutdown signal
+        (the universal "stop NOW" convention) can abandon the drain.
+        """
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.config.drain_timeout
+        abort = self._drain_abort
+        while (self._pending or self._active_dispatches) and (
+            abort is None or not abort.is_set()
+        ):
+            remaining = deadline - loop.time()
+            if remaining <= 0:
+                break
+            if self._pending:
+                await asyncio.wait(self._pending, timeout=min(0.05, remaining))
+            else:
+                await asyncio.sleep(min(0.05, remaining))
+
+    async def _stop_backend(self) -> None:
+        """Release the backend once the connections are closed."""
+
+    def _abort_backend(self) -> None:
+        """Release the backend without a loop (the interrupt path of run)."""
 
     def request_shutdown(self) -> None:
         """Begin a graceful drain; a repeat call abandons the drain.
@@ -212,8 +220,8 @@ class QueryServer:
         Must run on the event loop's (main) thread.  Returns False where
         loop signal handlers are unsupported (non-unix platforms or an
         embedded non-main thread); Ctrl-C then surfaces as
-        KeyboardInterrupt and :meth:`run` falls back to a best-effort
-        executor join.
+        KeyboardInterrupt and :meth:`run` falls back to
+        ``_abort_backend``.
         """
         loop = asyncio.get_running_loop()
         installed = False
@@ -230,7 +238,7 @@ class QueryServer:
 
         Installs the SIGINT/SIGTERM handlers, so an interrupt triggers
         the same graceful drain as the ``shutdown`` op instead of
-        tearing down mid-evaluation.
+        tearing down mid-request.
         """
 
         async def _main() -> None:
@@ -245,17 +253,15 @@ class QueryServer:
             asyncio.run(_main())
         except KeyboardInterrupt:
             # Signal handlers were unavailable, so the interrupt tore the
-            # loop down uncleanly; join evaluation threads off-loop so
+            # loop down uncleanly; release the backend off-loop so
             # nothing leaks even on this path.
-            self._executor.shutdown(wait=True)
-            if self.shared.store is not None:
-                self.shared.store.close()
+            self._abort_backend()
 
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
     async def _send(self, writer: asyncio.StreamWriter, payload: dict) -> bool:
-        if not payload.get("ok", False):
+        if not payload.get("ok", False) and self._errors is not None:
             self._errors.inc()
         try:
             writer.write(encode(payload))
@@ -305,7 +311,7 @@ class QueryServer:
                 if not sent or close:
                     break
         except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away mid-conversation; evaluations finish solo
+            pass  # client went away mid-conversation; its work finishes solo
         finally:
             self._writers.discard(writer)
             writer.close()
@@ -314,6 +320,81 @@ class QueryServer:
             except (ConnectionError, OSError):
                 pass
 
+    def _control(self, op: str, rid) -> Optional[tuple[dict, bool]]:
+        """Answer the ops every server answers alike; None = the backend's op.
+
+        Returns (payload, close-conn).  Sync, so a backend's dispatch
+        pays no extra await for it.
+        """
+        self._requests.inc()
+        if op == "ping":
+            return {"id": rid, "ok": True, "op": "ping"}, False
+        if op == "stats":
+            return {"id": rid, "ok": True, "op": "stats", "stats": self.stats()}, False
+        if op == "shutdown":
+            if self._shutdown_task is None:  # retained: tasks are weakly held
+                self._shutdown_task = asyncio.get_running_loop().create_task(
+                    self.shutdown()
+                )
+            return {"id": rid, "ok": True, "op": "shutdown", "draining": True}, True
+        if self._draining:
+            return error_payload("shutting_down", self.draining_message, rid), True
+        return None
+
+
+class QueryServer(NDJSONServer):
+    """Serve one :class:`SharedSession` over TCP with admission control."""
+
+    def __init__(
+        self,
+        shared: SharedSession,
+        config: Optional[ServerConfig] = None,
+        metrics: Optional[MetricsRegistry] = None,
+    ) -> None:
+        super().__init__(
+            config or ServerConfig(),
+            metrics if metrics is not None else shared.metrics,
+        )
+        self.shared = shared
+        self._slots: Optional[asyncio.Semaphore] = None
+        self._executor = ThreadPoolExecutor(
+            max_workers=self.config.max_concurrent,
+            thread_name_prefix="repro-eval",
+        )
+        self._queue_depth = 0
+        m = self.metrics
+        self._rejections = m.counter(
+            "server_rejections_total", "typed overload rejections"
+        )
+        self._deadline_misses = m.counter(
+            "server_deadline_exceeded_total", "requests that outran their deadline"
+        )
+        self._errors = m.counter(
+            "server_errors_total", "requests answered with any error payload"
+        )
+        self._queue_wait = m.histogram(
+            "queue_wait_seconds", help="admission wait before an evaluation slot"
+        )
+        self._request_seconds = m.histogram(
+            "request_seconds", help="full request wall time, admission included"
+        )
+
+    async def start(self) -> None:
+        self._slots = asyncio.Semaphore(self.config.max_concurrent)
+        await super().start()
+
+    async def _stop_backend(self) -> None:
+        # wait=True would block the loop if an orphan is still evaluating;
+        # with no orphans it returns immediately and every thread is joined.
+        self._abort_backend(wait=not self._pending)
+
+    def _abort_backend(self, wait: bool = True) -> None:
+        self._executor.shutdown(wait=wait)
+        if self.shared.store is not None:
+            # Make any batched-but-unsynced log records durable before
+            # the process goes away.
+            self.shared.store.close()
+
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
@@ -321,19 +402,9 @@ class QueryServer:
         """One validated request to one response; (payload, close-conn)."""
         op = request["op"]
         rid = request.get("id")
-        self._requests.inc()
-        if op == "ping":
-            return {"id": rid, "ok": True, "op": "ping"}, False
-        if op == "stats":
-            return {"id": rid, "ok": True, "op": "stats", "stats": self._stats()}, False
-        if op == "shutdown":
-            asyncio.get_running_loop().create_task(self.shutdown())
-            return {"id": rid, "ok": True, "op": "shutdown", "draining": True}, True
-        if self._draining:
-            return (
-                error_payload("shutting_down", "server is draining", rid),
-                True,
-            )
+        control = self._control(op, rid)
+        if control is not None:
+            return control
         try:
             fn = self._work_for(op, request)
         except ServiceError as exc:
@@ -497,7 +568,7 @@ class QueryServer:
             "internal", f"{type(exc).__name__}: {exc}", rid
         )
 
-    def _stats(self) -> dict:
+    def stats(self) -> dict:
         return {
             "metrics": self.metrics.snapshot(),
             "session": self.shared.stats(),
@@ -513,7 +584,7 @@ class QueryServer:
 
 # ----------------------------------------------------------------------
 class ServerThread:
-    """A :class:`QueryServer` on a background thread (tests and benchmarks).
+    """A server on a background thread (tests and benchmarks).
 
     ``start()`` blocks until the server is bound and returns the port;
     ``stop()`` triggers a graceful drain from any thread and joins.
@@ -521,7 +592,16 @@ class ServerThread:
 
         with ServerThread(shared) as port:
             ServiceClient(port=port) ...
+
+    The one harness for every :class:`NDJSONServer`: a subclass only
+    hands :meth:`_harness` a different server factory (see
+    :class:`~repro.service.replication.ReplicaSetThread`).
     """
+
+    _thread_name = "repro-service"
+    _what = "query server"
+    start_timeout = 10.0
+    stop_timeout = 30.0
 
     def __init__(
         self,
@@ -529,25 +609,26 @@ class ServerThread:
         config: Optional[ServerConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self._shared = shared
-        self._config = config
-        self._metrics = metrics
-        self.server: Optional[QueryServer] = None
+        self._harness(lambda: QueryServer(shared, config, metrics))
+
+    def _harness(self, make_server: Callable[[], NDJSONServer]) -> None:
+        self._make_server = make_server  # called on the server thread, in its loop
+        self.server: Optional[NDJSONServer] = None
         self.port: Optional[int] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._ready = threading.Event()
         self._startup_error: Optional[BaseException] = None
         self._thread: Optional[threading.Thread] = None
 
-    def start(self, timeout: float = 10.0) -> int:
+    def start(self, timeout: Optional[float] = None) -> int:
         self._thread = threading.Thread(
-            target=self._main, name="repro-service", daemon=True
+            target=self._main, name=self._thread_name, daemon=True
         )
         self._thread.start()
-        if not self._ready.wait(timeout):
-            raise RuntimeError("query server did not start in time")
+        if not self._ready.wait(self.start_timeout if timeout is None else timeout):
+            raise RuntimeError(f"{self._what} did not start in time")
         if self._startup_error is not None:
-            raise RuntimeError("query server failed to start") from self._startup_error
+            raise RuntimeError(f"{self._what} failed to start") from self._startup_error
         assert self.port is not None
         return self.port
 
@@ -561,8 +642,8 @@ class ServerThread:
 
     async def _amain(self) -> None:
         self._loop = asyncio.get_running_loop()
-        self.server = QueryServer(self._shared, self._config, self._metrics)
         try:
+            self.server = self._make_server()
             await self.server.start()
         except BaseException as exc:
             self._startup_error = exc
@@ -572,7 +653,7 @@ class ServerThread:
         self._ready.set()
         await self.server.serve_forever()
 
-    def stop(self, timeout: float = 30.0) -> None:
+    def stop(self, timeout: Optional[float] = None) -> None:
         """Graceful drain from any thread; join the server thread."""
         loop, server, thread = self._loop, self.server, self._thread
         if thread is None:
@@ -584,9 +665,9 @@ class ServerThread:
                 loop.call_soon_threadsafe(server.request_shutdown)
             except RuntimeError:
                 pass  # loop already closed — thread is on its way out
-        thread.join(timeout)
+        thread.join(self.stop_timeout if timeout is None else timeout)
         if thread.is_alive():
-            raise RuntimeError("query server thread did not stop")
+            raise RuntimeError(f"{self._what} thread did not stop")
 
     def __enter__(self) -> int:
         return self.start()

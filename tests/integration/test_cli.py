@@ -162,6 +162,37 @@ class TestBenchSession:
         assert main(["bench-session", str(path), "--no-compare"]) == 2
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "{missing}"],
+            ["graph", "{dir}"],
+            ["run", "{file}", "--data", "{missing}"],
+            ["analyze", "{bad}"],
+            ["trace", "{unsafe}"],
+            ["run", "{file}", "--query", "anc(ann"],
+        ],
+        ids=["missing-file", "directory", "missing-data", "parse-error",
+             "program-error", "bad-query"],
+    )
+    def test_one_error_line_and_exit_2(self, argv, program_file, tmp_path, capsys):
+        (tmp_path / "bad.dl").write_text("p(X) <- .")
+        (tmp_path / "unsafe.dl").write_text("p(X) <- q(Y).")
+        paths = dict(
+            file=program_file,
+            missing=str(tmp_path / "missing.dl"),
+            dir=str(tmp_path),
+            bad=str(tmp_path / "bad.dl"),
+            unsafe=str(tmp_path / "unsafe.dl"),
+        )
+        with pytest.raises(SystemExit) as info:
+            main([arg.format(**paths) for arg in argv])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):

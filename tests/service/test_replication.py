@@ -190,7 +190,7 @@ class TestParityAndWrites:
             thread.stop()
 
     def test_front_door_speaks_the_protocol_edge_cases(self, tmp_path):
-        thread, port = make_set(tmp_path, replicas=2)
+        thread, port = make_set(tmp_path, replicas=2, max_request_bytes=200)
         try:
             with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
                 file = sock.makefile("rwb")
@@ -206,8 +206,17 @@ class TestParityAndWrites:
                 assert unknown["error"]["type"] == "unknown_op"
                 missing = exchange(b'{"op": "query"}')
                 assert missing["error"]["type"] == "bad_request"
-                pong = exchange(b'{"id": 9, "op": "ping"}')
+                # Blank lines get no response: the next reply is the ping's.
+                pong = exchange(b'\n  \n{"id": 9, "op": "ping"}')
                 assert pong["ok"] and pong["id"] == 9
+                oversized = exchange(
+                    json.dumps({"op": "query", "query": "x" * 500}).encode()
+                )
+                assert oversized["error"]["type"] == "oversized"
+                assert file.readline() == b""  # framing is gone: closed
+            # The front door is unharmed for the next connection.
+            with ServiceClient(port=port, timeout=10) as client:
+                assert client.ping()
         finally:
             thread.stop()
 
@@ -364,6 +373,40 @@ class TestDegradedService:
             client.close()
         finally:
             thread.stop()
+
+    def test_front_door_drains_an_in_flight_read(self, tmp_path, monkeypatch):
+        # The only replica answers queries 1 s late; stop() lands mid-read.
+        faults = {"delay_replica": "replica-0", "delay_seconds": 1.0, "only_ops": ["query"]}
+        thread, port = make_set(
+            tmp_path,
+            replicas=1,
+            faults=faults,
+            monkeypatch=monkeypatch,
+            read_timeout=5.0,
+            drain_timeout=3.0,
+        )
+        outcome = {}
+
+        def read():
+            try:
+                with ServiceClient(port=port, timeout=10) as client:
+                    outcome["reply"] = client.query("anc(ann, Z)")
+            except ServiceClientError as exc:
+                outcome["error"] = exc
+
+        reader = threading.Thread(target=read)
+        reader.start()
+        time.sleep(0.3)  # the read is at the replica now
+        start = time.monotonic()
+        thread.stop()
+        stopped_in = time.monotonic() - start
+        reader.join(10)
+        assert not reader.is_alive()
+        assert "error" not in outcome, outcome.get("error")
+        reply = outcome["reply"]
+        assert set(reply.answers) == ANC_ANN
+        assert not reply.raw.get("stale")  # a real answer, not the cache's
+        assert stopped_in < 3.0 + 2.0
 
     @staticmethod
     def _fresh(port, query):

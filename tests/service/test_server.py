@@ -20,6 +20,8 @@ import pytest
 
 from repro.service import (
     QueryServer,
+    ReplicaSetConfig,
+    ReplicaSetThread,
     ServerConfig,
     ServerThread,
     ServiceClient,
@@ -258,6 +260,31 @@ class TestShutdown:
                 break
             time.sleep(0.05)
         assert threading.active_count() <= before
+
+
+    @pytest.mark.parametrize(
+        "harness", [ServerThread, ReplicaSetThread], ids=lambda h: h.__name__
+    )
+    def test_idle_client_does_not_hold_up_stop(self, harness, tmp_path):
+        # Python 3.12's Server.wait_closed waits for every connection, so
+        # the server must close idle client connections before it.
+        if harness is ServerThread:
+            thread = harness(SharedSession(BASE), ServerConfig(drain_timeout=1.0))
+        else:
+            thread = harness(
+                BASE,
+                data_dir=str(tmp_path / "data"),
+                config=ReplicaSetConfig(replicas=1, drain_timeout=1.0),
+            )
+        port = thread.start()
+        client = ServiceClient(port=port, timeout=10)
+        assert client.ping()  # ...and the connection stays open, idle
+        try:
+            start = time.monotonic()
+            thread.stop(timeout=1.0 + 2.0)
+            assert time.monotonic() - start < 1.0 + 2.0
+        finally:
+            client.close()
 
 
 class TestSignalShutdown:

@@ -8,6 +8,8 @@ drain via the ``shutdown`` op, and then asserts the conditions CI is
 really there to check:
 
 * every answer matches a serial oracle session;
+* a burst of distinct keys of one query shape adds one graph to the
+  session's graph cache (one rule/goal graph per shape, not per key);
 * the server drains *cleanly* — the server thread joins, no evaluation
   is severed mid-flight;
 * zero leaked threads and zero leaked child processes after drain
@@ -50,13 +52,18 @@ EXTRA_RULES = "desc(X, Y) <- anc(Y, X)."
 
 QUERIES = ["anc(ann, Z)", "anc(bob, Z)", "anc(ann, W)", "anc(abe, Q)"]
 
+#: ~50 distinct keys of one shape no earlier request has: the people of
+#: the final base, then names it has never seen (empty answers).
+PEOPLE = ["ann", "bob", "cal", "dee", "eve", "abe", "ada", "fay", "gus"]
+BURST = [f"desc(Z, {name})" for name in PEOPLE + [f"kid{i}" for i in range(41)]]
 
-def oracle_answers():
+
+def oracle_answers(queries: list[str]) -> dict:
     """Serial single-threaded session over the *final* base: the oracle."""
     session = Session(BASE)
     session.add_facts(EXTRA_FACTS)
     session.add_rules(EXTRA_RULES)
-    return {q: session.query(q) for q in QUERIES + ["desc(gus, ann)"]}
+    return {q: session.query(q) for q in queries}
 
 
 def client_load(port: int, index: int, failures: list) -> None:
@@ -114,8 +121,20 @@ def main() -> int:
             failures.append("client thread wedged")
 
     # Post-load verification against the serial oracle.
-    oracle = oracle_answers()
+    oracle = oracle_answers(QUERIES + ["desc(gus, ann)"])
+    burst_oracle = oracle_answers(BURST)
     with ServiceClient(port=port, timeout=30.0) as client:
+        graphs_before = client.stats()["session"]["graph_cache"]["size"]
+        for query, expected in burst_oracle.items():
+            got = set(client.query(query).answers)
+            if got != expected:
+                failures.append(f"{query}: {got} != oracle {expected}")
+        graphs_after = client.stats()["session"]["graph_cache"]["size"]
+        if graphs_after != graphs_before + 1:
+            failures.append(
+                f"{len(BURST)} keys of one shape grew the graph cache "
+                f"{graphs_before} -> {graphs_after}, not by one"
+            )
         for query, expected in oracle.items():
             if query.startswith("desc"):
                 if not client.ask(query):

@@ -7,8 +7,10 @@ structural artifact — the information-passing rule/goal graph — depend
 only on the IDB and the (adorned) query, never on the EDB, so a
 :class:`~repro.session.Session` may reuse one graph across arbitrarily
 many queries and across ``add_facts`` calls.  This module holds the
-cache machinery; the keys are built by
-:func:`repro.core.rulegoal.graph_cache_key`.
+cache machinery; the session keys it by
+:func:`repro.core.rulegoal.graph_cache_key` over the query's *shape*
+(:func:`repro.core.rulegoal.query_shape`), so one entry serves every
+constant of a shape.
 
 The cache is a plain LRU over hashable keys.  ``capacity=0`` disables
 caching entirely (every lookup misses, nothing is stored) — useful for

@@ -672,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-size",
         type=int,
         default=64,
-        help="graph-cache LRU capacity shared by all clients",
+        help="graph-cache LRU capacity in query shapes, shared by all clients",
     )
     serve_p.add_argument(
         "--answer-cache-size",
@@ -769,7 +769,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--repeat", type=int, default=100, help="number of identical queries to serve"
     )
     bench_p.add_argument(
-        "--cache-size", type=int, default=64, help="graph-cache LRU capacity (0 disables)"
+        "--cache-size",
+        type=int,
+        default=64,
+        help="graph-cache LRU capacity in query shapes (0 disables)",
     )
     bench_p.add_argument(
         "--no-compare",

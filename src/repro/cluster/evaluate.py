@@ -13,7 +13,9 @@ spins up a private localhost :class:`~repro.cluster.harness
 
 A job is two content-addressed parts (:mod:`repro.cluster.spec`) — the
 *plan* (rules-only program + prebuilt rule/goal graph + options) and the
-*edb* (the database) — plus a small per-attempt header.  Each part is
+*edb* (the database) — plus a small per-attempt header, which also
+carries the values of a shape graph's parameters: a session's queries
+that differ only in a constant share one plan part.  Each part is
 pickled once per live graph / database object and shipped once per
 manager and worker; a repeat query submits two digests and an empty blob,
 and the workers evaluate it over their resident copies (fresh per-query
@@ -40,7 +42,7 @@ from ..runtime.faults import FaultPlan
 from ..runtime.sharded import ShardedQueryResult, evaluate_sharded
 from ..runtime.supervision import RetryPolicy
 from .client import ClusterClient, SpecMissError
-from .framing import rows_from_wire
+from .framing import rows_from_wire, rows_to_wire
 
 __all__ = ["ClusterLink", "evaluate_cluster"]
 
@@ -146,6 +148,7 @@ def evaluate_cluster(
     fault_plan: Optional[FaultPlan] = None,
     graph: Optional[RuleGoalGraph] = None,
     database: Optional[Database] = None,
+    bindings: tuple = (),
     address: Optional[str] = None,
     listen: Optional[str] = None,
     client: Optional[ClusterClient] = None,
@@ -173,7 +176,10 @@ def evaluate_cluster(
     shipped = {"plan_bytes": 0, "edb_bytes": 0, "resends": 0}
 
     def attempt(
-        cluster: ClusterClient, graph: RuleGoalGraph, armed: Optional[FaultPlan]
+        cluster: ClusterClient,
+        graph: RuleGoalGraph,
+        bindings: tuple,
+        armed: Optional[FaultPlan],
     ) -> ShardedQueryResult:
         # Memoised on the client against the live graph / database: only
         # the first attempt over a given pair pickles anything.
@@ -186,6 +192,10 @@ def evaluate_cluster(
             "heartbeat_interval": heartbeat_interval,
             "batch_size": batch_size,
         }
+        if bindings:
+            # Tagged value cells, like every row on the wire: lossless for
+            # any constant the in-process runtimes accept.
+            header["bindings"] = rows_to_wire([bindings])[0]
         if armed is not None:
             header["fault_plan"] = dataclasses.asdict(armed)
         for resend in (False, True):
@@ -235,6 +245,7 @@ def evaluate_cluster(
         fault_plan=fault_plan,
         graph=graph,
         database=database,
+        bindings=bindings,
     )
     result.spec = shipped
     return result

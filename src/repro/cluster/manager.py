@@ -583,6 +583,7 @@ class ClusterManager:
                 "hb": heartbeat_interval,
                 "batch_size": header.get("batch_size", 64),
                 "fault_plan": fault_plan,
+                "bindings": header.get("bindings"),
                 **{part.kind: part.digest for part in parts},
             }
             for link in participants:

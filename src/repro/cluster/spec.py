@@ -7,7 +7,9 @@ per-attempt JSON header:
     The rules-only program, the prebuilt rule/goal graph, and the
     evaluation options that shape the node network.  Theorem 2.1 makes the
     graph EDB-independent, so a plan changes only with the rules, the query
-    variant, or the SIP — never with a write.
+    shape, or the SIP — never with a write.  A session's graph is a *shape*
+    graph: queries that differ only in a constant share it, and the
+    constant's value rides in the per-attempt header instead.
 ``edb``
     The :class:`~repro.relational.database.Database`.  It changes only on a
     write (``Database.version`` counts them).
@@ -251,31 +253,24 @@ def _pickle_plan(
     (the session's cached graph must not be mutated), and without the plan
     report (client-side introspection only).
 
-    When a database accompanies the job the program travels rules-only: the
-    engine reads ``program.facts`` only to build a database it was not
-    given, and the same rows already ship — far more compactly — in the
-    edb part.
+    A session's program is rules-only already, and its graph was built
+    from that very object, so pickle's memo writes it once.  A direct
+    caller's program may still carry facts: when a database accompanies
+    the job they are dropped, since the engine reads ``program.facts``
+    only to build a database it was not given.
     """
     wire_graph = copy.copy(graph)
     wire_graph.sip_factory = greedy_sip
     if getattr(wire_graph, "plan_report", None) is not None:
         wire_graph.plan_report = None
     wire_program = program
-    if with_database:
-        wire_program = _rules_only(program)
-        # One object when the graph was built from this very program, so
-        # pickle's memo writes it once.
+    if with_database and program.facts:
+        wire_program = program.with_facts(())
         wire_graph.program = (
-            wire_program if graph.program is program else _rules_only(graph.program)
+            wire_program if graph.program is program else graph.program.with_facts(())
         )
     blob = pickle.dumps(
         {"program": wire_program, "graph": wire_graph, **options},
         protocol=pickle.HIGHEST_PROTOCOL,
     )
     return Part(PLAN, digest_of(blob), blob)
-
-
-def _rules_only(program: Program) -> Program:
-    return Program(
-        program.rules, (), edb_predicates=program.edb_predicates, validate=False
-    )

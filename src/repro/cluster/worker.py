@@ -61,6 +61,7 @@ from .framing import (
     decode_job,
     decode_messages,
     encode_messages,
+    rows_from_wire,
     rows_to_wire,
 )
 from .spec import EDB, PLAN, PartCache, unpack_parts
@@ -68,7 +69,7 @@ from .spec import EDB, PLAN, PartCache, unpack_parts
 __all__ = ["worker_main", "ClusterRouter", "ResidentSpecs"]
 
 #: Bounds of a worker's resident spec parts.  Plans are small and vary per
-#: query variant; databases are large and change only on a write, after
+#: query shape; databases are large and change only on a write, after
 #: which the old version is garbage — a handful covers several sessions
 #: sharing one cluster.
 _RESIDENT_PLANS = 16
@@ -182,6 +183,8 @@ class _JobContext:
         self.batch_size: int = head.get("batch_size", 64)
         fault_plan = head.get("fault_plan")
         self.fault_plan = FaultPlan(**fault_plan) if fault_plan else None
+        bindings = head.get("bindings")
+        self.bindings: tuple = rows_from_wire([bindings])[0] if bindings else ()
         self.plan_digest: str = head[PLAN]
         self.edb_digest: Optional[str] = head.get(EDB)
         # A hit means the part was resident before this job's frames
@@ -256,6 +259,7 @@ def _job_loop(fs: FrameSocket, ctx: _JobContext, resident: ResidentSpecs) -> Non
         edb_shards=replicas,
         database=ctx.database,
         graph=spec["graph"],
+        bindings=ctx.bindings,
     )
     shard_of = ctx.plan.shard_maps.get((ctx.n_shards, replicas))
     if shard_of is None:

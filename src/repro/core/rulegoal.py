@@ -37,7 +37,7 @@ from .atoms import Atom
 from .program import Program, strongly_connected_components
 from .rules import GOAL_PREDICATE, Rule
 from .sips import SipStrategy, adorn_body, all_free_sip, greedy_sip
-from .terms import FreshVariables, Variable
+from .terms import Constant, FreshVariables, Parameter, Variable, bound_value
 from .unify import unify
 
 __all__ = [
@@ -52,6 +52,11 @@ __all__ = [
     "rule_set_fingerprint",
     "query_variant_signature",
     "graph_cache_key",
+    "rule_constants",
+    "query_shape",
+    "bind_atom",
+    "bind_adorned",
+    "bind_rule",
 ]
 
 #: A SIP factory maps (rule-copy, adorned-head) to a strategy.
@@ -86,9 +91,9 @@ class GoalNode:
         """The goal's predicate symbol."""
         return self.adorned.predicate
 
-    def label(self) -> str:
-        """Human-readable label, e.g. ``p(V^d, Z^f)``."""
-        return str(self.adorned)
+    def label(self, bindings: tuple = ()) -> str:
+        """Human-readable label, e.g. ``p(V^d, Z^f)``, parameters bound."""
+        return str(bind_adorned(self.adorned, bindings))
 
 
 @dataclass
@@ -105,10 +110,10 @@ class RuleNode:
     rule_index: int  # index of the source rule in the program
     subgoal_children: list[int] = field(default_factory=list)
 
-    def label(self) -> str:
-        """Human-readable label in the paper's Fig-1 style."""
-        body = ", ".join(str(a) for a in self.adorned_body)
-        return f"{self.head} <- {body}"
+    def label(self, bindings: tuple = ()) -> str:
+        """Human-readable label in the paper's Fig-1 style, parameters bound."""
+        body = ", ".join(str(bind_adorned(a, bindings)) for a in self.adorned_body)
+        return f"{bind_adorned(self.head, bindings)} <- {body}"
 
 
 @dataclass(frozen=True)
@@ -156,11 +161,11 @@ class RuleGoalGraph:
         """True iff ``node_id`` names a goal node."""
         return node_id in self.goal_nodes
 
-    def node_label(self, node_id: int) -> str:
-        """Readable label for any node id."""
+    def node_label(self, node_id: int, bindings: tuple = ()) -> str:
+        """Readable label for any node id (a shape graph's under ``bindings``)."""
         if node_id in self.goal_nodes:
-            return self.goal_nodes[node_id].label()
-        return self.rule_nodes[node_id].label()
+            return self.goal_nodes[node_id].label(bindings)
+        return self.rule_nodes[node_id].label(bindings)
 
     def node_depth(self, node_id: int) -> int:
         """DFS depth of any node."""
@@ -399,7 +404,9 @@ def query_variant_signature(atoms: Sequence[Atom]) -> tuple:
     the desugared ``goal`` head lists variables in first-occurrence order)
     while ``anc(bob, Z)`` does not.  Theorem 2.1 guarantees the rule/goal
     graph depends only on this signature and the IDB — never on the EDB —
-    which is what makes cross-query graph reuse sound.
+    which is what makes cross-query graph reuse sound.  The session's graph
+    cache takes the signature of the query's *shape* (:func:`query_shape`),
+    under which ``anc(bob, Z)`` shares ``anc(ann, Z)``'s graph as well.
     """
     first_seen: dict[Variable, int] = {}
     signature: list[tuple] = []
@@ -447,6 +454,85 @@ def graph_cache_key(
 
 
 # ----------------------------------------------------------------------
+# Query shapes — one graph for every value of a query constant
+# ----------------------------------------------------------------------
+
+def rule_constants(rules: Sequence[Rule]) -> frozenset:
+    """Every constant value occurring in ``rules`` (heads and bodies)."""
+    return frozenset(
+        term.value
+        for rule in rules
+        for atom_ in (rule.head, *rule.body)
+        for term in atom_.constants()
+    )
+
+
+def query_shape(
+    atoms: Sequence[Atom], literals: frozenset
+) -> tuple[tuple[Atom, ...], tuple]:
+    """The query's *shape*: ``(shape atoms, bindings)``.
+
+    Construction reads a query constant only when it unifies it: against
+    a rule constant, or against another query constant (a repeated head
+    variable, a variant check).  A constant equal to no rule constant
+    therefore shapes the graph only through which query constants it
+    equals.  Each such constant becomes ``Constant(Parameter(k))``, equal
+    constants sharing ``k``, and ``bindings[k]`` is its value.  A constant
+    in ``literals`` (the rule constants, compared with the equality
+    :func:`~repro.core.unify.unify` uses) stays literal: it selects rules,
+    so it shapes the graph.  The graph built for the shape atoms, bound
+    to ``bindings``, equals the graph built for ``atoms`` node for node.
+    """
+    slots: dict[object, Constant] = {}
+    bindings: list[object] = []
+    shaped: list[Atom] = []
+    for atom_ in atoms:
+        args = []
+        for term in atom_.args:
+            if isinstance(term, Constant) and term.value not in literals:
+                slot = slots.get(term.value)
+                if slot is None:
+                    slot = slots[term.value] = Constant(Parameter(len(bindings)))
+                    bindings.append(term.value)
+                term = slot
+            args.append(term)
+        shaped.append(Atom(atom_.predicate, tuple(args)))
+    return tuple(shaped), tuple(bindings)
+
+
+def bind_atom(atom_: Atom, bindings: tuple) -> Atom:
+    """``atom_`` with each parameter replaced by its value in ``bindings``."""
+    if not bindings:
+        return atom_
+    return Atom(
+        atom_.predicate,
+        tuple(
+            Constant(bound_value(term.value, bindings))
+            if isinstance(term, Constant)
+            else term
+            for term in atom_.args
+        ),
+    )
+
+
+def bind_adorned(adorned: AdornedAtom, bindings: tuple) -> AdornedAtom:
+    """:func:`bind_atom` for an adorned atom (the adornment is unchanged)."""
+    if not bindings:
+        return adorned
+    return AdornedAtom(bind_atom(adorned.atom, bindings), adorned.adornment)
+
+
+def bind_rule(rule: Rule, bindings: tuple) -> Rule:
+    """:func:`bind_atom` for a rule's head and every subgoal."""
+    if not bindings:
+        return rule
+    return Rule(
+        bind_atom(rule.head, bindings),
+        tuple(bind_atom(subgoal, bindings) for subgoal in rule.body),
+    )
+
+
+# ----------------------------------------------------------------------
 # Construction
 # ----------------------------------------------------------------------
 
@@ -458,7 +544,6 @@ def _head_adornment_after_mgu(head: Atom, goal: AdornedAtom) -> AdornedAtom:
     the original rule stays a constant and must be class "c"; every other
     position inherits the goal's class.
     """
-    from .terms import Constant
     from .adornment import CONSTANT, DYNAMIC
 
     letters = []

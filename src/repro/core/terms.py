@@ -19,6 +19,8 @@ from typing import Union
 __all__ = [
     "Variable",
     "Constant",
+    "Parameter",
+    "bound_value",
     "Term",
     "FreshVariables",
     "term_from_value",
@@ -63,6 +65,29 @@ class Constant:
 
     def __repr__(self) -> str:
         return f"Constant({self.value!r})"
+
+
+@dataclass(frozen=True, slots=True)
+class Parameter:
+    """A numbered query-constant slot: the value of a shape graph's constant.
+
+    A query constant that equals no rule constant only ever meets itself
+    during graph construction, so the rule/goal graph does not depend on
+    its value.  A *shape* graph holds ``Constant(Parameter(k))`` in its
+    place; the engine reads ``bindings[k]`` wherever a value is needed.
+    A parameter equals only the parameter with the same index — never a
+    rule constant — so unification treats it as a constant of its own.
+    """
+
+    index: int
+
+    def __str__(self) -> str:
+        return f"${self.index}"
+
+
+def bound_value(value: object, bindings: tuple) -> object:
+    """``value`` itself, or its binding when it is a :class:`Parameter`."""
+    return bindings[value.index] if isinstance(value, Parameter) else value
 
 
 #: A term is a variable or a constant (no function symbols — Section 1).

@@ -86,6 +86,8 @@ class QueryResult:
     db_indexed_lookups: int
     db_rows_retrieved: int
     graph: RuleGoalGraph
+    #: The values of ``graph``'s parameters (a shape graph); labels bind them.
+    bindings: tuple = ()
     # Session-cache accounting (filled by Session; defaults for direct use).
     graph_cache_hit: bool = False
     cache_stats: Optional[CacheStats] = None
@@ -174,7 +176,7 @@ class QueryResult:
         processes to place on separate machines or to coalesce.
         """
         label_by_id = {
-            node_id: self.graph.node_label(node_id)
+            node_id: self.graph.node_label(node_id, self.bindings)
             for node_id in list(self.graph.goal_nodes) + list(self.graph.rule_nodes)
         }
         rows = []
@@ -231,6 +233,12 @@ class MessagePassingEngine:
         A prebuilt rule/goal graph to reuse (e.g. from a session cache);
         construction is skipped and ``sip_factory``/``coalesce``/``planner``
         are ignored for graph-building purposes.  Treated as read-only.
+    bindings:
+        The values of ``graph``'s parameters when it is a *shape* graph
+        (see :func:`~repro.core.rulegoal.query_shape`): ``bindings[k]``
+        replaces ``Parameter(k)`` wherever a value is read — an EDB leaf's
+        constant filter, a rule node's constant head slots — and in every
+        node label.  Empty for a graph built from the query's own values.
     edb_shards:
         When > 1, every EDB leaf with "d" positions is partitioned into that
         many replica processes, each serving the hash partition of the
@@ -269,12 +277,14 @@ class MessagePassingEngine:
         graph: Optional[RuleGoalGraph] = None,
         edb_shards: int = 1,
         planner: str = "static",
+        bindings: tuple = (),
     ) -> None:
         self.program = program
+        self.bindings = bindings
         self.database = database if database is not None else Database.from_facts(program.facts)
         # A prebuilt (possibly session-cached) graph skips planning;
         # Theorem 2.1 makes the graph EDB-independent, so a cached one is
-        # valid for any database over the same IDB and query variant.
+        # valid for any database over the same IDB and query shape.
         if graph is None:
             graph = plan_graph(
                 program, planner, sip_factory, self.database, query_goal, coalesce
@@ -300,6 +310,8 @@ class MessagePassingEngine:
         #: The last result collected; a wave that derives nothing returns
         #: it again with the wave counters zeroed.
         self._result: Optional[QueryResult] = None
+        #: Bound node labels, rendered once per engine, not once per wave.
+        self._labels: dict[int, str] = {}
         self.driver: DriverProcess
         self._build_network()
 
@@ -321,7 +333,9 @@ class MessagePassingEngine:
         # --- instantiate processes -----------------------------------
         for goal in graph.goal_nodes.values():
             if goal.kind == "edb":
-                process: NodeProcess = EdbLeafProcess(goal.id, goal.adorned, self.database)
+                process: NodeProcess = EdbLeafProcess(
+                    goal.id, goal.adorned, self.database, self.bindings
+                )
             elif goal.kind == "cyclic":
                 assert goal.cycle_source is not None
                 process = CyclicNodeProcess(goal.id, goal.adorned, goal.cycle_source)
@@ -338,6 +352,7 @@ class MessagePassingEngine:
                 rule_node.sip.order,
                 rule_node.adorned_body,
                 tuple(rule_node.subgoal_children),
+                self.bindings,
             )
 
         root_goal = graph.goal_nodes[graph.root]
@@ -403,7 +418,9 @@ class MessagePassingEngine:
                 for _ in range(self._edb_shards - 1):
                     replica_id = next_id
                     next_id += 1
-                    replica = EdbLeafProcess(replica_id, goal.adorned, self.database)
+                    replica = EdbLeafProcess(
+                        replica_id, goal.adorned, self.database, self.bindings
+                    )
                     self.processes[replica_id] = replica
                     replica_ids.append(replica_id)
                     for consumer_id, stream in consumer_streams:
@@ -548,6 +565,12 @@ class MessagePassingEngine:
         self._result = result
         return result
 
+    def _label(self, node_id: int) -> str:
+        label = self._labels.get(node_id)
+        if label is None:
+            label = self._labels[node_id] = self.graph.node_label(node_id, self.bindings)
+        return label
+
     def _db_snapshot(self) -> tuple[int, int, int]:
         return (
             self.database.scans,
@@ -576,7 +599,7 @@ class MessagePassingEngine:
             if process.tuples_stored:
                 # Distinct nodes can share a label (e.g. a ground cyclic
                 # variant and its ancestor), so aggregate rather than assign.
-                label = self.graph.node_label(node_id)
+                label = self._label(node_id)
                 tuples_by_node[label] = (
                     tuples_by_node.get(label, 0) + process.tuples_stored
                 )
@@ -588,7 +611,7 @@ class MessagePassingEngine:
                 batch_out += process.batch_rows_out
                 batch_keys += process.batch_distinct_keys
                 if process.batch_rows_in:
-                    label = self.graph.node_label(node_id)
+                    label = self._label(node_id)
                     prior = batch_by_node.get(label, (0, 0, 0))
                     batch_by_node[label] = (
                         prior[0] + process.batch_rows_in,
@@ -616,6 +639,7 @@ class MessagePassingEngine:
             db_indexed_lookups=self.database.indexed_lookups - lookups_before,
             db_rows_retrieved=self.database.rows_retrieved - rows_before,
             graph=self.graph,
+            bindings=self.bindings,
             probe_lookups=probes,
             index_inserts=inserts,
             batch_rows_in=batch_in,

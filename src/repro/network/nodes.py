@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from ..core.adornment import AdornedAtom
 from ..core.rules import Rule
-from ..core.terms import Constant, Variable
+from ..core.terms import Constant, Variable, bound_value
 from ..relational.database import Database
 from .messages import (
     ColumnBatch,
@@ -712,17 +712,24 @@ class EdbLeafProcess(NodeProcess):
 
     A relation request with no "d" positions triggers one (filtered) scan; a
     tuple request triggers an indexed retrieval on the "c"+"d" positions —
-    "a class 'd' argument functions as a semi-join operand".
+    "a class 'd' argument functions as a semi-join operand".  A shape
+    graph's parameter constants are bound here, once, from ``bindings``.
     """
 
-    def __init__(self, node_id: int, adorned: AdornedAtom, database: Database) -> None:
+    def __init__(
+        self,
+        node_id: int,
+        adorned: AdornedAtom,
+        database: Database,
+        bindings: tuple = (),
+    ) -> None:
         super().__init__(node_id)
         self.adorned = adorned
         self.shape = _RowShape(adorned)
         self.database = database
         atom = adorned.atom
         self.constant_filter: dict[int, object] = {
-            i: term.value
+            i: bound_value(term.value, bindings)
             for i, term in enumerate(atom.args)
             if isinstance(term, Constant)
         }
@@ -934,6 +941,7 @@ class RuleNodeProcess(NodeProcess):
         sip_order: Sequence[int],
         adorned_body: Sequence[AdornedAtom],
         child_ids: Sequence[int],
+        bindings: tuple = (),
     ) -> None:
         super().__init__(node_id)
         self.rule = rule
@@ -1025,13 +1033,14 @@ class RuleNodeProcess(NodeProcess):
             )
 
         # Head-output plan: value source per parent row position (a head
-        # constant there comes from the rule, not from the environment).
+        # constant there comes from the rule, not from the environment; a
+        # shape graph's parameter is bound to its value here).
         final_pos = {v: i for i, v in enumerate(prev_vars)}
         out_plan: list[tuple[str, object]] = []
         for pos in self.parent_shape.row_positions:
             term = rule.head.args[pos]
             if isinstance(term, Constant):
-                out_plan.append(("const", term.value))
+                out_plan.append(("const", bound_value(term.value, bindings)))
             else:
                 out_plan.append(("env", final_pos[term]))
         self.head_out_plan = tuple(out_plan)
@@ -1051,7 +1060,7 @@ class RuleNodeProcess(NodeProcess):
         for pos in self.parent_shape.d_positions:
             term = rule.head.args[pos]
             if isinstance(term, Constant):
-                req_plan.append(("const", term.value))
+                req_plan.append(("const", bound_value(term.value, bindings)))
             else:
                 req_plan.append(("var", self.stage0_pos[term]))
         self.head_request_plan = tuple(req_plan)

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from ..core.adornment import AdornedAtom, CONSTANT, EXISTENTIAL
+from ..core.rulegoal import bind_rule
+from ..core.terms import bound_value
 
 if TYPE_CHECKING:
     from .engine import MessagePassingEngine
@@ -76,11 +78,12 @@ class Derivation:
         return 1 + max(child.depth() for child in self.children)
 
 
-def _display_atom(adorned: AdornedAtom, row: tuple) -> str:
+def _display_atom(adorned: AdornedAtom, row: tuple, bindings: tuple = ()) -> str:
     """Render an atom instance from a stream row ("d"/"f" values).
 
-    Constant positions display the adorned atom's constant; existential
-    positions (whose values were never transmitted) display as ``_``.
+    Constant positions display the adorned atom's constant (a parameter
+    its value in ``bindings``); existential positions (whose values were
+    never transmitted) display as ``_``.
     """
     values = iter(row)
     parts = []
@@ -88,7 +91,7 @@ def _display_atom(adorned: AdornedAtom, row: tuple) -> str:
         if letter == EXISTENTIAL:
             parts.append("_")
         elif letter == CONSTANT:
-            parts.append(str(term))
+            parts.append(str(bound_value(term.value, bindings)))
         else:
             parts.append(str(next(values)))
     return f"{adorned.predicate}({', '.join(parts)})"
@@ -102,14 +105,14 @@ def explain(engine: "MessagePassingEngine", row: tuple, max_depth: int = 10_000)
     """
     from .nodes import CyclicNodeProcess, EdbLeafProcess, GoalNodeProcess, RuleNodeProcess
 
-    graph = engine.graph
+    graph, bindings = engine.graph, engine.bindings
 
     def goal_step(node_id: int, value_row: tuple, depth: int) -> Derivation:
         if depth > max_depth:
             raise ProvenanceError("derivation too deep (raise max_depth)")
         process = engine.processes[node_id]
         if isinstance(process, EdbLeafProcess):
-            return Derivation(_display_atom(process.adorned, value_row), "fact")
+            return Derivation(_display_atom(process.adorned, value_row, bindings), "fact")
         if isinstance(process, CyclicNodeProcess):
             # The selection layer: delegate to the ancestor's derivation.
             return goal_step(process.ancestor_id, value_row, depth + 1)
@@ -117,7 +120,7 @@ def explain(engine: "MessagePassingEngine", row: tuple, max_depth: int = 10_000)
         source = process.row_sources.get(value_row)
         if source is None:
             raise ProvenanceError(
-                f"no derivation recorded for {value_row} at {graph.node_label(node_id)}"
+                f"no derivation recorded for {value_row} at {graph.node_label(node_id, bindings)}"
             )
         return rule_step(source, value_row, depth + 1)
 
@@ -129,14 +132,15 @@ def explain(engine: "MessagePassingEngine", row: tuple, max_depth: int = 10_000)
         child_rows = process.derivation_children(head_row)
         if child_rows is None:
             raise ProvenanceError(
-                f"no derivation recorded for {head_row} at {graph.node_label(node_id)}"
+                f"no derivation recorded for {head_row} at {graph.node_label(node_id, bindings)}"
             )
         children = []
         for subgoal_index, child_row in child_rows:
             child_id = process.child_ids[subgoal_index]
             children.append(goal_step(child_id, child_row, depth + 1))
-        atom_text = _display_atom(process.parent_shape.adorned, head_row)
-        return Derivation(atom_text, "rule", rule=str(process.rule), children=tuple(children))
+        atom_text = _display_atom(process.parent_shape.adorned, head_row, bindings)
+        rule = str(bind_rule(process.rule, bindings))
+        return Derivation(atom_text, "rule", rule=rule, children=tuple(children))
 
     root = graph.goal_nodes[graph.root]
     if row not in engine.driver.answers:

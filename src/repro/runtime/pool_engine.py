@@ -171,6 +171,7 @@ def _pool_attempt(
     database: Optional[Database],
     heartbeat_interval: Optional[float],
     graph: RuleGoalGraph,
+    bindings: tuple,
     armed: Optional[FaultPlan],
 ) -> ShardedQueryResult:
     """One supervised execution: fork, wait under the supervisor, tear down."""
@@ -185,6 +186,7 @@ def _pool_attempt(
         edb_shards=replicas,
         database=database,
         graph=graph,
+        bindings=bindings,
     )
     shard_of = assign_shards(engine, n_shards)
 
@@ -287,6 +289,7 @@ def evaluate_pool(
     fault_plan: Optional[FaultPlan] = None,
     graph: Optional[RuleGoalGraph] = None,
     database: Optional[Database] = None,
+    bindings: tuple = (),
 ) -> ShardedQueryResult:
     """Evaluate the query on a supervised pool of shard workers.
 
@@ -302,8 +305,8 @@ def evaluate_pool(
     report one), a wedged worker raises ``WorkerStallError`` within
     ``2 × heartbeat_interval`` when ``heartbeat_interval`` is set, and the
     global ``timeout`` raises ``EvaluationTimeout`` (a ``TimeoutError``).
-    ``retry``, ``fallback`` and ``fault_plan`` are the sharded front's
-    (:func:`~repro.runtime.sharded.evaluate_sharded`).
+    ``retry``, ``fallback``, ``fault_plan`` and ``bindings`` are the
+    sharded front's (:func:`~repro.runtime.sharded.evaluate_sharded`).
     """
     n_shards = max(1, workers if workers is not None else (os.cpu_count() or 1))
     replicas = edb_shards if edb_shards is not None else n_shards
@@ -332,4 +335,5 @@ def evaluate_pool(
         fault_plan=fault_plan,
         graph=graph,
         database=database,
+        bindings=bindings,
     )

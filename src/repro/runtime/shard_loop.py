@@ -185,12 +185,12 @@ class Router:
         }
 
 
-def node_label(graph, node_id: int) -> str:
+def node_label(graph, node_id: int, bindings: tuple = ()) -> str:
     """Readable label for any node of a sharded network."""
     if node_id == DRIVER_ID:
         return "driver"
     try:
-        return graph.node_label(node_id)
+        return graph.node_label(node_id, bindings)
     except KeyError:  # EDB replicas live outside the graph
         return f"edb-replica:{node_id}"
 
@@ -276,7 +276,7 @@ def run_shard_loop(
                 continue
             if injector is not None:
                 action = injector.on_delivery(
-                    node_label(engine.graph, message.receiver)
+                    node_label(engine.graph, message.receiver, engine.bindings)
                 )
                 if action == "kill":  # pragma: no cover - the worker dies
                     os._exit(1)

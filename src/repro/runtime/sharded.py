@@ -57,6 +57,8 @@ class ShardedQueryResult:
     degraded: bool = False
     failure_log: list[str] = field(default_factory=list)
     graph: Optional[RuleGoalGraph] = field(default=None, repr=False)
+    #: The values of ``graph``'s parameters (a shape graph); labels bind them.
+    bindings: tuple = ()
     # Session-cache accounting (filled by Session; defaults for direct use).
     graph_cache_hit: bool = False
     cache_stats: Optional[CacheStats] = None
@@ -198,7 +200,7 @@ class ShardedQueryResult:
             reverse=True,
         )
         rows = rows[:top]
-        labels = [node_label(self.graph, nid) for _, _, nid in rows]
+        labels = [node_label(self.graph, nid, self.bindings) for _, _, nid in rows]
         width = max(map(len, labels), default=4)
         lines = [f"{'node'.ljust(width)}  msgs-in  tuples  shard"]
         for (count, stored, nid), label in zip(rows, labels):
@@ -223,13 +225,17 @@ def evaluate_sharded(
     fault_plan: Optional[FaultPlan],
     graph: Optional[RuleGoalGraph],
     database: Optional[Database],
+    bindings: tuple = (),
 ) -> ShardedQueryResult:
     """Evaluate the query through one shard transport, supervised.
 
     ``transport`` is a context manager yielding the transport's
-    ``attempt(graph, armed_fault_plan)``; it is entered only after the
-    arguments are validated and the graph is planned, and exited after
-    the last attempt.
+    ``attempt(graph, bindings, armed_fault_plan)``; it is entered only
+    after the arguments are validated and the graph is planned, and
+    exited after the last attempt.  ``bindings`` are the values of a
+    shape graph's parameters (see
+    :class:`~repro.network.engine.MessagePassingEngine`); every attempt
+    and the fallback run the one graph under them.
     ``retry`` (a :class:`RetryPolicy` or an attempt count) re-executes the
     whole query on typed runtime failures — sound because monotone
     set-semantics evaluation reaches the same least fixpoint on
@@ -250,7 +256,11 @@ def evaluate_sharded(
 
     def degraded_fallback() -> ShardedQueryResult:
         engine = MessagePassingEngine(
-            program, package_requests=package_requests, database=database, graph=graph
+            program,
+            package_requests=package_requests,
+            database=database,
+            graph=graph,
+            bindings=bindings,
         )
         in_process = engine.run()
         stream = engine.driver.feeders[graph.root]
@@ -265,7 +275,7 @@ def evaluate_sharded(
     with transport as attempt:
         result, attempts, degraded, failure_log = run_with_retry(
             lambda number: attempt(
-                graph, plan.for_attempt(number) if plan is not None else None
+                graph, bindings, plan.for_attempt(number) if plan is not None else None
             ),
             policy,
             degraded_fallback if fallback == "inprocess" else None,
@@ -274,4 +284,5 @@ def evaluate_sharded(
     result.degraded = degraded
     result.failure_log = list(failure_log)
     result.graph = graph
+    result.bindings = bindings
     return result

@@ -13,10 +13,14 @@ atoms.  Two layers persist across queries:
   incrementally instead of rebuilding);
 * **the rule/goal graph**: Theorem 2.1 makes the information-passing
   graph depend only on the IDB and the query's variant signature — never
-  on the EDB — so graphs are cached in a bounded LRU
-  (:class:`~repro.cache.GraphCache`) keyed by
-  :func:`~repro.core.rulegoal.graph_cache_key` and reused across queries
-  *and* across ``add_facts``.  ``add_rules`` flushes the graph cache.
+  on the EDB — and a query constant that equals no rule constant shapes
+  it only through which query constants it equals.  So graphs are built
+  per query *shape* (:func:`~repro.core.rulegoal.query_shape`: such
+  constants become numbered parameters, bound when the engine reads
+  them), cached in a bounded LRU (:class:`~repro.cache.GraphCache`) keyed
+  by :func:`~repro.core.rulegoal.graph_cache_key` over the shape, and
+  reused across queries, constants *and* ``add_facts``.  ``add_rules``
+  flushes the graph cache.
 
 Each :class:`~repro.network.engine.QueryResult` reports per-query database
 counters (the engine snapshots the shared counters at ``run()`` start)
@@ -55,6 +59,8 @@ from .core.rulegoal import (
     SipFactory,
     graph_cache_key,
     plan_graph,
+    query_shape,
+    rule_constants,
     rule_set_fingerprint,
 )
 from .core.rules import GOAL_PREDICATE, Rule
@@ -76,15 +82,18 @@ def _parse_query_atoms(query: Union[str, Atom, Sequence[Atom]]) -> list[Atom]:
 
 @dataclass(frozen=True)
 class PreparedQuery:
-    """A query parsed once: its atoms plus the Theorem 2.1 cache key.
+    """A query parsed once: its atoms, its two keys and its bindings.
 
     Built by :meth:`Session.prepare`; every Session entry point accepts
     one in place of the raw query, so a serving layer that needs the key
     *before* evaluating (answer-cache lookup, in-flight coalescing) pays
     one parse and one key computation per request instead of two.
-    ``fingerprint`` pins the IDB rule set the key was computed against —
-    if ``add_rules`` commits in between, the key is recomputed rather
-    than trusted (the atoms themselves never go stale).
+    ``key`` is the Theorem 2.1 value key — the coalescing and answer-cache
+    key, per constant value.  ``shape_key`` keys the graph cache: the same
+    key over the query's shape, whose parameters ``bindings`` fill.
+    ``fingerprint`` pins the IDB rule set the keys were computed against —
+    if ``add_rules`` commits in between, they are recomputed rather than
+    trusted (the atoms themselves never go stale).
     """
 
     atoms: tuple[Atom, ...]
@@ -94,6 +103,11 @@ class PreparedQuery:
     #: (always ``()`` for the static planner).  If ``add_facts`` grows a
     #: relation past the next order of magnitude, the key is recomputed.
     size_fingerprint: tuple = ()
+    #: The query atoms with each non-rule constant a numbered parameter.
+    shape: tuple[Atom, ...] = ()
+    shape_key: tuple = ()
+    #: ``bindings[k]`` is the value of the shape's ``Parameter(k)``.
+    bindings: tuple = ()
 
 
 class MaterializedQueryClosed(RuntimeError):
@@ -226,9 +240,10 @@ class Session:
         Evaluation options applied to every query (see
         :class:`~repro.network.engine.MessagePassingEngine`).
     graph_cache_size:
-        LRU bound on cached rule/goal graphs (one per distinct query
-        variant).  ``0`` disables graph caching — every query rebuilds
-        its graph, the pre-cache behavior.
+        LRU bound on cached rule/goal graphs, one per query *shape*:
+        queries that differ only in constants equal to no rule constant
+        share a graph.  ``0`` disables graph caching — every query
+        rebuilds its graph, the pre-cache behavior.
     runtime:
         Which substrate answers queries: ``"simulator"`` (default, the
         in-process scheduler), ``"pool"`` (supervised shard workers), or
@@ -384,6 +399,8 @@ class Session:
         # The graph cache and the IDB fingerprint that keys it.
         self._graph_cache = GraphCache(graph_cache_size)
         self._rules_fingerprint = rule_set_fingerprint(self._rules)
+        # A query constant equal to one of these stays literal in its shape.
+        self._rule_constants = rule_constants(self._rules)
         # Under the cost planner, cached graphs additionally embed the
         # bucketed EDB sizes their plans were chosen from (recomputed on
         # every add_facts commit; cheap — one len() per relation).
@@ -425,9 +442,19 @@ class Session:
         for atom_ in atoms:
             if atom_.predicate == GOAL_PREDICATE:
                 raise ProgramError(f"'goal' may not be queried directly: {atom_}")
-        key = self._key_for(atoms)
+        # Fingerprints first: add_rules publishes the rule constants before
+        # the fingerprint, so a shape taken against older constants is
+        # stamped stale and recomputed before its graph is looked up.
+        fingerprint, size_fingerprint = self._rules_fingerprint, self._size_fingerprint
+        shape, bindings = query_shape(atoms, self._rule_constants)
         return PreparedQuery(
-            atoms, key, self._rules_fingerprint, self._size_fingerprint
+            atoms,
+            self._key_for(atoms),
+            fingerprint,
+            size_fingerprint,
+            shape,
+            self._key_for(shape),
+            bindings,
         )
 
     def cache_key_for(
@@ -466,29 +493,35 @@ class Session:
             size_fingerprint=self._size_fingerprint,
         )
 
-    def _current_key(self, prepared: PreparedQuery) -> tuple:
-        """``prepared.key``, recomputed only if a commit outdated it."""
-        if (
+    def _is_current(self, prepared: PreparedQuery) -> bool:
+        """Whether no commit outdated ``prepared``'s keys."""
+        return (
             prepared.fingerprint == self._rules_fingerprint
             and prepared.size_fingerprint == self._size_fingerprint
-        ):
+        )
+
+    def _current_key(self, prepared: PreparedQuery) -> tuple:
+        """``prepared.key``, recomputed only if a commit outdated it."""
+        if self._is_current(prepared):
             return prepared.key
         return self._key_for(prepared.atoms)
 
     def _graph_for(
-        self, atoms: Sequence[Atom], key: Optional[tuple] = None
-    ) -> tuple[RuleGoalGraph, bool]:
-        """The (possibly cached) rule/goal graph for a query; (graph, hit)."""
-        if key is None:
-            key = self._key_for(atoms)
-        cached = self._graph_cache.get(key)
+        self, prepared: PreparedQuery
+    ) -> tuple[RuleGoalGraph, tuple, bool]:
+        """The (possibly cached) shape graph for a query; (graph, bindings, hit)."""
+        if not self._is_current(prepared):
+            prepared = self.prepare(prepared.atoms)
+        cached = self._graph_cache.get(prepared.shape_key)
         if cached is not None:
-            return cached, True  # type: ignore[return-value]
-        # The base was validated at construction / mutation time and the
-        # desugared query rule is safe by construction, so skip the
-        # per-query O(|EDB|) re-validation the naive path would pay.
+            return cached, prepared.bindings, True  # type: ignore[return-value]
+        # Rules only: the base was validated at construction / mutation
+        # time, the desugared query rule is safe by construction, and the
+        # EDB predicates are the database's — no miss walks the facts.
         program = Program(
-            self._rules + (query_to_rule(atoms),), self.facts, validate=False
+            self._rules + (query_to_rule(prepared.shape),),
+            edb_predicates=self._database.predicates(),
+            validate=False,
         )
         # A cost plan's report rides on the graph, cached with it; cached
         # graphs are treated as immutable afterwards.
@@ -496,8 +529,8 @@ class Session:
             program, self.planner, self.sip_factory, self._database,
             coalesce=self.coalesce,
         )
-        self._graph_cache.put(key, graph)
-        return graph, False
+        self._graph_cache.put(prepared.shape_key, graph)
+        return graph, prepared.bindings, False
 
     def query(
         self,
@@ -544,23 +577,23 @@ class Session:
 
     def _run_query(self, query, seed=None):
         """Shared evaluation path; returns ``(result, engine_or_None)``."""
-        prepared = self.prepare(query)
-        graph, cache_hit = self._graph_for(
-            prepared.atoms, self._current_key(prepared)
-        )
+        graph, bindings, cache_hit = self._graph_for(self.prepare(query))
         engine = None
         if self.runtime == "pool":
             from .runtime import evaluate_pool
 
             # The cached graph makes a retry skip graph construction; the
             # shared database rides into the workers copy-on-write.
-            result = evaluate_pool(graph.program, graph=graph, **self._sharded_options)
+            result = evaluate_pool(
+                graph.program, graph=graph, bindings=bindings, **self._sharded_options
+            )
         elif self.runtime == "cluster":
             from .cluster import evaluate_cluster
 
             result = evaluate_cluster(
                 graph.program,
                 graph=graph,
+                bindings=bindings,
                 client=self._ensure_cluster_client(),
                 **self._sharded_options,
             )
@@ -574,6 +607,7 @@ class Session:
                 provenance=self.provenance,
                 database=self._database,
                 graph=graph,
+                bindings=bindings,
             )
             result = engine.run()
         result.graph_cache_hit = cache_hit
@@ -772,6 +806,7 @@ class Session:
         self._rules = candidate_rules
         if new_rules:
             self._idb_predicates.update(r.head.predicate for r in new_rules)
+            self._rule_constants = rule_constants(self._rules)
             self._rules_fingerprint = rule_set_fingerprint(self._rules)
             self._graph_cache.clear()
         if new_rules or new_facts:

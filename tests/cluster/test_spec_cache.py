@@ -4,7 +4,8 @@ The job spec is two content-addressed parts (``repro.cluster.spec``).  This
 file pins what moves and what does not over a real localhost cluster:
 
 * a repeat query ships an empty blob and both workers report cache hits;
-* a write re-ships only the edb part, a new query variant only the plan;
+* a write re-ships only the edb part, a new query shape only the plan, and
+  a new constant of a served shape nothing (its value rides in the header);
 * every way a digest can go missing — a worker SIGKILLed and respawned, a
   stale acknowledgement, a restarted manager, an eviction — heals in band,
   with zero caller-visible errors and answers identical to the in-process
@@ -134,9 +135,10 @@ class TestWarmRepeat:
 
     def test_a_new_query_variant_reships_only_the_plan(self, session):
         session.query("anc(0, Z)")
-        oracle = Session(knowledge_base()).query("anc(5, Z)")
+        # Another shape: a new constant alone would reuse the plan.
+        oracle = Session(knowledge_base()).query("anc(Z, 5)")
 
-        assert session.query("anc(5, Z)") == oracle
+        assert session.query("anc(Z, 5)") == oracle
         result = session.last_result
         assert result.spec["plan_bytes"] > 0
         assert result.spec["edb_bytes"] == 0
@@ -144,6 +146,24 @@ class TestWarmRepeat:
             0: {"plan_hit": False, "edb_hit": True},
             1: {"plan_hit": False, "edb_hit": True},
         }
+
+    def test_a_new_constant_of_one_shape_ships_the_plan_once(self, session):
+        session.query("anc(0, Z)")
+        sizes = record_blobs(session)
+        oracle = Session(knowledge_base()).query("anc(5, Z)")
+
+        assert session.query("anc(5, Z)") == oracle
+        result = session.last_result
+        assert result.graph_cache_hit and result.bindings == (5,)
+        assert sizes == [0] and result.spec_bytes_shipped == 0
+        assert worker_hits(result) == {
+            0: {"plan_hit": True, "edb_hit": True},
+            1: {"plan_hit": True, "edb_hit": True},
+        }
+        assert result.logical_tuple_rows == simulator_rows(session, "anc(5, Z)")
+        # The node table binds the shape's parameter to the query's value.
+        table = result.node_table(top=100)
+        assert "anc(5^c, Ans0^f)" in table and "$" not in table
 
     def test_stats_surface_the_cache_counters(self, session):
         session.query("anc(0, Z)")
@@ -167,10 +187,13 @@ class TestMissesHealInBand:
         again: the workers evicted it, the manager knows (their STATS report
         the resident set) and re-ships it from its own store."""
         reference = Session(knowledge_base())
-        for start in range(_RESIDENT_PLANS + 3):
-            query = f"anc({start}, Z)"  # a distinct constant: a distinct plan
+        for length in range(_RESIDENT_PLANS + 3):
+            # A longer path is a distinct shape, so a distinct plan.
+            query = "anc(0, Z0)" + "".join(
+                f", par(Z{hop}, Z{hop + 1})" for hop in range(length)
+            )
             assert session.query(query) == reference.query(query)
-        assert session.query("anc(0, Z)") == reference.query("anc(0, Z)")
+        assert session.query("anc(0, Z0)") == reference.query("anc(0, Z0)")
         result = session.last_result
         assert result.attempts == 1
         assert result.spec_bytes_shipped == 0, "the manager still held the blob"

@@ -46,6 +46,7 @@ from repro.core.sips import all_free_sip, greedy_sip
 from repro.network.engine import evaluate
 from repro.relational.database import Database
 from repro.runtime import evaluate_pool
+from repro.session import Session
 from repro.workloads import (
     ancestor_program,
     bill_of_materials_program,
@@ -298,3 +299,40 @@ class TestRuntimeParity:
                 hits = [shard["spec"] for shard in run.shards.values()]
                 assert run.spec_bytes_shipped == 0
                 assert all(h["plan_hit"] and h["edb_hit"] for h in hits)
+
+
+#: Two constants of one query shape: a session's second query runs on the
+#: first one's rule/goal graph, its parameter bound to the new value — in
+#: the pool's forked engines and in the cluster's per-attempt header.
+SHAPE_QUERIES = (("anc(2, Z)", 2), ("anc(5, Z)", 5))
+
+
+def check_shape_parity(session) -> None:
+    reference = Session(CASES["ancestor"]())
+    for index, (query, value) in enumerate(SHAPE_QUERIES):
+        assert session.query(query) == reference.query(query)
+        result, sim = session.last_result, reference.last_result
+        assert result.graph_cache_hit is (index == 1)
+        assert result.bindings == (value,)
+        assert result.logical_tuple_rows == (
+            sim.stats.by_kind.get("TupleMessage", 0) + sim.stats.tuple_set_rows
+        )
+    assert session.cache_stats().size == 1
+
+
+class TestShapeGraphParity:
+    def test_pool_binds_one_shape_graph(self):
+        with Session(
+            CASES["ancestor"](), runtime="pool", workers=2, timeout=60
+        ) as session:
+            check_shape_parity(session)
+
+    def test_cluster_binds_one_shape_graph(self, cluster):
+        with Session(
+            CASES["ancestor"](),
+            runtime="cluster",
+            workers=2,
+            cluster_address=cluster.address,
+            timeout=60,
+        ) as session:
+            check_shape_parity(session)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.atoms import atom
 from repro.core.program import ProgramError
+from repro.network.engine import MessagePassingEngine
 from repro.session import Session
 
 KB = """
@@ -41,10 +42,55 @@ class TestGraphCacheHits:
         assert session.last_result.graph_cache_hit is True
 
     def test_different_constant_misses(self, session):
+        # A constant equal to no rule constant is a parameter of the query's
+        # shape: anc(bob, Z) runs on anc(ann, Z)'s graph, bound to bob.
+        assert session.query("anc(ann, Z)") == ANSWERS
+        graph = session.last_result.graph
+        assert session.query("anc(bob, Z)") == {("cal",), ("dee",)}
+        assert session.last_result.graph_cache_hit is True
+        assert session.last_result.graph is graph
+        assert session.cache_stats().size == 1
+        # The value key still tells them apart (coalescing, answer cache).
+        assert session.cache_key_for("anc(ann, Z)") != session.cache_key_for(
+            "anc(bob, Z)"
+        )
+
+    def test_rule_constant_keeps_its_own_graph(self):
+        session = Session(KB + "firstborn(X) <- par(ann, X).")
+        assert session.query("anc(bob, Z)") == {("cal",), ("dee",)}
+        assert session.query("anc(cal, Z)") == {("dee",)}
+        assert session.last_result.graph_cache_hit is True
+        # ann occurs in a rule, so it selects rules: a literal, not a parameter.
+        assert session.query("anc(ann, Z)") == ANSWERS
+        assert session.last_result.graph_cache_hit is False
+        assert session.prepare("anc(ann, Z)").bindings == ()
+        assert session.cache_stats().size == 2
+
+    def test_equal_constants_share_one_parameter(self):
+        session = Session("t(X, Y) <- e(X, Y). e(17, 17). e(17, 18). e(18, 19).")
+        assert session.query("t(17, 17)") == {()}
+        assert session.query("t(17, 18)") == {()}
+        assert session.last_result.graph_cache_hit is False  # another shape
+        assert session.cache_stats().size == 2
+        assert session.query("t(18, 18)") == set()  # t(17, 17)'s shape
+        assert session.last_result.graph_cache_hit is True
+        assert session.query("t(18, 19)") == {()}  # t(17, 18)'s shape
+        assert session.last_result.graph_cache_hit is True
+        assert session.prepare("t(17, 17)").bindings == (17,)
+        assert session.prepare("t(17, 18)").bindings == (17, 18)
+
+    def test_add_rules_constant_gets_its_own_graph(self, session):
         session.query("anc(ann, Z)")
-        session.query("anc(bob, Z)")
+        assert session.query("anc(bob, Z)") == {("cal",), ("dee",)}
+        assert session.last_result.graph_cache_hit is True
+        session.add_rules("heir(X) <- anc(bob, X).")
+        assert session.query("anc(ann, Z)") == ANSWERS
+        assert session.last_result.graph_cache_hit is False  # flushed
+        # bob is a rule constant now: its key no longer shares ann's graph.
+        assert session.query("anc(bob, Z)") == {("cal",), ("dee",)}
         assert session.last_result.graph_cache_hit is False
         assert session.cache_stats().size == 2
+        assert session.query("heir(Z)") == {("cal",), ("dee",)}
 
     def test_different_adornment_misses(self, session):
         session.query("anc(ann, Z)")  # cf
@@ -117,15 +163,16 @@ class TestInvalidation:
         assert len(db.relation("par")) == before + 1
 
     def test_lru_eviction_under_small_capacity(self):
+        # Three shapes (constants of one shape would share one graph).
         session = Session(KB, graph_cache_size=2)
         session.query("anc(ann, Z)")
-        session.query("anc(bob, Z)")
-        session.query("anc(cal, Z)")  # evicts the ann-graph
+        session.query("anc(X, Y)")
+        session.query("anc(Z, dee)")  # evicts the anc(ann, Z) graph
         stats = session.cache_stats()
         assert stats.evictions == 1 and stats.size == 2
         session.query("anc(ann, Z)")  # rebuilt: it was evicted
         assert session.last_result.graph_cache_hit is False
-        session.query("anc(cal, Z)")  # recent entry is still cached
+        session.query("anc(Z, cal)")  # recent shape is still cached
         assert session.last_result.graph_cache_hit is True
 
 
@@ -239,6 +286,31 @@ class TestCacheCorrectness:
         for seed in range(3):
             assert session.query("anc(ann, Z)", seed=seed) == baseline
             assert session.last_result.graph_cache_hit is True
+
+
+class TestShapeRenders:
+    """A shape graph renders its bound values, exactly as a value graph."""
+
+    def test_shape_hit_renders_like_a_fresh_session(self):
+        warm = Session(KB, provenance=True)
+        warm.query("anc(ann, Z)")
+        assert warm.query("anc(bob, Z)") == {("cal",), ("dee",)}
+        hit = warm.last_result
+        assert hit.graph_cache_hit is True and hit.bindings == ("bob",)
+        fresh = Session(KB, provenance=True)
+        fresh.query("anc(bob, Z)")
+        # The graph built from the query's own values, with no parameters.
+        engine = MessagePassingEngine(fresh.program_for("anc(bob, Z)"), provenance=True)
+        by_value = engine.run()
+        assert by_value.bindings == ()
+        for other in (fresh.last_result, by_value):
+            assert hit.tuples_by_node == other.tuples_by_node
+            assert hit.node_table(top=100) == other.node_table(top=100)
+        assert "anc(bob^c, Ans0^f)" in hit.node_table() and "$" not in hit.node_table()
+        proof = warm.explain(("dee",)).render()
+        assert proof == fresh.explain(("dee",)).render()
+        assert proof == engine.explain(("dee",)).render()
+        assert "par(bob, cal)   [EDB fact]" in proof and "$" not in proof
 
 
 class TestGraphCacheThreadSafety:

@@ -36,6 +36,26 @@ _SIPS = {
 }
 
 
+def _at_least(minimum: int):
+    """An argparse ``type=``: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names a failed conversion after its type
+    return parse
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors are one line on stderr and exit status 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def _load_program(path: str, query: Optional[str], data: Optional[str] = None) -> Program:
     """The program every subcommand runs: the file, ``--data`` and ``--query``.
 
@@ -260,6 +280,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cluster_address=args.cluster_connect,
         cluster_listen=args.cluster_listen,
     )
+    if args.materialize and args.eval_runtime != "simulator":
+        # Only the simulator keeps a network warm; elsewhere the flag
+        # would be accepted and silently do nothing.
+        print(
+            "error: --materialize needs --eval-runtime simulator "
+            f"(got {args.eval_runtime})",
+            file=sys.stderr,
+        )
+        return 2
     replicated = args.replicas > 1
     if replicated and args.cluster_listen:
         # Each replica is its own Session; N of them cannot all bind
@@ -429,7 +458,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree (exposed for testing)."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="repro-datalog",
         description="Message-passing Datalog query evaluation (Van Gelder, SIGMOD 1986)",
     )
@@ -614,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--max-concurrent",
-        type=int,
+        type=_at_least(1),
         default=4,
         help="evaluation slots: queries running at once",
     )
@@ -670,13 +699,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--cache-size",
-        type=int,
+        type=_at_least(0),
         default=64,
         help="graph-cache LRU capacity in query shapes, shared by all clients",
     )
     serve_p.add_argument(
         "--answer-cache-size",
-        type=int,
+        type=_at_least(0),
         default=256,
         metavar="ENTRIES",
         help="answer-cache LRU capacity (full answer sets keyed by query "
@@ -692,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--materialize-pool",
-        type=int,
+        type=_at_least(1),
         default=32,
         metavar="NETWORKS",
         help="with --materialize: LRU bound on warm networks kept per "
@@ -770,7 +799,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_p.add_argument(
         "--cache-size",
-        type=int,
+        type=_at_least(0),
         default=64,
         help="graph-cache LRU capacity in query shapes (0 disables)",
     )

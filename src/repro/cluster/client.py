@@ -26,6 +26,7 @@ import socket
 import threading
 from typing import Optional
 
+from ..cache import BoundedCache
 from ..runtime.supervision import (
     EvaluationTimeout,
     RuntimeFailure,
@@ -39,7 +40,6 @@ from .spec import (
     STORE_ENTRIES,
     JobSpecMemo,
     Part,
-    PartCache,
     pack_parts,
 )
 
@@ -89,7 +89,7 @@ class ClusterClient:
         self.specs = JobSpecMemo()
         # Which digests the manager is believed to hold: no more than its
         # store keeps, so a stale belief costs one ``spec_miss`` round trip.
-        self._manager_has = PartCache(STORE_ENTRIES, 0)
+        self._manager_has = BoundedCache(STORE_ENTRIES)
 
     # ------------------------------------------------------------------
     def _connect(self) -> FrameSocket:
@@ -182,13 +182,13 @@ class ClusterClient:
             missing = list(result.get("missing", digests))
             with self._lock:
                 for digest in missing:
-                    self._manager_has.discard(digest)
+                    self._manager_has.pop(digest)
             raise SpecMissError(missing)
         # Any other RESULT means the manager parsed the JOB frame, and it
         # stores the parts a frame carries before doing anything else.
         with self._lock:
             for digest in digests:
-                self._manager_has.put(digest, True, 0)
+                self._manager_has.put(digest, True)
         if result.get("ok"):
             return result
         self._raise_failure(result, timeout)

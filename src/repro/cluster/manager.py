@@ -58,6 +58,7 @@ import threading
 import time
 from typing import Optional
 
+from ..cache import BoundedCache
 from ..runtime.faults import FaultPlan, LinkFaultInjector
 from .client import ClusterError
 from .framing import (
@@ -77,7 +78,6 @@ from .spec import (
     PLAN,
     STORE_ENTRIES,
     Part,
-    PartCache,
     pack_parts,
     unpack_parts,
 )
@@ -228,7 +228,7 @@ class ClusterManager:
         self._ping_task: Optional[asyncio.Task] = None
         self.jobs_dispatched = 0
         self.jobs_failed = 0
-        self._store = PartCache(STORE_ENTRIES, _STORE_BYTES)
+        self._store = BoundedCache(STORE_ENTRIES, _STORE_BYTES)
         self.spec_misses = 0  # client submissions answered ``spec_miss``
 
     # ------------------------------------------------------------------

@@ -17,9 +17,9 @@ per-attempt JSON header:
 A part is its pickled bytes; its digest names it everywhere.  The client
 memoises each part's bytes against the *live* graph / database objects
 (:class:`JobSpecMemo`), the manager keeps a bounded store of blobs, and
-every worker keeps a bounded cache of *unpickled* parts
-(:class:`PartCache`) — so a repeat query moves two digests, not the
-database.  A receiver that lacks a digest says so (``spec_miss``) and is
+every worker keeps a bounded cache of *unpickled* parts (each a
+:class:`~repro.cache.BoundedCache`) — so a repeat query moves two
+digests, not the database.  A receiver that lacks a digest says so (``spec_miss``) and is
 sent the bytes; nothing is ever served from a digest that was not
 verified against the bytes it names.
 
@@ -36,9 +36,9 @@ import hashlib
 import pickle
 import threading
 import weakref
-from collections import OrderedDict
 from typing import NamedTuple, Optional
 
+from ..cache import BoundedCache
 from ..core.program import Program
 from ..core.rulegoal import RuleGoalGraph
 from ..core.sips import greedy_sip
@@ -50,7 +50,6 @@ __all__ = [
     "STORE_ENTRIES",
     "JobSpecMemo",
     "Part",
-    "PartCache",
     "digest_of",
     "pack_parts",
     "unpack_parts",
@@ -107,57 +106,6 @@ def unpack_parts(entries: list, blob: bytes) -> list[Part]:
     return parts
 
 
-class PartCache:
-    """A bounded LRU of digest → value, sized in entries and bytes.
-
-    The manager stores blobs here; workers store unpickled parts with the
-    blob length as the size proxy.  The most recent entry is always
-    admitted, so one part larger than ``max_bytes`` still works — it just
-    evicts everything else.
-    """
-
-    def __init__(self, max_entries: int, max_bytes: int) -> None:
-        self.max_entries = max(1, max_entries)
-        self.max_bytes = max_bytes
-        self._entries: "OrderedDict[str, tuple[object, int]]" = OrderedDict()
-        self.bytes = 0
-
-    def __contains__(self, digest: str) -> bool:
-        return digest in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def digests(self) -> list[str]:
-        """Every held digest, least recently used first."""
-        return list(self._entries)
-
-    def get(self, digest: Optional[str]):
-        """The value for ``digest`` (marked most recently used), or None."""
-        entry = self._entries.get(digest)
-        if entry is None:
-            return None
-        self._entries.move_to_end(digest)
-        return entry[0]
-
-    def discard(self, digest: str) -> None:
-        """Forget ``digest`` if held."""
-        entry = self._entries.pop(digest, None)
-        if entry is not None:
-            self.bytes -= entry[1]
-
-    def put(self, digest: str, value, size: int) -> None:
-        """Admit ``value`` as most recently used, evicting down to the bounds."""
-        self.discard(digest)
-        self._entries[digest] = (value, size)
-        self.bytes += size
-        while len(self._entries) > 1 and (
-            len(self._entries) > self.max_entries or self.bytes > self.max_bytes
-        ):
-            _, (_, evicted_size) = self._entries.popitem(last=False)
-            self.bytes -= evicted_size
-
-
 class JobSpecMemo:
     """Client-side: each part pickled once per live graph / database.
 
@@ -170,8 +118,8 @@ class JobSpecMemo:
     """
 
     def __init__(self) -> None:
-        self._plans: "OrderedDict[int, tuple]" = OrderedDict()
-        self._edbs: "OrderedDict[int, tuple]" = OrderedDict()
+        self._plans = BoundedCache(_MEMO_ENTRIES)
+        self._edbs = BoundedCache(_MEMO_ENTRIES)
         self._lock = threading.Lock()
 
     def plan(
@@ -192,7 +140,6 @@ class JobSpecMemo:
                     and program_ref() is program
                     and seen == fingerprint
                 ):
-                    self._plans.move_to_end(id(graph))
                     return part
             part = _pickle_plan(program, graph, options, with_database)
             self._remember(
@@ -209,7 +156,6 @@ class JobSpecMemo:
             if entry is not None:
                 database_ref, version, part = entry
                 if database_ref() is database and version == database.version:
-                    self._edbs.move_to_end(id(database))
                     return part
             version = database.version
             # The facts only: access counters and the version are this
@@ -231,15 +177,13 @@ class JobSpecMemo:
             return part
 
     @staticmethod
-    def _remember(table: "OrderedDict[int, tuple]", owner, entry: tuple) -> None:
+    def _remember(table: BoundedCache, owner, entry: tuple) -> None:
         # Drop entries whose owner died first (entry[0] is its weakref): a
         # caller that builds a fresh graph per call must not pin old bytes.
-        for key in [key for key, stale in table.items() if stale[0]() is None]:
-            del table[key]
-        table.pop(id(owner), None)
-        table[id(owner)] = entry
-        while len(table) > _MEMO_ENTRIES:
-            table.popitem(last=False)
+        for key, stale in table.items():
+            if stale[0]() is None:
+                table.pop(key)
+        table.put(id(owner), entry)
 
 
 def _pickle_plan(

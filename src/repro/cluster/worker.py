@@ -49,6 +49,7 @@ import time
 import traceback
 from typing import Optional
 
+from ..cache import BoundedCache
 from ..network.engine import MessagePassingEngine, assign_shards
 from ..network.messages import Message, MessageBatch
 from ..runtime.faults import FaultPlan
@@ -64,7 +65,7 @@ from .framing import (
     rows_from_wire,
     rows_to_wire,
 )
-from .spec import EDB, PLAN, PartCache, unpack_parts
+from .spec import EDB, PLAN, unpack_parts
 
 __all__ = ["worker_main", "ClusterRouter", "ResidentSpecs"]
 
@@ -153,8 +154,8 @@ class ResidentSpecs:
     """
 
     def __init__(self) -> None:
-        self.plans = PartCache(_RESIDENT_PLANS, _RESIDENT_BYTES)
-        self.edbs = PartCache(_RESIDENT_EDBS, _RESIDENT_BYTES)
+        self.plans = BoundedCache(_RESIDENT_PLANS, _RESIDENT_BYTES)
+        self.edbs = BoundedCache(_RESIDENT_EDBS, _RESIDENT_BYTES)
 
     def load(self, part) -> None:
         """Unpickle one shipped part and keep it resident."""
@@ -167,7 +168,7 @@ class ResidentSpecs:
     def report(self) -> dict:
         """What this worker holds now — the manager's acknowledged set."""
         return {
-            "digests": self.plans.digests() + self.edbs.digests(),
+            "digests": [*self.plans.keys(), *self.edbs.keys()],
             "bytes": self.plans.bytes + self.edbs.bytes,
         }
 

@@ -43,9 +43,10 @@ from __future__ import annotations
 
 import sys
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Hashable, Iterable, Optional
+
+from ..cache import BoundedCache
 
 __all__ = ["AnswerCacheStats", "CachedAnswer", "AnswerCache", "estimate_answer_bytes"]
 
@@ -199,23 +200,7 @@ class AnswerCacheStats:
 
     def as_dict(self) -> dict:
         """JSON-safe view for the ``stats`` op."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "carried": self.carried,
-            "extended": self.extended,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "entries": self.entries,
-            "bytes": self.bytes,
-            "render_bytes": self.render_bytes,
-            "rows_sized": self.rows_sized,
-            "rows_rendered": self.rows_rendered,
-            "capacity": self.capacity,
-            "max_bytes": self.max_bytes,
-            "seconds_saved": round(self.seconds_saved, 6),
-        }
+        return {**asdict(self), "seconds_saved": round(self.seconds_saved, 6)}
 
 
 class AnswerCache:
@@ -223,36 +208,30 @@ class AnswerCache:
 
     ``capacity`` bounds the entry count, ``max_bytes`` the summed
     :func:`estimate_answer_bytes` of stored answer sets plus their
-    renders; exceeding either evicts least-recently-used entries.
+    renders; the LRU is a :class:`~repro.cache.BoundedCache` with both
+    bounds, and this class adds the version slots on top of it.
     ``capacity=0`` disables the cache (every lookup misses, nothing is
     stored) so the disabled path exercises the same code.
 
-    Thread-safe: one internal lock covers every operation, matching the
-    :class:`~repro.cache.GraphCache` discipline.  A single answer set
-    larger than ``max_bytes`` is simply not stored — caching it would
-    evict everything else for one entry that may never repeat.
+    Thread-safe: every operation runs under the LRU's one lock.  A
+    single answer set larger than ``max_bytes`` is simply not stored —
+    caching it would evict everything else for one entry that may never
+    repeat.
     """
 
     def __init__(self, capacity: int = 256, max_bytes: int = 64 * 1024 * 1024) -> None:
-        if capacity < 0:
-            raise ValueError(f"answer cache capacity must be >= 0, got {capacity}")
-        if max_bytes < 0:
-            raise ValueError(f"answer cache byte budget must be >= 0, got {max_bytes}")
         self.capacity = capacity
         self.max_bytes = max_bytes
-        self._entries: "OrderedDict[tuple, CachedAnswer]" = OrderedDict()
+        # Each resident entry is charged its answers plus its renders.
+        self._lru = BoundedCache(capacity, max_bytes, on_evict=self._unslot)
+        self._lock = self._lru.lock
         # Resident slots grouped by version, so reclaiming what a write
         # made unreachable visits only that.
         self._by_version: dict[int, set[tuple]] = {}
-        self._lock = threading.Lock()
-        self._bytes = 0  # answers + renders of every resident entry
-        self._render_bytes = 0  # the renders' share of _bytes
-        self.hits = 0
-        self.misses = 0
+        self._render_bytes = 0  # the renders' share of the LRU's bytes
         self.stores = 0
         self.carried = 0
         self.extended = 0
-        self.evictions = 0
         self.invalidations = 0
         self.rows_sized = 0
         self.rows_rendered = 0
@@ -262,13 +241,9 @@ class AnswerCache:
     def get(self, key: Hashable, version: int) -> Optional[CachedAnswer]:
         """The answer set stored for ``key`` at exactly ``version``, or None."""
         with self._lock:
-            entry = self._entries.get((key, version))
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end((key, version))
-            self.hits += 1
-            self.seconds_saved += entry.elapsed
+            entry = self._lru.lookup((key, version))
+            if entry is not None:
+                self.seconds_saved += entry.elapsed
             return entry
 
     def put(
@@ -288,7 +263,6 @@ class AnswerCache:
             self._insert((key, version), entry)
             self.stores += 1
             self.rows_sized += len(answers)
-            self._evict_over_budget()
         return entry
 
     def carry(
@@ -331,8 +305,7 @@ class AnswerCache:
         entry, or None when there is no predecessor or the grown answer
         no longer fits ``max_bytes``.
         """
-        with self._lock:
-            old = self._entries.get((key, from_version))
+        old = self._lru.peek((key, from_version))
         if old is None:
             return None
         added = [row for row in new_rows if row not in old.answers]
@@ -380,32 +353,34 @@ class AnswerCache:
             self.extended += 1
             self.rows_sized += len(added)
             self.rows_rendered += len(added) * len(entry.renders)
-            self._evict_over_budget()
         return entry
 
     def _insert(self, slot: tuple, entry: CachedAnswer) -> None:
-        """Make ``entry`` resident under ``slot``, most recently used (lock held)."""
+        """Make ``entry`` resident under ``slot``, most recently used (lock held).
+
+        Older entries past either bound are evicted; ``entry`` stays.
+        """
         entry._slot = slot
-        self._entries[slot] = entry
         self._by_version.setdefault(slot[1], set()).add(slot)
         render_nbytes = entry.render_nbytes
-        self._bytes += entry.nbytes + render_nbytes
         self._render_bytes += render_nbytes
+        self._lru.put(slot, entry, entry.nbytes + render_nbytes)
 
     def _remove(self, slot: tuple) -> Optional[CachedAnswer]:
         """Drop whatever is resident under ``slot`` and its charges (lock held)."""
-        entry = self._entries.pop(slot, None)
-        if entry is None:
-            return None
+        entry = self._lru.pop(slot)
+        if entry is not None:
+            self._unslot(slot, entry)
+        return entry
+
+    def _unslot(self, slot: tuple, entry: CachedAnswer) -> None:
+        """Forget a slot the LRU no longer holds (lock held; the eviction hook)."""
         entry._slot = None
         slots = self._by_version[slot[1]]
         slots.discard(slot)
         if not slots:
             del self._by_version[slot[1]]
-        render_nbytes = entry.render_nbytes
-        self._bytes -= entry.nbytes + render_nbytes
-        self._render_bytes -= render_nbytes
-        return entry
+        self._render_bytes -= entry.render_nbytes
 
     def _charge_render(
         self, entry: CachedAnswer, kind: Hashable, nbytes: int, rows: int
@@ -413,24 +388,17 @@ class AnswerCache:
         """Count one attached render against the byte budget (entry callback).
 
         A render attached after its entry was evicted/purged charges
-        nothing — the cache no longer holds it, only the caller does.
+        nothing — the cache no longer holds it, only the caller does.  A
+        charge that pushes the cache past ``max_bytes`` evicts from the
+        cold end, which may be this very entry.
         """
         with self._lock:
             self.rows_rendered += rows
             if entry._slot is None:
                 return
             entry.render_charges[kind] = entry.render_charges.get(kind, 0) + nbytes
-            self._bytes += nbytes
             self._render_bytes += nbytes
-            self._evict_over_budget()
-
-    def _evict_over_budget(self) -> None:
-        """LRU-evict until within both bounds (lock held by caller)."""
-        while self._entries and (
-            len(self._entries) > self.capacity or self._bytes > self.max_bytes
-        ):
-            self._remove(next(iter(self._entries)))
-            self.evictions += 1
+            self._lru.charge(entry._slot, nbytes)
 
     def purge_below(self, version: int) -> int:
         """Reclaim entries whose version a lookup can no longer present.
@@ -457,41 +425,37 @@ class AnswerCache:
     def clear(self) -> int:
         """Drop everything (counted as invalidations); returns the count."""
         with self._lock:
-            dropped = len(self._entries)
-            for entry in self._entries.values():
+            for _, entry in self._lru.items():
                 entry._slot = None
-            self._entries.clear()
             self._by_version.clear()
-            self._bytes = 0
             self._render_bytes = 0
+            dropped = self._lru.clear()
             self.invalidations += dropped
             return dropped
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._lru)
 
     def __contains__(self, full_key: Hashable) -> bool:
-        with self._lock:
-            return full_key in self._entries
+        return full_key in self._lru
 
     @property
     def nbytes(self) -> int:
-        with self._lock:
-            return self._bytes
+        return self._lru.bytes
 
     def stats(self) -> AnswerCacheStats:
         """A point-in-time :class:`AnswerCacheStats` snapshot."""
         with self._lock:
+            lru = self._lru
             return AnswerCacheStats(
-                hits=self.hits,
-                misses=self.misses,
+                hits=lru.hits,
+                misses=lru.misses,
                 stores=self.stores,
-                evictions=self.evictions,
+                evictions=lru.evictions,
                 invalidations=self.invalidations,
-                entries=len(self._entries),
-                bytes=self._bytes,
+                entries=len(lru),
+                bytes=lru.bytes,
                 render_bytes=self._render_bytes,
                 capacity=self.capacity,
                 max_bytes=self.max_bytes,

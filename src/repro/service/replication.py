@@ -61,11 +61,12 @@ import multiprocessing as mp
 import os
 import shutil
 import tempfile
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from multiprocessing.sharedctypes import RawArray
 from typing import Optional
 
+from ..cache import BoundedCache
 from ..core.program import ProgramError
 from ..runtime.faults import ServiceFaultInjector, ServiceFaultPlan, wedge_forever
 from .metrics import MetricsRegistry
@@ -414,12 +415,13 @@ class ReplicaSet(NDJSONServer):
         self._mp = mp.get_context("fork")
         self._heartbeats = RawArray("q", self.config.replicas)
         self._replicas = [_Replica(i) for i in range(self.config.replicas)]
-        self._front_cache: "OrderedDict[tuple, dict]" = OrderedDict()
+        # The last good answer per (op, text), served stale to degraded reads.
+        self._front_cache = BoundedCache(max(0, self.config.front_cache_size))
         # The bounded recent-query log readmission warm-up replays: the
         # most recent *successful* distinct read texts, in recency order
         # (query and ask of the same text dedup — they prime the same
         # caches).  Values are ready-to-send ``warm`` request payloads.
-        self._recent_reads: "OrderedDict[str, dict]" = OrderedDict()
+        self._recent_reads = BoundedCache(max(0, self.config.warmup_queries))
         m = self.metrics
         self._failovers = m.counter(
             "failovers_total", "read attempts retried on a different replica"
@@ -735,7 +737,7 @@ class ReplicaSet(NDJSONServer):
         skipped, not fatal: warm-up is an optimization, the replica is
         still consistent.
         """
-        payloads = list(reversed(self._recent_reads.values()))
+        payloads = [payload for _, payload in reversed(self._recent_reads.items())]
         replayed = 0
         for payload in payloads:
             if rep.generation != generation or rep.state != RESYNCING:
@@ -862,16 +864,10 @@ class ReplicaSet(NDJSONServer):
             self._trip(rep, generation)
 
     def _cache_answer(self, op: str, text: str, response: dict) -> None:
-        if self.config.front_cache_size < 1:
-            return
         entry = {
             k: v for k, v in response.items() if k not in ("id", "replica")
         }
-        cache = self._front_cache
-        cache[(op, text)] = entry
-        cache.move_to_end((op, text))
-        while len(cache) > self.config.front_cache_size:
-            cache.popitem(last=False)
+        self._front_cache.put((op, text), entry)
 
     def _record_recent(self, text: str) -> None:
         """Note one successful read in the bounded warm-up replay log.
@@ -881,16 +877,10 @@ class ReplicaSet(NDJSONServer):
         back, and the distinct op keeps client-scoped chaos plans
         (``only_ops: ["query"]``) from firing on internal replays.
         """
-        if self.config.warmup_queries < 1:
-            return
-        log = self._recent_reads
-        log[text] = {"op": "warm", "query": text}
-        log.move_to_end(text)
-        while len(log) > self.config.warmup_queries:
-            log.popitem(last=False)
+        self._recent_reads.put(text, {"op": "warm", "query": text})
 
     def _degraded_read(self, op: str, text: str, rid) -> dict:
-        cached = self._front_cache.get((op, text))
+        cached = self._front_cache.peek((op, text))
         if cached is not None:
             self._stale_served.inc()
             return {**cached, "id": rid, "stale": True}

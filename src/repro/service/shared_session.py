@@ -48,11 +48,10 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence, Union
 
-from ..cache import CacheStats
+from ..cache import BoundedCache, CacheStats
 from ..core.atoms import Atom
 from ..runtime.supervision import EvaluationTimeout
 from ..session import MaterializedQuery, MaterializedQueryClosed, Session
@@ -186,11 +185,12 @@ class SharedSession:
         # Warm materializations: evaluated networks retained per Theorem
         # 2.1 key, refreshed semi-naively on writes.  Only the simulator
         # runtime can retain a network; other runtimes fall back to the
-        # invalidate-and-recompute path transparently.
+        # invalidate-and-recompute path transparently.  Eviction from the
+        # pool closes the network.
         self._materialize = materialize and self._session.runtime == "simulator"
-        self._materialize_pool = materialize_pool
-        self._mats: "OrderedDict[tuple, MaterializedQuery]" = OrderedDict()
-        self._mats_lock = threading.Lock()
+        self._mats = BoundedCache(
+            materialize_pool, on_evict=lambda _key, mat: mat.close()
+        )
         self._rw = ReadWriteLock()
         self._inflight: dict[tuple, _InFlight] = {}
         self._inflight_lock = threading.Lock()
@@ -426,34 +426,29 @@ class SharedSession:
         quiescent base; its own lock still makes refreshes safe against
         the write path's background refresh.
         """
-        with self._mats_lock:
-            mat = self._mats.get(key)
-            if mat is not None and mat.closed:
-                self._mats.pop(key, None)
-                mat = None
-            if mat is not None:
-                self._mats.move_to_end(key)
+        mat = self._mats.get(key)
         if mat is not None:
             try:
                 return self._refresh(mat), True
             except MaterializedQueryClosed:
-                with self._mats_lock:
-                    if self._mats.get(key) is mat:
-                        self._mats.pop(key, None)
+                self._forget(key, mat)
         mat = self._session.materialize(prepared)
         self._materializations.inc()
-        with self._mats_lock:
-            existing = self._mats.get(key)
+        with self._mats.lock:
+            existing = self._mats.peek(key)
             if existing is not None and not existing.closed:
                 # Lost an (unlikely) install race; keep the incumbent.
                 mat.close()
                 mat = existing
             else:
-                self._mats[key] = mat
-                while len(self._mats) > self._materialize_pool:
-                    _, evicted = self._mats.popitem(last=False)
-                    evicted.close()
+                self._mats.put(key, mat)
         return mat.result, True
+
+    def _forget(self, key: tuple, mat: MaterializedQuery) -> None:
+        """Drop ``key`` from the warm pool if ``mat`` still holds it."""
+        with self._mats.lock:
+            if self._mats.peek(key) is mat:
+                self._mats.pop(key)
 
     def _refresh(self, mat: MaterializedQuery):
         """``mat.refresh()`` with the wave counters it moved accounted."""
@@ -479,17 +474,13 @@ class SharedSession:
             return
         with self._rw.read_locked():
             version = self._session.db_version
-            with self._mats_lock:
-                live = list(self._mats.items())
-            for key, mat in live:
+            for key, mat in self._mats.items():
                 try:
                     start = time.perf_counter()
                     result = self._refresh(mat)
                     elapsed = time.perf_counter() - start
                 except MaterializedQueryClosed:
-                    with self._mats_lock:
-                        if self._mats.get(key) is mat:
-                            self._mats.pop(key, None)
+                    self._forget(key, mat)
                     continue
                 # mat.version lags the commit only if another write
                 # landed meanwhile — impossible under the read lock.
@@ -530,9 +521,9 @@ class SharedSession:
 
     def _drop_closed_materializations(self) -> None:
         """Forget pool entries ``add_rules`` invalidated (networks closed)."""
-        with self._mats_lock:
-            for key in [k for k, m in self._mats.items() if m.closed]:
-                self._mats.pop(key, None)
+        for key, mat in self._mats.items():
+            if mat.closed:
+                self._forget(key, mat)
 
     # ------------------------------------------------------------------
     # Writes
@@ -630,7 +621,6 @@ class SharedSession:
 
     def stats(self) -> dict:
         """A JSON-safe serving summary (cache + coalescing + lock)."""
-        cache = self.cache_stats()
         return {
             "queries": self._queries.value,
             "coalesced_joins": self._joins.value,
@@ -645,7 +635,7 @@ class SharedSession:
                 {
                     "enabled": True,
                     "pool_size": len(self._mats),
-                    "pool_capacity": self._materialize_pool,
+                    "pool_capacity": self._mats.capacity,
                     "materializations": self._materializations.value,
                     "delta_refreshes": self._delta_refreshes.value,
                     "noop_refreshes": self._noop_refreshes.value,
@@ -668,14 +658,7 @@ class SharedSession:
                 if self._session.runtime == "cluster"
                 else None
             ),
-            "graph_cache": {
-                "hits": cache.hits,
-                "misses": cache.misses,
-                "evictions": cache.evictions,
-                "invalidations": cache.invalidations,
-                "size": cache.size,
-                "capacity": cache.capacity,
-            },
+            "graph_cache": asdict(self.cache_stats()),
             "lock": {
                 "reads_acquired": self._rw.reads_acquired,
                 "writes_acquired": self._rw.writes_acquired,

@@ -5,6 +5,7 @@ import pickle
 
 import pytest
 
+from repro.cache import BoundedCache
 from repro.cluster import ClusterClient
 from repro.cluster.client import SpecMissError
 from repro.cluster.framing import FrameSocket
@@ -14,7 +15,6 @@ from repro.cluster.spec import (
     PLAN,
     JobSpecMemo,
     Part,
-    PartCache,
     digest_of,
     pack_parts,
     unpack_parts,
@@ -52,17 +52,18 @@ class TestParts:
 
 class TestPartCache:
     def test_lru_bounds_by_entries_and_bytes(self):
-        cache = PartCache(max_entries=2, max_bytes=100)
+        # The part stores are the shared LRU, bounded by entries and bytes.
+        cache = BoundedCache(2, max_bytes=100)
         cache.put("a", "A", 10)
         cache.put("b", "B", 10)
         assert cache.get("a") == "A"  # now most recently used
         cache.put("c", "C", 10)
-        assert cache.digests() == ["a", "c"] and cache.bytes == 20
+        assert list(cache.keys()) == ["a", "c"] and cache.bytes == 20
         cache.put("d", "D", 95)  # over the byte bound: evicts down to itself
-        assert cache.digests() == ["d"] and cache.bytes == 95
+        assert list(cache.keys()) == ["d"] and cache.bytes == 95
         cache.put("e", "E", 500)  # larger than the whole bound: still admitted
-        assert cache.digests() == ["e"] and "e" in cache and len(cache) == 1
-        cache.discard("e")
+        assert list(cache.keys()) == ["e"] and "e" in cache and len(cache) == 1
+        cache.pop("e")
         assert cache.bytes == 0 and cache.get("e") is None
 
 
@@ -101,6 +102,32 @@ class TestJobSpecMemo:
         assert memo.plan(program, graph, OPTIONS, True) is plan
         other = memo.plan(program, graph, dict(OPTIONS, package_requests=True), True)
         assert other.digest != plan.digest
+
+    def test_at_most_sixteen_entries_per_kind_dead_owners_first(self):
+        import gc
+
+        program = make_program()
+        graphs = [build_rule_goal_graph(program) for _ in range(17)]
+        databases = [Database.from_facts(program.facts) for _ in range(17)]
+        memo = JobSpecMemo()
+        plans = [memo.plan(program, graph, OPTIONS, True) for graph in graphs]
+        edbs = [memo.edb(database) for database in databases]
+        # Past 16 live owners the least recently used is dropped.
+        assert len(memo._plans) == len(memo._edbs) == 16
+        assert memo.plan(program, graphs[-1], OPTIONS, True) is plans[-1]
+        assert memo.edb(databases[-1]) is edbs[-1]
+        assert id(graphs[0]) not in memo._plans
+        assert id(databases[0]) not in memo._edbs
+        # A dead owner is purged before any live entry is evicted.
+        del graphs[5], databases[5]
+        gc.collect()
+        fresh_graph = build_rule_goal_graph(program)
+        fresh_database = Database.from_facts(program.facts)
+        memo.plan(program, fresh_graph, OPTIONS, True)
+        memo.edb(fresh_database)
+        for table, owners in ((memo._plans, graphs), (memo._edbs, databases)):
+            assert len(table) == 16
+            assert all(id(owner) in table for owner in owners[1:])
 
     def test_program_ships_rules_only_when_a_database_rides_along(self):
         program = make_program()

@@ -227,6 +227,54 @@ class TestParser:
             assert "not allowed with argument" in capsys.readouterr().err
 
 
+class TestOptionRanges:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["serve", "--materialize-pool", "0"], "--materialize-pool: must be >= 1, got 0"),
+            (["serve", "--replicas", "2", "--materialize-pool", "0"],
+             "--materialize-pool: must be >= 1, got 0"),
+            (["serve", "--cache-size", "-1"], "--cache-size: must be >= 0, got -1"),
+            (["serve", "--max-concurrent", "0"], "--max-concurrent: must be >= 1, got 0"),
+            (["serve", "--answer-cache-size", "-1"],
+             "--answer-cache-size: must be >= 0, got -1"),
+            (["bench-session", "--cache-size", "-1"], "--cache-size: must be >= 0, got -1"),
+            (["serve", "--cache-size", "many"], "--cache-size: invalid int value: 'many'"),
+        ],
+        ids=["materialize-pool", "replicated-materialize-pool", "cache-size",
+             "max-concurrent", "answer-cache-size", "bench-cache-size", "not-an-int"],
+    )
+    def test_out_of_range_value_is_one_line_and_exit_2(
+        self, argv, message, program_file, capsys
+    ):
+        command, *flags = argv
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args([command, program_file, *flags])
+        assert info.value.code == 2
+        assert capsys.readouterr().err == f"error: argument {message}\n"
+
+    def test_zero_disables_the_caches(self, program_file):
+        args = build_parser().parse_args(
+            ["serve", program_file, "--cache-size", "0", "--answer-cache-size", "0"]
+        )
+        assert (args.cache_size, args.answer_cache_size) == (0, 0)
+
+    def test_materialize_needs_the_simulator(self, program_file, capsys, monkeypatch):
+        from repro.service import QueryServer
+
+        async def started(self):
+            raise AssertionError("the server started")
+
+        monkeypatch.setattr(QueryServer, "start", started)
+        for runtime in ("pool", "cluster"):
+            argv = ["serve", program_file, "--port", "0", "--materialize",
+                    "--eval-runtime", runtime]
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"error: --materialize needs --eval-runtime simulator (got {runtime})\n"
+            )
+
+
 class TestServeParser:
     def test_serve_defaults(self, program_file):
         args = build_parser().parse_args(["serve", program_file])

@@ -206,14 +206,14 @@ class TestServedAnswersThroughCarryAndExtend:
             if shared.db_version == version:
                 continue  # the empty batch: nothing was committed
             for query, key in warm.items():
-                entry = cache._entries.get((key, shared.db_version))
+                entry = cache._lru._entries.get((key, shared.db_version))
                 assert entry is not None, f"{query}: hot entry lost by the write"
                 expected = baseline_answers(committed, query)
                 assert entry.answers == expected, query
                 if "wire" in entry.renders:
                     assert entry.renders["wire"] == rows_to_wire(expected), query
             assert cache.nbytes == sum(
-                e.nbytes + e.render_nbytes for e in cache._entries.values()
+                e.nbytes + e.render_nbytes for e in cache._lru._entries.values()
             )
         for query in warm:
             assert check_read(query).answer_cached

@@ -333,7 +333,7 @@ class TestRenderMemo:
 
 def charged(cache):
     """What ``_bytes`` must equal: every resident entry plus its renders."""
-    return sum(e.nbytes + e.render_nbytes for e in cache._entries.values())
+    return sum(e.nbytes + e.render_nbytes for e in cache._lru._entries.values())
 
 
 def wire(cache, key, version):
@@ -440,14 +440,14 @@ class TestCarryAndExtend:
         cache.carry("a", 0, 1)
         cache.extend("b", 0, 1, [("b2",)])
         assert cache.purge_below(1) == 2
-        assert sorted(k for k, _ in cache._entries) == ["a", "b"]
+        assert sorted(k for k, _ in cache._lru._entries) == ["a", "b"]
         assert set(cache._by_version) == {1}
         assert cache.purge_below(1) == 0
         stats = cache.stats()
         assert stats.invalidations == 2
         assert stats.bytes == charged(cache)
         assert stats.render_bytes == sum(
-            e.render_nbytes for e in cache._entries.values()
+            e.render_nbytes for e in cache._lru._entries.values()
         )
 
     def test_accounting_survives_a_long_mixed_history(self):
@@ -473,7 +473,7 @@ class TestCarryAndExtend:
                     cache.purge_below(version - 1)
             assert cache.nbytes == charged(cache)
             assert cache.stats().render_bytes == sum(
-                e.render_nbytes for e in cache._entries.values()
+                e.render_nbytes for e in cache._lru._entries.values()
             )
             assert sum(map(len, cache._by_version.values())) == len(cache)
-            assert all(e._slot == slot for slot, e in cache._entries.items())
+            assert all(e._slot == slot for slot, e in cache._lru._entries.items())

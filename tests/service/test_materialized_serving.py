@@ -126,6 +126,26 @@ class TestWarmPool:
             shared.query(q)
         assert shared.stats()["materialized"]["pool_size"] == 2
 
+    def test_eviction_closes_exactly_the_lru_network(self, monkeypatch):
+        # No answer cache: every query reaches the warm pool.
+        shared = SharedSession(
+            BASE, materialize=True, materialize_pool=2, answer_cache_size=0
+        )
+        built = {}
+        materialize = shared.session.materialize
+
+        def spy(prepared):
+            built[str(prepared.atoms[0])] = mat = materialize(prepared)
+            return mat
+
+        monkeypatch.setattr(shared.session, "materialize", spy)
+        for q in ("anc(ann, Z)", "anc(bob, Z)", "anc(ann, Z)", "anc(cal, Z)"):
+            shared.query(q)
+        assert list(built) == ["anc(ann, Z)", "anc(bob, Z)", "anc(cal, Z)"]
+        assert [mat.closed for mat in built.values()] == [False, True, False]
+        assert shared.stats()["materialized"]["pool_size"] == 2
+        assert shared.query_detailed("anc(ann, Z)").materialized
+
     def test_add_rules_invalidates_pool_then_rematerializes(self):
         shared = SharedSession(BASE, materialize=True)
         shared.query("anc(ann, Z)")
@@ -191,7 +211,7 @@ class TestWritesMoveEntriesForward:
 
     def entry(self, shared, query):
         key = shared.session.cache_key_for(query)
-        return shared.answer_cache._entries.get((key, shared.db_version))
+        return shared.answer_cache._lru._entries.get((key, shared.db_version))
 
     def test_unreached_entry_is_carried_with_its_render(self):
         shared = self.warm("anc(ann, Z)", "anc(X, bob)")
@@ -278,5 +298,5 @@ class TestWritesMoveEntriesForward:
             assert outcome.answer_cached and outcome.answers == cold.query(query)
             assert QueryServer._wire_answers(outcome) == rows_to_wire(outcome.answers)
         assert cache.nbytes == sum(
-            e.nbytes + e.render_nbytes for e in cache._entries.values()
+            e.nbytes + e.render_nbytes for e in cache._lru._entries.values()
         )

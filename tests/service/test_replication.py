@@ -29,6 +29,7 @@ import pytest
 
 from repro.service import (
     ReplicaConfig,
+    ReplicaSet,
     ReplicaSetConfig,
     ReplicaSetThread,
     ServiceClient,
@@ -407,6 +408,32 @@ class TestDegradedService:
         assert set(reply.answers) == ANC_ANN
         assert not reply.raw.get("stale")  # a real answer, not the cache's
         assert stopped_in < 3.0 + 2.0
+
+    def test_front_cache_drops_its_lru_entry_past_its_bound(self, tmp_path):
+        # No replica is spawned: the front door's stale-answer cache alone.
+        front = ReplicaSet(
+            BASE,
+            data_dir=str(tmp_path / "data"),
+            config=ReplicaSetConfig(replicas=1, front_cache_size=2),
+        )
+        try:
+            def cache(text):
+                reply = {"id": 1, "ok": True, "answers": [[text]], "replica": "r0"}
+                front._cache_answer("query", text, reply)
+
+            cache("anc(ann, Z)")
+            cache("anc(bob, Z)")
+            # Serving a stale answer does not make it recent.
+            assert front._degraded_read("query", "anc(ann, Z)", 2)["stale"]
+            cache("anc(cal, Z)")
+            gone = front._degraded_read("query", "anc(ann, Z)", 3)
+            assert gone["error"]["type"] == "degraded"
+            for text in ("anc(bob, Z)", "anc(cal, Z)"):
+                stale = front._degraded_read("query", text, 4)
+                assert stale == {"ok": True, "answers": [[text]], "id": 4, "stale": True}
+            assert len(front._front_cache) == 2
+        finally:
+            front.store.close()
 
     @staticmethod
     def _fresh(port, query):

@@ -17,15 +17,25 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from .core.parser import ParseError, parse_program, query_to_rule
 from .core.program import Program, ProgramError
-from .core.rulegoal import build_rule_goal_graph, plan_graph
+from .core.rulegoal import plan_graph
 from .core.rules import GOAL_PREDICATE
 from .core.sips import all_free_sip, greedy_sip, left_to_right_sip
-from .network.engine import MessagePassingEngine, evaluate
+from .network.engine import MessagePassingEngine
 from .network.tracing import MessageTrace
+from .options import (
+    FALLBACKS,
+    PLANNERS,
+    RUNTIMES,
+    EvalOptions,
+    RetryPolicy,
+    RuntimeOptions,
+    session_keywords,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -36,16 +46,18 @@ _SIPS = {
 }
 
 
-def _at_least(minimum: int):
-    """An argparse ``type=``: an integer no smaller than ``minimum``."""
+def _bounded(convert, minimum, strict: bool = False):
+    """An argparse ``type=``: a ``convert`` value >= ``minimum`` (> if ``strict``)."""
 
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+    def parse(text: str):
+        value = convert(text)
+        if not (value > minimum if strict else value >= minimum):  # refuses NaN too
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {minimum}, got {value}"
+            )
         return value
 
-    parse.__name__ = "int"  # argparse names a failed conversion after its type
+    parse.__name__ = convert.__name__  # argparse names a failed conversion after its type
     return parse
 
 
@@ -85,50 +97,205 @@ def _load_program(path: str, query: Optional[str], data: Optional[str] = None) -
     return program
 
 
+# Shared flags: each declared once, in one of three tables, and composed
+# into each subcommand as parent parsers holding only the flags it reads.
+def _flag(*flags: str, **keywords) -> tuple:
+    """One ``add_argument`` call, kept for later: ``(flags, keywords)``."""
+    return flags, keywords
+
+
+_SHARDED = "pool/cluster runtimes: "
+
+#: The program, the query and the one-run seed.
+_PROGRAM_FLAGS = {
+    "file": _flag("file", help="Datalog source file"),
+    "data": _flag("--data", help="directory of <predicate>.csv / .tsv files to load as EDB facts"),
+    "query": _flag("--query", help="query atoms, e.g. 'p(a, Z)' (overrides ?- in the file)"),
+    "seed": _flag("--seed", type=int, default=None, help="randomize message latencies"),
+}
+
+#: :class:`EvalOptions`: what shapes the graph and the network.
+_EVAL_FLAGS = {
+    "sip": _flag(
+        "--sip", choices=sorted(_SIPS), default="greedy", help="information passing strategy"
+    ),
+    "coalesce": _flag(
+        "--coalesce",
+        action="store_true",
+        help="merge goal nodes with identical binding patterns (single-processor mode)",
+    ),
+    "package": _flag(
+        "--package", action="store_true", help="batch related tuple requests (footnote-2 packaging)"
+    ),
+    "planner": _flag(
+        "--planner",
+        choices=PLANNERS,
+        default="static",
+        help="subgoal-order planner: 'static' keeps the structural SIP "
+        "order, 'cost' ranks body permutations with the Section 4.3 "
+        "model seeded with observed EDB sizes",
+    ),
+}
+
+#: :class:`RuntimeOptions`: where the network runs.  A list is a mutually
+#: exclusive group.
+_RUNTIME_FLAGS = {
+    "runtime": _flag(
+        "--runtime",
+        choices=RUNTIMES,
+        default="simulator",
+        help="execution substrate: deterministic simulator (default), "
+        "pooled shard workers with batched channels (pool), or remote "
+        "shard workers behind a TCP cluster manager (cluster)",
+    ),
+    "eval-runtime": _flag(
+        "--eval-runtime",
+        choices=RUNTIMES,
+        default="simulator",
+        help="substrate each evaluation dispatches to (see Session runtime=)",
+    ),
+    "workers": _flag(
+        "--workers",
+        type=_bounded(int, 1),
+        default=None,
+        help=_SHARDED + "number of shard workers "
+        "(pool default: cpu count; cluster default: all registered)",
+    ),
+    "cluster": [
+        _flag(
+            "--cluster-connect",
+            default=None,
+            metavar="HOST:PORT",
+            help="cluster runtime: address of a running cluster manager "
+            "(default: start a private localhost harness)",
+        ),
+        _flag(
+            "--cluster-listen",
+            default=None,
+            metavar="HOST:PORT",
+            help="cluster runtime: announce a cluster manager at this address "
+            "and wait for remote 'repro worker --connect' registrations "
+            "(serve keeps it up between queries; not with --replicas)",
+        ),
+    ],
+    "batch-size": _flag(
+        "--batch-size",
+        type=_bounded(int, 1),
+        default=64,
+        help=_SHARDED + "messages per cross-shard batch before a forced flush",
+    ),
+    "retries": _flag(
+        "--retries",
+        type=_bounded(int, 1),
+        default=1,
+        help=_SHARDED + "total attempts on worker crash or timeout "
+        "(whole-query re-execution; safe for monotone programs)",
+    ),
+    "retry-backoff": _flag(
+        "--retry-backoff",
+        type=_bounded(float, 0),
+        default=0.0,
+        metavar="SECONDS",
+        help=_SHARDED + "base delay before the second attempt "
+        "(0 = retry immediately, the deterministic default)",
+    ),
+    "retry-backoff-factor": _flag(
+        "--retry-backoff-factor",
+        type=_bounded(float, 0, strict=True),
+        default=1.0,
+        metavar="FACTOR",
+        help=_SHARDED + "multiply the backoff by this per further "
+        "attempt (2.0 = classic exponential backoff)",
+    ),
+    "retry-jitter": _flag(
+        "--retry-jitter",
+        type=_bounded(float, 0),
+        default=0.0,
+        metavar="SECONDS",
+        help=_SHARDED + "add up to this much uniform random delay to "
+        "each backoff (decorrelates retry stampedes; 0 keeps runs "
+        "deterministic)",
+    ),
+    "fallback": _flag(
+        "--fallback",
+        choices=FALLBACKS,
+        default="none",
+        help=_SHARDED + "after exhausting retries, answer from the "
+        "in-process scheduler instead of raising (result is flagged degraded)",
+    ),
+    "heartbeat-interval": _flag(
+        "--heartbeat-interval",
+        type=_bounded(float, 0, strict=True),
+        default=None,
+        metavar="SECONDS",
+        help=_SHARDED + "arm wedged-worker detection — a worker whose "
+        "heartbeat stalls for 2x this interval raises a typed error "
+        "(crash detection is always on)",
+    ),
+}
+
+
+def _parent(table: dict, *names: str) -> argparse.ArgumentParser:
+    """A parent parser holding ``names`` (default: all) from one flag table."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for name in names or table:
+        spec = table[name]
+        if isinstance(spec, list):  # a mutually exclusive group
+            group = parent.add_mutually_exclusive_group()
+            for flags, keywords in spec:
+                group.add_argument(*flags, **keywords)
+        else:
+            parent.add_argument(*spec[0], **spec[1])
+    return parent
+
+
+def _eval_options(args: argparse.Namespace) -> EvalOptions:
+    """The :class:`EvalOptions` the four EvalOptions flags describe."""
+    return EvalOptions(_SIPS[args.sip], args.coalesce, args.package, args.planner)
+
+
+def _runtime_options(args: argparse.Namespace, runtime: str) -> RuntimeOptions:
+    """The :class:`RuntimeOptions` the RuntimeOptions flags describe.
+
+    ``serve`` takes only ``--workers`` and the cluster address; the
+    supervision flags keep their defaults there.
+    """
+    placement = RuntimeOptions(
+        runtime,
+        args.workers,
+        cluster_address=args.cluster_connect,
+        cluster_listen=args.cluster_listen,
+    )
+    if "retries" not in vars(args):
+        return placement
+    return replace(
+        placement,
+        batch_size=args.batch_size,
+        retry=RetryPolicy(
+            args.retries, args.retry_backoff, args.retry_backoff_factor, args.retry_jitter
+        ),
+        fallback=args.fallback,
+        heartbeat_interval=args.heartbeat_interval,
+    )
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     program = _load_program(args.file, args.query, args.data)
-    if args.runtime == "simulator":
-        result = evaluate(
-            program,
-            sip_factory=_SIPS[args.sip],
-            seed=args.seed,
-            coalesce=args.coalesce,
-            package_requests=args.package,
-            planner=args.planner,
-        )
+    options = _eval_options(args)
+    runtime = _runtime_options(args, args.runtime)
+    if runtime.runtime == "simulator":
+        result = MessagePassingEngine(program, seed=args.seed, **vars(options)).run()
     else:
-        from .runtime import RetryPolicy
+        from .runtime.sharded import evaluate_sharded
 
-        options = dict(
-            sip_factory=_SIPS[args.sip],
-            workers=args.workers,
-            batch_size=args.batch_size,
-            coalesce=args.coalesce,
-            package_requests=args.package,
-            planner=args.planner,
-            retry=RetryPolicy(
-                max_attempts=args.retries,
-                backoff=args.retry_backoff,
-                backoff_factor=args.retry_backoff_factor,
-                jitter=args.retry_jitter,
-            ),
-            fallback=args.fallback,
-            heartbeat_interval=args.heartbeat_interval,
-        )
-        if args.runtime == "cluster":
-            from .cluster import evaluate_cluster as run
-
-            options.update(address=args.cluster_connect, listen=args.cluster_listen)
-            if args.cluster_listen:
-                print(
-                    f"announcing cluster manager on {args.cluster_listen}; "
-                    f"waiting for workers "
-                    f"(repro worker --connect {args.cluster_listen})",
-                    file=sys.stderr,
-                )
-        else:
-            from .runtime import evaluate_pool as run
-        result = run(program, **options)
+        if runtime.cluster_listen:
+            print(
+                f"announcing cluster manager on {runtime.cluster_listen}; "
+                f"waiting for workers "
+                f"(repro worker --connect {runtime.cluster_listen})",
+                file=sys.stderr,
+            )
+        result = evaluate_sharded(program, options, runtime)
     for row in sorted(result.answers, key=repr):
         print(", ".join(str(v) for v in row) if row else "true")
     if result.attempts > 1 or result.degraded:
@@ -172,9 +339,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 def _cmd_graph(args: argparse.Namespace) -> int:
     program = _load_program(args.file, args.query, args.data)
-    graph = build_rule_goal_graph(
-        program, sip_factory=_SIPS[args.sip], coalesce=args.coalesce
-    )
+    graph = plan_graph(program, args.planner, _SIPS[args.sip], coalesce=args.coalesce)
     if args.dot:
         print(graph.to_dot())
         return 0
@@ -190,13 +355,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     program = _load_program(args.file, args.query, args.data)
     trace = MessageTrace(limit=args.limit, include_protocol=not args.no_protocol)
     engine = MessagePassingEngine(
-        program,
-        sip_factory=_SIPS[args.sip],
-        seed=args.seed,
-        trace=trace,
-        coalesce=args.coalesce,
-        package_requests=args.package,
-        planner=args.planner,
+        program, seed=args.seed, trace=trace, **vars(_eval_options(args))
     )
     result = engine.run()
     print(trace.render(engine.graph))
@@ -218,16 +377,10 @@ def _cmd_bench_session(args: argparse.Namespace) -> int:
     atoms = list(query_rules[0].body)
     if len(query_rules) > 1:
         print("multiple queries in file; benchmarking the first", file=sys.stderr)
+    options = _eval_options(args)
 
     def timed(cache_size: int) -> tuple[Session, set, float, float]:
-        session = Session(
-            program,
-            sip_factory=_SIPS[args.sip],
-            coalesce=args.coalesce,
-            package_requests=args.package,
-            planner=args.planner,
-            graph_cache_size=cache_size,
-        )
+        session = Session(program, graph_cache_size=cache_size, **vars(options))
         start = time.perf_counter()
         answers = session.query(atoms, seed=args.seed)
         cold = time.perf_counter() - start
@@ -269,17 +422,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .service.replication import ReplicaConfig, ReplicaSet, ReplicaSetConfig
 
     program = _load_program(args.file, None, args.data)
-    session_options = dict(
-        sip_factory=_SIPS[args.sip],
-        coalesce=args.coalesce,
-        package_requests=args.package,
-        planner=args.planner,
-        graph_cache_size=args.cache_size,
-        runtime=args.eval_runtime,
-        workers=args.workers,
-        cluster_address=args.cluster_connect,
-        cluster_listen=args.cluster_listen,
-    )
+    options = _eval_options(args)
+    runtime = _runtime_options(args, args.eval_runtime)
     if args.materialize and args.eval_runtime != "simulator":
         # Only the simulator keeps a network warm; elsewhere the flag
         # would be accepted and silently do nothing.
@@ -326,7 +470,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 ),
                 fsync_interval=args.fsync_interval,
                 snapshot_every=args.snapshot_every,
-                session_options=session_options,
+                options=options,
+                runtime=runtime,
+                graph_cache_size=args.cache_size,
             )
         else:
             if args.data_dir:
@@ -338,7 +484,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 # Fail a doubly-served --data-dir at boot, not at the first write.
                 store.acquire_lock()
             server = QueryServer(
-                _shared_session(args, program, session_options, store),
+                _shared_session(args, program, options, runtime, store),
                 ServerConfig(
                     host=args.host,
                     port=args.port,
@@ -377,19 +523,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _shared_session(args: argparse.Namespace, program, session_options: dict, store):
+def _shared_session(args: argparse.Namespace, program, options, runtime, store):
     """The local backend's session: restored from ``store`` when one is given."""
     from .service import SharedSession
+    from .session import Session
 
-    if store is not None:
-        session, report = store.restore(program, **session_options)
-        shared = SharedSession(
-            session=session,
-            store=store,
-            answer_cache_size=args.answer_cache_size,
-            materialize=args.materialize,
-            materialize_pool=args.materialize_pool,
-        )
+    keywords = dict(session_keywords(options, runtime), graph_cache_size=args.cache_size)
+    if store is None:
+        session = Session(program, **keywords)
+    else:
+        session, report = store.restore(program, **keywords)
         print(
             f"data-dir {args.data_dir}: "
             + (
@@ -402,25 +545,23 @@ def _shared_session(args: argparse.Namespace, program, session_options: dict, st
             ),
             flush=True,
         )
-    else:
-        shared = SharedSession(
-            program,
-            answer_cache_size=args.answer_cache_size,
-            materialize=args.materialize,
-            materialize_pool=args.materialize_pool,
-            **session_options,
-        )
-    if args.cluster_listen and args.eval_runtime == "cluster":
+    if runtime.cluster_listen and runtime.runtime == "cluster":
         # Bind the announced manager before accepting service traffic so
         # workers can register while the server boots; the first query
         # still waits for at least one registration (session timeout).
-        manager_address = shared.session.cluster_listen_address
+        manager_address = session.cluster_listen_address
         print(
             f"cluster manager listening on {manager_address}; "
             f"start workers with: repro worker --connect {manager_address}",
             flush=True,
         )
-    return shared
+    return SharedSession(
+        session=session,
+        store=store,
+        answer_cache_size=args.answer_cache_size,
+        materialize=args.materialize,
+        materialize_pool=args.materialize_pool,
+    )
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
@@ -436,7 +577,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     if not program.query_rules:
         print("no query: pass --query or include a '?-' clause", file=sys.stderr)
         return 2
-    graph = plan_graph(program, "cost", _SIPS[args.sip], coalesce=args.coalesce)
+    graph = plan_graph(program, "cost", coalesce=args.coalesce)
     print(graph.plan_report.render())
     if args.run:
         engine = MessagePassingEngine(
@@ -463,151 +604,48 @@ def build_parser() -> argparse.ArgumentParser:
         description="Message-passing Datalog query evaluation (Van Gelder, SIGMOD 1986)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    program = _parent(_PROGRAM_FLAGS, "file", "data", "query")
+    seed = _parent(_PROGRAM_FLAGS, "seed")
+    evaluation = _parent(_EVAL_FLAGS)
+    run_runtime = [name for name in _RUNTIME_FLAGS if name != "eval-runtime"]
+    serve_runtime = _parent(_RUNTIME_FLAGS, "eval-runtime", "workers", "cluster")
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("file", help="Datalog source file")
-        p.add_argument("--query", help="query atoms, e.g. 'p(a, Z)' (overrides ?- in the file)")
-        p.add_argument(
-            "--sip", choices=sorted(_SIPS), default="greedy", help="information passing strategy"
-        )
-        p.add_argument("--seed", type=int, default=None, help="randomize message latencies")
-        p.add_argument(
-            "--data",
-            help="directory of <predicate>.csv / .tsv files to load as EDB facts",
-        )
-        p.add_argument(
-            "--coalesce",
-            action="store_true",
-            help="merge goal nodes with identical binding patterns (single-processor mode)",
-        )
-        p.add_argument(
-            "--package",
-            action="store_true",
-            help="batch related tuple requests (footnote-2 packaging)",
-        )
-        p.add_argument(
-            "--planner",
-            choices=["static", "cost"],
-            default="static",
-            help="subgoal-order planner: 'static' keeps the structural SIP "
-            "order, 'cost' ranks body permutations with the Section 4.3 "
-            "model seeded with observed EDB sizes",
-        )
-
-    run_p = sub.add_parser("run", help="evaluate the query and print the answers")
-    common(run_p)
+    run_p = sub.add_parser(
+        "run",
+        help="evaluate the query and print the answers",
+        parents=[program, seed, evaluation, _parent(_RUNTIME_FLAGS, *run_runtime)],
+    )
     run_p.add_argument("--stats", action="store_true", help="print run statistics to stderr")
-    run_p.add_argument(
-        "--runtime",
-        choices=["simulator", "pool", "cluster"],
-        default="simulator",
-        help="execution substrate: deterministic simulator (default), "
-        "pooled shard workers with batched channels (pool), or remote "
-        "shard workers behind a TCP cluster manager (cluster)",
-    )
-    run_p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="pool/cluster runtimes: number of shard workers "
-        "(pool default: cpu count; cluster default: all registered)",
-    )
-    run_p.add_argument(
-        "--batch-size",
-        type=int,
-        default=64,
-        help="pool/cluster runtimes: messages per cross-shard batch before "
-        "a forced flush",
-    )
-    run_cluster = run_p.add_mutually_exclusive_group()
-    run_cluster.add_argument(
-        "--cluster-connect",
-        default=None,
-        metavar="HOST:PORT",
-        help="cluster runtime: address of a running cluster manager "
-        "(default: start a private localhost harness for this query)",
-    )
-    run_cluster.add_argument(
-        "--cluster-listen",
-        default=None,
-        metavar="HOST:PORT",
-        help="cluster runtime: announce a manager at this address for the "
-        "query's duration and wait for remote 'repro worker --connect' "
-        "registrations (mutually exclusive with --cluster-connect)",
-    )
-    run_p.add_argument(
-        "--retries",
-        type=int,
-        default=1,
-        help="pool/cluster runtimes: total attempts on worker crash or timeout "
-        "(whole-query re-execution; safe for monotone programs)",
-    )
-    run_p.add_argument(
-        "--retry-backoff",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="pool/cluster runtimes: base delay before the second attempt "
-        "(0 = retry immediately, the deterministic default)",
-    )
-    run_p.add_argument(
-        "--retry-backoff-factor",
-        type=float,
-        default=1.0,
-        metavar="FACTOR",
-        help="pool/cluster runtimes: multiply the backoff by this per further "
-        "attempt (2.0 = classic exponential backoff)",
-    )
-    run_p.add_argument(
-        "--retry-jitter",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="pool/cluster runtimes: add up to this much uniform random delay to "
-        "each backoff (decorrelates retry stampedes; 0 keeps runs "
-        "deterministic)",
-    )
-    run_p.add_argument(
-        "--fallback",
-        choices=["none", "inprocess"],
-        default="none",
-        help="pool/cluster runtimes: after exhausting retries, answer from the "
-        "in-process scheduler instead of raising (result is flagged degraded)",
-    )
-    run_p.add_argument(
-        "--heartbeat-interval",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="pool/cluster runtimes: arm wedged-worker detection — a worker whose "
-        "heartbeat stalls for 2x this interval raises a typed error "
-        "(crash detection is always on)",
-    )
     run_p.set_defaults(func=_cmd_run)
 
-    graph_p = sub.add_parser("graph", help="print the information-passing rule/goal graph")
-    common(graph_p)
+    graph_p = sub.add_parser(
+        "graph",
+        help="print the information-passing rule/goal graph",
+        parents=[program, _parent(_EVAL_FLAGS, "sip", "coalesce", "planner")],
+    )
     graph_p.add_argument("--dot", action="store_true", help="emit Graphviz DOT instead of text")
     graph_p.set_defaults(func=_cmd_graph)
 
-    trace_p = sub.add_parser("trace", help="evaluate and print the message trace")
-    common(trace_p)
+    trace_p = sub.add_parser(
+        "trace", help="evaluate and print the message trace", parents=[program, seed, evaluation]
+    )
     trace_p.add_argument("--limit", type=int, default=200, help="max messages to record")
     trace_p.add_argument("--no-protocol", action="store_true", help="hide protocol messages")
     trace_p.set_defaults(func=_cmd_trace)
 
     analyze_p = sub.add_parser(
-        "analyze", help="static analysis: recursion classes, monotone flow, warnings"
+        "analyze",
+        help="static analysis: recursion classes, monotone flow, warnings",
+        parents=[program, _parent(_EVAL_FLAGS, "sip")],
     )
-    common(analyze_p)
     analyze_p.set_defaults(func=_cmd_analyze)
 
     explain_p = sub.add_parser(
         "explain",
         help="show the cost planner's chosen subgoal orders, ranked "
         "alternatives, and per-stage Section 4.3 estimates",
+        parents=[program, _parent(_EVAL_FLAGS, "coalesce", "package")],
     )
-    common(explain_p)
     explain_p.add_argument(
         "--run",
         action="store_true",
@@ -619,15 +657,15 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve the knowledge base over TCP (NDJSON protocol, "
         "concurrent queries, admission control)",
+        parents=[_parent(_PROGRAM_FLAGS, "file", "data"), evaluation, serve_runtime],
     )
-    common(serve_p)
     serve_p.add_argument("--host", default="127.0.0.1", help="bind address")
     serve_p.add_argument(
         "--port", type=int, default=7464, help="TCP port (0 = ephemeral)"
     )
     serve_p.add_argument(
         "--replicas",
-        type=int,
+        type=_bounded(int, 1),
         default=1,
         help="serve through N replica processes behind a failover front "
         "door (health-checked circuit breakers, log-replay resync; "
@@ -635,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--warmup-queries",
-        type=int,
+        type=_bounded(int, 0),
         default=8,
         help="with --replicas: replay up to N recent distinct reads "
         "against a resynced replica (as cache-priming 'warm' ops) "
@@ -643,19 +681,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--max-concurrent",
-        type=_at_least(1),
+        type=_bounded(int, 1),
         default=4,
         help="evaluation slots: queries running at once",
     )
     serve_p.add_argument(
         "--max-queue",
-        type=int,
+        type=_bounded(int, 0),
         default=16,
         help="requests allowed to wait for a slot before typed rejection",
     )
     serve_p.add_argument(
         "--deadline",
-        type=float,
+        type=_bounded(float, 0, strict=True),
         default=30.0,
         metavar="SECONDS",
         help="default per-request deadline (queue wait + evaluation)",
@@ -668,44 +706,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="grace period for in-flight evaluations at shutdown",
     )
     serve_p.add_argument(
-        "--eval-runtime",
-        choices=["simulator", "pool", "cluster"],
-        default="simulator",
-        help="substrate each evaluation dispatches to (see Session runtime=)",
-    )
-    serve_p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="pool/cluster runtimes: shard workers per evaluation",
-    )
-    serve_cluster = serve_p.add_mutually_exclusive_group()
-    serve_cluster.add_argument(
-        "--cluster-connect",
-        default=None,
-        metavar="HOST:PORT",
-        help="with --eval-runtime cluster: address of a running cluster "
-        "manager (default: the service starts a private localhost harness "
-        "on the first query and keeps it warm)",
-    )
-    serve_cluster.add_argument(
-        "--cluster-listen",
-        default=None,
-        metavar="HOST:PORT",
-        help="with --eval-runtime cluster: announce the cluster manager at "
-        "this address so one process fronts both the query service and the "
-        "cluster; remote workers dial in with 'repro worker --connect' "
-        "(mutually exclusive with --cluster-connect; not with --replicas)",
-    )
-    serve_p.add_argument(
         "--cache-size",
-        type=_at_least(0),
+        type=_bounded(int, 0),
         default=64,
         help="graph-cache LRU capacity in query shapes, shared by all clients",
     )
     serve_p.add_argument(
         "--answer-cache-size",
-        type=_at_least(0),
+        type=_bounded(int, 0),
         default=256,
         metavar="ENTRIES",
         help="answer-cache LRU capacity (full answer sets keyed by query "
@@ -721,7 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--materialize-pool",
-        type=_at_least(1),
+        type=_bounded(int, 1),
         default=32,
         metavar="NETWORKS",
         help="with --materialize: LRU bound on warm networks kept per "
@@ -736,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--fsync-interval",
-        type=float,
+        type=_bounded(float, 0),
         default=0.0,
         metavar="SECONDS",
         help="with --data-dir: batch fsyncs at most this often "
@@ -744,13 +752,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--snapshot-every",
-        type=int,
+        type=_bounded(int, 1),
         default=1000,
         metavar="RECORDS",
         help="with --data-dir: compact the log into a fresh snapshot after "
         "this many appended records",
     )
     serve_p.set_defaults(func=_cmd_serve)
+
 
     worker_p = sub.add_parser(
         "worker",
@@ -792,14 +801,14 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p = sub.add_parser(
         "bench-session",
         help="repeated-query serving benchmark: session caching vs per-query rebuild",
+        parents=[program, seed, evaluation],
     )
-    common(bench_p)
     bench_p.add_argument(
         "--repeat", type=int, default=100, help="number of identical queries to serve"
     )
     bench_p.add_argument(
         "--cache-size",
-        type=_at_least(0),
+        type=_bounded(int, 0),
         default=64,
         help="graph-cache LRU capacity in query shapes (0 disables)",
     )

@@ -37,51 +37,44 @@ from ..core.adornment import AdornedAtom
 from ..core.program import Program
 from ..core.rulegoal import RuleGoalGraph, SipFactory
 from ..core.sips import greedy_sip
+from ..options import EvalOptions, RetryPolicy, RuntimeOptions
 from ..relational.database import Database
 from ..runtime.faults import FaultPlan
 from ..runtime.sharded import ShardedQueryResult, evaluate_sharded
-from ..runtime.supervision import RetryPolicy
 from .client import ClusterClient, SpecMissError
 from .framing import rows_from_wire, rows_to_wire
 
-__all__ = ["ClusterLink", "evaluate_cluster"]
+__all__ = ["ClusterLink", "cluster_transport", "evaluate_cluster"]
 
 
 class ClusterLink:
     """A cluster client plus whatever had to be started to reach one.
 
-    With ``address`` it dials a running manager; with ``listen`` it
-    announces a manager there (port ``0`` binds an ephemeral port) and
-    waits for ``workers`` (default 1) remote registrations, bounded by
-    ``timeout``; with neither it starts a private localhost
-    :class:`~repro.cluster.harness.ClusterHarness` of ``workers`` (default
-    2).  Opened lazily by :meth:`client` and kept until :meth:`close`,
-    after which the next :meth:`client` opens it again.
+    Read from ``runtime`` (:class:`~repro.options.RuntimeOptions`): with
+    ``cluster_address`` it dials a running manager; with
+    ``cluster_listen`` it announces a manager there (port ``0`` binds an
+    ephemeral port) and waits for ``workers`` (default 1) remote
+    registrations, bounded by ``timeout``; with neither it starts a
+    private localhost :class:`~repro.cluster.harness.ClusterHarness` of
+    ``workers`` (default 2).  Opened lazily by :meth:`client` and kept
+    until :meth:`close`, after which the next :meth:`client` opens it
+    again.
     """
 
-    def __init__(
-        self,
-        address: Optional[str] = None,
-        listen: Optional[str] = None,
-        workers: Optional[int] = None,
-        timeout: float = 120.0,
-    ) -> None:
-        self.address = address
-        self.listen = listen
-        self.workers = workers
-        self.timeout = timeout
+    def __init__(self, runtime: RuntimeOptions) -> None:
+        self.runtime = runtime
         self._lock = threading.Lock()
         self._client: Optional[ClusterClient] = None
         self._harness = None
         self._manager = None
 
     def manager(self):
-        """The announced manager (``listen`` only), started once."""
+        """The announced manager (``cluster_listen`` only), started once."""
         with self._lock:
             if self._manager is None:
                 from .manager import ManagerThread
 
-                host, _, port_text = self.listen.rpartition(":")
+                host, _, port_text = self.runtime.cluster_listen.rpartition(":")
                 self._manager = ManagerThread(
                     host or "127.0.0.1", int(port_text or 0)
                 ).start()
@@ -89,20 +82,21 @@ class ClusterLink:
 
     def client(self) -> ClusterClient:
         """The link's client, opening whatever it needs on first use."""
-        if self.listen is not None:
+        runtime = self.runtime
+        if runtime.cluster_listen is not None:
             # Outside the lock: waiting can take the whole timeout and must
             # not hold up close().
-            self.manager().wait_for_workers(self.workers or 1, timeout=self.timeout)
+            self.manager().wait_for_workers(runtime.workers or 1, timeout=runtime.timeout)
         with self._lock:
             if self._client is None:
-                if self.address is not None:
-                    self._client = ClusterClient(self.address)
+                if runtime.cluster_address is not None:
+                    self._client = ClusterClient(runtime.cluster_address)
                 elif self._manager is not None:
                     self._client = ClusterClient(self._manager.address)
                 else:
                     from .harness import ClusterHarness
 
-                    self._harness = ClusterHarness(workers=self.workers or 2).start()
+                    self._harness = ClusterHarness(workers=runtime.workers or 2).start()
                     self._client = self._harness.client()
             return self._client
 
@@ -129,6 +123,86 @@ class ClusterLink:
             harness.stop()  # also closes the client it handed out
         if manager is not None:
             manager.stop()  # remote workers fall into their reconnect loop
+
+
+@contextmanager
+def cluster_transport(
+    program: Program,
+    options: EvalOptions,
+    runtime: RuntimeOptions,
+    database: Optional[Database],
+    client: Optional[ClusterClient] = None,
+):
+    """The TCP transport for :func:`~repro.runtime.sharded.evaluate_sharded`.
+
+    Attempts go through ``client`` when one is given; otherwise a
+    :class:`ClusterLink` over ``runtime`` is opened for the call and
+    closed after it.  The yielded ``spec`` counts the job-spec bytes the
+    attempts shipped.
+    """
+    shipped = {"plan_bytes": 0, "edb_bytes": 0, "resends": 0}
+
+    def attempt(
+        cluster: ClusterClient,
+        graph: RuleGoalGraph,
+        bindings: tuple,
+        armed: Optional[FaultPlan],
+    ) -> ShardedQueryResult:
+        # Everything that shapes the node network rides in the plan part,
+        # memoised on the client against the live graph / database: only
+        # the first attempt over a given pair pickles anything.  What
+        # varies per attempt (fault plan, deadlines, batch size) rides in
+        # the header.
+        parts = [
+            cluster.specs.plan(
+                program, graph, options, database is not None, runtime.edb_shards
+            )
+        ]
+        if database is not None:
+            parts.append(cluster.specs.edb(database))
+        header = {
+            "workers": runtime.workers,
+            "timeout": runtime.timeout,
+            "heartbeat_interval": runtime.heartbeat_interval,
+            "batch_size": runtime.batch_size,
+        }
+        if bindings:
+            # Tagged value cells, like every row on the wire: lossless for
+            # any constant the in-process runtimes accept.
+            header["bindings"] = rows_to_wire([bindings])[0]
+        if armed is not None:
+            header["fault_plan"] = dataclasses.asdict(armed)
+        for resend in (False, True):
+            job_header, blob = cluster.frame_job(header, parts)
+            for kind, _, size in job_header["parts"]:
+                shipped[f"{kind}_bytes"] += size
+            try:
+                reply = cluster.submit(job_header, blob, runtime.timeout)
+                break
+            except SpecMissError:
+                # The manager restarted or evicted a part: submit has
+                # already forgotten it, so the next frame carries the bytes.
+                if resend:
+                    raise
+                shipped["resends"] += 1
+        return ShardedQueryResult(
+            answers={tuple(row) for row in rows_from_wire(reply.get("answers", []))},
+            completed=True,
+            workers=reply.get("workers", 0),
+            driver_last_seq_sent=reply.get("seq", 0),
+            driver_last_upto_ended=reply.get("upto", 0),
+            shards={int(k): v for k, v in reply.get("shards", {}).items()},
+            transport=reply.get("transport", {}),
+        )
+
+    if client is not None:
+        yield partial(attempt, client), shipped
+        return
+    link = ClusterLink(runtime)
+    try:
+        yield partial(attempt, link.client()), shipped
+    finally:
+        link.close()
 
 
 def evaluate_cluster(
@@ -165,87 +239,25 @@ def evaluate_cluster(
     ``edb_shards`` defaults to the number of shards the manager actually
     dispatches (it sends one shard per registered worker).
     """
-    if address is not None and listen is not None:
-        raise ValueError(
-            "address and listen are mutually exclusive: either dial an "
-            "existing manager or announce one, not both"
-        )
-    # Everything that shapes the node network rides in the plan part; what
-    # varies per attempt (fault plan, deadlines, batch size) in the header.
-    options = {"package_requests": package_requests, "edb_shards": edb_shards}
-    shipped = {"plan_bytes": 0, "edb_bytes": 0, "resends": 0}
-
-    def attempt(
-        cluster: ClusterClient,
-        graph: RuleGoalGraph,
-        bindings: tuple,
-        armed: Optional[FaultPlan],
-    ) -> ShardedQueryResult:
-        # Memoised on the client against the live graph / database: only
-        # the first attempt over a given pair pickles anything.
-        parts = [cluster.specs.plan(program, graph, options, database is not None)]
-        if database is not None:
-            parts.append(cluster.specs.edb(database))
-        header = {
-            "workers": workers,
-            "timeout": timeout,
-            "heartbeat_interval": heartbeat_interval,
-            "batch_size": batch_size,
-        }
-        if bindings:
-            # Tagged value cells, like every row on the wire: lossless for
-            # any constant the in-process runtimes accept.
-            header["bindings"] = rows_to_wire([bindings])[0]
-        if armed is not None:
-            header["fault_plan"] = dataclasses.asdict(armed)
-        for resend in (False, True):
-            job_header, blob = cluster.frame_job(header, parts)
-            for kind, _, size in job_header["parts"]:
-                shipped[f"{kind}_bytes"] += size
-            try:
-                reply = cluster.submit(job_header, blob, timeout)
-                break
-            except SpecMissError:
-                # The manager restarted or evicted a part: submit has
-                # already forgotten it, so the next frame carries the bytes.
-                if resend:
-                    raise
-                shipped["resends"] += 1
-        return ShardedQueryResult(
-            answers={tuple(row) for row in rows_from_wire(reply.get("answers", []))},
-            completed=True,
-            workers=reply.get("workers", 0),
-            driver_last_seq_sent=reply.get("seq", 0),
-            driver_last_upto_ended=reply.get("upto", 0),
-            shards={int(k): v for k, v in reply.get("shards", {}).items()},
-            transport=reply.get("transport", {}),
-        )
-
-    @contextmanager
-    def transport():
-        if client is not None:
-            yield partial(attempt, client)
-            return
-        link = ClusterLink(address, listen, workers, timeout)
-        try:
-            yield partial(attempt, link.client())
-        finally:
-            link.close()
-
-    result = evaluate_sharded(
+    return evaluate_sharded(
         program,
-        transport(),
-        sip_factory=sip_factory,
+        EvalOptions(sip_factory, coalesce, package_requests, planner),
+        RuntimeOptions(
+            "cluster",
+            workers,
+            batch_size,
+            edb_shards,
+            cluster_address=address,
+            cluster_listen=listen,
+            retry=RetryPolicy.of(retry),
+            fallback=fallback,
+            heartbeat_interval=heartbeat_interval,
+            timeout=timeout,
+        ),
+        client=client,
         query_goal=query_goal,
-        coalesce=coalesce,
-        package_requests=package_requests,
-        planner=planner,
-        retry=retry,
-        fallback=fallback,
         fault_plan=fault_plan,
         graph=graph,
         database=database,
         bindings=bindings,
     )
-    result.spec = shipped
-    return result

@@ -72,7 +72,7 @@ __all__ = [
 
 #: Bumped on any incompatible change to frames or payload schemas.  The
 #: handshake (HELLO/WELCOME) rejects mismatched peers with a REJECT frame.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 #: Frame header: version byte, type byte, unsigned big-endian payload size.
 _HEADER = struct.Struct("!BBI")

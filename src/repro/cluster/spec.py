@@ -5,7 +5,8 @@ per-attempt JSON header:
 
 ``plan``
     The rules-only program, the prebuilt rule/goal graph, and the
-    evaluation options that shape the node network.  Theorem 2.1 makes the
+    :class:`~repro.options.EvalOptions` (plus ``edb_shards``) that shape
+    the node network.  Theorem 2.1 makes the
     graph EDB-independent, so a plan changes only with the rules, the query
     shape, or the SIP — never with a write.  A session's graph is a *shape*
     graph: queries that differ only in a constant share it, and the
@@ -42,6 +43,7 @@ from ..cache import BoundedCache
 from ..core.program import Program
 from ..core.rulegoal import RuleGoalGraph
 from ..core.sips import greedy_sip
+from ..options import EvalOptions
 from ..relational.database import Database
 
 __all__ = [
@@ -126,11 +128,12 @@ class JobSpecMemo:
         self,
         program: Program,
         graph: RuleGoalGraph,
-        options: dict,
+        options: EvalOptions,
         with_database: bool,
+        edb_shards: Optional[int] = None,
     ) -> Part:
         """The plan part for ``graph`` evaluated under ``options``."""
-        fingerprint = (with_database, tuple(sorted(options.items())))
+        fingerprint = (with_database, options, edb_shards)
         with self._lock:
             entry = self._plans.get(id(graph))
             if entry is not None:
@@ -141,7 +144,7 @@ class JobSpecMemo:
                     and seen == fingerprint
                 ):
                     return part
-            part = _pickle_plan(program, graph, options, with_database)
+            part = _pickle_plan(program, graph, options, with_database, edb_shards)
             self._remember(
                 self._plans,
                 graph,
@@ -187,15 +190,20 @@ class JobSpecMemo:
 
 
 def _pickle_plan(
-    program: Program, graph: RuleGoalGraph, options: dict, with_database: bool
+    program: Program,
+    graph: RuleGoalGraph,
+    options: EvalOptions,
+    with_database: bool,
+    edb_shards: Optional[int],
 ) -> Part:
-    """Pickle the plan: program + wire graph + network-shaping options.
+    """Pickle the plan: program + wire graph + options + ``edb_shards``.
 
     SIP decisions are already baked into the graph's arcs, so workers never
-    call its ``sip_factory`` — but the cost planner's factory is a closure
-    that cannot pickle.  Ship a shallow copy with a picklable placeholder
-    (the session's cached graph must not be mutated), and without the plan
-    report (client-side introspection only).
+    call a ``sip_factory`` — but the cost planner's factory, or a caller's,
+    may be a closure that cannot pickle.  Ship copies of the graph and the
+    options with a picklable placeholder (the session's cached graph must
+    not be mutated), and the graph without the plan report (client-side
+    introspection only).
 
     A session's program is rules-only already, and its graph was built
     from that very object, so pickle's memo writes it once.  A direct
@@ -214,7 +222,12 @@ def _pickle_plan(
             wire_program if graph.program is program else graph.program.with_facts(())
         )
     blob = pickle.dumps(
-        {"program": wire_program, "graph": wire_graph, **options},
+        {
+            "program": wire_program,
+            "graph": wire_graph,
+            "options": dataclasses.replace(options, sip_factory=greedy_sip),
+            "edb_shards": edb_shards,
+        },
         protocol=pickle.HIGHEST_PROTOCOL,
     )
     return Part(PLAN, digest_of(blob), blob)

@@ -249,18 +249,18 @@ def _job_loop(fs: FrameSocket, ctx: _JobContext, resident: ResidentSpecs) -> Non
     spec = ctx.plan.spec
     # Hash-partitioned EDB replicas default to one per shard, exactly as
     # the pool runtime defaults ``edb_shards`` to its worker count.
-    replicas = spec.get("edb_shards") or ctx.n_shards
+    replicas = spec["edb_shards"] or ctx.n_shards
     # Fresh per-query node state over resident inputs: the graph and the
     # database (with whatever indexes earlier jobs built) are reused, the
     # engine — relations, streams, protocol counters — never is.
     engine = MessagePassingEngine(
         spec["program"],
         validate_protocol=False,  # the oracle belongs to the simulator
-        package_requests=spec.get("package_requests", False),
         edb_shards=replicas,
         database=ctx.database,
         graph=spec["graph"],
         bindings=ctx.bindings,
+        **vars(spec["options"]),
     )
     shard_of = ctx.plan.shard_maps.get((ctx.n_shards, replicas))
     if shard_of is None:

@@ -20,7 +20,8 @@ from ..cache import CacheStats
 from ..core.adornment import AdornedAtom
 from ..core.program import Program
 from ..core.rulegoal import RuleGoalGraph, SipFactory, plan_graph
-from ..core.sips import all_free_sip, greedy_sip
+from ..core.sips import greedy_sip
+from ..options import EvalOptions
 from ..relational.database import Database
 from .messages import Message
 from .nodes import (
@@ -216,8 +217,9 @@ class MessagePassingEngine:
     ----------
     program:
         The validated EDB+IDB+query bundle.
-    sip_factory:
-        Information passing strategy (default greedy — Definition 2.4).
+    sip_factory, coalesce, package_requests, planner, provenance:
+        The :class:`~repro.options.EvalOptions` fields (documented there),
+        kept as ``self.options``.
     seed:
         ``None`` for send-order delivery; an int for seeded random latencies
         (exercises asynchrony; the answer must not change).
@@ -280,6 +282,9 @@ class MessagePassingEngine:
         bindings: tuple = (),
     ) -> None:
         self.program = program
+        self.options = EvalOptions(
+            sip_factory, coalesce, package_requests, planner, provenance
+        )
         self.bindings = bindings
         self.database = database if database is not None else Database.from_facts(program.facts)
         # A prebuilt (possibly session-cached) graph skips planning;
@@ -290,12 +295,10 @@ class MessagePassingEngine:
                 program, planner, sip_factory, self.database, query_goal, coalesce
             )
         self.graph = graph
-        self._package_requests = package_requests
         self._edb_shards = max(1, edb_shards)
         #: original EDB node id -> replica node ids (original first); empty
         #: unless ``edb_shards > 1``.
         self.edb_replicas: dict[int, tuple[int, ...]] = {}
-        self._provenance = provenance
         self._on_answer = on_answer
         self._trivial_relay = trivial_relay
         self.scheduler = Scheduler(
@@ -468,8 +471,8 @@ class MessagePassingEngine:
                 self._edb_leaves.setdefault(
                     process.adorned.predicate, []
                 ).append(process)
-            process.package_requests = self._package_requests
-            process.record_provenance = self._provenance
+            process.package_requests = self.options.package_requests
+            process.record_provenance = self.options.provenance
             self.scheduler.register(process)
 
     # ------------------------------------------------------------------
@@ -480,7 +483,7 @@ class MessagePassingEngine:
         """
         from .provenance import ProvenanceError, explain
 
-        if not self._provenance:
+        if not self.options.provenance:
             raise ProvenanceError(
                 "construct the engine with provenance=True to record derivations"
             )
@@ -664,25 +667,17 @@ def evaluate(
 ) -> QueryResult:
     """Evaluate a program's query with the message-passing framework.
 
-    ``sip_factory=all_free_sip`` turns sideways information passing off — the
-    McKay–Shapiro-style baseline in which intermediate relations are computed
-    in full.  ``coalesce=True`` merges goal nodes with identical binding
-    patterns (the paper's single-processor variant, §2.2 + footnote 4).
-    ``package_requests=True`` batches related tuple requests per producer
-    (the footnote-2 enhancement).  ``planner="cost"``
-    replaces ``sip_factory`` with the §4.3 cost model fed by observed EDB
-    cardinalities (see :mod:`repro.core.planner`).
+    ``sip_factory``, ``coalesce``, ``package_requests`` and ``planner``
+    are :class:`~repro.options.EvalOptions` fields (documented there);
+    the rest are :class:`MessagePassingEngine`'s.
     """
-    engine = MessagePassingEngine(
+    options = EvalOptions(sip_factory, coalesce, package_requests, planner)
+    return MessagePassingEngine(
         program,
-        sip_factory=sip_factory,
         seed=seed,
         max_messages=max_messages,
         validate_protocol=validate_protocol,
         query_goal=query_goal,
-        coalesce=coalesce,
-        package_requests=package_requests,
         trivial_relay=trivial_relay,
-        planner=planner,
-    )
-    return engine.run()
+        **vars(options),
+    ).run()

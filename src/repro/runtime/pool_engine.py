@@ -57,13 +57,14 @@ from ..core.rulegoal import RuleGoalGraph, SipFactory
 from ..core.sips import greedy_sip
 from ..network.engine import MessagePassingEngine, assign_shards
 from ..network.messages import Message, MessageBatch
+from ..options import EvalOptions, RetryPolicy, RuntimeOptions
 from ..relational.database import Database
 from .faults import FaultPlan
 from .shard_loop import COUNTERS, STOP as _STOP, Router, run_shard_loop
 from .sharded import ShardedQueryResult, evaluate_sharded
-from .supervision import RetryPolicy, Supervisor, shutdown_workers
+from .supervision import Supervisor, shutdown_workers
 
-__all__ = ["ShardRouter", "evaluate_pool"]
+__all__ = ["ShardRouter", "evaluate_pool", "pool_transport"]
 
 
 class ShardRouter(Router):
@@ -163,30 +164,27 @@ def _shard_worker(
 
 def _pool_attempt(
     program: Program,
-    n_shards: int,
-    batch_size: int,
-    timeout: float,
-    package_requests: bool,
-    replicas: int,
+    options: EvalOptions,
+    runtime: RuntimeOptions,
     database: Optional[Database],
-    heartbeat_interval: Optional[float],
     graph: RuleGoalGraph,
     bindings: tuple,
     armed: Optional[FaultPlan],
 ) -> ShardedQueryResult:
     """One supervised execution: fork, wait under the supervisor, tear down."""
     context = mp.get_context("fork")
+    n_shards = runtime.workers or os.cpu_count() or 1
     # A fresh engine per attempt: worker-side state (the driver's posed
     # query, node relations) dies with the attempt's forks, and the shared
     # prebuilt graph makes reconstruction a dictionary lookup, not a parse.
     engine = MessagePassingEngine(
         program,
         validate_protocol=False,  # the oracle belongs to the simulator
-        package_requests=package_requests,
-        edb_shards=replicas,
+        edb_shards=runtime.edb_shards or n_shards,
         database=database,
         graph=graph,
         bindings=bindings,
+        **vars(options),
     )
     shard_of = assign_shards(engine, n_shards)
 
@@ -202,6 +200,7 @@ def _pool_attempt(
     received = [RawArray("q", n_shards) for _ in range(n_shards)]
     loop_stats = RawArray("q", n_shards * len(COUNTERS))
     heartbeats = RawArray("q", n_shards)
+    heartbeat_interval = runtime.heartbeat_interval
     poll_interval = (
         max(0.01, heartbeat_interval / 4.0) if heartbeat_interval else 0.25
     )
@@ -212,7 +211,7 @@ def _pool_attempt(
             args=(
                 engine,
                 ShardRouter(
-                    shard_id, shard_of, n_shards, batch_size, inboxes, sent, received
+                    shard_id, shard_of, n_shards, runtime.batch_size, inboxes, sent, received
                 ),
                 result_queue,
                 loop_stats,
@@ -236,7 +235,7 @@ def _pool_attempt(
         what="pooled evaluation",
     )
     try:
-        _, answers, driver_accounting = supervisor.wait(timeout)
+        _, answers, driver_accounting = supervisor.wait(runtime.timeout)
     finally:
         def send_stop() -> None:
             for shard_id, inbox in enumerate(inboxes):
@@ -272,6 +271,20 @@ def _pool_attempt(
     )
 
 
+def pool_transport(
+    program: Program,
+    options: EvalOptions,
+    runtime: RuntimeOptions,
+    database: Optional[Database],
+):
+    """The queue transport for :func:`~repro.runtime.sharded.evaluate_sharded`.
+
+    Every attempt forks its own workers, so there is nothing to open or
+    close around them, and no job spec to account for.
+    """
+    return nullcontext((partial(_pool_attempt, program, options, runtime, database), {}))
+
+
 def evaluate_pool(
     program: Program,
     sip_factory: SipFactory = greedy_sip,
@@ -293,11 +306,12 @@ def evaluate_pool(
 ) -> ShardedQueryResult:
     """Evaluate the query on a supervised pool of shard workers.
 
-    ``workers`` defaults to ``os.cpu_count()``; ``edb_shards`` (how many
-    hash-partition replicas each "d"-bound EDB leaf gets) defaults to
-    ``workers``.  Producers emit packaged answer sets, batches carry them
-    natively, and ingest merges adjacent rows; cross-shard counters
-    (``cross_messages``) are in logical tuples.
+    The options are :class:`~repro.options.EvalOptions` and
+    :class:`~repro.options.RuntimeOptions` fields (``retry`` also takes an
+    attempt count): ``workers`` defaults to ``os.cpu_count()`` and
+    ``edb_shards`` to ``workers``.  Producers emit packaged answer sets,
+    batches carry them natively, and ingest merges adjacent rows;
+    cross-shard counters (``cross_messages``) are in logical tuples.
 
     Fault tolerance: every attempt runs under a :class:`Supervisor` —
     a crashed worker raises :class:`~repro.runtime.supervision
@@ -308,30 +322,20 @@ def evaluate_pool(
     ``retry``, ``fallback``, ``fault_plan`` and ``bindings`` are the
     sharded front's (:func:`~repro.runtime.sharded.evaluate_sharded`).
     """
-    n_shards = max(1, workers if workers is not None else (os.cpu_count() or 1))
-    replicas = edb_shards if edb_shards is not None else n_shards
-
-    attempt = partial(
-        _pool_attempt,
-        program,
-        n_shards,
-        batch_size,
-        timeout,
-        package_requests,
-        replicas,
-        database,
-        heartbeat_interval,
-    )
     return evaluate_sharded(
         program,
-        nullcontext(attempt),
-        sip_factory=sip_factory,
+        EvalOptions(sip_factory, coalesce, package_requests, planner),
+        RuntimeOptions(
+            "pool",
+            workers,
+            batch_size,
+            edb_shards,
+            retry=RetryPolicy.of(retry),
+            fallback=fallback,
+            heartbeat_interval=heartbeat_interval,
+            timeout=timeout,
+        ),
         query_goal=query_goal,
-        coalesce=coalesce,
-        package_requests=package_requests,
-        planner=planner,
-        retry=retry,
-        fallback=fallback,
         fault_plan=fault_plan,
         graph=graph,
         database=database,

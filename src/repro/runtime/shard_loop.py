@@ -97,7 +97,7 @@ class Router:
     ) -> None:
         self.shard_id = shard_id
         self.shard_of = shard_of
-        self.batch_size = max(1, batch_size)
+        self.batch_size = batch_size
         self.local: deque[Message] = deque()
         self.local_pending: dict[int, int] = {}
         self.buffers: dict[int, list[Message]] = {

@@ -4,9 +4,10 @@ shard transports.
 :func:`~repro.runtime.pool_engine.evaluate_pool` (forked workers, queue
 fabric) and :func:`~repro.cluster.evaluate.evaluate_cluster` (remote
 workers, TCP fabric) differ only in how one attempt runs.  Everything
-around it is :func:`evaluate_sharded`: validation, the fault plan, the
-graph, whole-query retry, the single in-process fallback and the result
-stamping.  Both return a :class:`ShardedQueryResult`, whose accounting is
+around it is :func:`evaluate_sharded`, which takes the two option values
+(:mod:`repro.options`) whole: the fault plan, the graph, the choice of
+transport, whole-query retry, the single in-process fallback and the
+result stamping.  Both return a :class:`ShardedQueryResult`, whose accounting is
 computed from the per-shard counter dicts every shard's
 :class:`~repro.runtime.shard_loop.Router` keeps — one vocabulary on both
 transports.
@@ -14,24 +15,21 @@ transports.
 
 from __future__ import annotations
 
-from contextlib import AbstractContextManager
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 from ..cache import CacheStats
 from ..core.adornment import AdornedAtom
 from ..core.program import Program
-from ..core.rulegoal import RuleGoalGraph, SipFactory, plan_graph
+from ..core.rulegoal import RuleGoalGraph, plan_graph
 from ..network.engine import MessagePassingEngine
+from ..options import EvalOptions, RuntimeOptions
 from ..relational.database import Database
 from .faults import FaultPlan
 from .shard_loop import node_label
-from .supervision import RetryPolicy, run_with_retry
+from .supervision import run_with_retry
 
-__all__ = ["FALLBACKS", "ShardedQueryResult", "evaluate_sharded"]
-
-#: What a sharded evaluation may do once its retries are exhausted.
-FALLBACKS = ("none", "inprocess")
+__all__ = ["ShardedQueryResult", "evaluate_sharded"]
 
 
 @dataclass
@@ -213,54 +211,57 @@ class ShardedQueryResult:
 
 def evaluate_sharded(
     program: Program,
-    transport: AbstractContextManager,
+    options: EvalOptions,
+    runtime: RuntimeOptions,
     *,
-    sip_factory: SipFactory,
-    query_goal: Optional[AdornedAtom],
-    coalesce: bool,
-    package_requests: bool,
-    planner: str,
-    retry: Union[RetryPolicy, int, None],
-    fallback: str,
-    fault_plan: Optional[FaultPlan],
-    graph: Optional[RuleGoalGraph],
-    database: Optional[Database],
+    client=None,
+    query_goal: Optional[AdornedAtom] = None,
+    fault_plan: Optional[FaultPlan] = None,
+    graph: Optional[RuleGoalGraph] = None,
+    database: Optional[Database] = None,
     bindings: tuple = (),
 ) -> ShardedQueryResult:
-    """Evaluate the query through one shard transport, supervised.
+    """Evaluate the query on ``runtime.runtime``'s shard transport, supervised.
 
-    ``transport`` is a context manager yielding the transport's
-    ``attempt(graph, bindings, armed_fault_plan)``; it is entered only
-    after the arguments are validated and the graph is planned, and
-    exited after the last attempt.  ``bindings`` are the values of a
-    shape graph's parameters (see
+    The transport (:func:`~repro.runtime.pool_engine.pool_transport` or
+    :func:`~repro.cluster.evaluate.cluster_transport`; ``client`` is the
+    cluster's, when one is already open) is a context manager yielding
+    ``(attempt, spec)``: ``attempt(graph, bindings, armed_fault_plan)``
+    runs the query once, and ``spec`` is the job-spec accounting the
+    result carries.  It is entered after the graph is planned and exited
+    after the last attempt.  ``bindings`` are the values of a shape
+    graph's parameters (see
     :class:`~repro.network.engine.MessagePassingEngine`); every attempt
-    and the fallback run the one graph under them.
-    ``retry`` (a :class:`RetryPolicy` or an attempt count) re-executes the
-    whole query on typed runtime failures — sound because monotone
-    set-semantics evaluation reaches the same least fixpoint on
-    re-execution — reusing the one ``graph``.  ``fallback="inprocess"``
-    answers from the single-process scheduler after retries are
-    exhausted, with ``degraded=True``.  ``fault_plan`` (or the
+    and the fallback run the one graph under them.  ``runtime.retry``
+    re-executes the whole query on typed runtime failures — sound because
+    monotone set-semantics evaluation reaches the same least fixpoint on
+    re-execution — reusing the one ``graph``.  ``runtime.fallback ==
+    "inprocess"`` answers from the single-process scheduler after retries
+    are exhausted, with ``degraded=True``.  ``fault_plan`` (or the
     ``REPRO_FAULTS`` environment variable) injects deterministic faults,
-    armed per attempt.
+    armed per attempt.  Provenance is never recorded: no shard keeps a
+    network that :meth:`~repro.session.Session.explain` could read.
     """
-    if fallback not in FALLBACKS:
-        raise ValueError(f"unknown fallback {fallback!r}; use 'none' or 'inprocess'")
-    policy = RetryPolicy.of(retry)
+    options = replace(options, provenance=False)
     plan = fault_plan if fault_plan is not None else FaultPlan.from_env()
     if graph is None:
         graph = plan_graph(
-            program, planner, sip_factory, database, query_goal, coalesce
+            program, options.planner, options.sip_factory, database, query_goal, options.coalesce
         )
+    if runtime.runtime == "pool":
+        from .pool_engine import pool_transport
+
+        transport = pool_transport(program, options, runtime, database)
+    elif runtime.runtime == "cluster":
+        from ..cluster.evaluate import cluster_transport
+
+        transport = cluster_transport(program, options, runtime, database, client)
+    else:
+        raise ValueError(f"evaluate_sharded runs 'pool' or 'cluster', not {runtime.runtime!r}")
 
     def degraded_fallback() -> ShardedQueryResult:
         engine = MessagePassingEngine(
-            program,
-            package_requests=package_requests,
-            database=database,
-            graph=graph,
-            bindings=bindings,
+            program, database=database, graph=graph, bindings=bindings, **vars(options)
         )
         in_process = engine.run()
         stream = engine.driver.feeders[graph.root]
@@ -272,14 +273,15 @@ def evaluate_sharded(
             driver_last_upto_ended=stream.last_upto_ended,
         )
 
-    with transport as attempt:
+    with transport as (attempt, spec):
         result, attempts, degraded, failure_log = run_with_retry(
             lambda number: attempt(
                 graph, bindings, plan.for_attempt(number) if plan is not None else None
             ),
-            policy,
-            degraded_fallback if fallback == "inprocess" else None,
+            runtime.retry,
+            degraded_fallback if runtime.fallback == "inprocess" else None,
         )
+    result.spec = spec
     result.attempts = attempts
     result.degraded = degraded
     result.failure_log = list(failure_log)

@@ -14,7 +14,8 @@ the full global deadline.  This module supplies the missing failure model:
 * structured ``("error", where, traceback)`` result payloads, shipped by
   the worker loops when node code raises, re-raised driver-side as
   :class:`WorkerCrashError` with the remote traceback attached;
-* a deterministic :class:`RetryPolicy` and :func:`run_with_retry` driver.
+* a :func:`run_with_retry` driver over the deterministic
+  :class:`~repro.options.RetryPolicy`.
   Whole-query re-execution is *semantically safe* here because evaluation
   is monotone set-semantics Datalog: every node deduplicates, so
   at-least-once effects (a retry re-deriving tuples the dead attempt
@@ -38,10 +39,10 @@ this cannot perturb the termination argument.
 from __future__ import annotations
 
 import queue as queue_module
-import random
 import time
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
+
+from ..options import RetryPolicy
 
 __all__ = [
     "RuntimeFailure",
@@ -103,65 +104,6 @@ class EvaluationTimeout(RuntimeFailure, TimeoutError):
     Subclasses :class:`TimeoutError` so pre-supervision callers that caught
     the bare timeout keep working.
     """
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Whole-query retry: attempts, (exponential) backoff, wall-clock cap.
-
-    ``max_attempts`` counts executions (1 = no retry).  The sleep before
-    retry attempt *k* (the ``k``-th execution, ``k >= 2``) is::
-
-        backoff * backoff_factor ** (k - 2)  +  uniform(0, jitter)
-
-    The defaults (``backoff_factor=1.0``, ``jitter=0.0``) reproduce the
-    original fixed-sleep behavior exactly — deterministic chaos tests
-    stay deterministic unless a policy opts in.  ``backoff_factor > 1``
-    grows the sleep geometrically (the classic exponential backoff);
-    ``jitter > 0`` adds a uniform random slice so a herd of clients
-    retrying the same failure decorrelates instead of stampeding in
-    lockstep.  ``deadline``, when set, caps the total wall clock across
-    attempts — no attempt *starts* after it passes.
-    """
-
-    max_attempts: int = 1
-    backoff: float = 0.0
-    backoff_factor: float = 1.0
-    jitter: float = 0.0
-    deadline: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.backoff_factor <= 0:
-            raise ValueError(
-                f"backoff_factor must be > 0, got {self.backoff_factor}"
-            )
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
-
-    def delay_for(
-        self, attempt: int, rng: Optional[random.Random] = None
-    ) -> float:
-        """Seconds to sleep *before* executing ``attempt`` (1-based).
-
-        Attempt 1 never waits.  Pass an ``rng`` to make the jitter slice
-        reproducible (tests); the module-level generator is used
-        otherwise.
-        """
-        if attempt <= 1 or (self.backoff <= 0 and self.jitter <= 0):
-            return 0.0
-        delay = self.backoff * self.backoff_factor ** (attempt - 2)
-        if self.jitter > 0:
-            delay += (rng.uniform if rng else random.uniform)(0.0, self.jitter)
-        return delay
-
-    @classmethod
-    def of(cls, value: "RetryPolicy | int | None") -> "RetryPolicy":
-        """Normalize ``None`` / an attempt count / a policy into a policy."""
-        if value is None:
-            return cls()
-        if isinstance(value, RetryPolicy):
-            return value
-        return cls(max_attempts=int(value))
 
 
 class Supervisor:
@@ -344,10 +286,9 @@ def run_with_retry(
     deadline = (
         time.monotonic() + policy.deadline if policy.deadline is not None else None
     )
-    max_attempts = max(1, policy.max_attempts)
     last_error: Optional[BaseException] = None
     attempts = 0
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, policy.max_attempts + 1):
         if attempt > 1 and deadline is not None and time.monotonic() >= deadline:
             failure_log.append(
                 f"retry deadline ({policy.deadline}s) exhausted before attempt {attempt}"
@@ -360,7 +301,7 @@ def run_with_retry(
             last_error = exc
             summary = str(exc).splitlines()[0]
             failure_log.append(f"attempt {attempt}: {type(exc).__name__}: {summary}")
-        if attempt < max_attempts:
+        if attempt < policy.max_attempts:
             delay = policy.delay_for(attempt + 1)
             if delay > 0:
                 time.sleep(delay)

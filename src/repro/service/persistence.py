@@ -163,7 +163,7 @@ class DurableStore:
     ) -> None:
         if snapshot_every < 1:
             raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every}")
-        if fsync_interval < 0:
+        if not fsync_interval >= 0:  # NaN too: it would never fsync
             raise ValueError(f"fsync_interval must be >= 0, got {fsync_interval}")
         self.data_dir = os.fspath(data_dir)
         self.fsync_interval = fsync_interval

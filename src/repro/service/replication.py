@@ -68,6 +68,7 @@ from typing import Optional
 
 from ..cache import BoundedCache
 from ..core.program import ProgramError
+from ..options import EvalOptions, RuntimeOptions, session_keywords
 from ..runtime.faults import ServiceFaultInjector, ServiceFaultPlan, wedge_forever
 from .metrics import MetricsRegistry
 from .persistence import DurableStore
@@ -130,6 +131,13 @@ class ReplicaSetConfig:
     max_request_bytes: int = MAX_REQUEST_BYTES
     drain_timeout: float = 5.0
 
+    def __post_init__(self) -> None:
+        if self.replicas < 1:
+            raise ValueError(f"need at least one replica, got {self.replicas}")
+        for name in ("front_cache_size", "warmup_queries"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+
 
 # ----------------------------------------------------------------------
 # The replica process
@@ -178,7 +186,9 @@ def _replica_main(
     heartbeat_interval: float,
     replica_config: ReplicaConfig,
     host: str,
-    session_options: dict,
+    options: EvalOptions,
+    runtime: RuntimeOptions,
+    graph_cache_size: int,
 ) -> None:
     """One replica process: restore read-only, serve, beat, never write.
 
@@ -189,7 +199,9 @@ def _replica_main(
     """
     try:
         store = DurableStore(data_dir, read_only=True)
-        session, _report = store.restore(None, **session_options)
+        session, _report = store.restore(
+            None, graph_cache_size=graph_cache_size, **session_keywords(options, runtime)
+        )
         shared = SharedSession(
             session=session,
             store=None,  # replicas never append; the front door logs
@@ -363,7 +375,8 @@ class ReplicaSet(NDJSONServer):
     :class:`~repro.service.server.NDJSONServer` that :class:`QueryServer`
     also runs; this class adds routing, failover and write fan-out, its
     ``stats``, and spawning/stopping the replicas.
-    :class:`ReplicaSetThread` is the test harness.
+    :class:`ReplicaSetThread` is the test harness.  Each forked replica
+    builds its session from ``options``, ``runtime`` and ``graph_cache_size``.
     """
 
     requests_counter = ("front_requests_total", "requests at the front door")
@@ -379,22 +392,25 @@ class ReplicaSet(NDJSONServer):
         metrics: Optional[MetricsRegistry] = None,
         fsync_interval: float = 0.0,
         snapshot_every: int = 1000,
-        session_options: Optional[dict] = None,
+        options: EvalOptions = EvalOptions(),
+        runtime: RuntimeOptions = RuntimeOptions(),
+        graph_cache_size: int = 64,
     ) -> None:
         super().__init__(
             config or ReplicaSetConfig(),
             metrics if metrics is not None else MetricsRegistry(),
         )
         self.replica_config = replica_config or ReplicaConfig()
-        if self.config.replicas < 1:
-            raise ValueError(f"need at least one replica, got {self.config.replicas}")
         self._owns_data_dir = data_dir is None
         self.data_dir = (
             tempfile.mkdtemp(prefix="repro-replicaset-")
             if data_dir is None
             else os.fspath(data_dir)
         )
-        self._session_options = dict(session_options or {})
+        # What each replica's session is built with, refused here rather
+        # than in every replica when a Session cannot take it.
+        session_keywords(options, runtime)
+        self._session_values = (options, runtime, graph_cache_size)
         self.store = DurableStore(
             self.data_dir,
             fsync_interval=fsync_interval,
@@ -416,12 +432,12 @@ class ReplicaSet(NDJSONServer):
         self._heartbeats = RawArray("q", self.config.replicas)
         self._replicas = [_Replica(i) for i in range(self.config.replicas)]
         # The last good answer per (op, text), served stale to degraded reads.
-        self._front_cache = BoundedCache(max(0, self.config.front_cache_size))
+        self._front_cache = BoundedCache(self.config.front_cache_size)
         # The bounded recent-query log readmission warm-up replays: the
         # most recent *successful* distinct read texts, in recency order
         # (query and ask of the same text dedup — they prime the same
         # caches).  Values are ready-to-send ``warm`` request payloads.
-        self._recent_reads = BoundedCache(max(0, self.config.warmup_queries))
+        self._recent_reads = BoundedCache(self.config.warmup_queries)
         m = self.metrics
         self._failovers = m.counter(
             "failovers_total", "read attempts retried on a different replica"
@@ -543,7 +559,7 @@ class ReplicaSet(NDJSONServer):
                 self.config.heartbeat_interval,
                 self.replica_config,
                 self.config.host,
-                self._session_options,
+                *self._session_values,
             ),
             name=rep.name,
             daemon=True,

@@ -66,6 +66,7 @@ from .core.rulegoal import (
 from .core.rules import GOAL_PREDICATE, Rule
 from .core.sips import greedy_sip
 from .network.engine import MessagePassingEngine, QueryResult
+from .options import EvalOptions, RetryPolicy, RuntimeOptions
 from .relational.database import Database
 
 __all__ = ["Session", "PreparedQuery", "MaterializedQuery", "MaterializedQueryClosed"]
@@ -237,56 +238,25 @@ class Session:
         :class:`~repro.core.program.Program` (any ``goal`` rules are
         stripped — the session supplies queries itself).
     sip_factory, coalesce, package_requests, planner, provenance:
-        Evaluation options applied to every query (see
-        :class:`~repro.network.engine.MessagePassingEngine`).
+        The :class:`~repro.options.EvalOptions` applied to every query,
+        kept as :attr:`options`.
     graph_cache_size:
         LRU bound on cached rule/goal graphs, one per query *shape*:
         queries that differ only in constants equal to no rule constant
         share a graph.  ``0`` disables graph caching — every query
         rebuilds its graph, the pre-cache behavior.
-    runtime:
-        Which substrate answers queries: ``"simulator"`` (default, the
-        in-process scheduler), ``"pool"`` (supervised shard workers), or
-        ``"cluster"`` (remote shard workers behind a TCP cluster
-        manager; see :mod:`repro.cluster`).  The non-simulator runtimes reuse the
-        session's cached graphs — a retry after a worker crash skips
-        graph construction — and the shared database (copy-on-write
-        under fork; shipped once per database version to the cluster's
-        workers, which keep it resident).
-    workers:
-        Pool/cluster runtimes: shard worker count (pool default: CPU
-        count; cluster default: every registered worker).
-    cluster_address:
-        Cluster runtime: the manager's ``"host:port"``.  ``None`` makes
-        the session start a private localhost
-        :class:`~repro.cluster.ClusterHarness` on first query and keep
-        it warm until :meth:`close`.
-    cluster_listen:
-        Cluster runtime, mutually exclusive with ``cluster_address``:
-        instead of dialing out, *announce* a manager at this
-        ``"host:port"`` (port ``0`` binds an ephemeral port; read the
-        bound address from :attr:`cluster_listen_address`).  Remote
-        workers dial in with ``repro worker --connect``; the first
-        query blocks until at least ``workers`` (default 1) of them
-        have registered, bounded by ``timeout``.
+    runtime, workers, cluster_address, cluster_listen, fallback,
+    heartbeat_interval, timeout:
+        The :class:`~repro.options.RuntimeOptions`, kept as
+        :attr:`runtime_options`; ``batch_size`` and ``edb_shards`` keep
+        their defaults.  The pool and cluster runtimes reuse the
+        session's cached graphs and its database; a cluster session keeps
+        its client (and any harness or announced manager, whose bound
+        address is :attr:`cluster_listen_address`) until :meth:`close`.
     retries, backoff, backoff_factor, jitter:
-        Whole-query re-execution policy for the multiprocess runtimes
-        (``retries`` = max attempts; safe by monotonicity).  ``retries``
-        also accepts a prebuilt
-        :class:`~repro.runtime.supervision.RetryPolicy`, which then
-        wins over the scalar knobs.  ``backoff_factor > 1`` grows the
-        inter-attempt sleep geometrically and ``jitter`` adds a uniform
-        random slice; the defaults keep the original fixed-sleep,
-        fully deterministic behavior.
-    fallback:
-        ``"inprocess"`` to degrade to the simulator after retries are
-        exhausted (the result is flagged ``degraded``); ``"none"`` to
-        propagate the typed error.
-    heartbeat_interval:
-        Arms wedged-worker (stalled heartbeat) detection in the
-        multiprocess runtimes; ``None`` leaves only crash detection on.
-    timeout:
-        Per-attempt deadline for the multiprocess runtimes.
+        The :class:`~repro.options.RetryPolicy` (``retries`` = attempts),
+        or a prebuilt policy as ``retries``, which then wins over the
+        scalar knobs.
     """
 
     def __init__(
@@ -310,19 +280,26 @@ class Session:
         heartbeat_interval: Optional[float] = None,
         timeout: float = 120.0,
     ) -> None:
-        if runtime not in ("simulator", "pool", "cluster"):
-            raise ValueError(
-                f"unknown session runtime {runtime!r}; "
-                "use 'simulator', 'pool', or 'cluster'"
-            )
-        if planner not in ("static", "cost"):
-            raise ValueError(
-                f"unknown planner {planner!r} (expected 'static' or 'cost')"
-            )
-        if fallback not in ("none", "inprocess"):
-            raise ValueError(
-                f"unknown fallback {fallback!r}; use 'none' or 'inprocess'"
-            )
+        #: What shapes every query's graph and network (the cache keys'
+        #: options) ...
+        self.options = EvalOptions(
+            sip_factory, coalesce, package_requests, planner, provenance
+        )
+        #: ... and where the network runs (never part of a key).
+        self.runtime_options = RuntimeOptions(
+            runtime,
+            workers,
+            cluster_address=cluster_address,
+            cluster_listen=cluster_listen,
+            retry=(
+                retries
+                if isinstance(retries, RetryPolicy)
+                else RetryPolicy(int(retries), backoff, backoff_factor, jitter)
+            ),
+            fallback=fallback,
+            heartbeat_interval=heartbeat_interval,
+            timeout=timeout,
+        )
         if isinstance(source, Program):
             program = source
         else:
@@ -338,20 +315,6 @@ class Session:
         self._idb_predicates = {r.head.predicate for r in self._rules}
         # Validate the base eagerly so later queries can skip re-validation.
         Program(self._rules, self._facts_view)
-        self.sip_factory = sip_factory
-        self.coalesce = coalesce
-        self.package_requests = package_requests
-        self.planner = planner
-        self.provenance = provenance
-        self.runtime = runtime
-        self.workers = workers
-        if cluster_address is not None and cluster_listen is not None:
-            raise ValueError(
-                "cluster_address and cluster_listen are mutually exclusive: "
-                "either dial an existing manager or announce one, not both"
-            )
-        self.cluster_address = cluster_address
-        self.cluster_listen = cluster_listen
         # Cluster runtime: the client (and private harness or announced
         # manager, when no address was given) open lazily on the first
         # query and stay warm across queries — connection reuse is the
@@ -360,10 +323,7 @@ class Session:
         if runtime == "cluster":
             from .cluster.evaluate import ClusterLink
 
-            self._cluster = ClusterLink(
-                cluster_address, cluster_listen, workers, timeout
-            )
-        self.timeout = timeout
+            self._cluster = ClusterLink(self.runtime_options)
         #: The last :meth:`query`'s full result (``None`` before the first).
         self.last_result: Optional[QueryResult] = None
         #: That query's engine, kept for :meth:`explain` only when
@@ -372,30 +332,6 @@ class Session:
         self._last_engine = None
         # The shared, index-preserving EDB (one build; grown incrementally).
         self._database = Database.from_facts(self._facts)
-        # The shard runtimes' options, built once; simulator sessions never
-        # import the process runtimes.
-        self._sharded_options: dict = {}
-        if runtime != "simulator":
-            from .runtime.supervision import RetryPolicy
-
-            self._sharded_options = dict(
-                workers=workers,
-                timeout=timeout,
-                package_requests=package_requests,
-                retry=(
-                    retries
-                    if isinstance(retries, RetryPolicy)
-                    else RetryPolicy(
-                        max_attempts=int(retries),
-                        backoff=backoff,
-                        backoff_factor=backoff_factor,
-                        jitter=jitter,
-                    )
-                ),
-                fallback=fallback,
-                heartbeat_interval=heartbeat_interval,
-                database=self._database,
-            )
         # The graph cache and the IDB fingerprint that keys it.
         self._graph_cache = GraphCache(graph_cache_size)
         self._rules_fingerprint = rule_set_fingerprint(self._rules)
@@ -415,6 +351,18 @@ class Session:
         # warm network).  add_facts feeds each one its delta; add_rules
         # invalidates them all — the networks embed the IDB fingerprint.
         self._materialized: "weakref.WeakSet[MaterializedQuery]" = weakref.WeakSet()
+
+    # The options' fields, read where they used to be attributes.
+    sip_factory = property(lambda self: self.options.sip_factory)
+    coalesce = property(lambda self: self.options.coalesce)
+    package_requests = property(lambda self: self.options.package_requests)
+    planner = property(lambda self: self.options.planner)
+    provenance = property(lambda self: self.options.provenance)
+    runtime = property(lambda self: self.runtime_options.runtime)
+    workers = property(lambda self: self.runtime_options.workers)
+    cluster_address = property(lambda self: self.runtime_options.cluster_address)
+    cluster_listen = property(lambda self: self.runtime_options.cluster_listen)
+    timeout = property(lambda self: self.runtime_options.timeout)
 
     # ------------------------------------------------------------------
     def program_for(self, query: Union[str, Atom, Sequence[Atom]]) -> Program:
@@ -484,12 +432,13 @@ class Session:
 
     def _key_for(self, atoms: Sequence[Atom]) -> tuple:
         """The graph-cache key for query atoms under the current base."""
+        options = self.options
         return graph_cache_key(
             self._rules_fingerprint,
             atoms,
-            self.sip_factory,
-            self.coalesce,
-            planner=self.planner,
+            options.sip_factory,
+            options.coalesce,
+            planner=options.planner,
             size_fingerprint=self._size_fingerprint,
         )
 
@@ -525,9 +474,10 @@ class Session:
         )
         # A cost plan's report rides on the graph, cached with it; cached
         # graphs are treated as immutable afterwards.
+        options = self.options
         graph = plan_graph(
-            program, self.planner, self.sip_factory, self._database,
-            coalesce=self.coalesce,
+            program, options.planner, options.sip_factory, self._database,
+            coalesce=options.coalesce,
         )
         self._graph_cache.put(prepared.shape_key, graph)
         return graph, prepared.bindings, False
@@ -579,35 +529,29 @@ class Session:
         """Shared evaluation path; returns ``(result, engine_or_None)``."""
         graph, bindings, cache_hit = self._graph_for(self.prepare(query))
         engine = None
-        if self.runtime == "pool":
-            from .runtime import evaluate_pool
+        if self.runtime != "simulator":
+            from .runtime.sharded import evaluate_sharded
 
             # The cached graph makes a retry skip graph construction; the
-            # shared database rides into the workers copy-on-write.
-            result = evaluate_pool(
-                graph.program, graph=graph, bindings=bindings, **self._sharded_options
-            )
-        elif self.runtime == "cluster":
-            from .cluster import evaluate_cluster
-
-            result = evaluate_cluster(
+            # shared database rides into the workers copy-on-write (pool)
+            # or by digest (cluster).
+            result = evaluate_sharded(
                 graph.program,
-                graph=graph,
-                bindings=bindings,
+                self.options,
+                self.runtime_options,
                 client=self._ensure_cluster_client(),
-                **self._sharded_options,
+                graph=graph,
+                database=self._database,
+                bindings=bindings,
             )
         else:
             engine = MessagePassingEngine(
                 graph.program,
-                sip_factory=self.sip_factory,
                 seed=seed,
-                coalesce=self.coalesce,
-                package_requests=self.package_requests,
-                provenance=self.provenance,
                 database=self._database,
                 graph=graph,
                 bindings=bindings,
+                **vars(self.options),
             )
             result = engine.run()
         result.graph_cache_hit = cache_hit
@@ -633,19 +577,11 @@ class Session:
         return self._cluster.manager().address
 
     def _ensure_cluster_client(self):
-        """The session's shared cluster client, opened on first use.
-
-        With :attr:`cluster_address` set it connects there; with
-        :attr:`cluster_listen` set it announces a manager there and
-        waits for :attr:`workers` (default 1) remote registrations;
-        otherwise a private localhost
-        :class:`~repro.cluster.ClusterHarness` (two workers, or
-        :attr:`workers`) is started and owned by the session.  Either
-        way the TCP connections persist across queries, so retry after
-        a worker crash reuses the registration state the manager
-        already holds.
-        """
-        return self._cluster.client()
+        """The session's cluster client, opened on first use (``None`` off
+        the cluster runtime).  Its TCP connections persist across queries,
+        so a retry after a worker crash reuses the registration state the
+        manager already holds."""
+        return self._cluster.client() if self._cluster is not None else None
 
     def cluster_stats(self) -> Optional[dict]:
         """The manager's transport snapshot (cluster runtime; else ``None``).

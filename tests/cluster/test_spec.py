@@ -1,6 +1,7 @@
 """Unit coverage for the content-addressed job spec (``repro.cluster.spec``)
 and the client's connection handling around it — no worker processes."""
 
+import dataclasses
 import pickle
 
 import pytest
@@ -21,12 +22,13 @@ from repro.cluster.spec import (
 )
 from repro.core.parser import parse_program
 from repro.core.rulegoal import build_rule_goal_graph
+from repro.options import EvalOptions
 from repro.relational.database import Database
 from repro.workloads import ancestor_program, chain_edges
 
 from tests.helpers import with_tables
 
-OPTIONS = {"package_requests": False, "edb_shards": None}
+OPTIONS = EvalOptions()
 
 
 def make_program():
@@ -100,7 +102,7 @@ class TestJobSpecMemo:
         memo = JobSpecMemo()
         plan = memo.plan(program, graph, OPTIONS, True)
         assert memo.plan(program, graph, OPTIONS, True) is plan
-        other = memo.plan(program, graph, dict(OPTIONS, package_requests=True), True)
+        other = memo.plan(program, graph, dataclasses.replace(OPTIONS, package_requests=True), True)
         assert other.digest != plan.digest
 
     def test_at_most_sixteen_entries_per_kind_dead_owners_first(self):

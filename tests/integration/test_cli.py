@@ -108,6 +108,21 @@ class TestGraph:
         assert main(["graph", program_file, "--coalesce"]) == 0
         assert "shared node" in capsys.readouterr().out
 
+    def test_planner_cost_reaches_plan_graph(self, program_file, capsys, monkeypatch):
+        import repro.cli as cli
+
+        planners = []
+        original = cli.plan_graph
+
+        def spy(program, planner="static", *args, **kwargs):
+            planners.append(planner)
+            return original(program, planner, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "plan_graph", spy)
+        assert main(["graph", program_file, "--planner", "cost"]) == 0
+        assert planners == ["cost"]
+        assert "goal nodes" in capsys.readouterr().out
+
 
 class TestTrace:
     def test_prints_message_trace(self, program_file, capsys):
@@ -240,9 +255,41 @@ class TestOptionRanges:
              "--answer-cache-size: must be >= 0, got -1"),
             (["bench-session", "--cache-size", "-1"], "--cache-size: must be >= 0, got -1"),
             (["serve", "--cache-size", "many"], "--cache-size: invalid int value: 'many'"),
+            (["serve", "--replicas", "0"], "--replicas: must be >= 1, got 0"),
+            (["serve", "--warmup-queries", "-1"], "--warmup-queries: must be >= 0, got -1"),
+            (["serve", "--max-queue", "-1"], "--max-queue: must be >= 0, got -1"),
+            (["serve", "--deadline", "-1"], "--deadline: must be > 0, got -1.0"),
+            (["serve", "--data-dir", "D", "--snapshot-every", "0"],
+             "--snapshot-every: must be >= 1, got 0"),
+            (["serve", "--data-dir", "D", "--fsync-interval", "-1"],
+             "--fsync-interval: must be >= 0, got -1.0"),
+            (["serve", "--eval-runtime", "pool", "--workers", "0"],
+             "--workers: must be >= 1, got 0"),
+            (["run", "--runtime", "pool", "--workers", "0"], "--workers: must be >= 1, got 0"),
+            (["run", "--runtime", "pool", "--workers", "-3"],
+             "--workers: must be >= 1, got -3"),
+            (["run", "--runtime", "cluster", "--workers", "0"],
+             "--workers: must be >= 1, got 0"),
+            (["run", "--runtime", "pool", "--retries", "0"], "--retries: must be >= 1, got 0"),
+            (["run", "--runtime", "pool", "--batch-size", "-5"],
+             "--batch-size: must be >= 1, got -5"),
+            (["run", "--runtime", "pool", "--heartbeat-interval", "0"],
+             "--heartbeat-interval: must be > 0, got 0.0"),
+            (["run", "--runtime", "pool", "--retry-backoff", "-1"],
+             "--retry-backoff: must be >= 0, got -1.0"),
+            (["serve", "--deadline", "nan"], "--deadline: must be > 0, got nan"),
+            (["run", "--runtime", "pool", "--heartbeat-interval", "nan"],
+             "--heartbeat-interval: must be > 0, got nan"),
+            (["run", "--runtime", "pool", "--retry-backoff-factor", "nan"],
+             "--retry-backoff-factor: must be > 0, got nan"),
         ],
         ids=["materialize-pool", "replicated-materialize-pool", "cache-size",
-             "max-concurrent", "answer-cache-size", "bench-cache-size", "not-an-int"],
+             "max-concurrent", "answer-cache-size", "bench-cache-size", "not-an-int",
+             "replicas", "warmup-queries", "max-queue", "deadline", "snapshot-every",
+             "fsync-interval", "serve-workers", "pool-workers-zero",
+             "pool-workers-negative", "cluster-workers", "retries", "batch-size",
+             "heartbeat-interval", "retry-backoff", "deadline-nan",
+             "heartbeat-interval-nan", "retry-backoff-factor-nan"],
     )
     def test_out_of_range_value_is_one_line_and_exit_2(
         self, argv, message, program_file, capsys
@@ -252,6 +299,30 @@ class TestOptionRanges:
             build_parser().parse_args([command, program_file, *flags])
         assert info.value.code == 2
         assert capsys.readouterr().err == f"error: argument {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["graph", "--package"],
+            ["graph", "--seed", "1"],
+            ["analyze", "--coalesce"],
+            ["analyze", "--package"],
+            ["analyze", "--planner", "cost"],
+            ["analyze", "--seed", "1"],
+            ["explain", "--planner", "cost"],
+            ["explain", "--seed", "1"],
+            ["explain", "--sip", "all-free"],
+            ["serve", "--query", "anc(ann, Z)"],
+            ["serve", "--seed", "1"],
+        ],
+        ids=lambda argv: "-".join(part.lstrip("-") for part in argv[:2]),
+    )
+    def test_subcommands_refuse_flags_they_would_ignore(self, argv, program_file, capsys):
+        command, *flags = argv
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args([command, program_file, *flags])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
     def test_zero_disables_the_caches(self, program_file):
         args = build_parser().parse_args(

@@ -20,7 +20,7 @@ import sys
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from .core.parser import ParseError, parse_program, query_to_rule
+from .core.parser import ParseError, parse_program, parse_query, query_to_rule
 from .core.program import Program, ProgramError
 from .core.rulegoal import plan_graph
 from .core.rules import GOAL_PREDICATE
@@ -84,12 +84,8 @@ def _load_program(path: str, query: Optional[str], data: Optional[str] = None) -
             program = Program(program.rules, tuple(program.facts) + tuple(extra))
         if query is not None:
             # A --query replaces any queries in the file.
-            from .core.parser import _Parser, _tokenize  # reuse the atom-list parser
-
             rules = [r for r in program.rules if r.head.predicate != GOAL_PREDICATE]
-            parser = _Parser(_tokenize(query.rstrip(". ") + "."))
-            atoms = parser.atom_list()
-            rules.append(query_to_rule(atoms))
+            rules.append(query_to_rule(parse_query(query)))
             program = Program(rules, program.facts)
     except (OSError, ParseError, ProgramError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -629,7 +625,9 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p = sub.add_parser(
         "trace", help="evaluate and print the message trace", parents=[program, seed, evaluation]
     )
-    trace_p.add_argument("--limit", type=int, default=200, help="max messages to record")
+    trace_p.add_argument(
+        "--limit", type=_bounded(int, 0), default=200, help="max messages to record"
+    )
     trace_p.add_argument("--no-protocol", action="store_true", help="hide protocol messages")
     trace_p.set_defaults(func=_cmd_trace)
 
@@ -700,7 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--drain-timeout",
-        type=float,
+        type=_bounded(float, 0),
         default=10.0,
         metavar="SECONDS",
         help="grace period for in-flight evaluations at shutdown",
@@ -804,7 +802,10 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[program, seed, evaluation],
     )
     bench_p.add_argument(
-        "--repeat", type=int, default=100, help="number of identical queries to serve"
+        "--repeat",
+        type=_bounded(int, 1),
+        default=100,
+        help="number of identical queries to serve",
     )
     bench_p.add_argument(
         "--cache-size",

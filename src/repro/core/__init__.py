@@ -27,7 +27,7 @@ from .monotone import (
     rule_qual_tree,
 )
 from .optimizer import CardinalityModel, EdbStatistics, statistics_sip
-from .parser import ParseError, parse_atom, parse_program, parse_rule, parse_term
+from .parser import ParseError, parse_atom, parse_program, parse_query, parse_rule, parse_term
 from .program import Program, ProgramError
 from .rulegoal import (
     GoalNode,
@@ -57,6 +57,7 @@ __all__ = [
     "Rule", "GOAL_PREDICATE", "Program", "ProgramError",
     # parsing
     "ParseError", "parse_term", "parse_atom", "parse_rule", "parse_program",
+    "parse_query",
     # adornments & SIPs
     "CONSTANT", "DYNAMIC", "EXISTENTIAL", "FREE", "BINDING_CLASSES",
     "AdornedAtom", "initial_goal_adornment",

@@ -36,6 +36,7 @@ __all__ = [
     "parse_atom",
     "parse_rule",
     "parse_program",
+    "parse_query",
     "query_to_rule",
 ]
 
@@ -69,6 +70,22 @@ _TOKEN_RE = re.compile(
 )
 
 
+#: One ground-fact clause, tried only at a clause boundary: the whitespace
+#: and *whole* comments before it (the lookahead keeps a comment from ending
+#: early and exposing a fact written inside it), then ``name(arg, ...).``
+#: with every argument a signed integer or a lowercase name.  Anything else
+#: -- quotes, variables, a rule arrow, a comment or line break inside the
+#: atom, a malformed fact -- fails to match and goes to the full grammar.
+_FACT_ARG = r"(?:-?[0-9]+|[a-z][A-Za-z0-9_]*)"
+_FACT_RE = re.compile(
+    rf"""(?:\s|[%\#][^\n]*(?![^\n]))*
+    ([a-z][A-Za-z0-9_]*)[ \t]*\([ \t]*
+    ({_FACT_ARG}(?:[ \t]*,[ \t]*{_FACT_ARG})*)
+    [ \t]*\)[ \t]*\.(?!\d)""",
+    re.VERBOSE,
+)
+
+
 @dataclass(frozen=True, slots=True)
 class _Token:
     kind: str
@@ -77,26 +94,56 @@ class _Token:
     column: int
 
 
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, line_start = 1, 0
-    position = 0
-    while position < len(source):
-        m = _TOKEN_RE.match(source, position)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {source[position]!r}", line, position - line_start + 1
-            )
-        kind = m.lastgroup or ""
-        text = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, text, line, position - line_start + 1))
-        newlines = text.count("\n")
+class _Lexer:
+    """Tokens of one source string, lexed on demand from any position.
+
+    The line/column state is a function of the position alone (one line
+    per newline before it), so a caller may skip text it consumed itself
+    -- the ground-fact shortcut -- and lexing resumes with exact positions.
+    """
+
+    def __init__(self, source: str) -> None:
+        self.source = source
+        self._line, self._line_start, self._counted = 1, 0, 0
+
+    def tokens(self, position: int, clause: bool = False) -> tuple[list[_Token], int]:
+        """Tokens from ``position`` to the end, or (``clause``) through the next period.
+
+        Returns the tokens and the position after them.  Raises
+        :class:`ParseError` on a character no token starts with.  The
+        grammar consumes a period only as a clause's last token, so one
+        clause's tokens never run past its first period.
+        """
+        source = self.source
+        newlines = source.count("\n", self._counted, position)
         if newlines:
-            line += newlines
-            line_start = position + text.rfind("\n") + 1
-        position = m.end()
-    return tokens
+            self._line += newlines
+            self._line_start = source.rfind("\n", self._counted, position) + 1
+        line, line_start = self._line, self._line_start
+        tokens: list[_Token] = []
+        while position < len(source):
+            m = _TOKEN_RE.match(source, position)
+            if m is None:
+                raise ParseError(
+                    f"unexpected character {source[position]!r}", line, position - line_start + 1
+                )
+            kind = m.lastgroup or ""
+            text = m.group()
+            if kind not in ("ws", "comment"):
+                tokens.append(_Token(kind, text, line, position - line_start + 1))
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = position + text.rfind("\n") + 1
+            position = m.end()
+            if clause and kind == "period":
+                break
+        self._line, self._line_start, self._counted = line, line_start, position
+        return tokens, position
+
+
+def _tokenize(source: str) -> list[_Token]:
+    return _Lexer(source).tokens(0)[0]
 
 
 class _Parser:
@@ -124,8 +171,10 @@ class _Parser:
             raise ParseError(f"expected {kind}, found {token.text!r}", token.line, token.column)
         return token
 
-    def at_end(self) -> bool:
-        return self._pos >= len(self._tokens)
+    def expect_end(self) -> None:
+        token = self._peek()
+        if token is not None:
+            raise ParseError(f"trailing input {token.text!r}", token.line, token.column)
 
     # ------------------------------------------------------------------
     def term(self) -> Term:
@@ -202,10 +251,7 @@ def parse_term(source: str) -> Term:
     """Parse a single term (variable or constant)."""
     parser = _Parser(_tokenize(source))
     result = parser.term()
-    if not parser.at_end():
-        tok = parser._peek()
-        assert tok is not None
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
+    parser.expect_end()
     return result
 
 
@@ -213,10 +259,7 @@ def parse_atom(source: str) -> Atom:
     """Parse a single atom such as ``p(X, a, 3)``."""
     parser = _Parser(_tokenize(source))
     result = parser.atom()
-    if not parser.at_end():
-        tok = parser._peek()
-        assert tok is not None
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
+    parser.expect_end()
     return result
 
 
@@ -226,11 +269,24 @@ def parse_rule(source: str) -> Rule:
     kind, payload = parser.clause()
     if kind != "rule" or not isinstance(payload, Rule):
         raise ParseError("expected a rule, found a query", 1, 1)
-    if not parser.at_end():
-        tok = parser._peek()
-        assert tok is not None
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.column)
+    parser.expect_end()
     return payload
+
+
+def parse_query(source: str) -> tuple[Atom, ...]:
+    """Parse a query body such as ``anc(a, Z), p(Z)``, with an optional final period.
+
+    Raises :class:`ParseError` on anything after the body (and its period),
+    so ``t(1, Z) garbage`` or ``t(1, Z). t(2, Z)`` is refused rather than
+    answered as ``t(1, Z)``.
+    """
+    parser = _Parser(_tokenize(source))
+    atoms = parser.atom_list()
+    token = parser._peek()
+    if token is not None and token.kind == "period":
+        parser._next()
+    parser.expect_end()
+    return tuple(atoms)
 
 
 def query_to_rule(body: Sequence[Atom]) -> Rule:
@@ -254,12 +310,38 @@ def parse_program(source: str, validate: bool = True) -> Program:
 
     Ground bodyless clauses become EDB facts; everything else becomes an IDB
     rule; queries are desugared via :func:`query_to_rule`.
+
+    A clause that :data:`_FACT_RE` matches -- a plain ground fact, the bulk
+    of any EDB -- is built straight from the match: one :class:`Atom`, one
+    args tuple and one :class:`Constant` per argument, exactly what the
+    grammar builds, with no tokens and no :class:`Rule`.  Every other clause
+    is lexed and parsed alone, from the same position, by the full grammar,
+    so every error comes from that grammar with its exact line and column.
     """
-    parser = _Parser(_tokenize(source))
     rules: list[Rule] = []
     facts: list[Atom] = []
-    while not parser.at_end():
-        kind, payload = parser.clause()
+    lexer = _Lexer(source)
+    match_fact = _FACT_RE.match
+    position = 0
+    while True:
+        while (m := match_fact(source, position)) is not None:
+            args = [
+                Constant(arg if arg[0] >= "a" else int(arg))
+                for arg in map(str.strip, m[2].split(","))
+            ]
+            facts.append(Atom(m[1], tuple(args)))
+            position = m.end()
+        tokens, position = lexer.tokens(position, clause=True)
+        if not tokens:
+            break
+        parser = _Parser(tokens)
+        try:
+            kind, payload = parser.clause()
+        except ParseError:
+            # A character no token starts with, anywhere in the source,
+            # is reported before any grammar error.
+            lexer.tokens(position)
+            raise
         if kind == "query":
             assert isinstance(payload, list)
             rules.append(query_to_rule(payload))

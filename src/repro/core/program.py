@@ -130,19 +130,29 @@ class Program:
             used |= rule.body_predicates()
         inferred |= {p for p in used if p not in defined}
         self.edb_predicates = frozenset(declared | inferred)
+        # The facts tuple the last full validate() accepted.
+        self._validated_facts: tuple[Atom, ...] | None = None
         if validate:
             self.validate()
 
     # ------------------------------------------------------------------
     # Well-formedness (Section 1)
     # ------------------------------------------------------------------
-    def validate(self) -> None:
-        """Check the paper's constraints; raise :class:`ProgramError` if broken."""
-        for fact in self.facts:
-            if not fact.is_ground():
-                raise ProgramError(f"EDB fact {fact} is not ground")
-            if fact.predicate == GOAL_PREDICATE:
-                raise ProgramError("the distinguished predicate 'goal' may not appear in the EDB")
+    def validate(self, facts: bool = True) -> None:
+        """Check the paper's constraints; raise :class:`ProgramError` if broken.
+
+        With ``facts=False`` the walk over the EDB is skipped: for a caller
+        whose facts an earlier validation already accepted
+        (:attr:`facts_validated`).
+        """
+        if facts:
+            for fact in self.facts:
+                if not fact.is_ground():
+                    raise ProgramError(f"EDB fact {fact} is not ground")
+                if fact.predicate == GOAL_PREDICATE:
+                    raise ProgramError(
+                        "the distinguished predicate 'goal' may not appear in the EDB"
+                    )
         for rule in self.rules:
             if rule.head.predicate in self.edb_predicates and self.facts:
                 # "no positive occurrence of a predicate that appears in the EDB"
@@ -155,6 +165,13 @@ class Program:
             for sub in rule.body:
                 if sub.predicate == GOAL_PREDICATE:
                     raise ProgramError(f"'goal' appears negatively in {rule}")
+        if facts:
+            self._validated_facts = self.facts
+
+    @property
+    def facts_validated(self) -> bool:
+        """True iff a full :meth:`validate` accepted this program's current facts."""
+        return self._validated_facts is self.facts
 
     # ------------------------------------------------------------------
     # Views

@@ -52,7 +52,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .cache import CacheStats, GraphCache
 from .core.atoms import Atom
-from .core.parser import _Parser, _tokenize, parse_program, query_to_rule
+from .core.parser import parse_program, parse_query, query_to_rule
 from .core.program import Program, ProgramError
 from .core.rulegoal import (
     RuleGoalGraph,
@@ -76,8 +76,7 @@ def _parse_query_atoms(query: Union[str, Atom, Sequence[Atom]]) -> list[Atom]:
     if isinstance(query, Atom):
         return [query]
     if isinstance(query, str):
-        parser = _Parser(_tokenize(query.rstrip(". \n") + "."))
-        return parser.atom_list()
+        return list(parse_query(query))
     return list(query)
 
 
@@ -313,8 +312,11 @@ class Session:
         self._facts: list[Atom] = list(program.facts)
         self._facts_view: Optional[tuple[Atom, ...]] = tuple(self._facts)
         self._idb_predicates = {r.head.predicate for r in self._rules}
-        # Validate the base eagerly so later queries can skip re-validation.
-        Program(self._rules, self._facts_view)
+        # Validate the base eagerly so later queries can skip re-validation;
+        # facts the program's own validation accepted are not walked again.
+        Program(self._rules, self._facts_view, validate=False).validate(
+            facts=not program.facts_validated
+        )
         # Cluster runtime: the client (and private harness or announced
         # manager, when no address was given) open lazily on the first
         # query and stay warm across queries — connection reuse is the

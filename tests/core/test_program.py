@@ -41,6 +41,19 @@ class TestValidation:
         program = program_p1()
         program.validate()  # must not raise
 
+    def test_program_records_validated_facts(self):
+        facts = [atom("e", 1, 2)]
+        assert Program([], facts).facts_validated
+        unchecked = Program([], facts, validate=False)
+        assert not unchecked.facts_validated
+        unchecked.validate(facts=False)  # rules only: the facts stay unchecked
+        assert not unchecked.facts_validated
+        unchecked.validate()
+        assert unchecked.facts_validated
+        # Replacing the facts forgets the validation.
+        unchecked.facts = (atom("e", 3, 4),)
+        assert not unchecked.facts_validated
+
 
 class TestViews:
     def test_idb_edb_partition(self):

@@ -187,9 +187,11 @@ class TestInputErrors:
             ["analyze", "{bad}"],
             ["trace", "{unsafe}"],
             ["run", "{file}", "--query", "anc(ann"],
+            ["run", "{file}", "--query", "anc(ann, Z) garbage"],
+            ["run", "{file}", "--query", "anc(ann, Z). anc(bob, Z)"],
         ],
         ids=["missing-file", "directory", "missing-data", "parse-error",
-             "program-error", "bad-query"],
+             "program-error", "bad-query", "query-trailing-input", "query-two-queries"],
     )
     def test_one_error_line_and_exit_2(self, argv, program_file, tmp_path, capsys):
         (tmp_path / "bad.dl").write_text("p(X) <- .")
@@ -282,6 +284,9 @@ class TestOptionRanges:
              "--heartbeat-interval: must be > 0, got nan"),
             (["run", "--runtime", "pool", "--retry-backoff-factor", "nan"],
              "--retry-backoff-factor: must be > 0, got nan"),
+            (["trace", "--limit", "-1"], "--limit: must be >= 0, got -1"),
+            (["bench-session", "--repeat", "0"], "--repeat: must be >= 1, got 0"),
+            (["serve", "--drain-timeout", "-1"], "--drain-timeout: must be >= 0, got -1.0"),
         ],
         ids=["materialize-pool", "replicated-materialize-pool", "cache-size",
              "max-concurrent", "answer-cache-size", "bench-cache-size", "not-an-int",
@@ -289,7 +294,8 @@ class TestOptionRanges:
              "fsync-interval", "serve-workers", "pool-workers-zero",
              "pool-workers-negative", "cluster-workers", "retries", "batch-size",
              "heartbeat-interval", "retry-backoff", "deadline-nan",
-             "heartbeat-interval-nan", "retry-backoff-factor-nan"],
+             "heartbeat-interval-nan", "retry-backoff-factor-nan", "trace-limit",
+             "bench-repeat", "drain-timeout"],
     )
     def test_out_of_range_value_is_one_line_and_exit_2(
         self, argv, message, program_file, capsys

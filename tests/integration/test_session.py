@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.core.atoms import atom
-from repro.core.program import ProgramError
+from repro.core.atoms import Atom, atom
+from repro.core.parser import ParseError, parse_program
+from repro.core.program import Program, ProgramError
+from repro.core.terms import Variable
 from repro.session import Session
 
 KB = """
@@ -57,6 +59,17 @@ class TestQuery:
         assert first != second
         assert session.query("anc(ann, Z)") == first
 
+    @pytest.mark.parametrize(
+        "query", ["anc(ann, Z) garbage", "anc(ann, Z). anc(bob, Z)", "anc(ann, Z).."]
+    )
+    def test_trailing_input_is_refused(self, session, query):
+        # Not answered as its first atom list: the whole string must parse.
+        with pytest.raises(ParseError, match="trailing input"):
+            session.query(query)
+
+    def test_final_period_and_whitespace_are_accepted(self, session):
+        assert session.query(" anc(ann, Z) .\n") == {("bob",), ("cal",), ("dee",)}
+
     def test_last_result_exposes_accounting(self, session):
         session.query("anc(ann, Z)")
         assert session.last_result is not None
@@ -82,6 +95,53 @@ class TestMutation:
     def test_invalid_added_rule_rejected(self, session):
         with pytest.raises(ProgramError):
             session.add_rules("bad(X, Y) <- par(X, X).")
+
+
+class TestBaseValidation:
+    """Each base fact is checked once: by the program, or else by the session."""
+
+    @staticmethod
+    def count_ground_checks(monkeypatch) -> list:
+        calls = []
+        original = Atom.is_ground
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Atom, "is_ground", counted)
+        return calls
+
+    def test_parsed_program_facts_are_not_walked_again(self, monkeypatch):
+        program = parse_program(KB)
+        calls = self.count_ground_checks(monkeypatch)
+        Session(program)
+        assert calls == []
+
+    def test_text_source_checks_each_fact_once(self, monkeypatch):
+        calls = self.count_ground_checks(monkeypatch)
+        Session(KB)
+        assert len(calls) == 3
+
+    def test_unvalidated_program_is_checked_by_the_session(self, monkeypatch):
+        program = parse_program(KB, validate=False)
+        calls = self.count_ground_checks(monkeypatch)
+        Session(program)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "goal(1).",
+            "p(X) <- q(Y). q(1).",
+            Program([], [Atom("e", (Variable("X"),))], validate=False),
+            Program([], [atom("goal", 1)], validate=False),
+        ],
+        ids=["goal-fact-text", "unsafe-rule-text", "nonground-program", "goal-fact-program"],
+    )
+    def test_bad_base_is_still_rejected(self, source):
+        with pytest.raises(ProgramError):
+            Session(source)
 
 
 class TestConfiguration:

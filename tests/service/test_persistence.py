@@ -12,6 +12,7 @@ import pytest
 
 from repro.service import DurableStore, LogCorruptionError, LogLockedError, SharedSession
 from repro.service.persistence import LOG_NAME, SNAPSHOT_NAME, fact_from_wire, fact_to_wire
+from repro.core.program import ProgramError
 from repro.session import Session
 
 BASE = """
@@ -144,6 +145,22 @@ class TestBootstrapAndReplay:
         with open(store.snapshot_path, "w") as handle:
             handle.write("{not json")
         with pytest.raises(LogCorruptionError):
+            DurableStore(tmp_path).restore()
+
+    @pytest.mark.parametrize(
+        "bad_fact", [["goal", [1]], ["anc", ["ann", "bob"]]], ids=["goal-fact", "idb-fact"]
+    )
+    def test_invalid_snapshot_program_is_rejected(self, tmp_path, bad_fact):
+        # Restore validates the snapshot's facts once (through Program);
+        # the session it builds skips the walk but not the rejection.
+        store = DurableStore(tmp_path)
+        store.restore(BASE)
+        with open(store.snapshot_path) as handle:
+            snapshot = json.load(handle)
+        snapshot["facts"].append(bad_fact)
+        with open(store.snapshot_path, "w") as handle:
+            json.dump(snapshot, handle)
+        with pytest.raises(ProgramError):
             DurableStore(tmp_path).restore()
 
     def test_unknown_snapshot_format_raises(self, tmp_path):

@@ -10,6 +10,9 @@ really there to check:
 * every answer matches a serial oracle session;
 * a burst of distinct keys of one query shape adds one graph to the
   session's graph cache (one rule/goal graph per shape, not per key);
+* with the only evaluation slot held by a slow cold query and no
+  queue, a cached key is still answered (``answer_cached``) and no
+  rejection is counted: cache hits take no slot;
 * the server drains *cleanly* — the server thread joins, no evaluation
   is severed mid-flight;
 * zero leaked threads and zero leaked child processes after drain
@@ -85,6 +88,48 @@ def client_load(port: int, index: int, failures: list) -> None:
         failures.append(f"client {index}: {type(exc).__name__}: {exc}")
 
 
+def full_server_phase(failures: list) -> None:
+    """One slot, no queue, the slot held: a cached key is still answered."""
+    shared = SharedSession(BASE)
+    server = ServerThread(shared, ServerConfig(max_concurrent=1, max_queue=0))
+    port = server.start()
+    release = threading.Event()
+    evaluate = shared.session.run_query
+
+    def held(query, seed=None):
+        release.wait(30)
+        return evaluate(query, seed)
+
+    def hold_the_slot():
+        with ServiceClient(port=port, timeout=30.0) as holder:
+            holder.query("anc(bob, Z)")
+
+    slow = threading.Thread(target=hold_the_slot)
+    try:
+        with ServiceClient(port=port, timeout=30.0) as client:
+            client.query("anc(ann, Z)")  # now cached
+            shared.session.run_query = held
+            slow.start()
+            deadline = time.monotonic() + 10
+            while shared.inflight_count() == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            reply = client.query("anc(ann, Z)")
+            if not reply.answer_cached:
+                failures.append("full server: a cached key was not answered from cache")
+            rejected = client.stats()["metrics"]["counters"]["server_rejections_total"]
+            if rejected:
+                failures.append(f"full server: {rejected} rejection(s) counted for a cache hit")
+            if shared.inflight_count() != 1:
+                failures.append("full server: the slow query no longer held the slot")
+    except Exception as exc:  # noqa: BLE001 - report, don't hang CI
+        failures.append(f"full server: {type(exc).__name__}: {exc}")
+    finally:
+        release.set()
+        if slow.is_alive():
+            slow.join(30)
+        server.stop()
+
+
 def main() -> int:
     failures: list[str] = []
     threads_before = threading.active_count()
@@ -149,6 +194,8 @@ def main() -> int:
             failures.append(f"suspicious queries_total {counters['queries_total']}")
         if stats["session"]["writes"] != 2:
             failures.append(f"expected 2 writes, saw {stats['session']['writes']}")
+
+    full_server_phase(failures)
 
     # Graceful drain via the protocol, then the leak audit.
     try:

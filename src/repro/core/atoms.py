@@ -131,3 +131,22 @@ def atom(predicate: str, *args: object) -> Atom:
     ``atom("p", Variable("X"), "a", 3)`` builds ``p(X, a, 3)``.
     """
     return Atom(predicate, tuple(term_from_value(a) for a in args))
+
+
+_new_object = object.__new__
+_set_predicate = Atom.predicate.__set__  # the slot descriptors, past the
+_set_args = Atom.args.__set__  # frozen __setattr__ and __post_init__
+
+
+def trusted_atom(predicate: str, args: tuple[Term, ...]) -> Atom:
+    """An :class:`Atom` built without ``__post_init__``'s checks.
+
+    For a caller whose input already guarantees them -- a non-empty
+    predicate and every argument a :class:`Variable` or :class:`Constant`
+    -- such as the parser's ground-fact shortcut.  The result is equal
+    to, and hashes like, ``Atom(predicate, args)``.
+    """
+    built = _new_object(Atom)
+    _set_predicate(built, predicate)
+    _set_args(built, args)
+    return built

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .atoms import Atom
+from .atoms import Atom, trusted_atom
 from .program import Program
 from .rules import GOAL_PREDICATE, Rule
 from .terms import Constant, Term, Variable
@@ -314,9 +314,11 @@ def parse_program(source: str, validate: bool = True) -> Program:
     A clause that :data:`_FACT_RE` matches -- a plain ground fact, the bulk
     of any EDB -- is built straight from the match: one :class:`Atom`, one
     args tuple and one :class:`Constant` per argument, exactly what the
-    grammar builds, with no tokens and no :class:`Rule`.  Every other clause
-    is lexed and parsed alone, from the same position, by the full grammar,
-    so every error comes from that grammar with its exact line and column.
+    grammar builds, with no tokens and no :class:`Rule`.  The match already
+    guarantees what ``Atom``'s checks test, so :func:`trusted_atom` skips
+    them.  Every other clause is lexed and parsed alone, from the same
+    position, by the full grammar, so every error comes from that grammar
+    with its exact line and column.
     """
     rules: list[Rule] = []
     facts: list[Atom] = []
@@ -329,7 +331,7 @@ def parse_program(source: str, validate: bool = True) -> Program:
                 Constant(arg if arg[0] >= "a" else int(arg))
                 for arg in map(str.strip, m[2].split(","))
             ]
-            facts.append(Atom(m[1], tuple(args)))
+            facts.append(trusted_atom(m[1], tuple(args)))
             position = m.end()
         tokens, position = lexer.tokens(position, clause=True)
         if not tokens:

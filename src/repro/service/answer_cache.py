@@ -246,6 +246,10 @@ class AnswerCache:
                 self.seconds_saved += entry.elapsed
             return entry
 
+    def peek(self, key: Hashable, version: int) -> Optional[CachedAnswer]:
+        """:meth:`get` that moves no counter and no recency."""
+        return self._lru.peek((key, version))
+
     def put(
         self, key: Hashable, version: int, answers: frozenset, elapsed: float = 0.0
     ) -> Optional[CachedAnswer]:

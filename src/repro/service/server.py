@@ -6,16 +6,27 @@ server speaks the newline-delimited JSON protocol of
 :mod:`repro.service.protocol` and applies three serving disciplines the
 single-query engine has no notion of:
 
-**Admission control.**  At most ``max_concurrent`` evaluations run at
-once (an asyncio semaphore; each evaluation occupies one thread of a
+**Cache hits on the loop.**  A ``query``/``ask`` is parsed and keyed
+once, on the event loop (:meth:`Session.prepare`), and looked up
+in the answer cache at the current ``db_version``
+(:meth:`SharedSession.lookup`).  A hit is answered there and then: it
+takes no evaluation slot, no executor hop and no deadline, so it is
+never ``overloaded`` and never late.  Only a miss goes on, with the
+same prepared query, to admission and evaluation
+(:meth:`SharedSession.evaluate`).
+
+**Admission control.**  Admission, deadlines and ``queue_wait_seconds``
+apply to evaluations only.  At most ``max_concurrent`` evaluations run
+at once (an asyncio semaphore; each evaluation occupies one thread of a
 dedicated executor).  At most ``max_queue`` further requests may wait
 for a slot; beyond that the server answers ``overloaded`` *immediately*
 — a typed rejection in microseconds beats an unbounded queue melting
-down under a spike.  Every request carries a deadline (its ``timeout``
-field, else ``default_deadline``) spanning queue wait plus evaluation;
-a miss answers ``deadline_exceeded`` (the orphaned evaluation finishes
-on its thread, releases its slot, and — thanks to coalescing and the
-graph cache — its work is not wasted for later identical queries).
+down under a spike.  Every evaluated request carries a deadline (its
+``timeout`` field, else ``default_deadline``) spanning queue wait plus
+evaluation; a miss answers ``deadline_exceeded`` (the orphaned
+evaluation finishes on its thread, releases its slot, and — thanks to
+coalescing and the graph cache — its work is not wasted for later
+identical queries).
 
 **Evaluation offload.**  Evaluations run in a thread pool via
 ``run_in_executor``, keeping the event loop free for protocol work.
@@ -50,7 +61,7 @@ import signal as signal_module
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Union
 
 from ..core.program import ProgramError
 from ..runtime.supervision import EvaluationTimeout, RuntimeFailure
@@ -64,7 +75,7 @@ from .protocol import (
     merge_wire,
     rows_to_wire,
 )
-from .shared_session import SharedSession
+from .shared_session import QueryOutcome, SharedSession
 
 __all__ = ["ServerConfig", "QueryServer", "ServerThread"]
 
@@ -405,11 +416,15 @@ class QueryServer(NDJSONServer):
         control = self._control(op, rid)
         if control is not None:
             return control
-        try:
-            fn = self._work_for(op, request)
-        except ServiceError as exc:
-            return exc.payload(rid), False
         start = asyncio.get_running_loop().time()
+        try:
+            work = self._work_for(op, request)
+        except Exception as exc:
+            return self._failure(exc, rid), False
+        if isinstance(work, QueryOutcome):
+            # An answer-cache hit: answered here, with no slot taken and
+            # no executor hop, so it is never overloaded or late.
+            return self._success(op, rid, work, start), False
         deadline = float(request.get("timeout") or self.config.default_deadline)
         try:
             await self._admit(deadline)
@@ -420,7 +435,7 @@ class QueryServer(NDJSONServer):
         queue_wait = asyncio.get_running_loop().time() - start
         self._queue_wait.observe(queue_wait)
         try:
-            value = await self._evaluate(fn, deadline - queue_wait)
+            value = await self._evaluate(work, deadline - queue_wait)
         except asyncio.TimeoutError:
             self._deadline_misses.inc()
             return (
@@ -434,17 +449,26 @@ class QueryServer(NDJSONServer):
             )
         except Exception as exc:
             return self._failure(exc, rid), False
-        elapsed = asyncio.get_running_loop().time() - start
-        self._request_seconds.observe(elapsed)
-        return self._success(op, rid, value, elapsed), False
+        return self._success(op, rid, value, start), False
 
-    def _work_for(self, op: str, request: dict) -> Callable[[], object]:
-        """The executor thunk for one evaluated op; validates its fields."""
+    def _work_for(self, op: str, request: dict) -> Union[QueryOutcome, Callable[[], object]]:
+        """An answer-cache hit, or the executor thunk for one evaluated op.
+
+        Validates the op's fields.  A ``query``/``ask`` is prepared and
+        looked up here, on the loop thread; a miss hands the same
+        prepared query to its thunk, so the request is parsed once.
+        """
         if op in ("query", "ask", "warm"):
             text = request.get("query")
             if not isinstance(text, str) or not text.strip():
                 raise ServiceError("bad_request", f"{op} needs a 'query' string")
-            return lambda: self.shared.query_detailed(text)
+            if op == "warm":
+                return lambda: self.shared.query_detailed(text)
+            prepared = self.shared.session.prepare(text)
+            hit = self.shared.lookup(prepared)
+            if hit is not None:
+                return hit
+            return lambda: self.shared.evaluate(prepared)
         if op == "add_facts":
             text = request.get("facts")
             if not isinstance(text, str):
@@ -502,7 +526,9 @@ class QueryServer(NDJSONServer):
     # ------------------------------------------------------------------
     # Responses
     # ------------------------------------------------------------------
-    def _success(self, op: str, rid, value, elapsed: float) -> dict:
+    def _success(self, op: str, rid, value, start: float) -> dict:
+        elapsed = asyncio.get_running_loop().time() - start
+        self._request_seconds.observe(elapsed)
         payload = {"id": rid, "ok": True, "op": op, "elapsed": round(elapsed, 6)}
         if op == "warm":
             # Cache priming: report what got warm, skip the answer rows.

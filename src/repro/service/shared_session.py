@@ -31,6 +31,8 @@ profitable) to share across threads:
   answered without evaluating at all.  Writes invalidate purely by
   version mismatch (plus an eager purge of the now-unreachable
   entries), so there is no flush to race with in-flight evaluations.
+  The lookup is its own lock-free half (:meth:`SharedSession.lookup`),
+  which lets the server answer hits on its event loop.
 
 * **Durability** (optional) — pass a
   :class:`~repro.service.persistence.DurableStore` and every committed
@@ -54,7 +56,7 @@ from typing import Optional, Sequence, Union
 from ..cache import BoundedCache, CacheStats
 from ..core.atoms import Atom
 from ..runtime.supervision import EvaluationTimeout
-from ..session import MaterializedQuery, MaterializedQueryClosed, Session
+from ..session import MaterializedQuery, MaterializedQueryClosed, PreparedQuery, Session
 from .answer_cache import AnswerCache
 from .locks import ReadWriteLock
 from .metrics import MetricsRegistry
@@ -283,35 +285,60 @@ class SharedSession:
     def query_detailed(
         self, query: Union[str, Atom, Sequence[Atom]], timeout: Optional[float] = None
     ) -> QueryOutcome:
-        """Evaluate with full serving accounting (:class:`QueryOutcome`).
+        """Look up, else evaluate, with full serving accounting (:class:`QueryOutcome`).
+
+        The two halves are public: :class:`~repro.service.server
+        .QueryServer` answers a :meth:`lookup` hit on its event loop and
+        sends only a miss to an evaluation thread, with the same
+        :class:`~repro.session.PreparedQuery`, so each request pays one
+        parse and one key computation either way.
+        """
+        prepared = self._session.prepare(query)
+        outcome = self.lookup(prepared)
+        return outcome if outcome is not None else self.evaluate(prepared, timeout)
+
+    def lookup(self, prepared: PreparedQuery) -> Optional[QueryOutcome]:
+        """The cached answers for ``prepared`` at the current version, or None.
+
+        ``prepared`` comes from ``session.prepare``, which needs no lock:
+        a commit that lands afterwards outdates its keys, and every later
+        use recomputes outdated keys.  Counts the request once —
+        ``queries_total`` and one answer-cache hit or miss — takes no
+        read/write lock and never evaluates, so an event loop can call
+        it.  After a None, call :meth:`evaluate`.
+        """
+        self._queries.inc()
+        if self._answers is None:
+            return None
+        version = self._session.db_version
+        cached = self._answers.get(self._session.cache_key_for(prepared), version)
+        if cached is None:
+            self._answer_misses.inc()
+            return None
+        self._answer_hits.inc()
+        return self._cached_outcome(cached, version)
+
+    def evaluate(
+        self, prepared: PreparedQuery, timeout: Optional[float] = None
+    ) -> QueryOutcome:
+        """Evaluate a query :meth:`lookup` missed: join its in-flight twin, or lead.
+
+        A twin that completed since the lookup has stored its answers;
+        they are served as they are (``answer_cached``, counted nowhere
+        again), so a miss that waited for a slot never repeats an
+        evaluation that just finished.
 
         ``timeout`` bounds only a *follower's* wait on the leader it
         joined — the leader's own evaluation deadline belongs to the
         runtime (``Session(timeout=...)``) or to the server's admission
         layer, which enforces per-request deadlines around this call.
         """
-        self._queries.inc()
-        # One parse per request: prepare() parses and computes the
-        # Theorem 2.1 key once; the prepared form rides through the
-        # cache lookup, coalescing, and the evaluation itself.
-        prepared = self._session.prepare(query)
         key = self._session.cache_key_for(prepared)
         version = self._session.db_version
         if self._answers is not None:
-            cached = self._answers.get(key, version)
+            cached = self._answers.peek(key, version)
             if cached is not None:
-                self._answer_hits.inc()
-                return QueryOutcome(
-                    answers=cached.answers,
-                    coalesced=False,
-                    shared=1,
-                    cache_hit=True,
-                    elapsed=0.0,
-                    answer_cached=True,
-                    db_version=version,
-                    cache_entry=cached,
-                )
-            self._answer_misses.inc()
+                return self._cached_outcome(cached, version)
         # Coalesce on (key, version): joining is only sound when the
         # in-flight evaluation reads the same base this request sees.
         ckey = (key, version)
@@ -327,6 +354,19 @@ class SharedSession:
         if leader:
             return self._lead(key, ckey, entry, prepared)
         return self._follow(entry, timeout)
+
+    @staticmethod
+    def _cached_outcome(cached, version: int) -> QueryOutcome:
+        return QueryOutcome(
+            answers=cached.answers,
+            coalesced=False,
+            shared=1,
+            cache_hit=True,
+            elapsed=0.0,
+            answer_cached=True,
+            db_version=version,
+            cache_entry=cached,
+        )
 
     def _lead(self, key: tuple, ckey: tuple, entry: _InFlight, prepared) -> QueryOutcome:
         start = time.perf_counter()

@@ -1,8 +1,11 @@
 """Unit tests for atoms: structure, substitution, repetition patterns."""
 
+import dataclasses
+
 import pytest
 
-from repro.core.atoms import Atom, atom
+from repro.core.atoms import Atom, atom, trusted_atom
+from repro.core.parser import parse_program
 from repro.core.terms import Constant, Variable
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
@@ -28,6 +31,31 @@ class TestConstruction:
 
     def test_str(self):
         assert str(atom("p", X, "a")) == "p(X, a)"
+
+
+class TestTrustedConstruction:
+    """The parser's ground-fact shortcut builds atoms without the checks."""
+
+    def test_trusted_atoms_equal_and_hash_like_checked_ones(self):
+        args = (Constant("a"), Constant(-3))
+        trusted, checked = trusted_atom("e", args), Atom("e", args)
+        assert trusted == checked and checked == trusted
+        assert hash(trusted) == hash(checked)
+        assert {trusted: 1}[checked] == 1
+        assert type(trusted) is Atom and trusted.args is args
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trusted.predicate = "f"  # type: ignore[misc]
+
+    def test_shortcut_facts_match_checked_atoms(self):
+        facts = parse_program("e(1, abc).  e(-2, x_Y9).  flag(zz).").facts
+        checked = [
+            Atom("e", (Constant(1), Constant("abc"))),
+            Atom("e", (Constant(-2), Constant("x_Y9"))),
+            Atom("flag", (Constant("zz"),)),
+        ]
+        assert list(facts) == checked
+        assert [hash(f) for f in facts] == [hash(c) for c in checked]
+        assert set(facts) == set(checked)
 
 
 class TestStructure:

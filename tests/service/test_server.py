@@ -13,11 +13,15 @@ import json
 import os
 import signal
 import socket
+import sys
 import threading
 import time
 
 import pytest
 
+import repro.session as session_module
+from repro.core.parser import ParseError, parse_query
+from repro.core.program import ProgramError
 from repro.service import (
     QueryServer,
     ReplicaSetConfig,
@@ -28,6 +32,8 @@ from repro.service import (
     ServiceClientError,
     SharedSession,
 )
+from repro.service.protocol import error_payload
+from repro.session import Session
 
 BASE = """
 anc(X, Y) <- par(X, Y).
@@ -230,6 +236,176 @@ class TestAdmissionControl:
         time.sleep(1.0)  # let the orphaned evaluation finish + release its slot
         assert shared.inflight_count() == 0
 
+
+def counted_parses(monkeypatch):
+    """Count every query parse the session performs from here on."""
+    counter = {"parses": 0}
+    real = session_module._parse_query_atoms
+
+    def counting(query):
+        counter["parses"] += 1
+        return real(query)
+
+    monkeypatch.setattr(session_module, "_parse_query_atoms", counting)
+    return counter
+
+
+def counter_value(shared, name):
+    return shared.metrics.snapshot()["counters"].get(name, 0)
+
+
+def queue_waits(shared):
+    return shared.metrics.snapshot()["histograms"]["queue_wait_seconds"]["count"]
+
+
+class TestCacheHitsOnTheLoop:
+    """Answer-cache hits are answered on the event loop, misses evaluated."""
+
+    @pytest.mark.parametrize("op", ["query", "ask"])
+    def test_one_parse_per_request_hit_or_miss(self, service, monkeypatch, op):
+        shared, port = service
+        parses = counted_parses(monkeypatch)
+        with ServiceClient(port=port) as client:
+            call = client.query if op == "query" else client.ask
+            call("anc(ann, Z)")  # miss: prepared on the loop, evaluated off it
+            assert parses["parses"] == 1
+            call("anc(ann, Z)")  # hit: prepared and answered on the loop
+            assert parses["parses"] == 2
+        answer_cache = shared.stats()["answer_cache"]
+        assert (answer_cache["hits"], answer_cache["misses"]) == (1, 1)
+        assert counter_value(shared, "queries_total") == 2
+
+    def test_unparseable_query_keeps_its_typed_payload(self, service):
+        shared, port = service
+        with pytest.raises(ParseError) as parse_error:
+            parse_query("anc(ann, Z")
+        with pytest.raises(ProgramError) as program_error:
+            shared.session.prepare("goal(X)")
+        replies = raw_exchange(
+            port,
+            b'{"id": 1, "op": "query", "query": "anc(ann, Z"}',
+            b'{"id": 2, "op": "ask", "query": "anc(ann, Z"}',
+            b'{"id": 3, "op": "query", "query": "goal(X)"}',
+        )
+        assert replies == [
+            error_payload("bad_request", str(parse_error.value), 1),
+            error_payload("bad_request", str(parse_error.value), 2),
+            error_payload("bad_request", str(program_error.value), 3),
+        ]
+        # Rejected before admission: no slot was waited for.
+        assert queue_waits(shared) == 0
+        assert counter_value(shared, "server_errors_total") == 3
+
+    def test_full_server_still_answers_cached_keys(self):
+        shared = SharedSession(BASE)
+        config = ServerConfig(max_concurrent=1, max_queue=0)
+        with ServerThread(shared, config) as port:
+            with ServiceClient(port=port, timeout=30) as client:
+                assert set(client.query("anc(ann, Z)").answers) == ANC_ANN
+            slow_evaluations(shared, delay=1.5)
+            holder = ServiceClient(port=port, timeout=30)
+            holder.connect()
+            held = threading.Thread(target=holder.query, args=("anc(bob, Z)",))
+            held.start()
+            deadline = time.monotonic() + 5
+            while shared.inflight_count() == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert shared.inflight_count() == 1  # the only slot is held
+            rejections = counter_value(shared, "server_rejections_total")
+            with ServiceClient(port=port, timeout=30) as client:
+                reply = client.query("anc(ann, Z)", timeout=0.05)
+                assert reply.answer_cached and set(reply.answers) == ANC_ANN
+                assert client.ask("anc(ann, Z)") is True
+                # Answered while the slow evaluation still holds the slot.
+                assert shared.inflight_count() == 1
+                assert counter_value(shared, "server_rejections_total") == rejections
+                with pytest.raises(ServiceClientError) as excinfo:
+                    client.query("anc(cal, Z)")  # a miss still needs a slot
+                assert excinfo.value.error_type == "overloaded"
+            assert counter_value(shared, "server_rejections_total") == rejections + 1
+            held.join(10)
+            assert not held.is_alive()
+            holder.close()
+        # Only the two evaluations waited for a slot; the hits never did.
+        assert queue_waits(shared) == 2
+
+    @pytest.mark.parametrize("materialize", [False, True], ids=["plain", "materialized"])
+    def test_read_your_writes_on_the_inline_path(self, materialize):
+        shared = SharedSession(BASE, materialize=materialize)
+        with ServerThread(shared) as port, ServiceClient(port=port) as client:
+            client.query("anc(ann, Z)")
+            assert client.query("anc(ann, Z)").answer_cached
+            client.add_facts("par(dee, eve).")  # extends anc(ann, Z)
+            extended = client.query("anc(ann, Z)")
+            assert set(extended.answers) == ANC_ANN | {("eve",)}
+            assert extended.raw["db_version"] == shared.db_version
+            client.add_facts("par(zed, yan).")  # reaches nothing anc(ann, Z) has
+            carried = client.query("anc(ann, Z)")
+            assert set(carried.answers) == ANC_ANN | {("eve",)}
+            assert carried.raw["db_version"] == shared.db_version
+            # With warm networks both writes moved the entry, so both
+            # reads were hits; without, each write forced one miss.
+            assert extended.answer_cached is materialize
+            assert carried.answer_cached is materialize
+        if materialize:
+            moved = shared.stats()["materialized"]
+            assert (moved["answers_extended"], moved["answers_carried"]) == (1, 1)
+
+
+    @pytest.mark.parametrize("materialize", [False, True], ids=["plain", "materialized"])
+    def test_concurrent_hits_misses_and_writes_stay_consistent(self, materialize):
+        # More client threads than cores and a short switch interval, so
+        # loop-thread lookups interleave with evaluations and commits.
+        queries = ["anc(ann, Z)", "anc(cal, Z)"]
+        writes = [f"par(dee, n{i})." for i in range(6)]
+        oracle_session = Session(BASE)
+        oracle = {oracle_session.db_version: {q: oracle_session.query(q) for q in queries}}
+        for batch in writes:
+            oracle_session.add_facts(batch)
+            oracle[oracle_session.db_version] = {q: oracle_session.query(q) for q in queries}
+        shared = SharedSession(BASE, materialize=materialize)
+        wrong, errors = [], []
+
+        def reader(index):
+            try:
+                with ServiceClient(port=port, timeout=30) as client:
+                    for step in range(40):
+                        query = queries[(index + step) % 2]
+                        reply = client.query(query)
+                        version = reply.raw["db_version"]
+                        if set(reply.answers) != oracle[version][query]:
+                            wrong.append((query, version))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        def writer():
+            try:
+                with ServiceClient(port=port, timeout=30) as client:
+                    for batch in writes:
+                        client.add_facts(batch)
+                        time.sleep(0.005)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServerThread(shared, ServerConfig(max_concurrent=2, max_queue=16)) as port:
+                threads = [threading.Thread(target=reader, args=(i,)) for i in range(6)]
+                threads.append(threading.Thread(target=writer))
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not wrong
+        # Each request counted once, as a hit (on the loop) or a miss.
+        answer_cache = shared.stats()["answer_cache"]
+        assert answer_cache["hits"] + answer_cache["misses"] == 6 * 40
+        assert counter_value(shared, "queries_total") == 6 * 40
+        assert shared.db_version == max(oracle)
 
 class TestShutdown:
     def test_shutdown_op_drains_and_refuses_new_connections(self):

@@ -78,7 +78,6 @@ class QueryResult:
     stats: SchedulerStats
     tuples_stored: int  # rows materialized across all node relations
     tuples_by_node: dict[str, int]
-    join_lookups: int  # alias of probe_lookups (pre-PR-8 name, kept for A/Bs)
     envs_materialized: int
     protocol_rounds: int
     protocol_conclusions: int
@@ -100,7 +99,7 @@ class QueryResult:
     # True when this result came from a semi-naive delta wave through a
     # warm network (MessagePassingEngine.run_delta) rather than a cold
     # fixpoint.  Message and db counters then cover the wave alone, while
-    # tuples_stored/join_lookups/envs_materialized stay cumulative — they
+    # tuples_stored/probe_lookups/envs_materialized stay cumulative — they
     # describe the retained network's footprint, not one wave's work.
     incremental: bool = False
     # Delta waves only: the rows this wave added to ``answers`` (empty for
@@ -108,9 +107,9 @@ class QueryResult:
     # answer is new.  A consumer holding the previous answer set extends it
     # with these instead of re-reading ``answers``.
     new_answers: Optional[frozenset] = None
-    # PR 8 accounting: index probes vs. insertions (join_lookups used to
-    # conflate them), per-kernel batch statistics, and — under the cost
-    # planner — the per-rule plan choices with their §4.3 estimates.
+    # Index probes and insertions, per-kernel batch statistics, and —
+    # under the cost planner — the per-rule plan choices with their §4.3
+    # estimates.
     probe_lookups: int = 0
     index_inserts: int = 0
     batch_rows_in: int = 0
@@ -633,7 +632,6 @@ class MessagePassingEngine:
             stats=stats,
             tuples_stored=tuples_total,
             tuples_by_node=tuples_by_node,
-            join_lookups=probes,
             envs_materialized=envs,
             protocol_rounds=rounds,
             protocol_conclusions=conclusions,

@@ -26,7 +26,7 @@ import itertools
 import operator
 import zlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Callable, Iterable, Optional, Sequence
 
 from ..core.adornment import AdornedAtom
 from ..core.rules import Rule
@@ -392,35 +392,19 @@ class NodeProcess:
             for row in fresh:
                 network.send(TupleMessage(self.node_id, consumer_id, row))
 
-    def _fan_out(
-        self, fresh, buckets: Optional[dict], network: "Scheduler"
-    ) -> None:
+    def _fan_out(self, fresh: list, bindings: list, network: "Scheduler") -> None:
         """Send every consumer stream the fresh rows it asked for.
 
-        ``buckets`` groups ``fresh`` by "d" binding; ``None`` means the
-        producer has no "d" positions, so every row carries the nullary
-        binding.  Each stream's matching rows are collected by walking
-        whichever is smaller, the buckets or the stream's requests.
+        ``bindings`` holds each fresh row's "d" binding (``()`` when the
+        producer has no "d" positions).  A ``wants_all`` stream gets every
+        row; any other stream the rows whose binding it requested.
         """
         for stream in self.consumers.values():
             if stream.wants_all:
-                self.send_rows(stream, fresh, network)
-                continue
-            requested = stream.requested
-            if buckets is None:
-                if () in requested:
-                    self.send_rows(stream, fresh, network)
-                continue
-            matching: list[tuple] = []
-            if len(buckets) <= len(requested):
-                for binding, rows in buckets.items():
-                    if binding in requested:
-                        matching.extend(rows)
+                matching = fresh
             else:
-                for binding in requested:
-                    rows = buckets.get(binding)
-                    if rows:
-                        matching.extend(rows)
+                requested = stream.requested
+                matching = [row for row, binding in zip(fresh, bindings) if binding in requested]
             if matching:
                 self.send_rows(stream, matching, network)
 
@@ -504,21 +488,6 @@ def _tuple_getter(
     return operator.itemgetter(*positions)
 
 
-def _key_getter(positions: Sequence[int]) -> Callable[[tuple], object]:
-    """A compiled join-key extractor for the stage kernels.
-
-    Single-position keys are the *bare* value — no per-row 1-tuple
-    allocation.  Key representation only needs to agree between the two
-    sides of one node's private indexes, and a node runs all of its stages
-    through the same compiled getters for its whole lifetime.
-    """
-    if not positions:
-        return lambda row: ()
-    if len(positions) == 1:
-        return operator.itemgetter(positions[0])
-    return operator.itemgetter(*positions)
-
-
 class _RowShape:
     """Precomputed position bookkeeping for one adorned atom's tuple rows.
 
@@ -535,24 +504,49 @@ class _RowShape:
         self.d_positions = adorned.dynamic_positions
         row_index = {pos: i for i, pos in enumerate(self.row_positions)}
         self.d_in_row = tuple(row_index[p] for p in self.d_positions)
-        #: Project a row to the values at the "d" positions (compiled).
-        self.binding_of = _tuple_getter(self.d_in_row, len(self.row_positions))
 
-    def buckets(self, rows: Iterable[tuple]) -> Optional[dict[tuple, list[tuple]]]:
-        """``rows`` grouped by "d" binding; ``None`` without "d" positions
-        (every row then shares the nullary binding — no bucketing pass)."""
-        if not self.d_in_row:
-            return None
-        binding_of = self.binding_of
-        buckets: dict[tuple, list[tuple]] = {}
-        for row in rows:
-            binding = binding_of(row)
-            bucket = buckets.get(binding)
-            if bucket is None:
-                buckets[binding] = [row]
-            else:
-                bucket.append(row)
-        return buckets
+
+_NO_ROWS: frozenset = frozenset()
+
+
+def _insert(
+    index: dict, batch: AbstractSet[tuple], positions: Sequence[int], tuple_keys: bool = False
+) -> tuple[list[tuple], list]:
+    """Add ``batch`` to a node relation stored as key -> set of rows.
+
+    The keyed index is the relation's only store, so a row is fresh
+    exactly when its key's bucket does not hold it yet.  Returns the fresh
+    rows and their keys, aligned.  A key is the row's values at
+    ``positions``: a bare value for a single position unless
+    ``tuple_keys`` (a "d" binding is always a tuple).  With no positions
+    every row sits in the one bucket under ``()`` and the fresh rows are
+    one set difference.
+    """
+    if not positions:
+        fresh = batch - index.get((), _NO_ROWS)
+        if fresh:
+            index.setdefault((), set()).update(fresh)
+        return list(fresh), [()] * len(fresh)
+    rows = list(batch)
+    batch_columns = ColumnBatch(rows)
+    if tuple_keys:
+        keys = batch_columns.project(positions)
+    else:
+        keys = batch_columns.keys(positions)
+    fresh: list[tuple] = []
+    fresh_keys: list = []
+    get, add_row, add_key = index.get, fresh.append, fresh_keys.append
+    for row, key in zip(rows, keys):
+        bucket = get(key)
+        if bucket is None:
+            index[key] = {row}
+        elif row in bucket:
+            continue
+        else:
+            bucket.add(row)
+        add_row(row)
+        add_key(key)
+    return fresh, fresh_keys
 
 
 class GoalNodeProcess(NodeProcess):
@@ -567,8 +561,8 @@ class GoalNodeProcess(NodeProcess):
         super().__init__(node_id)
         self.adorned = adorned
         self.shape = _RowShape(adorned)
-        self.answers: set[tuple] = set()
-        self.answers_by_binding: dict[tuple, list[tuple]] = {}
+        #: The answer relation: "d" binding -> the answers carrying it.
+        self.answer_index: dict[tuple, set[tuple]] = {}
         self.bindings_seen: set[tuple] = set()
         self.requests_propagated = False
         self.row_sources: dict[tuple, int] = {}  # provenance: row -> first sender
@@ -591,7 +585,9 @@ class GoalNodeProcess(NodeProcess):
                     RelationRequest(self.node_id, child_id, self.adorned.adornment)
                 )
         if stream.wants_all:
-            self.send_rows(stream, self.answers, network)
+            # Only a producer without "d" positions has wants_all streams:
+            # all of its answers sit under the nullary binding.
+            self.send_rows(stream, self.answer_index.get((), ()), network)
 
     def on_tuple_request(self, message: TupleRequest, network: "Scheduler") -> None:
         stream = self.consumers[message.sender]
@@ -602,7 +598,7 @@ class GoalNodeProcess(NodeProcess):
         """Replay known matching answers; propagate a fresh binding downward."""
         if binding not in stream.requested:
             stream.requested.add(binding)
-            self.send_rows(stream, self.answers_by_binding.get(binding, ()), network)
+            self.send_rows(stream, self.answer_index.get(binding, ()), network)
         if binding not in self.bindings_seen:
             self.bindings_seen.add(binding)
             for child_id in self.feeders:
@@ -610,10 +606,10 @@ class GoalNodeProcess(NodeProcess):
 
     # -- consumer side ---------------------------------------------------
     def on_tuple_set(self, message: TupleSet, network: "Scheduler") -> None:
-        """Set-at-a-time union: one set difference, one bucketed fan-out.
+        """Set-at-a-time union: store the fresh rows, fan them out.
 
-        The set difference is the duplicate deletion that lets loops
-        terminate.
+        Freshness is decided in each row's binding bucket; that duplicate
+        deletion is what lets loops terminate.
         """
         if self.trivial_relay:
             # One producer, one consumer: the producer already deduplicated
@@ -624,22 +620,15 @@ class GoalNodeProcess(NodeProcess):
             (stream,) = self.consumers.values()
             self.send_rows(stream, message.rows, network)
             return
-        fresh = message.rows - self.answers
+        fresh, bindings = _insert(
+            self.answer_index, message.rows, self.shape.d_in_row, tuple_keys=True
+        )
         if not fresh:
             return
-        self.answers |= fresh
         self.tuples_stored += len(fresh)
         if self.record_provenance:
             self.row_sources.update(dict.fromkeys(fresh, message.sender))
-        buckets = self.shape.buckets(fresh)
-        by_binding = self.answers_by_binding
-        for binding, rows in (buckets if buckets is not None else {(): fresh}).items():
-            stored = by_binding.get(binding)
-            if stored is None:
-                by_binding[binding] = list(rows)
-            else:
-                stored.extend(rows)
-        self._fan_out(fresh, buckets, network)
+        self._fan_out(fresh, bindings, network)
 
 
 class CyclicNodeProcess(NodeProcess):
@@ -655,10 +644,8 @@ class CyclicNodeProcess(NodeProcess):
         self.adorned = adorned
         self.shape = _RowShape(adorned)
         self.ancestor_id = ancestor_id
-        self.rows: set[tuple] = set()
-        #: ``rows`` grouped by "d" binding (kept only when there are "d"
-        #: positions; otherwise every row answers the nullary binding).
-        self.rows_by_binding: dict[tuple, list[tuple]] = {}
+        #: The relayed relation: "d" binding -> the rows carrying it.
+        self.row_index: dict[tuple, set[tuple]] = {}
 
     def on_relation_request(self, message: RelationRequest, network: "Scheduler") -> None:
         stream = self.consumers[message.sender]
@@ -670,7 +657,7 @@ class CyclicNodeProcess(NodeProcess):
                 RelationRequest(self.node_id, self.ancestor_id, self.adorned.adornment)
             )
         if stream.wants_all:
-            self.send_rows(stream, self.rows, network)
+            self.send_rows(stream, self.row_index.get((), ()), network)
 
     def on_tuple_request(self, message: TupleRequest, network: "Scheduler") -> None:
         stream = self.consumers[message.sender]
@@ -681,30 +668,18 @@ class CyclicNodeProcess(NodeProcess):
         """Replay matching rows and forward the binding to the ancestor."""
         if binding not in stream.requested:
             stream.requested.add(binding)
-            if self.shape.d_in_row:
-                rows = self.rows_by_binding.get(binding, ())
-            else:
-                rows = self.rows
-            self.send_rows(stream, rows, network)
+            self.send_rows(stream, self.row_index.get(binding, ()), network)
         self.send_tuple_request(self.ancestor_id, binding, network)
 
     def on_tuple_set(self, message: TupleSet, network: "Scheduler") -> None:
-        """Relay a whole set: dedup once, then filter per consumer stream."""
-        fresh = message.rows - self.rows
+        """Relay a whole set: store the fresh rows, filter per consumer stream."""
+        fresh, bindings = _insert(
+            self.row_index, message.rows, self.shape.d_in_row, tuple_keys=True
+        )
         if not fresh:
             return
-        self.rows |= fresh
         self.tuples_stored += len(fresh)
-        buckets = self.shape.buckets(fresh)
-        if buckets is not None:
-            by_binding = self.rows_by_binding
-            for binding, rows in buckets.items():
-                stored = by_binding.get(binding)
-                if stored is None:
-                    by_binding[binding] = rows  # a fresh list; _fan_out only reads it
-                else:
-                    stored.extend(rows)
-        self._fan_out(fresh, buckets, network)
+        self._fan_out(fresh, bindings, network)
 
 
 class EdbLeafProcess(NodeProcess):
@@ -747,6 +722,15 @@ class EdbLeafProcess(NodeProcess):
         # Stored row -> the "d" binding a consumer would have requested it by.
         self._d_binding = _tuple_getter(self.shape.d_positions)
         self._identity_projection = self.shape.row_positions == tuple(range(len(atom.args)))
+        # Probe plan: the database index over the "c" and "d" positions, in
+        # position order, keyed by their values gathered from
+        # ``const_prefix + binding``.
+        probed = (*self.constant_filter, *self.shape.d_positions)
+        self._probe_positions = tuple(sorted(probed))
+        self._const_prefix = tuple(self.constant_filter.values())
+        self._probe_key = _tuple_getter(
+            [probed.index(pos) for pos in self._probe_positions], len(probed)
+        )
 
     # ------------------------------------------------------------------
     def _matches(self, row: tuple) -> bool:
@@ -775,7 +759,7 @@ class EdbLeafProcess(NodeProcess):
         stream.last_seq_received = max(stream.last_seq_received, 0)
         if not self.shape.d_positions:
             if self.constant_filter:
-                rows = self.database.lookup(self.adorned.predicate, self.constant_filter)
+                rows = self._lookup_binding(())
             else:
                 rows = self.database.scan(self.adorned.predicate).rows
             self._emit(stream, rows, network)
@@ -822,9 +806,11 @@ class EdbLeafProcess(NodeProcess):
 
     def _lookup_binding(self, binding: tuple) -> Iterable[tuple]:
         """Indexed retrieval for one "d" binding (plus the "c" constants)."""
-        bound = dict(self.constant_filter)
-        bound.update(zip(self.shape.d_positions, binding))
-        return self.database.lookup(self.adorned.predicate, bound)
+        return self.database.lookup(
+            self.adorned.predicate,
+            self._probe_positions,
+            self._probe_key(self._const_prefix + binding),
+        )
 
     def serve_binding(self, stream: ConsumerStream, binding: tuple, network: "Scheduler") -> None:
         """Indexed retrieval for one "d" binding.
@@ -884,10 +870,12 @@ class _Stage:
     Stage ``j`` (1-based) corresponds to the ``j``-th subgoal in SIP order.
     A received row's *sub-environment* holds the subgoal's distinct
     variables in row order — the row itself unless a variable repeats.
-    ``env_vars`` is the cumulative variable schema after joining this stage;
-    ``envs`` the set of environments reached; indexes keyed by the values of
-    the variables shared with the *next* stage's subgoal are kept on both
-    sides so new envs and new tuples can each find their join partners.
+    ``env_vars`` is the cumulative variable schema after joining this stage.
+    ``row_index`` is the subgoal's temporary relation, stored once: join
+    key (the values of ``shared_with_prev``) -> the set of sub-environments
+    received under it.  The environments the join meets live in the rule
+    node's ``env_indexes``, keyed the same way, so a fresh row and a fresh
+    environment each find their partners with one probe per distinct key.
     """
 
     __slots__ = (
@@ -896,28 +884,20 @@ class _Stage:
         "shape",
         "row_vars",  # the variable at each row position (repeats kept)
         "env_vars",
-        "envs",
-        "rows",
         "shared_with_prev",
         "prev_key_positions",
         "row_key_positions",
-        "env_index",
         "row_index",
         # Kernel plan: compiled getters and gathers, fixed per node.
         "row_perm",  # "id": the row is its sub-environment; None: repeats
         "env_is_row",  # every environment reached here is its sub-environment
-        "prev_key_get",
         "suffix_positions",  # sub-environment positions of the merge suffix
         "suffix_get",  # sub-environment -> the merge suffix (the new variables)
         "d_env_positions",  # previous-env positions of the tuple-request binding
-        "d_get",  # previous env -> the tuple-request binding
     )
 
     def __init__(self) -> None:
-        self.envs: set[tuple] = set()
-        self.rows: set[tuple] = set()
-        self.env_index: dict[tuple, list[tuple]] = {}
-        self.row_index: dict[tuple, list[tuple]] = {}
+        self.row_index: dict[object, set[tuple]] = {}
 
 
 class RuleNodeProcess(NodeProcess):
@@ -955,10 +935,8 @@ class RuleNodeProcess(NodeProcess):
         self.child_stage: dict[int, list[int]] = {}
         self.sent_rows: set[tuple] = set()
         self.request_started = False
-        # Accounting (PR 8 split): probes and inserts used to share one
-        # ``join_lookups`` counter; they are different operations with
-        # different costs, so they are counted apart.  ``join_lookups``
-        # remains as a read-only alias for the probe count.
+        # Accounting: index probes and index insertions are different
+        # operations with different costs, so they are counted apart.
         self.probe_lookups = 0  # statistic: index probes performed
         self.index_inserts = 0  # statistic: index insertions performed
         # Per-kernel batch statistics: rows entering the stage kernels,
@@ -967,8 +945,6 @@ class RuleNodeProcess(NodeProcess):
         self.batch_rows_out = 0
         self.batch_distinct_keys = 0
         self.envs_materialized = 0
-        self._stage0_envs: set[tuple] = set()
-        self._stage0_index: dict[tuple, list[tuple]] = {}
         # Provenance: emitted head row -> the final environment that first
         # produced it; derivation_children rebuilds the child rows from it.
         self._head_env: dict[tuple, tuple] = {}
@@ -1015,7 +991,6 @@ class RuleNodeProcess(NodeProcess):
             stage.env_is_row = stage.env_vars == subenv_vars
             stage.suffix_positions = tuple(sub_pos[v] for v in new_vars)
             stage.suffix_get = _tuple_getter(stage.suffix_positions, len(subenv_vars))
-            stage.prev_key_get = _key_getter(stage.prev_key_positions)
             for pos in stage.shape.d_positions:
                 if atom.args[pos] not in prev_pos:
                     raise AssertionError(
@@ -1025,12 +1000,20 @@ class RuleNodeProcess(NodeProcess):
             stage.d_env_positions = tuple(
                 prev_pos[atom.args[pos]] for pos in stage.shape.d_positions
             )
-            stage.d_get = _tuple_getter(stage.d_env_positions, len(prev_vars))
             self.stages.append(stage)
             prev_vars = stage.env_vars
             self.child_stage.setdefault(self.child_ids[subgoal_index], []).append(
                 stage_number
             )
+
+        #: The environments reached at each level, stored once: level 0
+        #: holds the head bindings, level ``j`` the environments after stage
+        #: ``j``.  Each is keyed like the join it feeds (stage ``j + 1``'s
+        #: ``prev_key_positions``); the last level feeds no join and keeps
+        #: one bucket under ``()``.
+        self.env_indexes: list[dict[object, set[tuple]]] = [
+            {} for _ in range(len(self.stages) + 1)
+        ]
 
         # Head-output plan: value source per parent row position (a head
         # constant there comes from the rule, not from the environment; a
@@ -1086,7 +1069,7 @@ class RuleNodeProcess(NodeProcess):
                     feeder.next_seq()
                     network.send(RelationRequest(self.node_id, target, adorned.adornment))
         if not self.parent_shape.d_positions:
-            self._add_stage0_env((), network)
+            self._add_envs(0, ((),), network)
 
     def on_tuple_request(self, message: TupleRequest, network: "Scheduler") -> None:
         stream = self.consumers[message.sender]
@@ -1097,7 +1080,7 @@ class RuleNodeProcess(NodeProcess):
         """One head binding becomes one stage-0 environment."""
         env = self._stage0_env_from_binding(binding)
         if env is not None:
-            self._add_stage0_env(env, network)
+            self._add_envs(0, (env,), network)
 
     def _stage0_env_from_binding(self, binding: tuple) -> Optional[tuple]:
         """Turn a head tuple request into a stage-0 environment.
@@ -1129,100 +1112,23 @@ class RuleNodeProcess(NodeProcess):
     # ------------------------------------------------------------------
     # Consumer side: tuples from subgoal children
     # ------------------------------------------------------------------
-    @property
-    def join_lookups(self) -> int:
-        """Back-compat alias for :attr:`probe_lookups` (pre-PR-8 name)."""
-        return self.probe_lookups
-
     def on_tuple_set(self, message: TupleSet, network: "Scheduler") -> None:
-        """Bulk stage kernel entry: join a whole set of child rows at once."""
-        for stage_number in self.child_stage[message.sender]:
-            self._tuples_into_stage(stage_number, message.rows, network)
-
-    def _tuples_into_stage(
-        self, stage_number: int, rows: frozenset, network: "Scheduler"
-    ) -> None:
-        """Stage kernel: whole-batch dedup, index, probe.
+        """Bulk stage kernel entry: join a whole set of child rows at once.
 
         A row is its own sub-environment unless a variable repeats in it
-        (then the checked per-row conversion runs).  Fresh rows are found
-        with one set difference, the batch hash index is built once, and
-        the previous stage is probed once per distinct join key.  A merge
-        is ``prev_env + suffix`` — the cumulative schema keeps earlier
-        variables as an identity prefix — with the suffixes gathered in one
-        column pass; at an ``env_is_row`` stage the merge is the
-        sub-environment itself and nothing is built.
+        (then the checked per-row conversion runs).
         """
-        stage = self.stages[stage_number - 1]
-        self.batch_rows_in += len(rows)
-        batch = rows
-        if stage.row_perm != "id":
-            batch = set()
-            for row in rows:
-                env = self._row_to_subenv(stage, row)
-                if env is not None:
-                    batch.add(env)
-        fresh = batch - stage.rows
-        if not fresh:
-            return
-        stage.rows |= fresh
-        self.tuples_stored += len(fresh)
-        self.index_inserts += len(fresh)
-        fresh_list = list(fresh)
-        cb = ColumnBatch(fresh_list)
-        if stage_number == 1:
-            prev_index = self._stage0_index
-        else:
-            prev_index = self.stages[stage_number - 2].env_index
-        row_index = stage.row_index
-        merged: list[tuple]
-        if not stage.row_key_positions:
-            # Nullary join key (no shared variables yet): one bucket, one
-            # probe, zero per-row dict traffic.
-            bucket = row_index.get(())
-            if bucket is None:
-                row_index[()] = list(fresh_list)
-            else:
-                bucket.extend(fresh_list)
-            self.batch_distinct_keys += 1
-            self.probe_lookups += 1
-            prev_envs = prev_index.get(())
-            if not prev_envs:
-                return
-            if stage.env_is_row:
-                merged = fresh_list  # the previous environment is ()
-            else:
-                suffixes = cb.project(stage.suffix_positions)
-                merged = [
-                    prev_env + suffix
-                    for prev_env in prev_envs
-                    for suffix in suffixes
-                ]
-        else:
-            keys = cb.keys(stage.row_key_positions)
-            for env, key in zip(fresh_list, keys):
-                bucket = row_index.get(key)
-                if bucket is None:
-                    row_index[key] = [env]
-                else:
-                    bucket.append(env)
-            if stage.env_is_row:
-                # The key is the whole previous environment: a hit means
-                # exactly one partner, and the merge equals ``env``.
-                merged = [env for env, key in zip(fresh_list, keys) if key in prev_index]
-            else:
-                prev_get = prev_index.get
-                suffixes = cb.project(stage.suffix_positions)
-                merged = [
-                    prev_env + suffix
-                    for key, suffix in zip(keys, suffixes)
-                    for prev_env in prev_get(key, ())
-                ]
-            distinct = len(set(keys))
-            self.batch_distinct_keys += distinct
-            self.probe_lookups += distinct
-        if merged:
-            self._add_envs(stage_number, merged, network)
+        for stage_number in self.child_stage[message.sender]:
+            stage = self.stages[stage_number - 1]
+            self.batch_rows_in += len(message.rows)
+            batch = message.rows
+            if stage.row_perm != "id":
+                batch = {
+                    env
+                    for env in (self._row_to_subenv(stage, row) for row in batch)
+                    if env is not None
+                }
+            self._insert_then_probe(stage_number, batch, False, network)
 
     def _row_to_subenv(self, stage: _Stage, row: tuple) -> Optional[tuple]:
         """A row with a repeated variable -> its sub-environment, or None
@@ -1234,125 +1140,95 @@ class RuleNodeProcess(NodeProcess):
         return tuple(values.values())
 
     # ------------------------------------------------------------------
-    # Stage-0 environments (head bindings)
+    # The join: one insert-then-probe path for rows and environments
     # ------------------------------------------------------------------
-    def _add_stage0_env(self, env: tuple, network: "Scheduler") -> None:
-        if env in self._stage0_envs:
+    def _add_envs(self, level: int, merged: Iterable[tuple], network: "Scheduler") -> None:
+        """Environments reached at ``level`` (0: head bindings, ``j``: after
+        stage ``j``).  Below the last stage they enter the next stage's
+        join; at the last they are projected to head rows."""
+        if level < len(self.stages):
+            self._insert_then_probe(level + 1, set(merged), True, network)
             return
-        self._stage0_envs.add(env)
-        self.envs_materialized += 1
-        if not self.stages:
-            # Bodiless rule: the head itself is the (single) answer.
-            self._emit_heads((env,), network)
-            return
-        first = self.stages[0]
-        key = first.prev_key_get(env)
-        self._stage0_index.setdefault(key, []).append(env)
-        self.index_inserts += 1
-        if first.d_env_positions:
-            self.send_tuple_request(
-                self.child_ids[first.subgoal_index], first.d_get(env), network
-            )
-        self.probe_lookups += 1
-        row_envs = first.row_index.get(key)
-        if row_envs:
-            if not first.env_is_row:
-                suffix_get = first.suffix_get
-                row_envs = [env + suffix_get(row_env) for row_env in row_envs]
-            self._add_envs(1, row_envs, network)
+        fresh, _ = _insert(self.env_indexes[level], set(merged), ())
+        if fresh:
+            self.envs_materialized += len(fresh)
+            if level:
+                self.batch_rows_out += len(fresh)
+            self._emit_heads(fresh, network)
 
-    # ------------------------------------------------------------------
-    # Env propagation
-    # ------------------------------------------------------------------
-    def _add_envs(
-        self, stage_number: int, merged: list[tuple], network: "Scheduler"
+    def _insert_then_probe(
+        self, stage_number: int, batch: AbstractSet[tuple], envs: bool, network: "Scheduler"
     ) -> None:
-        """Materialize a batch of environments at one stage.
+        """Stage kernel: store a batch on one side of a join, probe the other.
 
-        Fresh environments are found with one set difference and indexed;
-        their tuple-request bindings are gathered with the stage's compiled
-        plan and deduplicated batch-wide before emission; the join against
-        the *next* stage's already-received tuples probes once per distinct
-        key, and the results recurse as one batch again.
+        ``batch`` holds environments from the previous level (``envs``) or
+        sub-environments received for this stage.  Its fresh members are
+        found in their key's bucket, the other side is probed once per
+        distinct key, and the merged environments go on to the next level
+        as one batch.  A merge is ``env + suffix`` — the cumulative schema
+        keeps earlier variables as an identity prefix — and at an
+        ``env_is_row`` stage it is the sub-environment itself.  Fresh
+        environments first request the stage's "d" bindings, deduplicated
+        batch-wide.
         """
         stage = self.stages[stage_number - 1]
-        batch = set(merged)
-        fresh = batch - stage.envs
-        if not fresh:
-            return
-        stage.envs |= fresh
-        self.envs_materialized += len(fresh)
-        self.batch_rows_out += len(fresh)
-        if stage_number == len(self.stages):
-            self._emit_heads(fresh, network)
-            return
-        next_stage = self.stages[stage_number]
-        fresh_list = list(fresh)
-        cb = ColumnBatch(fresh_list)
-        if next_stage.d_env_positions:
-            self.send_tuple_requests_batch(
-                self.child_ids[next_stage.subgoal_index],
-                set(cb.project(next_stage.d_env_positions)),
-                network,
-            )
-        env_index = stage.env_index
-        row_index = next_stage.row_index
-        self.index_inserts += len(fresh)
-        next_merged: list[tuple] = []
-        if not next_stage.prev_key_positions:
-            bucket = env_index.get(())
-            if bucket is None:
-                env_index[()] = list(fresh_list)
-            else:
-                bucket.extend(fresh_list)
-            self.batch_distinct_keys += 1
-            self.probe_lookups += 1
-            rows = row_index.get(())
-            if rows:
-                if next_stage.env_is_row:
-                    next_merged = rows  # the one fresh environment is ()
-                else:
-                    suffix_get = next_stage.suffix_get
-                    suffixes = [suffix_get(row_env) for row_env in rows]
-                    next_merged = [
-                        env + suffix for env in fresh_list for suffix in suffixes
-                    ]
+        env_index = self.env_indexes[stage_number - 1]
+        # Head bindings (level-0 environments) arrive one request at a time;
+        # the batch statistics count the kernel's own batches only.
+        kernel_batch = not envs or stage_number > 1
+        if envs:
+            fresh, keys = _insert(env_index, batch, stage.prev_key_positions)
+            if not fresh:
+                return
+            self.envs_materialized += len(fresh)
+            if kernel_batch:
+                self.batch_rows_out += len(fresh)
+            if stage.d_env_positions:
+                self.send_tuple_requests_batch(
+                    self.child_ids[stage.subgoal_index],
+                    set(ColumnBatch(fresh).project(stage.d_env_positions)),
+                    network,
+                )
         else:
-            keys = cb.keys(next_stage.prev_key_positions)
-            for env, key in zip(fresh_list, keys):
-                bucket = env_index.get(key)
-                if bucket is None:
-                    env_index[key] = [env]
-                else:
-                    bucket.append(env)
-            row_get = row_index.get
-            if next_stage.env_is_row:
-                # The key is the whole environment: every sub-environment
-                # under it is already the merged environment.
-                for key in keys:
-                    rows = row_get(key)
-                    if rows:
-                        next_merged.extend(rows)
-            else:
-                # Suffixes gathered once per probed key, not once per output pair.
-                suffix_get = next_stage.suffix_get
-                suffix_memo: dict = {}
-                append = next_merged.append
-                for env, key in zip(fresh_list, keys):
-                    rows = row_get(key)
-                    if rows:
-                        suffixes = suffix_memo.get(key)
-                        if suffixes is None:
-                            suffix_memo[key] = suffixes = [
-                                suffix_get(row_env) for row_env in rows
-                            ]
-                        for suffix in suffixes:
-                            append(env + suffix)
-            distinct = len(set(keys))
+            fresh, keys = _insert(stage.row_index, batch, stage.row_key_positions)
+            if not fresh:
+                return
+            self.tuples_stored += len(fresh)
+        self.index_inserts += len(fresh)
+        distinct = len(set(keys))
+        self.probe_lookups += distinct
+        if kernel_batch:
             self.batch_distinct_keys += distinct
-            self.probe_lookups += distinct
-        if next_merged:
-            self._add_envs(stage_number + 1, next_merged, network)
+        merged: list[tuple]
+        if stage.env_is_row:
+            # The key is the whole previous environment: a hit means exactly
+            # one partner, and the merge is the sub-environment.
+            if envs:
+                get = stage.row_index.get
+                merged = [row for key in keys for row in get(key, ())]
+            else:
+                merged = [row for row, key in zip(fresh, keys) if key in env_index]
+        elif envs:
+            # Suffixes gathered once per probed key, not once per output pair.
+            get = stage.row_index.get
+            suffix_get = stage.suffix_get
+            suffix_memo: dict = {}
+            merged = []
+            for env, key in zip(fresh, keys):
+                rows = get(key)
+                if rows:
+                    suffixes = suffix_memo.get(key)
+                    if suffixes is None:
+                        suffix_memo[key] = suffixes = [suffix_get(row) for row in rows]
+                    merged += [env + suffix for suffix in suffixes]
+        else:
+            get = env_index.get
+            suffixes = ColumnBatch(fresh).project(stage.suffix_positions)
+            merged = [
+                env + suffix for key, suffix in zip(keys, suffixes) for env in get(key, ())
+            ]
+        if merged:
+            self._add_envs(stage_number, merged, network)
 
     # ------------------------------------------------------------------
     def _emit_heads(self, envs, network: "Scheduler") -> None:

@@ -159,22 +159,23 @@ class Database:
         self.rows_retrieved += len(rel)
         return rel
 
-    def lookup(self, predicate: str, bound: Mapping[int, object]) -> list[Row]:
-        """Indexed retrieval: rows whose positions match ``bound`` values.
+    def lookup(
+        self, predicate: str, positions: tuple[int, ...], key: Row
+    ) -> list[Row]:
+        """Indexed retrieval: rows holding ``key`` at argument ``positions``.
 
-        ``bound`` maps argument positions to required constants — the shape
-        of a tuple request for an EDB subgoal with "c"/"d" arguments.
+        The shape of a tuple request for an EDB subgoal with "c"/"d"
+        arguments; an EDB leaf fixes ``positions`` when the graph is built.
+        A key that is present returns the index's live bucket.
         """
         rel = self._relations.get(predicate)
         if rel is None:
             return []
         self.indexed_lookups += 1
-        if not bound:
+        if not positions:
             self.rows_retrieved += len(rel)
             return list(rel.rows)
-        cols = tuple(rel.columns[i] for i in sorted(bound))
-        key = tuple(bound[i] for i in sorted(bound))
-        rows = rel.lookup(cols, key)
+        rows = rel.index_on(positions).get(key, [])
         self.rows_retrieved += len(rows)
         return rows
 

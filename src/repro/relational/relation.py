@@ -117,15 +117,18 @@ class Relation:
     # Indexing
     # ------------------------------------------------------------------
     def index(self, columns: Sequence[str]) -> Mapping[Row, list[Row]]:
-        """A hash index: key tuple over ``columns`` -> rows having that key.
+        """A hash index: key tuple over ``columns`` -> rows having that key."""
+        return self.index_on(self.positions(columns))
 
-        Indexes are built lazily and memoized; the cache never invalidates
-        because :meth:`extend` grows every memoized index along with the
-        rows.  The paper's footnote on "packaged" tuple requests observes an
-        index over an EDB relation can be built in one scan — this is that
-        one scan.
+    def index_on(self, pos: tuple[int, ...]) -> Mapping[Row, list[Row]]:
+        """A hash index: key tuple over positions ``pos`` -> rows having it.
+
+        Indexes are built lazily and memoized by position tuple; the cache
+        never invalidates because :meth:`extend` grows every memoized index
+        along with the rows.  The paper's footnote on "packaged" tuple
+        requests observes an index over an EDB relation can be built in one
+        scan — this is that one scan.
         """
-        pos = self.positions(columns)
         cached = self._indexes.get(pos)
         if cached is None:
             cached = {}

@@ -104,6 +104,7 @@ class ServiceClient:
         self._file = None
         self._lock = threading.Lock()
         self._next_id = 0
+        self._closes = 0  # close() calls; a call in flight across one gives up
 
     # ------------------------------------------------------------------
     def connect(self) -> "ServiceClient":
@@ -117,8 +118,24 @@ class ServiceClient:
         return self
 
     def close(self) -> None:
+        """Drop the connection; the next call reconnects.
+
+        A call another thread has in flight fails with a ``transport``
+        error instead of waiting for its reply, and is not retried.
+        """
+        self._closes += 1
+        self._drop()
+
+    def _drop(self) -> None:
         file, sock = self._file, self._sock
         self._file = self._sock = None
+        if sock is not None:
+            try:
+                # Wakes a readline() another thread is blocked in, so the
+                # file's close below need not wait for the reply.
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
         if file is not None:
             try:
                 file.close()
@@ -153,6 +170,7 @@ class ServiceClient:
             if (op in IDEMPOTENT_OPS or self.retry_writes)
             else 1
         )
+        closes = self._closes
         for attempt in range(1, attempts + 1):
             if attempt > 1:
                 self.transport_retries += 1
@@ -162,7 +180,11 @@ class ServiceClient:
             try:
                 return self._call_once(op, **fields)
             except ServiceClientError as exc:
-                if exc.error_type != "transport" or attempt >= attempts:
+                if (
+                    exc.error_type != "transport"
+                    or attempt >= attempts
+                    or self._closes != closes
+                ):
                     raise
         raise AssertionError("unreachable")  # pragma: no cover
 
@@ -172,24 +194,27 @@ class ServiceClient:
             try:
                 self.connect()
             except OSError as exc:
-                self.close()
+                self._drop()
                 raise ServiceClientError("transport", f"connect failed: {exc}") from exc
+            file = self._file
+            if file is None:  # close() ran in another thread just now
+                raise ServiceClientError("transport", "client closed")
             self._next_id += 1
             request = {"id": self._next_id, "op": op, **fields}
             try:
-                self._file.write(encode(request))
-                self._file.flush()
-                line = self._file.readline()
+                file.write(encode(request))
+                file.flush()
+                line = file.readline()
             except (OSError, ValueError) as exc:
-                self.close()
+                self._drop()
                 raise ServiceClientError("transport", f"connection failed: {exc}") from exc
         if not line:
-            self.close()
+            self._drop()
             raise ServiceClientError("transport", "server closed the connection")
         try:
             response = json.loads(line)
         except ValueError as exc:
-            self.close()
+            self._drop()
             raise ServiceClientError("transport", f"unparseable response: {exc}") from exc
         if not response.get("ok", False):
             error = response.get("error") or {}

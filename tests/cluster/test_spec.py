@@ -76,7 +76,7 @@ class TestJobSpecMemo:
         memo = JobSpecMemo()
         first = memo.edb(database)
         assert memo.edb(database) is first
-        database.lookup("par", {0: 0})  # reads move counters, not the version
+        database.lookup("par", (0,), (0,))  # reads move counters, not the version
         assert memo.edb(database) is first
         relation = database.relation("par")
         database.add_facts(parse_program("par(100, 101).").facts)
@@ -86,7 +86,7 @@ class TestJobSpecMemo:
         assert second.digest != first.digest
         shipped = pickle.loads(second.blob)
         assert (100, 101) in shipped.relation("par")
-        assert shipped.lookup("par", {0: 100}) == [(100, 101)]  # index came along
+        assert shipped.lookup("par", (0,), (100,)) == [(100, 101)]  # index came along
         assert (shipped.rows_added, shipped.index_entries_added) == (0, 0)
         database.add_facts(parse_program("par(100, 101).").facts)  # nothing new
         assert memo.edb(database) is second

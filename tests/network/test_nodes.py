@@ -70,13 +70,13 @@ class TestRowShape:
         assert shape.row_positions == (1, 3)
         assert shape.d_positions == (1,)
         # Row (x, z): the d value sits at row index 0.
-        assert shape.binding_of((5, 9)) == (5,)
+        assert shape.d_in_row == (0,)
 
     def test_all_free(self):
         a = AdornedAtom(atom("p", X, Y), ("f", "f"))
         shape = _RowShape(a)
         assert shape.row_positions == (0, 1)
-        assert shape.binding_of((1, 2)) == ()
+        assert shape.d_in_row == ()
 
 
 class Sink:
@@ -178,6 +178,11 @@ class TestEdbLeaf:
         assert sink.rows == [(1,)]
 
 
+def held(index):
+    """Every row a keyed node store holds, bucket by bucket."""
+    return [row for bucket in index.values() for row in bucket]
+
+
 class TestKernelLayout:
     """The row and environment layout is fixed when the graph is built:
     rows carry "d"/"f" values only, and an environment whose layout equals
@@ -206,21 +211,23 @@ class TestKernelLayout:
         for node in rule_nodes:
             assert [stage.row_perm for stage in node.stages] == ["id"] * len(node.stages)
             final = node.stages[-1]
-            assert final.envs
-            received = {row: row for row in final.rows}
-            assert all(received[env] is env for env in final.envs)
+            assert final.env_is_row
+            (final_envs,) = node.env_indexes[-1].values()  # one bucket under ()
+            assert final_envs
+            received = {row: row for row in held(final.row_index)}
+            assert all(received[env] is env for env in final_envs)
 
         def width(adorned):
             return sum(letter in "df" for letter in adorned.adornment)
 
         for process in engine.processes.values():
             if isinstance(process, GoalNodeProcess):
-                rows = process.answers
+                rows = held(process.answer_index)
             elif isinstance(process, CyclicNodeProcess):
-                rows = process.rows
+                rows = held(process.row_index)
             elif isinstance(process, RuleNodeProcess):
                 for stage in process.stages:
-                    assert all(len(r) <= width(stage.adorned) for r in stage.rows)
+                    assert all(len(r) <= width(stage.adorned) for r in held(stage.row_index))
                 continue
             else:
                 continue
@@ -242,19 +249,16 @@ def cyclic_nodes(engine):
 
 
 def assert_index_matches_rows(engine):
-    """Every cyclic node's by-binding index is its rows grouped by binding."""
+    """Every cyclic node stores each relayed row once, under its binding."""
     nodes = cyclic_nodes(engine)
-    assert any(node.shape.d_in_row and node.rows for node in nodes)
+    assert any(node.shape.d_in_row and node.row_index for node in nodes)
     for node in nodes:
-        if not node.shape.d_in_row:
-            assert node.rows_by_binding == {}
-            continue
-        grouped: dict = {}
-        for row in node.rows:
-            grouped.setdefault(node.shape.binding_of(row), set()).add(row)
-        assert {b: set(rows) for b, rows in node.rows_by_binding.items()} == grouped
-        indexed = sum(len(rows) for rows in node.rows_by_binding.values())
-        assert indexed == len(node.rows)  # no row indexed twice
+        for binding, rows in node.row_index.items():
+            assert rows  # no empty bucket
+            for row in rows:
+                assert tuple(row[i] for i in node.shape.d_in_row) == binding
+        rows = held(node.row_index)
+        assert len(rows) == len(set(rows)) == node.tuples_stored  # none held twice
 
 
 class TestCyclicRowIndex:

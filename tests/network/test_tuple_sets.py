@@ -11,7 +11,7 @@ The invariants:
   meant "tuples" (``delivered_total``, per-receiver, computation), while
   ``physical_total`` counts deliveries;
 * the bulk join kernels probe each stage index once per *distinct* join key
-  per batch, so ``join_lookups`` stays at or below the per-tuple count;
+  per batch, so ``probe_lookups`` stays at or below the per-tuple count;
 * provenance survives the bulk paths row by row.
 """
 
@@ -162,14 +162,14 @@ class TestBulkJoinKernels:
         program = join_heavy_program()
         bulk = evaluate(program)
         assert bulk.answers == oracle_answers(program)
-        assert bulk.join_lookups == 49 <= 184
+        assert bulk.probe_lookups == 49 <= 184
 
     def test_distinct_key_probing_on_recursion(self):
         program = with_tables(left_recursive_tc_program(0), {"e": chain_edges(12)})
         bulk = evaluate(program)
         assert bulk.answers == oracle_answers(program)
         assert (len(bulk.answers), logical_rows(bulk)) == (11, 77)
-        assert bulk.join_lookups == 47 <= 47
+        assert bulk.probe_lookups == 47 <= 47
 
 
 class TestProvenanceUnderSets:

@@ -49,20 +49,20 @@ class TestAccessCounting:
         assert self.db.rows_retrieved == 3
 
     def test_lookup_bound_position(self):
-        rows = self.db.lookup("e", {0: 1})
+        rows = self.db.lookup("e", (0,), (1,))
         assert sorted(rows) == [(1, 2), (1, 3)]
         assert self.db.indexed_lookups == 1
         assert self.db.rows_retrieved == 2
 
     def test_lookup_two_positions(self):
-        assert self.db.lookup("e", {0: 1, 1: 3}) == [(1, 3)]
+        assert self.db.lookup("e", (0, 1), (1, 3)) == [(1, 3)]
 
     def test_lookup_no_bindings_is_full_retrieval(self):
-        rows = self.db.lookup("e", {})
+        rows = self.db.lookup("e", (), ())
         assert len(rows) == 3
 
     def test_lookup_unknown_predicate(self):
-        assert self.db.lookup("nope", {0: 1}) == []
+        assert self.db.lookup("nope", (0,), (1,)) == []
 
     def test_reset_counters(self):
         self.db.scan("e")

@@ -103,31 +103,31 @@ class TestDatabaseAddFacts:
 
     def test_relation_is_a_live_view_with_its_indexes(self):
         db = Database.from_facts([atom("p", "a", "b")])
-        assert db.lookup("p", {0: "a"}) == [("a", "b")]
+        assert db.lookup("p", (0,), ("a",)) == [("a", "b")]
         relation = db.relation("p")
         db.add_facts([atom("p", "a", "c")])
         assert db.relation("p") is relation
         assert ("a", "c") in relation
-        assert sorted(db.lookup("p", {0: "a"})) == [("a", "b"), ("a", "c")]
+        assert sorted(db.lookup("p", (0,), ("a",))) == [("a", "b"), ("a", "c")]
 
     def test_grown_indexes_equal_a_from_scratch_database(self):
         base = [atom("e", i, i + 1) for i in range(40)]
         extra = [atom("e", i % 10, 1000 + i) for i in range(25)]
         db = Database.from_facts(base)
-        for bound in [{0: 3}, {1: 4}, {0: 3, 1: 4}]:
-            db.lookup("e", bound)
+        for positions, key in [((0,), (3,)), ((1,), (4,)), ((0, 1), (3, 4))]:
+            db.lookup("e", positions, key)
         db.add_facts(extra[:10])
         db.add_facts(extra[10:])
         fresh = Database.from_facts(base + extra)
-        for bound in [{0: 3}, {1: 4}, {0: 3, 1: 4}]:
-            fresh.lookup("e", bound)
+        for positions, key in [((0,), (3,)), ((1,), (4,)), ((0, 1), (3, 4))]:
+            fresh.lookup("e", positions, key)
         assert db.relation("e") == fresh.relation("e")
         assert index_contents(db.relation("e")) == index_contents(fresh.relation("e"))
 
     def test_write_counters_follow_the_batch(self):
         db = Database.from_facts([atom("e", i, i + 1) for i in range(100)])
-        db.lookup("e", {0: 1})
-        db.lookup("e", {1: 2})
+        db.lookup("e", (0,), (1,))
+        db.lookup("e", (1,), (2,))
         version = db.version
         db.add_facts([atom("e", 1, 500), atom("e", 1, 501), atom("e", 0, 1)])
         assert (db.rows_added, db.index_entries_added) == (2, 4)
@@ -145,8 +145,8 @@ class TestDatabaseAddFacts:
 
     def test_arity_mismatch_with_existing_leaves_rows_and_indexes_untouched(self):
         db = Database.from_facts([atom("p", "a", "b"), atom("r", "x")])
-        db.lookup("p", {0: "a"})
-        db.lookup("r", {0: "x"})
+        db.lookup("p", (0,), ("a",))
+        db.lookup("r", (0,), ("x",))
         before = {name: index_contents(db.relation(name)) for name in ("p", "r")}
         version = db.version
         with pytest.raises(ValueError):
@@ -161,7 +161,7 @@ class TestDatabaseAddFacts:
         db = Database.from_facts([atom("p", "a", "b")])
         assert db.counters() == (0, 0, 0)
         db.scan("p")
-        db.lookup("p", {0: "a"})
+        db.lookup("p", (0,), ("a",))
         assert db.counters() == (1, 1, 2)
 
 
@@ -186,7 +186,7 @@ class TestInFlightMessagesAreSnapshots:
             in_flight = next(
                 (m for _, _, m in engine.scheduler._heap if isinstance(m, TupleSet)), None
             )
-        bucket = database.lookup("e", {0: "a"})
+        bucket = database.lookup("e", (0,), ("a",))
         carried = set(in_flight.rows)
         database.add_facts([atom("e", "a", 9)])
         assert ("a", 9) in bucket  # the handed-out bucket is the live one

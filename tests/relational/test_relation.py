@@ -61,6 +61,11 @@ class TestAccess:
     def test_index_memoized(self, edges):
         assert edges.index(("src",)) is edges.index(("src",))
 
+    def test_index_memoized_by_positions(self, edges):
+        assert edges.index(("dst", "src")) is edges.index_on((1, 0))
+        assert edges.index_on((1, 0)) is not edges.index_on((0, 1))
+        assert edges.index_positions == ((1, 0), (0, 1))
+
     def test_lookup_missing_key(self, edges):
         assert edges.lookup(("src",), (42,)) == []
 

@@ -42,20 +42,20 @@ class TestAccess:
         assert db.scans == 1 and db.rows_retrieved == 3
 
     def test_lookup_single_position(self, db):
-        rows = db.lookup("e", {0: 1})
+        rows = db.lookup("e", (0,), (1,))
         assert sorted(rows) == [(1, 2), (1, 3)]
         assert db.indexed_lookups == 1
 
     def test_lookup_two_positions(self, db):
-        assert db.lookup("e", {0: 1, 1: 3}) == [(1, 3)]
+        assert db.lookup("e", (0, 1), (1, 3)) == [(1, 3)]
 
     def test_lookup_second_position_uses_index(self, db):
         # The footnote-2 scenario: position-1 lookups are indexed too.
-        assert sorted(db.lookup("e", {1: 3})) == [(1, 3), (2, 3)]
+        assert sorted(db.lookup("e", (1,), (3,))) == [(1, 3), (2, 3)]
         assert db.relation("e").index_positions
 
     def test_lookup_no_bindings(self, db):
-        assert len(db.lookup("e", {})) == 3
+        assert len(db.lookup("e", (), ())) == 3
 
     def test_facts_roundtrip(self, db):
         facts = list(db.facts())

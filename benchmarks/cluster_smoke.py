@@ -12,7 +12,13 @@ The acceptance scenario for the multi-host shard runtime, end to end:
 3. repeat the query and assert the warm path: zero job-spec bytes shipped,
    a plan and an edb cache hit on both workers, the same answers and the
    same logical tuple-row total;
-4. re-run the query while a timer SIGKILLs one worker mid-flight, and
+4. evaluate a TC whose constants are ints, strings and floats (plus one
+   tuple constant, which takes the tagged-cell fallback): answer and row
+   columns mix types, so this puts the non-int column-block paths, and
+   rows that cannot be sorted, over real TCP; the answers must equal the
+   simulator's value for value and type for type, and the logical
+   tuple-row total must match exactly;
+5. re-run the 20k query while a timer SIGKILLs one worker mid-flight, and
    assert the supervised whole-query retry masks the loss: same answers,
    zero caller-visible errors, a crash verdict in the failure log.
 
@@ -59,6 +65,33 @@ def tc_20k_workload():
     )
     expected = {(i,) for i in range(1, 2047)}
     return program, expected, len(tree) + len(noise)
+
+
+def typed_tc_workload():
+    """TC over a 1,023-node binary tree whose node constants mix types.
+
+    Node ``i`` is the int ``i``, the string ``"n<i>"`` or the float
+    ``i + 0.5`` by ``i % 3``, and one extra leaf is the tuple ``("leaf",
+    7)``.  Row and answer columns mix types, which no row order can sort;
+    the answer column also carries the tuple, so it takes the tagged-cell
+    fallback.
+    """
+
+    def node(i: int):
+        return (i, f"n{i}", i + 0.5)[i % 3]
+
+    edges = [(node(i), node(2 * i + c)) for i in range(511) for c in (1, 2)]
+    edges.append((node(1), ("leaf", 7)))
+    program = left_recursive_tc_program(node(0)).with_facts(
+        facts_from_tables({"e": edges})
+    )
+    expected = {(node(i),) for i in range(1, 1023)} | {(("leaf", 7),)}
+    return program, expected
+
+
+def typed(answers) -> list:
+    """Answers as sorted ``repr`` strings: equal only if types match too."""
+    return sorted(map(repr, answers))
 
 
 def check(condition: bool, label: str, failures: list) -> None:
@@ -152,7 +185,48 @@ def main() -> int:
             },
         )
 
-        # -- Phase 3: SIGKILL one worker mid-query; retry must mask it.
+        # -- Phase 3: typed constants — mixed-type columns over TCP.
+        typed_program, typed_expected = typed_tc_workload()
+        typed_sim = evaluate(typed_program)
+        typed_rows = (
+            typed_sim.stats.by_kind.get("TupleMessage", 0)
+            + typed_sim.stats.tuple_set_rows
+        )
+        check(
+            typed(typed_sim.answers) == typed(typed_expected),
+            "typed-constant simulator matches the oracle",
+            failures,
+        )
+        start = time.perf_counter()
+        mixed = evaluate_cluster(typed_program, client=client, timeout=300)
+        t_mixed = time.perf_counter() - start
+        print(f"phase 3: typed-constant run in {t_mixed:.2f}s "
+              f"({mixed.cross_batches} cross-shard batches)")
+        check(
+            typed(mixed.answers) == typed(typed_sim.answers),
+            "typed-constant answers identical in value and type",
+            failures,
+        )
+        check(
+            mixed.logical_tuple_rows == typed_rows,
+            f"typed-constant logical tuple rows match exactly "
+            f"({mixed.logical_tuple_rows} == {typed_rows})",
+            failures,
+        )
+        check(mixed.attempts == 1, "typed-constant run needed no retry", failures)
+        print_record(
+            {
+                "bench": "cluster_smoke",
+                "workload": "tc-binary-typed-1023",
+                "runtime": "cluster",
+                "phase": "typed-constants",
+                "seconds": round(t_mixed, 4),
+                "logical_tuple_rows": mixed.logical_tuple_rows,
+                "answers": len(mixed.answers),
+            },
+        )
+
+        # -- Phase 4: SIGKILL one worker mid-query; retry must mask it.
         # A warm query finishes in ~0.1 s, too fast for a timer to land
         # inside it, so the first attempt runs over a slow hop (50 ms per
         # batch on one link) that holds it open well past the kill.
@@ -175,7 +249,7 @@ def main() -> int:
         finally:
             killer.cancel()
         t_survived = time.perf_counter() - start
-        print(f"phase 3: SIGKILL at {kill_delay:.2f}s, query finished in "
+        print(f"phase 4: SIGKILL at {kill_delay:.2f}s, query finished in "
               f"{t_survived:.2f}s after {survived.attempts} attempt(s)")
         check(
             survived.answers == expected,
@@ -209,8 +283,8 @@ def main() -> int:
     if failures:
         print(f"CLUSTER SMOKE FAILURES: {failures}", file=sys.stderr)
         return 1
-    print("cluster smoke ok: parity, exact logical accounting, warm repeat "
-          "and SIGKILL-survival all hold")
+    print("cluster smoke ok: parity, exact logical accounting, warm repeat, "
+          "typed constants and SIGKILL-survival all hold")
     return 0
 
 

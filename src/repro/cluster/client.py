@@ -33,7 +33,7 @@ from ..runtime.supervision import (
     WorkerCrashError,
     WorkerStallError,
 )
-from .framing import FrameError, FrameSocket, FrameType, encode_job
+from .framing import FrameError, FrameSocket, FrameType, encode_headed
 from .spec import (
     EDB,
     PLAN,
@@ -156,7 +156,7 @@ class ClusterClient:
         fs = self._acquire()
         try:
             try:
-                fs.send_frame(FrameType.JOB, encode_job(header, blob))
+                fs.send_frame(FrameType.JOB, encode_headed(header, blob))
                 frame = fs.recv_frame(timeout=timeout)
                 while frame.ftype != FrameType.RESULT:
                     frame = fs.recv_frame(timeout=timeout)

@@ -42,7 +42,7 @@ from ..relational.database import Database
 from ..runtime.faults import FaultPlan
 from ..runtime.sharded import ShardedQueryResult, evaluate_sharded
 from .client import ClusterClient, SpecMissError
-from .framing import rows_from_wire, rows_to_wire
+from .framing import rows_from_block, rows_to_block
 
 __all__ = ["ClusterLink", "cluster_transport", "evaluate_cluster"]
 
@@ -167,9 +167,9 @@ def cluster_transport(
             "batch_size": runtime.batch_size,
         }
         if bindings:
-            # Tagged value cells, like every row on the wire: lossless for
-            # any constant the in-process runtimes accept.
-            header["bindings"] = rows_to_wire([bindings])[0]
+            # A one-row column block, like every row on the wire: lossless
+            # for any constant the in-process runtimes accept.
+            header["bindings"] = rows_to_block((bindings,))
         if armed is not None:
             header["fault_plan"] = dataclasses.asdict(armed)
         for resend in (False, True):
@@ -186,7 +186,7 @@ def cluster_transport(
                     raise
                 shipped["resends"] += 1
         return ShardedQueryResult(
-            answers={tuple(row) for row in rows_from_wire(reply.get("answers", []))},
+            answers=set(rows_from_block(reply["answers"])),
             completed=True,
             workers=reply.get("workers", 0),
             driver_last_seq_sent=reply.get("seq", 0),

@@ -14,20 +14,30 @@ The version byte leads every frame so a peer speaking a different protocol
 revision is detected on the *first* byte of the handshake and rejected with
 a typed error instead of a confusing parse failure mid-stream.
 
-Payloads are JSON (the container has no msgpack; JSON is the stdlib
-fallback the format was specified to allow) except for ``JOB`` frames:
-their JSON header names the job's two spec parts by digest, and the
-pickled bytes of whichever parts the receiver lacks follow it (none at
-all on a warm repeat — see :mod:`repro.cluster.spec`).  Pickle is
-acceptable there because workers only ever connect to a manager the
-operator started — the cluster protocol is a trusted-peer protocol, like
-the multiprocessing queues it replaces — and the hot path (BATCH frames)
-never touches pickle.
+Payloads are JSON except in two frame types, which lead with a
+length-prefixed JSON *head* (:func:`encode_headed`) and carry a body after
+it.  A ``JOB`` head names the job's two spec parts by digest, and the
+pickled bytes of whichever parts the receiver lacks follow it (none at all
+on a warm repeat — see :mod:`repro.cluster.spec`).  Pickle is acceptable
+there because workers only ever connect to a manager the operator started
+— the cluster protocol is a trusted-peer protocol, like the
+multiprocessing queues it replaces.  A ``BATCH`` head is the routing
+information (``j`` job, ``o`` origin shard, ``d`` destination shard, ``s``
+cumulative logical-sent total) and its body the JSON-coded
+:class:`MessageBatch`; the manager reads the head and forwards the
+received bytes unparsed.
 
-Datalog constants are almost always strings and ints, which JSON carries
-natively; any other (hashable) constant rides in a tagged
-``["p", <base64 pickle>]`` cell so the round-trip is lossless for every
-value the in-process runtimes accept.
+Rows travel as *column blocks* (:func:`rows_to_block`): one
+``[row count, columns]`` value per message for a :class:`TupleSet`'s
+rows, a packaged request's bindings, a single request's binding or
+message's row, the driver's answers and a job's bindings.  Datalog
+constants are almost always strings and ints, so a column whose values
+are all exactly ``int``/``str``/``float``/``bool``/``None`` is a plain
+JSON list, encoded and decoded by the ``json`` module's C code with no
+Python call per value.  Any other column falls back to tagged cells —
+JSON-native values as they are, anything else a ``["p", <base64
+pickle>]`` cell — so the round trip is lossless (and exact in type) for
+every value the in-process runtimes accept.
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ import json
 import pickle
 import struct
 from collections import deque
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..network.messages import (
     ComponentDone,
@@ -62,17 +72,21 @@ __all__ = [
     "FrameReader",
     "FrameSocket",
     "encode_frame",
-    "encode_job",
-    "decode_job",
+    "encode_headed",
+    "decode_headed",
     "encode_messages",
     "decode_messages",
-    "rows_to_wire",
-    "rows_from_wire",
+    "encode_batch",
+    "decode_batch",
+    "encode_batch_payload",
+    "rows_to_block",
+    "rows_from_block",
+    "row_from_block",
 ]
 
 #: Bumped on any incompatible change to frames or payload schemas.  The
 #: handshake (HELLO/WELCOME) rejects mismatched peers with a REJECT frame.
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 #: Frame header: version byte, type byte, unsigned big-endian payload size.
 _HEADER = struct.Struct("!BBI")
@@ -136,23 +150,26 @@ def encode_frame(
     return _HEADER.pack(version, ftype, len(payload)) + payload
 
 
+def _dumps(obj) -> bytes:
+    return json.dumps(obj, separators=(",", ":")).encode("utf-8")
+
+
 def encode_json_frame(ftype: int, obj: dict, version: int = PROTOCOL_VERSION) -> bytes:
     """A frame whose payload is a compact JSON object."""
-    payload = json.dumps(obj, separators=(",", ":")).encode("utf-8")
-    return encode_frame(ftype, payload, version)
+    return encode_frame(ftype, _dumps(obj), version)
 
 
-def encode_job(header: dict, blob: bytes = b"") -> bytes:
-    """A JOB payload: ``u32 header length + JSON header + spec-part bytes``."""
-    head = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    return struct.pack("!I", len(head)) + head + blob
+def encode_headed(head: dict, body: bytes = b"") -> bytes:
+    """A JOB or BATCH payload: ``u32 head length + JSON head + body bytes``."""
+    head_bytes = _dumps(head)
+    return struct.pack("!I", len(head_bytes)) + head_bytes + body
 
 
-def decode_job(payload: bytes) -> tuple[dict, bytes]:
-    """Inverse of :func:`encode_job`: ``(header, spec-part bytes)``."""
-    (header_len,) = struct.unpack_from("!I", payload)
-    header = json.loads(payload[4 : 4 + header_len].decode("utf-8"))
-    return header, payload[4 + header_len :]
+def decode_headed(payload: bytes) -> tuple[dict, bytes]:
+    """Inverse of :func:`encode_headed`: ``(head, body bytes)``."""
+    (head_len,) = struct.unpack_from("!I", payload)
+    head = json.loads(payload[4 : 4 + head_len].decode("utf-8"))
+    return head, payload[4 + head_len :]
 
 
 class FrameReader:
@@ -214,7 +231,7 @@ class FrameSocket:
             self.bytes_out += len(data)
 
     def send_json(self, ftype: int, obj: dict) -> None:
-        self.send_frame(ftype, json.dumps(obj, separators=(",", ":")).encode("utf-8"))
+        self.send_frame(ftype, _dumps(obj))
 
     def recv_frame(self, timeout: Optional[float] = None) -> Frame:
         """Next frame, blocking; raises :class:`FrameError` on EOF."""
@@ -237,11 +254,15 @@ class FrameSocket:
 
 
 # ----------------------------------------------------------------------
-# Value / message codec.
+# Row blocks.
 # ----------------------------------------------------------------------
+#: Value types JSON carries exactly: each decodes to its own type again.
+_NATIVE = frozenset({int, str, float, bool, type(None)})
+
+
 def _encode_value(value):
-    """JSON-native scalars pass through; anything else is a tagged pickle."""
-    if value is None or isinstance(value, (str, int, float, bool)):
+    """A tagged cell: JSON-native values pass through, anything else pickles."""
+    if type(value) in _NATIVE:
         return value
     return ["p", base64.b64encode(pickle.dumps(value)).decode("ascii")]
 
@@ -252,21 +273,45 @@ def _decode_value(cell):
     return cell
 
 
-def _encode_row(row: tuple) -> list:
-    return [_encode_value(v) for v in row]
+def _encode_column(column: tuple):
+    """A plain JSON list when every value is JSON-native, else tagged cells."""
+    if _NATIVE.issuperset(map(type, column)):
+        return column
+    return {"t": [_encode_value(v) for v in column]}
 
 
-def _decode_row(cells: list) -> tuple:
-    return tuple(_decode_value(c) for c in cells)
+def _decode_column(column):
+    if type(column) is list:
+        return column
+    return [_decode_value(cell) for cell in column["t"]]
 
 
-def rows_to_wire(rows: Iterable[tuple]) -> list:
-    """Encode an iterable of rows deterministically (sorted for stability)."""
-    return [_encode_row(row) for row in sorted(rows)]
+def rows_to_block(rows) -> list:
+    """A sized collection of same-arity rows as one ``[count, columns]`` block.
+
+    Rows keep their iteration order and are never sorted: an answer column
+    may mix ``int`` and ``str``, and every receiver builds a set anyway.
+    The count rides along because nullary rows have no columns to count.
+    """
+    try:
+        columns = list(zip(*rows, strict=True))
+    except ValueError:
+        raise FrameError("rows of mixed arity cannot share one block") from None
+    return [len(rows), [_encode_column(c) for c in columns]]
 
 
-def rows_from_wire(cells: list) -> list[tuple]:
-    return [_decode_row(row) for row in cells]
+def rows_from_block(block: list):
+    """Inverse of :func:`rows_to_block`: an iterable of row tuples."""
+    count, columns = block
+    if not columns:
+        return [()] * count
+    return zip(*map(_decode_column, columns), strict=True)
+
+
+def row_from_block(block: list) -> tuple:
+    """The one row of a single-row block."""
+    (row,) = rows_from_block(block)
+    return row
 
 
 #: Message class <-> wire tag.  The codec is exhaustive over the wire
@@ -280,19 +325,19 @@ def _enc_relation_request(m: RelationRequest) -> list:
 
 
 def _enc_tuple_request(m: TupleRequest) -> list:
-    return [_encode_row(m.binding), m.seq]
+    return [rows_to_block((m.binding,)), m.seq]
 
 
 def _enc_packaged(m: PackagedTupleRequest) -> list:
-    return [[_encode_row(b) for b in m.bindings], m.seq]
+    return [rows_to_block(m.bindings), m.seq]
 
 
 def _enc_tuple_message(m: TupleMessage) -> list:
-    return [_encode_row(m.row)]
+    return [rows_to_block((m.row,))]
 
 
 def _enc_tuple_set(m: TupleSet) -> list:
-    return [[_encode_row(r) for r in m.rows]]
+    return [rows_to_block(m.rows)]
 
 
 def _enc_round(m) -> list:
@@ -315,12 +360,12 @@ _ENCODERS = {
 
 _DECODERS = {
     "rr": lambda s, r, a: RelationRequest(s, r, tuple(a[0])),
-    "tr": lambda s, r, a: TupleRequest(s, r, _decode_row(a[0]), a[1]),
+    "tr": lambda s, r, a: TupleRequest(s, r, row_from_block(a[0]), a[1]),
     "pr": lambda s, r, a: PackagedTupleRequest(
-        s, r, tuple(_decode_row(b) for b in a[0]), a[1]
+        s, r, tuple(rows_from_block(a[0])), a[1]
     ),
-    "tm": lambda s, r, a: TupleMessage(s, r, _decode_row(a[0])),
-    "ts": lambda s, r, a: TupleSet(s, r, frozenset(_decode_row(c) for c in a[0])),
+    "tm": lambda s, r, a: TupleMessage(s, r, row_from_block(a[0])),
+    "ts": lambda s, r, a: TupleSet(s, r, frozenset(rows_from_block(a[0]))),
     "em": lambda s, r, a: EndMessage(s, r, a[0]),
     "er": lambda s, r, a: EndRequest(s, r, a[0]),
     "en": lambda s, r, a: EndNegative(s, r, a[0]),
@@ -365,3 +410,13 @@ def encode_batch(batch: MessageBatch) -> list:
 
 def decode_batch(cells: list) -> MessageBatch:
     return MessageBatch(cells[0], tuple(decode_messages(cells[1])))
+
+
+def encode_batch_payload(head: dict, batch: MessageBatch) -> bytes:
+    """A BATCH payload: the routing head, then the JSON-coded batch.
+
+    The head (``j`` job, ``o`` origin, ``d`` destination shard, ``s`` the
+    link's cumulative logical-sent total) is all the manager reads; it
+    forwards the body bytes as they are.
+    """
+    return encode_headed(head, _dumps(encode_batch(batch)))

@@ -68,9 +68,9 @@ from .framing import (
     Frame,
     FrameType,
     _HEADER,
-    decode_job,
+    decode_headed,
     encode_frame,
-    encode_job,
+    encode_headed,
     encode_json_frame,
 )
 from .spec import (
@@ -424,12 +424,17 @@ class ClusterManager:
                 )
 
     async def _relay_batch(self, origin_link: _WorkerLink, frame: Frame) -> None:
-        """Forward one cross-shard batch, applying any armed link faults."""
-        head = json.loads(frame.payload.decode("utf-8"))
-        job = self._jobs.get(head.get("j"))
+        """Forward one cross-shard batch, applying any armed link faults.
+
+        Only the payload's routing head is parsed; the batch body travels
+        on as the bytes that arrived, unless a duplicated link needs its
+        row-carrying members re-sent.
+        """
+        head, body = decode_headed(frame.payload)
+        job = self._jobs.get(head["j"])
         if job is None:
             return  # late traffic from a concluded/aborted job
-        origin, dest = head.get("o", 0), head.get("d", 0)
+        origin, dest = head["o"], head["d"]
         data = encode_frame(FrameType.BATCH, frame.payload)
         if job.injector is not None:
             action = job.injector.on_batch(origin, dest)
@@ -441,16 +446,13 @@ class ClusterManager:
             if isinstance(action, float):
                 await asyncio.sleep(action)
             if action == "duplicate":
-                dup_messages = [m for m in head.get("m", ()) if m[0] in ("tm", "ts")]
+                batch_origin, members = json.loads(body)
+                dup = [m for m in members if m[0] in ("tm", "ts")]
                 await self._forward(job, dest, data)
-                if dup_messages:
-                    dup = dict(head)
-                    dup["m"] = dup_messages
-                    await self._forward(
-                        job,
-                        dest,
-                        encode_json_frame(FrameType.BATCH, dup),
-                    )
+                if dup:
+                    body = json.dumps([batch_origin, dup]).encode("utf-8")
+                    dup_frame = encode_frame(FrameType.BATCH, encode_headed(head, body))
+                    await self._forward(job, dest, dup_frame)
                 return
         await self._forward(job, dest, data)
 
@@ -514,7 +516,7 @@ class ClusterManager:
             writer.close()
 
     async def _run_job(self, frame: Frame, client_writer) -> None:
-        header, blob = decode_job(frame.payload)
+        header, blob = decode_headed(frame.payload)
         # Store what the frame carries, then resolve the job's digests to
         # blobs *now*: the references ride with the job, so nothing a
         # queued job needs can be evicted while it waits on the lock.
@@ -548,7 +550,7 @@ class ClusterManager:
         )
         for part in ship:
             link.spec[f"{part.kind}_bytes"] += len(part.blob)
-        await link.send(encode_frame(FrameType.JOB, encode_job(header, blob)))
+        await link.send(encode_frame(FrameType.JOB, encode_headed(header, blob)))
 
     async def _run_job_locked(
         self, header: dict, parts: list[Part], client_writer
@@ -630,7 +632,7 @@ class ClusterManager:
                 client_writer,
                 {
                     "ok": True,
-                    "answers": done.get("answers", []),
+                    "answers": done["answers"],
                     "seq": done.get("seq", 0),
                     "upto": done.get("upto", 0),
                     "workers": job.n_shards,

@@ -19,8 +19,9 @@ forked workers all inherit one engine — and runs the router and delivery
 loop it shares with the pool (``runtime/shard_loop.py``, including the
 held-end-request rule) with the queue fabric swapped for TCP frames:
 
-* a flushed buffer ships as one BATCH frame (the
-  :class:`~repro.network.messages.MessageBatch` envelope, JSON-coded);
+* a flushed buffer ships as one BATCH frame (a routing head, then the
+  :class:`~repro.network.messages.MessageBatch` envelope, JSON-coded with
+  its rows as column blocks);
 * the pool's RawArray ``sent`` counters become a cumulative logical-sent
   total piggybacked on every BATCH frame, so the receiver's
   ``pending_for`` stays a conservative in-transit bound (see
@@ -40,6 +41,7 @@ the re-registration.
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import queue as queue_module
@@ -59,11 +61,11 @@ from .framing import (
     FrameSocket,
     FrameType,
     PROTOCOL_VERSION,
-    decode_job,
-    decode_messages,
-    encode_messages,
-    rows_from_wire,
-    rows_to_wire,
+    decode_batch,
+    decode_headed,
+    encode_batch_payload,
+    row_from_block,
+    rows_to_block,
 )
 from .spec import EDB, PLAN, unpack_parts
 
@@ -109,16 +111,14 @@ class ClusterRouter(Router):
         self.known_sent: dict[int, int] = {}
 
     def _ship(self, dest: int, messages: list[Message]) -> None:
-        self.fs.send_json(
-            FrameType.BATCH,
-            {
-                "j": self.job_id,
-                "o": self.shard_id,
-                "d": dest,
-                "s": self.sent_total[dest],
-                "m": encode_messages(messages),
-            },
-        )
+        head = {
+            "j": self.job_id,
+            "o": self.shard_id,
+            "d": dest,
+            "s": self.sent_total[dest],
+        }
+        batch = MessageBatch(self.shard_id, tuple(messages))
+        self.fs.send_frame(FrameType.BATCH, encode_batch_payload(head, batch))
 
     def ingest(self, item: tuple[MessageBatch, int]) -> None:
         """Unpack one arrived BATCH: ``(batch, sender's cumulative total)``."""
@@ -185,7 +185,7 @@ class _JobContext:
         fault_plan = head.get("fault_plan")
         self.fault_plan = FaultPlan(**fault_plan) if fault_plan else None
         bindings = head.get("bindings")
-        self.bindings: tuple = rows_from_wire([bindings])[0] if bindings else ()
+        self.bindings: tuple = row_from_block(bindings) if bindings else ()
         self.plan_digest: str = head[PLAN]
         self.edb_digest: Optional[str] = head.get(EDB)
         # A hit means the part was resident before this job's frames
@@ -279,7 +279,7 @@ def _job_loop(fs: FrameSocket, ctx: _JobContext, resident: ResidentSpecs) -> Non
             FrameType.DONE,
             {
                 "j": ctx.job_id,
-                "answers": rows_to_wire(answers),
+                "answers": rows_to_block(answers),
                 "seq": seq,
                 "upto": upto,
             },
@@ -372,24 +372,17 @@ def _serve_connection(fs: FrameSocket, resident: ResidentSpecs) -> None:
         while True:
             frame = fs.recv_frame()
             if frame.ftype == FrameType.JOB:
-                head, blob = decode_job(frame.payload)
+                head, blob = decode_headed(frame.payload)
                 try:
                     current = _on_job_frame(fs, head, blob, current, resident)
                 except Exception:
                     # An unreadable spec part fails this job, not the worker.
                     _report_error(fs, head["j"], head["sh"])
             elif frame.ftype == FrameType.BATCH:
-                body = frame.json()
-                if current is not None and body.get("j") == current.job_id:
-                    current.inbox.put(
-                        (
-                            MessageBatch(
-                                body.get("o", 0),
-                                tuple(decode_messages(body.get("m", []))),
-                            ),
-                            body.get("s", 0),
-                        )
-                    )
+                head, body = decode_headed(frame.payload)
+                if current is not None and head["j"] == current.job_id:
+                    batch = decode_batch(json.loads(body))
+                    current.inbox.put((batch, head["s"]))
             elif frame.ftype == FrameType.STOP:
                 if current is not None and frame.json().get("j") == current.job_id:
                     current.inbox.put(_STOP)

@@ -143,7 +143,9 @@ def _shard_worker(
         heartbeats[shard_id] += 1
 
     def on_done(answers, seq: int, upto: int) -> None:
-        result_queue.put(("done", sorted(answers), (seq, upto)))
+        # A snapshot (the queue pickles later, on its feeder thread), never
+        # sorted: an answer column may mix int and str.
+        result_queue.put(("done", list(answers), (seq, upto)))
 
     try:
         run_shard_loop(

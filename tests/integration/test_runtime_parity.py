@@ -41,6 +41,7 @@ import sys
 import pytest
 
 from repro.baselines import naive
+from repro.core.parser import parse_program
 from repro.core.rulegoal import plan_graph
 from repro.core.sips import all_free_sip, greedy_sip
 from repro.network.engine import evaluate
@@ -336,3 +337,42 @@ class TestShapeGraphParity:
             timeout=60,
         ) as session:
             check_shape_parity(session)
+
+
+#: An answer column that mixes ``int`` and ``str``: such rows have no
+#: order, so a shard runtime must carry them without sorting.
+MIXED_KB = """
+t(X, Y) <- e(X, Y).
+t(X, Y) <- t(X, U), e(U, Y).
+e(1, 2). e(2, "a"). e("a", 3).
+?- t(1, Y).
+"""
+MIXED_ANSWERS = {(2,), ("a",), (3,)}
+
+
+class TestMixedTypeAnswers:
+    def check(self, run) -> None:
+        program = parse_program(MIXED_KB)
+        sim = evaluate(program, package_requests=True)
+        assert sim.answers == MIXED_ANSWERS
+        assert run.answers == MIXED_ANSWERS
+        assert run.attempts == 1
+        assert run.logical_tuple_rows == (
+            sim.stats.by_kind.get("TupleMessage", 0) + sim.stats.tuple_set_rows
+        )
+
+    def test_pool(self):
+        program = parse_program(MIXED_KB)
+        self.check(
+            evaluate_pool(program, workers=2, package_requests=True, timeout=60)
+        )
+
+    def test_cluster(self, cluster):
+        from repro.cluster import evaluate_cluster
+
+        program = parse_program(MIXED_KB)
+        self.check(
+            evaluate_cluster(
+                program, client=cluster, package_requests=True, timeout=60
+            )
+        )

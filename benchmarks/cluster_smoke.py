@@ -8,7 +8,9 @@ The acceptance scenario for the multi-host shard runtime, end to end:
 2. evaluate a ≥20k-fact bushy transitive closure and assert the answers
    are byte-identical to the in-process simulator's **and** the logical
    tuple-row total matches exactly (per-stream dedup makes that slice of
-   the accounting runtime-invariant);
+   the accounting runtime-invariant); the query is one strong component,
+   so the default placement puts every node on one shard and no batch
+   crosses between the workers;
 3. repeat the query and assert the warm path: zero job-spec bytes shipped,
    a plan and an edb cache hit on both workers, the same answers and the
    same logical tuple-row total;
@@ -18,9 +20,12 @@ The acceptance scenario for the multi-host shard runtime, end to end:
    rows that cannot be sorted, over real TCP; the answers must equal the
    simulator's value for value and type for type, and the logical
    tuple-row total must match exactly;
-5. re-run the 20k query while a timer SIGKILLs one worker mid-flight, and
-   assert the supervised whole-query retry masks the loss: same answers,
-   zero caller-visible errors, a crash verdict in the failure log.
+5. spread the 20k query's EDB replicas over both workers
+   (``edb_shards=2``), so batches cross the ``0->1`` link, and check a
+   clean run of that placement; then re-run it while a timer SIGKILLs one
+   worker mid-flight, and assert the supervised whole-query retry masks
+   the loss: same answers, zero caller-visible errors, a crash verdict in
+   the failure log.
 
 Each phase prints one JSON record line.  Exits non-zero on any failed
 check.  Usage::
@@ -135,6 +140,11 @@ def main() -> int:
             failures,
         )
         check(clean.workers == 2, "both workers served the job", failures)
+        check(
+            clean.cross_batches == 0,
+            "one-component query sent nothing between workers",
+            failures,
+        )
         print_record(
             {
                 "bench": "cluster_smoke",
@@ -227,6 +237,37 @@ def main() -> int:
         )
 
         # -- Phase 4: SIGKILL one worker mid-query; retry must mask it.
+        # The default placement keeps this query on one shard, so spread
+        # its EDB replicas to put traffic on the 0->1 link, and check a
+        # clean run of that placement first (it also ships its plan part).
+        spread = dict(shared, edb_shards=2)
+        start = time.perf_counter()
+        spread_clean = evaluate_cluster(program, client=client, timeout=300, **spread)
+        t_spread = time.perf_counter() - start
+        print(f"phase 4: clean spread run (edb_shards=2) in {t_spread:.2f}s "
+              f"({spread_clean.cross_batches} cross-shard batches)")
+        check(
+            spread_clean.cross_batches > 0,
+            "spread placement sends batches between workers",
+            failures,
+        )
+        check(
+            spread_clean.answers == expected
+            and spread_clean.logical_tuple_rows == sim_rows,
+            "spread answers and logical tuple rows match",
+            failures,
+        )
+        print_record(
+            {
+                "bench": "cluster_smoke",
+                "workload": f"tc-binary-{n_facts}",
+                "runtime": "cluster",
+                "phase": "spread-clean",
+                "seconds": round(t_spread, 4),
+                "cross_batches": spread_clean.cross_batches,
+                "logical_tuple_rows": spread_clean.logical_tuple_rows,
+            },
+        )
         # A warm query finishes in ~0.1 s, too fast for a timer to land
         # inside it, so the first attempt runs over a slow hop (50 ms per
         # batch on one link) that holds it open well past the kill.
@@ -244,7 +285,7 @@ def main() -> int:
                 retry=3,
                 timeout=300,
                 fault_plan=slow_first_attempt,
-                **shared,
+                **spread,
             )
         finally:
             killer.cancel()

@@ -235,9 +235,11 @@ def evaluate_cluster(
     processes dial in; blocks until ``workers`` or 1 register, bounded by
     ``timeout``), or — when none is given — a private two-worker
     localhost :class:`ClusterHarness` torn down after the call.
-    All other knobs match :func:`~repro.runtime.pool_engine.evaluate_pool`;
-    ``edb_shards`` defaults to the number of shards the manager actually
-    dispatches (it sends one shard per registered worker).
+    All other knobs match :func:`~repro.runtime.pool_engine.evaluate_pool`,
+    ``edb_shards`` included: it defaults to 1, so each EDB leaf runs whole
+    on its consumer's shard, and an explicit value > 1 spreads that many
+    replicas over the shards the manager dispatches (one per registered
+    worker).
     """
     return evaluate_sharded(
         program,

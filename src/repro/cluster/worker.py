@@ -247,9 +247,10 @@ def _report_error(fs: FrameSocket, job_id: int, shard_id: int) -> None:
 
 def _job_loop(fs: FrameSocket, ctx: _JobContext, resident: ResidentSpecs) -> None:
     spec = ctx.plan.spec
-    # Hash-partitioned EDB replicas default to one per shard, exactly as
-    # the pool runtime defaults ``edb_shards`` to its worker count.
-    replicas = spec["edb_shards"] or ctx.n_shards
+    # EDB leaves stay whole unless ``edb_shards`` asks for hash-partitioned
+    # replicas, exactly as in the pool runtime: a whole leaf runs on its
+    # consumer's shard, where more replicas would only add streams.
+    replicas = spec["edb_shards"] or 1
     # Fresh per-query node state over resident inputs: the graph and the
     # database (with whatever indexes earlier jobs built) are reused, the
     # engine — relations, streams, protocol counters — never is.

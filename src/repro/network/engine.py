@@ -40,16 +40,24 @@ __all__ = ["QueryResult", "MessagePassingEngine", "evaluate", "assign_shards"]
 
 
 def assign_shards(engine: "MessagePassingEngine", n_shards: int) -> dict[int, int]:
-    """Node -> shard placement for the pooled runtime.
+    """Node -> shard placement for the sharded runtimes (pool and cluster).
 
     Placement policy:
 
     * every strong component stays whole on one shard (round-robin over
       components, largest first), so the Fig-2 termination waves — and the
       dense intra-component tuple traffic — never cross a process boundary;
-    * EDB replicas are spread by replica index, one per shard when counts
-      match, so the hash-routed semijoin fan-out lands on distinct workers;
-    * remaining acyclic nodes round-robin; the driver pins to shard 0.
+      the driver pins to shard 0;
+    * EDB replicas (``edb_shards > 1``) are spread by replica index,
+      ``k % n_shards``, so the hash-routed semijoin fan-out lands on
+      distinct workers;
+    * every other node joins its consumers: it takes the lowest shard among
+      the nodes it answers to, resolved in one worklist pass from the driver
+      down.  A component thus takes its EDB leaves and acyclic feeders with
+      it, and a one-component query sends nothing between shards.
+
+    A pure function of the network and ``n_shards``: every worker computes
+    the same map.
     """
     n_shards = max(1, n_shards)
     assignment: dict[int, int] = {DRIVER_ID: 0}
@@ -63,9 +71,26 @@ def assign_shards(engine: "MessagePassingEngine", n_shards: int) -> dict[int, in
     for replica_ids in engine.edb_replicas.values():
         for k, replica_id in enumerate(replica_ids):
             assignment[replica_id] = k % n_shards
-    rest = sorted(nid for nid in engine.processes if nid not in assignment)
-    for index, node_id in enumerate(rest):
-        assignment[node_id] = index % n_shards
+    processes = engine.processes
+    # Kahn's order over the consumer arcs: a node is placed once all the
+    # nodes it answers to are, and then releases its own feeders.
+    waiting = {
+        nid: len(process.consumers)
+        for nid, process in processes.items()
+        if nid not in assignment
+    }
+    ready = list(assignment)
+    while ready:
+        for feeder_id in processes[ready.pop()].feeders:
+            if feeder_id not in waiting:
+                continue
+            waiting[feeder_id] -= 1
+            if waiting[feeder_id] == 0:
+                del waiting[feeder_id]
+                assignment[feeder_id] = min(
+                    assignment[c] for c in processes[feeder_id].consumers
+                )
+                ready.append(feeder_id)
     return assignment
 
 

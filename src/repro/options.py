@@ -153,7 +153,7 @@ class RuntimeOptions:
         Messages per cross-shard batch before a forced flush, >= 1.
     ``edb_shards``
         Hash-partition replicas per "d"-bound EDB leaf, >= 1 (``None``:
-        one per shard).
+        1, each leaf whole on its consumer's shard).
     ``cluster_address`` / ``cluster_listen``
         Cluster only, mutually exclusive: dial a running manager at
         ``"host:port"``, or announce one there (port ``0`` binds an

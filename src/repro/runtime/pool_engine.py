@@ -15,10 +15,12 @@ Three ideas carry the design:
 
 * **Sharding.**  ``repro.network.engine.assign_shards`` keeps every strong
   component whole on one shard (so termination waves and the dense recursive
-  tuple traffic are intra-process, delivered through a plain deque), spreads
-  EDB leaf replicas across shards (the engine's ``edb_shards`` partitioning:
-  each replica owns a hash partition of the "d" bindings, so semijoin
-  fan-out parallelizes), and round-robins the rest.
+  tuple traffic are intra-process, delivered through a plain deque) and
+  places every other node with its consumer, so a component takes its EDB
+  leaves and acyclic feeders with it.  EDB leaves stay whole by default; an
+  explicit ``edb_shards > 1`` partitions each into replicas (each owns a
+  hash partition of the "d" bindings) spread across shards, so semijoin
+  fan-out parallelizes.
 
 * **Batched channels.**  The shared router's per-destination buffers
   travel as one :class:`MessageBatch` per queue ``put``.
@@ -182,7 +184,7 @@ def _pool_attempt(
     engine = MessagePassingEngine(
         program,
         validate_protocol=False,  # the oracle belongs to the simulator
-        edb_shards=runtime.edb_shards or n_shards,
+        edb_shards=runtime.edb_shards or 1,
         database=database,
         graph=graph,
         bindings=bindings,
@@ -311,9 +313,10 @@ def evaluate_pool(
     The options are :class:`~repro.options.EvalOptions` and
     :class:`~repro.options.RuntimeOptions` fields (``retry`` also takes an
     attempt count): ``workers`` defaults to ``os.cpu_count()`` and
-    ``edb_shards`` to ``workers``.  Producers emit packaged answer sets,
-    batches carry them natively, and ingest merges adjacent rows;
-    cross-shard counters (``cross_messages``) are in logical tuples.
+    ``edb_shards`` to 1 (unpartitioned EDB leaves).  Producers emit
+    packaged answer sets, batches carry them natively, and ingest merges
+    adjacent rows; cross-shard counters (``cross_messages``) are in
+    logical tuples.
 
     Fault tolerance: every attempt runs under a :class:`Supervisor` —
     a crashed worker raises :class:`~repro.runtime.supervision

@@ -26,9 +26,10 @@ import pytest
 
 from repro.baselines import naive
 from repro.cluster import ClusterHarness, evaluate_cluster
+from repro.network.engine import evaluate
 from repro.runtime.faults import FaultPlan
 from repro.runtime.supervision import WorkerStallError
-from repro.workloads import ancestor_program, chain_edges
+from repro.workloads import ancestor_program, chain_edges, left_recursive_tc_program
 
 from tests.helpers import with_tables
 
@@ -40,6 +41,19 @@ pytestmark = pytest.mark.skipif(
 
 def make_program():
     return with_tables(ancestor_program(0), {"par": chain_edges(8)})
+
+
+def check_spread_run(client, expected) -> None:
+    """A fault-free run over the spread placement the fault scenarios use.
+
+    The ancestor query is one strong component, so by default every node
+    sits on shard 0 and nothing crosses a link; ``edb_shards=2`` puts half
+    of the EDB replicas on shard 1, so both workers and the ``0->1`` link
+    carry traffic.
+    """
+    result = evaluate_cluster(make_program(), client=client, edb_shards=2, timeout=60)
+    assert result.cross_batches > 0
+    assert result.answers == expected
 
 
 @pytest.fixture(scope="module")
@@ -94,11 +108,13 @@ class TestWorkerLoss:
         retry: the wedged process never recovers, so every attempt would
         stall; the single-attempt verdict is what this test pins.)
         """
+        check_spread_run(own_cluster.client(), expected)
         plan = FaultPlan(wedge_worker=1, wedge_after=2)
         with pytest.raises(WorkerStallError):
             evaluate_cluster(
                 make_program(),
                 client=own_cluster.client(),
+                edb_shards=2,
                 fault_plan=plan,
                 heartbeat_interval=0.3,
                 timeout=30,
@@ -118,10 +134,12 @@ class TestLinkFaults:
         re-registration from the manager's registry once the worker is
         back.
         """
+        check_spread_run(own_cluster.client(), expected)
         plan = FaultPlan(drop_link="0->1", drop_link_after=0, only_attempt=1)
         result = evaluate_cluster(
             make_program(),
             client=own_cluster.client(),
+            edb_shards=2,
             retry=3,
             fault_plan=plan,
             timeout=60,
@@ -161,9 +179,11 @@ class TestLinkFaults:
         result = evaluate_cluster(
             make_program(),
             client=shared_cluster,
+            edb_shards=2,
             fault_plan=plan,
             timeout=60,
         )
+        assert result.cross_batches > 0, "the 0->1 link must carry batches"
         assert result.answers == expected
         assert result.attempts == 1
         assert not result.failure_log
@@ -172,8 +192,9 @@ class TestLinkFaults:
 class TestTransportAccounting:
     def test_result_carries_wire_counters(self, shared_cluster, expected):
         result = evaluate_cluster(
-            make_program(), client=shared_cluster, timeout=60
+            make_program(), client=shared_cluster, edb_shards=2, timeout=60
         )
+        assert result.cross_batches > 0
         assert result.answers == expected
         assert result.workers == 2
         assert set(result.transport) == {"worker-0", "worker-1"}
@@ -188,6 +209,24 @@ class TestTransportAccounting:
         assert stats["registered"] == 2
         assert stats["jobs_dispatched"] >= 1
         assert set(stats["workers"]) == {"worker-0", "worker-1"}
+
+
+class TestPlacement:
+    def test_one_component_query_sends_nothing_between_workers(
+        self, shared_cluster
+    ):
+        """The default placement keeps a one-component query on one shard:
+        the component takes its EDB leaves and acyclic feeders with it."""
+        tree = [(i, 2 * i + c) for i in range(31) for c in (1, 2)]
+        program = with_tables(left_recursive_tc_program(0), {"e": tree})
+        sim = evaluate(program)
+        result = evaluate_cluster(program, client=shared_cluster, timeout=60)
+        assert result.workers == 2
+        assert result.cross_batches == 0
+        assert result.answers == sim.answers
+        assert result.logical_tuple_rows == (
+            sim.stats.by_kind.get("TupleMessage", 0) + sim.stats.tuple_set_rows
+        )
 
 
 class TestAnnouncedManager:

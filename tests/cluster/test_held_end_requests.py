@@ -1,8 +1,8 @@
 """Held end requests: a wave blocked on remote input waits, it does not spin.
 
 The recursive component of a transitive closure lives whole on one shard
-while half of its EDB replicas live on the other, so its members keep
-waiting on cross-shard answers.  Before the hold rule the component's
+while half of its EDB replicas (``edb_shards=2``, spread ``k % 2``) live
+on the other, so its members keep waiting on cross-shard answers.  Before the hold rule the component's
 leader re-probed on every negative wave — over a thousand protocol
 deliveries for a query whose simulator run needs 42.  With it
 (``runtime/shard_loop.py``) an ``EndRequest`` for a non-idle member is set
@@ -38,6 +38,7 @@ def workload():
 
 
 def assert_bounded(run, sim) -> None:
+    assert run.cross_batches > 0, "the replicas must sit across a shard boundary"
     assert run.answers == sim.answers
     assert run.attempts == 1
     assert run.held_end_requests > 0, "the workload must exercise the hold rule"
@@ -49,7 +50,9 @@ def assert_bounded(run, sim) -> None:
 
 def test_pool_holds_blocked_end_requests(workload):
     program, sim = workload
-    run = evaluate_pool(program, workers=2, package_requests=True, timeout=60)
+    run = evaluate_pool(
+        program, workers=2, edb_shards=2, package_requests=True, timeout=60
+    )
     assert_bounded(run, sim)
 
 
@@ -57,7 +60,11 @@ def test_cluster_holds_blocked_end_requests(workload):
     program, sim = workload
     with ClusterHarness(workers=2) as harness:
         run = evaluate_cluster(
-            program, client=harness.client(), package_requests=True, timeout=60
+            program,
+            client=harness.client(),
+            edb_shards=2,
+            package_requests=True,
+            timeout=60,
         )
     assert_bounded(run, sim)
     assert run.held_end_requests == sum(

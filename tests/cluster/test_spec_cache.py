@@ -217,7 +217,10 @@ class TestMissesHealInBand:
         digest = client.specs.edb(shared["database"]).digest
         harness.manager.manager.workers["worker-0"].has.add(digest)
 
-        result = evaluate_cluster(program, client=client, timeout=60, **shared)
+        result = evaluate_cluster(
+            program, client=client, edb_shards=2, timeout=60, **shared
+        )
+        assert result.cross_batches > 0
         assert result.answers == evaluate(program).answers
         assert result.attempts == 1
         assert result.transport["worker-0"]["spec"]["resends"] == 1
@@ -279,6 +282,7 @@ class TestMissesHealInBand:
         shared = dict(
             graph=build_rule_goal_graph(program),
             database=Database.from_facts(program.facts),
+            edb_shards=2,
         )
         expected = evaluate(program).answers
         client = ClusterClient(address)
@@ -286,6 +290,7 @@ class TestMissesHealInBand:
         try:
             manager.wait_for_workers(2, timeout=30)
             first = evaluate_cluster(program, client=client, timeout=60, **shared)
+            assert first.cross_batches > 0
             assert first.answers == expected and first.spec_bytes_shipped > 0
 
             manager.stop()
@@ -298,6 +303,7 @@ class TestMissesHealInBand:
             healed = evaluate_cluster(
                 program, client=client, retry=3, timeout=60, **shared
             )
+            assert healed.cross_batches > 0
             assert healed.answers == expected
             assert not healed.degraded
             assert healed.spec["resends"] == 1

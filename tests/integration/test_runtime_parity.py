@@ -10,6 +10,14 @@ coalesce / package-requests knobs, the planner and SIP on or off, and
 three pool placements, all runtimes must produce exactly the naive
 oracle's answer set.
 
+The pool and cluster columns run a *spread* placement: ``edb_shards``
+equal to the worker count puts EDB replicas on every shard, so rows cross
+between workers even where the default placement (every node on its
+consumer's shard) keeps a one-component query on one shard, and the cells
+assert that some batch crossed (see :func:`assert_crossed` for the cells
+that have nothing to spread).  The cluster column also runs the default
+placement once.
+
 The pool and cluster columns additionally pin the *logical* accounting:
 per-stream dedup makes the set of tuple rows each stream carries a
 property of the least fixpoint, not of scheduling, so a sharded run's
@@ -26,7 +34,8 @@ asyncio column; its second run is now the simulator under seeded random
 delivery, another interleaving of the same network with the Theorem 3.1
 oracle still switched on.  ``test_multiprocessing`` once ran one OS
 process per node; it now runs the pool at its finest placement
-(``workers=8, batch_size=1``), a configuration no other column runs.  The
+(``workers=8, batch_size=1, edb_shards=8``), a configuration no other
+column runs.  The
 ``no-tuple-sets`` / ``row-kernels`` knob ids are described at
 :data:`KNOBS`.
 
@@ -174,6 +183,17 @@ def simulator_rows(program, sip, coalesce, package, planner) -> int:
     return sim.stats.by_kind.get("TupleMessage", 0) + sim.stats.tuple_set_rows
 
 
+def assert_crossed(run, sip) -> None:
+    """The spread placement put batches between workers.
+
+    Under ``all_free_sip`` no EDB leaf has a "d" position, so there is no
+    replica to spread, and a one-component or non-recursive query runs on
+    one shard whatever ``edb_shards`` says.
+    """
+    if sip is not all_free_sip:
+        assert run.cross_batches > 0
+
+
 @pytest.fixture(scope="module")
 def oracles():
     """The naive minimum-model answers, computed once per workload."""
@@ -227,11 +247,13 @@ class TestRuntimeParity:
             sip_factory=sip,
             workers=8,
             batch_size=1,
+            edb_shards=8,
             coalesce=coalesce,
             package_requests=package,
             planner=planner,
             timeout=60,
         )
+        assert_crossed(run, sip)
         assert run.answers == oracles[name], (
             f"{name}: pool diverged (workers=8, batch_size=1)"
         )
@@ -249,11 +271,13 @@ class TestRuntimeParity:
             sip_factory=sip,
             workers=2,
             batch_size=batch_size,
+            edb_shards=2,
             coalesce=coalesce,
             package_requests=package,
             planner=planner,
             timeout=60,
         )
+        assert_crossed(run, sip)
         assert run.answers == oracles[name], (
             f"{name}: pool diverged (batch_size={batch_size})"
         )
@@ -278,15 +302,23 @@ class TestRuntimeParity:
         # the second run finds both spec parts resident on every worker.
         database = Database.from_facts(program.facts)
         graph = plan_graph(program, planner, sip, database, coalesce=coalesce)
-        for temperature in ("cold", "warm"):
+        # Cold and warm run the spread placement; "default" leaves
+        # edb_shards unset, so each node runs on its consumer's shard.
+        spread = {"edb_shards": 2}
+        for temperature, placement in (
+            ("cold", spread), ("warm", spread), ("default", {})
+        ):
             run = evaluate_cluster(
                 program,
                 client=cluster,
                 timeout=60,
                 graph=graph,
                 database=database,
+                **placement,
                 **knobs,
             )
+            if placement:
+                assert_crossed(run, sip)
             assert run.answers == oracles[name], (
                 f"{name}: {temperature} cluster run diverged"
             )
@@ -354,6 +386,7 @@ class TestMixedTypeAnswers:
     def check(self, run) -> None:
         program = parse_program(MIXED_KB)
         sim = evaluate(program, package_requests=True)
+        assert run.cross_batches > 0
         assert sim.answers == MIXED_ANSWERS
         assert run.answers == MIXED_ANSWERS
         assert run.attempts == 1
@@ -364,7 +397,9 @@ class TestMixedTypeAnswers:
     def test_pool(self):
         program = parse_program(MIXED_KB)
         self.check(
-            evaluate_pool(program, workers=2, package_requests=True, timeout=60)
+            evaluate_pool(
+                program, workers=2, edb_shards=2, package_requests=True, timeout=60
+            )
         )
 
     def test_cluster(self, cluster):
@@ -373,6 +408,10 @@ class TestMixedTypeAnswers:
         program = parse_program(MIXED_KB)
         self.check(
             evaluate_cluster(
-                program, client=cluster, package_requests=True, timeout=60
+                program,
+                client=cluster,
+                edb_shards=2,
+                package_requests=True,
+                timeout=60,
             )
         )

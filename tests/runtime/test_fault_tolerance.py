@@ -18,7 +18,10 @@ The ``[mp]`` ids and ``TestSessionRuntimes::test_mp_session_matches_simulator``
 keep a retired name: the one-OS-process-per-node runtime they once drove
 is gone, and the ``mp`` column now runs the pool at ``workers=4,
 batch_size=1`` — a second placement beside the ``pool`` column's two
-workers and default batches.
+workers and default batches.  Both columns spread EDB replicas over every
+worker (``edb_shards`` = workers): the query is one strong component, which
+the default placement keeps on one shard, and a fault on a link or a
+second worker needs traffic there to bite.
 """
 
 import multiprocessing as mp
@@ -74,13 +77,18 @@ def expected():
 
 #: Two pool placements, normalized to runner(program, **fault_kwargs).
 #: Worker index 0 always receives traffic: the pool puts the driver on
-#: shard 0.
+#: shard 0; the spread EDB replicas put traffic on every other worker.
 RUNNERS = {
     "pool": lambda program, **kw: evaluate_pool(
-        program, workers=2, timeout=kw.pop("timeout", 60), **kw
+        program, workers=2, edb_shards=2, timeout=kw.pop("timeout", 60), **kw
     ),
     "mp": lambda program, **kw: evaluate_pool(
-        program, workers=4, batch_size=1, timeout=kw.pop("timeout", 60), **kw
+        program,
+        workers=4,
+        batch_size=1,
+        edb_shards=4,
+        timeout=kw.pop("timeout", 60),
+        **kw,
     ),
 }
 
@@ -187,6 +195,7 @@ class TestRecovery:
             fault_plan=FaultPlan(kill_worker=0, kill_after=2, only_attempt=1),
             retry=2,
         )
+        assert result.cross_batches > 0
         assert result.answers == expected
         assert result.attempts == 2
         assert not result.degraded
@@ -200,6 +209,7 @@ class TestRecovery:
             fault_plan=FaultPlan(raise_in_node="t(", raise_after=1, only_attempt=1),
             retry=RetryPolicy(max_attempts=3),
         )
+        assert result.cross_batches > 0
         assert result.answers == expected
         assert result.attempts == 2
         assert not result.degraded
@@ -245,6 +255,7 @@ class TestTeardown:
             make_program(),
             fault_plan=FaultPlan(drop_stop_for=1),
         )
+        assert result.cross_batches > 0
         assert result.answers == expected
         assert time.monotonic() - started < PROMPT
         assert_no_stray_children()
@@ -279,6 +290,8 @@ SURVIVABLE = {
 class TestParityUnderFaults:
     def test_answers_match_in_process_runtime(self, runtime, fault, expected):
         result = RUNNERS[runtime](make_program(), **SURVIVABLE[fault])
+        # A degraded result answered in-process and ran no worker at all.
+        assert result.degraded or result.cross_batches > 0
         assert result.answers == expected, f"{runtime}/{fault} diverged"
         assert_no_stray_children()
 

@@ -28,7 +28,9 @@ pytestmark = pytest.mark.skipif(
 
 
 def _finest_pool(program, **options):
-    return evaluate_pool(program, workers=8, batch_size=1, timeout=60, **options)
+    return evaluate_pool(
+        program, workers=8, batch_size=1, edb_shards=8, timeout=60, **options
+    )
 
 
 class TestMultiprocessingRuntime:
@@ -46,11 +48,13 @@ class TestMultiprocessingRuntime:
     def test_mutual_recursion(self):
         program = with_tables(mutual_recursion_program(0), {"e": chain_edges(6)})
         result = _finest_pool(program)
+        assert result.cross_batches > 0
         assert result.answers == oracle_answers(program)
 
     def test_empty_answer_set_still_terminates(self):
         program = with_tables(ancestor_program("nobody"), {"par": chain_edges(4)})
         result = _finest_pool(program)
+        assert result.cross_batches > 0
         assert result.completed and result.answers == set()
 
     def test_repeated_runs_stable(self, p1_small):

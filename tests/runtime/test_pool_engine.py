@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from repro.core.parser import parse_program
 from repro.network.engine import MessagePassingEngine, assign_shards
+from repro.network.nodes import DRIVER_ID
 from repro.runtime.pool_engine import evaluate_pool
 from repro.workloads import (
     ancestor_program,
@@ -13,6 +15,7 @@ from repro.workloads import (
     left_recursive_tc_program,
     mutual_recursion_program,
     nonlinear_tc_program,
+    program_p1,
     random_digraph_edges,
 )
 
@@ -21,6 +24,21 @@ from tests.helpers import oracle_answers, with_tables
 pytestmark = pytest.mark.skipif(
     sys.platform not in ("linux", "darwin"), reason="fork start method required"
 )
+
+
+def two_component_program():
+    """A join of two independent left-recursive closures: two components."""
+    program = parse_program(
+        """
+        q(X, Y) <- t(X, U), s(U, Y).
+        t(X, Y) <- e(X, Y).
+        t(X, Y) <- t(X, U), e(U, Y).
+        s(X, Y) <- f(X, Y).
+        s(X, Y) <- s(X, U), f(U, Y).
+        ?- q(0, Y).
+        """
+    )
+    return with_tables(program, {"e": chain_edges(4), "f": chain_edges(4)})
 
 
 class TestPoolRuntime:
@@ -37,6 +55,14 @@ class TestPoolRuntime:
         assert result.cross_messages == 0
         assert result.cross_batches == 0
 
+    def test_one_component_query_crosses_nothing(self):
+        # Default placement: the component, its EDB leaves (one replica
+        # each) and its acyclic feeders all share the driver's shard.
+        program = with_tables(left_recursive_tc_program(0), {"e": chain_edges(10)})
+        result = evaluate_pool(program, workers=2, timeout=60)
+        assert result.cross_batches == 0
+        assert result.answers == oracle_answers(program)
+
     def test_recursive_cycle(self):
         program = with_tables(nonlinear_tc_program(0), {"e": cycle_edges(6)})
         result = evaluate_pool(program, workers=2, timeout=60)
@@ -44,12 +70,14 @@ class TestPoolRuntime:
 
     def test_mutual_recursion(self):
         program = with_tables(mutual_recursion_program(0), {"e": chain_edges(6)})
-        result = evaluate_pool(program, workers=3, timeout=60)
+        result = evaluate_pool(program, workers=3, edb_shards=3, timeout=60)
+        assert result.cross_batches > 0
         assert result.answers == oracle_answers(program)
 
     def test_empty_answer_set_still_terminates(self):
         program = with_tables(ancestor_program("nobody"), {"par": chain_edges(4)})
-        result = evaluate_pool(program, workers=2, timeout=60)
+        result = evaluate_pool(program, workers=2, edb_shards=2, timeout=60)
+        assert result.cross_batches > 0
         assert result.completed and result.answers == set()
 
     def test_batch_size_one_matches_batch_size_large(self):
@@ -63,12 +91,18 @@ class TestPoolRuntime:
 
     def test_batching_amortizes_queue_operations(self):
         # The point of the envelope: with batch_size > 1 the same traffic
-        # must ride in strictly fewer queue operations.
+        # must ride in strictly fewer queue operations.  A one-component
+        # query crosses no shard by default, so spread the EDB replicas.
         program = with_tables(
             left_recursive_tc_program(0), {"e": chain_edges(20)}
         )
-        unbatched = evaluate_pool(program, workers=2, batch_size=1, timeout=60)
-        batched = evaluate_pool(program, workers=2, batch_size=64, timeout=60)
+        unbatched = evaluate_pool(
+            program, workers=2, batch_size=1, edb_shards=2, timeout=60
+        )
+        batched = evaluate_pool(
+            program, workers=2, batch_size=64, edb_shards=2, timeout=60
+        )
+        assert unbatched.cross_batches > 0 and batched.cross_batches > 0
         assert unbatched.answers == batched.answers
         assert unbatched.cross_batches == unbatched.cross_messages
         assert batched.cross_batches < batched.cross_messages
@@ -118,10 +152,46 @@ class TestAssignShards:
         assert all(0 <= s < 4 for s in shard_of.values())
 
     def test_driver_lands_on_shard_zero(self, p1_small):
-        from repro.network.nodes import DRIVER_ID
-
         engine = MessagePassingEngine(p1_small, validate_protocol=False)
         assert assign_shards(engine, 3)[DRIVER_ID] == 0
+
+    @pytest.mark.parametrize("n_shards", [2, 3])
+    def test_one_component_query_lands_on_one_shard(self, n_shards):
+        # The component goes to shard 0 with the driver, and every acyclic
+        # node follows its consumer there: nothing is left to cross.
+        program = with_tables(left_recursive_tc_program(0), {"e": chain_edges(8)})
+        engine = MessagePassingEngine(program, validate_protocol=False)
+        assert len(engine.graph.strong_components()) == 1
+        assert set(assign_shards(engine, n_shards).values()) == {0}
+
+    @pytest.mark.parametrize(
+        "program",
+        [
+            program_p1(),
+            nonlinear_tc_program(0),
+            two_component_program(),
+            left_recursive_tc_program(0),
+        ],
+        ids=["p1", "nonlinear-tc", "two-components", "left-recursive-tc"],
+    )
+    def test_acyclic_nodes_follow_a_consumer(self, program):
+        engine = MessagePassingEngine(program, validate_protocol=False)
+        in_component = {
+            m for info in engine.graph.strong_components() for m in info.members
+        }
+        shard_of = assign_shards(engine, 3)
+        for node_id, process in engine.processes.items():
+            if node_id == DRIVER_ID or node_id in in_component:
+                continue
+            consumer_shards = {shard_of[c] for c in process.consumers}
+            assert shard_of[node_id] == min(consumer_shards), node_id
+
+    def test_two_components_still_spread(self):
+        engine = MessagePassingEngine(two_component_program(), validate_protocol=False)
+        components = engine.graph.strong_components()
+        assert len(components) == 2
+        shard_of = assign_shards(engine, 2)
+        assert {shard_of[min(info.members)] for info in components} == {0, 1}
 
     def test_edb_replicas_spread_across_shards(self):
         program = with_tables(

@@ -520,7 +520,8 @@ def _insert(
     ``positions``: a bare value for a single position unless
     ``tuple_keys`` (a "d" binding is always a tuple).  With no positions
     every row sits in the one bucket under ``()`` and the fresh rows are
-    one set difference.
+    one set difference.  A level whose key is the whole environment holds
+    no buckets: :func:`_insert_keyed` stores it.
     """
     if not positions:
         fresh = batch - index.get((), _NO_ROWS)
@@ -546,6 +547,28 @@ def _insert(
             bucket.add(row)
         add_row(row)
         add_key(key)
+    return fresh, fresh_keys
+
+
+def _insert_keyed(
+    index: dict, batch: AbstractSet[tuple], positions: Sequence[int]
+) -> tuple[list[tuple], list]:
+    """Add ``batch`` to a level whose join key is the whole environment.
+
+    Such a key names exactly one environment, so the level maps key ->
+    environment with no bucket around it: an environment is fresh exactly
+    when its key is absent, and a probe is one ``get``.  Returns the fresh
+    environments and their keys, aligned, in the batch's iteration order.
+    """
+    rows = list(batch)
+    fresh: list[tuple] = []
+    fresh_keys: list = []
+    add_row, add_key = fresh.append, fresh_keys.append
+    for row, key in zip(rows, ColumnBatch(rows).keys(positions)):
+        if key not in index:
+            index[key] = row
+            add_row(row)
+            add_key(key)
     return fresh, fresh_keys
 
 
@@ -846,9 +869,12 @@ class EdbLeafProcess(NodeProcess):
             # runtime) is served by its indexes.
             or 4 * len(message.bindings) < self._relation_size
         ):
-            gathered: list[tuple] = []
-            for binding in message.bindings:
-                gathered.extend(self._lookup_binding(binding))
+            probe_key, prefix = self._probe_key, self._const_prefix
+            gathered = self.database.lookup_many(
+                self.adorned.predicate,
+                self._probe_positions,
+                [probe_key(prefix + binding) for binding in message.bindings],
+            )
             self._emit(stream, gathered, network)
             return
         wanted = set(message.bindings)
@@ -876,6 +902,8 @@ class _Stage:
     received under it.  The environments the join meets live in the rule
     node's ``env_indexes``, keyed the same way, so a fresh row and a fresh
     environment each find their partners with one probe per distinct key.
+    When the key is the whole previous environment (``env_is_key``), that
+    level maps each key to its one environment instead of to a set.
     """
 
     __slots__ = (
@@ -891,6 +919,7 @@ class _Stage:
         # Kernel plan: compiled getters and gathers, fixed per node.
         "row_perm",  # "id": the row is its sub-environment; None: repeats
         "env_is_row",  # every environment reached here is its sub-environment
+        "env_is_key",  # the join key is the whole previous environment
         "suffix_positions",  # sub-environment positions of the merge suffix
         "suffix_get",  # sub-environment -> the merge suffix (the new variables)
         "d_env_positions",  # previous-env positions of the tuple-request binding
@@ -989,6 +1018,7 @@ class RuleNodeProcess(NodeProcess):
             # the kernels keep the sub-environment itself.
             stage.env_vars = prev_vars + new_vars
             stage.env_is_row = stage.env_vars == subenv_vars
+            stage.env_is_key = len(shared) == len(prev_vars)
             stage.suffix_positions = tuple(sub_pos[v] for v in new_vars)
             stage.suffix_get = _tuple_getter(stage.suffix_positions, len(subenv_vars))
             for pos in stage.shape.d_positions:
@@ -1006,13 +1036,16 @@ class RuleNodeProcess(NodeProcess):
                 stage_number
             )
 
-        #: The environments reached at each level, stored once: level 0
-        #: holds the head bindings, level ``j`` the environments after stage
+        #: The environments a later probe meets, stored once: level 0 holds
+        #: the head bindings, level ``j`` the environments after stage
         #: ``j``.  Each is keyed like the join it feeds (stage ``j + 1``'s
-        #: ``prev_key_positions``); the last level feeds no join and keeps
-        #: one bucket under ``()``.
-        self.env_indexes: list[dict[object, set[tuple]]] = [
-            {} for _ in range(len(self.stages) + 1)
+        #: ``prev_key_positions``): key -> set of environments, or key ->
+        #: the environment itself where that stage's ``env_is_key``.  The
+        #: last level feeds no join and has no store (see :meth:`_add_envs`),
+        #: except that a bodiless rule keeps its level 0 as one bucket under
+        #: ``()``.
+        self.env_indexes: list[dict[object, object]] = [
+            {} for _ in range(max(len(self.stages), 1))
         ]
 
         # Head-output plan: value source per parent row position (a head
@@ -1142,18 +1175,30 @@ class RuleNodeProcess(NodeProcess):
     # ------------------------------------------------------------------
     # The join: one insert-then-probe path for rows and environments
     # ------------------------------------------------------------------
-    def _add_envs(self, level: int, merged: Iterable[tuple], network: "Scheduler") -> None:
+    def _add_envs(self, level: int, merged: Sequence[tuple], network: "Scheduler") -> None:
         """Environments reached at ``level`` (0: head bindings, ``j``: after
         stage ``j``).  Below the last stage they enter the next stage's
-        join; at the last they are projected to head rows."""
+        join; at the last they are projected to head rows.
+
+        The last level of a rule with a body is not stored: nothing probes
+        it, and it could reject nothing.  Each (environment, row) pair is
+        joined once — by whichever of the two was inserted second — and the
+        join key plus the suffix determine the sub-environment, so distinct
+        pairs merge to distinct environments.  ``_emit_heads`` deduplicates
+        the head rows.  A bodiless rule's level 0 is re-entered on every
+        relation request, so it keeps its store.
+        """
         if level < len(self.stages):
             self._insert_then_probe(level + 1, set(merged), True, network)
             return
-        fresh, _ = _insert(self.env_indexes[level], set(merged), ())
+        if level:
+            self.envs_materialized += len(merged)
+            self.batch_rows_out += len(merged)
+            self._emit_heads(merged, network)
+            return
+        fresh, _ = _insert(self.env_indexes[0], set(merged), ())
         if fresh:
             self.envs_materialized += len(fresh)
-            if level:
-                self.batch_rows_out += len(fresh)
             self._emit_heads(fresh, network)
 
     def _insert_then_probe(
@@ -1163,9 +1208,10 @@ class RuleNodeProcess(NodeProcess):
 
         ``batch`` holds environments from the previous level (``envs``) or
         sub-environments received for this stage.  Its fresh members are
-        found in their key's bucket, the other side is probed once per
-        distinct key, and the merged environments go on to the next level
-        as one batch.  A merge is ``env + suffix`` — the cumulative schema
+        found in their key's bucket (or, at an ``env_is_key`` level, by
+        their key's absence), the other side is probed once per distinct
+        key, and the merged environments go on to the next level as one
+        batch.  A merge is ``env + suffix`` — the cumulative schema
         keeps earlier variables as an identity prefix — and at an
         ``env_is_row`` stage it is the sub-environment itself.  Fresh
         environments first request the stage's "d" bindings, deduplicated
@@ -1177,7 +1223,8 @@ class RuleNodeProcess(NodeProcess):
         # the batch statistics count the kernel's own batches only.
         kernel_batch = not envs or stage_number > 1
         if envs:
-            fresh, keys = _insert(env_index, batch, stage.prev_key_positions)
+            insert = _insert_keyed if stage.env_is_key else _insert
+            fresh, keys = insert(env_index, batch, stage.prev_key_positions)
             if not fresh:
                 return
             self.envs_materialized += len(fresh)
@@ -1224,9 +1271,16 @@ class RuleNodeProcess(NodeProcess):
         else:
             get = env_index.get
             suffixes = ColumnBatch(fresh).project(stage.suffix_positions)
-            merged = [
-                env + suffix for key, suffix in zip(keys, suffixes) for env in get(key, ())
-            ]
+            if stage.env_is_key:
+                merged = [
+                    env + suffix
+                    for key, suffix in zip(keys, suffixes)
+                    if (env := get(key)) is not None
+                ]
+            else:
+                merged = [
+                    env + suffix for key, suffix in zip(keys, suffixes) for env in get(key, ())
+                ]
         if merged:
             self._add_envs(stage_number, merged, network)
 

@@ -179,6 +179,26 @@ class Database:
         self.rows_retrieved += len(rows)
         return rows
 
+    def lookup_many(
+        self, predicate: str, positions: tuple[int, ...], keys: Sequence[Row]
+    ) -> list[Row]:
+        """:meth:`lookup` for several keys: the rows of each key, in order.
+
+        The relation's index is resolved once and the rows are gathered in
+        one pass; the counters read as ``len(keys)`` separate lookups.
+        """
+        rel = self._relations.get(predicate)
+        if rel is None:
+            return []
+        self.indexed_lookups += len(keys)
+        if positions:
+            get = rel.index_on(positions).get
+            rows = [row for key in keys for row in get(key, ())]
+        else:
+            rows = [row for _ in keys for row in rel.rows]
+        self.rows_retrieved += len(rows)
+        return rows
+
     def facts(self) -> Iterator[Atom]:
         """Iterate all facts as ground atoms (deterministic order)."""
         from ..core.terms import Constant

@@ -197,7 +197,8 @@ class TestKernelLayout:
             e(a, b).  e(b, c).  e(c, a).  e(c, d).
             """
         )
-        engine = MessagePassingEngine(program)
+        # Provenance keeps the first final environment behind each head row.
+        engine = MessagePassingEngine(program, provenance=True)
         result = engine.run()
         assert result.answers == {("a",), ("b",), ("c",), ("d",)}
         return engine
@@ -212,10 +213,30 @@ class TestKernelLayout:
             assert [stage.row_perm for stage in node.stages] == ["id"] * len(node.stages)
             final = node.stages[-1]
             assert final.env_is_row
-            (final_envs,) = node.env_indexes[-1].values()  # one bucket under ()
+            final_envs = node._head_env.values()
             assert final_envs
             received = {row: row for row in held(final.row_index)}
             assert all(received[env] is env for env in final_envs)
+
+        # A level whose join key is the whole environment maps each key to
+        # the environment object itself: no container per environment.
+        identity_levels = 0
+        for node in rule_nodes:
+            for level, stage in enumerate(node.stages[1:], start=1):
+                if not stage.env_is_key:
+                    continue
+                envs = node.env_indexes[level]
+                assert envs
+                producer = node.stages[level - 1]
+                assert all(
+                    type(env) is tuple and len(env) == len(producer.env_vars)
+                    for env in envs.values()
+                )
+                if producer.env_is_row:
+                    received = {row: row for row in held(producer.row_index)}
+                    assert all(received[env] is env for env in envs.values())
+                    identity_levels += 1
+        assert identity_levels
 
         def width(adorned):
             return sum(letter in "df" for letter in adorned.adornment)

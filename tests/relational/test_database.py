@@ -64,6 +64,20 @@ class TestAccessCounting:
     def test_lookup_unknown_predicate(self):
         assert self.db.lookup("nope", (0,), (1,)) == []
 
+    def test_lookup_many_counts_like_separate_lookups(self):
+        keys = [(1,), (9,), (2,)]
+        separate = Database.from_tuples({"e": [(1, 2), (1, 3), (2, 3)]})
+        expected = [row for key in keys for row in separate.lookup("e", (0,), key)]
+        assert self.db.lookup_many("e", (0,), keys) == expected
+        assert self.db.counters() == separate.counters() == (0, 3, 3)
+
+    def test_lookup_many_without_positions_repeats_the_relation(self):
+        rows = self.db.lookup_many("e", (), [(), ()])
+        assert sorted(rows) == sorted(list(self.db.relation("e").rows) * 2)
+        assert (self.db.indexed_lookups, self.db.rows_retrieved) == (2, 6)
+        assert self.db.lookup_many("nope", (0,), [(1,)]) == []
+        assert self.db.indexed_lookups == 2
+
     def test_reset_counters(self):
         self.db.scan("e")
         self.db.reset_counters()

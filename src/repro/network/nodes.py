@@ -92,7 +92,6 @@ class ConsumerStream:
     last_seq_received: int = -1  # -1: no relation request yet
     last_seq_ended: int = -1
     requested: set[tuple] = field(default_factory=set)  # d-bindings asked for
-    sent_rows: set[tuple] = field(default_factory=set)  # per-stream dedup
 
     @property
     def owes_end(self) -> bool:
@@ -343,9 +342,8 @@ class NodeProcess:
         for producer_id in sorted(buffered):
             bindings = buffered[producer_id]
             feeder = self.feeders[producer_id]
-            seq = -1
-            for _ in bindings:
-                seq = feeder.next_seq()
+            feeder.last_seq_sent += len(bindings)  # one number per binding
+            seq = feeder.last_seq_sent
             network.send(
                 PackagedTupleRequest(self.node_id, producer_id, tuple(bindings), seq)
             )
@@ -364,28 +362,9 @@ class NodeProcess:
     # ------------------------------------------------------------------
     # Set-at-a-time answer emission
     # ------------------------------------------------------------------
-    def send_rows(
-        self, stream: ConsumerStream, rows: Iterable[tuple], network: "Scheduler"
-    ) -> None:
-        """Send fresh rows to one consumer, packaged when it pays off.
-
-        Applies the per-stream duplicate filter first — one set difference,
-        which also deduplicates within the burst (projections can collide) —
-        then ships the survivors as a single :class:`TupleSet` when more
-        than one row is fresh.  A single fresh row travels as a
-        :class:`TupleMessage`: a one-row set buys nothing, and the per-tuple
-        message is §3.1's own vocabulary.
-        """
-        if not isinstance(rows, (set, frozenset)):
-            rows = set(rows)
-        fresh = rows - stream.sent_rows
-        if not fresh:
-            return
-        stream.sent_rows |= fresh
-        self._ship(stream.consumer_id, fresh, network)
-
     def _ship(self, consumer_id: int, fresh, network: "Scheduler") -> None:
-        """Emit already-deduplicated rows: one set, or one tuple message."""
+        """Emit rows the stream has not carried yet: one set, or one
+        :class:`TupleMessage` for a lone row (a one-row set buys nothing)."""
         if len(fresh) > 1:
             network.send(TupleSet(self.node_id, consumer_id, frozenset(fresh)))
         else:
@@ -397,7 +376,8 @@ class NodeProcess:
 
         ``bindings`` holds each fresh row's "d" binding (``()`` when the
         producer has no "d" positions).  A ``wants_all`` stream gets every
-        row; any other stream the rows whose binding it requested.
+        row; any other stream the rows whose binding it requested.  The
+        node's store admitted each row once, so no stream gets it twice.
         """
         for stream in self.consumers.values():
             if stream.wants_all:
@@ -406,7 +386,7 @@ class NodeProcess:
                 requested = stream.requested
                 matching = [row for row, binding in zip(fresh, bindings) if binding in requested]
             if matching:
-                self.send_rows(stream, matching, network)
+                self._ship(stream.consumer_id, matching, network)
 
     # ------------------------------------------------------------------
     # End emission
@@ -607,10 +587,7 @@ class GoalNodeProcess(NodeProcess):
                 network.send(
                     RelationRequest(self.node_id, child_id, self.adorned.adornment)
                 )
-        if stream.wants_all:
-            # Only a producer without "d" positions has wants_all streams:
-            # all of its answers sit under the nullary binding.
-            self.send_rows(stream, self.answer_index.get((), ()), network)
+        # No replay for a wants_all stream: _fan_out sent it every answer.
 
     def on_tuple_request(self, message: TupleRequest, network: "Scheduler") -> None:
         stream = self.consumers[message.sender]
@@ -618,10 +595,11 @@ class GoalNodeProcess(NodeProcess):
         self.serve_binding(stream, message.binding, network)
 
     def serve_binding(self, stream: ConsumerStream, binding: tuple, network: "Scheduler") -> None:
-        """Replay known matching answers; propagate a fresh binding downward."""
+        """Replay known matching answers (once: until the binding is asked
+        for, none go to this stream); propagate a fresh binding downward."""
         if binding not in stream.requested:
             stream.requested.add(binding)
-            self.send_rows(stream, self.answer_index.get(binding, ()), network)
+            self._ship(stream.consumer_id, self.answer_index.get(binding, ()), network)
         if binding not in self.bindings_seen:
             self.bindings_seen.add(binding)
             for child_id in self.feeders:
@@ -640,8 +618,8 @@ class GoalNodeProcess(NodeProcess):
             if self.record_provenance:
                 for row in message.rows:
                     self.row_sources.setdefault(row, message.sender)
-            (stream,) = self.consumers.values()
-            self.send_rows(stream, message.rows, network)
+            (consumer_id,) = self.consumers
+            self._ship(consumer_id, message.rows, network)
             return
         fresh, bindings = _insert(
             self.answer_index, message.rows, self.shape.d_in_row, tuple_keys=True
@@ -679,8 +657,7 @@ class CyclicNodeProcess(NodeProcess):
             network.send(
                 RelationRequest(self.node_id, self.ancestor_id, self.adorned.adornment)
             )
-        if stream.wants_all:
-            self.send_rows(stream, self.row_index.get((), ()), network)
+        # No replay for a wants_all stream: _fan_out sent it every row.
 
     def on_tuple_request(self, message: TupleRequest, network: "Scheduler") -> None:
         stream = self.consumers[message.sender]
@@ -691,11 +668,11 @@ class CyclicNodeProcess(NodeProcess):
         """Replay matching rows and forward the binding to the ancestor."""
         if binding not in stream.requested:
             stream.requested.add(binding)
-            self.send_rows(stream, self.row_index.get(binding, ()), network)
+            self._ship(stream.consumer_id, self.row_index.get(binding, ()), network)
         self.send_tuple_request(self.ancestor_id, binding, network)
 
     def on_tuple_set(self, message: TupleSet, network: "Scheduler") -> None:
-        """Relay a whole set: store the fresh rows, filter per consumer stream."""
+        """Relay a whole set: store the fresh rows, fan them out."""
         fresh, bindings = _insert(
             self.row_index, message.rows, self.shape.d_in_row, tuple_keys=True
         )
@@ -754,6 +731,13 @@ class EdbLeafProcess(NodeProcess):
         self._probe_key = _tuple_getter(
             [probed.index(pos) for pos in self._probe_positions], len(probed)
         )
+        #: Consumer id -> rows sent.  Only here can a duplicate enter a stream:
+        #: a delta may re-offer a fact, and dropping "e" positions merges rows.
+        self.sent_rows: dict[int, set[tuple]] = {}
+
+    def add_consumer(self, consumer_id: int, wants_all: bool) -> ConsumerStream:
+        self.sent_rows[consumer_id] = set()
+        return super().add_consumer(consumer_id, wants_all)
 
     # ------------------------------------------------------------------
     def _matches(self, row: tuple) -> bool:
@@ -769,12 +753,20 @@ class EdbLeafProcess(NodeProcess):
     def _emit(self, stream: ConsumerStream, rows: Iterable[tuple], network: "Scheduler") -> None:
         # One whole serve becomes one TupleSet (when >1 fresh row): answers
         # are sets, and determinism lives at the result-collection boundary
-        # (the driver's answer set, the CLI's sorted print).
+        # (the driver's answer set, the CLI's sorted print).  One set
+        # difference drops what the stream already carried, and also
+        # deduplicates within the serve (projections can collide).
         if not self._no_filter:
             rows = [row for row in rows if self._matches(row)]
         if not self._identity_projection:
             rows = ColumnBatch(rows).project(self.shape.row_positions)
-        self.send_rows(stream, rows, network)
+        if not isinstance(rows, (set, frozenset)):
+            rows = set(rows)
+        sent = self.sent_rows[stream.consumer_id]
+        fresh = rows - sent
+        if fresh:
+            sent |= fresh
+            self._ship(stream.consumer_id, fresh, network)
 
     # ------------------------------------------------------------------
     def on_relation_request(self, message: RelationRequest, network: "Scheduler") -> None:
@@ -803,8 +795,10 @@ class EdbLeafProcess(NodeProcess):
         would have received each row had it been present originally —
         full-relation streams get every matching row, "d" streams the
         rows matching a binding they already requested — restarts the
-        monotone fixpoint from the delta alone.  Per-stream ``sent_rows``
-        dedup keeps re-injection idempotent; bindings requested *after*
+        monotone fixpoint from the delta alone.  The leaf's per-stream
+        ``sent_rows`` dedup keeps re-injection idempotent: a re-offered
+        committed fact sends nothing, so no node downstream needs a second
+        filter of its own.  Bindings requested *after*
         the injection are served straight from the (already grown)
         database as usual.
         """
@@ -903,7 +897,9 @@ class _Stage:
     node's ``env_indexes``, keyed the same way, so a fresh row and a fresh
     environment each find their partners with one probe per distinct key.
     When the key is the whole previous environment (``env_is_key``), that
-    level maps each key to its one environment instead of to a set.
+    level maps each key to its one environment instead of to a set.  A
+    stage whose rows no later probe reads (``keeps_rows`` False) joins
+    each row on arrival and leaves ``row_index`` empty.
     """
 
     __slots__ = (
@@ -923,6 +919,7 @@ class _Stage:
         "suffix_positions",  # sub-environment positions of the merge suffix
         "suffix_get",  # sub-environment -> the merge suffix (the new variables)
         "d_env_positions",  # previous-env positions of the tuple-request binding
+        "keeps_rows",  # a later environment may probe the received rows
     )
 
     def __init__(self) -> None:
@@ -1030,11 +1027,20 @@ class RuleNodeProcess(NodeProcess):
             stage.d_env_positions = tuple(
                 prev_pos[atom.args[pos]] for pos in stage.shape.d_positions
             )
+            # A binding that is the whole previous environment names the one
+            # environment that asked, stored before the request left, so no
+            # later probe reads a row for it (unless the child feeds another
+            # stage).  An empty binding answers the relation request instead.
+            covered = len(set(stage.d_env_positions))
+            stage.keeps_rows = not covered or covered < len(prev_vars)
             self.stages.append(stage)
             prev_vars = stage.env_vars
             self.child_stage.setdefault(self.child_ids[subgoal_index], []).append(
                 stage_number
             )
+        for stage in self.stages:
+            if len(self.child_stage[self.child_ids[stage.subgoal_index]]) > 1:
+                stage.keeps_rows = True
 
         #: The environments a later probe meets, stored once: level 0 holds
         #: the head bindings, level ``j`` the environments after stage
@@ -1209,7 +1215,8 @@ class RuleNodeProcess(NodeProcess):
         ``batch`` holds environments from the previous level (``envs``) or
         sub-environments received for this stage.  Its fresh members are
         found in their key's bucket (or, at an ``env_is_key`` level, by
-        their key's absence), the other side is probed once per distinct
+        their key's absence; rows at a stage that keeps none are all
+        fresh), the other side is probed once per distinct
         key, and the merged environments go on to the next level as one
         batch.  A merge is ``env + suffix`` — the cumulative schema
         keeps earlier variables as an identity prefix — and at an
@@ -1237,7 +1244,11 @@ class RuleNodeProcess(NodeProcess):
                     network,
                 )
         else:
-            fresh, keys = _insert(stage.row_index, batch, stage.row_key_positions)
+            if stage.keeps_rows:
+                fresh, keys = _insert(stage.row_index, batch, stage.row_key_positions)
+            else:  # each row arrives once, to meet its one environment
+                fresh = list(batch)
+                keys = ColumnBatch(fresh).keys(stage.row_key_positions)
             if not fresh:
                 return
             self.tuples_stored += len(fresh)

@@ -97,12 +97,12 @@ class ShardedQueryResult:
     def logical_tuple_rows(self) -> int:
         """Logical tuple-message rows delivered, summed across shards.
 
-        This is the runtime-invariant slice of the accounting: per-stream
-        dedup (``send_rows``'s ``sent_rows`` filter) makes the set of rows
-        each stream carries a property of the least fixpoint, not of
-        batching or timing, so this total must match the in-process
-        runtime's exactly — the parity tests assert it.  Protocol-wave and
-        end-message *counts* legitimately vary with scheduling.
+        This is the runtime-invariant slice of the accounting: node stores,
+        EDB-leaf stream filters and rule-head dedup send each row once per
+        stream, so the rows a stream carries are a property of the least
+        fixpoint, not of batching or timing, and this total must match the
+        in-process runtime's exactly — the parity tests assert it.
+        Protocol-wave and end-message *counts* vary with scheduling.
         """
         return self._sum("tuple_rows")
 

@@ -197,17 +197,34 @@ class TestKernelLayout:
             e(a, b).  e(b, c).  e(c, a).  e(c, d).
             """
         )
-        # Provenance keeps the first final environment behind each head row.
-        engine = MessagePassingEngine(program, provenance=True)
+        # Provenance keeps the first final environment behind each head row;
+        # the trace records every delivery, since a stage whose rows no later
+        # probe reads stores none of them.
+        delivered: list = []
+        engine = MessagePassingEngine(program, provenance=True, trace=delivered.append)
         result = engine.run()
         assert result.answers == {("a",), ("b",), ("c",), ("d",)}
-        return engine
+        return engine, delivered
 
     def test_constants_compiled_out_and_envs_are_rows(self):
-        engine = self.run_left_recursive_tc()
+        engine, delivered = self.run_left_recursive_tc()
         rule_nodes = [
             p for p in engine.processes.values() if isinstance(p, RuleNodeProcess)
         ]
+
+        def received_at(node, stage):
+            """The row objects delivered to ``node`` for ``stage``."""
+            child = node.child_ids[stage.subgoal_index]
+            received = {}
+            for message in delivered:
+                if (message.sender, message.receiver) != (child, node.node_id):
+                    continue
+                if isinstance(message, TupleSet):
+                    received.update((row, row) for row in message.rows)
+                elif isinstance(message, TupleMessage):
+                    received[message.row] = message.row
+            return received
+
         assert len(rule_nodes) == 3
         for node in rule_nodes:
             assert [stage.row_perm for stage in node.stages] == ["id"] * len(node.stages)
@@ -215,7 +232,7 @@ class TestKernelLayout:
             assert final.env_is_row
             final_envs = node._head_env.values()
             assert final_envs
-            received = {row: row for row in held(final.row_index)}
+            received = received_at(node, final)
             assert all(received[env] is env for env in final_envs)
 
         # A level whose join key is the whole environment maps each key to
@@ -233,7 +250,7 @@ class TestKernelLayout:
                     for env in envs.values()
                 )
                 if producer.env_is_row:
-                    received = {row: row for row in held(producer.row_index)}
+                    received = received_at(node, producer)
                     assert all(received[env] is env for env in envs.values())
                     identity_levels += 1
         assert identity_levels

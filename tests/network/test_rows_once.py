@@ -1,0 +1,162 @@
+"""Each row is checked for freshness once, where a duplicate can arise.
+
+A goal or cyclic node's store admits each row once, and it sends a
+consumer stream only what that store admitted or replays a binding's rows
+the first time the binding is requested, so it keeps no per-stream sent
+set.  A rule-node stage whose tuple-request binding is the whole previous
+environment, fed by a child no other stage shares, stores none of its
+rows: each one answers the one environment that requested it, already
+stored.  Only EDB leaves filter per stream, since a delta can re-offer a
+committed fact.
+
+These tests watch every delivery and check that no goal or cyclic node
+sends a row twice on one stream, and that every row reaching a stage
+without a row store finds its environment there.  They run over random
+programs (default options, and coalesce + package), every counter-pin
+program, a run with two EDB replicas per leaf, and a ``run_delta`` wave.
+A delta that re-offers a committed fact must send nothing and move no
+counter.
+
+CI runs this file under two ``PYTHONHASHSEED`` values.
+"""
+
+from collections import Counter
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from repro.core.parser import parse_program
+from repro.network.engine import MessagePassingEngine
+from repro.network.messages import ColumnBatch, TupleMessage, TupleSet
+from repro.network.nodes import CyclicNodeProcess, GoalNodeProcess, RuleNodeProcess
+from repro.workloads import facts_from_tables
+
+from tests.helpers import oracle_answers
+from tests.network.test_counter_pin import PROGRAMS, logical_counters
+from tests.property.test_property_engine import programs
+
+
+class Watch:
+    """A delivery trace that checks both invariants as rows arrive."""
+
+    def __init__(self) -> None:
+        self.engine: MessagePassingEngine | None = None
+        self.sent: Counter = Counter()  # (producer, consumer, row) -> sends
+        self.unstored_rows = 0  # rows met at stages without a row store
+
+    def __call__(self, message) -> None:
+        if isinstance(message, TupleSet):
+            rows = message.rows
+        elif isinstance(message, TupleMessage):
+            rows = (message.row,)
+        else:
+            return
+        processes = self.engine.processes
+        sender = processes[message.sender]
+        if isinstance(sender, (GoalNodeProcess, CyclicNodeProcess)):
+            for row in rows:
+                key = (message.sender, message.receiver, row)
+                self.sent[key] += 1
+                assert self.sent[key] == 1, f"{sender.adorned} sent {row} twice"
+        receiver = processes[message.receiver]
+        if isinstance(receiver, RuleNodeProcess):
+            self.check_envs_present(receiver, message.sender, rows)
+
+    def check_envs_present(self, node: RuleNodeProcess, sender: int, rows) -> None:
+        for stage_number in node.child_stage[sender]:
+            stage = node.stages[stage_number - 1]
+            if stage.keeps_rows:
+                continue
+            assert not stage.row_index
+            envs = node.env_indexes[stage_number - 1]
+            for row in rows:
+                if stage.row_perm != "id":
+                    row = node._row_to_subenv(stage, row)
+                    if row is None:
+                        continue
+                (key,) = ColumnBatch([row]).keys(stage.row_key_positions)
+                assert key in envs, f"{node.rule}: {row} met no environment"
+                self.unstored_rows += 1
+
+
+def watched(program, **options):
+    watch = Watch()
+    engine = MessagePassingEngine(program, trace=watch, **options)
+    watch.engine = engine
+    return engine, watch
+
+
+def node_counters(engine) -> dict:
+    """Every storage and probe counter, per process."""
+    return {
+        node_id: (
+            process.tuples_stored,
+            getattr(process, "probe_lookups", 0),
+            getattr(process, "index_inserts", 0),
+            getattr(process, "envs_materialized", 0),
+        )
+        for node_id, process in engine.processes.items()
+    }
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(programs())
+def test_random_programs(program):
+    expected = oracle_answers(program)
+    for options in ({}, {"coalesce": True, "package_requests": True}):
+        engine, _ = watched(program, **options)
+        result = engine.run()
+        assert result.completed and result.answers == expected
+
+
+@pytest.mark.parametrize("name", list(PROGRAMS))
+def test_counter_pin_programs(name):
+    text, options = PROGRAMS[name]
+    program = parse_program(text)
+    engine, watch = watched(program, **options)
+    assert engine.run().answers == oracle_answers(program)
+    assert watch.sent
+
+
+def test_unstored_stages_are_reached():
+    """The pin programs exercise the stage without a row store."""
+    reached = 0
+    for text, options in PROGRAMS.values():
+        engine, watch = watched(parse_program(text), **options)
+        engine.run()
+        reached += watch.unstored_rows
+    assert reached
+
+
+@pytest.mark.parametrize("package", [False, True])
+def test_two_edb_replicas(package):
+    text, _ = PROGRAMS["env_is_row"]
+    program = parse_program(text)
+    engine, watch = watched(program, edb_shards=2, package_requests=package)
+    assert engine.edb_replicas
+    assert engine.run().answers == oracle_answers(program)
+    assert watch.unstored_rows  # a replicated leaf feeds such a stage
+
+
+def test_delta_wave_and_reoffered_fact():
+    text, options = PROGRAMS["env_is_row"]
+    engine, watch = watched(parse_program(text), **options)
+    engine.run()
+    delta = facts_from_tables({"e": [("f", "g"), ("g", "a"), ("x", "y")]})
+    engine.database.add_facts(delta)
+    wave = engine.run_delta(delta)
+    assert wave.completed and sorted(wave.new_answers) == [("a",), ("g",)]
+    assert watch.unstored_rows
+
+    # Offer the same committed facts again: the leaves have sent them on
+    # every stream that asked, so nothing moves.
+    sends, counters = sum(watch.sent.values()), node_counters(engine)
+    again = engine.run_delta(delta)
+    assert again.total_messages == 0 and not again.new_answers
+    assert logical_counters(again)[3:10] == logical_counters(wave)[3:10]
+    assert sum(watch.sent.values()) == sends
+    assert node_counters(engine) == counters

@@ -46,8 +46,9 @@ _SIPS = {
 }
 
 
-def _bounded(convert, minimum, strict: bool = False):
-    """An argparse ``type=``: a ``convert`` value >= ``minimum`` (> if ``strict``)."""
+def _bounded(convert, minimum, strict: bool = False, maximum=None):
+    """An argparse ``type=``: a ``convert`` value >= ``minimum`` (> if
+    ``strict``) and, given a ``maximum``, <= it."""
 
     def parse(text: str):
         value = convert(text)
@@ -55,6 +56,8 @@ def _bounded(convert, minimum, strict: bool = False):
             raise argparse.ArgumentTypeError(
                 f"must be {'>' if strict else '>='} {minimum}, got {value}"
             )
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
 
     parse.__name__ = convert.__name__  # argparse names a failed conversion after its type
@@ -659,7 +662,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument("--host", default="127.0.0.1", help="bind address")
     serve_p.add_argument(
-        "--port", type=int, default=7464, help="TCP port (0 = ephemeral)"
+        "--port",
+        type=_bounded(int, 0, maximum=65535),
+        default=7464,
+        help="TCP port (0 = ephemeral)",
     )
     serve_p.add_argument(
         "--replicas",
@@ -778,13 +784,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker_p.add_argument(
         "--reconnect-attempts",
-        type=int,
+        type=_bounded(int, 0),
         default=60,
         help="consecutive failed connects tolerated before giving up",
     )
     worker_p.add_argument(
         "--reconnect-backoff",
-        type=float,
+        type=_bounded(float, 0),
         default=0.25,
         metavar="SECONDS",
         help="sleep between reconnect attempts",

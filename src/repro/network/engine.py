@@ -299,7 +299,6 @@ class MessagePassingEngine:
         provenance: bool = False,
         on_answer: Optional[Callable[[tuple], None]] = None,
         database: Optional[Database] = None,
-        trivial_relay: bool = True,
         graph: Optional[RuleGoalGraph] = None,
         edb_shards: int = 1,
         planner: str = "static",
@@ -324,7 +323,6 @@ class MessagePassingEngine:
         #: unless ``edb_shards > 1``.
         self.edb_replicas: dict[int, tuple[int, ...]] = {}
         self._on_answer = on_answer
-        self._trivial_relay = trivial_relay
         self.scheduler = Scheduler(
             seed=seed,
             max_messages=max_messages,
@@ -480,14 +478,13 @@ class MessagePassingEngine:
                 )
 
         # --- trivial goal nodes (§3.1's storage exemption) ---------------
-        if self._trivial_relay:
-            for process in self.processes.values():
-                if (
-                    isinstance(process, GoalNodeProcess)
-                    and len(process.consumers) == 1
-                    and len(process.feeders) == 1
-                ):
-                    process.trivial_relay = True
+        for process in self.processes.values():
+            if (
+                isinstance(process, GoalNodeProcess)
+                and len(process.consumers) == 1
+                and len(process.feeders) == 1
+            ):
+                process.trivial_relay = True
 
         # --- register with the scheduler --------------------------------
         for process in self.processes.values():
@@ -685,7 +682,6 @@ def evaluate(
     query_goal: Optional[AdornedAtom] = None,
     coalesce: bool = False,
     package_requests: bool = False,
-    trivial_relay: bool = True,
     planner: str = "static",
 ) -> QueryResult:
     """Evaluate a program's query with the message-passing framework.
@@ -701,6 +697,5 @@ def evaluate(
         max_messages=max_messages,
         validate_protocol=validate_protocol,
         query_goal=query_goal,
-        trivial_relay=trivial_relay,
         **vars(options),
     ).run()

@@ -198,57 +198,17 @@ class NodeProcess:
     # Message dispatch
     # ------------------------------------------------------------------
     def handle(self, message: Message, network: "Scheduler") -> None:
-        """Dispatch one delivered message."""
-        if isinstance(
-            message,
-            (
-                RelationRequest,
-                TupleRequest,
-                PackagedTupleRequest,
-                TupleMessage,
-                TupleSet,
-                EndMessage,
-            ),
-        ):
-            if self.protocol is not None:
-                self.protocol.on_work()
-                self.work_since_conclusion = True
-            if isinstance(message, RelationRequest):
-                self.on_relation_request(message, network)
-            elif isinstance(message, TupleRequest):
-                self.on_tuple_request(message, network)
-            elif isinstance(message, PackagedTupleRequest):
-                self.on_packaged_request(message, network)
-            elif isinstance(message, TupleSet):
-                self.on_tuple_set(message, network)
-            elif isinstance(message, TupleMessage):
-                # A lone row is a one-row set: every node has one row handler.
-                self.on_tuple_set(
-                    TupleSet(
-                        message.sender, message.receiver, frozenset((message.row,))
-                    ),
-                    network,
-                )
-            else:
-                self.on_end(message, network)
-        elif isinstance(message, EndRequest):
+        """Dispatch one delivered message through :data:`HANDLERS`."""
+        try:
+            handler, work = HANDLERS[type(message)]
+        except KeyError:
+            raise TypeError(f"unknown message {message}") from None
+        if not work:
             assert self.protocol is not None, f"protocol message at non-SC node {self.node_id}"
-            self.protocol.handle_end_request(message, self, network)
-        elif isinstance(message, EndNegative):
-            assert self.protocol is not None
-            self.protocol.handle_end_negative(message, self, network)
-        elif isinstance(message, EndConfirmed):
-            assert self.protocol is not None
-            self.protocol.handle_end_confirmed(message, self, network)
-        elif isinstance(message, ComponentDone):
-            assert self.protocol is not None
-            self.protocol.handle_component_done(message, self, network)
-        elif isinstance(message, EndNudge):
-            # A member owes an end: make sure the leader probes again.
-            assert self.protocol is not None and self.protocol.is_leader
+        elif self.protocol is not None:
+            self.protocol.on_work()
             self.work_since_conclusion = True
-        else:  # pragma: no cover - exhaustive
-            raise TypeError(f"unknown message {message}")
+        handler(self, message, network)
 
     def on_idle_check(self, network: "Scheduler") -> None:
         """Post-delivery hook: emit ends (acyclic) or run the protocol (leader)."""
@@ -284,55 +244,36 @@ class NodeProcess:
         self.nudge_sent = False
 
     # ------------------------------------------------------------------
-    # Tuple-request emission (with optional footnote-2 packaging)
+    # Requests: the one sender and the shared stream bookkeeping
     # ------------------------------------------------------------------
-    def send_tuple_request(self, producer_id: int, binding: tuple, network: "Scheduler") -> None:
-        """Request one "d" binding from a producer, deduplicated per stream.
+    def send_requests(
+        self, producer_id: int, bindings: AbstractSet[tuple], network: "Scheduler"
+    ) -> None:
+        """Request "d" bindings from a producer, each at most once per stream.
 
-        With packaging on, the request is buffered and flushed (as part of
-        one :class:`PackagedTupleRequest` per producer) when the current
-        message finishes processing.  A producer with registered replicas is
-        resolved to the replica owning the binding's hash partition first.
+        One set difference against the feeder stream drops what was asked
+        before.  A producer with registered replicas is resolved, binding
+        by binding, to the replica owning the binding's hash partition.
+        With packaging on, the fresh bindings are buffered and flushed (as
+        one :class:`PackagedTupleRequest` per producer) once the inbox
+        drains; otherwise each goes out as its own :class:`TupleRequest`.
         """
         replicas = self.replica_route.get(producer_id)
-        if replicas is not None:
-            producer_id = replicas[route_hash(binding) % len(replicas)]
-        feeder = self.feeders[producer_id]
-        if binding in feeder.sent_bindings:
-            return
-        feeder.sent_bindings.add(binding)
-        if self.package_requests:
-            self._request_buffer.setdefault(producer_id, []).append(binding)
+        if replicas is None:
+            routed: Iterable = ((producer_id, bindings),)
         else:
-            network.send(
-                TupleRequest(self.node_id, producer_id, binding, feeder.next_seq())
-            )
-
-    def send_tuple_requests_batch(
-        self, producer_id: int, bindings: set, network: "Scheduler"
-    ) -> None:
-        """Batch variant of :meth:`send_tuple_request` for the stage kernels.
-
-        Deduplicates the whole binding set against the feeder stream with one
-        set difference; falls back to the per-binding path when the producer
-        has replicas (each binding routes by hash partition).
-        """
-        if producer_id in self.replica_route:
-            for binding in bindings:
-                self.send_tuple_request(producer_id, binding, network)
-            return
-        feeder = self.feeders[producer_id]
-        fresh = bindings - feeder.sent_bindings
-        if not fresh:
-            return
-        feeder.sent_bindings |= fresh
-        if self.package_requests:
-            self._request_buffer.setdefault(producer_id, []).extend(fresh)
-        else:
-            for binding in fresh:
-                network.send(
-                    TupleRequest(self.node_id, producer_id, binding, feeder.next_seq())
-                )
+            routed = [(replicas[route_hash(b) % len(replicas)], {b}) for b in bindings]
+        for target, wanted in routed:
+            feeder = self.feeders[target]
+            fresh = wanted - feeder.sent_bindings
+            if not fresh:
+                continue
+            feeder.sent_bindings |= fresh
+            if self.package_requests:
+                self._request_buffer.setdefault(target, []).extend(fresh)
+            else:
+                for binding in fresh:
+                    network.send(TupleRequest(self.node_id, target, binding, feeder.next_seq()))
 
     def flush_requests(self, network: "Scheduler") -> None:
         """Send each producer's buffered bindings as one packaged request."""
@@ -348,11 +289,18 @@ class NodeProcess:
                 PackagedTupleRequest(self.node_id, producer_id, tuple(bindings), seq)
             )
 
-    def on_packaged_request(self, message: PackagedTupleRequest, network: "Scheduler") -> None:
-        """Serve every binding of a package under one sequence number."""
-        stream = self.consumers[message.sender]
-        stream.last_seq_received = max(stream.last_seq_received, message.seq)
-        for binding in message.bindings:
+    def request_stream(self, consumer_id: int, seq: int) -> ConsumerStream:
+        """Record a request (a relation request is sequence 0) on its stream."""
+        stream = self.consumers[consumer_id]
+        if seq > stream.last_seq_received:
+            stream.last_seq_received = seq
+        return stream
+
+    def serve_package(
+        self, stream: ConsumerStream, bindings: Sequence[tuple], network: "Scheduler"
+    ) -> None:
+        """Serve "d" bindings in order; a lone tuple request is a package of one."""
+        for binding in bindings:
             self.serve_binding(stream, binding, network)
 
     def serve_binding(self, stream: ConsumerStream, binding: tuple, network: "Scheduler") -> None:
@@ -420,12 +368,8 @@ class NodeProcess:
     # ------------------------------------------------------------------
     # Handlers to override
     # ------------------------------------------------------------------
-    def on_relation_request(self, message: RelationRequest, network: "Scheduler") -> None:
+    def on_relation_request(self, stream: ConsumerStream, network: "Scheduler") -> None:
         """Open a consumer stream and begin computing (node-specific)."""
-        raise NotImplementedError
-
-    def on_tuple_request(self, message: TupleRequest, network: "Scheduler") -> None:
-        """Serve one "d" binding for a consumer stream (node-specific)."""
         raise NotImplementedError
 
     def on_tuple_set(self, message: TupleSet, network: "Scheduler") -> None:
@@ -441,6 +385,48 @@ class NodeProcess:
         """Default: record the feeder's progress."""
         stream = self.feeders[message.sender]
         stream.last_upto_ended = max(stream.last_upto_ended, message.upto)
+
+
+def _nudged(node: NodeProcess, message: EndNudge, network: "Scheduler") -> None:
+    """A member owes an end: make sure the leader probes again."""
+    assert node.protocol is not None and node.protocol.is_leader
+    node.work_since_conclusion = True
+
+
+#: Message type -> (handler, whether it is computation work).  Each request
+#: passes :meth:`NodeProcess.request_stream` first, and a tuple request is
+#: served as a package of one; a lone row is a one-row set.
+HANDLERS: dict[type, tuple[Callable, bool]] = {
+    RelationRequest: (
+        lambda node, m, net: node.on_relation_request(node.request_stream(m.sender, 0), net),
+        True,
+    ),
+    TupleRequest: (
+        lambda node, m, net: node.serve_package(
+            node.request_stream(m.sender, m.seq), (m.binding,), net
+        ),
+        True,
+    ),
+    PackagedTupleRequest: (
+        lambda node, m, net: node.serve_package(
+            node.request_stream(m.sender, m.seq), m.bindings, net
+        ),
+        True,
+    ),
+    TupleSet: (lambda node, m, net: node.on_tuple_set(m, net), True),
+    TupleMessage: (
+        lambda node, m, net: node.on_tuple_set(
+            TupleSet(m.sender, m.receiver, frozenset((m.row,))), net
+        ),
+        True,
+    ),
+    EndMessage: (lambda node, m, net: node.on_end(m, net), True),
+    EndRequest: (lambda node, m, net: node.protocol.handle_end_request(m, node, net), False),
+    EndNegative: (lambda node, m, net: node.protocol.handle_end_negative(m, node, net), False),
+    EndConfirmed: (lambda node, m, net: node.protocol.handle_end_confirmed(m, node, net), False),
+    ComponentDone: (lambda node, m, net: node.protocol.handle_component_done(m, node, net), False),
+    EndNudge: (_nudged, False),
+}
 
 
 # ----------------------------------------------------------------------
@@ -484,6 +470,20 @@ class _RowShape:
         self.d_positions = adorned.dynamic_positions
         row_index = {pos: i for i, pos in enumerate(self.row_positions)}
         self.d_in_row = tuple(row_index[p] for p in self.d_positions)
+
+
+def _bind(terms: Sequence, values: tuple) -> Optional[tuple]:
+    """Match ``values`` against ``terms`` (variables, or the values of
+    constants): the distinct variables' values in first-occurrence order,
+    or None when a constant or a repeated variable disagrees."""
+    env: dict = {}
+    for term, value in zip(terms, values):
+        if isinstance(term, Variable):
+            if env.setdefault(term, value) != value:
+                return None
+        elif term != value:
+            return None
+    return tuple(env.values())
 
 
 _NO_ROWS: frozenset = frozenset()
@@ -566,7 +566,6 @@ class GoalNodeProcess(NodeProcess):
         self.shape = _RowShape(adorned)
         #: The answer relation: "d" binding -> the answers carrying it.
         self.answer_index: dict[tuple, set[tuple]] = {}
-        self.bindings_seen: set[tuple] = set()
         self.requests_propagated = False
         self.row_sources: dict[tuple, int] = {}  # provenance: row -> first sender
         # §3.1: "trivial goal nodes, with only one in-edge and one out-edge
@@ -577,9 +576,7 @@ class GoalNodeProcess(NodeProcess):
         self.trivial_relay = False
 
     # -- producer side -------------------------------------------------
-    def on_relation_request(self, message: RelationRequest, network: "Scheduler") -> None:
-        stream = self.consumers[message.sender]
-        stream.last_seq_received = max(stream.last_seq_received, 0)
+    def on_relation_request(self, stream: ConsumerStream, network: "Scheduler") -> None:
         if not self.requests_propagated:
             self.requests_propagated = True
             for child_id, feeder in self.feeders.items():
@@ -589,21 +586,15 @@ class GoalNodeProcess(NodeProcess):
                 )
         # No replay for a wants_all stream: _fan_out sent it every answer.
 
-    def on_tuple_request(self, message: TupleRequest, network: "Scheduler") -> None:
-        stream = self.consumers[message.sender]
-        stream.last_seq_received = max(stream.last_seq_received, message.seq)
-        self.serve_binding(stream, message.binding, network)
-
     def serve_binding(self, stream: ConsumerStream, binding: tuple, network: "Scheduler") -> None:
         """Replay known matching answers (once: until the binding is asked
-        for, none go to this stream); propagate a fresh binding downward."""
+        for, none go to this stream); request the binding from every child
+        (each child's stream drops a binding it already carried)."""
         if binding not in stream.requested:
             stream.requested.add(binding)
             self._ship(stream.consumer_id, self.answer_index.get(binding, ()), network)
-        if binding not in self.bindings_seen:
-            self.bindings_seen.add(binding)
-            for child_id in self.feeders:
-                self.send_tuple_request(child_id, binding, network)
+        for child_id in self.feeders:
+            self.send_requests(child_id, {binding}, network)
 
     # -- consumer side ---------------------------------------------------
     def on_tuple_set(self, message: TupleSet, network: "Scheduler") -> None:
@@ -648,9 +639,7 @@ class CyclicNodeProcess(NodeProcess):
         #: The relayed relation: "d" binding -> the rows carrying it.
         self.row_index: dict[tuple, set[tuple]] = {}
 
-    def on_relation_request(self, message: RelationRequest, network: "Scheduler") -> None:
-        stream = self.consumers[message.sender]
-        stream.last_seq_received = max(stream.last_seq_received, 0)
+    def on_relation_request(self, stream: ConsumerStream, network: "Scheduler") -> None:
         feeder = self.feeders[self.ancestor_id]
         if feeder.last_seq_sent < 0:
             feeder.next_seq()
@@ -659,17 +648,12 @@ class CyclicNodeProcess(NodeProcess):
             )
         # No replay for a wants_all stream: _fan_out sent it every row.
 
-    def on_tuple_request(self, message: TupleRequest, network: "Scheduler") -> None:
-        stream = self.consumers[message.sender]
-        stream.last_seq_received = max(stream.last_seq_received, message.seq)
-        self.serve_binding(stream, message.binding, network)
-
     def serve_binding(self, stream: ConsumerStream, binding: tuple, network: "Scheduler") -> None:
         """Replay matching rows and forward the binding to the ancestor."""
         if binding not in stream.requested:
             stream.requested.add(binding)
             self._ship(stream.consumer_id, self.row_index.get(binding, ()), network)
-        self.send_tuple_request(self.ancestor_id, binding, network)
+        self.send_requests(self.ancestor_id, {binding}, network)
 
     def on_tuple_set(self, message: TupleSet, network: "Scheduler") -> None:
         """Relay a whole set: store the fresh rows, fan them out."""
@@ -769,21 +753,18 @@ class EdbLeafProcess(NodeProcess):
             self._ship(stream.consumer_id, fresh, network)
 
     # ------------------------------------------------------------------
-    def on_relation_request(self, message: RelationRequest, network: "Scheduler") -> None:
-        stream = self.consumers[message.sender]
-        stream.last_seq_received = max(stream.last_seq_received, 0)
+    def on_relation_request(self, stream: ConsumerStream, network: "Scheduler") -> None:
         if not self.shape.d_positions:
             if self.constant_filter:
-                rows = self._lookup_binding(())
+                rows = self.database.lookup(
+                    self.adorned.predicate,
+                    self._probe_positions,
+                    self._probe_key(self._const_prefix),
+                )
             else:
                 rows = self.database.scan(self.adorned.predicate).rows
             self._emit(stream, rows, network)
         # maybe_send_ends fires from on_idle_check (no feeders: caught up).
-
-    def on_tuple_request(self, message: TupleRequest, network: "Scheduler") -> None:
-        stream = self.consumers[message.sender]
-        stream.last_seq_received = max(stream.last_seq_received, message.seq)
-        self.serve_binding(stream, message.binding, network)
 
     def inject_delta(self, rows: Iterable[tuple], network: "Scheduler") -> None:
         """Feed newly committed database rows into every open stream.
@@ -821,57 +802,42 @@ class EdbLeafProcess(NodeProcess):
             if asked:
                 self._emit(stream, asked, network)
 
-    def _lookup_binding(self, binding: tuple) -> Iterable[tuple]:
-        """Indexed retrieval for one "d" binding (plus the "c" constants)."""
-        return self.database.lookup(
-            self.adorned.predicate,
-            self._probe_positions,
-            self._probe_key(self._const_prefix + binding),
-        )
-
-    def serve_binding(self, stream: ConsumerStream, binding: tuple, network: "Scheduler") -> None:
-        """Indexed retrieval for one "d" binding.
-
-        The binding is remembered on the stream so a later
-        :meth:`inject_delta` can re-serve it when new matching rows are
-        committed — the leaf-side half of the semi-naive contract.
-        """
-        stream.requested.add(binding)
-        self._emit(stream, self._lookup_binding(binding), network)
-
-    def on_packaged_request(self, message: PackagedTupleRequest, network: "Scheduler") -> None:
-        """Serve a package; large packages use one scan (footnote 2).
+    def serve_package(
+        self, stream: ConsumerStream, bindings: Sequence[tuple], network: "Scheduler"
+    ) -> None:
+        """Indexed retrieval per binding; large packages use one scan (footnote 2).
 
         "If an EDB relation r(X, Y) has no index on its second argument, then
         tuple requests r(X, a), r(X, b), ..., presented separately require
         the whole r relation to be scanned for each one.  If packaged, the
         retrieval can be done in one scan."  Here: when the package holds
         several bindings, one scan filtered against the binding set replaces
-        one retrieval per binding.
+        one retrieval per binding.  The bindings are remembered on the
+        stream so a later :meth:`inject_delta` can re-serve them when new
+        matching rows are committed — the leaf-side half of the semi-naive
+        contract.
         """
-        stream = self.consumers[message.sender]
-        stream.last_seq_received = max(stream.last_seq_received, message.seq)
-        stream.requested.update(message.bindings)
+        stream.requested.update(bindings)
         if self._relation_size is None:
             self._relation_size = len(self.database.relation(self.adorned.predicate))
         if (
-            len(message.bindings) <= 1
+            len(bindings) <= 1
             or not self.shape.d_positions
             # Cost choice: one scan beats k indexed lookups only when the
             # package is large relative to the relation; against a big EDB a
             # small package (e.g. a transport batch coalesced by the pooled
             # runtime) is served by its indexes.
-            or 4 * len(message.bindings) < self._relation_size
+            or 4 * len(bindings) < self._relation_size
         ):
             probe_key, prefix = self._probe_key, self._const_prefix
             gathered = self.database.lookup_many(
                 self.adorned.predicate,
                 self._probe_positions,
-                [probe_key(prefix + binding) for binding in message.bindings],
+                [probe_key(prefix + binding) for binding in bindings],
             )
             self._emit(stream, gathered, network)
             return
-        wanted = set(message.bindings)
+        wanted = set(bindings)
         relation = self.database.scan(self.adorned.predicate)
         d_pos = self.shape.d_positions
         if len(d_pos) == 1:
@@ -976,16 +942,18 @@ class RuleNodeProcess(NodeProcess):
         self._head_env: dict[tuple, tuple] = {}
 
         # ---- precompute stage plans -------------------------------------
-        # Stage-0 variables in head position order, like every row: a first
-        # subgoal that repeats the head's bound variables in the same order
-        # then has env_is_row.
+        # Head arguments: variables, and the values of constants (a shape
+        # graph's parameter is bound here).  A head request binds the
+        # parent's "d" positions; stage-0 variables follow in head position
+        # order, like every row: a first subgoal that repeats them in the
+        # same order then has env_is_row.
+        head_args = [
+            bound_value(t.value, bindings) if isinstance(t, Constant) else t
+            for t in rule.head.args
+        ]
+        self.head_terms = tuple(head_args[p] for p in self.parent_shape.d_positions)
         self.stage0_vars: tuple[Variable, ...] = tuple(
-            dict.fromkeys(
-                t
-                for i in head.bound_positions
-                for t in [rule.head.args[i]]
-                if isinstance(t, Variable)
-            )
+            dict.fromkeys(t for t in self.head_terms if isinstance(t, Variable))
         )
         self.stages: list[_Stage] = []
         prev_vars: tuple[Variable, ...] = self.stage0_vars
@@ -1055,44 +1023,23 @@ class RuleNodeProcess(NodeProcess):
         ]
 
         # Head-output plan: value source per parent row position (a head
-        # constant there comes from the rule, not from the environment; a
-        # shape graph's parameter is bound to its value here).
+        # constant there comes from the rule, not from the environment).
         final_pos = {v: i for i, v in enumerate(prev_vars)}
-        out_plan: list[tuple[str, object]] = []
-        for pos in self.parent_shape.row_positions:
-            term = rule.head.args[pos]
-            if isinstance(term, Constant):
-                out_plan.append(("const", bound_value(term.value, bindings)))
-            else:
-                out_plan.append(("env", final_pos[term]))
-        self.head_out_plan = tuple(out_plan)
+        self.head_out_plan = tuple(
+            ("env", final_pos[t]) if isinstance(t, Variable) else ("const", t)
+            for t in (head_args[p] for p in self.parent_shape.row_positions)
+        )
         # Compiled head projection for the emit kernel (only when every
         # output position reads from the environment; constant head
         # arguments keep the interpreted plan).
-        if all(kind == "env" for kind, _ in out_plan):
-            self._head_positions: Optional[tuple[int, ...]] = tuple(
-                i for _, i in out_plan
-            )
-        else:
-            self._head_positions = None
-
-        # Head-request plan: parent "d" positions -> constraints on stage0 env.
-        self.stage0_pos = {v: i for i, v in enumerate(self.stage0_vars)}
-        req_plan: list[tuple[str, object]] = []
-        for pos in self.parent_shape.d_positions:
-            term = rule.head.args[pos]
-            if isinstance(term, Constant):
-                req_plan.append(("const", bound_value(term.value, bindings)))
-            else:
-                req_plan.append(("var", self.stage0_pos[term]))
-        self.head_request_plan = tuple(req_plan)
+        self._head_positions: Optional[tuple[int, ...]] = None
+        if all(kind == "env" for kind, _ in self.head_out_plan):
+            self._head_positions = tuple(i for _, i in self.head_out_plan)
 
     # ------------------------------------------------------------------
     # Producer side: requests from the parent goal node
     # ------------------------------------------------------------------
-    def on_relation_request(self, message: RelationRequest, network: "Scheduler") -> None:
-        stream = self.consumers[message.sender]
-        stream.last_seq_received = max(stream.last_seq_received, 0)
+    def on_relation_request(self, stream: ConsumerStream, network: "Scheduler") -> None:
         if not self.request_started:
             self.request_started = True
             opened: set[int] = set()
@@ -1110,43 +1057,13 @@ class RuleNodeProcess(NodeProcess):
         if not self.parent_shape.d_positions:
             self._add_envs(0, ((),), network)
 
-    def on_tuple_request(self, message: TupleRequest, network: "Scheduler") -> None:
-        stream = self.consumers[message.sender]
-        stream.last_seq_received = max(stream.last_seq_received, message.seq)
-        self.serve_binding(stream, message.binding, network)
-
     def serve_binding(self, stream: ConsumerStream, binding: tuple, network: "Scheduler") -> None:
-        """One head binding becomes one stage-0 environment."""
-        env = self._stage0_env_from_binding(binding)
+        """One head binding becomes one stage-0 environment, unless it
+        clashes with a head constant or a repeated head variable (the
+        specialized rule then contributes nothing for that request)."""
+        env = _bind(self.head_terms, binding)
         if env is not None:
             self._add_envs(0, (env,), network)
-
-    def _stage0_env_from_binding(self, binding: tuple) -> Optional[tuple]:
-        """Turn a head tuple request into a stage-0 environment.
-
-        Returns None when the binding clashes with a head constant or with a
-        repeated head variable (the specialized rule simply contributes
-        nothing for that request).
-        """
-        values: list[Optional[object]] = [None] * len(self.stage0_vars)
-        filled = [False] * len(self.stage0_vars)
-        for (kind, payload), value in zip(self.head_request_plan, binding):
-            if kind == "const":
-                if payload != value:
-                    return None
-            else:
-                index = payload  # type: ignore[assignment]
-                if filled[index]:
-                    if values[index] != value:
-                        return None
-                else:
-                    values[index] = value
-                    filled[index] = True
-        if not all(filled):
-            # A stage-0 variable not covered by the request: impossible, since
-            # stage0_vars come exactly from the head's bound positions.
-            raise AssertionError("head request did not bind all stage-0 variables")
-        return tuple(values)
 
     # ------------------------------------------------------------------
     # Consumer side: tuples from subgoal children
@@ -1164,19 +1081,10 @@ class RuleNodeProcess(NodeProcess):
             if stage.row_perm != "id":
                 batch = {
                     env
-                    for env in (self._row_to_subenv(stage, row) for row in batch)
+                    for env in (_bind(stage.row_vars, row) for row in batch)
                     if env is not None
                 }
             self._insert_then_probe(stage_number, batch, False, network)
-
-    def _row_to_subenv(self, stage: _Stage, row: tuple) -> Optional[tuple]:
-        """A row with a repeated variable -> its sub-environment, or None
-        when the repeated positions disagree."""
-        values: dict[Variable, object] = {}
-        for var, value in zip(stage.row_vars, row):
-            if values.setdefault(var, value) != value:
-                return None
-        return tuple(values.values())
 
     # ------------------------------------------------------------------
     # The join: one insert-then-probe path for rows and environments
@@ -1238,7 +1146,7 @@ class RuleNodeProcess(NodeProcess):
             if kernel_batch:
                 self.batch_rows_out += len(fresh)
             if stage.d_env_positions:
-                self.send_tuple_requests_batch(
+                self.send_requests(
                     self.child_ids[stage.subgoal_index],
                     set(ColumnBatch(fresh).project(stage.d_env_positions)),
                     network,
@@ -1381,12 +1289,6 @@ class DriverProcess(NodeProcess):
         feeder.next_seq()
         network.send(RelationRequest(DRIVER_ID, self.root_id, self.adornment))
 
-    def on_relation_request(self, message: RelationRequest, network: "Scheduler") -> None:  # pragma: no cover
-        raise AssertionError("the driver receives no requests")
-
-    def on_tuple_request(self, message: TupleRequest, network: "Scheduler") -> None:  # pragma: no cover
-        raise AssertionError("the driver receives no requests")
-
     def on_tuple_set(self, message: TupleSet, network: "Scheduler") -> None:
         """Collect a packaged answer set (streaming hook still fires per row)."""
         if self.on_answer is None and self.fresh is None:
@@ -1405,6 +1307,3 @@ class DriverProcess(NodeProcess):
         self.completed = True
         if self.on_complete is not None:
             self.on_complete()
-
-    def maybe_send_ends(self, network: "Scheduler") -> None:
-        """The driver has no customers."""

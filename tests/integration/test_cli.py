@@ -287,6 +287,8 @@ class TestOptionRanges:
             (["trace", "--limit", "-1"], "--limit: must be >= 0, got -1"),
             (["bench-session", "--repeat", "0"], "--repeat: must be >= 1, got 0"),
             (["serve", "--drain-timeout", "-1"], "--drain-timeout: must be >= 0, got -1.0"),
+            (["serve", "--port", "70000"], "--port: must be <= 65535, got 70000"),
+            (["serve", "--port", "-1"], "--port: must be >= 0, got -1"),
         ],
         ids=["materialize-pool", "replicated-materialize-pool", "cache-size",
              "max-concurrent", "answer-cache-size", "bench-cache-size", "not-an-int",
@@ -295,7 +297,7 @@ class TestOptionRanges:
              "pool-workers-negative", "cluster-workers", "retries", "batch-size",
              "heartbeat-interval", "retry-backoff", "deadline-nan",
              "heartbeat-interval-nan", "retry-backoff-factor-nan", "trace-limit",
-             "bench-repeat", "drain-timeout"],
+             "bench-repeat", "drain-timeout", "port-too-high", "port-negative"],
     )
     def test_out_of_range_value_is_one_line_and_exit_2(
         self, argv, message, program_file, capsys
@@ -305,6 +307,31 @@ class TestOptionRanges:
             build_parser().parse_args([command, program_file, *flags])
         assert info.value.code == 2
         assert capsys.readouterr().err == f"error: argument {message}\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--reconnect-attempts", "-1"], "--reconnect-attempts: must be >= 0, got -1"),
+            (["--reconnect-backoff", "-1"], "--reconnect-backoff: must be >= 0, got -1.0"),
+            (["--reconnect-backoff", "nan"], "--reconnect-backoff: must be >= 0, got nan"),
+        ],
+        ids=["reconnect-attempts", "reconnect-backoff", "reconnect-backoff-nan"],
+    )
+    def test_worker_out_of_range_value_is_one_line_and_exit_2(self, flags, message, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["worker", "--connect", "127.0.0.1:1", *flags])
+        assert info.value.code == 2
+        assert capsys.readouterr().err == f"error: argument {message}\n"
+
+    def test_port_and_reconnect_bounds_are_inclusive(self, program_file):
+        parse = build_parser().parse_args
+        assert parse(["serve", program_file, "--port", "0"]).port == 0
+        assert parse(["serve", program_file, "--port", "65535"]).port == 65535
+        args = parse(
+            ["worker", "--connect", "127.0.0.1:1", "--reconnect-attempts", "0",
+             "--reconnect-backoff", "0"]
+        )
+        assert (args.reconnect_attempts, args.reconnect_backoff) == (0, 0.0)
 
     @pytest.mark.parametrize(
         "argv",

@@ -170,7 +170,11 @@ class TestStatistics:
         ]
         assert exempt, "P1's top goal node is trivial"
         with_opt = engine.run()
-        without_opt = evaluate(p1_small, trivial_relay=False)
+        plain = MessagePassingEngine(p1_small)
+        for process in plain.processes.values():
+            if isinstance(process, GoalNodeProcess):
+                process.trivial_relay = False
+        without_opt = plain.run()
         assert with_opt.answers == without_opt.answers
         assert with_opt.tuples_stored < without_opt.tuples_stored
 

@@ -28,7 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from repro.core.parser import parse_program
 from repro.network.engine import MessagePassingEngine
 from repro.network.messages import ColumnBatch, TupleMessage, TupleSet
-from repro.network.nodes import CyclicNodeProcess, GoalNodeProcess, RuleNodeProcess
+from repro.network.nodes import CyclicNodeProcess, GoalNodeProcess, RuleNodeProcess, _bind
 from repro.workloads import facts_from_tables
 
 from tests.helpers import oracle_answers
@@ -71,7 +71,7 @@ class Watch:
             envs = node.env_indexes[stage_number - 1]
             for row in rows:
                 if stage.row_perm != "id":
-                    row = node._row_to_subenv(stage, row)
+                    row = _bind(stage.row_vars, row)
                     if row is None:
                         continue
                 (key,) = ColumnBatch([row]).keys(stage.row_key_positions)

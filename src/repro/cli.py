@@ -34,6 +34,7 @@ from .options import (
     EvalOptions,
     RetryPolicy,
     RuntimeOptions,
+    parse_address,
     session_keywords,
 )
 
@@ -44,6 +45,15 @@ _SIPS = {
     "left-to-right": left_to_right_sip,
     "all-free": all_free_sip,
 }
+
+
+def _address(text: str) -> str:
+    """An argparse ``type=``: a ``HOST:PORT`` with a port in 0-65535."""
+    try:
+        parse_address(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 def _bounded(convert, minimum, strict: bool = False, maximum=None):
@@ -124,7 +134,7 @@ _EVAL_FLAGS = {
         help="merge goal nodes with identical binding patterns (single-processor mode)",
     ),
     "package": _flag(
-        "--package", action="store_true", help="batch related tuple requests (footnote-2 packaging)"
+        "--package", action="store_true", help="no effect: requests are packaged (footnote 2)"
     ),
     "planner": _flag(
         "--planner",
@@ -163,6 +173,7 @@ _RUNTIME_FLAGS = {
     "cluster": [
         _flag(
             "--cluster-connect",
+            type=_address,
             default=None,
             metavar="HOST:PORT",
             help="cluster runtime: address of a running cluster manager "
@@ -170,6 +181,7 @@ _RUNTIME_FLAGS = {
         ),
         _flag(
             "--cluster-listen",
+            type=_address,
             default=None,
             metavar="HOST:PORT",
             help="cluster runtime: announce a cluster manager at this address "
@@ -249,8 +261,8 @@ def _parent(table: dict, *names: str) -> argparse.ArgumentParser:
 
 
 def _eval_options(args: argparse.Namespace) -> EvalOptions:
-    """The :class:`EvalOptions` the four EvalOptions flags describe."""
-    return EvalOptions(_SIPS[args.sip], args.coalesce, args.package, args.planner)
+    """The :class:`EvalOptions` the EvalOptions flags describe (``--package`` is a no-op)."""
+    return EvalOptions(_SIPS[args.sip], args.coalesce, planner=args.planner)
 
 
 def _runtime_options(args: argparse.Namespace, runtime: str) -> RuntimeOptions:
@@ -579,9 +591,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     graph = plan_graph(program, "cost", coalesce=args.coalesce)
     print(graph.plan_report.render())
     if args.run:
-        engine = MessagePassingEngine(
-            program, package_requests=args.package, graph=graph
-        )
+        engine = MessagePassingEngine(program, graph=graph)
         print()
         print(engine.run().summary())
     return 0
@@ -772,6 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker_p.add_argument(
         "--connect",
+        type=_address,
         required=True,
         metavar="HOST:PORT",
         help="cluster manager address to register with",

@@ -27,6 +27,7 @@ import threading
 from typing import Optional
 
 from ..cache import BoundedCache
+from ..options import parse_address
 from ..runtime.supervision import (
     EvaluationTimeout,
     RuntimeFailure,
@@ -70,11 +71,6 @@ class SpecMissError(ClusterError):
         self.missing = missing
 
 
-def _parse_address(address: str) -> tuple[str, int]:
-    host, _, port_text = address.rpartition(":")
-    return host or "127.0.0.1", int(port_text)
-
-
 class ClusterClient:
     """Submit evaluations to a :class:`~repro.cluster.manager.ClusterManager`."""
 
@@ -93,7 +89,7 @@ class ClusterClient:
 
     # ------------------------------------------------------------------
     def _connect(self) -> FrameSocket:
-        host, port = _parse_address(self.address)
+        host, port = parse_address(self.address)
         try:
             sock = socket.create_connection((host, port), timeout=10.0)
         except OSError as exc:

@@ -37,7 +37,7 @@ from ..core.adornment import AdornedAtom
 from ..core.program import Program
 from ..core.rulegoal import RuleGoalGraph, SipFactory
 from ..core.sips import greedy_sip
-from ..options import EvalOptions, RetryPolicy, RuntimeOptions
+from ..options import EvalOptions, RetryPolicy, RuntimeOptions, parse_address
 from ..relational.database import Database
 from ..runtime.faults import FaultPlan
 from ..runtime.sharded import ShardedQueryResult, evaluate_sharded
@@ -74,9 +74,8 @@ class ClusterLink:
             if self._manager is None:
                 from .manager import ManagerThread
 
-                host, _, port_text = self.runtime.cluster_listen.rpartition(":")
                 self._manager = ManagerThread(
-                    host or "127.0.0.1", int(port_text or 0)
+                    *parse_address(self.runtime.cluster_listen)
                 ).start()
             return self._manager
 
@@ -213,7 +212,7 @@ def evaluate_cluster(
     batch_size: int = 64,
     timeout: float = 120.0,
     coalesce: bool = False,
-    package_requests: bool = False,
+    package_requests: bool = True,
     edb_shards: Optional[int] = None,
     planner: str = "static",
     retry: Union[RetryPolicy, int, None] = None,

@@ -54,6 +54,7 @@ from typing import Optional
 from ..cache import BoundedCache
 from ..network.engine import MessagePassingEngine, assign_shards
 from ..network.messages import Message, MessageBatch
+from ..options import parse_address
 from ..runtime.faults import FaultPlan
 from ..runtime.shard_loop import STOP as _STOP, Router, run_shard_loop
 from .framing import (
@@ -416,8 +417,7 @@ def worker_main(
     the manager's per-worker ``reconnects`` counter records every flap; a
     handshake REJECT (protocol version mismatch) is fatal, not retried.
     """
-    host, _, port_text = connect.rpartition(":")
-    address = (host or "127.0.0.1", int(port_text))
+    address = parse_address(connect)
     failures = 0
     resident = ResidentSpecs()  # outlives reconnects
     while True:

@@ -295,7 +295,7 @@ class MessagePassingEngine:
         query_goal: Optional[AdornedAtom] = None,
         trace: Optional[Callable[[Message], None]] = None,
         coalesce: bool = False,
-        package_requests: bool = False,
+        package_requests: bool = True,
         provenance: bool = False,
         on_answer: Optional[Callable[[tuple], None]] = None,
         database: Optional[Database] = None,
@@ -492,7 +492,6 @@ class MessagePassingEngine:
                 self._edb_leaves.setdefault(
                     process.adorned.predicate, []
                 ).append(process)
-            process.package_requests = self.options.package_requests
             process.record_provenance = self.options.provenance
             self.scheduler.register(process)
 
@@ -681,7 +680,7 @@ def evaluate(
     validate_protocol: bool = True,
     query_goal: Optional[AdornedAtom] = None,
     coalesce: bool = False,
-    package_requests: bool = False,
+    package_requests: bool = True,
     planner: str = "static",
 ) -> QueryResult:
     """Evaluate a program's query with the message-passing framework.

@@ -274,49 +274,26 @@ class MessageBatch:
 
 
 def coalesce_batch(messages: Sequence[Message]) -> list[Message]:
-    """Merge adjacent same-channel messages into their packaged forms.
+    """Merge adjacent same-channel answer rows into one :class:`TupleSet`.
 
     The batch unpack path of the pooled runtime, applied on ingest so the
-    hosted nodes see set-at-a-time messages even when the sender shipped
-    rows one at a time:
-
-    * a run of :class:`TupleRequest` messages adjacent in the batch and
-      sharing a (sender, receiver) channel becomes one
-      :class:`PackagedTupleRequest` carrying their distinct bindings (first
-      occurrence kept; serving a binding is idempotent so duplicates are
-      dropped) under the *last* request's sequence number — the footnote-2
-      package the producers already serve, possibly in one scan;
-    * a run of :class:`TupleMessage` / :class:`TupleSet` messages on one
-      channel becomes a single :class:`TupleSet` with the union of their
-      rows.
+    hosted nodes see set-at-a-time rows even when the sender shipped them
+    one at a time: a run of :class:`TupleMessage` / :class:`TupleSet`
+    messages on one channel becomes a single :class:`TupleSet` with the
+    union of their rows.  Requests pass through as sent: every node already
+    sends one request message per producer per burst (footnote 2).
 
     Only adjacent runs are merged, so the relative order of every channel's
-    messages is untouched: requests keep their sequence semantics (``seq``
-    of the last member covers the package) and rows still precede the
-    :class:`EndMessage` that covers them.
+    messages is untouched: rows still precede the :class:`EndMessage` that
+    covers them.
     """
     out: list[Message] = []
     run: list[Message] = []
 
-    def same_channel(message: Message) -> bool:
-        return (
-            run[-1].sender == message.sender
-            and run[-1].receiver == message.receiver
-        )
-
     def flush_run() -> None:
-        if not run:
-            return
         if len(run) == 1:
             out.append(run[0])
-        elif isinstance(run[0], TupleRequest):
-            bindings = tuple(dict.fromkeys(r.binding for r in run))
-            out.append(
-                PackagedTupleRequest(
-                    run[0].sender, run[0].receiver, bindings, run[-1].seq
-                )
-            )
-        else:
+        elif run:
             rows = frozenset().union(
                 *(
                     m.rows if isinstance(m, TupleSet) else (m.row,)
@@ -326,20 +303,14 @@ def coalesce_batch(messages: Sequence[Message]) -> list[Message]:
             out.append(TupleSet(run[0].sender, run[0].receiver, rows))
         run.clear()
 
-    row_types = (TupleMessage, TupleSet)
     for message in messages:
-        if isinstance(message, TupleRequest):
-            if run and not (isinstance(run[-1], TupleRequest) and same_channel(message)):
-                flush_run()
-            run.append(message)
+        if not isinstance(message, (TupleMessage, TupleSet)):
+            flush_run()
+            out.append(message)
             continue
-        if isinstance(message, row_types):
-            if run and not (isinstance(run[-1], row_types) and same_channel(message)):
-                flush_run()
-            run.append(message)
-            continue
-        flush_run()
-        out.append(message)
+        if run and (run[-1].sender, run[-1].receiver) != (message.sender, message.receiver):
+            flush_run()
+        run.append(message)
     flush_run()
     return out
 

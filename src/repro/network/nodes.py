@@ -138,8 +138,7 @@ class NodeProcess:
         self.nudge_sent = False
         self._leader_id: Optional[int] = None
         # Footnote-2 packaging: buffer outgoing tuple requests per producer
-        # during one handle() and flush them as one message each.
-        self.package_requests = False
+        # until the inbox drains and flush them as one message each.
         self._request_buffer: dict[int, list[tuple]] = {}
         # Partitioned producers: logical producer id -> replica node ids.  A
         # tuple request is routed to replicas[route_hash(binding) % k], so a
@@ -191,7 +190,7 @@ class NodeProcess:
         if network.pending_for(self.node_id) > 0:
             return False
         if self._request_buffer:
-            return False  # unflushed packaged requests are pending work
+            return False  # unflushed requests are pending work
         return all(f.caught_up for f in self.feeders.values() if f.is_feeder)
 
     # ------------------------------------------------------------------
@@ -213,8 +212,8 @@ class NodeProcess:
     def on_idle_check(self, network: "Scheduler") -> None:
         """Post-delivery hook: emit ends (acyclic) or run the protocol (leader)."""
         if self._request_buffer and network.pending_for(self.node_id) == 0:
-            # Packaging: requests accumulated over the burst go out together
-            # once the inbox drains ("package a set of related tuple requests").
+            # Requests accumulated over the burst go out together once the
+            # inbox drains ("package a set of related tuple requests").
             self.flush_requests(network)
         if self.protocol is not None:
             if self.protocol.is_leader:
@@ -246,17 +245,14 @@ class NodeProcess:
     # ------------------------------------------------------------------
     # Requests: the one sender and the shared stream bookkeeping
     # ------------------------------------------------------------------
-    def send_requests(
-        self, producer_id: int, bindings: AbstractSet[tuple], network: "Scheduler"
-    ) -> None:
+    def send_requests(self, producer_id: int, bindings: AbstractSet[tuple]) -> None:
         """Request "d" bindings from a producer, each at most once per stream.
 
         One set difference against the feeder stream drops what was asked
         before.  A producer with registered replicas is resolved, binding
         by binding, to the replica owning the binding's hash partition.
-        With packaging on, the fresh bindings are buffered and flushed (as
-        one :class:`PackagedTupleRequest` per producer) once the inbox
-        drains; otherwise each goes out as its own :class:`TupleRequest`.
+        The fresh bindings are buffered and flushed, one message per
+        producer, once the inbox drains (footnote 2's packaging).
         """
         replicas = self.replica_route.get(producer_id)
         if replicas is None:
@@ -266,28 +262,23 @@ class NodeProcess:
         for target, wanted in routed:
             feeder = self.feeders[target]
             fresh = wanted - feeder.sent_bindings
-            if not fresh:
-                continue
-            feeder.sent_bindings |= fresh
-            if self.package_requests:
+            if fresh:
+                feeder.sent_bindings |= fresh
                 self._request_buffer.setdefault(target, []).extend(fresh)
-            else:
-                for binding in fresh:
-                    network.send(TupleRequest(self.node_id, target, binding, feeder.next_seq()))
 
     def flush_requests(self, network: "Scheduler") -> None:
-        """Send each producer's buffered bindings as one packaged request."""
-        if not self._request_buffer:
-            return
+        """Send each producer's buffered bindings as one message: a
+        :class:`PackagedTupleRequest`, or a :class:`TupleRequest` for a lone
+        binding (a package of one buys nothing)."""
         buffered, self._request_buffer = self._request_buffer, {}
-        for producer_id in sorted(buffered):
-            bindings = buffered[producer_id]
+        for producer_id, bindings in sorted(buffered.items()):
             feeder = self.feeders[producer_id]
             feeder.last_seq_sent += len(bindings)  # one number per binding
             seq = feeder.last_seq_sent
-            network.send(
-                PackagedTupleRequest(self.node_id, producer_id, tuple(bindings), seq)
-            )
+            if len(bindings) > 1:
+                network.send(PackagedTupleRequest(self.node_id, producer_id, tuple(bindings), seq))
+            else:
+                network.send(TupleRequest(self.node_id, producer_id, bindings[0], seq))
 
     def request_stream(self, consumer_id: int, seq: int) -> ConsumerStream:
         """Record a request (a relation request is sequence 0) on its stream."""
@@ -351,7 +342,7 @@ class NodeProcess:
         everything requested so far is complete (FIFO channels guarantee all
         child tuples were delivered before their ends)."""
         if self._request_buffer:
-            return  # unflushed packaged requests: not done yet
+            return  # unflushed requests: not done yet
         if not all(f.caught_up for f in self.feeders.values()):
             return
         self.send_owed_ends(network)
@@ -594,7 +585,7 @@ class GoalNodeProcess(NodeProcess):
             stream.requested.add(binding)
             self._ship(stream.consumer_id, self.answer_index.get(binding, ()), network)
         for child_id in self.feeders:
-            self.send_requests(child_id, {binding}, network)
+            self.send_requests(child_id, {binding})
 
     # -- consumer side ---------------------------------------------------
     def on_tuple_set(self, message: TupleSet, network: "Scheduler") -> None:
@@ -653,7 +644,7 @@ class CyclicNodeProcess(NodeProcess):
         if binding not in stream.requested:
             stream.requested.add(binding)
             self._ship(stream.consumer_id, self.row_index.get(binding, ()), network)
-        self.send_requests(self.ancestor_id, {binding}, network)
+        self.send_requests(self.ancestor_id, {binding})
 
     def on_tuple_set(self, message: TupleSet, network: "Scheduler") -> None:
         """Relay a whole set: store the fresh rows, fan them out."""
@@ -825,8 +816,7 @@ class EdbLeafProcess(NodeProcess):
             or not self.shape.d_positions
             # Cost choice: one scan beats k indexed lookups only when the
             # package is large relative to the relation; against a big EDB a
-            # small package (e.g. a transport batch coalesced by the pooled
-            # runtime) is served by its indexes.
+            # small package is served by its indexes.
             or 4 * len(bindings) < self._relation_size
         ):
             probe_key, prefix = self._probe_key, self._const_prefix
@@ -1149,7 +1139,6 @@ class RuleNodeProcess(NodeProcess):
                 self.send_requests(
                     self.child_ids[stage.subgoal_index],
                     set(ColumnBatch(fresh).project(stage.d_env_positions)),
-                    network,
                 )
         else:
             if stage.keeps_rows:

@@ -28,13 +28,22 @@ from .core.sips import greedy_sip
 
 __all__ = [
     "PLANNERS", "RUNTIMES", "FALLBACKS",
-    "EvalOptions", "RuntimeOptions", "RetryPolicy", "session_keywords",
+    "EvalOptions", "RuntimeOptions", "RetryPolicy", "parse_address", "session_keywords",
 ]
 
 PLANNERS = ("static", "cost")
 RUNTIMES = ("simulator", "pool", "cluster")
 #: What a sharded evaluation may do once its retries are exhausted.
 FALLBACKS = ("none", "inprocess")
+
+
+def parse_address(address: str) -> tuple[str, int]:
+    """``"host:port"`` as ``(host, port)``, an empty host meaning ``127.0.0.1``;
+    a missing port or one outside 0-65535 raises :class:`ValueError`."""
+    host, _, port = address.rpartition(":")
+    if not (port.isdigit() and int(port) <= 65535):
+        raise ValueError(f"expected HOST:PORT with a port in 0-65535, got {address!r}")
+    return host or "127.0.0.1", int(port)
 
 
 def _check_range(name: str, value, minimum, strict: bool = False) -> None:
@@ -58,7 +67,8 @@ class EvalOptions:
         Merge goal nodes with identical binding patterns (the paper's
         single-processor variant, §2.2 and footnote 4).
     ``package_requests``
-        Batch related tuple requests per producer (footnote 2).
+        Always ``True``: tuple requests go one message per producer per
+        burst (footnote 2).  ``False`` is refused.
     ``planner``
         ``"static"`` keeps the SIP's subgoal order; ``"cost"`` ranks each
         rule's orders with the §4.3 model seeded from observed EDB sizes
@@ -69,11 +79,13 @@ class EvalOptions:
 
     sip_factory: SipFactory = greedy_sip
     coalesce: bool = False
-    package_requests: bool = False
+    package_requests: bool = True
     planner: str = "static"
     provenance: bool = False
 
     def __post_init__(self) -> None:
+        if not self.package_requests:
+            raise ValueError("package_requests must be True: requests are packaged (footnote 2)")
         if self.planner not in PLANNERS:
             raise ValueError(
                 f"unknown planner {self.planner!r} (expected 'static' or 'cost')"
@@ -199,6 +211,9 @@ class RuntimeOptions:
                 "cluster_address and cluster_listen are mutually exclusive: "
                 "either dial an existing manager or announce one, not both"
             )
+        for address in (self.cluster_address, self.cluster_listen):
+            if address is not None:
+                parse_address(address)
         if not isinstance(self.retry, RetryPolicy):
             raise TypeError(f"retry must be a RetryPolicy, got {self.retry!r}")
         _check_range("workers", self.workers, 1)

@@ -297,7 +297,7 @@ def evaluate_pool(
     batch_size: int = 64,
     timeout: float = 120.0,
     coalesce: bool = False,
-    package_requests: bool = False,
+    package_requests: bool = True,
     edb_shards: Optional[int] = None,
     planner: str = "static",
     retry: Union[RetryPolicy, int, None] = None,

@@ -81,9 +81,9 @@ class Router:
     messages land on a local deque (exact per-node pending counts);
     cross-shard messages are buffered per destination shard and shipped as
     one batch when the buffer reaches ``batch_size`` or the shard goes idle.
-    On arrival, adjacent same-channel requests and rows coalesce into
-    packaged requests and :class:`~repro.network.messages.TupleSet`
-    messages, so a transported burst is *handled* set-at-a-time too.
+    On arrival, adjacent same-channel rows coalesce into one
+    :class:`~repro.network.messages.TupleSet`, so a transported burst is
+    *handled* set-at-a-time too.
 
     ``sent_total`` / ``received_total`` count *logical* tuples per link (a
     TupleSet weighs ``len(rows)``), so the Section 3.2 sent/received

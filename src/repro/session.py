@@ -263,7 +263,7 @@ class Session:
         source: Union[str, Program],
         sip_factory: SipFactory = greedy_sip,
         coalesce: bool = False,
-        package_requests: bool = False,
+        package_requests: bool = True,
         planner: str = "static",
         provenance: bool = False,
         graph_cache_size: int = 64,
@@ -357,7 +357,6 @@ class Session:
     # The options' fields, read where they used to be attributes.
     sip_factory = property(lambda self: self.options.sip_factory)
     coalesce = property(lambda self: self.options.coalesce)
-    package_requests = property(lambda self: self.options.package_requests)
     planner = property(lambda self: self.options.planner)
     provenance = property(lambda self: self.options.provenance)
     runtime = property(lambda self: self.runtime_options.runtime)

@@ -32,7 +32,7 @@ def workload():
     """TC over a 511-node binary tree: bushy enough to keep requests in flight."""
     tree = [(i, 2 * i + 1) for i in range(255)] + [(i, 2 * i + 2) for i in range(255)]
     program = left_recursive_tc_program(0).with_facts(facts_from_tables({"e": tree}))
-    sim = evaluate(program, package_requests=True)
+    sim = evaluate(program)
     assert sim.answers == {(i,) for i in range(1, 511)}
     return program, sim
 
@@ -51,7 +51,7 @@ def assert_bounded(run, sim) -> None:
 def test_pool_holds_blocked_end_requests(workload):
     program, sim = workload
     run = evaluate_pool(
-        program, workers=2, edb_shards=2, package_requests=True, timeout=60
+        program, workers=2, edb_shards=2, timeout=60
     )
     assert_bounded(run, sim)
 
@@ -63,7 +63,6 @@ def test_cluster_holds_blocked_end_requests(workload):
             program,
             client=harness.client(),
             edb_shards=2,
-            package_requests=True,
             timeout=60,
         )
     assert_bounded(run, sim)

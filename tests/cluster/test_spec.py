@@ -102,7 +102,7 @@ class TestJobSpecMemo:
         memo = JobSpecMemo()
         plan = memo.plan(program, graph, OPTIONS, True)
         assert memo.plan(program, graph, OPTIONS, True) is plan
-        other = memo.plan(program, graph, dataclasses.replace(OPTIONS, package_requests=True), True)
+        other = memo.plan(program, graph, dataclasses.replace(OPTIONS, coalesce=True), True)
         assert other.digest != plan.digest
 
     def test_at_most_sixteen_entries_per_kind_dead_owners_first(self):

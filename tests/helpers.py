@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 from repro.baselines import naive
+from repro.core.adornment import AdornedAtom
+from repro.core.atoms import atom
 from repro.core.program import Program
+from repro.core.terms import Variable
+from repro.network.nodes import GoalNodeProcess
 from repro.workloads import facts_from_tables
 
 
@@ -15,3 +19,20 @@ def with_tables(program: Program, tables: dict) -> Program:
 def oracle_answers(program: Program) -> set[tuple]:
     """The reference answer set (naive minimum-model evaluation)."""
     return naive.goal_answers(program)
+
+
+def flushed(*requests) -> list:
+    """The messages node 0 sends producer 1 after requesting each binding
+    set in ``requests`` within one burst (one flush)."""
+    node = GoalNodeProcess(0, AdornedAtom(atom("p", Variable("X")), ("d",)))
+    node.add_feeder(1, is_feeder=True).next_seq()  # sequence 0: the relation request
+    sent = []
+
+    class Recorder:
+        def send(self, message):
+            sent.append(message)
+
+    for bindings in requests:
+        node.send_requests(1, bindings)
+    node.flush_requests(Recorder())
+    return sent

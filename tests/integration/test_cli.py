@@ -53,6 +53,13 @@ class TestRun:
         out = capsys.readouterr().out.strip().splitlines()
         assert sorted(out) == ["bob", "cal", "dee"]
 
+    def test_package_flag_changes_nothing(self, program_file, capsys):
+        # Requests are always packaged; --package is accepted and ignored.
+        main(["run", program_file, "--stats"])
+        plain = capsys.readouterr()
+        main(["run", program_file, "--stats", "--package"])
+        assert capsys.readouterr() == plain
+
 
 @pytest.mark.skipif(
     sys.platform not in ("linux", "darwin"), reason="fork start method required"
@@ -320,6 +327,28 @@ class TestOptionRanges:
     def test_worker_out_of_range_value_is_one_line_and_exit_2(self, flags, message, capsys):
         with pytest.raises(SystemExit) as info:
             build_parser().parse_args(["worker", "--connect", "127.0.0.1:1", *flags])
+        assert info.value.code == 2
+        assert capsys.readouterr().err == f"error: argument {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "{file}", "--runtime", "cluster", "--cluster-listen", "127.0.0.1:70000"],
+             "--cluster-listen: expected HOST:PORT with a port in 0-65535, got '127.0.0.1:70000'"),
+            (["run", "{file}", "--runtime", "cluster", "--cluster-connect", "127.0.0.1:-1"],
+             "--cluster-connect: expected HOST:PORT with a port in 0-65535, got '127.0.0.1:-1'"),
+            (["serve", "{file}", "--eval-runtime", "cluster", "--cluster-listen", "127.0.0.1:"],
+             "--cluster-listen: expected HOST:PORT with a port in 0-65535, got '127.0.0.1:'"),
+            (["worker", "--connect", "127.0.0.1:70000"],
+             "--connect: expected HOST:PORT with a port in 0-65535, got '127.0.0.1:70000'"),
+        ],
+        ids=["run-listen", "run-connect", "serve-listen-empty", "worker-connect"],
+    )
+    def test_bad_cluster_address_is_one_line_and_exit_2(
+        self, argv, message, program_file, capsys
+    ):
+        with pytest.raises(SystemExit) as info:
+            main([arg.format(file=program_file) for arg in argv])
         assert info.value.code == 2
         assert capsys.readouterr().err == f"error: argument {message}\n"
 

@@ -5,10 +5,9 @@ batched channels, and TCP cluster workers behind a manager) execute
 byte-for-byte the same node logic over different channel fabrics.  This
 matrix pins the only property that justifies having three of them: the
 fabric is invisible — for every workload shape in
-:mod:`repro.workloads.programs`, every combination of the paper's
-coalesce / package-requests knobs, the planner and SIP on or off, and
-three pool placements, all runtimes must produce exactly the naive
-oracle's answer set.
+:mod:`repro.workloads.programs`, the paper's coalesce knob, the planner,
+three SIPs, and several EDB placements, all runtimes must produce
+exactly the naive oracle's answer set.
 
 The pool and cluster columns run a *spread* placement: ``edb_shards``
 equal to the worker count puts EDB replicas on every shard, so rows cross
@@ -36,8 +35,8 @@ oracle still switched on.  ``test_multiprocessing`` once ran one OS
 process per node; it now runs the pool at its finest placement
 (``workers=8, batch_size=1, edb_shards=8``), a configuration no other
 column runs.  The
-``no-tuple-sets`` / ``row-kernels`` knob ids are described at
-:data:`KNOBS`.
+``no-tuple-sets`` / ``row-kernels`` / ``package`` knob ids are described
+at :data:`KNOBS`.
 
 Each test arms a ``SIGALRM`` watchdog: a hung distributed run must fail the
 test, not the whole suite (the process runtimes also carry their own
@@ -52,8 +51,8 @@ import pytest
 from repro.baselines import naive
 from repro.core.parser import parse_program
 from repro.core.rulegoal import plan_graph
-from repro.core.sips import all_free_sip, greedy_sip
-from repro.network.engine import evaluate
+from repro.core.sips import all_free_sip, greedy_sip, left_to_right_sip
+from repro.network.engine import MessagePassingEngine, evaluate
 from repro.relational.database import Database
 from repro.runtime import evaluate_pool
 from repro.session import Session
@@ -118,32 +117,38 @@ CASES = {
     ),
 }
 
-#: (coalesce, package_requests, planner, sip_factory) combinations: the
-#: paper's single-processor coalescing (footnote 4) and request packaging
-#: (footnote 2), alone and together, the cost planner (which changes
-#: subgoal orders, i.e. the graph itself, and must still converge on the
-#: oracle's answers), and sideways information passing off.
+#: (coalesce, planner, sip_factory, edb_shards) combinations: the paper's
+#: single-processor coalescing (footnote 4), the cost planner (which
+#: changes subgoal orders, i.e. the graph itself, and must still converge
+#: on the oracle's answers; it replaces the SIP), three SIPs (greedy,
+#: Prolog's left-to-right, and sideways information passing off), and the
+#: EDB placement.  ``edb_shards=None`` runs each column's own placement:
+#: whole leaves in the simulator, as many replicas as workers in the pool
+#: and cluster columns.  A number runs that many replicas per "d"-bound
+#: EDB leaf in every column, the simulator included.
 #:
-#: The ids ending in ``no-tuple-sets`` / ``row-kernels`` name rows that
-#: once also switched off set emission or the set-at-a-time stage kernels.
-#: Both switches are gone — every run takes the one kernel path and the
-#: one send path — so those rows keep their ids with configurations no
-#: other row covers: ``no-tuple-sets`` and ``package+no-tuple-sets`` are
-#: coalescing under the cost planner, without and with packaging;
-#: ``cost-planner+row-kernels`` is the cost planner with packaging; and
-#: ``row-kernels`` and ``package+row-kernels`` are ``all_free_sip`` (the
-#: paper's no-SIP baseline), without and with packaging.
+#: Some ids name switches that are gone: ``no-tuple-sets`` / ``row-kernels``
+#: once switched off set emission or the set-at-a-time stage kernels, and
+#: ``package`` switched on footnote-2 request packaging, which every run
+#: now takes.  Those rows keep their ids with configurations no other row
+#: covers: ``no-tuple-sets`` is coalescing under the cost planner and
+#: ``package+no-tuple-sets`` the same over three replicas;
+#: ``cost-planner+row-kernels`` is the cost planner over three replicas;
+#: ``row-kernels`` is ``all_free_sip`` (the paper's no-SIP baseline) and
+#: ``package+row-kernels`` the same with coalescing; and ``package`` and
+#: ``coalesce+package`` are ``left_to_right_sip``, without and with
+#: coalescing.
 KNOBS = [
-    pytest.param(False, False, "static", greedy_sip, id="plain"),
-    pytest.param(True, False, "cost", greedy_sip, id="no-tuple-sets"),
-    pytest.param(False, False, "static", all_free_sip, id="row-kernels"),
-    pytest.param(True, False, "static", greedy_sip, id="coalesce"),
-    pytest.param(False, True, "static", greedy_sip, id="package"),
-    pytest.param(True, True, "cost", greedy_sip, id="package+no-tuple-sets"),
-    pytest.param(False, True, "static", all_free_sip, id="package+row-kernels"),
-    pytest.param(True, True, "static", greedy_sip, id="coalesce+package"),
-    pytest.param(False, False, "cost", greedy_sip, id="cost-planner"),
-    pytest.param(False, True, "cost", greedy_sip, id="cost-planner+row-kernels"),
+    pytest.param(False, "static", greedy_sip, None, id="plain"),
+    pytest.param(True, "cost", greedy_sip, None, id="no-tuple-sets"),
+    pytest.param(False, "static", all_free_sip, None, id="row-kernels"),
+    pytest.param(True, "static", greedy_sip, None, id="coalesce"),
+    pytest.param(False, "static", left_to_right_sip, None, id="package"),
+    pytest.param(True, "cost", greedy_sip, 3, id="package+no-tuple-sets"),
+    pytest.param(True, "static", all_free_sip, None, id="package+row-kernels"),
+    pytest.param(True, "static", left_to_right_sip, None, id="coalesce+package"),
+    pytest.param(False, "cost", greedy_sip, None, id="cost-planner"),
+    pytest.param(False, "cost", greedy_sip, 3, id="cost-planner+row-kernels"),
 ]
 
 BATCH_SIZES = (1, 64)
@@ -171,15 +176,9 @@ def watchdog():
         signal.signal(signal.SIGALRM, previous)
 
 
-def simulator_rows(program, sip, coalesce, package, planner) -> int:
+def simulator_rows(program, sip, coalesce, planner) -> int:
     """The simulator's logical tuple rows under the same knobs."""
-    sim = evaluate(
-        program,
-        sip_factory=sip,
-        coalesce=coalesce,
-        package_requests=package,
-        planner=planner,
-    )
+    sim = evaluate(program, sip_factory=sip, coalesce=coalesce, planner=planner)
     return sim.stats.by_kind.get("TupleMessage", 0) + sim.stats.tuple_set_rows
 
 
@@ -219,37 +218,36 @@ def cluster():
         harness.stop()
 
 
-@pytest.mark.parametrize("coalesce,package,planner,sip", KNOBS)
+@pytest.mark.parametrize("coalesce,planner,sip,shards", KNOBS)
 @pytest.mark.parametrize("name", sorted(CASES))
 class TestRuntimeParity:
     def test_simulator_and_asyncio(
-        self, name, coalesce, package, planner, sip, oracles
+        self, name, coalesce, planner, sip, shards, oracles
     ):
         program = CASES[name]()
         expected = oracles[name]
         knobs = dict(
             sip_factory=sip,
             coalesce=coalesce,
-            package_requests=package,
             planner=planner,
+            edb_shards=shards or 1,
         )
-        sim = evaluate(program, **knobs)
+        sim = MessagePassingEngine(program, **knobs).run()
         assert sim.answers == expected, f"{name}: simulator diverged"
         assert sim.completed and sim.protocol_violations == []
-        run = evaluate(program, seed=7, **knobs)
+        run = MessagePassingEngine(program, seed=7, **knobs).run()
         assert run.answers == expected, f"{name}: seeded delivery diverged"
         assert run.completed and run.protocol_violations == []
 
-    def test_multiprocessing(self, name, coalesce, package, planner, sip, oracles):
+    def test_multiprocessing(self, name, coalesce, planner, sip, shards, oracles):
         program = CASES[name]()
         run = evaluate_pool(
             program,
             sip_factory=sip,
             workers=8,
             batch_size=1,
-            edb_shards=8,
+            edb_shards=shards or 8,
             coalesce=coalesce,
-            package_requests=package,
             planner=planner,
             timeout=60,
         )
@@ -258,12 +256,12 @@ class TestRuntimeParity:
             f"{name}: pool diverged (workers=8, batch_size=1)"
         )
         assert run.logical_tuple_rows == simulator_rows(
-            program, sip, coalesce, package, planner
+            program, sip, coalesce, planner
         )
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     def test_pool(
-        self, name, coalesce, package, planner, sip, batch_size, oracles
+        self, name, coalesce, planner, sip, shards, batch_size, oracles
     ):
         program = CASES[name]()
         run = evaluate_pool(
@@ -271,9 +269,8 @@ class TestRuntimeParity:
             sip_factory=sip,
             workers=2,
             batch_size=batch_size,
-            edb_shards=2,
+            edb_shards=shards or 2,
             coalesce=coalesce,
-            package_requests=package,
             planner=planner,
             timeout=60,
         )
@@ -282,16 +279,16 @@ class TestRuntimeParity:
             f"{name}: pool diverged (batch_size={batch_size})"
         )
         assert run.logical_tuple_rows == simulator_rows(
-            program, sip, coalesce, package, planner
+            program, sip, coalesce, planner
         )
 
     def test_cluster(
-        self, name, coalesce, package, planner, sip, oracles, cluster
+        self, name, coalesce, planner, sip, shards, oracles, cluster
     ):
         from repro.cluster import evaluate_cluster
 
         program = CASES[name]()
-        knobs = dict(coalesce=coalesce, package_requests=package, planner=planner)
+        knobs = dict(coalesce=coalesce, planner=planner)
         sim = evaluate(program, sip_factory=sip, **knobs)
         assert sim.answers == oracles[name], f"{name}: simulator diverged"
         # The runtime-invariant accounting slice (see module docstring).
@@ -304,7 +301,7 @@ class TestRuntimeParity:
         graph = plan_graph(program, planner, sip, database, coalesce=coalesce)
         # Cold and warm run the spread placement; "default" leaves
         # edb_shards unset, so each node runs on its consumer's shard.
-        spread = {"edb_shards": 2}
+        spread = {"edb_shards": shards or 2}
         for temperature, placement in (
             ("cold", spread), ("warm", spread), ("default", {})
         ):
@@ -385,7 +382,7 @@ MIXED_ANSWERS = {(2,), ("a",), (3,)}
 class TestMixedTypeAnswers:
     def check(self, run) -> None:
         program = parse_program(MIXED_KB)
-        sim = evaluate(program, package_requests=True)
+        sim = evaluate(program)
         assert run.cross_batches > 0
         assert sim.answers == MIXED_ANSWERS
         assert run.answers == MIXED_ANSWERS
@@ -398,7 +395,7 @@ class TestMixedTypeAnswers:
         program = parse_program(MIXED_KB)
         self.check(
             evaluate_pool(
-                program, workers=2, edb_shards=2, package_requests=True, timeout=60
+                program, workers=2, edb_shards=2, timeout=60
             )
         )
 
@@ -411,7 +408,6 @@ class TestMixedTypeAnswers:
                 program,
                 client=cluster,
                 edb_shards=2,
-                package_requests=True,
                 timeout=60,
             )
         )

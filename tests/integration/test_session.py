@@ -158,7 +158,7 @@ class TestConfiguration:
         assert session.ask("anc(ann, cal)")
 
     def test_modes(self):
-        for kwargs in ({"coalesce": True}, {"package_requests": True}):
+        for kwargs in ({"coalesce": True}, {"planner": "cost"}):
             session = Session(KB, **kwargs)
             assert session.query("anc(ann, Z)") == {("bob",), ("cal",), ("dee",)}
 

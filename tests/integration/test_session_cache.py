@@ -270,7 +270,9 @@ class TestCacheCorrectness:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{}, {"coalesce": True}, {"package_requests": True}],
+        # "package" names a retired option (every run packages its
+        # requests); the id now runs the cost planner.
+        [{}, {"coalesce": True}, {"planner": "cost"}],
         ids=["default", "coalesce", "package"],
     )
     def test_cached_equals_uncached_answers(self, kwargs):

@@ -152,9 +152,11 @@ def test_goal_node_requests_each_binding_once_per_child():
     network = Recorder()
     goal.handle(RelationRequest(consumer_id, goal.node_id, ()), network)
     goal.handle(TupleRequest(consumer_id, goal.node_id, ("b",), 1), network)
+    goal.flush_requests(network)
     first = [m for m in network.sent if isinstance(m, TupleRequest)]
     assert sorted(m.receiver for m in first) == sorted(goal.feeders)
     goal.handle(PackagedTupleRequest(consumer_id, goal.node_id, (("b",), ("c",)), 3), network)
+    goal.flush_requests(network)
     again = [m for m in network.sent if isinstance(m, TupleRequest)][len(first):]
     assert [m.binding for m in again] == [("c",)] * len(goal.feeders)
     assert all(f.sent_bindings == {("b",), ("c",)} for f in goal.feeders.values())

@@ -86,7 +86,7 @@ def check_once(engine: MessagePassingEngine, seen: dict) -> int:
 )
 @given(programs())
 def test_random_programs(program):
-    for options in ({}, {"coalesce": True, "package_requests": True}):
+    for options in ({}, {"coalesce": True}):
         with recording() as seen:
             engine = MessagePassingEngine(program, **options)
             result = engine.run()

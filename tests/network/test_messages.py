@@ -19,6 +19,8 @@ from repro.network.messages import (
     logical_size,
 )
 
+from tests.helpers import flushed
+
 
 class TestMessageShape:
     def test_kind_tags(self):
@@ -81,24 +83,21 @@ class TestMessageBatch:
 
 
 class TestCoalesceTupleRequests:
-    """The footnote-2 half of :func:`coalesce_batch`: request runs."""
+    """Footnote 2's request packages form where requests are sent; a batch
+    carries them through :func:`coalesce_batch` as they are."""
 
     def test_adjacent_same_channel_requests_become_one_package(self):
-        msgs = [
-            TupleRequest(0, 1, ("a",), 1),
-            TupleRequest(0, 1, ("b",), 2),
-            TupleRequest(0, 1, ("c",), 3),
-        ]
-        out = coalesce_batch(msgs)
-        assert out == [PackagedTupleRequest(0, 1, (("a",), ("b",), ("c",)), 3)]
+        [package] = flushed({("a",)}, {("b",)}, {("c",)})
+        assert isinstance(package, PackagedTupleRequest)
+        assert sorted(package.bindings) == [("a",), ("b",), ("c",)]
+        msgs = [TupleRequest(0, 1, ("a",), 1), TupleRequest(0, 1, ("b",), 2)]
+        assert coalesce_batch(msgs) == msgs
 
     def test_package_seq_is_last_member_seq(self):
         # One end message covers the whole package (footnote 2), so the
         # package must carry the *last* member's sequence number.
-        out = coalesce_batch(
-            [TupleRequest(0, 1, ("a",), 5), TupleRequest(0, 1, ("b",), 9)]
-        )
-        assert out[0].seq == 9
+        [package] = flushed({("a",), ("b",)})
+        assert package.seq == 2
 
     def test_singleton_run_stays_a_tuple_request(self):
         msgs = [TupleRequest(0, 1, ("a",), 1)]
@@ -132,10 +131,7 @@ class TestCoalesceTupleRequests:
             TupleRequest(0, 1, ("b",), 2),
             EndRequest(3, 1, 1),
         ]
-        out = coalesce_batch(msgs)
-        assert out[0] == msgs[0]
-        assert out[1] == PackagedTupleRequest(0, 1, (("a",), ("b",)), 2)
-        assert out[2] == msgs[3]
+        assert coalesce_batch(msgs) == msgs
 
     def test_empty_input(self):
         assert coalesce_batch([]) == []
@@ -171,7 +167,7 @@ class TestTupleSetShape:
 
 
 class TestCoalesceBatch:
-    """Edge cases of the generalized batch coalescer (requests AND answers)."""
+    """Edge cases of the batch coalescer (answer rows merge, requests pass)."""
 
     def test_empty_batch(self):
         assert coalesce_batch([]) == []
@@ -215,15 +211,9 @@ class TestCoalesceBatch:
         assert coalesce_batch(msgs) == msgs
 
     def test_all_duplicate_bindings_dedup_to_one(self):
-        # A package whose bindings all duplicate keeps one copy (first
-        # occurrence) and still carries the last member's seq.
-        msgs = [
-            TupleRequest(0, 1, ("a",), 1),
-            TupleRequest(0, 1, ("a",), 2),
-            TupleRequest(0, 1, ("a",), 3),
-        ]
-        out = coalesce_batch(msgs)
-        assert out == [PackagedTupleRequest(0, 1, (("a",),), 3)]
+        # A binding requested again within a burst is sent once: a lone
+        # TupleRequest under the one sequence number it took.
+        assert flushed({("a",)}, {("a",)}, {("a",)}) == [TupleRequest(0, 1, ("a",), 1)]
 
     def test_duplicate_rows_dedup_in_the_set(self):
         msgs = [
@@ -244,7 +234,4 @@ class TestCoalesceBatch:
             TupleMessage(0, 1, (2,)),
         ]
         out = coalesce_batch(msgs)
-        assert out == [
-            PackagedTupleRequest(0, 1, (("a",), ("b",)), 2),
-            TupleSet(0, 1, frozenset({(1,), (2,)})),
-        ]
+        assert out == [*msgs[:2], TupleSet(0, 1, frozenset({(1,), (2,)}))]

@@ -1,4 +1,10 @@
-"""Tests for packaged tuple requests (footnote 2 of Section 3.1)."""
+"""Tests for packaged tuple requests (footnote 2 of Section 3.1).
+
+Packaging is the one request path: every node buffers the bindings it
+requests during a burst and sends one message per producer once its
+inbox drains, a :class:`TupleRequest` for a lone binding and a
+:class:`PackagedTupleRequest` for two or more.
+"""
 
 import pytest
 
@@ -14,7 +20,14 @@ from repro.workloads import (
     program_p1,
 )
 
-from tests.helpers import oracle_answers, with_tables
+from tests.helpers import flushed, oracle_answers, with_tables
+
+
+def bindings_carried(message) -> int:
+    """How many tuple requests a request message stands for."""
+    if isinstance(message, PackagedTupleRequest):
+        return len(message.bindings)
+    return 1
 
 
 def fanout_program(width: int = 32):
@@ -28,51 +41,50 @@ def fanout_program(width: int = 32):
 class TestPackagingCorrectness:
     @pytest.mark.parametrize("seed", [None, 4, 19])
     def test_p1(self, p1_small, seed):
-        result = evaluate(p1_small, package_requests=True, seed=seed)
+        result = evaluate(p1_small, seed=seed)
         assert result.answers == oracle_answers(p1_small)
         assert result.completed
         assert result.protocol_violations == []
 
     def test_recursive_cycles(self):
         program = with_tables(nonlinear_tc_program(0), {"e": cycle_edges(7)})
-        result = evaluate(program, package_requests=True)
+        result = evaluate(program)
         assert result.answers == oracle_answers(program)
 
     def test_combined_with_coalescing(self, p1_small):
-        result = evaluate(p1_small, package_requests=True, coalesce=True)
+        result = evaluate(p1_small, coalesce=True)
         assert result.answers == oracle_answers(p1_small)
         assert result.protocol_violations == []
 
     def test_fanout(self):
         program = fanout_program()
-        assert (
-            evaluate(program, package_requests=True).answers
-            == oracle_answers(program)
-        )
+        assert evaluate(program).answers == oracle_answers(program)
 
 
 class TestPackagingMechanics:
     def test_packages_actually_form(self):
         program = fanout_program(16)
-        result = evaluate(program, package_requests=True)
+        result = evaluate(program)
         assert result.stats.by_kind.get("PackagedTupleRequest", 0) >= 1
 
     def test_fanout_collapses_to_one_package(self):
         program = fanout_program(64)
-        plain = evaluate(program)
-        packed = evaluate(program, package_requests=True)
-        assert plain.stats.by_kind.get("TupleRequest", 0) >= 64
-        assert packed.stats.by_kind.get("PackagedTupleRequest", 0) <= 3
+        sent = []
+        MessagePassingEngine(program, trace=sent.append).run()
+        requests = [m for m in sent if isinstance(m, (TupleRequest, PackagedTupleRequest))]
+        carried = sum(bindings_carried(m) for m in requests)
+        assert carried >= 64
+        assert sum(isinstance(m, PackagedTupleRequest) for m in requests) <= 3
 
     def test_large_package_served_by_one_scan(self):
         program = fanout_program(64)
-        packed = evaluate(program, package_requests=True)
+        packed = evaluate(program)
         assert packed.db_scans >= 1
         assert packed.db_indexed_lookups <= 2
 
     def test_sequence_accounting_covers_packages(self):
         # Every feeder stream must still be caught up at the end.
-        engine = MessagePassingEngine(fanout_program(), package_requests=True)
+        engine = MessagePassingEngine(fanout_program())
         engine.run()
         for process in engine.processes.values():
             for stream in process.feeders.values():
@@ -80,8 +92,9 @@ class TestPackagingMechanics:
                     assert stream.caught_up
 
     def test_no_packages_when_disabled(self, p1_small):
-        result = evaluate(p1_small)
-        assert result.stats.by_kind.get("PackagedTupleRequest", 0) == 0
+        # There is no per-binding path to turn packaging off for.
+        with pytest.raises(ValueError, match="footnote 2"):
+            evaluate(p1_small, package_requests=False)
 
     def test_buffer_blocks_idleness(self):
         # A node holding buffered requests must not report empty queues.
@@ -91,7 +104,6 @@ class TestPackagingMechanics:
         from repro.core.terms import Variable
 
         node = GoalNodeProcess(1, AdornedAtom(atom("p", Variable("X")), ("d",)))
-        node.package_requests = True
         node._request_buffer[2] = [(1,)]
 
         class FakeNet:
@@ -99,3 +111,61 @@ class TestPackagingMechanics:
                 return 0
 
         assert not node.empty_queues(FakeNet())
+
+    def test_lone_binding_leaves_as_a_tuple_request(self):
+        assert flushed({(1,)}) == [TupleRequest(0, 1, (1,), 1)]
+        [package] = flushed({(1,), (2,)}, {(3,)})
+        assert isinstance(package, PackagedTupleRequest)
+        assert sorted(package.bindings) == [(1,), (2,), (3,)]
+        assert package.seq == 3  # one sequence number per binding
+
+
+#: A same-generation and a nonlinear-closure query, both with lone and
+#: several-binding request bursts.
+DEFAULT_KB = """
+sg(X, Y) <- par(X, P), par(Y, P).
+sg(X, Y) <- par(X, U), sg(U, V), par(Y, V).
+t(X, Y) <- e(X, Y).
+t(X, Y) <- t(X, U), t(U, Y).
+e(1, 2). e(2, 3). e(3, 1). e(3, 4). e(4, 5). e(2, 6).
+""" + " ".join(f"par({2 * p + 1 + i}, {p})." for p in range(7) for i in range(2))
+
+#: Counters of ``Session(DEFAULT_KB, package_requests=True)`` at the last
+#: commit that still had a per-binding path, when every request message
+#: was a PackagedTupleRequest: answers, then delivered, physical,
+#: computation and protocol messages, tuple sets and their rows, tuples
+#: stored, environments, probes, index inserts, kernel rows in/out and
+#: distinct keys, protocol rounds and conclusions, and the EDB's scans,
+#: indexed lookups and rows retrieved; last, the request messages.
+PACKAGED = {
+    "sg(7, Z)": (
+        8, 155, 112, 145, 10, 25, 68, 101, 47, 42, 59, 38, 38, 33, 2, 1, 0, 17, 24, 23
+    ),
+    "t(1, Z)": (
+        6, 312, 211, 225, 87, 50, 151, 274, 129, 74, 116, 76, 114, 59, 18, 2, 2, 3, 15, 30
+    ),
+}
+
+
+@pytest.mark.parametrize("query", sorted(PACKAGED))
+def test_default_session_runs_the_packaged_path(query):
+    """A default ``Session`` matches the old ``package_requests=True`` run
+    counter for counter; only the request messages split into the two
+    kinds, a lone binding now travelling as a TupleRequest."""
+    from repro.session import Session
+
+    session = Session(DEFAULT_KB)
+    session.query(query)
+    r = session.last_result
+    st = r.stats
+    requests = st.by_kind.get("TupleRequest", 0) + st.by_kind.get("PackagedTupleRequest", 0)
+    assert (
+        len(r.answers), st.delivered_total, st.physical_total,
+        st.computation_messages, st.protocol_messages, st.tuple_sets,
+        st.tuple_set_rows, r.tuples_stored, r.envs_materialized,
+        r.probe_lookups, r.index_inserts, r.batch_rows_in, r.batch_rows_out,
+        r.batch_distinct_keys, r.protocol_rounds, r.protocol_conclusions,
+        r.db_scans, r.db_indexed_lookups, r.db_rows_retrieved, requests,
+    ) == PACKAGED[query]
+    assert st.by_kind.get("TupleRequest", 0) > 0
+    assert st.by_kind.get("PackagedTupleRequest", 0) > 0

@@ -16,7 +16,7 @@ from repro.core.program import Program
 from repro.core.rules import Rule
 from repro.core.sips import all_free_sip, left_to_right_sip
 from repro.core.terms import Constant, Variable
-from repro.network.engine import evaluate
+from repro.network.engine import MessagePassingEngine, evaluate
 
 X, Y, Z, U = (Variable(n) for n in "XYZU")
 VARS = [X, Y, Z, U]
@@ -137,14 +137,16 @@ class TestEngineAgainstOracle:
     @settings(**COMMON)
     @given(programs())
     def test_packaged_matches_oracle(self, program):
-        result = evaluate(program, package_requests=True)
+        # Every run packages its requests; here each package is split
+        # binding by binding over two replicas of every "d"-bound EDB leaf.
+        result = MessagePassingEngine(program, edb_shards=2).run()
         assert result.answers == naive.goal_answers(program)
         assert result.protocol_violations == []
 
     @settings(**COMMON)
     @given(programs(), st.integers(0, 10_000))
     def test_all_modes_combined(self, program, seed):
-        result = evaluate(program, coalesce=True, package_requests=True, seed=seed)
+        result = evaluate(program, coalesce=True, seed=seed)
         assert result.answers == naive.goal_answers(program)
         assert result.completed
         assert result.protocol_violations == []

@@ -85,5 +85,5 @@ class TestMultiprocessingRuntime:
 
     def test_coalesce_and_package_knobs(self, p1_small):
         expected = oracle_answers(p1_small)
-        result = _finest_pool(p1_small, coalesce=True, package_requests=True)
+        result = _finest_pool(p1_small, coalesce=True)
         assert result.answers == expected

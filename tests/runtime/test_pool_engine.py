@@ -118,9 +118,7 @@ class TestPoolRuntime:
 
     def test_coalesce_and_package_knobs(self, p1_small):
         expected = oracle_answers(p1_small)
-        result = evaluate_pool(
-            p1_small, workers=2, coalesce=True, package_requests=True, timeout=60
-        )
+        result = evaluate_pool(p1_small, workers=2, coalesce=True, timeout=60)
         assert result.answers == expected
 
     def test_more_workers_than_nodes(self, p1_small):

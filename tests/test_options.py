@@ -14,6 +14,7 @@ from repro.options import (
     EvalOptions,
     RetryPolicy,
     RuntimeOptions,
+    parse_address,
     session_keywords,
 )
 from repro.runtime import evaluate_pool
@@ -60,7 +61,7 @@ class TestOneSetOfOptions:
         assert keywords(entry) <= union
 
     def test_session_keywords_rebuild_both_values(self):
-        options = EvalOptions(coalesce=True, package_requests=True, planner="cost")
+        options = EvalOptions(coalesce=True, planner="cost")
         runtime = RuntimeOptions(
             "pool",
             3,
@@ -97,6 +98,9 @@ BAD = [
     ("fallback", "bogus", lambda: RuntimeOptions(fallback="bogus")),
     ("runtime", "threads", lambda: RuntimeOptions(runtime="threads")),
     ("workers", 0, lambda: RuntimeOptions(workers=0)),
+    ("package_requests", False, lambda: EvalOptions(package_requests=False)),
+    ("cluster_listen", "127.0.0.1:70000", lambda: RuntimeOptions(cluster_listen="127.0.0.1:70000")),
+    ("cluster_address", "127.0.0.1:", lambda: RuntimeOptions(cluster_address="127.0.0.1:")),
 ]
 
 ENTRIES = {
@@ -169,6 +173,32 @@ class TestRanges:
         assert (config.warmup_queries, config.front_cache_size) == (0, 0)
 
 
+class TestPackaging:
+    def test_packaging_is_the_only_request_path(self):
+        assert EvalOptions().package_requests is True
+        assert EvalOptions(package_requests=True) == EvalOptions()
+        with pytest.raises(ValueError, match="footnote 2"):
+            EvalOptions(package_requests=False)
+
+
+class TestAddresses:
+    @pytest.mark.parametrize(
+        "address, parsed",
+        [("h:0", ("h", 0)), (":7465", ("127.0.0.1", 7465)), ("7465", ("127.0.0.1", 7465)),
+         ("10.0.0.1:65535", ("10.0.0.1", 65535))],
+    )
+    def test_parses_host_and_port(self, address, parsed):
+        assert parse_address(address) == parsed
+
+    @pytest.mark.parametrize("address", ["h:70000", "h:65536", "h:-1", "h:", "h:abc", "h"])
+    @pytest.mark.parametrize("field", ["cluster_address", "cluster_listen"])
+    def test_bad_address_is_refused_at_construction(self, field, address):
+        with pytest.raises(ValueError, match="0-65535|HOST:PORT"):
+            RuntimeOptions(runtime="cluster", **{field: address})
+        with pytest.raises(ValueError, match="0-65535|HOST:PORT"):
+            Session(KB, runtime="cluster", **{field: address})
+
+
 class TestShardedProvenance:
     def test_pool_attempts_do_not_record_provenance(self, monkeypatch):
         # Nothing reads a shard's first-derivation records (explain needs
@@ -198,7 +228,7 @@ class TestPlanPart:
     def test_ships_the_options_value_with_a_picklable_sip(self):
         program = ancestor_program()
         graph = build_rule_goal_graph(program)
-        options = EvalOptions(lambda rule, head: greedy_sip(rule, head), package_requests=True)
+        options = EvalOptions(lambda rule, head: greedy_sip(rule, head), coalesce=True)
         part = JobSpecMemo().plan(program, graph, options, True, 3)
         spec = pickle.loads(part.blob)
         assert spec["options"] == dataclasses.replace(options, sip_factory=greedy_sip)

@@ -52,7 +52,7 @@ import traceback
 from typing import Optional
 
 from ..cache import BoundedCache
-from ..network.engine import MessagePassingEngine, assign_shards
+from ..network.engine import MessagePassingEngine, assign_shards, collector_paused
 from ..network.messages import Message, MessageBatch
 from ..options import parse_address
 from ..runtime.faults import FaultPlan
@@ -222,7 +222,9 @@ class _JobContext:
 def _run_job(fs: FrameSocket, ctx: _JobContext, resident: ResidentSpecs) -> None:
     """Build this shard's engine and run the delivery loop (runner thread)."""
     try:
-        _job_loop(fs, ctx, resident)
+        # The job's engine is built and dropped inside _job_loop.
+        with collector_paused():
+            _job_loop(fs, ctx, resident)
     except _JobAborted:
         pass
     except FrameError:

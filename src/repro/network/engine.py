@@ -13,8 +13,11 @@ storage, join, and protocol statistics the benchmarks report.
 
 from __future__ import annotations
 
+import gc
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from ..cache import CacheStats
 from ..core.adornment import AdornedAtom
@@ -36,7 +39,13 @@ from .nodes import (
 from .scheduler import Scheduler, SchedulerStats
 from .termination import TerminationProtocol
 
-__all__ = ["QueryResult", "MessagePassingEngine", "evaluate", "assign_shards"]
+__all__ = [
+    "QueryResult",
+    "MessagePassingEngine",
+    "collector_paused",
+    "evaluate",
+    "assign_shards",
+]
 
 
 def assign_shards(engine: "MessagePassingEngine", n_shards: int) -> dict[int, int]:
@@ -670,6 +679,40 @@ class MessagePassingEngine:
             batch_stats_by_node=batch_by_node,
             plan=getattr(self.graph, "plan_report", None),
         )
+
+
+#: Held by the one evaluation whose pause is in force.  The collector is
+#: process-wide state, so the lock that names its owner is too.
+_collector_owner = threading.Lock()
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Hold the cyclic collector off for a network built and dropped inside.
+
+    An engine's network is acyclic (see :class:`MessagePassingEngine`), so
+    reference counting frees it and a collection during the query can only
+    walk live objects.  The caller builds the engine, runs it and drops it
+    inside the ``with`` block; a network that outlives the block (a
+    materialization) must not be built under it.
+
+    An evaluation that finds no owner becomes the owner: it disables the
+    collector and, on exit (also on an exception), re-enables it only if
+    it was enabled on entry, so a caller's own ``gc.disable()`` stands.
+    An evaluation that overlaps the owner, from another thread, enters
+    without touching the collector, so no pause outlasts its owner.
+    """
+    if not _collector_owner.acquire(blocking=False):
+        yield
+        return
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+        _collector_owner.release()
 
 
 def evaluate(

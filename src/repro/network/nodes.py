@@ -627,7 +627,8 @@ class CyclicNodeProcess(NodeProcess):
         self.adorned = adorned
         self.shape = _RowShape(adorned)
         self.ancestor_id = ancestor_id
-        #: The relayed relation: "d" binding -> the rows carrying it.
+        #: The relayed relation: "d" binding -> the rows carrying it.  Left
+        #: empty without "d" positions: no tuple request asks for a replay.
         self.row_index: dict[tuple, set[tuple]] = {}
 
     def on_relation_request(self, stream: ConsumerStream, network: "Scheduler") -> None:
@@ -647,7 +648,16 @@ class CyclicNodeProcess(NodeProcess):
         self.send_requests(self.ancestor_id, {binding})
 
     def on_tuple_set(self, message: TupleSet, network: "Scheduler") -> None:
-        """Relay a whole set: store the fresh rows, fan them out."""
+        """Relay a whole set: store the fresh rows, fan them out.
+
+        Without "d" positions every row goes to every consumer as it
+        came: the ancestor sends each row once.
+        """
+        if not self.shape.d_positions:
+            self.tuples_stored += len(message.rows)
+            for consumer_id in self.consumers:
+                self._ship(consumer_id, message.rows, network)
+            return
         fresh, bindings = _insert(
             self.row_index, message.rows, self.shape.d_in_row, tuple_keys=True
         )
@@ -855,7 +865,8 @@ class _Stage:
     When the key is the whole previous environment (``env_is_key``), that
     level maps each key to its one environment instead of to a set.  A
     stage whose rows no later probe reads (``keeps_rows`` False) joins
-    each row on arrival and leaves ``row_index`` empty.
+    each row on arrival and leaves ``row_index`` empty, except for rows
+    that come before its previous level holds any environment.
     """
 
     __slots__ = (
@@ -915,7 +926,6 @@ class RuleNodeProcess(NodeProcess):
         # child id -> stage numbers (1-based); coalesced graphs may serve two
         # subgoals of one rule from a single shared goal node.
         self.child_stage: dict[int, list[int]] = {}
-        self.sent_rows: set[tuple] = set()
         self.request_started = False
         # Accounting: index probes and index insertions are different
         # operations with different costs, so they are counted apart.
@@ -988,9 +998,13 @@ class RuleNodeProcess(NodeProcess):
             # A binding that is the whole previous environment names the one
             # environment that asked, stored before the request left, so no
             # later probe reads a row for it (unless the child feeds another
-            # stage).  An empty binding answers the relation request instead.
+            # stage).  An empty binding answers the relation request instead;
+            # under a parent with no "d" position, stage 1's one environment
+            # is the (), stored by that request (see _insert_then_probe).
             covered = len(set(stage.d_env_positions))
             stage.keeps_rows = not covered or covered < len(prev_vars)
+            if stage_number == 1 and not self.parent_shape.d_positions:
+                stage.keeps_rows = False
             self.stages.append(stage)
             prev_vars = stage.env_vars
             self.child_stage.setdefault(self.child_ids[subgoal_index], []).append(
@@ -1025,6 +1039,13 @@ class RuleNodeProcess(NodeProcess):
         self._head_positions: Optional[tuple[int, ...]] = None
         if all(kind == "env" for kind, _ in self.head_out_plan):
             self._head_positions = tuple(i for _, i in self.head_out_plan)
+        #: Head rows already sent, or None where none can repeat: a rule
+        #: with a body derives each final environment once, so a head that
+        #: reads every final position never repeats a row.
+        read = {i for kind, i in self.head_out_plan if kind == "env"}
+        self.sent_rows: Optional[set[tuple]] = (
+            None if self.stages and len(read) == len(final_pos) else set()
+        )
 
     # ------------------------------------------------------------------
     # Producer side: requests from the parent goal node
@@ -1141,7 +1162,11 @@ class RuleNodeProcess(NodeProcess):
                     set(ColumnBatch(fresh).project(stage.d_env_positions)),
                 )
         else:
-            if stage.keeps_rows:
+            if stage.keeps_rows or not env_index:
+                # A row that finds no environment yet waits in the store.  At
+                # a stage that keeps no rows, this is stage 1 under a parent
+                # with no "d" position: a shared or cyclic child may send a
+                # row before the relation request has stored the ().
                 fresh, keys = _insert(stage.row_index, batch, stage.row_key_positions)
             else:  # each row arrives once, to meet its one environment
                 fresh = list(batch)
@@ -1189,6 +1214,8 @@ class RuleNodeProcess(NodeProcess):
                 merged = [
                     env + suffix for key, suffix in zip(keys, suffixes) for env in get(key, ())
                 ]
+        if envs and not stage.keeps_rows and stage.row_index:
+            stage.row_index = {}  # the waiting rows have met the one ()
         if merged:
             self._add_envs(stage_number, merged, network)
 
@@ -1199,6 +1226,7 @@ class RuleNodeProcess(NodeProcess):
         One column gather projects the batch and one set difference against
         the node's sent rows deduplicates it, so every consumer gets each
         head row exactly once — the whole batch as one :class:`TupleSet`.
+        A node without sent rows projects distinct environments one-to-one.
         With provenance on, the first environment behind each head row is
         kept for :meth:`derivation_children`.
         """
@@ -1225,10 +1253,13 @@ class RuleNodeProcess(NodeProcess):
             head_env = self._head_env
             for row, env in zip(rows, envs_list):
                 head_env.setdefault(row, env)
-        fresh = set(rows) - self.sent_rows
-        if not fresh:
-            return
-        self.sent_rows |= fresh
+        if self.sent_rows is None:
+            fresh = rows
+        else:
+            fresh = set(rows) - self.sent_rows
+            if not fresh:
+                return
+            self.sent_rows |= fresh
         for stream in self.consumers.values():
             self._ship(stream.consumer_id, fresh, network)
 

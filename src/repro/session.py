@@ -47,6 +47,7 @@ from __future__ import annotations
 import math
 import threading
 import weakref
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -65,7 +66,7 @@ from .core.rulegoal import (
 )
 from .core.rules import GOAL_PREDICATE, Rule
 from .core.sips import greedy_sip
-from .network.engine import MessagePassingEngine, QueryResult
+from .network.engine import MessagePassingEngine, QueryResult, collector_paused
 from .options import EvalOptions, RetryPolicy, RuntimeOptions
 from .relational.database import Database
 
@@ -501,11 +502,11 @@ class Session:
 
         The evaluated network is kept for :meth:`explain` only when the
         session records provenance; otherwise it is freed before this
-        returns.
+        returns.  While the simulator runs, the cyclic collector is paused
+        process-wide (:func:`~repro.network.engine.collector_paused`).
         """
-        result, engine = self._run_query(query, seed)
+        result, self._last_engine = self._run_query(query, seed)
         self.last_result = result
-        self._last_engine = engine if self.provenance else None
         return result.answers
 
     def run_query(
@@ -521,13 +522,22 @@ class Session:
         the result slots.  Shared structures it *does* touch — the graph
         cache and the database counters — are individually thread-safe or
         monotone.  Pass a :class:`PreparedQuery` (from :meth:`prepare`) to
-        skip the parse and key computation already paid for.
+        skip the parse and key computation already paid for.  As in
+        :meth:`query`, the simulator pauses the cyclic collector
+        process-wide while it runs.
         """
         result, _ = self._run_query(query, seed)
         return result
 
-    def _run_query(self, query, seed=None):
-        """Shared evaluation path; returns ``(result, engine_or_None)``."""
+    def _run_query(self, query, seed=None, materialize=False):
+        """Shared evaluation path; returns ``(result, engine_or_None)``.
+
+        The simulator builds and runs its engine under
+        :func:`~repro.network.engine.collector_paused` and drops it before
+        the pause ends, unless a provenance session keeps it for
+        :meth:`explain`.  A materialization keeps its network warm, so it
+        runs with the collector as it is and gets its engine back.
+        """
         graph, bindings, cache_hit = self._graph_for(self.prepare(query))
         engine = None
         if self.runtime != "simulator":
@@ -546,15 +556,18 @@ class Session:
                 bindings=bindings,
             )
         else:
-            engine = MessagePassingEngine(
-                graph.program,
-                seed=seed,
-                database=self._database,
-                graph=graph,
-                bindings=bindings,
-                **vars(self.options),
-            )
-            result = engine.run()
+            with nullcontext() if materialize else collector_paused():
+                engine = MessagePassingEngine(
+                    graph.program,
+                    seed=seed,
+                    database=self._database,
+                    graph=graph,
+                    bindings=bindings,
+                    **vars(self.options),
+                )
+                result = engine.run()
+                if not (materialize or self.provenance):
+                    engine = None  # freed here, before the collector resumes
         result.graph_cache_hit = cache_hit
         result.cache_stats = self._graph_cache.stats()
         return result, engine
@@ -637,7 +650,7 @@ class Session:
                 "runtimes invalidate and recompute instead"
             )
         prepared = self.prepare(query)
-        result, engine = self._run_query(prepared, seed)
+        result, engine = self._run_query(prepared, seed, materialize=True)
         mat = MaterializedQuery(self, prepared, engine, result)
         self._materialized.add(mat)
         return mat

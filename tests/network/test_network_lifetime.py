@@ -15,7 +15,9 @@ import weakref
 
 import pytest
 
+from repro.core.parser import parse_program
 from repro.network.engine import MessagePassingEngine
+from repro.relational.database import Database
 from repro.session import Session
 from repro.workloads import (
     ancestor_program,
@@ -29,6 +31,7 @@ from repro.workloads import (
 )
 
 from tests.helpers import with_tables
+from tests.network.test_counter_pin import PROGRAMS
 
 
 def linear_tc():
@@ -158,16 +161,66 @@ def test_materialization_keeps_its_network_until_closed(collector_off, built):
     assert (8,) in mat.answers
 
 
-def test_queries_leave_no_cyclic_garbage():
-    session = Session(SESSION_KB)
-    for query in SESSION_QUERIES:  # warm the graph cache
-        session.query(query)
+def pin_program(name: str):
+    """A counter-pin program, its options and its query's body atoms."""
+    text, options = PROGRAMS[name]
+    program = parse_program(text)
+    (query_rule,) = program.query_rules
+    return program, options, list(query_rule.body)
+
+
+def assert_no_cyclic_garbage(run_once) -> None:
+    """``run_once`` leaves nothing for the collector once it ran warm.
+
+    The first call warms the graph cache: building a rule/goal graph
+    leaves cyclic garbage, evaluating over a cached one must not.
+    """
+    run_once()
     gc.collect()
     gc.disable()
     try:
         for _ in range(3):
-            for query in SESSION_QUERIES:
-                session.query(query)
+            run_once()
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_queries_leave_no_cyclic_garbage():
+    session = Session(SESSION_KB)
+
+    def run_once():
+        for query in SESSION_QUERIES:
+            session.query(query)
+
+    assert_no_cyclic_garbage(run_once)
+
+
+@pytest.mark.parametrize("name", list(PROGRAMS))
+def test_pin_program_queries_leave_no_cyclic_garbage(name):
+    program, options, query = pin_program(name)
+    session = Session(program, **options)
+    assert_no_cyclic_garbage(lambda: session.query(query))
+
+
+@pytest.mark.parametrize("edb_shards", [1, 2])
+@pytest.mark.parametrize("name", list(PROGRAMS))
+def test_job_engines_leave_no_cyclic_garbage(name, edb_shards):
+    """An engine over a resident graph and database, as a cluster worker
+    builds one per job."""
+    program, options, _ = pin_program(name)
+    graph = MessagePassingEngine(program, **options).graph
+    database = Database.from_facts(program.facts)
+
+    def run_once():
+        engine = MessagePassingEngine(
+            graph.program,
+            validate_protocol=False,
+            edb_shards=edb_shards,
+            database=database,
+            graph=graph,
+            **options,
+        )
+        assert engine.run().completed
+
+    assert_no_cyclic_garbage(run_once)

@@ -3,15 +3,21 @@
 A goal or cyclic node's store admits each row once, and it sends a
 consumer stream only what that store admitted or replays a binding's rows
 the first time the binding is requested, so it keeps no per-stream sent
-set.  A rule-node stage whose tuple-request binding is the whole previous
-environment, fed by a child no other stage shares, stores none of its
-rows: each one answers the one environment that requested it, already
-stored.  Only EDB leaves filter per stream, since a delta can re-offer a
-committed fact.
+set.  A cyclic node with no "d" position keeps no store at all: it relays
+what its ancestor sends, once.  A rule-node stage whose tuple-request
+binding is the whole previous environment, fed by a child no other stage
+shares, stores none of its rows: each one answers the one environment
+that requested it, already stored.  So does stage 1 under a parent with
+no "d" position, whose one environment, (), the relation request stores;
+a row that comes before that request waits in the store until it does.
+A rule node whose head reads every final position sends distinct heads
+without a sent set.  Only EDB leaves filter per stream, since a delta can
+re-offer a committed fact.
 
-These tests watch every delivery and check that no goal or cyclic node
-sends a row twice on one stream, and that every row reaching a stage
-without a row store finds its environment there.  They run over random
+These tests watch every delivery and check that no goal, cyclic or rule
+node sends a row twice on one stream, and that every row reaching a stage
+without a row store finds its environment there, or, before stage 1's
+environment exists, waits for it.  They run over random
 programs (default options, and coalesce), every counter-pin program, a
 run with two EDB replicas per leaf (in send order and under seeded random
 latencies), and a ``run_delta`` wave.
@@ -44,6 +50,7 @@ class Watch:
         self.engine: MessagePassingEngine | None = None
         self.sent: Counter = Counter()  # (producer, consumer, row) -> sends
         self.unstored_rows = 0  # rows met at stages without a row store
+        self.waiting_rows = 0  # rows that came before stage 1's environment
 
     def __call__(self, message) -> None:
         if isinstance(message, TupleSet):
@@ -54,7 +61,7 @@ class Watch:
             return
         processes = self.engine.processes
         sender = processes[message.sender]
-        if isinstance(sender, (GoalNodeProcess, CyclicNodeProcess)):
+        if isinstance(sender, (GoalNodeProcess, CyclicNodeProcess, RuleNodeProcess)):
             for row in rows:
                 key = (message.sender, message.receiver, row)
                 self.sent[key] += 1
@@ -68,8 +75,12 @@ class Watch:
             stage = node.stages[stage_number - 1]
             if stage.keeps_rows:
                 continue
-            assert not stage.row_index
             envs = node.env_indexes[stage_number - 1]
+            if not envs:
+                assert stage_number == 1, f"{node.rule}: a row came before its request"
+                self.waiting_rows += len(rows)
+                continue
+            assert not stage.row_index
             for row in rows:
                 if stage.row_perm != "id":
                     row = _bind(stage.row_vars, row)
@@ -161,3 +172,29 @@ def test_delta_wave_and_reoffered_fact():
     assert logical_counters(again)[3:10] == logical_counters(wave)[3:10]
     assert sum(watch.sent.values()) == sends
     assert node_counters(engine) == counters
+
+
+#: A cyclic t(X, Z) under four relaying goals: the root t(X, Y) sends its
+#: base answers to the cyclic node before the relation request has come
+#: down to u4's rule node, whose stage 1 keeps no rows once its () exists.
+LATE_REQUEST = """
+goal(X, Y) <- t(X, Y).
+t(X, Y) <- e(X, Y).
+t(X, Y) <- u1(X, Y).
+u1(X, Y) <- u2(X, Y).
+u2(X, Y) <- u3(X, Y).
+u3(X, Y) <- u4(X, Y).
+u4(X, Y) <- t(X, Z), e(Z, Y).
+e(1, 2). e(2, 3). e(3, 4). e(4, 5).
+"""
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+def test_rows_before_the_relation_request(seed):
+    program = parse_program(LATE_REQUEST)
+    engine, watch = watched(program, seed=seed)
+    assert engine.run().answers == oracle_answers(program)
+    assert watch.waiting_rows and watch.unstored_rows
+    for process in engine.processes.values():
+        if isinstance(process, RuleNodeProcess):
+            assert all(s.keeps_rows or not s.row_index for s in process.stages)

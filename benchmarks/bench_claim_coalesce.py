@@ -11,13 +11,15 @@ coalescing, across the recursion-shaped workloads.  Shape: coalescing always
 shrinks the graph and the message count (the single-processor win the paper
 predicts) while preserving answers and the termination guarantees — at the
 price of shared nodes, i.e. the loss of per-branch parallelism the paper
-warns about (measured here as the reduced process count).
+warns about (measured here as the reduced process count).  Evaluation
+runs the coalesced graph; both graphs are built explicitly here.
 """
 
 import pytest
 
 from repro.baselines import naive
-from repro.network.engine import evaluate
+from repro.core.rulegoal import build_rule_goal_graph
+from repro.network.engine import MessagePassingEngine
 from repro.workloads import (
     chain_edges,
     cycle_edges,
@@ -46,12 +48,18 @@ def cases():
     ]
 
 
+def run(program, coalesce: bool, seed=None):
+    """One evaluation on the coalesced graph or on the distributed one."""
+    graph = build_rule_goal_graph(program, coalesce=coalesce)
+    return MessagePassingEngine(program, seed=seed, graph=graph).run()
+
+
 def test_claim_coalesce_table():
     rows = []
     for name, program in cases():
         oracle = naive.goal_answers(program)
-        plain = evaluate(program)
-        merged = evaluate(program, coalesce=True)
+        plain = run(program, coalesce=False)
+        merged = run(program, coalesce=True)
         assert plain.answers == merged.answers == oracle
         assert merged.protocol_violations == []
         rows.append(
@@ -77,7 +85,7 @@ def test_claim_coalesce_table():
 def test_claim_coalesce_preserves_termination_guarantees():
     for name, program in cases():
         for seed in (1, 23):
-            result = evaluate(program, coalesce=True, seed=seed)
+            result = run(program, coalesce=True, seed=seed)
             assert result.completed
             assert result.protocol_violations == []
 
@@ -86,5 +94,5 @@ def test_claim_coalesce_preserves_termination_guarantees():
 @pytest.mark.parametrize("mode", ["distributed", "coalesced"])
 def test_bench_coalesce(benchmark, mode):
     program = cases()[1][1]
-    result = benchmark(evaluate, program, coalesce=(mode == "coalesced"))
+    result = benchmark(run, program, coalesce=(mode == "coalesced"))
     assert result.completed

@@ -2,7 +2,9 @@
 
 Asserts the exact node inventory, adornments, and cycle edges of the figure,
 prints the graph, and benchmarks graph construction (which, per Theorem 2.1,
-must be independent of the EDB size — also asserted here).
+must be independent of the EDB size — also asserted here).  Fig 1 is the
+paper's distributed graph, so it is built with coalescing off; evaluation
+runs the coalesced graph (``bench_claim_coalesce.py`` compares the two).
 """
 
 import pytest
@@ -16,7 +18,7 @@ from _support import emit_table
 
 
 def build_fig1():
-    return build_rule_goal_graph(program_p1(), greedy_sip)
+    return build_rule_goal_graph(program_p1(), greedy_sip, coalesce=False)
 
 
 def test_fig1_structure_and_render():
@@ -42,10 +44,12 @@ def test_fig1_structure_and_render():
 
 
 def test_fig1_size_independent_of_edb():
-    small = build_rule_goal_graph(program_p1().with_facts([atom("r", "a", 1)]))
+    small = build_rule_goal_graph(
+        program_p1().with_facts([atom("r", "a", 1)]), coalesce=False
+    )
     facts = [atom("r", i, i + 1) for i in range(2000)]
     facts += [atom("q", i, i + 2) for i in range(2000)]
-    big = build_rule_goal_graph(program_p1().with_facts(facts))
+    big = build_rule_goal_graph(program_p1().with_facts(facts), coalesce=False)
     assert small.size() == big.size()  # Theorem 2.1
 
 

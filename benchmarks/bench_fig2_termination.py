@@ -4,12 +4,14 @@ Measures the Fig-2 protocol's cost (waves, protocol messages) as the
 workload scales, on live recursive evaluations, and validates Theorem 3.1
 against the scheduler's global quiescence oracle on every run.  The series
 reported: protocol messages and waves vs EDB cycle length, and the protocol
-share of all message traffic.
+share of all message traffic.  The protocol runs on the paper's
+distributed graph (coalescing off), the machine Fig 2 describes.
 """
 
 import pytest
 
-from repro.network.engine import evaluate
+from repro.core.rulegoal import build_rule_goal_graph
+from repro.network.engine import MessagePassingEngine
 from repro.workloads import cycle_edges, facts_from_tables, nonlinear_tc_program
 
 from _support import emit_table, ratio
@@ -19,7 +21,8 @@ def run_cycle(n: int, seed=None):
     program = nonlinear_tc_program(0).with_facts(
         facts_from_tables({"e": cycle_edges(n)})
     )
-    return evaluate(program, seed=seed)
+    graph = build_rule_goal_graph(program, coalesce=False)
+    return MessagePassingEngine(program, seed=seed, graph=graph).run()
 
 
 def test_fig2_protocol_scaling_table():

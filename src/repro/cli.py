@@ -128,11 +128,6 @@ _EVAL_FLAGS = {
     "sip": _flag(
         "--sip", choices=sorted(_SIPS), default="greedy", help="information passing strategy"
     ),
-    "coalesce": _flag(
-        "--coalesce",
-        action="store_true",
-        help="merge goal nodes with identical binding patterns (single-processor mode)",
-    ),
     "package": _flag(
         "--package", action="store_true", help="no effect: requests are packaged (footnote 2)"
     ),
@@ -262,7 +257,7 @@ def _parent(table: dict, *names: str) -> argparse.ArgumentParser:
 
 def _eval_options(args: argparse.Namespace) -> EvalOptions:
     """The :class:`EvalOptions` the EvalOptions flags describe (``--package`` is a no-op)."""
-    return EvalOptions(_SIPS[args.sip], args.coalesce, planner=args.planner)
+    return EvalOptions(sip_factory=_SIPS[args.sip], planner=args.planner)
 
 
 def _runtime_options(args: argparse.Namespace, runtime: str) -> RuntimeOptions:
@@ -272,8 +267,8 @@ def _runtime_options(args: argparse.Namespace, runtime: str) -> RuntimeOptions:
     supervision flags keep their defaults there.
     """
     placement = RuntimeOptions(
-        runtime,
-        args.workers,
+        runtime=runtime,
+        workers=args.workers,
         cluster_address=args.cluster_connect,
         cluster_listen=args.cluster_listen,
     )
@@ -350,7 +345,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 def _cmd_graph(args: argparse.Namespace) -> int:
     program = _load_program(args.file, args.query, args.data)
-    graph = plan_graph(program, args.planner, _SIPS[args.sip], coalesce=args.coalesce)
+    graph = plan_graph(program, args.planner, _SIPS[args.sip])
     if args.dot:
         print(graph.to_dot())
         return 0
@@ -588,7 +583,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     if not program.query_rules:
         print("no query: pass --query or include a '?-' clause", file=sys.stderr)
         return 2
-    graph = plan_graph(program, "cost", coalesce=args.coalesce)
+    graph = plan_graph(program, "cost")
     print(graph.plan_report.render())
     if args.run:
         engine = MessagePassingEngine(program, graph=graph)
@@ -630,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     graph_p = sub.add_parser(
         "graph",
         help="print the information-passing rule/goal graph",
-        parents=[program, _parent(_EVAL_FLAGS, "sip", "coalesce", "planner")],
+        parents=[program, _parent(_EVAL_FLAGS, "sip", "planner")],
     )
     graph_p.add_argument("--dot", action="store_true", help="emit Graphviz DOT instead of text")
     graph_p.set_defaults(func=_cmd_graph)
@@ -655,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
         "explain",
         help="show the cost planner's chosen subgoal orders, ranked "
         "alternatives, and per-stage Section 4.3 estimates",
-        parents=[program, _parent(_EVAL_FLAGS, "coalesce", "package")],
+        parents=[program, _parent(_EVAL_FLAGS, "package")],
     )
     explain_p.add_argument(
         "--run",

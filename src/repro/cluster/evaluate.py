@@ -211,7 +211,6 @@ def evaluate_cluster(
     workers: Optional[int] = None,
     batch_size: int = 64,
     timeout: float = 120.0,
-    coalesce: bool = False,
     package_requests: bool = True,
     edb_shards: Optional[int] = None,
     planner: str = "static",
@@ -242,12 +241,14 @@ def evaluate_cluster(
     """
     return evaluate_sharded(
         program,
-        EvalOptions(sip_factory, coalesce, package_requests, planner),
+        EvalOptions(
+            sip_factory=sip_factory, package_requests=package_requests, planner=planner
+        ),
         RuntimeOptions(
-            "cluster",
-            workers,
-            batch_size,
-            edb_shards,
+            runtime="cluster",
+            workers=workers,
+            batch_size=batch_size,
+            edb_shards=edb_shards,
             cluster_address=address,
             cluster_listen=listen,
             retry=RetryPolicy.of(retry),

@@ -425,28 +425,26 @@ def graph_cache_key(
     rules_fingerprint: int,
     query_atoms: Sequence[Atom],
     sip_factory: SipFactory,
-    coalesce: bool,
     planner: str = "static",
     size_fingerprint: tuple = (),
 ) -> tuple:
     """The full cache key for one constructed rule/goal graph.
 
     Everything graph construction consumes is represented: the IDB
-    fingerprint, the query's variant signature, the SIP strategy (by
-    function identity), and the coalescing flag.  The EDB is deliberately
-    absent (Theorem 2.1) — with one carve-out: under ``planner="cost"``
-    the subgoal orders *derive from* observed relation sizes, so the
-    bucketed size fingerprint (see
+    fingerprint, the query's variant signature and the SIP strategy (by
+    function identity); every graph is coalesced, so no flag says so.
+    The EDB is deliberately absent (Theorem 2.1) — with one carve-out:
+    under ``planner="cost"`` the subgoal orders *derive from* observed
+    relation sizes, so the bucketed size fingerprint (see
     :func:`repro.core.planner.size_fingerprint`) joins the key and a
     cached graph is reused only while the planner would choose the same
-    orders.  Static-planner keys are unchanged from earlier releases.
+    orders.
     """
     key = (
         "rule-goal-graph",
         rules_fingerprint,
         query_variant_signature(query_atoms),
         sip_factory,
-        bool(coalesce),
     )
     if planner != "static":
         key += (planner, size_fingerprint)
@@ -565,7 +563,7 @@ def build_rule_goal_graph(
     sip_factory: SipFactory = greedy_sip,
     query_goal: Optional[AdornedAtom] = None,
     max_nodes: int = 200_000,
-    coalesce: bool = False,
+    coalesce: bool = True,
 ) -> RuleGoalGraph:
     """Build the information-passing rule/goal graph (Definition 2.2).
 
@@ -585,8 +583,10 @@ def build_rule_goal_graph(
         Merge goal nodes with identical predicates and binding patterns —
         "for single processor computation it is probably desirable to
         coalesce such nodes (thereby introducing cross and forward edges)"
-        (Section 2.2).  The default keeps them separate, as the paper assumes
-        for distributed computation.
+        (Section 2.2).  This is the graph every evaluation runs.  ``False``
+        keeps them separate, as the paper assumes for distributed
+        computation: the reference construction that tests and claims
+        compare against, reached only through this function.
     """
     graph = RuleGoalGraph(program, sip_factory, coalesced=coalesce)
     fresh = FreshVariables()
@@ -702,7 +702,6 @@ def plan_graph(
     sip_factory: SipFactory = greedy_sip,
     database=None,
     query_goal: Optional[AdornedAtom] = None,
-    coalesce: bool = False,
 ) -> RuleGoalGraph:
     """The rule/goal graph a query runs on under ``planner``.
 
@@ -717,18 +716,14 @@ def plan_graph(
     if planner not in ("static", "cost"):
         raise ValueError(f"unknown planner {planner!r} (expected 'static' or 'cost')")
     if planner == "static":
-        return build_rule_goal_graph(
-            program, sip_factory, query_goal=query_goal, coalesce=coalesce
-        )
+        return build_rule_goal_graph(program, sip_factory, query_goal=query_goal)
     from ..relational.database import Database
     from .planner import CostPlanner
 
     cost_planner = CostPlanner.from_database(
         database if database is not None else Database.from_facts(program.facts)
     )
-    graph = build_rule_goal_graph(
-        program, cost_planner.sip_factory(), query_goal=query_goal, coalesce=coalesce
-    )
+    graph = build_rule_goal_graph(program, cost_planner.sip_factory(), query_goal=query_goal)
     graph.plan_report = cost_planner.report
     return graph
 

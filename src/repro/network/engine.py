@@ -250,7 +250,7 @@ class MessagePassingEngine:
     ----------
     program:
         The validated EDB+IDB+query bundle.
-    sip_factory, coalesce, package_requests, planner, provenance:
+    sip_factory, package_requests, planner, provenance:
         The :class:`~repro.options.EvalOptions` fields (documented there),
         kept as ``self.options``.
     seed:
@@ -266,8 +266,12 @@ class MessagePassingEngine:
         access counters; results always report per-query deltas.
     graph:
         A prebuilt rule/goal graph to reuse (e.g. from a session cache);
-        construction is skipped and ``sip_factory``/``coalesce``/``planner``
-        are ignored for graph-building purposes.  Treated as read-only.
+        construction is skipped and ``sip_factory``/``planner`` are ignored
+        for graph-building purposes.  Treated as read-only.  Without it the
+        engine builds the coalesced graph; the paper's distributed graph
+        runs only when passed here, built by
+        :func:`~repro.core.rulegoal.build_rule_goal_graph` with coalescing
+        off.
     bindings:
         The values of ``graph``'s parameters when it is a *shape* graph
         (see :func:`~repro.core.rulegoal.query_shape`): ``bindings[k]``
@@ -303,7 +307,6 @@ class MessagePassingEngine:
         validate_protocol: bool = True,
         query_goal: Optional[AdornedAtom] = None,
         trace: Optional[Callable[[Message], None]] = None,
-        coalesce: bool = False,
         package_requests: bool = True,
         provenance: bool = False,
         on_answer: Optional[Callable[[tuple], None]] = None,
@@ -315,7 +318,10 @@ class MessagePassingEngine:
     ) -> None:
         self.program = program
         self.options = EvalOptions(
-            sip_factory, coalesce, package_requests, planner, provenance
+            sip_factory=sip_factory,
+            package_requests=package_requests,
+            planner=planner,
+            provenance=provenance,
         )
         self.bindings = bindings
         self.database = database if database is not None else Database.from_facts(program.facts)
@@ -323,9 +329,7 @@ class MessagePassingEngine:
         # Theorem 2.1 makes the graph EDB-independent, so a cached one is
         # valid for any database over the same IDB and query shape.
         if graph is None:
-            graph = plan_graph(
-                program, planner, sip_factory, self.database, query_goal, coalesce
-            )
+            graph = plan_graph(program, planner, sip_factory, self.database, query_goal)
         self.graph = graph
         self._edb_shards = max(1, edb_shards)
         #: original EDB node id -> replica node ids (original first); empty
@@ -722,17 +726,18 @@ def evaluate(
     max_messages: int = 5_000_000,
     validate_protocol: bool = True,
     query_goal: Optional[AdornedAtom] = None,
-    coalesce: bool = False,
     package_requests: bool = True,
     planner: str = "static",
 ) -> QueryResult:
     """Evaluate a program's query with the message-passing framework.
 
-    ``sip_factory``, ``coalesce``, ``package_requests`` and ``planner``
-    are :class:`~repro.options.EvalOptions` fields (documented there);
-    the rest are :class:`MessagePassingEngine`'s.
+    ``sip_factory``, ``package_requests`` and ``planner`` are
+    :class:`~repro.options.EvalOptions` fields (documented there); the
+    rest are :class:`MessagePassingEngine`'s.
     """
-    options = EvalOptions(sip_factory, coalesce, package_requests, planner)
+    options = EvalOptions(
+        sip_factory=sip_factory, package_requests=package_requests, planner=planner
+    )
     return MessagePassingEngine(
         program,
         seed=seed,

@@ -11,10 +11,11 @@ that split:
 * :class:`RuntimeOptions` says where the network runs and what happens
   when a worker fails.  It is never part of a cache key or a digest.
 
-Both are frozen and check their values once, at construction.  Every
-public entry point (``Session``, ``MessagePassingEngine``, ``evaluate``,
-``evaluate_pool``, ``evaluate_cluster``, the CLI) turns its keywords into
-them once; everything below passes them whole.
+Both are frozen and keyword-only (a removed field cannot shift a
+positional argument), and both check their values once, at construction.
+Every public entry point (``Session``, ``MessagePassingEngine``,
+``evaluate``, ``evaluate_pool``, ``evaluate_cluster``, the CLI) turns its
+keywords into them once; everything below passes them whole.
 """
 
 from __future__ import annotations
@@ -56,16 +57,20 @@ def _check_range(name: str, value, minimum, strict: bool = False) -> None:
         raise ValueError(f"{name} must be {'>' if strict else '>='} {minimum}, got {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class EvalOptions:
     """What shapes the rule/goal graph and the process network.
+
+    Every evaluation runs the coalesced rule/goal graph (§2.2's
+    single-processor variant, footnote 4): goal nodes with identical
+    binding patterns are one node.  The paper's distributed graph is
+    reached only by building it with coalescing off
+    (:func:`~repro.core.rulegoal.build_rule_goal_graph`) and passing it
+    as a prebuilt ``graph``.
 
     ``sip_factory``
         The information passing strategy (Definition 2.4; default greedy).
         ``all_free_sip`` turns sideways information passing off.
-    ``coalesce``
-        Merge goal nodes with identical binding patterns (the paper's
-        single-processor variant, §2.2 and footnote 4).
     ``package_requests``
         Always ``True``: tuple requests go one message per producer per
         burst (footnote 2).  ``False`` is refused.
@@ -78,7 +83,6 @@ class EvalOptions:
     """
 
     sip_factory: SipFactory = greedy_sip
-    coalesce: bool = False
     package_requests: bool = True
     planner: str = "static"
     provenance: bool = False
@@ -149,7 +153,7 @@ class RetryPolicy:
         return cls(max_attempts=int(value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RuntimeOptions:
     """Where the network runs, and what happens when a worker fails.
 

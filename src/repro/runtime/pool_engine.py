@@ -296,7 +296,6 @@ def evaluate_pool(
     workers: Optional[int] = None,
     batch_size: int = 64,
     timeout: float = 120.0,
-    coalesce: bool = False,
     package_requests: bool = True,
     edb_shards: Optional[int] = None,
     planner: str = "static",
@@ -329,12 +328,14 @@ def evaluate_pool(
     """
     return evaluate_sharded(
         program,
-        EvalOptions(sip_factory, coalesce, package_requests, planner),
+        EvalOptions(
+            sip_factory=sip_factory, package_requests=package_requests, planner=planner
+        ),
         RuntimeOptions(
-            "pool",
-            workers,
-            batch_size,
-            edb_shards,
+            runtime="pool",
+            workers=workers,
+            batch_size=batch_size,
+            edb_shards=edb_shards,
             retry=RetryPolicy.of(retry),
             fallback=fallback,
             heartbeat_interval=heartbeat_interval,

@@ -245,9 +245,7 @@ def evaluate_sharded(
     options = replace(options, provenance=False)
     plan = fault_plan if fault_plan is not None else FaultPlan.from_env()
     if graph is None:
-        graph = plan_graph(
-            program, options.planner, options.sip_factory, database, query_goal, options.coalesce
-        )
+        graph = plan_graph(program, options.planner, options.sip_factory, database, query_goal)
     if runtime.runtime == "pool":
         from .pool_engine import pool_transport
 

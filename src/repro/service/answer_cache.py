@@ -11,7 +11,7 @@ Soundness is the same two-part argument the serving layer already
 leans on:
 
 * **Theorem 2.1** — the graph-cache key (IDB fingerprint + query
-  variant signature + SIP/coalesce options) is equal exactly when two
+  variant signature + SIP and planner options) is equal exactly when two
   queries must have equal answers *over the same EDB/IDB*;
 * **the database version** — :attr:`repro.session.Session.db_version`
   is bumped by every committed mutation, so two requests seeing the

@@ -16,7 +16,7 @@ profitable) to share across threads:
 * **In-flight request coalescing** — the Theorem 2.1 cache key
   (:meth:`Session.cache_key_for`) is equal exactly when two queries
   must have equal answers (same IDB fingerprint, same variant
-  signature, same SIP/coalesce options) *over the same base*, so the
+  signature, same SIP and planner options) *over the same base*, so the
   coalescing key is the cache key **plus the database version**: a
   query whose (key, version) matches an evaluation already in flight
   *joins* it — one leader evaluates, every follower waits on the

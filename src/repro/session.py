@@ -237,9 +237,10 @@ class Session:
         The knowledge base: Datalog source text or a parsed
         :class:`~repro.core.program.Program` (any ``goal`` rules are
         stripped — the session supplies queries itself).
-    sip_factory, coalesce, package_requests, planner, provenance:
+    sip_factory, package_requests, planner, provenance:
         The :class:`~repro.options.EvalOptions` applied to every query,
-        kept as :attr:`options`.
+        kept as :attr:`options`.  Every query runs the coalesced rule/goal
+        graph.
     graph_cache_size:
         LRU bound on cached rule/goal graphs, one per query *shape*:
         queries that differ only in constants equal to no rule constant
@@ -263,7 +264,6 @@ class Session:
         self,
         source: Union[str, Program],
         sip_factory: SipFactory = greedy_sip,
-        coalesce: bool = False,
         package_requests: bool = True,
         planner: str = "static",
         provenance: bool = False,
@@ -283,12 +283,15 @@ class Session:
         #: What shapes every query's graph and network (the cache keys'
         #: options) ...
         self.options = EvalOptions(
-            sip_factory, coalesce, package_requests, planner, provenance
+            sip_factory=sip_factory,
+            package_requests=package_requests,
+            planner=planner,
+            provenance=provenance,
         )
         #: ... and where the network runs (never part of a key).
         self.runtime_options = RuntimeOptions(
-            runtime,
-            workers,
+            runtime=runtime,
+            workers=workers,
             cluster_address=cluster_address,
             cluster_listen=cluster_listen,
             retry=(
@@ -357,7 +360,6 @@ class Session:
 
     # The options' fields, read where they used to be attributes.
     sip_factory = property(lambda self: self.options.sip_factory)
-    coalesce = property(lambda self: self.options.coalesce)
     planner = property(lambda self: self.options.planner)
     provenance = property(lambda self: self.options.provenance)
     runtime = property(lambda self: self.runtime_options.runtime)
@@ -439,7 +441,6 @@ class Session:
             self._rules_fingerprint,
             atoms,
             options.sip_factory,
-            options.coalesce,
             planner=options.planner,
             size_fingerprint=self._size_fingerprint,
         )
@@ -477,10 +478,7 @@ class Session:
         # A cost plan's report rides on the graph, cached with it; cached
         # graphs are treated as immutable afterwards.
         options = self.options
-        graph = plan_graph(
-            program, options.planner, options.sip_factory, self._database,
-            coalesce=options.coalesce,
-        )
+        graph = plan_graph(program, options.planner, options.sip_factory, self._database)
         self._graph_cache.put(prepared.shape_key, graph)
         return graph, prepared.bindings, False
 

@@ -102,8 +102,10 @@ class TestJobSpecMemo:
         memo = JobSpecMemo()
         plan = memo.plan(program, graph, OPTIONS, True)
         assert memo.plan(program, graph, OPTIONS, True) is plan
-        other = memo.plan(program, graph, dataclasses.replace(OPTIONS, coalesce=True), True)
+        other = memo.plan(program, graph, dataclasses.replace(OPTIONS, planner="cost"), True)
         assert other.digest != plan.digest
+        distributed = build_rule_goal_graph(program, coalesce=False)
+        assert memo.plan(program, distributed, OPTIONS, True).digest != plan.digest
 
     def test_at_most_sixteen_entries_per_kind_dead_owners_first(self):
         import gc

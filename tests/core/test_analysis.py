@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.analysis import analyze
 from repro.core.parser import parse_program
+from repro.core.rulegoal import build_rule_goal_graph
 from repro.workloads import (
     ancestor_program,
     nonrecursive_join_program,
@@ -82,7 +83,9 @@ class TestRuleNodeReports:
 
 class TestGraphAndComponents:
     def test_component_summary(self):
-        report = analyze(program_p1())
+        # Fig 1's two components, in the paper's distributed graph.
+        graph = build_rule_goal_graph(program_p1(), coalesce=False)
+        report = analyze(program_p1(), graph=graph)
         assert len(report.components) == 2
         assert {c.size for c in report.components} == {3, 4}
         assert all("p(" in c.leader for c in report.components)

@@ -135,9 +135,9 @@ class TestGraphCacheKey:
 
     def test_static_planner_keeps_legacy_keys(self):
         fp = rule_set_fingerprint(parse_program(self.RULES).rules)
-        legacy = graph_cache_key(fp, self.atoms(), greedy_sip, False)
+        legacy = graph_cache_key(fp, self.atoms(), greedy_sip)
         explicit = graph_cache_key(
-            fp, self.atoms(), greedy_sip, False,
+            fp, self.atoms(), greedy_sip,
             planner="static", size_fingerprint=(("e", 3),),
         )
         assert legacy == explicit  # static plans never read the sizes
@@ -145,14 +145,14 @@ class TestGraphCacheKey:
     def test_cost_planner_keys_on_the_fingerprint(self):
         fp = rule_set_fingerprint(parse_program(self.RULES).rules)
         small = graph_cache_key(
-            fp, self.atoms(), greedy_sip, False,
+            fp, self.atoms(), greedy_sip,
             planner="cost", size_fingerprint=(("e", 2),),
         )
         big = graph_cache_key(
-            fp, self.atoms(), greedy_sip, False,
+            fp, self.atoms(), greedy_sip,
             planner="cost", size_fingerprint=(("e", 3),),
         )
-        static = graph_cache_key(fp, self.atoms(), greedy_sip, False)
+        static = graph_cache_key(fp, self.atoms(), greedy_sip)
         assert small != big
         assert small != static
 

@@ -1,5 +1,9 @@
 """Unit tests for rule/goal graph construction (Section 2) — including the
-exact structure of Fig 1 and the Theorem 2.1 termination guarantees."""
+exact structure of Fig 1 and the Theorem 2.1 termination guarantees.
+
+These are about the paper's distributed construction, so every graph is
+built with coalescing off; evaluation runs the coalesced graph, whose
+structure ``tests/integration/test_coalesced.py`` checks."""
 
 import pytest
 
@@ -23,7 +27,7 @@ from repro.workloads import (
 @pytest.fixture
 def fig1_graph():
     """The greedy information-passing rule/goal graph for P1 (Fig 1)."""
-    return build_rule_goal_graph(program_p1())
+    return build_rule_goal_graph(program_p1(), coalesce=False)
 
 
 class TestFigure1:
@@ -82,10 +86,10 @@ class TestFigure1:
 
     def test_graph_size_independent_of_edb(self):
         small = build_rule_goal_graph(
-            program_p1().with_facts([atom("r", "a", "b")])
+            program_p1().with_facts([atom("r", "a", "b")]), coalesce=False
         )
         big_facts = [atom("r", i, i + 1) for i in range(500)]
-        big = build_rule_goal_graph(program_p1().with_facts(big_facts))
+        big = build_rule_goal_graph(program_p1().with_facts(big_facts), coalesce=False)
         assert small.size() == big.size()  # Theorem 2.1
 
 
@@ -122,11 +126,11 @@ class TestStrongComponents:
                     assert feeder not in info.members
 
     def test_nonrecursive_program_has_no_components(self):
-        graph = build_rule_goal_graph(nonrecursive_join_program())
+        graph = build_rule_goal_graph(nonrecursive_join_program(), coalesce=False)
         assert graph.strong_components() == []
 
     def test_mutual_recursion_single_component(self):
-        graph = build_rule_goal_graph(mutual_recursion_program(0))
+        graph = build_rule_goal_graph(mutual_recursion_program(0), coalesce=False)
         components = graph.strong_components()
         assert len(components) == 1
         predicates = {
@@ -169,7 +173,7 @@ class TestConstruction:
             p(b, X) <- f(X).
             """
         )
-        graph = build_rule_goal_graph(program)
+        graph = build_rule_goal_graph(program, coalesce=False)
         p_goal = next(
             g for g in graph.goal_nodes.values() if g.predicate == "p"
         )
@@ -183,7 +187,7 @@ class TestConstruction:
             t(X, Y) <- e(X, Y).
             """
         )
-        graph = build_rule_goal_graph(program)
+        graph = build_rule_goal_graph(program, coalesce=False)
         assert graph.size() > 0  # construction itself must terminate
 
     def test_repeated_variable_goal_patterns(self):
@@ -195,7 +199,7 @@ class TestConstruction:
             p(X, Y, Z) <- e(X, Y), e(Y, Z).
             """
         )
-        graph = build_rule_goal_graph(program)
+        graph = build_rule_goal_graph(program, coalesce=False)
         patterns = {
             g.adorned.atom.repetition_pattern()
             for g in graph.goal_nodes.values()
@@ -206,17 +210,17 @@ class TestConstruction:
     def test_missing_query_rule_raises(self):
         program = parse_program("p(X, Y) <- e(X, Y).", validate=False)
         with pytest.raises(ValueError):
-            build_rule_goal_graph(program)
+            build_rule_goal_graph(program, coalesce=False)
 
     def test_query_goal_override(self):
         program = ancestor_program(0)
         goal = initial_goal_adornment(atom("anc", 0, Variable_Z()))
-        graph = build_rule_goal_graph(program, query_goal=goal)
+        graph = build_rule_goal_graph(program, query_goal=goal, coalesce=False)
         assert graph.goal_nodes[graph.root].predicate == "anc"
 
     def test_max_nodes_guard(self):
         with pytest.raises(GraphSizeExceeded):
-            build_rule_goal_graph(program_p1(), max_nodes=3)
+            build_rule_goal_graph(program_p1(), max_nodes=3, coalesce=False)
 
     def test_basic_graph_has_no_d_arguments(self):
         graph = build_basic_rule_goal_graph(ancestor_program(0))

@@ -5,6 +5,8 @@ import sys
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.parser import parse_program
+from repro.core.rulegoal import build_rule_goal_graph
 
 
 @pytest.fixture
@@ -49,7 +51,11 @@ class TestRun:
         assert sorted(out) == ["bob", "cal", "dee"]
 
     def test_coalesce_and_package_flags(self, program_file, capsys):
-        main(["run", program_file, "--coalesce", "--package"])
+        # Every run is coalesced: --coalesce is refused, --package a no-op.
+        with pytest.raises(SystemExit) as info:
+            main(["run", program_file, "--coalesce"])
+        assert info.value.code == 2
+        main(["run", program_file, "--package"])
         out = capsys.readouterr().out.strip().splitlines()
         assert sorted(out) == ["bob", "cal", "dee"]
 
@@ -103,7 +109,8 @@ class TestGraph:
         assert main(["graph", program_file]) == 0
         out = capsys.readouterr().out
         assert "anc(" in out
-        assert "cycle from" in out
+        assert "shared node" in out  # the coalesced graph: no cyclic nodes
+        assert "cycle from" not in out
         assert "strong component" in out
 
     def test_dot_output(self, program_file, capsys):
@@ -112,8 +119,14 @@ class TestGraph:
         assert out.startswith("digraph") and out.rstrip().endswith("}")
 
     def test_coalesced_graph(self, program_file, capsys):
-        assert main(["graph", program_file, "--coalesce"]) == 0
-        assert "shared node" in capsys.readouterr().out
+        # The graph printed is the one build_rule_goal_graph gives by default.
+        assert main(["graph", program_file]) == 0
+        with open(program_file) as source:
+            graph = build_rule_goal_graph(parse_program(source.read()))
+        assert capsys.readouterr().out.startswith(graph.pretty() + "\n")
+        with pytest.raises(SystemExit) as info:
+            main(["graph", program_file, "--coalesce"])
+        assert info.value.code == 2
 
     def test_planner_cost_reaches_plan_graph(self, program_file, capsys, monkeypatch):
         import repro.cli as cli

@@ -6,6 +6,10 @@ coalesce such nodes (thereby introducing cross and forward edges)."  With
 coalescing, the strong-component leader must "propagate the end message
 around the strong component, as other nodes may have customers"
 (footnote 4) — here realized by the ComponentDone wave.
+
+Every evaluation runs the coalesced graph; ``build_rule_goal_graph``'s
+``coalesce=False`` gives the paper's distributed graph, compared against
+here.
 """
 
 import pytest
@@ -41,8 +45,8 @@ def cases():
 
 class TestCoalescedGraphStructure:
     def test_p1_graph_shrinks(self):
-        plain = build_rule_goal_graph(program_p1())
-        merged = build_rule_goal_graph(program_p1(), coalesce=True)
+        plain = build_rule_goal_graph(program_p1(), coalesce=False)
+        merged = build_rule_goal_graph(program_p1())
         assert merged.size() < plain.size()
         assert merged.coalesced
 
@@ -90,20 +94,22 @@ class TestCoalescedGraphStructure:
 @pytest.mark.parametrize(("name", "program"), cases(), ids=[n for n, _ in cases()])
 class TestCoalescedCorrectness:
     def test_matches_oracle(self, name, program):
-        result = evaluate(program, coalesce=True)
+        result = evaluate(program)
+        assert result.graph.coalesced
         assert result.answers == oracle_answers(program)
         assert result.completed
         assert result.protocol_violations == []
 
     @pytest.mark.parametrize("seed", [2, 31])
     def test_random_delivery(self, name, program, seed):
-        result = evaluate(program, coalesce=True, seed=seed)
+        result = evaluate(program, seed=seed)
         assert result.answers == oracle_answers(program)
         assert result.protocol_violations == []
 
     def test_cheaper_than_uncoalesced(self, name, program):
-        plain = evaluate(program)
-        merged = evaluate(program, coalesce=True)
+        plain_graph = build_rule_goal_graph(program, coalesce=False)
+        plain = MessagePassingEngine(program, graph=plain_graph).run()
+        merged = evaluate(program)
         assert merged.graph.size() <= plain.graph.size()
         assert merged.total_messages <= plain.total_messages
 
@@ -111,7 +117,7 @@ class TestCoalescedCorrectness:
 class TestComponentDonePropagation:
     def test_every_member_catches_up(self):
         program = cases()[0][1]
-        engine = MessagePassingEngine(program, coalesce=True)
+        engine = MessagePassingEngine(program)
         engine.run()
         for process in engine.processes.values():
             for stream in process.feeders.values():
@@ -123,6 +129,6 @@ class TestComponentDonePropagation:
         # from cache must still receive ends (the EndNudge path).
         edges = random_digraph_edges(8, 20, seed=5) + [(0, 1)]
         program = with_tables(nonlinear_tc_program(0), {"e": edges})
-        result = evaluate(program, coalesce=True)
+        result = evaluate(program)
         assert result.completed
         assert result.answers == oracle_answers(program)

@@ -27,9 +27,7 @@ par(ann, bob).  par(bob, cal).
 
 def cold_answers(session, query):
     """From-scratch evaluation via a fresh session over the same base."""
-    fresh = Session(
-        "", sip_factory=session.sip_factory, coalesce=session.coalesce
-    )
+    fresh = Session("", sip_factory=session.sip_factory)
     fresh.add_rules(session.rules)
     fresh.add_facts(session.facts)
     return fresh.query(query)

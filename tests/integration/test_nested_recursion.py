@@ -15,7 +15,8 @@ import pytest
 
 from repro.baselines import naive, seminaive, topdown
 from repro.core.parser import parse_program
-from repro.network.engine import evaluate
+from repro.core.rulegoal import build_rule_goal_graph
+from repro.network.engine import MessagePassingEngine, evaluate
 from repro.runtime import evaluate_pool
 from repro.workloads import chain_edges, cycle_edges, facts_from_tables
 
@@ -62,8 +63,10 @@ IDS = [n for n, _ in CASES]
 @pytest.mark.parametrize(("name", "program"), CASES, ids=IDS)
 class TestNestedComponents:
     def test_engine_matches_oracle(self, name, program):
+        # The paper's distributed graph; the default one is test_coalesced's.
         expected = naive.goal_answers(program)
-        result = evaluate(program)
+        graph = build_rule_goal_graph(program, coalesce=False)
+        result = MessagePassingEngine(program, graph=graph).run()
         assert result.answers == expected
         assert result.completed
         assert result.protocol_violations == []
@@ -75,7 +78,8 @@ class TestNestedComponents:
         assert result.protocol_violations == []
 
     def test_coalesced(self, name, program):
-        result = evaluate(program, coalesce=True)
+        result = evaluate(program)
+        assert result.graph.coalesced
         assert result.answers == naive.goal_answers(program)
         assert result.protocol_violations == []
 

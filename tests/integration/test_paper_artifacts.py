@@ -37,7 +37,8 @@ class TestFigure1:
     """The greedy information-passing rule/goal graph for P1."""
 
     def setup_method(self):
-        self.graph = build_rule_goal_graph(program_p1(), greedy_sip)
+        # Fig 1 is the paper's distributed graph (no coalescing).
+        self.graph = build_rule_goal_graph(program_p1(), greedy_sip, coalesce=False)
 
     def test_recursive_rule_adornment_sequence(self):
         # Fig 1's recursive rule node under p(a^c, Z^f):

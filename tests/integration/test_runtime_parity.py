@@ -5,9 +5,10 @@ batched channels, and TCP cluster workers behind a manager) execute
 byte-for-byte the same node logic over different channel fabrics.  This
 matrix pins the only property that justifies having three of them: the
 fabric is invisible — for every workload shape in
-:mod:`repro.workloads.programs`, the paper's coalesce knob, the planner,
-three SIPs, and several EDB placements, all runtimes must produce
-exactly the naive oracle's answer set.
+:mod:`repro.workloads.programs`, both rule/goal graphs (the coalesced one
+every entry point builds, and the paper's distributed one, passed in
+prebuilt), the planner, three SIPs, and several EDB placements, all
+runtimes must produce exactly the naive oracle's answer set.
 
 The pool and cluster columns run a *spread* placement: ``edb_shards``
 equal to the worker count puts EDB replicas on every shard, so rows cross
@@ -73,7 +74,7 @@ from repro.workloads import (
     tree_parent_edges,
 )
 
-from tests.helpers import with_tables
+from tests.helpers import distributed_graph, with_tables
 
 pytestmark = pytest.mark.skipif(
     sys.platform not in ("linux", "darwin"),
@@ -118,7 +119,8 @@ CASES = {
 }
 
 #: (coalesce, planner, sip_factory, edb_shards) combinations: the paper's
-#: single-processor coalescing (footnote 4), the cost planner (which
+#: single-processor coalescing (footnote 4; ``False`` passes the
+#: distributed graph as ``graph=``, see :func:`graph_for`), the cost planner (which
 #: changes subgoal orders, i.e. the graph itself, and must still converge
 #: on the oracle's answers; it replaces the SIP), three SIPs (greedy,
 #: Prolog's left-to-right, and sideways information passing off), and the
@@ -176,9 +178,16 @@ def watchdog():
         signal.signal(signal.SIGALRM, previous)
 
 
+def graph_for(program, coalesce, planner, sip, database=None):
+    """``None`` for the coalesced graph every entry point builds, or the
+    paper's distributed graph under the same planner and SIP, prebuilt."""
+    return None if coalesce else distributed_graph(program, sip, planner, database)
+
+
 def simulator_rows(program, sip, coalesce, planner) -> int:
     """The simulator's logical tuple rows under the same knobs."""
-    sim = evaluate(program, sip_factory=sip, coalesce=coalesce, planner=planner)
+    graph = graph_for(program, coalesce, planner, sip)
+    sim = MessagePassingEngine(program, sip_factory=sip, planner=planner, graph=graph).run()
     return sim.stats.by_kind.get("TupleMessage", 0) + sim.stats.tuple_set_rows
 
 
@@ -228,9 +237,9 @@ class TestRuntimeParity:
         expected = oracles[name]
         knobs = dict(
             sip_factory=sip,
-            coalesce=coalesce,
             planner=planner,
             edb_shards=shards or 1,
+            graph=graph_for(program, coalesce, planner, sip),
         )
         sim = MessagePassingEngine(program, **knobs).run()
         assert sim.answers == expected, f"{name}: simulator diverged"
@@ -247,8 +256,8 @@ class TestRuntimeParity:
             workers=8,
             batch_size=1,
             edb_shards=shards or 8,
-            coalesce=coalesce,
             planner=planner,
+            graph=graph_for(program, coalesce, planner, sip),
             timeout=60,
         )
         assert_crossed(run, sip)
@@ -270,8 +279,8 @@ class TestRuntimeParity:
             workers=2,
             batch_size=batch_size,
             edb_shards=shards or 2,
-            coalesce=coalesce,
             planner=planner,
+            graph=graph_for(program, coalesce, planner, sip),
             timeout=60,
         )
         assert_crossed(run, sip)
@@ -288,8 +297,10 @@ class TestRuntimeParity:
         from repro.cluster import evaluate_cluster
 
         program = CASES[name]()
-        knobs = dict(coalesce=coalesce, planner=planner)
-        sim = evaluate(program, sip_factory=sip, **knobs)
+        sim = MessagePassingEngine(
+            program, sip_factory=sip, planner=planner,
+            graph=graph_for(program, coalesce, planner, sip),
+        ).run()
         assert sim.answers == oracles[name], f"{name}: simulator diverged"
         # The runtime-invariant accounting slice (see module docstring).
         sim_rows = (
@@ -298,7 +309,9 @@ class TestRuntimeParity:
         # What a Session hands the runtime: one live graph + database, so
         # the second run finds both spec parts resident on every worker.
         database = Database.from_facts(program.facts)
-        graph = plan_graph(program, planner, sip, database, coalesce=coalesce)
+        graph = graph_for(program, coalesce, planner, sip, database) or plan_graph(
+            program, planner, sip, database
+        )
         # Cold and warm run the spread placement; "default" leaves
         # edb_shards unset, so each node runs on its consumer's shard.
         spread = {"edb_shards": shards or 2}
@@ -311,8 +324,8 @@ class TestRuntimeParity:
                 timeout=60,
                 graph=graph,
                 database=database,
+                planner=planner,
                 **placement,
-                **knobs,
             )
             if placement:
                 assert_crossed(run, sip)

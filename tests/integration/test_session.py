@@ -5,6 +5,7 @@ import pytest
 from repro.core.atoms import Atom, atom
 from repro.core.parser import ParseError, parse_program
 from repro.core.program import Program, ProgramError
+from repro.core.sips import all_free_sip
 from repro.core.terms import Variable
 from repro.session import Session
 
@@ -158,7 +159,7 @@ class TestConfiguration:
         assert session.ask("anc(ann, cal)")
 
     def test_modes(self):
-        for kwargs in ({"coalesce": True}, {"planner": "cost"}):
+        for kwargs in ({"sip_factory": all_free_sip}, {"planner": "cost"}):
             session = Session(KB, **kwargs)
             assert session.query("anc(ann, Z)") == {("bob",), ("cal",), ("dee",)}
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.atoms import atom
 from repro.core.program import ProgramError
+from repro.core.sips import all_free_sip
 from repro.network.engine import MessagePassingEngine
 from repro.session import Session
 
@@ -114,10 +115,11 @@ class TestGraphCacheHits:
         assert stats.hits == 0 and stats.size == 0
 
     def test_coalesced_sessions_cache_too(self):
-        session = Session(KB, coalesce=True)
+        session = Session(KB)  # every session runs the coalesced graph
         assert session.query("anc(ann, Z)") == ANSWERS
         assert session.query("anc(ann, Z)") == ANSWERS
         assert session.last_result.graph_cache_hit is True
+        assert session.last_result.graph.coalesced
 
     def test_repeated_queries_skip_graph_construction(self, monkeypatch):
         import repro.session as session_module
@@ -270,9 +272,10 @@ class TestCacheCorrectness:
 
     @pytest.mark.parametrize(
         "kwargs",
-        # "package" names a retired option (every run packages its
-        # requests); the id now runs the cost planner.
-        [{}, {"coalesce": True}, {"planner": "cost"}],
+        # "package" and "coalesce" name retired options (every run packages
+        # its requests on the coalesced graph); the ids now run the cost
+        # planner and all_free_sip.
+        [{}, {"sip_factory": all_free_sip}, {"planner": "cost"}],
         ids=["default", "coalesce", "package"],
     )
     def test_cached_equals_uncached_answers(self, kwargs):

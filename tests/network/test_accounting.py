@@ -1,12 +1,14 @@
 """Per-query accounting regressions: node tuple attribution and db deltas."""
 
 from repro.core.parser import parse_program
+from repro.core.rulegoal import build_rule_goal_graph
 from repro.network.engine import MessagePassingEngine, evaluate
 from repro.relational.database import Database
 
-# A ground recursive goal: the subgoal t(c1) inside the second rule is a
-# variant of its ancestor goal t(c1), producing a cyclic node whose label
-# equals the ancestor's — two distinct nodes, one label.
+# A ground recursive goal: in the distributed graph the subgoal t(c1)
+# inside the second rule is a variant of its ancestor goal t(c1),
+# producing a cyclic node whose label equals the ancestor's — two
+# distinct nodes, one label.  (The coalesced graph merges them.)
 GROUND_RECURSION = """
 t(X) <- base(X).
 t(X) <- link(X), t(X).
@@ -26,7 +28,8 @@ def _tuples_invariant(result):
 class TestTuplesByNode:
     def test_duplicate_labels_aggregate_instead_of_overwrite(self):
         program = parse_program(GROUND_RECURSION)
-        engine = MessagePassingEngine(program)
+        graph = build_rule_goal_graph(program, coalesce=False)
+        engine = MessagePassingEngine(program, graph=graph)
         result = engine.run()
         labels = [
             engine.graph.node_label(node_id)
@@ -42,7 +45,7 @@ class TestTuplesByNode:
 
     def test_invariant_holds_with_coalesce(self):
         program = parse_program(GROUND_RECURSION)
-        result = evaluate(program, coalesce=True)
+        result = evaluate(program)  # the coalesced graph
         assert result.answers == {()}
         assert _tuples_invariant(result)
 
@@ -52,8 +55,8 @@ class TestTuplesByNode:
         program = ancestor_program(0).with_facts(
             facts_from_tables({"par": chain_edges(13)})
         )
-        for coalesce in (False, True):
-            result = evaluate(program, coalesce=coalesce)
+        for graph in (build_rule_goal_graph(program, coalesce=False), None):
+            result = MessagePassingEngine(program, graph=graph).run()
             assert len(result.answers) == 12
             assert _tuples_invariant(result)
 

@@ -17,6 +17,7 @@ import weakref
 
 import pytest
 
+from repro.core.sips import all_free_sip
 from repro.network.engine import MessagePassingEngine, collector_paused
 from repro.session import Session
 
@@ -133,7 +134,7 @@ def test_no_collection_starts_while_a_network_lives(collector_on, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(MessagePassingEngine, "__init__", recording_init)
-    sessions = [Session(KB), Session(KB, coalesce=True)]
+    sessions = [Session(KB), Session(KB, sip_factory=all_free_sip)]
 
     def one_pass():
         for session in sessions:

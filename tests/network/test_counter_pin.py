@@ -11,6 +11,12 @@ was.  The runs use the default options, so every node packages its tuple
 requests per producer (footnote 2) and a request message may carry
 several bindings.
 
+``LOGICAL`` and ``SCHEDULE`` were recorded on the paper's distributed
+rule/goal graph (the coalesced one for ``coalesced_shared_subgoal``), and
+each run builds that graph explicitly.  ``DEFAULT_LOGICAL`` and
+``DEFAULT_SCHEDULE`` pin the same programs on the coalesced graph that
+every entry point builds by default.
+
 The logical counts are a property of the least fixpoint and must not
 depend on set iteration order, so CI runs this file under two
 ``PYTHONHASHSEED`` values as well.  The schedule counts (how rows were
@@ -27,10 +33,11 @@ import sys
 import pytest
 
 from repro.core.parser import parse_program
+from repro.core.rulegoal import build_rule_goal_graph
 from repro.network.engine import MessagePassingEngine
 from repro.workloads import facts_from_tables
 
-from tests.helpers import oracle_answers
+from tests.helpers import distributed_graph, oracle_answers
 
 CHAIN = "e(a, b). e(b, c). e(c, d). e(d, b). e(c, e). e(e, f)."
 
@@ -90,7 +97,7 @@ PROGRAMS = {
         t(X, Y) <- t(X, Z), t(Z, Y).
         {CHAIN}
         """,
-        {"coalesce": True},
+        {},
     ),
     # The goal t(X, Y) has no "d" positions: its consumer wants all rows.
     "wants_all_consumer": (
@@ -153,6 +160,32 @@ SCHEDULE = {
     "delta_wave": (37, 37, 18, 0, 0, 10, 2),
 }
 
+#: ``LOGICAL`` on the default (coalesced) graph.
+DEFAULT_LOGICAL = {
+    "nullary_key": (6, 41, 29, 28, 6, 16, 17, 11, 15, 4, 2, 0, 5),
+    "env_is_row": (5, 54, 32, 40, 21, 24, 19, 16, 16, 18, 1, 4, 10),
+    "repeated_variable": (4, 43, 25, 32, 12, 19, 16, 12, 13, 9, 3, 0, 11),
+    "constant_head_bodiless": (5, 53, 28, 35, 13, 20, 17, 13, 13, 10, 2, 1, 8),
+    "coalesced_shared_subgoal": (5, 132, 84, 194, 75, 98, 109, 64, 96, 62, 1, 4, 10),
+    "wants_all_consumer": (9, 178, 141, 216, 84, 122, 102, 77, 89, 71, 5, 0, 26),
+    "cost_planner": (5, 33, 19, 19, 8, 13, 10, 9, 9, 7, 1, 3, 9),
+    "edb_constant_positions": (4, 32, 18, 23, 14, 19, 13, 10, 12, 13, 2, 1, 11),
+    "delta_wave": (7, 17, 13, 56, 30, 33, 26, 23, 23, 27, 0, 2, 2),
+}
+
+#: ``SCHEDULE`` on the default graph, under PYTHONHASHSEED=0.
+DEFAULT_SCHEDULE = {
+    "nullary_key": (41, 18, 0, 6, 29, 0, 0),
+    "env_is_row": (75, 67, 21, 8, 16, 10, 1),
+    "repeated_variable": (43, 29, 0, 11, 25, 0, 0),
+    "constant_head_bodiless": (53, 40, 0, 6, 19, 0, 0),
+    "coalesced_shared_subgoal": (180, 144, 48, 25, 61, 23, 2),
+    "wants_all_consumer": (185, 112, 7, 33, 106, 3, 1),
+    "cost_planner": (33, 19, 0, 4, 18, 0, 0),
+    "edb_constant_positions": (32, 19, 0, 5, 18, 0, 0),
+    "delta_wave": (30, 30, 13, 0, 0, 16, 2),
+}
+
 
 def logical_counters(result) -> tuple:
     """Answers, logical traffic, storage, probes, kernel batches, EDB reads."""
@@ -187,19 +220,28 @@ def schedule_counters(result) -> tuple:
     )
 
 
-def run(name: str):
+def pinned_graph(name: str, program, options: dict):
+    """The graph ``LOGICAL`` and ``SCHEDULE`` pin ``name`` on."""
+    if name == "coalesced_shared_subgoal":
+        return build_rule_goal_graph(program, coalesce=True)
+    return distributed_graph(program, **options)
+
+
+def run(name: str, default_graph: bool = False):
+    """One cold run, on the pinned graph or on the default one."""
     text, options = PROGRAMS[name]
     program = parse_program(text)
-    engine = MessagePassingEngine(program, **options)
+    graph = None if default_graph else pinned_graph(name, program, options)
+    engine = MessagePassingEngine(program, graph=graph, **options)
     result = engine.run()
     assert result.completed and not result.protocol_violations
     assert result.answers == oracle_answers(program)
     return engine, result
 
 
-def delta_wave():
+def delta_wave(default_graph: bool = False):
     """One run_delta wave over the left-recursive closure."""
-    engine, _ = run("env_is_row")
+    engine, _ = run("env_is_row", default_graph)
     delta = facts_from_tables({"e": [("f", "g"), ("g", "a"), ("x", "y")]})
     engine.database.add_facts(delta)
     wave = engine.run_delta(delta)
@@ -208,10 +250,10 @@ def delta_wave():
     return wave
 
 
-def results() -> dict:
+def results(default_graph: bool = False) -> dict:
     """Every pinned run: the cold run of each program, then the wave."""
-    out = {name: run(name)[1] for name in PROGRAMS}
-    out["delta_wave"] = delta_wave()
+    out = {name: run(name, default_graph)[1] for name in PROGRAMS}
+    out["delta_wave"] = delta_wave(default_graph)
     return out
 
 
@@ -220,17 +262,37 @@ def pinned_results():
     return results()
 
 
+@pytest.fixture(scope="module")
+def default_results():
+    return results(default_graph=True)
+
+
 @pytest.mark.parametrize("name", list(LOGICAL))
 def test_logical_counters(pinned_results, name):
     assert logical_counters(pinned_results[name]) == LOGICAL[name]
 
 
+@pytest.mark.parametrize("name", list(DEFAULT_LOGICAL))
+def test_default_graph_logical_counters(default_results, name):
+    assert logical_counters(default_results[name]) == DEFAULT_LOGICAL[name]
+
+
 def test_schedule_counters_under_a_fixed_hash_seed():
+    assert schedule_in_a_child(default_graph=False) == SCHEDULE
+
+
+def test_default_graph_schedule_counters_under_a_fixed_hash_seed():
+    assert schedule_in_a_child(default_graph=True) == DEFAULT_SCHEDULE
+
+
+def schedule_in_a_child(default_graph: bool) -> dict:
+    """Every run's schedule counters, from an interpreter with PYTHONHASHSEED=0."""
     root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     script = (
         "import json\n"
         "from tests.network.test_counter_pin import results, schedule_counters\n"
-        "print(json.dumps({n: schedule_counters(r) for n, r in results().items()}))\n"
+        f"runs = results(default_graph={default_graph})\n"
+        "print(json.dumps({n: schedule_counters(r) for n, r in runs.items()}))\n"
     )
     env = dict(
         os.environ,
@@ -242,5 +304,4 @@ def test_schedule_counters_under_a_fixed_hash_seed():
         cwd=root, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr[-2000:]
-    got = {name: tuple(values) for name, values in json.loads(done.stdout).items()}
-    assert got == SCHEDULE
+    return {name: tuple(values) for name, values in json.loads(done.stdout).items()}

@@ -11,6 +11,7 @@ leaf, move the database counters the same way.
 import pytest
 
 from repro.core.parser import parse_program
+from repro.core.rulegoal import build_rule_goal_graph
 from repro.network import messages
 from repro.network.engine import MessagePassingEngine
 from repro.network.messages import (
@@ -101,8 +102,13 @@ def d_stream(engine, kind):
 
 def serve(kind, binding, packaged):
     """Open a stream at a fresh network's node of ``kind``, then request one
-    binding as a tuple request or as a one-binding package."""
-    engine = MessagePassingEngine(parse_program(PROGRAM))
+    binding as a tuple request or as a one-binding package.
+
+    The network runs the paper's distributed graph: the coalesced one has
+    no cyclic nodes.
+    """
+    program = parse_program(PROGRAM)
+    engine = MessagePassingEngine(program, graph=build_rule_goal_graph(program, coalesce=False))
     node, consumer_id = d_stream(engine, kind)
     network = Recorder()
     node.handle(RelationRequest(consumer_id, node.node_id, ()), network)

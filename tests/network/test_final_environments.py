@@ -20,13 +20,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.parser import parse_program
+from repro.core.rulegoal import build_rule_goal_graph
 from repro.network.engine import MessagePassingEngine
 from repro.network.nodes import RuleNodeProcess
 from repro.session import Session
 from repro.workloads import facts_from_tables
 
 from tests.helpers import oracle_answers
-from tests.network.test_counter_pin import CHAIN, PROGRAMS
+from tests.network.test_counter_pin import CHAIN, PROGRAMS, pinned_graph
 from tests.property.test_property_engine import programs
 
 
@@ -86,9 +87,9 @@ def check_once(engine: MessagePassingEngine, seen: dict) -> int:
 )
 @given(programs())
 def test_random_programs(program):
-    for options in ({}, {"coalesce": True}):
+    for graph in (None, build_rule_goal_graph(program, coalesce=False)):
         with recording() as seen:
-            engine = MessagePassingEngine(program, **options)
+            engine = MessagePassingEngine(program, graph=graph)
             result = engine.run()
             assert result.completed
             check_once(engine, seen)
@@ -98,11 +99,12 @@ def test_random_programs(program):
 def test_counter_pin_programs(name):
     text, options = PROGRAMS[name]
     program = parse_program(text)
-    with recording() as seen:
-        engine = MessagePassingEngine(program, **options)
-        result = engine.run()
-        assert result.answers == oracle_answers(program)
-        assert check_once(engine, seen)
+    for graph in (None, pinned_graph(name, program, options)):
+        with recording() as seen:
+            engine = MessagePassingEngine(program, graph=graph, **options)
+            result = engine.run()
+            assert result.answers == oracle_answers(program)
+            assert check_once(engine, seen)
 
 
 @pytest.mark.parametrize("name", ["env_is_row", "coalesced_shared_subgoal"])
@@ -125,8 +127,7 @@ def test_materialized_refresh():
         t(X, Y) <- e(X, Y).
         t(X, Y) <- t(X, Z), t(Z, Y).
         {CHAIN}
-        """,
-        coalesce=True,
+        """
     )
     with recording() as seen:
         mat = session.materialize("t(a, Z)")

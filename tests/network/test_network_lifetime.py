@@ -16,6 +16,7 @@ import weakref
 import pytest
 
 from repro.core.parser import parse_program
+from repro.core.rulegoal import build_rule_goal_graph
 from repro.network.engine import MessagePassingEngine
 from repro.relational.database import Database
 from repro.session import Session
@@ -53,13 +54,17 @@ def same_generation():
 
 #: ``package_requests`` keeps the id of the option that once switched
 #: request packaging on; every run packages now, so that case runs seeded
-#: random latencies instead, a schedule no other case covers.
+#: random latencies instead, a schedule no other case covers.  Likewise
+#: ``coalesce``: every run is coalesced now, so that case runs the paper's
+#: distributed graph, passed in prebuilt.
 CASES = {
     "linear_tc": (linear_tc, {}),
     "nonlinear_tc": (nonlinear_tc, {}),
     "cyclic_tc": (cyclic_tc, {}),
     "same_generation": (same_generation, {}),
-    "coalesce": (nonlinear_tc, {"coalesce": True}),
+    "coalesce": (
+        nonlinear_tc, {"graph": build_rule_goal_graph(nonlinear_tc(), coalesce=False)}
+    ),
     "package_requests": (nonlinear_tc, {"seed": 3}),
     "edb_shards": (cyclic_tc, {"edb_shards": 2}),
     "cost_planner": (nonlinear_tc, {"planner": "cost"}),

@@ -5,6 +5,7 @@ import pytest
 from repro.core.adornment import AdornedAtom
 from repro.core.atoms import atom
 from repro.core.parser import parse_program
+from repro.core.rulegoal import build_rule_goal_graph
 from repro.core.terms import Variable
 from repro.network.messages import (
     ColumnBatch,
@@ -303,30 +304,37 @@ def assert_index_matches_rows(engine):
         assert len(rows) == len(set(rows)) == node.tuples_stored  # none held twice
 
 
+def distributed(program, **options):
+    """An engine over the paper's distributed graph: the coalesced one has
+    no cyclic nodes."""
+    graph = build_rule_goal_graph(program, coalesce=False)
+    return MessagePassingEngine(program, graph=graph, **options)
+
+
 class TestCyclicRowIndex:
     def test_linear_tc_over_a_cycle(self):
         program = with_tables(ancestor_program(0), {"par": cycle_edges(9)})
-        engine = MessagePassingEngine(program)
+        engine = distributed(program)
         assert engine.run().completed
         assert_index_matches_rows(engine)
 
     def test_linear_ancestor(self):
         program = with_tables(ancestor_program(0), {"par": chain_edges(14)})
-        engine = MessagePassingEngine(program)
+        engine = distributed(program)
         assert engine.run().completed
         assert_index_matches_rows(engine)
 
     def test_nonlinear_tc(self):
         edges = random_digraph_edges(15, 40, seed=2)
         program = with_tables(nonlinear_tc_program(edges[0][0]), {"e": edges})
-        engine = MessagePassingEngine(program, seed=3)
+        engine = distributed(program, seed=3)
         assert engine.run().completed
         assert_index_matches_rows(engine)
 
     def test_after_delta_waves(self):
         edges = chain_edges(10)
         program = with_tables(nonlinear_tc_program(0), {"e": edges[:5]})
-        engine = MessagePassingEngine(program)
+        engine = distributed(program)
         engine.run()
         for batch in (edges[5:8], edges[8:] + [(9, 2)]):
             delta = facts_from_tables({"e": batch})

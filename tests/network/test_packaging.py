@@ -52,7 +52,7 @@ class TestPackagingCorrectness:
         assert result.answers == oracle_answers(program)
 
     def test_combined_with_coalescing(self, p1_small):
-        result = evaluate(p1_small, coalesce=True)
+        result = evaluate(p1_small)  # the coalesced graph
         assert result.answers == oracle_answers(p1_small)
         assert result.protocol_violations == []
 
@@ -130,28 +130,27 @@ t(X, Y) <- t(X, U), t(U, Y).
 e(1, 2). e(2, 3). e(3, 1). e(3, 4). e(4, 5). e(2, 6).
 """ + " ".join(f"par({2 * p + 1 + i}, {p})." for p in range(7) for i in range(2))
 
-#: Counters of ``Session(DEFAULT_KB, package_requests=True)`` at the last
-#: commit that still had a per-binding path, when every request message
-#: was a PackagedTupleRequest: answers, then delivered, physical,
-#: computation and protocol messages, tuple sets and their rows, tuples
-#: stored, environments, probes, index inserts, kernel rows in/out and
-#: distinct keys, protocol rounds and conclusions, and the EDB's scans,
-#: indexed lookups and rows retrieved; last, the request messages.
+#: Counters of a default ``Session(DEFAULT_KB)``, which runs the coalesced
+#: rule/goal graph: answers, then delivered, physical, computation and
+#: protocol messages, tuple sets and their rows, tuples stored,
+#: environments, probes, index inserts, kernel rows in/out and distinct
+#: keys, protocol rounds and conclusions, and the EDB's scans, indexed
+#: lookups and rows retrieved; last, the request messages.
 PACKAGED = {
     "sg(7, Z)": (
-        8, 155, 112, 145, 10, 25, 68, 101, 47, 42, 59, 38, 38, 33, 2, 1, 0, 17, 24, 23
+        8, 143, 101, 138, 5, 24, 66, 99, 47, 42, 59, 38, 38, 33, 2, 1, 0, 17, 24, 21
     ),
     "t(1, Z)": (
-        6, 312, 211, 225, 87, 50, 151, 274, 129, 74, 116, 76, 114, 59, 18, 2, 2, 3, 15, 30
+        6, 196, 144, 148, 48, 36, 88, 230, 129, 81, 116, 76, 114, 66, 23, 2, 2, 3, 15, 20
     ),
 }
 
 
 @pytest.mark.parametrize("query", sorted(PACKAGED))
 def test_default_session_runs_the_packaged_path(query):
-    """A default ``Session`` matches the old ``package_requests=True`` run
-    counter for counter; only the request messages split into the two
-    kinds, a lone binding now travelling as a TupleRequest."""
+    """A default ``Session`` runs packaged requests counter for counter as
+    pinned; the request messages split into the two kinds, a lone binding
+    travelling as a TupleRequest."""
     from repro.session import Session
 
     session = Session(DEFAULT_KB)

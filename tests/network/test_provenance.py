@@ -5,6 +5,7 @@ import re
 import pytest
 
 from repro.core.parser import parse_program
+from repro.core.rulegoal import build_rule_goal_graph
 from repro.network.engine import MessagePassingEngine
 from repro.network.provenance import Derivation, ProvenanceError
 from repro.session import Session
@@ -89,9 +90,11 @@ class TestProofTrees:
         assert text.splitlines()[0].startswith("goal(")
 
     def test_coalesced_mode_supported(self, p1_small):
-        engine, result = run_with_provenance(p1_small, coalesce=True)
-        for row in result.answers:
-            assert engine.explain(row).facts()
+        # The default graph is coalesced; the distributed one explains too.
+        for graph in (None, build_rule_goal_graph(p1_small, coalesce=False)):
+            engine, result = run_with_provenance(p1_small, graph=graph)
+            for row in result.answers:
+                assert engine.explain(row).facts()
 
 
 class TestErrors:
@@ -245,7 +248,8 @@ class TestDerivationChecker:
     )
     def test_every_answer_has_a_sound_derivation(self, name, coalesce, p1_small):
         program = p1_small if name == "p1" else cyclic_tc()
-        engine, result = run_with_provenance(program, coalesce=coalesce)
+        graph = None if coalesce else build_rule_goal_graph(program, coalesce=False)
+        engine, result = run_with_provenance(program, graph=graph)
         assert result.answers
         for row in result.answers:
             check_derivation(engine.explain(row), program)

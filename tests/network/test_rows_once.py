@@ -18,7 +18,8 @@ These tests watch every delivery and check that no goal, cyclic or rule
 node sends a row twice on one stream, and that every row reaching a stage
 without a row store finds its environment there, or, before stage 1's
 environment exists, waits for it.  They run over random
-programs (default options, and coalesce), every counter-pin program, a
+programs and every counter-pin program (on the default graph and on the
+pinned one, see ``test_counter_pin.pinned_graph``), a
 run with two EDB replicas per leaf (in send order and under seeded random
 latencies), and a ``run_delta`` wave.
 A delta that re-offers a committed fact must send nothing and move no
@@ -33,13 +34,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.parser import parse_program
+from repro.core.rulegoal import build_rule_goal_graph
 from repro.network.engine import MessagePassingEngine
 from repro.network.messages import ColumnBatch, TupleMessage, TupleSet
 from repro.network.nodes import CyclicNodeProcess, GoalNodeProcess, RuleNodeProcess, _bind
 from repro.workloads import facts_from_tables
 
 from tests.helpers import oracle_answers
-from tests.network.test_counter_pin import PROGRAMS, logical_counters
+from tests.network.test_counter_pin import PROGRAMS, logical_counters, pinned_graph
 from tests.property.test_property_engine import programs
 
 
@@ -119,8 +121,8 @@ def node_counters(engine) -> dict:
 @given(programs())
 def test_random_programs(program):
     expected = oracle_answers(program)
-    for options in ({}, {"coalesce": True}):
-        engine, _ = watched(program, **options)
+    for graph in (None, build_rule_goal_graph(program, coalesce=False)):
+        engine, _ = watched(program, graph=graph)
         result = engine.run()
         assert result.completed and result.answers == expected
 
@@ -129,9 +131,10 @@ def test_random_programs(program):
 def test_counter_pin_programs(name):
     text, options = PROGRAMS[name]
     program = parse_program(text)
-    engine, watch = watched(program, **options)
-    assert engine.run().answers == oracle_answers(program)
-    assert watch.sent
+    for graph in (None, pinned_graph(name, program, options)):
+        engine, watch = watched(program, graph=graph, **options)
+        assert engine.run().answers == oracle_answers(program)
+        assert watch.sent
 
 
 def test_unstored_stages_are_reached():

@@ -6,7 +6,8 @@ The invariants:
   carries are pinned — per-stream dedup makes them a property of the least
   fixpoint, so they equal what a per-tuple evaluation sends (the pinned
   numbers are the counts both send paths agreed on before the per-tuple
-  path was retired);
+  path was retired, on the paper's distributed graph, which the pinned
+  runs below build explicitly);
 * a ``TupleSet`` weighs ``len(rows)`` logical tuples in every counter that
   meant "tuples" (``delivered_total``, per-receiver, computation), while
   ``physical_total`` counts deliveries;
@@ -18,6 +19,7 @@ The invariants:
 import pytest
 
 from repro.core.parser import parse_program
+from repro.core.rulegoal import build_rule_goal_graph
 from repro.network.engine import MessagePassingEngine, evaluate
 from repro.network.messages import TupleSet
 from repro.workloads import (
@@ -74,6 +76,12 @@ WORKLOADS = {
 }
 
 
+def distributed(program, **options):
+    """A run on the paper's distributed graph, the one the pins were taken on."""
+    graph = build_rule_goal_graph(program, coalesce=False)
+    return MessagePassingEngine(program, graph=graph, **options).run()
+
+
 def logical_rows(result):
     """Tuple rows carried, whether as TupleMessages or inside TupleSets."""
     return result.stats.by_kind.get("TupleMessage", 0) + result.stats.tuple_set_rows
@@ -95,7 +103,7 @@ class TestAnswerParity:
     def test_same_answers_with_and_without_sets(self, name):
         # The per-tuple side is the PINNED record of what that path sent.
         program = WORKLOADS[name]()
-        result = evaluate(program)
+        result = distributed(program)
         assert result.completed
         assert result.answers == oracle_answers(program)
         assert (len(result.answers), logical_rows(result)) == PINNED[name]
@@ -105,7 +113,7 @@ class TestAnswerParity:
         # Packaging merges requests, never answers: the rows are unchanged,
         # also when random latencies group the requests differently.
         program = join_heavy_program()
-        result = evaluate(program, seed=11 if seeded else None)
+        result = distributed(program, seed=11 if seeded else None)
         assert result.answers == oracle_answers(program)
         assert logical_rows(result) == PINNED["join"][1]
 
@@ -162,13 +170,13 @@ class TestBulkJoinKernels:
     # join's batches larger.
     def test_join_lookups_never_exceed_per_tuple(self):
         program = join_heavy_program()
-        bulk = evaluate(program)
+        bulk = distributed(program)
         assert bulk.answers == oracle_answers(program)
         assert bulk.probe_lookups == 28 <= 184
 
     def test_distinct_key_probing_on_recursion(self):
         program = with_tables(left_recursive_tc_program(0), {"e": chain_edges(12)})
-        bulk = evaluate(program)
+        bulk = distributed(program)
         assert bulk.answers == oracle_answers(program)
         assert (len(bulk.answers), logical_rows(bulk)) == (11, 77)
         assert bulk.probe_lookups == 47 <= 47

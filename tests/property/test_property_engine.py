@@ -14,6 +14,7 @@ from repro.baselines import naive
 from repro.core.atoms import Atom
 from repro.core.program import Program
 from repro.core.rules import Rule
+from repro.core.rulegoal import build_rule_goal_graph
 from repro.core.sips import all_free_sip, left_to_right_sip
 from repro.core.terms import Constant, Variable
 from repro.network.engine import MessagePassingEngine, evaluate
@@ -129,10 +130,14 @@ class TestEngineAgainstOracle:
     @settings(**COMMON)
     @given(programs())
     def test_coalesced_matches_oracle(self, program):
-        result = evaluate(program, coalesce=True)
-        assert result.answers == naive.goal_answers(program)
-        assert result.completed
-        assert result.protocol_violations == []
+        # The default (coalesced) graph and the paper's distributed one.
+        expected = naive.goal_answers(program)
+        for graph in (None, build_rule_goal_graph(program, coalesce=False)):
+            result = MessagePassingEngine(program, graph=graph).run()
+            assert result.graph.coalesced is (graph is None)
+            assert result.answers == expected
+            assert result.completed
+            assert result.protocol_violations == []
 
     @settings(**COMMON)
     @given(programs())
@@ -146,7 +151,7 @@ class TestEngineAgainstOracle:
     @settings(**COMMON)
     @given(programs(), st.integers(0, 10_000))
     def test_all_modes_combined(self, program, seed):
-        result = evaluate(program, coalesce=True, seed=seed)
+        result = MessagePassingEngine(program, seed=seed, edb_shards=2).run()
         assert result.answers == naive.goal_answers(program)
         assert result.completed
         assert result.protocol_violations == []

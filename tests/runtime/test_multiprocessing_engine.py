@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+from repro.core.rulegoal import build_rule_goal_graph
 from repro.runtime import evaluate_pool
 from repro.workloads import (
     ancestor_program,
@@ -85,5 +86,6 @@ class TestMultiprocessingRuntime:
 
     def test_coalesce_and_package_knobs(self, p1_small):
         expected = oracle_answers(p1_small)
-        result = _finest_pool(p1_small, coalesce=True)
+        # The distributed graph, passed in prebuilt (the default is coalesced).
+        result = _finest_pool(p1_small, graph=build_rule_goal_graph(p1_small, coalesce=False))
         assert result.answers == expected

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from repro.core.parser import parse_program
+from repro.core.rulegoal import build_rule_goal_graph
 from repro.network.engine import MessagePassingEngine, assign_shards
 from repro.network.nodes import DRIVER_ID
 from repro.runtime.pool_engine import evaluate_pool
@@ -117,8 +118,11 @@ class TestPoolRuntime:
         assert result.driver_last_upto_ended == stream.last_upto_ended
 
     def test_coalesce_and_package_knobs(self, p1_small):
+        # The pool runs the coalesced graph by default; the paper's
+        # distributed graph runs when passed in prebuilt.
         expected = oracle_answers(p1_small)
-        result = evaluate_pool(p1_small, workers=2, coalesce=True, timeout=60)
+        graph = build_rule_goal_graph(p1_small, coalesce=False)
+        result = evaluate_pool(p1_small, workers=2, graph=graph, timeout=60)
         assert result.answers == expected
 
     def test_more_workers_than_nodes(self, p1_small):

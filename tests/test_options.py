@@ -9,7 +9,7 @@ import pytest
 from repro.cluster import evaluate_cluster
 from repro.cluster.spec import JobSpecMemo
 from repro.core.rulegoal import build_rule_goal_graph
-from repro.core.sips import greedy_sip
+from repro.core.sips import all_free_sip, greedy_sip
 from repro.options import (
     EvalOptions,
     RetryPolicy,
@@ -61,10 +61,10 @@ class TestOneSetOfOptions:
         assert keywords(entry) <= union
 
     def test_session_keywords_rebuild_both_values(self):
-        options = EvalOptions(coalesce=True, planner="cost")
+        options = EvalOptions(sip_factory=all_free_sip, planner="cost")
         runtime = RuntimeOptions(
-            "pool",
-            3,
+            runtime="pool",
+            workers=3,
             retry=RetryPolicy(2, 0.5),
             fallback="inprocess",
             heartbeat_interval=0.5,
@@ -82,15 +82,23 @@ class TestOneSetOfOptions:
         plain = Session(KB)
         elsewhere = Session(KB, runtime="pool", workers=2, timeout=9.0, retries=3)
         assert plain.cache_key_for("anc(ann, Z)") == elsewhere.cache_key_for("anc(ann, Z)")
-        assert Session(KB, coalesce=True).cache_key_for("anc(ann, Z)") != (
+        # An evaluation option is part of the key; there is no graph switch.
+        assert Session(KB, sip_factory=all_free_sip).cache_key_for("anc(ann, Z)") != (
             plain.cache_key_for("anc(ann, Z)")
         )
 
     def test_session_attributes_read_the_values(self):
-        session = Session(KB, coalesce=True, runtime="pool", workers=2)
-        assert (session.coalesce, session.sip_factory, session.runtime) == (
-            True, greedy_sip, "pool"
+        session = Session(KB, planner="cost", runtime="pool", workers=2)
+        assert (session.planner, session.sip_factory, session.runtime) == (
+            "cost", greedy_sip, "pool"
         )
+        assert not hasattr(session, "coalesce")
+
+    @pytest.mark.parametrize("cls", [EvalOptions, RuntimeOptions])
+    def test_options_are_keyword_only(self, cls):
+        # A removed field can never shift a positional argument.
+        with pytest.raises(TypeError):
+            cls(greedy_sip if cls is EvalOptions else "pool")
 
 
 BAD = [
@@ -228,7 +236,7 @@ class TestPlanPart:
     def test_ships_the_options_value_with_a_picklable_sip(self):
         program = ancestor_program()
         graph = build_rule_goal_graph(program)
-        options = EvalOptions(lambda rule, head: greedy_sip(rule, head), coalesce=True)
+        options = EvalOptions(sip_factory=lambda rule, head: greedy_sip(rule, head), planner="cost")
         part = JobSpecMemo().plan(program, graph, options, True, 3)
         spec = pickle.loads(part.blob)
         assert spec["options"] == dataclasses.replace(options, sip_factory=greedy_sip)

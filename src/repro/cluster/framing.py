@@ -30,9 +30,11 @@ received bytes unparsed.
 Rows travel as *column blocks* (:func:`rows_to_block`): one
 ``[row count, columns]`` value per message for a :class:`TupleSet`'s
 rows, a packaged request's bindings, a single request's binding or
-message's row, the driver's answers and a job's bindings.  Datalog
-constants are almost always strings and ints, so a column whose values
-are all exactly ``int``/``str``/``float``/``bool``/``None`` is a plain
+message's row, the driver's answers and a job's bindings.  A block keeps
+its rows' order, so a :class:`TupleSet` decodes to the very tuple of rows
+it was sent with.  Datalog constants are almost always strings and ints,
+so a column whose values are all exactly
+``int``/``str``/``float``/``bool``/``None`` is a plain
 JSON list, encoded and decoded by the ``json`` module's C code with no
 Python call per value.  Any other column falls back to tagged cells —
 JSON-native values as they are, anything else a ``["p", <base64
@@ -290,7 +292,8 @@ def rows_to_block(rows) -> list:
     """A sized collection of same-arity rows as one ``[count, columns]`` block.
 
     Rows keep their iteration order and are never sorted: an answer column
-    may mix ``int`` and ``str``, and every receiver builds a set anyway.
+    may mix ``int`` and ``str``, and :func:`rows_from_block` gives them
+    back in the same order, so a :class:`TupleSet` arrives as it was sent.
     The count rides along because nullary rows have no columns to count.
     """
     try:
@@ -365,7 +368,7 @@ _DECODERS = {
         s, r, tuple(rows_from_block(a[0])), a[1]
     ),
     "tm": lambda s, r, a: TupleMessage(s, r, row_from_block(a[0])),
-    "ts": lambda s, r, a: TupleSet(s, r, frozenset(rows_from_block(a[0]))),
+    "ts": lambda s, r, a: TupleSet(s, r, tuple(rows_from_block(a[0]))),
     "em": lambda s, r, a: EndMessage(s, r, a[0]),
     "er": lambda s, r, a: EndRequest(s, r, a[0]),
     "en": lambda s, r, a: EndNegative(s, r, a[0]),

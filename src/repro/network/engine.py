@@ -590,6 +590,8 @@ class MessagePassingEngine:
                 new_answers=frozenset(),
             )
         else:
+            # The previous result holds the driver's set: grow a copy.
+            self.driver.answers = set(self.driver.answers)
             self.driver.fresh = fresh = set()
             try:
                 self.scheduler.run()
@@ -661,7 +663,7 @@ class MessagePassingEngine:
                 conclusions += process.protocol.conclusions
 
         return QueryResult(
-            answers=set(self.driver.answers),
+            answers=self.driver.answers,
             completed=self.driver.completed,
             stats=stats,
             tuples_stored=tuples_total,

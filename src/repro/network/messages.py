@@ -36,6 +36,7 @@ per-request end semantics while letting one end message cover a batch
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -121,21 +122,27 @@ class TupleMessage(Message):
 
 @dataclass(frozen=True, slots=True)
 class TupleSet(Message):
-    """A set of derived rows shipped as one message — packaged *answers*.
+    """Several derived rows shipped as one message — packaged *answers*.
 
     Footnote 2 observes that messages gain "efficiency of volume" when
     related tuple requests travel as a package; this is the same idea on the
     answer stream.  ``rows`` holds several rows (each over the producer
     goal's "d"/"f" positions) for the same (producer, consumer) channel.
     Semantically a :class:`TupleSet` is exactly ``len(rows)`` tuple messages
-    delivered back to back: it carries no sequence number of its own, and
-    per-channel FIFO still guarantees every row arrives before the
-    :class:`EndMessage` whose ``upto`` covers the requests that produced it.
-    Accounting weighs it as ``len(rows)`` logical tuples so ``max_messages``
-    budgets and the Section 3.2 sent/received counters keep their meaning.
+    delivered back to back, in the order of ``rows``: it carries no sequence
+    number of its own, and per-channel FIFO still guarantees every row
+    arrives before the :class:`EndMessage` whose ``upto`` covers the
+    requests that produced it.  Accounting weighs it as ``len(rows)``
+    logical tuples so ``max_messages`` budgets and the Section 3.2
+    sent/received counters keep their meaning.
+
+    ``rows`` is a ``tuple`` in the producer's order.  Its rows are distinct
+    (every producer deduplicates against its own store or sent rows before
+    it ships), and it never aliases a live store: a node relation that
+    grows in place after the send does not change a queued message.
     """
 
-    rows: frozenset
+    rows: tuple
 
     def logical(self) -> int:
         """Number of logical tuples this message stands for."""
@@ -160,7 +167,7 @@ class ColumnBatch:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[tuple]) -> None:
-        self.rows: list[tuple] = rows if isinstance(rows, list) else list(rows)
+        self.rows: Sequence[tuple] = rows if isinstance(rows, (list, tuple)) else list(rows)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -186,11 +193,11 @@ class ColumnBatch:
             return self.rows
         return list(map(operator.itemgetter(*positions), self.rows))
 
-    def project(self, positions: Sequence[int]) -> list[tuple]:
+    def project(self, positions: Sequence[int]) -> Sequence[tuple]:
         """Gather: the rows restricted to ``positions``, as tuples.
 
         A gather of every position in order copies nothing: it returns the
-        batch's own row list, which callers must not mutate.
+        batch's own rows, which callers must not mutate.
         """
         if not self.rows:
             return []
@@ -280,8 +287,9 @@ def coalesce_batch(messages: Sequence[Message]) -> list[Message]:
     hosted nodes see set-at-a-time rows even when the sender shipped them
     one at a time: a run of :class:`TupleMessage` / :class:`TupleSet`
     messages on one channel becomes a single :class:`TupleSet` with the
-    union of their rows.  Requests pass through as sent: every node already
-    sends one request message per producer per burst (footnote 2).
+    union of their rows, each row once, in arrival order.  Requests pass
+    through as sent: every node already sends one request message per
+    producer per burst (footnote 2).
 
     Only adjacent runs are merged, so the relative order of every channel's
     messages is untouched: rows still precede the :class:`EndMessage` that
@@ -294,13 +302,12 @@ def coalesce_batch(messages: Sequence[Message]) -> list[Message]:
         if len(run) == 1:
             out.append(run[0])
         elif run:
-            rows = frozenset().union(
-                *(
-                    m.rows if isinstance(m, TupleSet) else (m.row,)
-                    for m in run
+            rows = dict.fromkeys(
+                itertools.chain.from_iterable(
+                    m.rows if isinstance(m, TupleSet) else (m.row,) for m in run
                 )
             )
-            out.append(TupleSet(run[0].sender, run[0].receiver, rows))
+            out.append(TupleSet(run[0].sender, run[0].receiver, tuple(rows)))
         run.clear()
 
     for message in messages:

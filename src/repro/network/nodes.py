@@ -26,7 +26,15 @@ import itertools
 import operator
 import zlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, AbstractSet, Callable, Iterable, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    AbstractSet,
+    Callable,
+    Collection,
+    Iterable,
+    Optional,
+    Sequence,
+)
 
 from ..core.adornment import AdornedAtom
 from ..core.rules import Rule
@@ -302,10 +310,12 @@ class NodeProcess:
     # Set-at-a-time answer emission
     # ------------------------------------------------------------------
     def _ship(self, consumer_id: int, fresh, network: "Scheduler") -> None:
-        """Emit rows the stream has not carried yet: one set, or one
-        :class:`TupleMessage` for a lone row (a one-row set buys nothing)."""
+        """Emit distinct rows the stream has not carried yet: one
+        :class:`TupleSet` in ``fresh``'s order, or one :class:`TupleMessage`
+        for a lone row (a one-row set buys nothing).  ``tuple`` copies a
+        list or a store's bucket and returns a received ``rows`` as it is."""
         if len(fresh) > 1:
-            network.send(TupleSet(self.node_id, consumer_id, frozenset(fresh)))
+            network.send(TupleSet(self.node_id, consumer_id, tuple(fresh)))
         else:
             for row in fresh:
                 network.send(TupleMessage(self.node_id, consumer_id, row))
@@ -406,9 +416,7 @@ HANDLERS: dict[type, tuple[Callable, bool]] = {
     ),
     TupleSet: (lambda node, m, net: node.on_tuple_set(m, net), True),
     TupleMessage: (
-        lambda node, m, net: node.on_tuple_set(
-            TupleSet(m.sender, m.receiver, frozenset((m.row,))), net
-        ),
+        lambda node, m, net: node.on_tuple_set(TupleSet(m.sender, m.receiver, (m.row,)), net),
         True,
     ),
     EndMessage: (lambda node, m, net: node.on_end(m, net), True),
@@ -477,30 +485,27 @@ def _bind(terms: Sequence, values: tuple) -> Optional[tuple]:
     return tuple(env.values())
 
 
-_NO_ROWS: frozenset = frozenset()
-
-
 def _insert(
-    index: dict, batch: AbstractSet[tuple], positions: Sequence[int], tuple_keys: bool = False
+    index: dict, batch: Collection[tuple], positions: Sequence[int], tuple_keys: bool = False
 ) -> tuple[list[tuple], list]:
-    """Add ``batch`` to a node relation stored as key -> set of rows.
+    """Add ``batch``, distinct rows, to a relation stored as key -> set of rows.
 
     The keyed index is the relation's only store, so a row is fresh
     exactly when its key's bucket does not hold it yet.  Returns the fresh
-    rows and their keys, aligned.  A key is the row's values at
-    ``positions``: a bare value for a single position unless
-    ``tuple_keys`` (a "d" binding is always a tuple).  With no positions
-    every row sits in the one bucket under ``()`` and the fresh rows are
-    one set difference.  A level whose key is the whole environment holds
-    no buckets: :func:`_insert_keyed` stores it.
+    rows and their keys, aligned, in the batch's order.  A key is the
+    row's values at ``positions``: a bare value for a single position
+    unless ``tuple_keys`` (a "d" binding is always a tuple).  With no
+    positions every row sits in the one bucket under ``()`` and the fresh
+    rows are one C-level filter.  A level whose key is the whole
+    environment holds no buckets: :func:`_insert_keyed` stores it.
     """
     if not positions:
-        fresh = batch - index.get((), _NO_ROWS)
+        fresh = list(itertools.filterfalse(index.get((), ()).__contains__, batch))
         if fresh:
             index.setdefault((), set()).update(fresh)
-        return list(fresh), [()] * len(fresh)
-    rows = list(batch)
-    batch_columns = ColumnBatch(rows)
+        return fresh, [()] * len(fresh)
+    batch_columns = ColumnBatch(batch)
+    rows = batch_columns.rows
     if tuple_keys:
         keys = batch_columns.project(positions)
     else:
@@ -522,7 +527,7 @@ def _insert(
 
 
 def _insert_keyed(
-    index: dict, batch: AbstractSet[tuple], positions: Sequence[int]
+    index: dict, batch: Collection[tuple], positions: Sequence[int]
 ) -> tuple[list[tuple], list]:
     """Add ``batch`` to a level whose join key is the whole environment.
 
@@ -531,11 +536,11 @@ def _insert_keyed(
     when its key is absent, and a probe is one ``get``.  Returns the fresh
     environments and their keys, aligned, in the batch's iteration order.
     """
-    rows = list(batch)
+    batch_columns = ColumnBatch(batch)
     fresh: list[tuple] = []
     fresh_keys: list = []
     add_row, add_key = fresh.append, fresh_keys.append
-    for row, key in zip(rows, ColumnBatch(rows).keys(positions)):
+    for row, key in zip(batch_columns.rows, batch_columns.keys(positions)):
         if key not in index:
             index[key] = row
             add_row(row)
@@ -736,10 +741,10 @@ class EdbLeafProcess(NodeProcess):
         return True
 
     def _emit(self, stream: ConsumerStream, rows: Iterable[tuple], network: "Scheduler") -> None:
-        # One whole serve becomes one TupleSet (when >1 fresh row): answers
-        # are sets, and determinism lives at the result-collection boundary
-        # (the driver's answer set, the CLI's sorted print).  One set
-        # difference drops what the stream already carried, and also
+        # One whole serve becomes one TupleSet (when >1 fresh row), in the
+        # fresh set's order: determinism lives at the result-collection
+        # boundary (the driver's answer set, the CLI's sorted print).  One
+        # set difference drops what the stream already carried, and also
         # deduplicates within the serve (projections can collide).
         if not self._no_filter:
             rows = [row for row in rows if self._matches(row)]
@@ -837,14 +842,14 @@ class EdbLeafProcess(NodeProcess):
             )
             self._emit(stream, gathered, network)
             return
-        wanted = set(bindings)
         relation = self.database.scan(self.adorned.predicate)
         d_pos = self.shape.d_positions
         if len(d_pos) == 1:
             p = d_pos[0]
-            wanted_values = {binding[0] for binding in wanted}
+            wanted_values = {binding[0] for binding in bindings}
             matching = [row for row in relation.rows if row[p] in wanted_values]
         else:
+            wanted = set(bindings)
             d_get = operator.itemgetter(*d_pos)
             matching = [row for row in relation.rows if d_get(row) in wanted]
         self._emit(stream, matching, network)
@@ -1083,18 +1088,19 @@ class RuleNodeProcess(NodeProcess):
         """Bulk stage kernel entry: join a whole set of child rows at once.
 
         A row is its own sub-environment unless a variable repeats in it
-        (then the checked per-row conversion runs).
+        (then the checked per-row conversion runs; it drops only positions
+        that repeat an earlier one, so distinct rows stay distinct).
         """
         for stage_number in self.child_stage[message.sender]:
             stage = self.stages[stage_number - 1]
             self.batch_rows_in += len(message.rows)
             batch = message.rows
             if stage.row_perm != "id":
-                batch = {
+                batch = [
                     env
                     for env in (_bind(stage.row_vars, row) for row in batch)
                     if env is not None
-                }
+                ]
             self._insert_then_probe(stage_number, batch, False, network)
 
     # ------------------------------------------------------------------
@@ -1127,17 +1133,17 @@ class RuleNodeProcess(NodeProcess):
             self._emit_heads(fresh, network)
 
     def _insert_then_probe(
-        self, stage_number: int, batch: AbstractSet[tuple], envs: bool, network: "Scheduler"
+        self, stage_number: int, batch: Collection[tuple], envs: bool, network: "Scheduler"
     ) -> None:
         """Stage kernel: store a batch on one side of a join, probe the other.
 
-        ``batch`` holds environments from the previous level (``envs``) or
-        sub-environments received for this stage.  Its fresh members are
-        found in their key's bucket (or, at an ``env_is_key`` level, by
-        their key's absence; rows at a stage that keeps none are all
-        fresh), the other side is probed once per distinct
-        key, and the merged environments go on to the next level as one
-        batch.  A merge is ``env + suffix`` — the cumulative schema
+        ``batch`` holds distinct environments from the previous level
+        (``envs``) or distinct sub-environments received for this stage.
+        Its fresh members are found in their key's bucket (or, at an
+        ``env_is_key`` level, by their key's absence; rows at a stage that
+        keeps none are all fresh), the other side is probed once per
+        distinct key, and the merged environments go on to the next level
+        as one batch.  A merge is ``env + suffix`` — the cumulative schema
         keeps earlier variables as an identity prefix — and at an
         ``env_is_row`` stage it is the sub-environment itself.  Fresh
         environments first request the stage's "d" bindings, deduplicated
@@ -1169,8 +1175,9 @@ class RuleNodeProcess(NodeProcess):
                 # row before the relation request has stored the ().
                 fresh, keys = _insert(stage.row_index, batch, stage.row_key_positions)
             else:  # each row arrives once, to meet its one environment
-                fresh = list(batch)
-                keys = ColumnBatch(fresh).keys(stage.row_key_positions)
+                batch_columns = ColumnBatch(batch)
+                fresh = batch_columns.rows
+                keys = batch_columns.keys(stage.row_key_positions)
             if not fresh:
                 return
             self.tuples_stored += len(fresh)
@@ -1312,7 +1319,7 @@ class DriverProcess(NodeProcess):
     def on_tuple_set(self, message: TupleSet, network: "Scheduler") -> None:
         """Collect a packaged answer set (streaming hook still fires per row)."""
         if self.on_answer is None and self.fresh is None:
-            self.answers |= message.rows
+            self.answers.update(message.rows)
             return
         for row in message.rows:
             if row not in self.answers:

@@ -159,8 +159,8 @@ class MaterializedQuery:
     def answers(self) -> set[tuple]:
         """The answer set as of the last converged refresh (no implicit work).
 
-        A refresh that derives nothing keeps this very object; one that
-        derives something replaces it.
+        A refresh that reaches no open stream keeps this very object; one
+        that runs a wave replaces it and leaves the old one as it was.
         """
         return self._result.answers
 

@@ -138,14 +138,14 @@ class TestCoalesceTupleRequests:
 
 
 class TestTupleSetShape:
-    def test_rows_are_a_frozenset(self):
-        ts = TupleSet(0, 1, frozenset({(1,), (2,)}))
-        assert ts.rows == {(1,), (2,)}
+    def test_rows_are_a_tuple(self):
+        ts = TupleSet(0, 1, ((2,), (1,)))
+        assert ts.rows == ((2,), (1,))
         assert ts.kind() == "TupleSet"
 
     def test_logical_weight_is_row_count(self):
-        assert TupleSet(0, 1, frozenset({(1,), (2,), (3,)})).logical() == 3
-        assert logical_size(TupleSet(0, 1, frozenset({(1,)}))) == 1
+        assert TupleSet(0, 1, ((1,), (2,), (3,))).logical() == 3
+        assert logical_size(TupleSet(0, 1, ((1,),))) == 1
         assert logical_size(TupleMessage(0, 1, (1,))) == 1
         assert logical_size(EndMessage(0, 1, 4)) == 1
 
@@ -154,16 +154,18 @@ class TestTupleSetShape:
             0,
             (
                 TupleMessage(0, 1, (1,)),
-                TupleSet(0, 1, frozenset({(2,), (3,)})),
+                TupleSet(0, 1, ((2,), (3,))),
                 EndMessage(0, 1, 2),
             ),
         )
         assert logical_size(batch) == 4
 
     def test_tuple_set_is_hashable_and_value_equal(self):
-        a = TupleSet(0, 1, frozenset({(1,), (2,)}))
-        b = TupleSet(0, 1, frozenset({(2,), (1,)}))
+        a = TupleSet(0, 1, ((1,), (2,)))
+        b = TupleSet(0, 1, ((1,), (2,)))
         assert a == b and len({a, b}) == 1
+        # Rows are delivered in order, so the order is part of the value.
+        assert TupleSet(0, 1, ((2,), (1,))) != a
 
 
 class TestCoalesceBatch:
@@ -183,16 +185,16 @@ class TestCoalesceBatch:
     def test_adjacent_tuple_messages_merge_into_a_set(self):
         msgs = [TupleMessage(0, 1, (1,)), TupleMessage(0, 1, (2,))]
         out = coalesce_batch(msgs)
-        assert out == [TupleSet(0, 1, frozenset({(1,), (2,)}))]
+        assert out == [TupleSet(0, 1, ((1,), (2,)))]
 
     def test_tuple_set_runs_union(self):
         msgs = [
-            TupleSet(0, 1, frozenset({(1,), (2,)})),
+            TupleSet(0, 1, ((2,), (1,))),
             TupleMessage(0, 1, (3,)),
-            TupleSet(0, 1, frozenset({(3,), (4,)})),
+            TupleSet(0, 1, ((3,), (4,))),
         ]
         out = coalesce_batch(msgs)
-        assert out == [TupleSet(0, 1, frozenset({(1,), (2,), (3,), (4,)}))]
+        assert out == [TupleSet(0, 1, ((2,), (1,), (3,), (4,)))]
 
     def test_interleaved_channels_do_not_merge(self):
         msgs = [
@@ -222,7 +224,7 @@ class TestCoalesceBatch:
             TupleMessage(0, 1, (8,)),
         ]
         out = coalesce_batch(msgs)
-        assert out == [TupleSet(0, 1, frozenset({(7,), (8,)}))]
+        assert out == [TupleSet(0, 1, ((7,), (8,)))]
 
     def test_mixed_requests_then_rows_on_one_channel(self):
         # A channel switch from requests to rows is a run break even though
@@ -234,4 +236,4 @@ class TestCoalesceBatch:
             TupleMessage(0, 1, (2,)),
         ]
         out = coalesce_batch(msgs)
-        assert out == [*msgs[:2], TupleSet(0, 1, frozenset({(1,), (2,)}))]
+        assert out == [*msgs[:2], TupleSet(0, 1, ((1,), (2,)))]

@@ -14,10 +14,12 @@ A rule node whose head reads every final position sends distinct heads
 without a sent set.  Only EDB leaves filter per stream, since a delta can
 re-offer a committed fact.
 
-These tests watch every delivery and check that no goal, cyclic or rule
-node sends a row twice on one stream, and that every row reaching a stage
-without a row store finds its environment there, or, before stage 1's
-environment exists, waits for it.  They run over random
+These tests watch every delivery and check three things.  Every delivered
+``TupleSet``, from any sender, EDB leaves included, carries a tuple of
+distinct rows.  No goal, cyclic or rule node sends a row twice on one
+stream.  Every row reaching a stage without a row store finds its
+environment there, or, before stage 1's environment exists, waits for
+it.  They run over random
 programs and every counter-pin program (on the default graph and on the
 pinned one, see ``test_counter_pin.pinned_graph``), a
 run with two EDB replicas per leaf (in send order and under seeded random
@@ -53,10 +55,14 @@ class Watch:
         self.sent: Counter = Counter()  # (producer, consumer, row) -> sends
         self.unstored_rows = 0  # rows met at stages without a row store
         self.waiting_rows = 0  # rows that came before stage 1's environment
+        self.set_senders: Counter = Counter()  # sender kind -> TupleSets delivered
 
     def __call__(self, message) -> None:
         if isinstance(message, TupleSet):
             rows = message.rows
+            assert type(rows) is tuple, f"{message.sender} sent a {type(rows).__name__}"
+            assert len(set(rows)) == len(rows), f"{message.sender} repeated a row in one set"
+            self.set_senders[type(self.engine.processes[message.sender]).__name__] += 1
         elif isinstance(message, TupleMessage):
             rows = (message.row,)
         else:
@@ -145,6 +151,23 @@ def test_unstored_stages_are_reached():
         engine.run()
         reached += watch.unstored_rows
     assert reached
+
+
+def test_every_sender_kind_ships_tuple_sets():
+    """The row-set check above sees sets from every node kind that sends them."""
+    senders: Counter = Counter()
+    for name, (text, options) in PROGRAMS.items():
+        program = parse_program(text)
+        for graph in (None, pinned_graph(name, program, options)):
+            engine, watch = watched(program, graph=graph, **options)
+            engine.run()
+            senders += watch.set_senders
+    assert set(senders) == {
+        "CyclicNodeProcess",
+        "EdbLeafProcess",
+        "GoalNodeProcess",
+        "RuleNodeProcess",
+    }
 
 
 @pytest.mark.parametrize("seeded", [False, True])

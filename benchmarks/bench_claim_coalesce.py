@@ -54,7 +54,8 @@ def run(program, coalesce: bool, seed=None):
     return MessagePassingEngine(program, seed=seed, graph=graph).run()
 
 
-def test_claim_coalesce_table():
+def coalesce_rows() -> list[tuple]:
+    """The table's rows; ``tests/integration/test_protocol_tables.py`` pins them."""
     rows = []
     for name, program in cases():
         oracle = naive.goal_answers(program)
@@ -72,6 +73,11 @@ def test_claim_coalesce_table():
                 f"{ratio(plain.total_messages, merged.total_messages):.2f}x",
             )
         )
+    return rows
+
+
+def test_claim_coalesce_table():
+    rows = coalesce_rows()
     emit_table(
         "claim-coalesce: single-processor coalescing vs distributed graphs",
         ["case", "nodes", "nodes (coalesced)", "msgs", "msgs (coalesced)", "msg factor"],

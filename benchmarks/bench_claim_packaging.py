@@ -82,9 +82,9 @@ def test_packaging_fanout_table():
     assert int(final[5]) >= 1  # the one-scan service path was taken
 
 
-def test_packaging_recursive_cost_side():
-    # A trickling chain: requests arrive one at a time, so each request
-    # message carries one binding and packaging merges nothing.
+def trickling_row() -> tuple:
+    """The trickling chain's row; ``tests/integration/test_protocol_tables.py``
+    pins it."""
     program = parse_program(
         """
         goal(Z) <- t(0, Z).
@@ -94,17 +94,25 @@ def test_packaging_recursive_cost_side():
     ).with_facts(facts_from_tables({"e": chain_edges(14)}))
     result, carried, messages = traced_run(program)
     assert result.answers == naive.goal_answers(program)
+    return (carried, messages, result.total_messages, result.computation_messages,
+            result.protocol_messages)
+
+
+def test_packaging_recursive_cost_side():
+    # A trickling chain: requests arrive one at a time, so each request
+    # message carries one binding and packaging merges nothing.
+    row = trickling_row()
     emit_table(
         "footnote-2 packaging on a trickling chain (packaged)",
         ["bindings carried", "request msgs", "total msgs", "computation msgs",
          "protocol msgs"],
-        [(carried, messages, result.total_messages, result.computation_messages,
-          result.protocol_messages)],
+        [row],
     )
     # Nothing to merge: one binding per request message, and no blow-up
     # against the 466 messages the one-message-per-binding path sent.
+    carried, messages, total = row[:3]
     assert carried == messages
-    assert result.total_messages <= 1.5 * 466
+    assert total <= 1.5 * 466
 
 
 @pytest.mark.benchmark(group="claim-packaging")

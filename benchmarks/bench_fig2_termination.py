@@ -25,7 +25,8 @@ def run_cycle(n: int, seed=None):
     return MessagePassingEngine(program, seed=seed, graph=graph).run()
 
 
-def test_fig2_protocol_scaling_table():
+def fig2_rows() -> list[tuple]:
+    """The table's rows; ``tests/integration/test_protocol_tables.py`` pins them."""
     rows = []
     for n in (4, 8, 16, 24):
         result = run_cycle(n)
@@ -41,6 +42,11 @@ def test_fig2_protocol_scaling_table():
                 f"{ratio(result.protocol_messages, result.total_messages):.2f}",
             )
         )
+    return rows
+
+
+def test_fig2_protocol_scaling_table():
+    rows = fig2_rows()
     emit_table(
         "Fig 2: termination protocol cost vs cycle length (nonlinear TC)",
         ["n", "comp msgs", "proto msgs", "waves", "conclusions", "proto share"],

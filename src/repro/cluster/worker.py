@@ -16,8 +16,8 @@ matches the simulator exactly.  Every worker deterministically computes
 the *same* node ids and the same ``assign_shards`` map, so "which nodes
 are mine" needs no extra coordination, exactly as the pool runtime's
 forked workers all inherit one engine — and runs the router and delivery
-loop it shares with the pool (``runtime/shard_loop.py``, including the
-held-end-request rule) with the queue fabric swapped for TCP frames:
+loop it shares with the pool (``runtime/shard_loop.py``) with the queue
+fabric swapped for TCP frames:
 
 * a flushed buffer ships as one BATCH frame (a routing head, then the
   :class:`~repro.network.messages.MessageBatch` envelope, JSON-coded with

@@ -116,6 +116,7 @@ class QueryResult:
     protocol_rounds: int
     protocol_conclusions: int
     protocol_violations: list[str]
+    held_end_requests: int  # end requests a busy member set aside
     db_scans: int
     db_indexed_lookups: int
     db_rows_retrieved: int
@@ -192,7 +193,8 @@ class QueryResult:
             f"kernel batches: {self.batch_rows_in} rows in, "
             f"{self.batch_rows_out} envs out, "
             f"{self.batch_distinct_keys} distinct keys probed",
-            f"protocol rounds: {self.protocol_rounds}; conclusions: {self.protocol_conclusions}",
+            f"protocol rounds: {self.protocol_rounds}; conclusions: "
+            f"{self.protocol_conclusions}; held end-requests: {self.held_end_requests}",
             f"db: {self.db_scans} scans, {self.db_indexed_lookups} lookups, "
             f"{self.db_rows_retrieved} rows retrieved",
         ]
@@ -629,8 +631,7 @@ class MessagePassingEngine:
         batch_out = 0
         batch_keys = 0
         envs = 0
-        rounds = 0
-        conclusions = 0
+        rounds = conclusions = held = 0
         for node_id, process in self.processes.items():
             if node_id == DRIVER_ID:
                 continue
@@ -658,7 +659,8 @@ class MessagePassingEngine:
                     )
                 envs += process.envs_materialized
                 tuples_total += process.envs_materialized
-            if process.protocol is not None and process.protocol.is_leader:
+            if process.protocol is not None:
+                held += process.protocol.held_end_requests
                 rounds += process.protocol.rounds_started
                 conclusions += process.protocol.conclusions
 
@@ -672,6 +674,7 @@ class MessagePassingEngine:
             protocol_rounds=rounds,
             protocol_conclusions=conclusions,
             protocol_violations=list(self.scheduler.protocol_violations),
+            held_end_requests=held,
             db_scans=self.database.scans - scans_before,
             db_indexed_lookups=self.database.indexed_lookups - lookups_before,
             db_rows_retrieved=self.database.rows_retrieved - rows_before,

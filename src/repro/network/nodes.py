@@ -218,12 +218,17 @@ class NodeProcess:
         handler(self, message, network)
 
     def on_idle_check(self, network: "Scheduler") -> None:
-        """Post-delivery hook: emit ends (acyclic) or run the protocol (leader)."""
+        """Post-delivery hook: emit ends (acyclic) or run the protocol.
+
+        A strong-component member answers a held end request here, after
+        the flush, so unflushed requests can never strand it.
+        """
         if self._request_buffer and network.pending_for(self.node_id) == 0:
             # Requests accumulated over the burst go out together once the
             # inbox drains ("package a set of related tuple requests").
             self.flush_requests(network)
         if self.protocol is not None:
+            self.protocol.release_held(self, network)
             if self.protocol.is_leader:
                 self.protocol.maybe_initiate(
                     self,

@@ -49,7 +49,9 @@ class Process(Protocol):
         ...
 
     def on_idle_check(self, network: "Scheduler") -> None:
-        """Hook invoked after each delivery (leaders may start the protocol)."""
+        """Hook invoked after each delivery to this process: a member
+        answers an end request it set aside once idle, a leader may start
+        a wave."""
         ...
 
 

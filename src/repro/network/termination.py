@@ -19,12 +19,24 @@ have answered.  On a negative outcome the leader starts another wave; on a
 confirmed outcome with itself still idle it concludes and sends ``end`` to
 its customer (Theorem 3.1).
 
+**Held end requests.**  A member that is busy (``empty_queues()`` false)
+when a wave reaches it holds the request (``held``; one at most, since
+waves never overlap) and answers from its idle check once it is idle
+(:meth:`TerminationProtocol.release_held`), instead of Fig 2's immediate
+*end negative*, which only buys the idle leader a wave that cannot
+succeed.  Only the moment of the answer moves: the confirm rule is
+unchanged, and a held request is processed while the node is idle, so
+``idleness`` still counts genuine idle periods.  Liveness rests on the
+release running *after* the idle check's request flush (docs/protocol.md).
+The simulator and the shard loop both run this one rule.
+
 Two repairs of apparent typos in the Fig-2 pseudocode (the prose of
 Section 3.2 is unambiguous on both):
 
 1. the stray ``idleness := empty_queues()`` assignment inside the
    send-to-children loop is dropped — idleness changes only on work arrival
-   (reset) and on end-request receipt (increment-if-idle);
+   (reset) and when an end request is processed (increment: the node is
+   idle by then, see above);
 2. a per-round negative flag is kept so an internal node never answers
    *end confirmed* when some child answered *end negative* in the same round
    (the pseudocode's ``process-end-confirmed`` checks only its own idleness;
@@ -116,8 +128,10 @@ class TerminationProtocol:
     negatives_this_round: int = 0
     round_id: int = 0
     round_active: bool = False  # leader: a wave is in flight somewhere below
+    held: bool = False  # an end request waits for this node to go idle
     rounds_started: int = 0  # statistics
     conclusions: int = 0  # statistics
+    held_end_requests: int = 0  # statistics
 
     # ------------------------------------------------------------------
     # Work notifications
@@ -159,15 +173,28 @@ class TerminationProtocol:
     def handle_end_request(
         self, message: EndRequest, node: Member, network: "Scheduler"
     ) -> None:
-        """A wave reached this (non-leader) node from its BFST parent."""
+        """A wave reached this (non-leader) node from its BFST parent.
+
+        A busy node holds the request until :meth:`release_held` finds it
+        idle, instead of answering *end negative* at once.
+        """
         self.round_id = message.round_id
-        self._process_end_request(node, network)
+        if node.empty_queues(network):
+            self._process_end_request(node, network)
+        else:
+            self.held = True
+            self.held_end_requests += 1
+
+    def release_held(self, node: Member, network: "Scheduler") -> None:
+        """Answer a held end request once the node is idle (its idle check)."""
+        if self.held and node.empty_queues(network):
+            self.held = False
+            self._process_end_request(node, network)
 
     def _process_end_request(self, node: Member, network: "Scheduler") -> None:
-        if node.empty_queues(network):
-            self.idleness += 1
-        else:
-            self.idleness = 0
+        # Every caller runs only while the node is idle (a busy member holds
+        # the request), so Fig 2's ``else idleness := 0`` branch never fires.
+        self.idleness += 1
         self.waiting_for = len(self.bfst_children)
         self.negatives_this_round = 0
         if self.waiting_for > 0:

@@ -11,30 +11,9 @@ drives a shard:
 3. when nothing is local: flush request packaging, idle-check every hosted
    node, ship buffered batches, and block on the inbox.
 
-**Held end requests.**  A strong component's leader whose member waits on
-remote input (a cross-shard EDB replica, say) would otherwise re-probe on
-every negative wave: the member answers *end negative* while its
-``empty_queues()`` is false, the leader — itself idle — immediately floods
-the next ``EndRequest``, and the shard burns its core on protocol traffic
-until the remote batch lands.  That spin also starves whatever thread is
-trying to *read* that batch.  So an ``EndRequest`` popped for a hosted node
-whose ``empty_queues()`` is currently false is **held**: set aside, and
-re-queued once the receiver has gone idle — checked after every
-computation delivery on this shard, after every remote batch is ingested,
-and at the idle step (the only events that can change the predicate).  A
-wave blocked on remote input then costs O(1) deliveries and the shard
-blocks on its inbox.
-
-Holding is a transport-level delay, which the asynchronous model of
-Section 3.2 already allows: Theorem 3.1 assumes nothing about *when* an
-end request arrives, only that a node answers *end confirmed* when it was
-idle for the whole period between two successive requests — and a held
-request is, by construction, processed while the node is idle, so
-``idleness`` only ever counts genuine idle periods.  Liveness holds
-because every member of a finished component eventually has
-``empty_queues()`` true (its feeders end independently of this
-component's protocol), and the idle step re-checks held requests on every
-poll timeout.  ``network/termination.py`` and the simulator are untouched.
+A busy strong-component member holds an end request until it is idle;
+that rule lives in ``network/termination.py`` and runs from each node's
+idle check, the same in this loop as in the simulator.
 """
 
 from __future__ import annotations
@@ -46,7 +25,6 @@ from typing import Callable, Optional
 from ..network.engine import MessagePassingEngine
 from ..network.messages import (
     COMPUTATION_TYPES,
-    EndRequest,
     Message,
     MessageBatch,
     TupleMessage,
@@ -167,10 +145,6 @@ class Router:
             self.by_receiver.get(message.receiver, 0) + size
         )
 
-    def account_hold(self) -> None:
-        """Count one end request held for a non-idle receiver."""
-        self.held_end_requests += 1
-
     def counters(self) -> dict:
         """This shard's accounting, JSON-safe (string keys)."""
         return {
@@ -231,87 +205,69 @@ def run_shard_loop(
 
         driver.on_complete = on_complete
         driver.start(router)  # type: ignore[arg-type]
-    held: list[EndRequest] = []
 
     def ingest(item) -> None:
         if injector is not None:
             injector.delay()
         router.ingest(item)
 
-    def release_held() -> None:
-        """Re-queue held end requests whose receiver has gone idle."""
-        still_blocked = []
-        for request in held:
-            if processes[request.receiver].empty_queues(router):
-                router.local.append(request)
-                router.local_pending[request.receiver] += 1
-            else:
-                still_blocked.append(request)
-        held[:] = still_blocked
-
-    while True:
-        tick()
-        # 1) Drain the inbox without blocking, so arriving work is
-        #    interleaved with local delivery and pending counts stay fresh.
-        arrived = False
+    try:
         while True:
-            item = take(None)
+            tick()
+            # 1) Drain the inbox without blocking, so arriving work is
+            #    interleaved with local delivery and pending counts stay fresh.
+            while True:
+                item = take(None)
+                if item is None:
+                    break
+                if item == STOP:
+                    return
+                ingest(item)
+
+            # 2) Deliver one local message.
+            if router.local:
+                message = router.local.popleft()
+                router.local_pending[message.receiver] -= 1
+                if injector is not None:
+                    action = injector.on_delivery(
+                        node_label(engine.graph, message.receiver, engine.bindings)
+                    )
+                    if action == "kill":  # pragma: no cover - the worker dies
+                        os._exit(1)
+                    if action == "wedge":  # pragma: no cover - reaped by teardown
+                        wedge_forever()
+                router.account_delivery(message)
+                process = processes[message.receiver]
+                process.handle(message, router)
+                process.on_idle_check(router)
+                continue
+
+            # 3) Idle: flush request packaging, give every hosted node an
+            #    idle check (in the simulator each delivery checks only its
+            #    receiver, and the receiver of this shard's *last* delivery
+            #    may not be the leader whose probe is now due, nor a member
+            #    holding an end request: ``pending_for`` counts remote
+            #    traffic per shard, so a member goes idle when rows for
+            #    another node land), ship buffered batches, then block for
+            #    remote input.
+            #    The block is a bounded poll rather than an indefinite get so
+            #    ``tick`` keeps running while the worker waits.
+            for process in hosted:
+                if process._request_buffer:
+                    process.flush_requests(router)
+            for process in hosted:
+                process.on_idle_check(router)
+            router.flush()
+            if router.local:
+                continue
+            item = take(idle_poll)
             if item is None:
-                break
+                continue
             if item == STOP:
                 return
             ingest(item)
-            arrived = True
-        if arrived and held:
-            release_held()
-
-        # 2) Deliver one local message.
-        if router.local:
-            message = router.local.popleft()
-            router.local_pending[message.receiver] -= 1
-            process = processes[message.receiver]
-            if type(message) is EndRequest and not process.empty_queues(router):
-                held.append(message)
-                router.account_hold()
-                continue
-            if injector is not None:
-                action = injector.on_delivery(
-                    node_label(engine.graph, message.receiver, engine.bindings)
-                )
-                if action == "kill":  # pragma: no cover - the worker dies
-                    os._exit(1)
-                if action == "wedge":  # pragma: no cover - reaped by teardown
-                    wedge_forever()
-            router.account_delivery(message)
-            process.handle(message, router)
-            process.on_idle_check(router)
-            if held and isinstance(message, COMPUTATION_TYPES):
-                release_held()
-            continue
-
-        # 3) Idle: flush request packaging, give every hosted node an idle
-        #    check (in the simulator each delivery checks only its receiver,
-        #    and the receiver of this shard's *last* delivery may not be the
-        #    leader whose probe is now due), ship buffered batches, re-check
-        #    held end requests, then block for remote input.  The block is a
-        #    bounded poll rather than an indefinite get so ``tick`` keeps
-        #    running while the worker waits.
-        for process in hosted:
-            if process._request_buffer:
-                process.flush_requests(router)
-        for process in hosted:
-            process.on_idle_check(router)
-        router.flush()
-        if held:
-            release_held()
-        if router.local:
-            continue
-        item = take(idle_poll)
-        if item is None:
-            continue
-        if item == STOP:
-            return
-        ingest(item)
-        if held:
-            release_held()
-
+    finally:
+        # Held end requests are the protocol's own count (termination.py).
+        router.held_end_requests = sum(
+            p.protocol.held_end_requests for p in hosted if p.protocol is not None
+        )

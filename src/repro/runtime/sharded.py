@@ -108,7 +108,7 @@ class ShardedQueryResult:
 
     @property
     def held_end_requests(self) -> int:
-        """End requests the shard loops held for a non-idle receiver."""
+        """End requests a busy member held, summed over every shard."""
         return self._sum("held_end_requests")
 
     @property

@@ -2,14 +2,15 @@
 
 The recursive component of a transitive closure lives whole on one shard
 while half of its EDB replicas (``edb_shards=2``, spread ``k % 2``) live
-on the other, so its members keep waiting on cross-shard answers.  Before the hold rule the component's
-leader re-probed on every negative wave — over a thousand protocol
-deliveries for a query whose simulator run needs 42.  With it
-(``runtime/shard_loop.py``) an ``EndRequest`` for a non-idle member is set
-aside until the member can answer, so the query must (a) still terminate
-with the simulator's answers and (b) deliver protocol traffic within a
-small multiple of the simulator's — on both shard runtimes, which share
-the loop.
+on the other, so its members keep waiting on cross-shard answers.  Before
+the hold rule the component's leader re-probed on every negative wave —
+over a thousand protocol deliveries for a query whose simulator run needed
+42.  With it (``network/termination.py``, run from each node's idle check
+by the simulator and the shard loop alike) a non-idle member sets an
+``EndRequest`` aside until it can answer, so the query must (a) still
+terminate with the simulator's answers and (b) deliver protocol traffic
+within a small multiple of the simulator's — on both shard runtimes,
+which share the loop.
 """
 
 import sys

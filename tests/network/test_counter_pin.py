@@ -150,14 +150,14 @@ LOGICAL = {
 #: Counts that follow the delivery order, under PYTHONHASHSEED=0.
 SCHEDULE = {
     "nullary_key": (41, 18, 0, 6, 29, 0, 0),
-    "env_is_row": (86, 77, 26, 9, 18, 6, 1),
+    "env_is_row": (82, 73, 22, 9, 18, 5, 1),
     "repeated_variable": (43, 29, 0, 11, 25, 0, 0),
     "constant_head_bodiless": (53, 40, 0, 6, 19, 0, 0),
-    "coalesced_shared_subgoal": (180, 144, 48, 25, 61, 23, 2),
-    "wants_all_consumer": (214, 138, 18, 36, 112, 4, 1),
+    "coalesced_shared_subgoal": (148, 112, 16, 25, 61, 7, 2),
+    "wants_all_consumer": (210, 134, 14, 36, 112, 3, 1),
     "cost_planner": (33, 19, 0, 4, 18, 0, 0),
     "edb_constant_positions": (32, 19, 0, 5, 18, 0, 0),
-    "delta_wave": (37, 37, 18, 0, 0, 10, 2),
+    "delta_wave": (33, 33, 14, 0, 0, 8, 2),
 }
 
 #: ``LOGICAL`` on the default (coalesced) graph.
@@ -176,14 +176,14 @@ DEFAULT_LOGICAL = {
 #: ``SCHEDULE`` on the default graph, under PYTHONHASHSEED=0.
 DEFAULT_SCHEDULE = {
     "nullary_key": (41, 18, 0, 6, 29, 0, 0),
-    "env_is_row": (75, 67, 21, 8, 16, 10, 1),
+    "env_is_row": (65, 57, 11, 8, 16, 5, 1),
     "repeated_variable": (43, 29, 0, 11, 25, 0, 0),
     "constant_head_bodiless": (53, 40, 0, 6, 19, 0, 0),
-    "coalesced_shared_subgoal": (180, 144, 48, 25, 61, 23, 2),
+    "coalesced_shared_subgoal": (148, 112, 16, 25, 61, 7, 2),
     "wants_all_consumer": (185, 112, 7, 33, 106, 3, 1),
     "cost_planner": (33, 19, 0, 4, 18, 0, 0),
     "edb_constant_positions": (32, 19, 0, 5, 18, 0, 0),
-    "delta_wave": (30, 30, 13, 0, 0, 16, 2),
+    "delta_wave": (24, 24, 7, 0, 0, 8, 2),
 }
 
 

@@ -141,7 +141,7 @@ PACKAGED = {
         8, 143, 101, 138, 5, 24, 66, 99, 47, 42, 59, 38, 38, 33, 2, 1, 0, 17, 24, 21
     ),
     "t(1, Z)": (
-        6, 196, 144, 148, 48, 36, 88, 230, 129, 81, 116, 76, 114, 66, 23, 2, 2, 3, 15, 20
+        6, 164, 112, 148, 16, 36, 88, 230, 129, 81, 116, 76, 114, 66, 7, 2, 2, 3, 15, 20
     ),
 }
 

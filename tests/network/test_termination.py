@@ -46,8 +46,10 @@ class StubNode:
             self.protocol.handle_end_confirmed(message, self, network)
 
     def on_idle_check(self, network):
-        # Mirror the engine: a leader only probes while it still owes an end
-        # to its customer (here: until the first conclusion).
+        # Mirror the engine: a busy member answers a held end request from
+        # its idle check, and a leader only probes while it still owes an
+        # end to its customer (here: until the first conclusion).
+        self.protocol.release_held(self, network)
         if self.protocol.is_leader:
             self.protocol.maybe_initiate(self, network, self.concluded == 0)
 
@@ -137,17 +139,25 @@ class TestQuiescentComponent:
 
 class TestBusyNodes:
     def test_busy_member_blocks_conclusion(self):
-        # With a permanently busy member the leader probes forever (the
-        # protocol cannot know the member will never finish); bound the run
-        # by steps and verify no conclusion ever happens.
+        # A busy member holds the wave's end request: it sends no negative,
+        # the leader starts no further wave, and nothing concludes.  Once
+        # its flag clears, its idle check answers and the component ends.
         scheduler, nodes = build_component(CHAIN)
-        nodes[2].busy = True  # never idle
+        nodes[2].busy = True
         nodes[0].on_idle_check(scheduler)
-        for _ in range(500):
-            if scheduler.step() is None:
-                break
+        delivered = []
+        while (message := scheduler.step()) is not None:
+            delivered.append(message)
+        assert not any(isinstance(m, EndNegative) for m in delivered)
         assert nodes[0].concluded == 0
-        assert nodes[0].protocol.rounds_started > 2  # it kept probing
+        assert nodes[0].protocol.rounds_started == 1
+        assert nodes[2].protocol.held and nodes[2].protocol.held_end_requests == 1
+        nodes[2].busy = False
+        nodes[2].on_idle_check(scheduler)
+        scheduler.run()
+        assert not nodes[2].protocol.held
+        assert nodes[0].concluded == 1
+        assert scheduler.protocol_violations == []
 
     def test_work_between_waves_forces_another_round(self):
         # Inject work at a leaf in the middle of the protocol: idleness must
@@ -172,19 +182,22 @@ class TestBusyNodes:
         assert nodes[0].protocol.rounds_started >= 3
 
     def test_conclusion_requires_full_period_idleness(self):
-        # A node that was busy at the first request of a wave pair cannot
-        # confirm that wave; conclusion slips at least one round.
+        # A node that was busy when a wave reached it cannot confirm that
+        # wave: it answers only once idle, and then negative (its first
+        # idle period has just begun), so conclusion slips a round.
         scheduler, nodes = build_component(STAR)
         nodes[3].busy = True
-
-        def release_after_round(network):
-            if nodes[0].protocol.rounds_started >= 1:
-                nodes[3].busy = False
-            nodes[0].protocol.maybe_initiate(nodes[0], network, nodes[0].concluded == 0)
-
-        nodes[0].on_idle_check = release_after_round
         nodes[0].on_idle_check(scheduler)
         scheduler.run()
+        assert nodes[0].concluded == 0
+        assert nodes[3].protocol.held
+        nodes[3].busy = False
+        nodes[3].on_idle_check(scheduler)
+        answers = []
+        while (message := scheduler.step()) is not None:
+            if message.sender == 3 and isinstance(message, (EndNegative, EndConfirmed)):
+                answers.append(message)
+        assert isinstance(answers[0], EndNegative) and answers[0].round_id == 1
         assert nodes[0].concluded == 1
         assert nodes[0].protocol.rounds_started >= 2
 

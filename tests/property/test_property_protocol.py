@@ -39,6 +39,7 @@ class StubNode:
                 self.protocol.handle_end_confirmed(message, self, network)
 
     def on_idle_check(self, network):
+        self.protocol.release_held(self, network)
         if self.protocol.is_leader:
             self.protocol.maybe_initiate(self, network, self.concluded == 0)
 
@@ -139,9 +140,10 @@ class TestProtocolProperties:
     def test_no_conclusion_while_pre_wave_work_unconsumed(self, case):
         """Soundness core: work visible before a wave blocks confirmation.
 
-        Any node holding unconsumed work when an end request reaches it must
-        answer negative, so a wave that started while work was queued cannot
-        be the concluding one.
+        Any node holding unconsumed work when an end request reaches it
+        holds the request until that work is consumed, and then cannot
+        confirm it, so a wave that started while work was queued cannot be
+        the concluding one.
         """
         tree, injections, seed = case
         scheduler, nodes = build(tree, seed)

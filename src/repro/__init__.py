@@ -21,8 +21,8 @@ Layers
 * :mod:`repro.core` — the Datalog kernel, adornments, SIP strategies, the
   rule/goal graph, hypergraphs/qual trees, monotone flow, the cost model;
 * :mod:`repro.relational` — relations, algebra, the EDB, Yannakakis joins;
-* :mod:`repro.network` — messages, node processes, scheduler, the Fig-2
-  distributed termination protocol, and the evaluation engine;
+* :mod:`repro.network` — messages, node processes, the one delivery loop,
+  the Fig-2 distributed termination protocol, and the evaluation engine;
 * :mod:`repro.runtime` — the supervised pooled shard runtime;
 * :mod:`repro.baselines` — naive, semi-naive, brute-force, tabled top-down;
 * :mod:`repro.workloads` — the paper's example programs and EDB generators.

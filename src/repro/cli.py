@@ -120,7 +120,7 @@ _PROGRAM_FLAGS = {
     "file": _flag("file", help="Datalog source file"),
     "data": _flag("--data", help="directory of <predicate>.csv / .tsv files to load as EDB facts"),
     "query": _flag("--query", help="query atoms, e.g. 'p(a, Z)' (overrides ?- in the file)"),
-    "seed": _flag("--seed", type=int, default=None, help="randomize message latencies"),
+    "seed": _flag("--seed", type=int, default=None, help="randomize delivery order, channel FIFO kept"),
 }
 
 #: :class:`EvalOptions`: what shapes the graph and the network.
@@ -227,7 +227,7 @@ _RUNTIME_FLAGS = {
         choices=FALLBACKS,
         default="none",
         help=_SHARDED + "after exhausting retries, answer from the "
-        "in-process scheduler instead of raising (result is flagged degraded)",
+        "in-process simulator instead of raising (result is flagged degraded)",
     ),
     "heartbeat-interval": _flag(
         "--heartbeat-interval",

@@ -16,8 +16,8 @@ matches the simulator exactly.  Every worker deterministically computes
 the *same* node ids and the same ``assign_shards`` map, so "which nodes
 are mine" needs no extra coordination, exactly as the pool runtime's
 forked workers all inherit one engine — and runs the router and delivery
-loop it shares with the pool (``runtime/shard_loop.py``) with the queue
-fabric swapped for TCP frames:
+loop it shares with the pool and the simulator (``network/shard_loop.py``)
+with the queue fabric swapped for TCP frames:
 
 * a flushed buffer ships as one BATCH frame (a routing head, then the
   :class:`~repro.network.messages.MessageBatch` envelope, JSON-coded with
@@ -55,8 +55,8 @@ from ..cache import BoundedCache
 from ..network.engine import MessagePassingEngine, assign_shards, collector_paused
 from ..network.messages import Message, MessageBatch
 from ..options import parse_address
+from ..network.shard_loop import STOP as _STOP, Router, open_shard, run_shard_loop
 from ..runtime.faults import FaultPlan
-from ..runtime.shard_loop import STOP as _STOP, Router, run_shard_loop
 from .framing import (
     FrameError,
     FrameSocket,
@@ -86,7 +86,7 @@ class _JobAborted(Exception):
 
 
 class ClusterRouter(Router):
-    """The :class:`~repro.runtime.shard_loop.Router` over TCP frames.
+    """The :class:`~repro.network.shard_loop.Router` over TCP frames.
 
     A flushed buffer ships as one BATCH frame carrying the encoded member
     messages plus this link's cumulative logical-sent total (``s``); the
@@ -130,7 +130,7 @@ class ClusterRouter(Router):
         super().ingest(batch)
 
     def pending_for(self, node_id: int) -> int:
-        pending = self.local_pending.get(node_id, 0)
+        pending = super().pending_for(node_id)
         for origin, known in self.known_sent.items():
             pending += max(0, known - self.received_total[origin])
         return pending
@@ -315,15 +315,18 @@ def _job_loop(fs: FrameSocket, ctx: _JobContext, resident: ResidentSpecs) -> Non
         except queue_module.Empty:
             return None
 
-    run_shard_loop(engine, router, take, tick, poll_interval, ctx.fault_plan, on_done)
+    hosted = open_shard(engine, router, on_done)
+    plan = ctx.fault_plan
+    injector = plan.injector(ctx.shard_id, engine) if plan is not None else None
+    run_shard_loop(hosted, router, take, tick, poll_interval, injector)
     # Job concluded: report this shard's counters (plus per-node tuple
     # footprints, so the client can rebuild the node table remotely), how
     # the spec cache served the job, and what is resident now.
     counters = router.counters()
     counters["tuples_by_node"] = {
         str(node_id): process.tuples_stored
-        for node_id, process in engine.processes.items()
-        if shard_of[node_id] == ctx.shard_id and getattr(process, "tuples_stored", 0)
+        for node_id, process in hosted.items()
+        if process.tuples_stored
     }
     counters["spec"] = ctx.spec_report
     counters["resident"] = resident.report()

@@ -1,4 +1,4 @@
-"""The message-passing network: messages, processes, scheduler, protocol."""
+"""The message-passing network: messages, processes, the delivery loop, protocol."""
 
 from .engine import MessagePassingEngine, QueryResult, evaluate
 from .messages import (
@@ -20,7 +20,7 @@ from .nodes import (
     NodeProcess,
     RuleNodeProcess,
 )
-from .scheduler import MessageBudgetExceeded, Scheduler, SchedulerStats
+from .shard_loop import DeliveryStats, LocalFabric, MessageBudgetExceeded
 from .termination import TerminationProtocol
 
 __all__ = [
@@ -29,6 +29,6 @@ __all__ = [
     "EndRequest", "EndNegative", "EndConfirmed",
     "NodeProcess", "GoalNodeProcess", "CyclicNodeProcess", "EdbLeafProcess",
     "RuleNodeProcess", "DriverProcess", "DRIVER_ID",
-    "Scheduler", "SchedulerStats", "MessageBudgetExceeded",
+    "LocalFabric", "DeliveryStats", "MessageBudgetExceeded",
     "TerminationProtocol",
 ]

@@ -4,7 +4,8 @@ Glues the pieces together: builds the information-passing rule/goal graph
 (Section 2), instantiates one process per node (Section 3.1), wires consumer
 and feeder streams along the graph's arcs, attaches the Fig-2 termination
 protocol to every strong component (Section 3.2), and runs the network to
-completion under the deterministic scheduler.
+completion through the delivery loop on one in-memory shard
+(:class:`~repro.network.shard_loop.LocalFabric`).
 
 The public entry point is :func:`evaluate`; it returns a
 :class:`QueryResult` carrying the goal relation together with the message,
@@ -36,7 +37,7 @@ from .nodes import (
     NodeProcess,
     RuleNodeProcess,
 )
-from .scheduler import Scheduler, SchedulerStats
+from .shard_loop import DeliveryStats, LocalFabric
 from .termination import TerminationProtocol
 
 __all__ = [
@@ -109,7 +110,7 @@ class QueryResult:
 
     answers: set[tuple]
     completed: bool  # the driver received its end message
-    stats: SchedulerStats
+    stats: DeliveryStats
     tuples_stored: int  # rows materialized across all node relations
     tuples_by_node: dict[str, int]
     envs_materialized: int
@@ -127,7 +128,7 @@ class QueryResult:
     graph_cache_hit: bool = False
     cache_stats: Optional[CacheStats] = None
     # Supervision accounting, shared with the sharded runtimes' result:
-    # the in-process scheduler always answers in one non-degraded attempt.
+    # the simulator always answers in one non-degraded attempt.
     attempts: int = 1
     degraded: bool = False
     failure_log: list[str] = field(default_factory=list)
@@ -156,12 +157,12 @@ class QueryResult:
     @property
     def total_messages(self) -> int:
         """All delivered *logical* messages (a TupleSet counts len(rows))."""
-        return self.stats.delivered_total
+        return self.stats.delivered_logical
 
     @property
     def physical_messages(self) -> int:
         """Actual message deliveries (a TupleSet counts once)."""
-        return self.stats.physical_total
+        return self.stats.delivered_physical
 
     @property
     def computation_messages(self) -> int:
@@ -256,11 +257,11 @@ class MessagePassingEngine:
         The :class:`~repro.options.EvalOptions` fields (documented there),
         kept as ``self.options``.
     seed:
-        ``None`` for send-order delivery; an int for seeded random latencies
-        (exercises asynchrony; the answer must not change).
+        ``None`` for send-order delivery; an int for a seeded delivery order,
+        channel FIFO kept (exercises asynchrony; the answer must not change).
     validate_protocol:
         When true (default), every protocol conclusion is checked against the
-        scheduler's global quiescence oracle — Theorem 3.1's "only if"
+        fabric's global quiescence oracle — Theorem 3.1's "only if"
         direction; violations are recorded in the result.
     database:
         A shared EDB to serve leaf requests from (defaults to one built from
@@ -295,9 +296,11 @@ class MessagePassingEngine:
     logical tuples (a set weighs ``len(rows)``).  ``provenance=True`` runs
     the same kernels and only adds the first-derivation bookkeeping.
 
-    Nothing in the process network points back at a process or the
-    engine, so dropping the last reference to an engine frees the whole
-    network by reference counting, without a cyclic collection.
+    The network runs on :attr:`fabric`, a one-shard
+    :class:`~repro.network.shard_loop.LocalFabric` over :attr:`processes`.
+    Nothing in the process network or the fabric points back at a process
+    or the engine, so dropping the last reference to an engine frees the
+    whole network by reference counting, without a cyclic collection.
     """
 
     def __init__(
@@ -338,12 +341,6 @@ class MessagePassingEngine:
         #: unless ``edb_shards > 1``.
         self.edb_replicas: dict[int, tuple[int, ...]] = {}
         self._on_answer = on_answer
-        self.scheduler = Scheduler(
-            seed=seed,
-            max_messages=max_messages,
-            trace=trace,
-            validate_protocol=validate_protocol,
-        )
         self.processes: dict[int, NodeProcess] = {}
         #: EDB leaves (replicas included) by predicate: where a delta enters.
         self._edb_leaves: dict[str, list[EdbLeafProcess]] = {}
@@ -354,6 +351,13 @@ class MessagePassingEngine:
         self._labels: dict[int, str] = {}
         self.driver: DriverProcess
         self._build_network()
+        self.fabric = LocalFabric(
+            self.processes,
+            seed=seed,
+            max_messages=max_messages,
+            trace=trace,
+            validate_protocol=validate_protocol,
+        )
 
     # ------------------------------------------------------------------
     def _component_members(self) -> dict[int, frozenset[int]]:
@@ -501,14 +505,13 @@ class MessagePassingEngine:
             ):
                 process.trivial_relay = True
 
-        # --- register with the scheduler --------------------------------
+        # --- where deltas enter; provenance ------------------------------
         for process in self.processes.values():
             if isinstance(process, EdbLeafProcess):
                 self._edb_leaves.setdefault(
                     process.adorned.predicate, []
                 ).append(process)
             process.record_provenance = self.options.provenance
-            self.scheduler.register(process)
 
     # ------------------------------------------------------------------
     def explain(self, row: tuple):
@@ -530,8 +533,8 @@ class MessagePassingEngine:
         # The database may be shared across queries (session caching), so its
         # counters are cumulative; snapshot now and report per-query deltas.
         snapshot = self._db_snapshot()
-        self.driver.start(self.scheduler)
-        stats = self.scheduler.run()
+        self.driver.start(self.fabric)
+        stats = self.fabric.run()
         self._result = self._collect_result(stats, snapshot)
         return self._result
 
@@ -544,14 +547,15 @@ class MessagePassingEngine:
         delta row is offered to the EDB leaves serving its predicate
         (:meth:`EdbLeafProcess.inject_delta`), which re-serve exactly the
         open streams that would have carried the row in a cold run; the
-        scheduler then drains to a new fixpoint.  Sound because evaluation
-        is monotone under set semantics: every node deduplicates, so the
-        warm network's relations converge to the same least fixpoint a
-        from-scratch evaluation over the grown EDB computes, and the §3.2
-        end-wave machinery re-arms itself for the new work.
+        delivery loop then drains to a new fixpoint, without posing the
+        query again.  Sound because evaluation is monotone under set
+        semantics: every node deduplicates, so the warm network's relations
+        converge to the same least fixpoint a from-scratch evaluation over
+        the grown EDB computes, and the §3.2 end-wave machinery re-arms
+        itself for the new work.
 
         The returned result's message/db counters cover this wave only
-        (``scheduler.stats`` is reset per wave, which also makes the
+        (``fabric.stats`` is reset per wave, which also makes the
         ``max_messages`` budget per-wave); answers and storage counters
         are cumulative across the materialization's lifetime, and
         ``new_answers`` holds exactly the rows this wave added.
@@ -568,17 +572,18 @@ class MessagePassingEngine:
         have moved.
         """
         snapshot = self._db_snapshot()
-        stats = self.scheduler.stats
-        if stats.physical_total:  # else the last wave left them at zero
-            stats = self.scheduler.stats = SchedulerStats()
+        fabric = self.fabric
+        stats = fabric.stats
+        if stats.delivered_physical:  # else the last wave left them at zero
+            stats = fabric.stats = DeliveryStats()
         by_predicate: dict[str, list[tuple]] = {}
         for fact in facts:
             by_predicate.setdefault(fact.predicate, []).append(fact.ground_tuple())
         for predicate, rows in by_predicate.items():
             for leaf in self._edb_leaves.get(predicate, ()):
-                leaf.inject_delta(rows, self.scheduler)
+                leaf.inject_delta(rows, fabric)
         previous = self._result
-        if previous is not None and not self.scheduler.in_flight():
+        if previous is not None and not fabric.in_flight():
             if previous.stats is stats:
                 return previous  # an empty wave after an empty wave
             scans, lookups, retrieved = snapshot
@@ -596,7 +601,7 @@ class MessagePassingEngine:
             self.driver.answers = set(self.driver.answers)
             self.driver.fresh = fresh = set()
             try:
-                self.scheduler.run()
+                fabric.run()
             finally:
                 self.driver.fresh = None
             result = self._collect_result(stats, snapshot)
@@ -619,7 +624,7 @@ class MessagePassingEngine:
         )
 
     def _collect_result(
-        self, stats: SchedulerStats, snapshot: tuple[int, int, int]
+        self, stats: DeliveryStats, snapshot: tuple[int, int, int]
     ) -> QueryResult:
         scans_before, lookups_before, rows_before = snapshot
         tuples_by_node: dict[str, int] = {}
@@ -631,7 +636,7 @@ class MessagePassingEngine:
         batch_out = 0
         batch_keys = 0
         envs = 0
-        rounds = conclusions = held = 0
+        rounds = conclusions = 0
         for node_id, process in self.processes.items():
             if node_id == DRIVER_ID:
                 continue
@@ -660,7 +665,6 @@ class MessagePassingEngine:
                 envs += process.envs_materialized
                 tuples_total += process.envs_materialized
             if process.protocol is not None:
-                held += process.protocol.held_end_requests
                 rounds += process.protocol.rounds_started
                 conclusions += process.protocol.conclusions
 
@@ -673,8 +677,8 @@ class MessagePassingEngine:
             envs_materialized=envs,
             protocol_rounds=rounds,
             protocol_conclusions=conclusions,
-            protocol_violations=list(self.scheduler.protocol_violations),
-            held_end_requests=held,
+            protocol_violations=list(self.fabric.protocol_violations),
+            held_end_requests=stats.held_end_requests,
             db_scans=self.database.scans - scans_before,
             db_indexed_lookups=self.database.indexed_lookups - lookups_before,
             db_rows_retrieved=self.database.rows_retrieved - rows_before,

@@ -327,9 +327,10 @@ def logical_size(message) -> int:
 
     A :class:`TupleSet` counts as ``len(rows)`` — the paper's accounting is
     per tuple, and packaging answers must not change what ``max_messages``
-    budgets, :class:`SchedulerStats` totals, or the Section 3.2
-    sent/received termination counters mean.  A :class:`MessageBatch` sums
-    its members; every other message counts as one.
+    budgets, :class:`~repro.network.shard_loop.DeliveryStats` totals, or
+    the Section 3.2 sent/received termination counters mean.  A
+    :class:`MessageBatch` sums its members; every other message counts as
+    one.
     """
     if isinstance(message, TupleSet):
         return len(message.rows)

@@ -16,8 +16,9 @@ store their temporary relations, and only forward answer tuples that are
 genuinely new."  Processes never block waiting for complete answers — every
 arriving tuple or tuple request is processed incrementally.
 
-No process reads another's state; all interaction goes through
-:class:`~repro.network.scheduler.Scheduler` messages.
+No process reads another's state; all interaction goes through messages
+sent on a :class:`~repro.network.shard_loop.Router`, the fabric of the one
+delivery loop.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .messages import (
 from .termination import TerminationProtocol
 
 if TYPE_CHECKING:
-    from .scheduler import Scheduler
+    from .shard_loop import Router
 
 __all__ = [
     "ConsumerStream",
@@ -188,7 +189,7 @@ class NodeProcess:
     # ------------------------------------------------------------------
     # The distributed idleness predicate
     # ------------------------------------------------------------------
-    def empty_queues(self, network: "Scheduler") -> bool:
+    def empty_queues(self, network: "Router") -> bool:
         """Fig 2's ``empty-queues()``: inbox empty and all feeders ended.
 
         Only *feeder* streams (producers outside this node's strong
@@ -204,7 +205,7 @@ class NodeProcess:
     # ------------------------------------------------------------------
     # Message dispatch
     # ------------------------------------------------------------------
-    def handle(self, message: Message, network: "Scheduler") -> None:
+    def handle(self, message: Message, network: "Router") -> None:
         """Dispatch one delivered message through :data:`HANDLERS`."""
         try:
             handler, work = HANDLERS[type(message)]
@@ -217,7 +218,7 @@ class NodeProcess:
             self.work_since_conclusion = True
         handler(self, message, network)
 
-    def on_idle_check(self, network: "Scheduler") -> None:
+    def on_idle_check(self, network: "Router") -> None:
         """Post-delivery hook: emit ends (acyclic) or run the protocol.
 
         A strong-component member answers a held end request here, after
@@ -249,7 +250,7 @@ class NodeProcess:
         assert leader is not None
         return leader
 
-    def on_component_conclude(self, network: "Scheduler") -> None:
+    def on_component_conclude(self, network: "Router") -> None:
         """Conclusion reached (locally or via ComponentDone): emit owed ends."""
         self.send_owed_ends(network)
         self.work_since_conclusion = False
@@ -279,7 +280,7 @@ class NodeProcess:
                 feeder.sent_bindings |= fresh
                 self._request_buffer.setdefault(target, []).extend(fresh)
 
-    def flush_requests(self, network: "Scheduler") -> None:
+    def flush_requests(self, network: "Router") -> None:
         """Send each producer's buffered bindings as one message: a
         :class:`PackagedTupleRequest`, or a :class:`TupleRequest` for a lone
         binding (a package of one buys nothing)."""
@@ -301,20 +302,20 @@ class NodeProcess:
         return stream
 
     def serve_package(
-        self, stream: ConsumerStream, bindings: Sequence[tuple], network: "Scheduler"
+        self, stream: ConsumerStream, bindings: Sequence[tuple], network: "Router"
     ) -> None:
         """Serve "d" bindings in order; a lone tuple request is a package of one."""
         for binding in bindings:
             self.serve_binding(stream, binding, network)
 
-    def serve_binding(self, stream: ConsumerStream, binding: tuple, network: "Scheduler") -> None:
+    def serve_binding(self, stream: ConsumerStream, binding: tuple, network: "Router") -> None:
         """Node-specific handling of one "d" binding (see subclasses)."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Set-at-a-time answer emission
     # ------------------------------------------------------------------
-    def _ship(self, consumer_id: int, fresh, network: "Scheduler") -> None:
+    def _ship(self, consumer_id: int, fresh, network: "Router") -> None:
         """Emit distinct rows the stream has not carried yet: one
         :class:`TupleSet` in ``fresh``'s order, or one :class:`TupleMessage`
         for a lone row (a one-row set buys nothing).  ``tuple`` copies a
@@ -325,7 +326,7 @@ class NodeProcess:
             for row in fresh:
                 network.send(TupleMessage(self.node_id, consumer_id, row))
 
-    def _fan_out(self, fresh: list, bindings: list, network: "Scheduler") -> None:
+    def _fan_out(self, fresh: list, bindings: list, network: "Router") -> None:
         """Send every consumer stream the fresh rows it asked for.
 
         ``bindings`` holds each fresh row's "d" binding (``()`` when the
@@ -352,7 +353,7 @@ class NodeProcess:
             if consumer_id not in self.sc_members
         )
 
-    def maybe_send_ends(self, network: "Scheduler") -> None:
+    def maybe_send_ends(self, network: "Router") -> None:
         """Acyclic-node end rule: once every feeder stream is caught up,
         everything requested so far is complete (FIFO channels guarantee all
         child tuples were delivered before their ends)."""
@@ -362,7 +363,7 @@ class NodeProcess:
             return
         self.send_owed_ends(network)
 
-    def send_owed_ends(self, network: "Scheduler") -> None:
+    def send_owed_ends(self, network: "Router") -> None:
         """End every external consumer stream with uncovered requests."""
         for consumer_id, stream in self.consumers.items():
             if consumer_id in self.sc_members:
@@ -374,11 +375,11 @@ class NodeProcess:
     # ------------------------------------------------------------------
     # Handlers to override
     # ------------------------------------------------------------------
-    def on_relation_request(self, stream: ConsumerStream, network: "Scheduler") -> None:
+    def on_relation_request(self, stream: ConsumerStream, network: "Router") -> None:
         """Open a consumer stream and begin computing (node-specific)."""
         raise NotImplementedError
 
-    def on_tuple_set(self, message: TupleSet, network: "Scheduler") -> None:
+    def on_tuple_set(self, message: TupleSet, network: "Router") -> None:
         """Consume a set of answer rows from one producer.
 
         Semantically a :class:`TupleSet` *is* ``len(rows)`` tuple messages
@@ -387,13 +388,13 @@ class NodeProcess:
         """
         raise NotImplementedError
 
-    def on_end(self, message: EndMessage, network: "Scheduler") -> None:
+    def on_end(self, message: EndMessage, network: "Router") -> None:
         """Default: record the feeder's progress."""
         stream = self.feeders[message.sender]
         stream.last_upto_ended = max(stream.last_upto_ended, message.upto)
 
 
-def _nudged(node: NodeProcess, message: EndNudge, network: "Scheduler") -> None:
+def _nudged(node: NodeProcess, message: EndNudge, network: "Router") -> None:
     """A member owes an end: make sure the leader probes again."""
     assert node.protocol is not None and node.protocol.is_leader
     node.work_since_conclusion = True
@@ -577,7 +578,7 @@ class GoalNodeProcess(NodeProcess):
         self.trivial_relay = False
 
     # -- producer side -------------------------------------------------
-    def on_relation_request(self, stream: ConsumerStream, network: "Scheduler") -> None:
+    def on_relation_request(self, stream: ConsumerStream, network: "Router") -> None:
         if not self.requests_propagated:
             self.requests_propagated = True
             for child_id, feeder in self.feeders.items():
@@ -587,7 +588,7 @@ class GoalNodeProcess(NodeProcess):
                 )
         # No replay for a wants_all stream: _fan_out sent it every answer.
 
-    def serve_binding(self, stream: ConsumerStream, binding: tuple, network: "Scheduler") -> None:
+    def serve_binding(self, stream: ConsumerStream, binding: tuple, network: "Router") -> None:
         """Replay known matching answers (once: until the binding is asked
         for, none go to this stream); request the binding from every child
         (each child's stream drops a binding it already carried)."""
@@ -598,7 +599,7 @@ class GoalNodeProcess(NodeProcess):
             self.send_requests(child_id, {binding})
 
     # -- consumer side ---------------------------------------------------
-    def on_tuple_set(self, message: TupleSet, network: "Scheduler") -> None:
+    def on_tuple_set(self, message: TupleSet, network: "Router") -> None:
         """Set-at-a-time union: store the fresh rows, fan them out.
 
         Freshness is decided in each row's binding bucket; that duplicate
@@ -641,7 +642,7 @@ class CyclicNodeProcess(NodeProcess):
         #: empty without "d" positions: no tuple request asks for a replay.
         self.row_index: dict[tuple, set[tuple]] = {}
 
-    def on_relation_request(self, stream: ConsumerStream, network: "Scheduler") -> None:
+    def on_relation_request(self, stream: ConsumerStream, network: "Router") -> None:
         feeder = self.feeders[self.ancestor_id]
         if feeder.last_seq_sent < 0:
             feeder.next_seq()
@@ -650,14 +651,14 @@ class CyclicNodeProcess(NodeProcess):
             )
         # No replay for a wants_all stream: _fan_out sent it every row.
 
-    def serve_binding(self, stream: ConsumerStream, binding: tuple, network: "Scheduler") -> None:
+    def serve_binding(self, stream: ConsumerStream, binding: tuple, network: "Router") -> None:
         """Replay matching rows and forward the binding to the ancestor."""
         if binding not in stream.requested:
             stream.requested.add(binding)
             self._ship(stream.consumer_id, self.row_index.get(binding, ()), network)
         self.send_requests(self.ancestor_id, {binding})
 
-    def on_tuple_set(self, message: TupleSet, network: "Scheduler") -> None:
+    def on_tuple_set(self, message: TupleSet, network: "Router") -> None:
         """Relay a whole set: store the fresh rows, fan them out.
 
         Without "d" positions every row goes to every consumer as it
@@ -745,7 +746,7 @@ class EdbLeafProcess(NodeProcess):
                 return False
         return True
 
-    def _emit(self, stream: ConsumerStream, rows: Iterable[tuple], network: "Scheduler") -> None:
+    def _emit(self, stream: ConsumerStream, rows: Iterable[tuple], network: "Router") -> None:
         # One whole serve becomes one TupleSet (when >1 fresh row), in the
         # fresh set's order: determinism lives at the result-collection
         # boundary (the driver's answer set, the CLI's sorted print).  One
@@ -764,7 +765,7 @@ class EdbLeafProcess(NodeProcess):
             self._ship(stream.consumer_id, fresh, network)
 
     # ------------------------------------------------------------------
-    def on_relation_request(self, stream: ConsumerStream, network: "Scheduler") -> None:
+    def on_relation_request(self, stream: ConsumerStream, network: "Router") -> None:
         if not self.shape.d_positions:
             if self.constant_filter:
                 rows = self.database.lookup(
@@ -777,7 +778,7 @@ class EdbLeafProcess(NodeProcess):
             self._emit(stream, rows, network)
         # maybe_send_ends fires from on_idle_check (no feeders: caught up).
 
-    def inject_delta(self, rows: Iterable[tuple], network: "Scheduler") -> None:
+    def inject_delta(self, rows: Iterable[tuple], network: "Router") -> None:
         """Feed newly committed database rows into every open stream.
 
         The delta-propagation entry point
@@ -814,7 +815,7 @@ class EdbLeafProcess(NodeProcess):
                 self._emit(stream, asked, network)
 
     def serve_package(
-        self, stream: ConsumerStream, bindings: Sequence[tuple], network: "Scheduler"
+        self, stream: ConsumerStream, bindings: Sequence[tuple], network: "Router"
     ) -> None:
         """Indexed retrieval per binding; large packages use one scan (footnote 2).
 
@@ -1060,7 +1061,7 @@ class RuleNodeProcess(NodeProcess):
     # ------------------------------------------------------------------
     # Producer side: requests from the parent goal node
     # ------------------------------------------------------------------
-    def on_relation_request(self, stream: ConsumerStream, network: "Scheduler") -> None:
+    def on_relation_request(self, stream: ConsumerStream, network: "Router") -> None:
         if not self.request_started:
             self.request_started = True
             opened: set[int] = set()
@@ -1078,7 +1079,7 @@ class RuleNodeProcess(NodeProcess):
         if not self.parent_shape.d_positions:
             self._add_envs(0, ((),), network)
 
-    def serve_binding(self, stream: ConsumerStream, binding: tuple, network: "Scheduler") -> None:
+    def serve_binding(self, stream: ConsumerStream, binding: tuple, network: "Router") -> None:
         """One head binding becomes one stage-0 environment, unless it
         clashes with a head constant or a repeated head variable (the
         specialized rule then contributes nothing for that request)."""
@@ -1089,7 +1090,7 @@ class RuleNodeProcess(NodeProcess):
     # ------------------------------------------------------------------
     # Consumer side: tuples from subgoal children
     # ------------------------------------------------------------------
-    def on_tuple_set(self, message: TupleSet, network: "Scheduler") -> None:
+    def on_tuple_set(self, message: TupleSet, network: "Router") -> None:
         """Bulk stage kernel entry: join a whole set of child rows at once.
 
         A row is its own sub-environment unless a variable repeats in it
@@ -1111,7 +1112,7 @@ class RuleNodeProcess(NodeProcess):
     # ------------------------------------------------------------------
     # The join: one insert-then-probe path for rows and environments
     # ------------------------------------------------------------------
-    def _add_envs(self, level: int, merged: Sequence[tuple], network: "Scheduler") -> None:
+    def _add_envs(self, level: int, merged: Sequence[tuple], network: "Router") -> None:
         """Environments reached at ``level`` (0: head bindings, ``j``: after
         stage ``j``).  Below the last stage they enter the next stage's
         join; at the last they are projected to head rows.
@@ -1138,7 +1139,7 @@ class RuleNodeProcess(NodeProcess):
             self._emit_heads(fresh, network)
 
     def _insert_then_probe(
-        self, stage_number: int, batch: Collection[tuple], envs: bool, network: "Scheduler"
+        self, stage_number: int, batch: Collection[tuple], envs: bool, network: "Router"
     ) -> None:
         """Stage kernel: store a batch on one side of a join, probe the other.
 
@@ -1232,7 +1233,7 @@ class RuleNodeProcess(NodeProcess):
             self._add_envs(stage_number, merged, network)
 
     # ------------------------------------------------------------------
-    def _emit_heads(self, envs, network: "Scheduler") -> None:
+    def _emit_heads(self, envs, network: "Router") -> None:
         """Project final environments to head rows and send the fresh ones.
 
         One column gather projects the batch and one set difference against
@@ -1315,13 +1316,13 @@ class DriverProcess(NodeProcess):
         self.on_complete: Optional[Callable[[], None]] = None  # runtime hook
         self.on_answer: Optional[Callable[[tuple], None]] = None  # streaming hook
 
-    def start(self, network: "Scheduler") -> None:
+    def start(self, network: "Router") -> None:
         """Send the opening relation request to the top-level goal node."""
         feeder = self.feeders[self.root_id]
         feeder.next_seq()
         network.send(RelationRequest(DRIVER_ID, self.root_id, self.adornment))
 
-    def on_tuple_set(self, message: TupleSet, network: "Scheduler") -> None:
+    def on_tuple_set(self, message: TupleSet, network: "Router") -> None:
         """Collect a packaged answer set (streaming hook still fires per row)."""
         if self.on_answer is None and self.fresh is None:
             self.answers.update(message.rows)
@@ -1334,7 +1335,7 @@ class DriverProcess(NodeProcess):
                 if self.on_answer is not None:
                     self.on_answer(row)
 
-    def on_end(self, message: EndMessage, network: "Scheduler") -> None:
+    def on_end(self, message: EndMessage, network: "Router") -> None:
         super().on_end(message, network)
         self.completed = True
         if self.on_complete is not None:

@@ -28,7 +28,8 @@ succeed.  Only the moment of the answer moves: the confirm rule is
 unchanged, and a held request is processed while the node is idle, so
 ``idleness`` still counts genuine idle periods.  Liveness rests on the
 release running *after* the idle check's request flush (docs/protocol.md).
-The simulator and the shard loop both run this one rule.
+Every runtime runs this one rule, from the one delivery loop
+(``network/shard_loop.py``).
 
 Two repairs of apparent typos in the Fig-2 pseudocode (the prose of
 Section 3.2 is unambiguous on both):
@@ -72,8 +73,10 @@ same least fixpoint the crashed attempt was converging to.
 The protocol object holds protocol state only: its handlers receive the
 owning node (a :class:`Member`) at call time, so no protocol → node
 reference closes a cycle and a finished network is freed by reference
-counting.  Checking a conclusion against global quiescence is the
-scheduler's job (:meth:`~repro.network.scheduler.Scheduler._check_conclusion`).
+counting.  A leader that concludes hands itself to the fabric's
+``check_conclusion`` first: the simulator's fabric checks the conclusion
+against global quiescence there
+(:meth:`~repro.network.shard_loop.LocalFabric.check_conclusion`).
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ from typing import TYPE_CHECKING, Optional, Protocol
 from .messages import ComponentDone, EndConfirmed, EndNegative, EndRequest
 
 if TYPE_CHECKING:
-    from .scheduler import Scheduler
+    from .shard_loop import Router
 
 __all__ = ["Member", "TerminationProtocol"]
 
@@ -92,11 +95,11 @@ __all__ = ["Member", "TerminationProtocol"]
 class Member(Protocol):
     """What the protocol asks of the node it runs for."""
 
-    def empty_queues(self, network: "Scheduler") -> bool:
+    def empty_queues(self, network: "Router") -> bool:
         """Fig 2's ``empty-queues()``: inbox empty and all feeders ended."""
         ...
 
-    def on_component_conclude(self, network: "Scheduler") -> None:
+    def on_component_conclude(self, network: "Router") -> None:
         """The component concluded: "send an end message to its customer"."""
         ...
 
@@ -147,7 +150,7 @@ class TerminationProtocol:
     # Leader initiation
     # ------------------------------------------------------------------
     def maybe_initiate(
-        self, node: Member, network: "Scheduler", has_pending_customer: bool
+        self, node: Member, network: "Router", has_pending_customer: bool
     ) -> None:
         """Start a wave if leader, idle, no wave active, and ends are owed.
 
@@ -161,7 +164,7 @@ class TerminationProtocol:
         self.idleness = 1
         self._start_round(node, network)
 
-    def _start_round(self, node: Member, network: "Scheduler") -> None:
+    def _start_round(self, node: Member, network: "Router") -> None:
         self.round_id += 1
         self.rounds_started += 1
         self.round_active = True
@@ -171,7 +174,7 @@ class TerminationProtocol:
     # Handlers
     # ------------------------------------------------------------------
     def handle_end_request(
-        self, message: EndRequest, node: Member, network: "Scheduler"
+        self, message: EndRequest, node: Member, network: "Router"
     ) -> None:
         """A wave reached this (non-leader) node from its BFST parent.
 
@@ -185,13 +188,13 @@ class TerminationProtocol:
             self.held = True
             self.held_end_requests += 1
 
-    def release_held(self, node: Member, network: "Scheduler") -> None:
+    def release_held(self, node: Member, network: "Router") -> None:
         """Answer a held end request once the node is idle (its idle check)."""
         if self.held and node.empty_queues(network):
             self.held = False
             self._process_end_request(node, network)
 
-    def _process_end_request(self, node: Member, network: "Scheduler") -> None:
+    def _process_end_request(self, node: Member, network: "Router") -> None:
         # Every caller runs only while the node is idle (a busy member holds
         # the request), so Fig 2's ``else idleness := 0`` branch never fires.
         self.idleness += 1
@@ -204,7 +207,7 @@ class TerminationProtocol:
             self._answer(node, network)
 
     def handle_end_negative(
-        self, message: EndNegative, node: Member, network: "Scheduler"
+        self, message: EndNegative, node: Member, network: "Router"
     ) -> None:
         """A child's subtree was not uniformly idle this round."""
         assert message.round_id == self.round_id, "protocol waves must not overlap"
@@ -214,7 +217,7 @@ class TerminationProtocol:
             self._answer(node, network)
 
     def handle_end_confirmed(
-        self, message: EndConfirmed, node: Member, network: "Scheduler"
+        self, message: EndConfirmed, node: Member, network: "Router"
     ) -> None:
         """A child's subtree was idle for the whole inter-request period."""
         assert message.round_id == self.round_id, "protocol waves must not overlap"
@@ -223,7 +226,7 @@ class TerminationProtocol:
             self._answer(node, network)
 
     def handle_component_done(
-        self, message: ComponentDone, node: Member, network: "Scheduler"
+        self, message: ComponentDone, node: Member, network: "Router"
     ) -> None:
         """The leader concluded: emit owed ends here and keep propagating."""
         node.on_component_conclude(network)
@@ -231,7 +234,7 @@ class TerminationProtocol:
             network.send(ComponentDone(self.node_id, child, message.round_id))
 
     # ------------------------------------------------------------------
-    def _answer(self, node: Member, network: "Scheduler") -> None:
+    def _answer(self, node: Member, network: "Router") -> None:
         """All children (if any) answered: respond upward or conclude."""
         confirmed = self.negatives_this_round == 0 and self.idleness > 1
         if not self.is_leader:
@@ -245,6 +248,7 @@ class TerminationProtocol:
         self.round_active = False
         if confirmed and node.empty_queues(network):
             self.conclusions += 1
+            network.check_conclusion(node)
             node.on_component_conclude(network)
             # Footnote 4: propagate the conclusion around the component so
             # members with their own customers can send their end messages.

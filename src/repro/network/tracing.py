@@ -39,7 +39,7 @@ class MessageTrace:
     dropped: int = 0
 
     def __call__(self, message: Message) -> None:
-        """Scheduler trace hook."""
+        """The fabric's trace hook: called with every delivered message."""
         if not self.include_protocol and isinstance(
             message, (EndRequest, EndNegative, EndConfirmed)
         ):

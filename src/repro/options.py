@@ -158,9 +158,10 @@ class RuntimeOptions:
     """Where the network runs, and what happens when a worker fails.
 
     ``runtime``
-        ``"simulator"`` (the in-process scheduler), ``"pool"`` (supervised
-        forked shard workers) or ``"cluster"`` (remote shard workers behind
-        a TCP cluster manager; see :mod:`repro.cluster`).
+        ``"simulator"`` (the delivery loop on one in-process shard),
+        ``"pool"`` (supervised forked shard workers) or ``"cluster"``
+        (remote shard workers behind a TCP cluster manager; see
+        :mod:`repro.cluster`).
     ``workers``
         Shard workers, >= 1.  ``None``: the pool uses the CPU count; the
         cluster dispatches to every registered worker (a private harness

@@ -1,9 +1,9 @@
 """The shard runtime for the message network: one shard loop, two transports.
 
-:mod:`repro.runtime.shard_loop` is what every shard worker runs (the
-router base and the delivery loop), :mod:`repro.runtime.sharded` the front
-both transports share (validation, graph, retry, fallback, the
-:class:`ShardedQueryResult`), and :mod:`repro.runtime.pool_engine` the
+:mod:`repro.network.shard_loop` is what every shard worker runs (the
+router base and the delivery loop, shared with the simulator),
+:mod:`repro.runtime.sharded` the front both transports share
+(validation, graph, retry, fallback, the :class:`ShardedQueryResult`), and :mod:`repro.runtime.pool_engine` the
 queue transport behind :func:`evaluate_pool`; :mod:`repro.cluster` is the
 TCP transport.  Both are *supervised*: see :mod:`repro.runtime.supervision`
 for crash/stall detection, deterministic retry, and graceful degradation,

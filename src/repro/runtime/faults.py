@@ -34,6 +34,8 @@ import time
 from dataclasses import dataclass, fields
 from typing import Optional
 
+from ..network.shard_loop import node_label
+
 __all__ = [
     "FaultInjectedError",
     "FaultPlan",
@@ -145,9 +147,10 @@ class FaultPlan:
             return self
         return None
 
-    def injector(self, worker_index: int) -> "FaultInjector":
-        """Per-worker runtime state (delivery counters) for this plan."""
-        return FaultInjector(self, worker_index)
+    def injector(self, worker_index: int, engine=None) -> "FaultInjector":
+        """Per-worker runtime state (delivery counters) for this plan;
+        ``raise_in_node`` matches the labels of ``engine``'s nodes."""
+        return FaultInjector(self, worker_index, engine)
 
     @classmethod
     def from_env(cls, environ=os.environ) -> Optional["FaultPlan"]:
@@ -173,39 +176,37 @@ class FaultPlan:
 class FaultInjector:
     """Per-worker counters that decide *when* a plan's fault fires.
 
-    The worker loops call :meth:`on_delivery` once per delivered message
-    (before handing it to the node) and :meth:`delay` once per channel
-    ingest.  The injector either returns an action for the worker to take
-    (``"kill"`` / ``"wedge"``), raises :class:`FaultInjectedError` (the
-    in-node exception fault), or does nothing.
+    The delivery loop (``network/shard_loop.py``) calls :meth:`on_delivery`
+    once per delivered message (before handing it to the node) and
+    :meth:`delay` once per channel ingest.  A firing fault acts at once:
+    the worker hard-exits (kill), blocks forever (wedge) or raises
+    :class:`FaultInjectedError` (the in-node exception fault).
     """
 
-    def __init__(self, plan: FaultPlan, worker_index: int) -> None:
+    def __init__(self, plan: FaultPlan, worker_index: int, engine=None) -> None:
         self.plan = plan
         self.worker_index = worker_index
+        self.engine = engine
         self.delivered = 0
         self.raise_hits = 0
 
-    def on_delivery(self, label: Optional[str] = None) -> Optional[str]:
-        """Account one delivery; return an action or raise the injected error."""
+    def on_delivery(self, node_id: int) -> None:
+        """Account one delivery to ``node_id``; fire the plan's fault if due."""
         plan = self.plan
         self.delivered += 1
-        if (
-            plan.raise_in_node is not None
-            and label is not None
-            and plan.raise_in_node in label
-        ):
-            self.raise_hits += 1
-            if self.raise_hits > plan.raise_after:
-                raise FaultInjectedError(
-                    f"injected failure handling a message at node {label!r} "
-                    f"(delivery {self.raise_hits})"
-                )
+        if plan.raise_in_node is not None and self.engine is not None:
+            label = node_label(self.engine.graph, node_id, self.engine.bindings)
+            if plan.raise_in_node in label:
+                self.raise_hits += 1
+                if self.raise_hits > plan.raise_after:
+                    raise FaultInjectedError(
+                        f"injected failure handling a message at node {label!r} "
+                        f"(delivery {self.raise_hits})"
+                    )
         if plan.kill_worker == self.worker_index and self.delivered > plan.kill_after:
-            return "kill"
+            os._exit(1)  # pragma: no cover - the worker dies
         if plan.wedge_worker == self.worker_index and self.delivered > plan.wedge_after:
-            return "wedge"
-        return None
+            wedge_forever()  # pragma: no cover - reaped by teardown
 
     def delay(self) -> None:
         """Sleep if this worker's channel is the one being delayed."""

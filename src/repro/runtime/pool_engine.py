@@ -5,8 +5,8 @@ host: a fixed pool of worker processes (default ``os.cpu_count()``), each
 hosting a *shard* of node processes with its own address space, exchanging
 :class:`MessageBatch` envelopes so the pickle + queue cost of IPC amortizes
 over whole bursts of tuples instead of being paid per tuple.  The node code
-is the simulator's, unchanged; the shard loop and router are
-:mod:`repro.runtime.shard_loop`'s, the front (retry, fallback, graph) is
+and the delivery loop are the simulator's, unchanged
+(:mod:`repro.network.shard_loop`), the front (retry, fallback, graph) is
 :mod:`repro.runtime.sharded`'s, and :mod:`repro.cluster` runs the same
 shards on remote workers over TCP.  This module is only the queue
 transport: how one attempt forks, ships batches and tears down.
@@ -59,10 +59,16 @@ from ..core.rulegoal import RuleGoalGraph, SipFactory
 from ..core.sips import greedy_sip
 from ..network.engine import MessagePassingEngine, assign_shards
 from ..network.messages import Message, MessageBatch
+from ..network.shard_loop import (
+    COUNTERS,
+    STOP as _STOP,
+    Router,
+    open_shard,
+    run_shard_loop,
+)
 from ..options import EvalOptions, RetryPolicy, RuntimeOptions
 from ..relational.database import Database
 from .faults import FaultPlan
-from .shard_loop import COUNTERS, STOP as _STOP, Router, run_shard_loop
 from .sharded import ShardedQueryResult, evaluate_sharded
 from .supervision import Supervisor, shutdown_workers
 
@@ -70,7 +76,7 @@ __all__ = ["ShardRouter", "evaluate_pool", "pool_transport"]
 
 
 class ShardRouter(Router):
-    """The :class:`~repro.runtime.shard_loop.Router` over multiprocessing queues.
+    """The :class:`~repro.network.shard_loop.Router` over multiprocessing queues.
 
     ``sent``/``received`` are ``n_shards`` shared rows of ``n_shards``
     slots: ``sent[origin][dest]`` and ``received[dest][origin]``.  This
@@ -107,7 +113,7 @@ class ShardRouter(Router):
     def pending_for(self, node_id: int) -> int:
         """Inbox length for ``empty_queues()``: exact locally, conservative
         (shard-granular) for traffic still in transit toward this shard."""
-        pending = self.local_pending.get(node_id, 0)
+        pending = super().pending_for(node_id)
         me, received = self.shard_id, self.received_total
         for origin in self.buffers:
             pending += self.sent[origin][me] - received[origin]
@@ -150,12 +156,12 @@ def _shard_worker(
         result_queue.put(("done", list(answers), (seq, upto)))
 
     try:
-        run_shard_loop(
-            engine, router, take, beat, poll_interval, fault_plan, on_done
-        )
+        hosted = open_shard(engine, router, on_done)
+        injector = None if fault_plan is None else fault_plan.injector(shard_id, engine)
+        run_shard_loop(hosted, router, take, beat, poll_interval, injector)
         base = shard_id * len(COUNTERS)
         for offset, name in enumerate(COUNTERS):
-            loop_stats[base + offset] = getattr(router, name)
+            loop_stats[base + offset] = getattr(router.stats, name)
     except BaseException:  # pragma: no cover - exercised via chaos suite
         try:
             result_queue.put(("error", f"shard {shard_id}", traceback.format_exc()))

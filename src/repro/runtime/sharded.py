@@ -9,8 +9,8 @@ around it is :func:`evaluate_sharded`, which takes the two option values
 transport, whole-query retry, the single in-process fallback and the
 result stamping.  Both return a :class:`ShardedQueryResult`, whose accounting is
 computed from the per-shard counter dicts every shard's
-:class:`~repro.runtime.shard_loop.Router` keeps — one vocabulary on both
-transports.
+:class:`~repro.network.shard_loop.Router` keeps — one vocabulary on every
+runtime, the in-process fallback included.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from ..core.adornment import AdornedAtom
 from ..core.program import Program
 from ..core.rulegoal import RuleGoalGraph, plan_graph
 from ..network.engine import MessagePassingEngine
+from ..network.shard_loop import node_label
 from ..options import EvalOptions, RuntimeOptions
 from ..relational.database import Database
 from .faults import FaultPlan
-from .shard_loop import node_label
 from .supervision import run_with_retry
 
 __all__ = ["ShardedQueryResult", "evaluate_sharded"]
@@ -37,7 +37,8 @@ class ShardedQueryResult:
     """Answers plus transport and supervision accounting from a sharded run.
 
     ``shards`` holds each shard's counters (in logical tuples: a TupleSet
-    weighs ``len(rows)``); every total below is computed from them.
+    weighs ``len(rows)``); every total below is computed from them.  A
+    degraded answer reports the in-process run's one shard as shard 0.
     ``transport`` (per-worker wire counters) and ``spec`` (job-spec bytes
     shipped, summed over attempts and resends) are filled by the cluster
     only, and so is the per-node data behind :meth:`node_table`.
@@ -236,8 +237,8 @@ def evaluate_sharded(
     re-executes the whole query on typed runtime failures — sound because
     monotone set-semantics evaluation reaches the same least fixpoint on
     re-execution — reusing the one ``graph``.  ``runtime.fallback ==
-    "inprocess"`` answers from the single-process scheduler after retries
-    are exhausted, with ``degraded=True``.  ``fault_plan`` (or the
+    "inprocess"`` answers from the simulator (one in-process shard) after
+    retries are exhausted, with ``degraded=True``.  ``fault_plan`` (or the
     ``REPRO_FAULTS`` environment variable) injects deterministic faults,
     armed per attempt.  Provenance is never recorded: no shard keeps a
     network that :meth:`~repro.session.Session.explain` could read.
@@ -269,6 +270,7 @@ def evaluate_sharded(
             workers=0,
             driver_last_seq_sent=stream.last_seq_sent,
             driver_last_upto_ended=stream.last_upto_ended,
+            shards={0: engine.fabric.counters()},
         )
 
     with transport as (attempt, spec):

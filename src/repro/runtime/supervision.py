@@ -23,8 +23,9 @@ the full global deadline.  This module supplies the missing failure model:
   distributed recursive-query systems classically exploit for fault
   tolerance;
 * graceful degradation: after retries are exhausted, an optional fallback
-  to the in-process :class:`~repro.network.scheduler.Scheduler` runtime,
-  recorded as ``degraded`` on the result so callers can see what happened;
+  to the in-process simulator (the delivery loop on one
+  :class:`~repro.network.shard_loop.LocalFabric` shard), recorded as
+  ``degraded`` on the result so callers can see what happened;
 * :func:`shutdown_workers`, the audited teardown: non-blocking STOP
   delivery (a full or abandoned inbox must never block the caller),
   bounded joins, and a terminate → kill escalation so a timed-out query
@@ -307,7 +308,7 @@ def run_with_retry(
                 time.sleep(delay)
     if fallback_fn is not None:
         failure_log.append(
-            "degraded: falling back to the in-process scheduler runtime"
+            "degraded: falling back to the in-process simulator"
         )
         return fallback_fn(), attempts, True, failure_log
     assert last_error is not None

@@ -132,13 +132,13 @@ def drive_planting(program, dead_end, plant_round=None):
     otherwise empty inbox.  Returns the engine, the planted member and the
     last wave at which planting was possible."""
     engine = MessagePassingEngine(program, validate_protocol=True)
-    scheduler = engine.scheduler
-    engine.driver.start(scheduler)
+    fabric = engine.fabric
+    engine.driver.start(fabric)
     planted, last_chance = None, None
-    while scheduler.in_flight():
-        _, _, upcoming = scheduler._heap[0]
-        member = scheduler.process(upcoming.receiver)
-        if type(upcoming) is EndRequest and scheduler.pending_for(member.node_id) == 1:
+    while fabric.in_flight():
+        upcoming = fabric.local[0]
+        member = engine.processes[upcoming.receiver]
+        if type(upcoming) is EndRequest and fabric.pending_for(member.node_id) == 1:
             producer, stream = next(
                 (p, s) for p, s in member.feeders.items() if not s.is_feeder
             )
@@ -147,7 +147,7 @@ def drive_planting(program, dead_end, plant_round=None):
                 if upcoming.round_id == plant_round:
                     member._request_buffer[producer] = [dead_end]
                     planted = member
-        scheduler.step()
+        fabric.step()
     return engine, planted, last_chance
 
 
@@ -169,7 +169,7 @@ def test_a_member_held_behind_its_own_request_buffer_still_answers():
     assert planted is not None
     assert planted.protocol.held_end_requests >= 1 and not planted.protocol.held
     assert engine.driver.completed
-    assert engine.scheduler.protocol_violations == []
+    assert engine.fabric.protocol_violations == []
     assert engine.driver.answers == expected(program)
 
 

@@ -39,7 +39,7 @@ class TestAnswerStreaming:
         seen_at = []
         engine = MessagePassingEngine(
             ancestor_chain,
-            on_answer=lambda r: seen_at.append(engine.scheduler.stats.delivered_total),
+            on_answer=lambda r: seen_at.append(engine.fabric.stats.delivered_logical),
         )
         engine.run()
         assert len(set(seen_at)) > 1  # not all in one burst
@@ -92,13 +92,13 @@ class TestApiQuality:
             "repro.network.messages",
             "repro.network.nodes",
             "repro.network.provenance",
-            "repro.network.scheduler",
+            pytest.param("repro.network.shard_loop", id="repro.network.scheduler"),
             "repro.network.termination",
             "repro.relational.algebra",
             "repro.relational.csvio",
             "repro.relational.relation",
             "repro.relational.yannakakis",
-            pytest.param("repro.runtime.shard_loop", id="repro.runtime.asyncio_engine"),
+            pytest.param("repro.runtime.sharded", id="repro.runtime.asyncio_engine"),
             "repro.session",
             "repro.workloads.generators",
             "repro.workloads.programs",

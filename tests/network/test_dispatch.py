@@ -49,7 +49,7 @@ def message_types(cls=Message):
 
 
 class Recorder:
-    """Stands in for the scheduler: keeps every sent message, in order."""
+    """Stands in for the fabric: keeps every sent message, in order."""
 
     def __init__(self):
         self.sent = []

@@ -6,7 +6,7 @@ from repro.baselines import naive
 from repro.core.parser import parse_program
 from repro.core.sips import all_free_sip, left_to_right_sip
 from repro.network.engine import MessagePassingEngine, evaluate
-from repro.network.scheduler import MessageBudgetExceeded
+from repro.network.shard_loop import MessageBudgetExceeded
 from repro.network.tracing import MessageTrace
 from repro.workloads import facts_from_tables, program_p1
 

@@ -1,6 +1,6 @@
 """A finished process network is freed by reference counting.
 
-The network an engine builds for one query is acyclic — engine → scheduler
+The network an engine builds for one query is acyclic — engine → fabric
 → processes → protocol state, with nothing pointing back — so the moment
 the last reference to the engine goes, every process goes with it, without
 waiting for the cyclic garbage collector.  These tests run with the
@@ -92,7 +92,7 @@ def collector_off():
 
 def network_refs(engine) -> list[weakref.ref]:
     """Weak references to the engine and every object of its network."""
-    refs = [weakref.ref(engine), weakref.ref(engine.scheduler)]
+    refs = [weakref.ref(engine), weakref.ref(engine.fabric)]
     for process in engine.processes.values():
         refs.append(weakref.ref(process))
         if process.protocol is not None:

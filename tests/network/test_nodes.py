@@ -24,7 +24,7 @@ from repro.network.nodes import (
     RuleNodeProcess,
     _RowShape,
 )
-from repro.network.scheduler import Scheduler
+from repro.network.shard_loop import LocalFabric
 from repro.relational.database import Database
 from repro.workloads import (
     ancestor_program,
@@ -83,6 +83,9 @@ class TestRowShape:
 class Sink:
     """Collects messages addressed to it."""
 
+    protocol = None  # no strong component
+    _request_buffer = {}  # never buffers a request
+
     def __init__(self, node_id=99):
         self.node_id = node_id
         self.rows = []
@@ -105,60 +108,60 @@ def leaf_fixture(adorned, rows):
     leaf = EdbLeafProcess(1, adorned, db)
     sink = Sink()
     leaf.add_consumer(99, wants_all=not adorned.dynamic_positions)
-    scheduler = Scheduler()
-    scheduler.register(leaf)
-    scheduler.register(sink)
-    return leaf, sink, scheduler
+    fabric = LocalFabric()
+    fabric.register(leaf)
+    fabric.register(sink)
+    return leaf, sink, fabric
 
 
 class TestEdbLeaf:
     def test_full_scan_on_relation_request(self):
         adorned = AdornedAtom(atom("e", X, Y), ("f", "f"))
-        leaf, sink, scheduler = leaf_fixture(adorned, [(1, 2), (3, 4)])
-        scheduler.send(RelationRequest(99, 1, adorned.adornment))
-        scheduler.run()
+        leaf, sink, fabric = leaf_fixture(adorned, [(1, 2), (3, 4)])
+        fabric.send(RelationRequest(99, 1, adorned.adornment))
+        fabric.run()
         assert sorted(sink.rows) == [(1, 2), (3, 4)]
         assert len(sink.ends) == 1  # end after the scan
 
     def test_constant_filter(self):
         adorned = AdornedAtom(atom("e", "a", Y), ("c", "f"))
-        leaf, sink, scheduler = leaf_fixture(adorned, [("a", 1), ("b", 2), ("a", 3)])
-        scheduler.send(RelationRequest(99, 1, adorned.adornment))
-        scheduler.run()
+        leaf, sink, fabric = leaf_fixture(adorned, [("a", 1), ("b", 2), ("a", 3)])
+        fabric.send(RelationRequest(99, 1, adorned.adornment))
+        fabric.run()
         # Selected on the constant, which then leaves the row.
         assert sorted(sink.rows) == [(1,), (3,)]
 
     def test_tuple_request_semijoin(self):
         adorned = AdornedAtom(atom("e", X, Y), ("d", "f"))
-        leaf, sink, scheduler = leaf_fixture(adorned, [(1, 2), (1, 3), (2, 4)])
-        scheduler.send(RelationRequest(99, 1, adorned.adornment))
-        scheduler.send(TupleRequest(99, 1, (1,), 1))
-        scheduler.run()
+        leaf, sink, fabric = leaf_fixture(adorned, [(1, 2), (1, 3), (2, 4)])
+        fabric.send(RelationRequest(99, 1, adorned.adornment))
+        fabric.send(TupleRequest(99, 1, (1,), 1))
+        fabric.run()
         assert sorted(sink.rows) == [(1, 2), (1, 3)]
 
     def test_repeated_variable_equality(self):
         adorned = AdornedAtom(atom("e", X, X), ("f", "f"))
-        leaf, sink, scheduler = leaf_fixture(adorned, [(1, 1), (1, 2), (3, 3)])
-        scheduler.send(RelationRequest(99, 1, adorned.adornment))
-        scheduler.run()
+        leaf, sink, fabric = leaf_fixture(adorned, [(1, 1), (1, 2), (3, 3)])
+        fabric.send(RelationRequest(99, 1, adorned.adornment))
+        fabric.run()
         assert sorted(sink.rows) == [(1, 1), (3, 3)]
 
     def test_existential_positions_projected_and_deduplicated(self):
         # e(X^f, W^e): one row per distinct X even with many W partners.
         W = Variable("W")
         adorned = AdornedAtom(atom("e", X, W), ("f", "e"))
-        leaf, sink, scheduler = leaf_fixture(adorned, [(1, 10), (1, 20), (2, 30)])
-        scheduler.send(RelationRequest(99, 1, adorned.adornment))
-        scheduler.run()
+        leaf, sink, fabric = leaf_fixture(adorned, [(1, 10), (1, 20), (2, 30)])
+        fabric.send(RelationRequest(99, 1, adorned.adornment))
+        fabric.run()
         assert sorted(sink.rows) == [(1,), (2,)]
 
     def test_overlapping_tuple_requests_not_resent(self):
         adorned = AdornedAtom(atom("e", X, Y), ("d", "f"))
-        leaf, sink, scheduler = leaf_fixture(adorned, [(1, 2)])
-        scheduler.send(RelationRequest(99, 1, adorned.adornment))
-        scheduler.send(TupleRequest(99, 1, (1,), 1))
-        scheduler.send(TupleRequest(99, 1, (1,), 2))
-        scheduler.run()
+        leaf, sink, fabric = leaf_fixture(adorned, [(1, 2)])
+        fabric.send(RelationRequest(99, 1, adorned.adornment))
+        fabric.send(TupleRequest(99, 1, (1,), 1))
+        fabric.send(TupleRequest(99, 1, (1,), 2))
+        fabric.run()
         assert sink.rows == [(1, 2)]  # per-stream dedup
         # And the final end covers the latest request.
         assert sink.ends[-1].upto == 2
@@ -171,11 +174,11 @@ class TestEdbLeaf:
         # the shape has no d positions, so binding is empty; nothing breaks.
         sink = Sink()
         leaf.add_consumer(99, wants_all=True)
-        scheduler = Scheduler()
-        scheduler.register(leaf)
-        scheduler.register(sink)
-        scheduler.send(RelationRequest(99, 1, adorned.adornment))
-        scheduler.run()
+        fabric = LocalFabric()
+        fabric.register(leaf)
+        fabric.register(sink)
+        fabric.send(RelationRequest(99, 1, adorned.adornment))
+        fabric.run()
         assert sink.rows == [(1,)]
 
 

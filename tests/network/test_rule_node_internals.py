@@ -13,11 +13,14 @@ from repro.network.messages import (
     TupleSet,
 )
 from repro.network.nodes import RuleNodeProcess
-from repro.network.scheduler import Scheduler
+from repro.network.shard_loop import LocalFabric
 
 
 class Probe:
     """Observes everything a node under test sends to a given id."""
+
+    protocol = None  # no strong component
+    _request_buffer = {}  # never buffers a request
 
     def __init__(self, node_id):
         self.node_id = node_id
@@ -59,18 +62,18 @@ def build_rule_node(rule_text, head_adornment, parent_adornment=None):
     adorned = adorn_body(sip)
     child_ids = tuple(100 + i for i in range(len(rule.body)))
     node = RuleNodeProcess(1, rule, head, parent, sip.order, adorned, child_ids)
-    scheduler = Scheduler()
+    fabric = LocalFabric()
     parent_probe = Probe(0)
     node.add_consumer(0, wants_all=not parent.dynamic_positions)
-    scheduler.register(parent_probe)
-    scheduler.register(node)
+    fabric.register(parent_probe)
+    fabric.register(node)
     child_probes = {}
     for child_id in child_ids:
         probe = Probe(child_id)
         child_probes[child_id] = probe
         node.add_feeder(child_id, is_feeder=True)
-        scheduler.register(probe)
-    return node, scheduler, parent_probe, child_probes, adorned
+        fabric.register(probe)
+    return node, fabric, parent_probe, child_probes, adorned
 
 
 class TestStagePlans:
@@ -110,115 +113,115 @@ class TestStagePlans:
 
 class TestPipelineFlow:
     def test_tuples_flow_through_stages(self):
-        node, scheduler, parent, children, adorned = build_rule_node(
+        node, fabric, parent, children, adorned = build_rule_node(
             "p(X, Z) <- a(X, Y), b(Y, Z).", ("d", "f")
         )
-        scheduler.send(RelationRequest(0, 1, ("d", "f")))
-        scheduler.send(TupleRequest(0, 1, ("x1",), 1))
-        scheduler.run()
+        fabric.send(RelationRequest(0, 1, ("d", "f")))
+        fabric.send(TupleRequest(0, 1, ("x1",), 1))
+        fabric.run()
         # The request for a's d-binding went out.
         assert children[100].requests == [("x1",)]
         # a answers: (x1, y1)
-        scheduler.send(TupleMessage(100, 1, ("x1", "y1")))
-        scheduler.run()
+        fabric.send(TupleMessage(100, 1, ("x1", "y1")))
+        fabric.run()
         assert children[101].requests == [("y1",)]
         # b answers: (y1, z1) — the head row appears at the parent.
-        scheduler.send(TupleMessage(101, 1, ("y1", "z1")))
-        scheduler.run()
+        fabric.send(TupleMessage(101, 1, ("y1", "z1")))
+        fabric.run()
         assert parent.tuples == [("x1", "z1")]
 
     def test_arrival_order_does_not_matter(self):
         # b's tuple arrives before a's: the join must still fire.
-        node, scheduler, parent, children, _ = build_rule_node(
+        node, fabric, parent, children, _ = build_rule_node(
             "p(X, Z) <- a(X, Y), b(Y, Z).", ("d", "f")
         )
-        scheduler.send(RelationRequest(0, 1, ("d", "f")))
-        scheduler.send(TupleRequest(0, 1, ("x1",), 1))
-        scheduler.run()
-        scheduler.send(TupleMessage(101, 1, ("y1", "z1")))  # early b tuple
-        scheduler.run()
+        fabric.send(RelationRequest(0, 1, ("d", "f")))
+        fabric.send(TupleRequest(0, 1, ("x1",), 1))
+        fabric.run()
+        fabric.send(TupleMessage(101, 1, ("y1", "z1")))  # early b tuple
+        fabric.run()
         assert parent.tuples == []
-        scheduler.send(TupleMessage(100, 1, ("x1", "y1")))
-        scheduler.run()
+        fabric.send(TupleMessage(100, 1, ("x1", "y1")))
+        fabric.run()
         assert parent.tuples == [("x1", "z1")]
 
     def test_duplicate_tuples_ignored(self):
-        node, scheduler, parent, children, _ = build_rule_node(
+        node, fabric, parent, children, _ = build_rule_node(
             "p(X, Z) <- a(X, Y), b(Y, Z).", ("d", "f")
         )
-        scheduler.send(RelationRequest(0, 1, ("d", "f")))
-        scheduler.send(TupleRequest(0, 1, ("x1",), 1))
+        fabric.send(RelationRequest(0, 1, ("d", "f")))
+        fabric.send(TupleRequest(0, 1, ("x1",), 1))
         for _ in range(3):
-            scheduler.send(TupleMessage(100, 1, ("x1", "y1")))
-            scheduler.send(TupleMessage(101, 1, ("y1", "z1")))
-        scheduler.run()
+            fabric.send(TupleMessage(100, 1, ("x1", "y1")))
+            fabric.send(TupleMessage(101, 1, ("y1", "z1")))
+        fabric.run()
         assert parent.tuples == [("x1", "z1")]
         assert children[101].requests == [("y1",)]
 
     def test_duplicate_head_requests_ignored(self):
-        node, scheduler, parent, children, _ = build_rule_node(
+        node, fabric, parent, children, _ = build_rule_node(
             "p(X, Z) <- a(X, Y), b(Y, Z).", ("d", "f")
         )
-        scheduler.send(RelationRequest(0, 1, ("d", "f")))
-        scheduler.send(TupleRequest(0, 1, ("x1",), 1))
-        scheduler.send(TupleRequest(0, 1, ("x1",), 2))
-        scheduler.run()
+        fabric.send(RelationRequest(0, 1, ("d", "f")))
+        fabric.send(TupleRequest(0, 1, ("x1",), 1))
+        fabric.send(TupleRequest(0, 1, ("x1",), 2))
+        fabric.run()
         assert children[100].requests == [("x1",)]
 
     def test_head_constant_clash_produces_nothing(self):
         # Rule head p(a, Z): a request for X = b cannot match.
-        node, scheduler, parent, children, _ = build_rule_node(
+        node, fabric, parent, children, _ = build_rule_node(
             "p(a, Z) <- r(a, Z).", ("c", "f"), parent_adornment=("d", "f")
         )
-        scheduler.send(RelationRequest(0, 1, ("d", "f")))
-        scheduler.send(TupleRequest(0, 1, ("b",), 1))
-        scheduler.run()
+        fabric.send(RelationRequest(0, 1, ("d", "f")))
+        fabric.send(TupleRequest(0, 1, ("b",), 1))
+        fabric.run()
         assert children[100].requests == []
         assert parent.tuples == []
 
     def test_repeated_head_variable_requires_equal_binding(self):
-        node, scheduler, parent, children, _ = build_rule_node(
+        node, fabric, parent, children, _ = build_rule_node(
             "p(X, X) <- r(X).", ("d", "d")
         )
-        scheduler.send(RelationRequest(0, 1, ("d", "d")))
-        scheduler.send(TupleRequest(0, 1, ("v", "w"), 1))  # v != w: no-op
-        scheduler.send(TupleRequest(0, 1, ("v", "v"), 2))
-        scheduler.run()
+        fabric.send(RelationRequest(0, 1, ("d", "d")))
+        fabric.send(TupleRequest(0, 1, ("v", "w"), 1))  # v != w: no-op
+        fabric.send(TupleRequest(0, 1, ("v", "v"), 2))
+        fabric.run()
         assert children[100].requests == [("v",)]
 
     def test_bodiless_rule_emits_head_directly(self):
-        node, scheduler, parent, children, _ = build_rule_node(
+        node, fabric, parent, children, _ = build_rule_node(
             "p(a, b).", ("c", "c"), parent_adornment=("d", "f")
         )
-        scheduler.send(RelationRequest(0, 1, ("d", "f")))
-        scheduler.send(TupleRequest(0, 1, ("a",), 1))
-        scheduler.run()
+        fabric.send(RelationRequest(0, 1, ("d", "f")))
+        fabric.send(TupleRequest(0, 1, ("a",), 1))
+        fabric.run()
         assert parent.tuples == [("a", "b")]
 
     def test_existential_subgoal_positions_not_in_env(self):
         # W is existential in a(X, Y, W): rows arrive without the W column.
-        node, scheduler, parent, children, adorned = build_rule_node(
+        node, fabric, parent, children, adorned = build_rule_node(
             "p(X, Y) <- a(X, Y, W).", ("d", "f")
         )
         assert adorned[0].adornment == ("d", "f", "e")
-        scheduler.send(RelationRequest(0, 1, ("d", "f")))
-        scheduler.send(TupleRequest(0, 1, ("x1",), 1))
-        scheduler.run()
-        scheduler.send(TupleMessage(100, 1, ("x1", "y1")))  # two columns only
-        scheduler.run()
+        fabric.send(RelationRequest(0, 1, ("d", "f")))
+        fabric.send(TupleRequest(0, 1, ("x1",), 1))
+        fabric.run()
+        fabric.send(TupleMessage(100, 1, ("x1", "y1")))  # two columns only
+        fabric.run()
         assert parent.tuples == [("x1", "y1")]
 
     def test_three_way_join_with_branching_flow(self):
-        node, scheduler, parent, children, _ = build_rule_node(
+        node, fabric, parent, children, _ = build_rule_node(
             "p(X, Z) <- a(X, Y, V), b(Y, U), c(V, U, Z).", ("d", "f")
         )
-        scheduler.send(RelationRequest(0, 1, ("d", "f")))
-        scheduler.send(TupleRequest(0, 1, ("x",), 1))
-        scheduler.run()
-        scheduler.send(TupleMessage(100, 1, ("x", "y", "v")))
-        scheduler.run()
-        scheduler.send(TupleMessage(101, 1, ("y", "u")))
-        scheduler.run()
-        scheduler.send(TupleMessage(102, 1, ("v", "u", "z")))
-        scheduler.run()
+        fabric.send(RelationRequest(0, 1, ("d", "f")))
+        fabric.send(TupleRequest(0, 1, ("x",), 1))
+        fabric.run()
+        fabric.send(TupleMessage(100, 1, ("x", "y", "v")))
+        fabric.run()
+        fabric.send(TupleMessage(101, 1, ("y", "u")))
+        fabric.run()
+        fabric.send(TupleMessage(102, 1, ("v", "u", "z")))
+        fabric.run()
         assert parent.tuples == [("x", "z")]

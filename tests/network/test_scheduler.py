@@ -1,13 +1,17 @@
-"""Unit tests for the discrete-event scheduler: FIFO, determinism, budgets."""
+"""Unit tests for the simulator's fabric (``LocalFabric``, one in-memory
+shard of the delivery loop): FIFO, seeded order, budgets, tracing."""
 
 import pytest
 
 from repro.network.messages import Message, TupleMessage
-from repro.network.scheduler import MessageBudgetExceeded, Scheduler
+from repro.network.shard_loop import LocalFabric, MessageBudgetExceeded
 
 
 class Recorder:
     """A minimal process that records deliveries and can relay."""
+
+    protocol = None  # no strong component
+    _request_buffer = {}  # never buffers a request
 
     def __init__(self, node_id, relay_to=None, network_hook=None):
         self.node_id = node_id
@@ -27,95 +31,122 @@ class Recorder:
 
 
 def build(n=3, seed=None, **kwargs):
-    scheduler = Scheduler(seed=seed, **kwargs)
+    fabric = LocalFabric(seed=seed, **kwargs)
     nodes = [Recorder(i) for i in range(n)]
     for node in nodes:
-        scheduler.register(node)
-    return scheduler, nodes
+        fabric.register(node)
+    return fabric, nodes
 
 
 class TestDelivery:
     def test_fifo_per_channel_default(self):
-        scheduler, nodes = build()
+        fabric, nodes = build()
         for i in range(10):
-            scheduler.send(TupleMessage(0, 1, (i,)))
-        scheduler.run()
+            fabric.send(TupleMessage(0, 1, (i,)))
+        fabric.run()
         assert [m.row for m in nodes[1].received] == [(i,) for i in range(10)]
 
     def test_fifo_per_channel_with_random_latency(self):
-        scheduler, nodes = build(seed=1234, n=2)
+        fabric, nodes = build(seed=1234, n=2)
         for i in range(50):
-            scheduler.send(TupleMessage(0, 1, (i,)))
-        scheduler.run()
+            fabric.send(TupleMessage(0, 1, (i,)))
+        fabric.run()
         assert [m.row for m in nodes[1].received] == [(i,) for i in range(50)]
 
     def test_seeded_runs_are_deterministic(self):
         orders = []
         for _ in range(2):
-            scheduler, nodes = build(seed=7)
+            fabric, nodes = build(seed=7)
             # interleave two channels
             for i in range(10):
-                scheduler.send(TupleMessage(0, 2, ("a", i)))
-                scheduler.send(TupleMessage(1, 2, ("b", i)))
-            scheduler.run()
+                fabric.send(TupleMessage(0, 2, ("a", i)))
+                fabric.send(TupleMessage(1, 2, ("b", i)))
+            fabric.run()
             orders.append([m.row for m in nodes[2].received])
         assert orders[0] == orders[1]
 
     def test_seed_changes_interleaving(self):
         def run(seed):
-            scheduler, nodes = build(seed=seed)
+            fabric, nodes = build(seed=seed)
             for i in range(20):
-                scheduler.send(TupleMessage(0, 2, ("a", i)))
-                scheduler.send(TupleMessage(1, 2, ("b", i)))
-            scheduler.run()
+                fabric.send(TupleMessage(0, 2, ("a", i)))
+                fabric.send(TupleMessage(1, 2, ("b", i)))
+            fabric.run()
             return [m.row for m in nodes[2].received]
 
         assert run(1) != run(2)  # overwhelmingly likely by construction
 
+    def test_seed_reorders_a_program_run(self):
+        # On a real network a seed reproduces its delivery order, other
+        # seeds reorder deliveries across channels, and the answers stay.
+        from repro.core.parser import parse_program
+        from repro.network.engine import MessagePassingEngine
+
+        program = parse_program(
+            "t(X, Y) <- e(X, Y). t(X, Y) <- t(X, U), e(U, Y). "
+            "e(1, 2). e(2, 3). e(3, 1). e(3, 4). e(4, 5). ?- t(1, Z)."
+        )
+
+        def run(seed):
+            seen = []
+            result = MessagePassingEngine(program, seed=seed, trace=seen.append).run()
+            assert result.completed and not result.protocol_violations
+            return result.answers, seen
+
+        answers, send_order = run(None)
+        assert run(7) == run(7)
+        seeded = [run(seed) for seed in (1, 2, 3)]
+        assert all(seeded_answers == answers for seeded_answers, _ in seeded)
+        assert any(order != send_order for _, order in seeded)
+
     def test_cascading_sends_are_delivered(self):
-        scheduler, nodes = build()
+        fabric, nodes = build()
         nodes[0].relay_to = 1
         nodes[1].relay_to = 2
-        scheduler.send(TupleMessage(2, 0, ("ping",)))
-        scheduler.run()
+        fabric.send(TupleMessage(2, 0, ("ping",)))
+        fabric.run()
         assert [m.row for m in nodes[2].received] == [("ping",)]
 
     def test_unknown_receiver_rejected(self):
-        scheduler, _ = build()
+        fabric, _ = build()
         with pytest.raises(KeyError):
-            scheduler.send(TupleMessage(0, 99, ()))
+            fabric.send(TupleMessage(0, 99, ()))
 
     def test_duplicate_registration_rejected(self):
-        scheduler, nodes = build()
+        fabric, nodes = build()
         with pytest.raises(ValueError):
-            scheduler.register(nodes[0])
+            fabric.register(nodes[0])
 
 
 class TestIntrospection:
     def test_pending_for(self):
-        scheduler, nodes = build()
-        scheduler.send(TupleMessage(0, 1, ()))
-        scheduler.send(TupleMessage(0, 1, ()))
-        assert scheduler.pending_for(1) == 2
-        scheduler.step()
-        assert scheduler.pending_for(1) == 1
+        fabric, nodes = build()
+        fabric.send(TupleMessage(0, 1, ()))
+        fabric.send(TupleMessage(0, 1, ()))
+        assert fabric.pending_for(1) == 2
+        fabric.step()
+        assert fabric.pending_for(1) == 1
 
     def test_in_flight_oracle(self):
-        scheduler, _ = build()
-        assert scheduler.in_flight() == 0
-        scheduler.send(TupleMessage(0, 1, ()))
-        assert scheduler.in_flight() == 1
+        fabric, _ = build()
+        assert fabric.in_flight() == 0
+        fabric.send(TupleMessage(0, 1, ()))
+        assert fabric.in_flight() == 1
 
     def test_step_returns_none_when_drained(self):
-        scheduler, _ = build()
-        assert scheduler.step() is None
+        fabric, nodes = build()
+        assert fabric.step() is None
+        fabric.send(TupleMessage(0, 1, ()))
+        assert fabric.step() is not None
+        assert fabric.step() is None
+        assert len(nodes[1].received) == 1
 
     def test_stats_by_kind_and_receiver(self):
-        scheduler, nodes = build()
-        scheduler.send(TupleMessage(0, 1, ()))
-        scheduler.send(TupleMessage(0, 2, ()))
-        stats = scheduler.run()
-        assert stats.delivered_total == 2
+        fabric, nodes = build()
+        fabric.send(TupleMessage(0, 1, ()))
+        fabric.send(TupleMessage(0, 2, ()))
+        stats = fabric.run()
+        assert stats.delivered_logical == 2
         assert stats.by_kind == {"TupleMessage": 2}
         assert stats.by_receiver == {1: 1, 2: 1}
         assert stats.computation_messages == 2
@@ -124,42 +155,42 @@ class TestIntrospection:
 
 class TestBudget:
     def test_budget_guard_fires(self):
-        scheduler, nodes = build(max_messages=10)
+        fabric, nodes = build(max_messages=10)
         # A message ping-pong that never stops.
         nodes[0].relay_to = 1
         nodes[1].relay_to = 0
-        scheduler.send(TupleMessage(1, 0, ("x",)))
+        fabric.send(TupleMessage(1, 0, ("x",)))
         with pytest.raises(MessageBudgetExceeded):
-            scheduler.run()
+            fabric.run()
 
     def test_budget_guard_fires_under_step(self):
         # step() must enforce the same budget as run(): a step-driven loop
         # (tracing tools, fine-grained tests) over a livelocked network
         # previously ran unbounded.
-        scheduler, nodes = build(max_messages=10)
+        fabric, nodes = build(max_messages=10)
         nodes[0].relay_to = 1
         nodes[1].relay_to = 0
-        scheduler.send(TupleMessage(1, 0, ("x",)))
+        fabric.send(TupleMessage(1, 0, ("x",)))
         with pytest.raises(MessageBudgetExceeded):
             for _ in range(1000):
-                if scheduler.step() is None:
+                if fabric.step() is None:
                     break
 
     def test_step_budget_counts_match_run(self):
-        scheduler, nodes = build(max_messages=10)
+        fabric, nodes = build(max_messages=10)
         nodes[0].relay_to = 1
         nodes[1].relay_to = 0
-        scheduler.send(TupleMessage(1, 0, ("x",)))
+        fabric.send(TupleMessage(1, 0, ("x",)))
         with pytest.raises(MessageBudgetExceeded):
             while True:
-                scheduler.step()
-        assert scheduler.stats.delivered_total == 10
+                fabric.step()
+        assert fabric.stats.delivered_logical == 10
 
     def test_trace_hook_sees_every_delivery(self):
         seen = []
-        scheduler = Scheduler(trace=seen.append)
+        fabric = LocalFabric(trace=seen.append)
         node = Recorder(0)
-        scheduler.register(node)
-        scheduler.send(TupleMessage(0, 0, (1,)))
-        scheduler.run()
+        fabric.register(node)
+        fabric.send(TupleMessage(0, 0, (1,)))
+        fabric.run()
         assert len(seen) == 1

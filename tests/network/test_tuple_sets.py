@@ -9,8 +9,8 @@ The invariants:
   path was retired, on the paper's distributed graph, which the pinned
   runs below build explicitly);
 * a ``TupleSet`` weighs ``len(rows)`` logical tuples in every counter that
-  meant "tuples" (``delivered_total``, per-receiver, computation), while
-  ``physical_total`` counts deliveries;
+  meant "tuples" (``delivered_logical``, per-receiver, computation), while
+  ``delivered_physical`` counts deliveries;
 * the bulk join kernels probe each stage index once per *distinct* join key
   per batch, so ``probe_lookups`` stays at or below the per-tuple count;
 * provenance survives the bulk paths row by row.
@@ -144,19 +144,19 @@ class TestLogicalAccounting:
         # physical total, so the difference is exactly rows-minus-sets.
         stats = evaluate(WORKLOADS[name]()).stats
         assert (
-            stats.delivered_total - stats.physical_total
+            stats.delivered_logical - stats.delivered_physical
             == stats.tuple_set_rows - stats.tuple_sets
         )
 
     def test_per_receiver_counters_are_weighted(self):
         stats = evaluate(fan_out_program(12)).stats
-        assert sum(stats.by_receiver.values()) == stats.delivered_total
+        assert sum(stats.by_receiver.values()) == stats.delivered_logical
         assert sum(stats.sets_by_receiver.values()) == stats.tuple_sets
 
     def test_max_messages_budget_is_logical(self):
         # A tiny logical budget must trip even when everything ships as a
         # handful of physical sets.
-        from repro.network.scheduler import MessageBudgetExceeded
+        from repro.network.shard_loop import MessageBudgetExceeded
 
         program = fan_out_program(40)
         with pytest.raises(MessageBudgetExceeded):

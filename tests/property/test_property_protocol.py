@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.messages import EndRequest, TupleMessage
-from repro.network.scheduler import Scheduler
+from repro.network.shard_loop import LocalFabric
 from repro.network.termination import TerminationProtocol
 
 
 class StubNode:
+    _request_buffer = {}  # never buffers a request
+
     def __init__(self, node_id):
         self.node_id = node_id
         self.protocol = None
@@ -75,7 +77,7 @@ def component_with_work(draw):
 
 
 def build(tree, seed):
-    scheduler = Scheduler(seed=seed)
+    fabric = LocalFabric(seed=seed)
     parents = {}
     for parent, kids in tree.items():
         for kid in kids:
@@ -90,8 +92,8 @@ def build(tree, seed):
             bfst_children=tuple(tree[node_id]),
         )
         nodes[node_id] = node
-        scheduler.register(node)
-    return scheduler, nodes
+        fabric.register(node)
+    return fabric, nodes
 
 
 class TestProtocolProperties:
@@ -109,9 +111,9 @@ class TestProtocolProperties:
         (tests/integration/test_termination_protocol.py).
         """
         tree, injections, seed = case
-        scheduler, nodes = build(tree, seed)
+        fabric, nodes = build(tree, seed)
         leader = nodes[0]
-        leader.on_idle_check(scheduler)
+        leader.on_idle_check(fabric)
         step = 0
         pending = sorted(injections)
         while True:
@@ -120,11 +122,11 @@ class TestProtocolProperties:
                 if leader.concluded == 0:
                     nodes[node].pending_work += amount
                     for _ in range(amount):
-                        scheduler.send(TupleMessage(99, node, ("w", step)))
+                        fabric.send(TupleMessage(99, node, ("w", step)))
                 else:
                     pending = []
                     break
-            if scheduler.step() is None:
+            if fabric.step() is None:
                 if pending and leader.concluded == 0:
                     step = pending[0][0]  # jump to the next injection
                     continue
@@ -133,7 +135,7 @@ class TestProtocolProperties:
             assert step < 20_000, "protocol failed to converge"
         assert leader.concluded == 1
         assert all(n.pending_work == 0 for n in nodes.values())
-        assert scheduler.in_flight() == 0
+        assert fabric.in_flight() == 0
 
     @settings(max_examples=120, deadline=None)
     @given(component_with_work())
@@ -146,7 +148,7 @@ class TestProtocolProperties:
         the concluding one.
         """
         tree, injections, seed = case
-        scheduler, nodes = build(tree, seed)
+        fabric, nodes = build(tree, seed)
         leader = nodes[0]
 
         def conclude(network):
@@ -160,7 +162,7 @@ class TestProtocolProperties:
                 )
 
         leader.on_component_conclude = conclude
-        leader.on_idle_check(scheduler)
+        leader.on_idle_check(fabric)
         pending = sorted(injections)
         step = 0
         while True:
@@ -168,8 +170,8 @@ class TestProtocolProperties:
                 _, node, amount = pending.pop(0)
                 nodes[node].pending_work += amount
                 for _ in range(amount):
-                    scheduler.send(TupleMessage(99, node, ("w", step)))
-            if scheduler.step() is None:
+                    fabric.send(TupleMessage(99, node, ("w", step)))
+            if fabric.step() is None:
                 if pending and leader.concluded == 0:
                     step = pending[0][0]
                     continue
@@ -181,8 +183,8 @@ class TestProtocolProperties:
     @settings(max_examples=60, deadline=None)
     @given(random_trees(), st.integers(0, 10_000))
     def test_quiet_component_needs_exactly_two_waves(self, tree, seed):
-        scheduler, nodes = build(tree, seed)
-        nodes[0].on_idle_check(scheduler)
-        scheduler.run()
+        fabric, nodes = build(tree, seed)
+        nodes[0].on_idle_check(fabric)
+        fabric.run()
         assert nodes[0].concluded == 1
         assert nodes[0].protocol.rounds_started == 2

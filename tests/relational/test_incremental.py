@@ -179,19 +179,19 @@ class TestInFlightMessagesAreSnapshots:
         program = parse_program(self.PROGRAM)
         database = Database.from_facts(program.facts)
         engine = MessagePassingEngine(program, database=database)
-        engine.driver.start(engine.scheduler)
+        engine.driver.start(engine.fabric)
         in_flight = None
         while in_flight is None:  # run until a leaf's answer is on the wire
-            engine.scheduler.step()
+            engine.fabric.step()
             in_flight = next(
-                (m for _, _, m in engine.scheduler._heap if isinstance(m, TupleSet)), None
+                (m for m in engine.fabric.local if isinstance(m, TupleSet)), None
             )
         bucket = database.lookup("e", (0,), ("a",))
         carried = set(in_flight.rows)
         database.add_facts([atom("e", "a", 9)])
         assert ("a", 9) in bucket  # the handed-out bucket is the live one
         assert set(in_flight.rows) == carried  # the message is its own copy
-        engine.scheduler.run()
+        engine.fabric.run()
         # The cold run converges on what it was served; the delta wave
         # brings in the row committed mid-flight.
         assert engine.driver.answers == {(1,), (2,)}

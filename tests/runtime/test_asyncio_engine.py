@@ -16,7 +16,7 @@ import pytest
 from repro.core.sips import all_free_sip
 from repro.network.engine import MessagePassingEngine, evaluate
 from repro.network.nodes import DRIVER_ID
-from repro.network.scheduler import MessageBudgetExceeded
+from repro.network.shard_loop import MessageBudgetExceeded
 from repro.session import Session
 from repro.workloads import (
     chain_edges,
@@ -69,7 +69,7 @@ class TestRuntimeShape:
 
     def test_messages_counted(self, p1_small):
         result = evaluate(p1_small, seed=23)
-        assert result.stats.delivered_total > 0
+        assert result.stats.delivered_logical > 0
 
     def test_run_async_inside_event_loop(self, p1_small):
         session = Session(p1_small)

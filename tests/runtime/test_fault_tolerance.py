@@ -217,7 +217,7 @@ class TestRecovery:
 
     def test_persistent_fault_degrades_to_inprocess(self, runtime, expected):
         # The fault fires on *every* attempt; after retries are exhausted
-        # the in-process scheduler answers, flagged as degraded.
+        # the simulator answers, flagged as degraded.
         result = RUNNERS[runtime](
             make_program(),
             fault_plan=FaultPlan(kill_worker=0, kill_after=2),
@@ -230,6 +230,12 @@ class TestRecovery:
         assert result.failure_log[-1].startswith("degraded:")
         # The degraded result ran no worker processes at all.
         assert result.workers == 0
+        # ... and reports its one in-process shard's accounting.
+        simulated = evaluate(make_program()).stats
+        assert result.logical_tuple_rows == (
+            simulated.by_kind.get("TupleMessage", 0) + simulated.tuple_set_rows
+        )
+        assert result.total_messages > 0 and result.physical_messages > 0
         assert_no_stray_children()
 
     def test_exhausted_retries_reraise_with_failure_log(self, runtime):

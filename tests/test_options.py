@@ -228,7 +228,7 @@ class TestShardedProvenance:
         assert not any(
             process.record_provenance
             for engine in engines
-            for process in engine.scheduler.processes()
+            for process in engine.processes.values()
         )
 
 
